@@ -24,6 +24,7 @@ from .evolution import (
     kdv_rhs,
     stable_dt,
     steepening_verdict,
+    step_ifrk4,
     step_rk4,
     unwrap_track,
 )

@@ -269,6 +269,11 @@ def _drift_entries(drifts: dict[str, float]) -> dict[str, str]:
     return {f"drift_{k}": _fmt(drifts[k]) for k in ("Q", "E", "M", "Hfun")}
 
 
+def _step_entries(res) -> dict[str, str]:
+    # how the run stepped is deterministic, so it belongs in the manifest
+    return {"integrator": res.integrator, "dt": _fmt(res.dt), "steps": str(res.steps)}
+
+
 def recentered_shape_error(final: WaveField, reference: WaveField) -> float:
     """Max |final - reference| after sliding the final crest onto the reference."""
     shift = crest_position(final) - crest_position(reference)
@@ -318,6 +323,7 @@ def scenario_solitary_transit(cfg: ExperimentConfig) -> dict[str, str]:
         "shape_error_rel_h0": _fmt(shape_err / abs(spec.h0)),
         "tail_rel": _fmt(tail),
         **_drift_entries(drifts),
+        **_step_entries(res),
     }
 
 
@@ -370,6 +376,7 @@ def scenario_two_soliton(cfg: ExperimentConfig) -> dict[str, str]:
         "phase_shift_tall": _fmt(shiftA), "phase_shift_short": _fmt(shiftB),
         "amp_tall": _fmt(final.h[jA]), "amp_short": _fmt(final.h[jB]),
         "shape_error_tall_rel": _fmt(errA), "shape_error_short_rel": _fmt(errB),
+        **_step_entries(res),
     }
 
 
@@ -433,7 +440,8 @@ def scenario_moment_conservation(cfg: ExperimentConfig) -> dict[str, str]:
     res = evolve(field0, cfg.params, scheme)
     emit_invariants_csv(res.invariants, cfg.output_dir / "invariants.csv")
     return {"t_end": _fmt(t_end),
-            **_drift_entries(conservation_drift(res.invariants))}
+            **_drift_entries(conservation_drift(res.invariants)),
+            **_step_entries(res)}
 
 
 def scenario_factorization(cfg: ExperimentConfig) -> dict[str, str]:
@@ -634,7 +642,8 @@ def _cmd_evolve(args) -> int:
     emit_profile_csv(res.final, params, scheme.deriv, cfg.output_dir / "profile_final.csv")
     emit_invariants_csv(res.invariants, cfg.output_dir / "invariants.csv")
     results = {"t_end": _fmt(t_end),
-               **_drift_entries(conservation_drift(res.invariants))}
+               **_drift_entries(conservation_drift(res.invariants)),
+               **_step_entries(res)}
     if args.ic == "solitary":
         # crest tracking is unambiguous only with a single crest in the domain
         ts, xs = _track_crests(res)

@@ -28,6 +28,30 @@ def wavenumbers(N: int, L: float) -> np.ndarray:
     return k
 
 
+def derivative_symbols(N: int, L: float,
+                       scheme: str = "spectral") -> tuple[np.ndarray, np.ndarray]:
+    """Fourier multipliers (D1, D2) of d/dx and d^2/dx^2 on the rfft modes.
+
+    Spectral: ik and -k^2.  centered4: the exact symbols of the
+    4th-order centered stencils, i(8 sin k dx - sin 2k dx)/(6 dx) and
+    -(15 - 16 cos k dx + cos 2k dx)/(6 dx^2), so that multiplying by
+    them reproduces the stencils to roundoff.  The last (Nyquist) entry
+    of D1 is zero: that mode has no well-defined odd derivative.
+    """
+    check_scheme(scheme)
+    k = wavenumbers(N, L)
+    if scheme == "spectral":
+        d1 = 1j * k
+        d2 = -(k * k)
+    else:
+        dx = L / N
+        kd = k * dx
+        d1 = 1j * (8.0 * np.sin(kd) - np.sin(2.0 * kd)) / (6.0 * dx)
+        d2 = -(15.0 - 16.0 * np.cos(kd) + np.cos(2.0 * kd)) / (6.0 * dx * dx)
+    d1[-1] = 0.0
+    return d1, d2
+
+
 def diff(h: np.ndarray, L: float, order: int = 1, scheme: str = "spectral") -> np.ndarray:
     """order-th spatial derivative (order 1 or 2) of periodic samples."""
     check_scheme(scheme)

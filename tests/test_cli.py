@@ -199,6 +199,21 @@ class TestSubcommands:
         assert (out / "invariants.csv").exists()
         assert (out / "profile_final.csv").exists()
 
+    def test_evolve_manifest_records_integrator(self, tmp_path):
+        runs = {}
+        for name, extra in (("auto", []), ("fixed", ["--set", "scheme.dt=0.001"])):
+            rc = main(["evolve", "--ic", "solitary", "--out", str(tmp_path / name),
+                       "--set", "grid.N=128", "--set", "grid.L=60",
+                       "--set", "scheme.t_end=0.5", *extra])
+            assert rc == EXIT_OK
+            runs[name] = dict(l.split("=", 1) for l in
+                              (tmp_path / name / "manifest.txt").read_text().splitlines())
+        assert runs["auto"]["result.integrator"] == "ifrk4"
+        assert runs["fixed"]["result.integrator"] == "rk4"
+        assert runs["fixed"]["result.steps"] == "500"
+        for m in runs.values():
+            assert int(m["result.steps"]) * float(m["result.dt"]) == pytest.approx(0.5)
+
     def test_evolve_centered4_passthrough(self, tmp_path):
         out = tmp_path / "run4"
         rc = main(["evolve", "--ic", "solitary", "--out", str(out),

@@ -12,6 +12,7 @@ from longwave import (
     SteepeningVerdict,
     WaveField,
     boussinesq_rhs,
+    conservation_drift,
     crest_position,
     deformation_rate_closed_form,
     dispersion_sigma,
@@ -25,9 +26,11 @@ from longwave import (
     solitary_speed,
     stable_dt,
     steepening_verdict,
+    step_ifrk4,
     step_rk4,
 )
-from longwave.operators import diff, fourier_shift
+from longwave import evolution
+from longwave.operators import diff, fourier_shift, wavenumbers
 from conftest import smooth_random_fields
 
 SIGMA0 = 1.0 / 3.0
@@ -159,6 +162,116 @@ class TestStepRk4:
         assert exc.value.time > 0
 
 
+def kdv_linear_symbol(params, grid, scheme):
+    """Fixed-frame linear symbol written out from the stencils (or ik)."""
+    k = wavenumbers(grid.N, grid.L)
+    if scheme == "spectral":
+        d1, d2 = 1j * k, -k * k
+    else:
+        kd = k * grid.dx
+        d1 = 1j * (8 * np.sin(kd) - np.sin(2 * kd)) / (6 * grid.dx)
+        d2 = -(15 - 16 * np.cos(kd) + np.cos(2 * kd)) / (6 * grid.dx ** 2)
+    d1[-1] = 0.0
+    c = 1.5 * math.sqrt(params.g / params.H)
+    return -c * d1 * ((2.0 / 3.0) * params.H + (params.H ** 3 / 9.0) * d2)
+
+
+class TestStableDt:
+    def test_centered4_advisory_reads_its_own_symbol(self, params):
+        grid = PeriodicGrid(L=120.0, N=512)
+        lam = np.max(np.abs(kdv_linear_symbol(params, grid, "centered4")))
+        c4 = stable_dt(grid, params, SchemeConfig(deriv="centered4"))
+        assert c4 == pytest.approx(0.4 * 2 * math.sqrt(2) / lam, rel=1e-12)
+        assert c4 > stable_dt(grid, params, SchemeConfig(deriv="spectral"))
+
+
+class TestIfrk4:
+    def test_linear_mode_propagated_exactly(self, params):
+        # at 1e-9 m the nonlinearity moves the mode's own coefficient by
+        # ~1e-18 relative; one step 100x past the RK4 limit must rotate
+        # that coefficient by exactly exp(L dt)
+        grid = PeriodicGrid(L=50.0, N=256)
+        j = 20
+        h = 1e-9 * np.cos(2 * math.pi * j * grid.x / grid.L)
+        rk4_limit = stable_dt(grid, params) / 0.4
+        dt = 100 * rk4_limit
+        out = step_ifrk4(WaveField(grid, h), params, SchemeConfig(), dt)
+        lin = kdv_linear_symbol(params, grid, "spectral")
+        want = np.exp(lin[j] * dt) * np.fft.rfft(h)[j]
+        assert abs(np.fft.rfft(out.h)[j] - want) <= 1e-12 * abs(want)
+        assert out.t == pytest.approx(dt)
+
+    def test_fixed_horizon_convergence(self, params):
+        # halving dt cuts the error against exact translation ~16x
+        spec, grid, field = solitary_case(params, N=256, L=120.0)
+        omega = solitary_speed(spec)
+        t_end = 2.0
+        exact = fourier_shift(field.h, grid.L, omega * t_end)
+
+        def err(n):
+            f = field
+            for _ in range(n):
+                f = step_ifrk4(f, params, SchemeConfig(), t_end / n)
+            return np.max(np.abs(f.h - exact))
+
+        e10, e20, e40 = err(10), err(20), err(40)
+        assert 8.0 <= e10 / e20 <= 32.0
+        assert 8.0 <= e20 / e40 <= 32.0
+
+    def test_centered4_auto_step_agrees_with_rk4(self, params):
+        spec, grid, field = solitary_case(params, h0=0.2, N=256, L=60.0)
+        auto = evolve(field, params, SchemeConfig(deriv="centered4", t_end=1.0),
+                      record_invariants=False)
+        dt = stable_dt(grid, params, SchemeConfig(deriv="centered4"))
+        rk4 = evolve(field, params, SchemeConfig(deriv="centered4", t_end=1.0, dt=dt),
+                     record_invariants=False)
+        assert (auto.integrator, rk4.integrator) == ("ifrk4", "rk4")
+        assert auto.steps < rk4.steps
+        assert np.max(np.abs(auto.final.h - rk4.final.h)) <= 1e-8 * spec.h0
+
+    def test_blowup_raised_in_the_crossing_step(self, params, monkeypatch):
+        # a step 50x the nonlinear limit (phase limit lifted) diverges; the
+        # check runs on every step, so the error comes one step after the
+        # last sample, which every step takes here
+        monkeypatch.setattr(evolution, "IF_SAFETY", 5.0)
+        monkeypatch.setattr(evolution, "IF_PHASE_LIMIT", math.inf)
+        spec, grid, field = solitary_case(params, h0=0.2, N=128, L=60.0)
+        seen = []
+        with pytest.raises(BlowUpError) as exc:
+            evolve(field, params, SchemeConfig(t_end=50.0), record_invariants=False,
+                   observers=[lambda t, s: seen.append((t, np.max(np.abs(s.h))))],
+                   sample_every=1)
+        times = [t for t, _ in seen]
+        assert len(times) >= 3
+        assert all(m <= 10 * params.H for _, m in seen)
+        assert exc.value.time == pytest.approx(times[-1] + (times[1] - times[0]))
+
+    @pytest.mark.parametrize("h0_tall", [0.42, 0.46])
+    def test_phase_limit_keeps_collisions_clean(self, params, h0_tall):
+        # under the nonlinear limit alone these overtakings take steps that
+        # turn the fastest modes past a full cycle, and grid-scale noise
+        # grows to 3e-7..3e-6 m (criterion 07's 0.5 m case blows up)
+        grid = PeriodicGrid(L=80.0, N=256)
+        specA = SolitarySpec(h0_tall, SIGMA0, params.H, params.g)
+        specB = SolitarySpec(0.2, SIGMA0, params.H, params.g)
+        h = solitary_profile(specA, grid.x + 22.0) + solitary_profile(specB, grid.x + 4.0)
+        res = evolve(WaveField(grid, h), params,
+                     SchemeConfig(frame="moving", t_end=60.0), record_invariants=False)
+        tail = np.abs(np.fft.rfft(res.final.h))[-grid.N // 16:].max() / grid.N
+        assert res.integrator == "ifrk4" and tail < 1e-8
+
+    def test_run_records_how_it_stepped(self, params):
+        spec, grid, field = solitary_case(params, N=128, L=60.0)
+        auto = evolve(field, params, SchemeConfig(t_end=1.0), record_invariants=False)
+        assert auto.integrator == "ifrk4"
+        assert auto.steps * auto.dt == pytest.approx(1.0)
+        fixed = evolve(field, params, SchemeConfig(t_end=1.0, dt=0.01),
+                       record_invariants=False)
+        assert (fixed.integrator, fixed.steps, fixed.dt) == ("rk4", 100, pytest.approx(0.01))
+        zero = evolve(WaveField(grid, np.zeros(grid.N)), params, SchemeConfig(t_end=1.0))
+        assert (zero.integrator, zero.steps) == ("ifrk4", 1)
+
+
 class TestEvolve:
     def test_zero_field(self, params):
         grid = PeriodicGrid(L=20.0, N=64)
@@ -193,6 +306,20 @@ class TestEvolve:
                         record_invariants=False, sample_every=10 ** 9)
         mapped = fourier_shift(moving.final.h, grid.L, c_frame * t_end)
         assert np.max(np.abs(fixed.final.h - mapped)) <= 1e-8 * spec.h0
+
+    def test_rk4_transit_meets_criteria_04_08(self, params):
+        # the auto-step reference transit runs IFRK4; this lap keeps the
+        # explicit-dt RK4 path under the same conservation and speed gates
+        spec, grid, field = solitary_case(params, N=512, L=120.0)
+        omega = solitary_speed(spec)
+        dt = stable_dt(grid, params)
+        res = evolve(field, params, SchemeConfig(dt=dt, t_end=grid.L / omega))
+        assert res.integrator == "rk4"
+        d = conservation_drift(res.invariants)
+        assert d["Q"] <= 1e-12
+        assert max(d["E"], d["M"], d["Hfun"]) <= 1e-6
+        speed = fit_speed(res.times, [crest_position(s) for s in res.snapshots], grid.L)
+        assert abs(speed - omega) / omega <= 0.01
 
     def test_observers_and_sampling(self, params):
         spec, grid, field = solitary_case(params, N=128, L=60.0)
