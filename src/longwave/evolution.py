@@ -20,9 +20,12 @@ right-hand-side evaluation passes through a sharp spectral low-pass at
 filter_cut * sqrt(3)/H; the filter can be disabled only to demonstrate
 the blow-up.
 
-Both derivative schemes write the unidirectional equation in Fourier
-space as one linear symbol plus one multiplier of the transformed h^2
-flux (the centered stencils through their exact trigonometric symbols).
+Both equations are written in Fourier space the same way, as one
+linear symbol plus one multiplier of the transformed h^2 flux, built
+from the derivative symbols of the chosen scheme (the centered stencils
+through their exact trigonometric symbols).  For the bidirectional
+system the pair gives h_tt; the low-pass zeroes both multipliers above
+the cut and is applied to h_t = v as well.
 
 The time integrator follows from the step.  With scheme.dt=auto a
 unidirectional run uses Lawson's integrating-factor RK4 (IFRK4): the
@@ -207,47 +210,49 @@ def kdv_rhs(field: WaveField, params: PhysicalParams,
     return _kdv_fn_for(field.grid, params, config)(field.h)
 
 
-class _BoussinesqOp:
-    """RHS of the first-order bidirectional system with filter accounting."""
+@lru_cache(maxsize=32)
+def _boussinesq_symbols(N: int, L: float, g: float, H: float, deriv: str,
+                        k_cut: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(lin, flux, keep) with rfft(h_tt) = lin * rfft(h) + flux * rfft(h^2).
 
-    def __init__(self, grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig):
-        self.N, self.L = grid.N, grid.L
-        self.g, self.H = params.g, params.H
-        self.deriv = config.deriv
-        self.k = wavenumbers(self.N, self.L)
-        self.k2 = self.k * self.k
-        self.keep = None
-        if config.boussinesq_filter:
-            self.keep = self.k <= config.filter_cut * math.sqrt(3.0) / params.H
-        self.removed_l2 = 0.0
-        self.total_l2 = 0.0
-        self.dx = grid.dx
+    Both symbols are zeroed above k_cut; keep is the retained band as 0/1
+    weights, None when the low-pass is off (read-only arrays).
+    """
+    d2 = derivative_symbols(N, L, deriv)[1]
+    lin = g * H * d2 * (1.0 + (H * H / 3.0) * d2)
+    flux = 1.5 * g * d2
+    keep = None
+    if k_cut is not None:
+        keep = (wavenumbers(N, L) <= k_cut).astype(float)
+        lin *= keep
+        flux *= keep
+        keep.setflags(write=False)
+    lin.setflags(write=False)
+    flux.setflags(write=False)
+    return lin, flux, keep
 
-    def _d2(self, f: np.ndarray) -> np.ndarray:
-        if self.deriv == "spectral":
-            return np.fft.irfft(-self.k2 * np.fft.rfft(f), n=self.N)
-        return (-np.roll(f, -2) + 16.0 * np.roll(f, -1) - 30.0 * f
-                + 16.0 * np.roll(f, 1) - np.roll(f, 2)) / (12.0 * self.dx ** 2)
 
-    def rhs(self, y: np.ndarray) -> np.ndarray:
+def _boussinesq_symbols_for(grid: PeriodicGrid, params: PhysicalParams,
+                            config: SchemeConfig):
+    k_cut = config.filter_cut * math.sqrt(3.0) / params.H if config.boussinesq_filter else None
+    return _boussinesq_symbols(grid.N, grid.L, params.g, params.H, config.deriv, k_cut)
+
+
+def _boussinesq_fn_for(grid: PeriodicGrid, params: PhysicalParams,
+                       config: SchemeConfig) -> Callable[[np.ndarray], np.ndarray]:
+    """RHS of the first-order system y = (h, v = h_t) -> (h_t, h_tt)."""
+    lin, flux, keep = _boussinesq_symbols_for(grid, params, config)
+    N = grid.N
+
+    def rhs(y: np.ndarray) -> np.ndarray:
         h, v = y
-        g, H = self.g, self.H
-        w = g * H * h + 1.5 * g * h * h + (g * H ** 3 / 3.0) * self._d2(h)
-        if self.keep is None:
-            return np.stack([v, self._d2(w)])
-        # sharp spectral low-pass on both components of the RHS
-        ht_hat = np.fft.rfft(v)
-        if self.deriv == "spectral":
-            vt_hat = -self.k2 * np.fft.rfft(w)
-        else:
-            vt_hat = np.fft.rfft(self._d2(w))
-        lost = (np.abs(ht_hat[~self.keep]) ** 2).sum() + (np.abs(vt_hat[~self.keep]) ** 2).sum()
-        total = (np.abs(ht_hat) ** 2).sum() + (np.abs(vt_hat) ** 2).sum()
-        self.removed_l2 += float(lost)
-        self.total_l2 += float(total)
-        ht_hat[~self.keep] = 0.0
-        vt_hat[~self.keep] = 0.0
-        return np.stack([np.fft.irfft(ht_hat, n=self.N), np.fft.irfft(vt_hat, n=self.N)])
+        if keep is None:
+            hh, sq = np.fft.rfft(np.stack([h, h * h]))
+            return np.stack([v, np.fft.irfft(lin * hh + flux * sq, n=N)])
+        hh, vh, sq = np.fft.rfft(np.stack([h, v, h * h]))
+        return np.fft.irfft(np.stack([keep * vh, lin * hh + flux * sq]), n=N)
+
+    return rhs
 
 
 def boussinesq_rhs(state: tuple[WaveField, WaveField], params: PhysicalParams,
@@ -256,8 +261,7 @@ def boussinesq_rhs(state: tuple[WaveField, WaveField], params: PhysicalParams,
     h_field, v_field = state
     if h_field.grid != v_field.grid:
         raise ValueError("state fields live on different grids")
-    op = _BoussinesqOp(h_field.grid, params, config)
-    out = op.rhs(np.stack([h_field.h, v_field.h]))
+    out = _boussinesq_fn_for(h_field.grid, params, config)(np.stack([h_field.h, v_field.h]))
     return out[0], out[1]
 
 
@@ -269,20 +273,15 @@ def stable_dt(grid: PeriodicGrid, params: PhysicalParams,
               config: SchemeConfig = SchemeConfig(), equation: str = "kdv") -> float:
     """Advisory RK4 time step: 0.4 x the RK4 limit of the linearized symbol [s].
 
-    For the unidirectional equation the symbol is the scheme's own
-    linear symbol (purely imaginary, scaling like dx^-3); for the
-    bidirectional one it is the dispersion frequency over the retained
-    band (or the fastest growth rate when the filter is off).
+    Both read the scheme's own linear symbol: for the unidirectional
+    equation it is purely imaginary (scaling like dx^-3); for the
+    bidirectional one its root is the dispersion frequency over the
+    retained band (or the fastest growth rate when the filter is off).
     """
     if equation == "kdv":
         lam = np.abs(_symbols_for(grid, params, config)[0])
     elif equation == "boussinesq":
-        k = wavenumbers(grid.N, grid.L)
-        g, H = params.g, params.H
-        om2 = g * H * k * k * (1.0 - H * H * k * k / 3.0)
-        if config.boussinesq_filter:
-            om2 = om2[k <= config.filter_cut * math.sqrt(3.0) / H]
-        lam = np.sqrt(np.abs(om2))
+        lam = np.sqrt(np.abs(_boussinesq_symbols_for(grid, params, config)[0]))
     else:
         raise ValueError(f"unknown equation {equation!r}")
     lam_max = float(lam.max())
@@ -382,8 +381,8 @@ def step_rk4(state, params: PhysicalParams, config: SchemeConfig,
         raise ValueError("state fields live on different grids")
     if dt is None:
         dt = config.dt or stable_dt(h_field.grid, params, config, "boussinesq")
-    op = _BoussinesqOp(h_field.grid, params, config)
-    y = _rk4(np.stack([h_field.h, v_field.h]), op.rhs, dt)
+    fn = _boussinesq_fn_for(h_field.grid, params, config)
+    y = _rk4(np.stack([h_field.h, v_field.h]), fn, dt)
     _check_alive(y[0], params.H, h_field.t + dt)
     t = h_field.t + dt
     return (WaveField(h_field.grid, y[0], t), WaveField(h_field.grid, y[1], t))
@@ -413,7 +412,6 @@ class EvolutionResult:
     snapshots: list
     invariants: list[InvariantSet]
     energy: list[float] | None = None  # bidirectional conserved energy
-    filtered_fraction: float | None = None
     integrator: str = ""  # "ifrk4" or "rk4"
     dt: float = 0.0  # the step taken [s]
     steps: int = 0
@@ -467,11 +465,9 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
         sample_every = max(1, nsteps // 50)
 
     if bidirectional:
-        op = _BoussinesqOp(grid, params, config)
-        rhs = op.rhs
+        rhs = _boussinesq_fn_for(grid, params, config)
         y = np.stack([initial[0].h, initial[1].h])
     else:
-        op = None
         rhs = _kdv_rhs_fn(lin, flux, grid.N)
         y = initial.h.copy()
     if integrator == "ifrk4":
@@ -509,11 +505,6 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
         _check_alive(y[0] if bidirectional else y, params.H, t)
         if (i + 1) % sample_every == 0 or (i + 1) == nsteps:
             sample(t, y)
-
-    if op is not None and op.total_l2 > 0:
-        result.filtered_fraction = op.removed_l2 / op.total_l2
-        logger.info("low-pass filter removed %.3e of the RHS spectral energy",
-                    result.filtered_fraction)
     return result
 
 
@@ -643,11 +634,15 @@ def factorization_residual(field: WaveField, params: PhysicalParams,
 # crest tracking
 # --------------------------------------------------------------------------
 
-def crest_position(field: WaveField) -> float:
-    """Sub-grid crest abscissa from a parabola through the discrete maximum."""
+def crest_position(field: WaveField, where: np.ndarray | None = None) -> float:
+    """Sub-grid crest abscissa from a parabola through the discrete maximum.
+
+    where (boolean, one entry per grid point) restricts the search for
+    the maximum; the parabola still uses that sample's unmasked neighbours.
+    """
     h = field.h
     N = field.grid.N
-    j = int(np.argmax(h))
+    j = int(np.argmax(h if where is None else np.where(where, h, -np.inf)))
     hm, hc, hp = h[(j - 1) % N], h[j], h[(j + 1) % N]
     denom = hm + hp - 2.0 * hc
     delta = 0.0 if denom == 0.0 else 0.5 * (hm - hp) / denom

@@ -2,8 +2,9 @@
 
 Two schemes are provided everywhere: Fourier collocation ("spectral",
 the default) and 4th-order centered differences ("centered4", the
-cross-check scheme).  The rectangle rule is the quadrature; on a torus
-it is spectrally accurate for smooth integrands.
+cross-check scheme), both applied through their exact Fourier symbols
+in derivative_symbols.  The rectangle rule is the quadrature; on a
+torus it is spectrally accurate for smooth integrands.
 """
 
 from __future__ import annotations
@@ -28,6 +29,23 @@ def wavenumbers(N: int, L: float) -> np.ndarray:
     return k
 
 
+@lru_cache(maxsize=16)
+def _unit_symbols(N: int, scheme: str) -> tuple[np.ndarray, np.ndarray]:
+    """(D1, D2) at unit spacing, per k dx; cached per N, not L (read-only)."""
+    check_scheme(scheme)
+    kd = 2.0 * np.pi * np.fft.rfftfreq(N)
+    if scheme == "spectral":
+        d1 = 1j * kd
+        d2 = -(kd * kd)
+    else:
+        d1 = 1j * (8.0 * np.sin(kd) - np.sin(2.0 * kd)) / 6.0
+        d2 = -(15.0 - 16.0 * np.cos(kd) + np.cos(2.0 * kd)) / 6.0
+    d1[-1] = 0.0
+    d1.setflags(write=False)
+    d2.setflags(write=False)
+    return d1, d2
+
+
 def derivative_symbols(N: int, L: float,
                        scheme: str = "spectral") -> tuple[np.ndarray, np.ndarray]:
     """Fourier multipliers (D1, D2) of d/dx and d^2/dx^2 on the rfft modes.
@@ -38,41 +56,18 @@ def derivative_symbols(N: int, L: float,
     them reproduces the stencils to roundoff.  The last (Nyquist) entry
     of D1 is zero: that mode has no well-defined odd derivative.
     """
-    check_scheme(scheme)
-    k = wavenumbers(N, L)
-    if scheme == "spectral":
-        d1 = 1j * k
-        d2 = -(k * k)
-    else:
-        dx = L / N
-        kd = k * dx
-        d1 = 1j * (8.0 * np.sin(kd) - np.sin(2.0 * kd)) / (6.0 * dx)
-        d2 = -(15.0 - 16.0 * np.cos(kd) + np.cos(2.0 * kd)) / (6.0 * dx * dx)
-    d1[-1] = 0.0
-    return d1, d2
+    d1, d2 = _unit_symbols(N, scheme)
+    dx = L / N
+    return d1 / dx, d2 / (dx * dx)
 
 
 def diff(h: np.ndarray, L: float, order: int = 1, scheme: str = "spectral") -> np.ndarray:
     """order-th spatial derivative (order 1 or 2) of periodic samples."""
-    check_scheme(scheme)
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     N = h.shape[-1]
-    if scheme == "spectral":
-        k = wavenumbers(N, L)
-        hh = np.fft.rfft(h)
-        if order == 1:
-            hh = hh * (1j * k)
-            hh[..., -1] = 0.0  # Nyquist has no well-defined odd derivative
-        else:
-            hh = hh * (-(k * k))
-        return np.fft.irfft(hh, n=N)
-    dx = L / N
-    if order == 1:
-        return (-np.roll(h, -2) + 8.0 * np.roll(h, -1)
-                - 8.0 * np.roll(h, 1) + np.roll(h, 2)) / (12.0 * dx)
-    return (-np.roll(h, -2) + 16.0 * np.roll(h, -1) - 30.0 * h
-            + 16.0 * np.roll(h, 1) - np.roll(h, 2)) / (12.0 * dx * dx)
+    symbol = derivative_symbols(N, L, scheme)[order - 1]
+    return np.fft.irfft(symbol * np.fft.rfft(h), n=N)
 
 
 def antiderivative(f: np.ndarray, L: float, scheme: str = "spectral") -> np.ndarray:
@@ -86,13 +81,13 @@ def antiderivative(f: np.ndarray, L: float, scheme: str = "spectral") -> np.ndar
     N = f.shape[-1]
     g = f - f.mean()
     if scheme == "spectral":
-        k = wavenumbers(N, L)
+        d1 = derivative_symbols(N, L, scheme)[0]
         gh = np.fft.rfft(g)
         out = np.zeros_like(gh)
-        out[1:] = gh[1:] / (1j * k[1:])
-        out[-1] = 0.0
+        out[1:-1] = gh[1:-1] / d1[1:-1]
         return np.fft.irfft(out, n=N)
-    # trapezoid cumulative sum (constants drop out after recentering)
+    # trapezoid cumulative sum, a quadrature with no derivative symbol
+    # (constants drop out after recentering)
     dx = L / N
     F = (np.cumsum(g) - 0.5 * g) * dx
     return F - F.mean()

@@ -134,6 +134,28 @@ class TestExitCodes:
         assert rc == EXIT_BLOWUP
         assert "blew up" in capsys.readouterr().err
 
+    def _analytic_with(self, tmp_path, setting):
+        return main(["analytic", "--wave", "solitary", "--out", str(tmp_path),
+                     "--set", "grid.L=60", "--set", setting])
+
+    def test_fractional_grid_size_rejected(self, tmp_path, capsys):
+        assert self._analytic_with(tmp_path, "grid.N=100.5") == EXIT_USAGE
+        assert "'grid.N' must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "profile.csv").exists()
+
+    def test_fractional_seed_rejected(self, tmp_path, capsys):
+        assert self._analytic_with(tmp_path, "seed=1.5") == EXIT_USAGE
+        assert "'seed' must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "profile.csv").exists()
+
+    def test_misspelled_filter_switch_rejected(self, tmp_path, capsys):
+        assert self._analytic_with(tmp_path, "scheme.filter=of") == EXIT_USAGE
+        assert "'scheme.filter' must be one of" in capsys.readouterr().err
+        assert not (tmp_path / "profile.csv").exists()
+        for text, on in (("on", True), ("yes", True), ("off", False), ("0", False)):
+            cfg = resolve_config("solitary_transit", None, [f"scheme.filter={text}"], None)
+            assert cfg.scheme.boussinesq_filter is on
+
     def test_io_error(self, tmp_path, capsys):
         block = tmp_path / "blocker"
         block.write_text("i am a file")

@@ -184,6 +184,25 @@ class TestStableDt:
         assert c4 == pytest.approx(0.4 * 2 * math.sqrt(2) / lam, rel=1e-12)
         assert c4 > stable_dt(grid, params, SchemeConfig(deriv="spectral"))
 
+    @pytest.mark.parametrize("filtered", [True, False])
+    def test_boussinesq_advisory_reads_its_own_symbol(self, params, filtered):
+        grid = PeriodicGrid(L=64.0, N=256)
+        g, H = params.g, params.H
+        k = wavenumbers(grid.N, grid.L)
+        band = k <= 0.5 * math.sqrt(3.0) / H if filtered else np.full(k.shape, True)
+        limit = 0.4 * 2 * math.sqrt(2)
+        # centered4: h_tt's symbol g H D2 (1 + H^2 D2 / 3) from the stencil's D2
+        kd = k * grid.dx
+        d2 = -(15 - 16 * np.cos(kd) + np.cos(2 * kd)) / (6 * grid.dx ** 2)
+        lin = g * H * d2 * (1 + H * H * d2 / 3)
+        c4 = stable_dt(grid, params, SchemeConfig(deriv="centered4", boussinesq_filter=filtered),
+                       "boussinesq")
+        assert c4 == pytest.approx(limit / np.max(np.sqrt(np.abs(lin[band]))), rel=1e-12)
+        # spectral: the dispersion relation omega^2 = g H k^2 (1 - H^2 k^2 / 3)
+        om2 = g * H * k * k * (1 - H * H * k * k / 3)
+        sp = stable_dt(grid, params, SchemeConfig(boussinesq_filter=filtered), "boussinesq")
+        assert sp == pytest.approx(limit / np.max(np.sqrt(np.abs(om2[band]))), rel=1e-12)
+
 
 class TestIfrk4:
     def test_linear_mode_propagated_exactly(self, params):
