@@ -3,10 +3,11 @@ CSV output.
 
 Configuration is a flat key=value map (dots group sections, e.g.
 grid.N=1024).  Defaults < config file (--config) < command-line
-overrides (--set key=value).  Every run writes a manifest echoing the
-fully resolved configuration and the library version, so outputs are
-reproducible from the manifest alone; identical configuration and seed
-give byte-identical files.
+overrides (--set key=value); a key that no command reads is a usage
+error.  Every run writes a manifest echoing the fully resolved
+configuration and the library version, so outputs are reproducible from
+the manifest alone; identical configuration and seed give
+byte-identical files.
 
 Exit codes: 0 success, 2 usage error, 3 numerical blow-up, 4 I/O error.
 """
@@ -102,6 +103,11 @@ SCENARIO_DEFAULTS = {
     },
 }
 
+# the scenario.* keys the analytic and evolve commands read (with inline defaults)
+COMMAND_KEYS = ("scenario.h0", "scenario.kl_sum", "scenario.m", "scenario.n_waves")
+
+KNOWN_KEYS = frozenset(DEFAULTS).union(*SCENARIO_DEFAULTS.values(), COMMAND_KEYS)
+
 
 # --------------------------------------------------------------------------
 # configuration plumbing
@@ -155,6 +161,20 @@ class ExperimentConfig:
         return self.raw["scheme.t_end"] == "auto"
 
 
+def _check_known(keys) -> None:
+    """Reject configuration keys no command reads, naming the nearest known one."""
+    import difflib  # only this error path needs it; keeps it out of every start-up
+
+    by_lower = {k.lower(): k for k in KNOWN_KEYS}
+    problems = []
+    for key in sorted(set(keys) - KNOWN_KEYS):
+        near = difflib.get_close_matches(key.lower(), by_lower, n=1)
+        hint = f" (did you mean {by_lower[near[0]]!r}?)" if near else ""
+        problems.append(f"unknown configuration key {key!r}{hint}")
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 def _integral(key: str, v: float, text: str) -> int:
     if not v.is_integer():
         raise ValueError(f"{key!r} must be an integer, got {text!r}")
@@ -174,6 +194,7 @@ def resolve_config(scenario: str, config_file: str | None,
         raw[key.strip()] = value.strip()
     if out_dir:
         raw["output_dir"] = out_dir
+    _check_known(raw)
 
     def f(key):
         try:

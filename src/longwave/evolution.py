@@ -30,18 +30,23 @@ the cut and is applied to h_t = v as well.
 The time integrator follows from the step.  With scheme.dt=auto a
 unidirectional run uses Lawson's integrating-factor RK4 (IFRK4): the
 linear symbol is propagated exactly by exp(L dt), so the dispersive
-stiffness (dt ~ dx^3 under RK4) no longer sets the step.  Two limits
-do.  The nonlinear one is IF_SAFETY = 0.1 times the RK4 imaginary-axis
-limit of the linearized flux, 1.5 sqrt(g/H) k_max max|h0|; 0.1 is
-frozen from an accuracy sweep under this limit alone (the cnoidal
-energy drift over 2 s at N = 128 must stay below 1e-8; it was 1.6e-6
-at 0.4, 6.0e-8 at 0.2 and 2.5e-9 at 0.1).  The phase one keeps every
-mode's exact rotation below IF_PHASE_LIMIT = 0.8 of a turn per step.
-Past a full turn the RK4 stages alias the rotating coupling of
-near-Nyquist mode pairs into a steady forcing.  Under the nonlinear
-limit alone the two-soliton collision of the acceptance suite (N = 256)
-blew up at t = 51 s, and a ten-lap solitary transit (N = 512) blew up
-at 1.2 times that limit.
+stiffness (dt ~ dx^3 under RK4) no longer sets the step.  The IFRK4
+step is 2/3-dealiased (Orszag 1971): the linear symbol and the flux
+multiplier are zeroed above rfft mode N/3 and the starting field is
+projected onto that band, so the h^2 product is exact inside the band
+and the fastest retained mode turns about (2/3)^3 as fast as the Nyquist
+one.
+Two limits, both measured over the retained band, set the step.  The
+nonlinear one is IF_SAFETY = 0.1 times the RK4 imaginary-axis limit of
+the linearized flux, 1.5 sqrt(g/H) k_max max|h0|; 0.1 is frozen from an
+accuracy sweep under this limit alone (the cnoidal energy drift over
+2 s at N = 128 must stay below 1e-8; it was 1.6e-6 at 0.4, 6.0e-8 at
+0.2 and 2.5e-9 at 0.1).  The phase one keeps every retained mode's
+exact rotation below IF_PHASE_LIMIT = 0.8 of a turn per step.  It was
+introduced for the aliased product, whose near-Nyquist pairs the RK4
+stages resonated once a step turned them past a full cycle (the
+acceptance collision at N = 256 blew up at t = 51 s); it is kept for
+the dealiased step, which has not been certified beyond it.
 
 An explicit dt, and every bidirectional run, uses classical 4-stage
 Runge-Kutta (RK4), whose advisory step is 0.4 times the RK4 limit of
@@ -96,11 +101,19 @@ BLOWUP_FACTOR = 10.0  # |h| beyond this multiple of H aborts the run
 
 
 class BlowUpError(RuntimeError):
-    """Raised when the solution leaves the model's validity range."""
+    """Raised when the solution leaves the model's validity range.
 
-    def __init__(self, time: float):
+    time is when, step the number of the step that tripped the check
+    (counted from the run's start; 1 for a single public step), and
+    max_abs_h the max|h| it found [m] (inf or nan when not finite).
+    """
+
+    def __init__(self, time: float, step: int, max_abs_h: float):
         self.time = time
-        super().__init__(f"solution blew up at t = {time:.6g} s")
+        self.step = step
+        self.max_abs_h = max_abs_h
+        super().__init__(f"solution blew up at t = {time:.6g} s "
+                         f"(step {step}, max|h| = {max_abs_h:.6g} m)")
 
 
 @dataclass(frozen=True)
@@ -161,14 +174,26 @@ class SteepeningVerdict(Enum):
 # right-hand sides
 # --------------------------------------------------------------------------
 
+def _alias_free_modes(N: int) -> int:
+    """Number of leading rfft modes kept by Orszag's 2/3 rule.
+
+    Modes j with 3j < N square without aliasing: the sum j1 + j2 of two
+    such modes is either at most N/2, and exact, or folds onto
+    N - j1 - j2 > N/3, above the band, where the zeroed multipliers drop it.
+    """
+    return (N + 2) // 3
+
+
 @lru_cache(maxsize=32)
 def _kdv_symbols(N: int, L: float, g: float, H: float, sigma: float,
-                 frame: str, alpha: float, deriv: str) -> tuple[np.ndarray, np.ndarray]:
+                 frame: str, alpha: float, deriv: str,
+                 dealias: bool) -> tuple[np.ndarray, np.ndarray]:
     """Fourier form of the unidirectional equation (read-only arrays).
 
     Returns (lin, flux) with  rfft(h_t) = lin * rfft(h) + flux * rfft(h^2):
     lin carries the advection and dispersion terms, flux the h^2/2
-    nonlinearity.  Both are purely imaginary.
+    nonlinearity.  Both are purely imaginary.  With dealias both are
+    zero above the 2/3-rule band (_alias_free_modes).
     """
     d1, d2 = derivative_symbols(N, L, deriv)
     c = 1.5 * math.sqrt(g / H)
@@ -178,18 +203,24 @@ def _kdv_symbols(N: int, L: float, g: float, H: float, sigma: float,
         adv, disp = (2.0 / 3.0) * alpha, sigma / 3.0
     lin = -c * d1 * (adv + disp * d2)
     flux = -0.5 * c * d1
+    if dealias:
+        kept = _alias_free_modes(N)
+        lin[kept:] = 0.0
+        flux[kept:] = 0.0
     lin.setflags(write=False)
     flux.setflags(write=False)
     return lin, flux
 
 
-def _symbols_for(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig):
+def _symbols_for(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
+                 dealias: bool = False):
+    """(lin, flux) of the run; dealias=True gives the IFRK4 band-limited pair."""
     if config.frame == "fixed":
         # sigma and alpha play no role in the fixed frame; normalize the cache key
         return _kdv_symbols(grid.N, grid.L, params.g, params.H, 0.0,
-                            "fixed", 0.0, config.deriv)
-    return _kdv_symbols(grid.N, grid.L, params.g, params.H,
-                        dispersion_sigma(params), "moving", config.alpha, config.deriv)
+                            "fixed", 0.0, config.deriv, dealias)
+    return _kdv_symbols(grid.N, grid.L, params.g, params.H, dispersion_sigma(params),
+                        "moving", config.alpha, config.deriv, dealias)
 
 
 def _kdv_rhs_fn(lin: np.ndarray, flux: np.ndarray,
@@ -293,14 +324,14 @@ def stable_dt(grid: PeriodicGrid, params: PhysicalParams,
 def _ifrk4_dt(lin: np.ndarray, flux: np.ndarray, h: np.ndarray) -> float:
     """Step of an integrating-factor run started from h [s].
 
-    The lesser of two limits.  IF_SAFETY x the RK4 limit of the
-    linearized h^2/2 flux, whose largest rate is 2 max|flux| max|h| =
-    1.5 sqrt(g/H) k_max max|h| (k_max the scheme's largest first-derivative
-    multiplier).  And IF_PHASE_LIMIT / max|lin|: RK4 stages sample each
-    mode's exactly propagated rotation, and once a step turns the fastest
-    modes a full cycle the stages alias their (pseudo-spectrally aliased)
-    coupling into a steady forcing that grows without bound.  A zero
-    field has no coupling and gets an infinite step.
+    lin and flux are the 2/3-dealiased pair the IFRK4 step uses, so both
+    limits are measured over the retained band.  The lesser of the two:
+    IF_SAFETY x the RK4 limit of the linearized h^2/2 flux, whose largest
+    rate is 2 max|flux| max|h| = 1.5 sqrt(g/H) k_max max|h| (k_max the
+    scheme's largest first-derivative multiplier in the band).  And
+    IF_PHASE_LIMIT / max|lin|, which keeps the RK4 stages from sampling
+    any retained mode's exact rotation past a full turn.  A zero field
+    has no coupling and gets an infinite step.
     """
     rate = 2.0 * float(np.max(np.abs(flux))) * float(np.max(np.abs(h)))
     if rate == 0.0:
@@ -318,15 +349,17 @@ def _rk4(y: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray], dt: float) -> n
 
 
 def _ifrk4(lin: np.ndarray, flux: np.ndarray, dt: float,
-           h: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+           h: np.ndarray) -> Callable[[], np.ndarray]:
     """Lawson integrating-factor RK4 stepper for h_t = lin h + flux (h^2), from h.
 
     The linear symbol is propagated exactly by exp(lin dt) and classical
-    RK4 sees only the h^2 flux.  The state is kept in Fourier space;
-    the returned advance(h) takes the field it returned last (h itself
-    on the first call) and gives the field one step later.  That field,
-    which the caller checks and samples anyway, also feeds the next
-    step's first stage: 8 FFTs per step against RK4's 12.
+    RK4 sees only the h^2 flux.  lin and flux are the dealiased pair, so
+    this is a 2/3-rule Fourier-Galerkin step: h is projected onto the
+    band once, here, and the pseudo-spectral square of a band-limited
+    field is exact inside the band.  The state is kept in Fourier space;
+    each call of the returned advance() gives the field one step later.
+    That field, which the caller checks and samples anyway, also feeds
+    the next step's first stage: 8 FFTs per step against RK4's 12.
     """
     N = h.shape[-1]
     E = np.exp(0.5 * dt * lin)
@@ -334,28 +367,31 @@ def _ifrk4(lin: np.ndarray, flux: np.ndarray, dt: float,
     a2, a3, a4 = (0.5 * dt) * E * flux, (0.5 * dt) * flux, dt * E * flux
     b1, b23, b4 = (dt / 6.0) * E * E * flux, (dt / 3.0) * E * flux, (dt / 6.0) * flux
     hh = np.fft.rfft(h)
+    hh[_alias_free_modes(N):] = 0.0
+    w = np.fft.irfft(hh, n=N)
 
-    def squared(w: np.ndarray) -> np.ndarray:
-        return np.fft.rfft(w * w)
+    def squared(u: np.ndarray) -> np.ndarray:
+        return np.fft.rfft(u * u)
 
-    def advance(h: np.ndarray) -> np.ndarray:
-        nonlocal hh
+    def advance() -> np.ndarray:
+        nonlocal hh, w
         Ehh = E * hh
         E2hh = E * Ehh
-        n1 = squared(h)
+        n1 = squared(w)
         n2 = squared(np.fft.irfft(Ehh + a2 * n1, n=N))
         n3 = squared(np.fft.irfft(Ehh + a3 * n2, n=N))
         n4 = squared(np.fft.irfft(E2hh + a4 * n3, n=N))
         hh = E2hh + b1 * n1 + b23 * (n2 + n3) + b4 * n4
-        return np.fft.irfft(hh, n=N)
+        w = np.fft.irfft(hh, n=N)
+        return w
 
     return advance
 
 
-def _check_alive(h: np.ndarray, H: float, t: float) -> None:
-    m = np.max(np.abs(h))
-    if not np.isfinite(m) or m > BLOWUP_FACTOR * H:
-        raise BlowUpError(t)
+def _check_alive(h: np.ndarray, H: float, t: float, step: int = 1) -> None:
+    m = float(np.max(np.abs(h)))
+    if not math.isfinite(m) or m > BLOWUP_FACTOR * H:
+        raise BlowUpError(t, step, m)
 
 
 def step_rk4(state, params: PhysicalParams, config: SchemeConfig,
@@ -395,11 +431,13 @@ def step_ifrk4(field: WaveField, params: PhysicalParams, config: SchemeConfig,
     The scheme's linear symbol (advection and dispersion) is propagated
     exactly, so dt is not bounded by the dispersive stiffness; evolve
     takes this step for scheme.dt=auto, sized by the nonlinear and
-    phase limits of the module docstring.  Raises BlowUpError when the
-    solution leaves the model's validity range.
+    phase limits of the module docstring.  The step is the 2/3-dealiased
+    one evolve takes: field is projected onto the retained band
+    (rfft modes j with 3j < N) and the result has no content above it.
+    Raises BlowUpError when the solution leaves the model's validity range.
     """
-    lin, flux = _symbols_for(field.grid, params, config)
-    h = _ifrk4(lin, flux, dt, field.h)(field.h)
+    lin, flux = _symbols_for(field.grid, params, config, dealias=True)
+    h = _ifrk4(lin, flux, dt, field.h)()
     _check_alive(h, params.H, field.t + dt)
     return WaveField(field.grid, h, field.t + dt)
 
@@ -428,9 +466,11 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
 
     initial is a WaveField or an (h, v) WaveField pair.  The integrator
     follows from config.dt.  A unidirectional run with dt = None steps
-    with Lawson integrating-factor RK4 ("ifrk4"): the linear symbol is
-    propagated exactly, so the step is bounded by the nonlinearity and
-    by the phase limit (see the module docstring).  An explicit dt, and
+    with 2/3-dealiased Lawson integrating-factor RK4 ("ifrk4"): the
+    linear symbol is propagated exactly, so the step is bounded by the
+    nonlinearity and by the phase limit (see the module docstring); the
+    first snapshot is the initial field as given, later ones carry no
+    modes above the retained band.  An explicit dt, and
     every bidirectional run, steps with classical RK4 ("rk4"), warned
     against (or, for dt = None, set to) the RK4 stability advisory.
     The step is shrunk so that an integer number of steps lands exactly
@@ -445,9 +485,9 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     grid = (initial[0] if bidirectional else initial).grid
     t0 = (initial[0] if bidirectional else initial).t
 
-    if not bidirectional:
-        lin, flux = _symbols_for(grid, params, config)
     integrator = "rk4" if bidirectional or config.dt is not None else "ifrk4"
+    if not bidirectional:
+        lin, flux = _symbols_for(grid, params, config, dealias=integrator == "ifrk4")
     if integrator == "rk4":
         advisory = stable_dt(grid, params, config, "boussinesq" if bidirectional else "kdv")
         dt_req = config.dt if config.dt is not None else advisory
@@ -473,7 +513,7 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     if integrator == "ifrk4":
         advance = _ifrk4(lin, flux, dt, y)
     else:
-        def advance(y: np.ndarray) -> np.ndarray:
+        def advance() -> np.ndarray:
             return _rk4(y, rhs, dt)
 
     result = EvolutionResult(times=[], snapshots=[], invariants=[],
@@ -500,9 +540,9 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     sample(t0, y)
     t = t0
     for i in range(nsteps):
-        y = advance(y)
+        y = advance()
         t = t0 + (i + 1) * dt
-        _check_alive(y[0] if bidirectional else y, params.H, t)
+        _check_alive(y[0] if bidirectional else y, params.H, t, i + 1)
         if (i + 1) % sample_every == 0 or (i + 1) == nsteps:
             sample(t, y)
     return result

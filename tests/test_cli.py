@@ -134,6 +134,31 @@ class TestExitCodes:
         assert rc == EXIT_BLOWUP
         assert "blew up" in capsys.readouterr().err
 
+    def test_blowup_stderr_names_step_and_amplitude(self, tmp_path, capsys):
+        rc = main(["evolve", "--ic", "solitary", "--out", str(tmp_path / "o"),
+                   "--set", "grid.N=64", "--set", "grid.L=60",
+                   "--set", "scheme.dt=5.0", "--set", "scheme.t_end=50.0"])
+        assert rc == EXIT_BLOWUP
+        err = capsys.readouterr().err
+        assert "(step 1, max|h| = " in err
+
+    def test_unknown_key_rejected_with_suggestion(self, tmp_path, capsys):
+        assert self._analytic_with(tmp_path, "grid.n=64") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "unknown configuration key 'grid.n'" in err
+        assert "did you mean 'grid.N'?" in err
+        assert not (tmp_path / "profile.csv").exists()
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("scenario.ho=0.1\n")
+        with pytest.raises(ValueError, match="did you mean 'scenario.h0'"):
+            resolve_config("solitary_transit", str(cfgfile), [], None)
+        with pytest.raises(ValueError, match="unknown configuration key 'zzz'$"):
+            resolve_config("solitary_transit", None, ["zzz=1"], None)
+        # every key a command reads stays accepted, also outside its own scenario
+        cfg = resolve_config("evolve", None, ["scenario.m=0.3", "scenario.mode_amp=1e-9"],
+                             None)
+        assert cfg.raw["scenario.m"] == "0.3"
+
     def _analytic_with(self, tmp_path, setting):
         return main(["analytic", "--wave", "solitary", "--out", str(tmp_path),
                      "--set", "grid.L=60", "--set", setting])

@@ -153,6 +153,24 @@ class TestStepRk4:
         r1, r2 = err(4e-3), err(2e-3)
         assert 8.0 <= r1 / r2 <= 32.0
 
+    def test_blowup_reports_step_and_amplitude(self, params):
+        # criterion 10's unfiltered noise run: the error names the step that
+        # tripped the check and the max|h| it saw
+        grid = PeriodicGrid(L=64.0, N=256)
+        noise = 1e-10 * params.H * np.random.default_rng(1234).standard_normal(grid.N)
+        noise -= noise.mean()
+        zero = WaveField(grid, np.zeros(grid.N))
+        with pytest.raises(BlowUpError) as exc:
+            evolve((WaveField(grid, noise), zero), params,
+                   SchemeConfig(dt=1e-4, t_end=2.0, boussinesq_filter=False),
+                   record_invariants=False)
+        e = exc.value
+        assert 0 < e.step < 20000
+        assert e.time == pytest.approx(e.step * 1e-4, rel=1e-9)
+        assert not (e.max_abs_h <= 10 * params.H)
+        assert str(e).startswith(f"solution blew up at t = {e.time:.6g} s")
+        assert f"step {e.step}" in str(e) and "max|h|" in str(e)
+
     def test_blowup_detection(self, params):
         spec, grid, field = solitary_case(params, N=128, L=60.0)
         with pytest.raises(BlowUpError) as exc:
@@ -289,6 +307,58 @@ class TestIfrk4:
         assert (fixed.integrator, fixed.steps, fixed.dt) == ("rk4", 100, pytest.approx(0.01))
         zero = evolve(WaveField(grid, np.zeros(grid.N)), params, SchemeConfig(t_end=1.0))
         assert (zero.integrator, zero.steps) == ("ifrk4", 1)
+
+    @staticmethod
+    def _with_high_modes(params, grid, h0=0.2):
+        # a solitary wave plus two modes above the retained band (3j >= N)
+        spec = SolitarySpec(h0=h0, sigma=SIGMA0, H=params.H, g=params.g)
+        h = solitary_field(spec, grid).h
+        for j in (grid.N // 3 + 15, grid.N // 2 - 8):
+            h = h + 1e-4 * np.cos(2 * math.pi * j * grid.x / grid.L)
+        return WaveField(grid, h)
+
+    def test_auto_step_clears_modes_above_the_band(self, params):
+        grid = PeriodicGrid(L=60.0, N=256)
+        field = self._with_high_modes(params, grid)
+        res = evolve(field, params, SchemeConfig(t_end=1.0), record_invariants=False)
+        assert res.integrator == "ifrk4"
+        assert np.array_equal(res.snapshots[0].h, field.h)
+        above = np.abs(np.fft.rfft(res.final.h))[(grid.N + 2) // 3:] / grid.N
+        assert above.max() <= 1e-15 * np.max(np.abs(res.final.h))
+
+    @pytest.mark.parametrize("scheme", ["spectral", "centered4"])
+    def test_phase_cap_is_measured_over_the_band(self, params, scheme):
+        # a transit at N = 512: the cap, not the nonlinear limit, sets the step
+        spec, grid, field = solitary_case(params, N=512, L=120.0)
+        band = 3 * np.arange(grid.N // 2 + 1) < grid.N
+        lin = kdv_linear_symbol(params, grid, scheme)[band]
+        cap = evolution.IF_PHASE_LIMIT / np.max(np.abs(lin))
+        kd = wavenumbers(grid.N, grid.L)[band] * grid.dx
+        if scheme == "spectral":
+            k_max = kd.max() / grid.dx
+        else:
+            k_max = np.max(np.abs(8 * np.sin(kd) - np.sin(2 * kd))) / (6 * grid.dx)
+        nonlinear = (evolution.IF_SAFETY * 2 * math.sqrt(2)
+                     / (1.5 * math.sqrt(params.g / params.H) * k_max * spec.h0))
+        assert cap < nonlinear
+        t_end = 3.0
+        res = evolve(field, params, SchemeConfig(deriv=scheme, t_end=t_end),
+                     record_invariants=False)
+        n = math.ceil(t_end / cap)
+        assert res.steps == n
+        assert res.dt == pytest.approx(t_end / n, rel=1e-12)
+
+    def test_public_steps_repeat_the_evolve_run(self, params):
+        grid = PeriodicGrid(L=60.0, N=256)
+        field = self._with_high_modes(params, grid)
+        res = evolve(field, params, SchemeConfig(t_end=0.5), record_invariants=False)
+        f = field
+        for _ in range(res.steps):
+            f = step_ifrk4(f, params, SchemeConfig(), res.dt)
+        assert f.t == pytest.approx(res.final.t)
+        assert np.max(np.abs(f.h - res.final.h)) <= 1e-13
+        above = np.abs(np.fft.rfft(f.h))[(grid.N + 2) // 3:] / grid.N
+        assert above.max() <= 1e-15 * np.max(np.abs(f.h))
 
 
 class TestEvolve:
