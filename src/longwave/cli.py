@@ -3,11 +3,12 @@ CSV output.
 
 Configuration is a flat key=value map (dots group sections, e.g.
 grid.N=1024).  Defaults < config file (--config) < command-line
-overrides (--set key=value); a key that no command reads is a usage
-error.  Every run writes a manifest echoing the fully resolved
-configuration and the library version, so outputs are reproducible from
-the manifest alone; identical configuration and seed give
-byte-identical files.
+overrides (--set key=value).  An unknown key or a value that does not
+parse as its kind (KINDS) is a usage error, raised before anything runs
+or any output directory exists.  Every run writes a manifest echoing the
+fully resolved configuration and the library version, so outputs are
+reproducible from the manifest alone; identical configuration and seed
+give byte-identical files.
 
 Exit codes: 0 success, 2 usage error, 3 numerical blow-up, 4 I/O error.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,7 @@ DEFAULTS = {
 SWITCH_VALUES = {"on": True, "1": True, "true": True, "yes": True,
                  "off": False, "0": False, "false": False, "no": False}
 
+# per-command defaults on top of DEFAULTS (scenario names, "analytic", "evolve")
 SCENARIO_DEFAULTS = {
     "solitary_transit": {"scenario.h0": "0.1"},
     "two_soliton": {
@@ -101,12 +103,46 @@ SCENARIO_DEFAULTS = {
         "scenario.mode_amp": "1e-8", "scenario.noise_amp": "1e-10",
         "scenario.solitary_filter_cut": "0.75",
     },
+    "analytic": {"scenario.h0": "0.1", "scenario.kl_sum": "0.2", "scenario.m": "0.5",
+                 "scenario.n_waves": "1"},
+    "evolve": {"scenario.h0": "0.1", "scenario.kl_sum": "0.2", "scenario.m": "0.5",
+               "scenario.n_waves": "4"},
 }
 
-# the scenario.* keys the analytic and evolve commands read (with inline defaults)
-COMMAND_KEYS = ("scenario.h0", "scenario.kl_sum", "scenario.m", "scenario.n_waves")
+KNOWN_KEYS = frozenset(DEFAULTS).union(*SCENARIO_DEFAULTS.values())
 
-KNOWN_KEYS = frozenset(DEFAULTS).union(*SCENARIO_DEFAULTS.values(), COMMAND_KEYS)
+
+def _integer(text: str) -> int:
+    v = float(text)
+    if not v.is_integer():
+        raise ValueError(text)
+    return int(v)
+
+
+# a kind is (what the value must be, parser of its text)
+NUMBER = ("a number", float)
+INTEGER = ("an integer", _integer)
+NUMBERS = ("a comma-separated list of numbers",
+           lambda text: [float(s) for s in text.split(",") if s.strip()])
+INTEGERS = ("a comma-separated list of integers",
+            lambda text: [_integer(s) for s in text.split(",") if s.strip()])
+AUTO_OR_NUMBER = ("'auto' or a number", lambda text: None if text == "auto" else float(text))
+SWITCH = (f"one of {', '.join(SWITCH_VALUES)}", SWITCH_VALUES.__getitem__)
+TEXT = ("text", str)
+
+KINDS = {
+    "physical.g": NUMBER, "physical.H": NUMBER, "physical.rho": NUMBER, "physical.T": NUMBER,
+    "grid.N": INTEGER, "grid.L": NUMBER,
+    "scheme.deriv": TEXT, "scheme.dt": AUTO_OR_NUMBER, "scheme.t_end": AUTO_OR_NUMBER,
+    "scheme.filter_cut": NUMBER, "scheme.filter": SWITCH, "scheme.frame": TEXT,
+    "scheme.alpha": NUMBER, "seed": INTEGER, "output_dir": TEXT,
+    "scenario.h0": NUMBER, "scenario.h0_tall": NUMBER, "scenario.h0_short": NUMBER,
+    "scenario.x_tall": NUMBER, "scenario.x_short": NUMBER, "scenario.m_list": NUMBERS,
+    "scenario.kl_sum": NUMBER, "scenario.n_waves": INTEGER, "scenario.phase": NUMBER,
+    "scenario.hbar": NUMBER, "scenario.p_ratios": NUMBERS, "scenario.t_check": NUMBER,
+    "scenario.n_list": INTEGERS, "scenario.mode_index": INTEGER, "scenario.mode_amp": NUMBER,
+    "scenario.noise_amp": NUMBER, "scenario.solitary_filter_cut": NUMBER, "scenario.m": NUMBER,
+}
 
 
 # --------------------------------------------------------------------------
@@ -129,36 +165,24 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved run configuration."""
+    """Resolved configuration: raw text (as the manifest echoes it), parsed values."""
 
     scenario: str
     raw: dict[str, str]
+    values: dict[str, object]
     params: PhysicalParams
     grid: PeriodicGrid
     scheme: SchemeConfig
     seed: int
     output_dir: Path
 
-    def fnum(self, key: str) -> float:
-        try:
-            return float(self.raw[key])
-        except KeyError:
-            raise ValueError(f"missing configuration key {key!r}")
-        except ValueError:
-            raise ValueError(f"invalid number for {key!r}: {self.raw[key]!r}")
-
-    def fint(self, key: str) -> int:
-        return _integral(key, self.fnum(key), self.raw[key])
-
-    def flist(self, key: str) -> list[float]:
-        try:
-            return [float(s) for s in self.raw[key].split(",") if s.strip()]
-        except ValueError:
-            raise ValueError(f"invalid number list for {key!r}: {self.raw[key]!r}")
+    def fnum(self, key: str):
+        """The parsed value of `key`: a number, a list, None for 'auto', ..."""
+        return self.values[key]
 
     @property
     def t_end_auto(self) -> bool:
-        return self.raw["scheme.t_end"] == "auto"
+        return self.values["scheme.t_end"] is None
 
 
 def _check_known(keys) -> None:
@@ -175,10 +199,12 @@ def _check_known(keys) -> None:
         raise ValueError("; ".join(problems))
 
 
-def _integral(key: str, v: float, text: str) -> int:
-    if not v.is_integer():
-        raise ValueError(f"{key!r} must be an integer, got {text!r}")
-    return int(v)
+def _parse(key: str, text: str):
+    what, parse = KINDS[key]
+    try:
+        return parse(text)
+    except (ValueError, KeyError):
+        raise ValueError(f"{key!r} must be {what}, got {text!r}") from None
 
 
 def resolve_config(scenario: str, config_file: str | None,
@@ -195,34 +221,16 @@ def resolve_config(scenario: str, config_file: str | None,
     if out_dir:
         raw["output_dir"] = out_dir
     _check_known(raw)
-
-    def f(key):
-        try:
-            return float(raw[key])
-        except ValueError:
-            raise ValueError(f"invalid number for {key!r}: {raw[key]!r}")
-
-    def i(key):
-        return _integral(key, f(key), raw[key])
-
-    if raw["scheme.filter"] not in SWITCH_VALUES:
-        raise ValueError(f"'scheme.filter' must be one of {', '.join(SWITCH_VALUES)}, "
-                         f"got {raw['scheme.filter']!r}")
-    params = PhysicalParams(g=f("physical.g"), H=f("physical.H"),
-                            rho=f("physical.rho"), T=f("physical.T"))
-    grid = PeriodicGrid(L=f("grid.L"), N=i("grid.N"))
-    scheme = SchemeConfig(
-        deriv=raw["scheme.deriv"],
-        dt=None if raw["scheme.dt"] == "auto" else f("scheme.dt"),
-        t_end=0.0 if raw["scheme.t_end"] == "auto" else f("scheme.t_end"),
-        filter_cut=f("scheme.filter_cut"),
-        boussinesq_filter=SWITCH_VALUES[raw["scheme.filter"]],
-        frame=raw["scheme.frame"],
-        alpha=f("scheme.alpha"),
-    )
-    return ExperimentConfig(scenario=scenario, raw=raw, params=params, grid=grid,
-                            scheme=scheme, seed=i("seed"),
-                            output_dir=Path(raw["output_dir"]))
+    v = {key: _parse(key, text) for key, text in raw.items()}
+    params = PhysicalParams(g=v["physical.g"], H=v["physical.H"],
+                            rho=v["physical.rho"], T=v["physical.T"])
+    scheme = SchemeConfig(deriv=v["scheme.deriv"], dt=v["scheme.dt"],
+                          t_end=v["scheme.t_end"] or 0.0, filter_cut=v["scheme.filter_cut"],
+                          boussinesq_filter=v["scheme.filter"], frame=v["scheme.frame"],
+                          alpha=v["scheme.alpha"])
+    return ExperimentConfig(scenario=scenario, raw=raw, values=v, params=params,
+                            grid=PeriodicGrid(L=v["grid.L"], N=v["grid.N"]),
+                            scheme=scheme, seed=v["seed"], output_dir=Path(v["output_dir"]))
 
 
 # --------------------------------------------------------------------------
@@ -286,11 +294,11 @@ def emit_invariants_csv(series, path: str | Path) -> None:
 
 
 def write_manifest(path: str | Path, cfg: ExperimentConfig,
-                   results: dict[str, str]) -> None:
-    # output_dir is where the files land, not part of the experiment itself
+                   results: dict[str, str], **choices: str) -> None:
+    # output_dir is where the files land, not part of the experiment itself;
+    # choices are command-line options outside the configuration (evolve's --ic)
     entries = {f"config.{k}": v for k, v in cfg.raw.items() if k != "output_dir"}
-    entries["scenario"] = cfg.scenario
-    entries["version"] = __version__
+    entries.update(scenario=cfg.scenario, version=__version__, **choices)
     entries.update({f"result.{k}": v for k, v in results.items()})
     lines = [f"{k}={entries[k]}" for k in sorted(entries)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
@@ -337,8 +345,7 @@ def scenario_solitary_transit(cfg: ExperimentConfig) -> dict[str, str]:
     """One full periodic transit of the solitary wave at its own speed."""
     spec, omega = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
     t_end = cfg.grid.L / omega if cfg.t_end_auto else cfg.scheme.t_end
-    scheme = SchemeConfig(deriv=cfg.scheme.deriv, dt=cfg.scheme.dt, t_end=t_end,
-                          frame=cfg.scheme.frame, alpha=cfg.scheme.alpha)
+    scheme = replace(cfg.scheme, t_end=t_end)
     field0 = solitary_field(spec, cfg.grid)
     tail = abs(solitary_profile(spec, cfg.grid.L / 2)) / abs(spec.h0)
     res = evolve(field0, cfg.params, scheme)
@@ -362,6 +369,9 @@ def scenario_solitary_transit(cfg: ExperimentConfig) -> dict[str, str]:
 
 def scenario_two_soliton(cfg: ExperimentConfig) -> dict[str, str]:
     """Overtaking of a short solitary wave by a tall one (moving frame)."""
+    if cfg.scheme.frame != "moving":
+        raise ValueError("two_soliton measures its phase shifts in the moving frame: "
+                         f"'scheme.frame' must be 'moving', got {cfg.scheme.frame!r}")
     params, grid = cfg.params, cfg.grid
     hA, hB = cfg.fnum("scenario.h0_tall"), cfg.fnum("scenario.h0_short")
     xA, xB = cfg.fnum("scenario.x_tall"), cfg.fnum("scenario.x_short")
@@ -372,8 +382,7 @@ def scenario_two_soliton(cfg: ExperimentConfig) -> dict[str, str]:
     h = (solitary_profile(specA, x - xA) + solitary_profile(specB, x - xB))
     field0 = WaveField(grid, h)
     t_end = cfg.scheme.t_end if not cfg.t_end_auto else 60.0
-    scheme = SchemeConfig(deriv=cfg.scheme.deriv, dt=cfg.scheme.dt, t_end=t_end,
-                          frame="moving", alpha=cfg.scheme.alpha)
+    scheme = replace(cfg.scheme, t_end=t_end)
     res = evolve(field0, params, scheme)
     final = res.final
     L = grid.L
@@ -413,11 +422,11 @@ def scenario_cnoidal_family(cfg: ExperimentConfig) -> dict[str, str]:
     params = cfg.params
     sigma = dispersion_sigma(params)
     kl_sum = cfg.fnum("scenario.kl_sum")
-    n_waves = cfg.fint("scenario.n_waves")
+    n_waves = cfg.fnum("scenario.n_waves")
     phase = cfg.fnum("scenario.phase")
     rows = ["# columns=m,k,l,K,wavelength,speed_periodic,speed_frame"]
     results: dict[str, str] = {}
-    for i, m in enumerate(cfg.flist("scenario.m_list")):
+    for i, m in enumerate(cfg.fnum("scenario.m_list")):
         l = m * kl_sum
         k = kl_sum - l
         spec = CnoidalSpec(k=k, l=l, sigma=sigma, H=params.H, g=params.g)
@@ -446,7 +455,7 @@ def scenario_steepening(cfg: ExperimentConfig) -> dict[str, str]:
     p_star = math.sqrt(hbar / (4.0 * sigma))
     rows = ["# columns=p_ratio,p,verdict,front_slope_change"]
     results: dict[str, str] = {}
-    for ratio in cfg.flist("scenario.p_ratios"):
+    for ratio in cfg.fnum("scenario.p_ratios"):
         p = ratio * p_star
         spec = DeformationSpec(hbar=hbar, p=p,
                                alpha=4.0 * sigma * p * p - 1.5 * hbar)
@@ -463,7 +472,7 @@ def scenario_moment_conservation(cfg: ExperimentConfig) -> dict[str, str]:
     """Invariant drift over a solitary transit (conservation showcase)."""
     spec, omega = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
     t_end = cfg.grid.L / omega if cfg.t_end_auto else cfg.scheme.t_end
-    scheme = SchemeConfig(deriv=cfg.scheme.deriv, dt=cfg.scheme.dt, t_end=t_end)
+    scheme = replace(cfg.scheme, t_end=t_end)
     field0 = solitary_field(spec, cfg.grid)
     res = evolve(field0, cfg.params, scheme)
     emit_invariants_csv(res.invariants, cfg.output_dir / "invariants.csv")
@@ -482,7 +491,7 @@ def scenario_factorization(cfg: ExperimentConfig) -> dict[str, str]:
     norm_unit = params.g * params.H * 1.5 * spec.h0 ** 2 / params.H ** 3
     last_norm = None
     for deriv in ("centered4", "spectral"):
-        for N in (int(n) for n in cfg.flist("scenario.n_list")):
+        for N in cfg.fnum("scenario.n_list"):
             grid = PeriodicGrid(L=L, N=N)
             field = solitary_field(spec, grid)
             r = factorization_residual(field, params, scheme=deriv)
@@ -521,7 +530,7 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig) -> dict[str, str]:
 
     # (a) one low linear mode: measured oscillation frequency
     grid = PeriodicGrid(L=64.0, N=256)
-    j = cfg.fint("scenario.mode_index")
+    j = cfg.fnum("scenario.mode_index")
     k0 = 2.0 * math.pi * j / grid.L
     om_exact = k0 * math.sqrt(g * H) * math.sqrt(1.0 - H * H * k0 * k0 / 3.0)
     amp = cfg.fnum("scenario.mode_amp") * H
@@ -614,30 +623,28 @@ def _cmd_scenario(args) -> int:
     return EXIT_OK
 
 
+def _cnoidal_pieces(cfg: ExperimentConfig):
+    """The cnoidal wave of the analytic and evolve commands, and its grid."""
+    kl_sum, m, params = cfg.fnum("scenario.kl_sum"), cfg.fnum("scenario.m"), cfg.params
+    spec = CnoidalSpec(k=(1 - m) * kl_sum, l=m * kl_sum, sigma=dispersion_sigma(params),
+                       H=params.H, g=params.g)
+    return spec, grid_for_cnoidal(spec, cfg.fnum("scenario.n_waves"), cfg.grid.N)
+
+
 def _cmd_analytic(args) -> int:
     cfg = resolve_config("analytic", args.config, args.set or [], args.out)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    params = cfg.params
-    sigma = dispersion_sigma(params)
+    print(f"sigma = {_fmt(dispersion_sigma(cfg.params))}")
     if args.wave == "solitary":
-        h0 = cfg.fnum("scenario.h0") if "scenario.h0" in cfg.raw else 0.1
-        spec = SolitarySpec(h0, sigma, params.H, params.g)
+        spec, speed = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
         field = solitary_field(spec, cfg.grid, center=args.phase)
-        print(f"sigma = {_fmt(sigma)}")
-        print(f"speed = {_fmt(solitary_speed(spec))}")
-        emit_profile_csv(field, params, "analytic", cfg.output_dir / "profile.csv")
+        print(f"speed = {_fmt(speed)}")
     else:
-        kl_sum = cfg.fnum("scenario.kl_sum") if "scenario.kl_sum" in cfg.raw else 0.2
-        m = cfg.fnum("scenario.m") if "scenario.m" in cfg.raw else 0.5
-        spec = CnoidalSpec(k=(1 - m) * kl_sum, l=m * kl_sum, sigma=sigma,
-                           H=params.H, g=params.g)
-        n_waves = cfg.fint("scenario.n_waves") if "scenario.n_waves" in cfg.raw else 1
-        grid = grid_for_cnoidal(spec, n_waves, cfg.grid.N)
+        spec, grid = _cnoidal_pieces(cfg)
         field = cnoidal_field(spec, grid, phase=args.phase)
-        print(f"sigma = {_fmt(sigma)}")
         print(f"wavelength = {_fmt(cnoidal_wavelength(spec))}")
         print(f"speed = {_fmt(boussinesq_periodic_speed(spec))}")
-        emit_profile_csv(field, params, "analytic", cfg.output_dir / "profile.csv")
+    emit_profile_csv(field, cfg.params, "analytic", cfg.output_dir / "profile.csv")
     print(f"wrote {cfg.output_dir}/profile.csv")
     return EXIT_OK
 
@@ -646,25 +653,17 @@ def _cmd_evolve(args) -> int:
     cfg = resolve_config("evolve", args.config, args.set or [], args.out)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     params = cfg.params
-    sigma = dispersion_sigma(params)
     if args.ic == "solitary":
-        h0 = cfg.fnum("scenario.h0") if "scenario.h0" in cfg.raw else 0.1
-        spec = SolitarySpec(h0, sigma, params.H, params.g)
+        spec, speed = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
         initial = solitary_field(spec, cfg.grid)
-        t_end = cfg.grid.L / solitary_speed(spec) if cfg.t_end_auto else cfg.scheme.t_end
+        t_end = cfg.grid.L / speed if cfg.t_end_auto else cfg.scheme.t_end
     elif args.ic == "cnoidal":
-        kl_sum = cfg.fnum("scenario.kl_sum") if "scenario.kl_sum" in cfg.raw else 0.2
-        m = cfg.fnum("scenario.m") if "scenario.m" in cfg.raw else 0.5
-        spec = CnoidalSpec(k=(1 - m) * kl_sum, l=m * kl_sum, sigma=sigma,
-                           H=params.H, g=params.g)
-        n_waves = cfg.fint("scenario.n_waves") if "scenario.n_waves" in cfg.raw else 4
-        grid = grid_for_cnoidal(spec, n_waves, cfg.grid.N)
+        spec, grid = _cnoidal_pieces(cfg)
         initial = cnoidal_field(spec, grid, zero_mean=True)
         t_end = 10.0 if cfg.t_end_auto else cfg.scheme.t_end
     else:
         raise ValueError(f"unknown initial condition {args.ic!r}")
-    scheme = SchemeConfig(deriv=cfg.scheme.deriv, dt=cfg.scheme.dt, t_end=t_end,
-                          frame=cfg.scheme.frame, alpha=cfg.scheme.alpha)
+    scheme = replace(cfg.scheme, t_end=t_end)
     res = evolve(initial, params, scheme)
     emit_profile_csv(initial, params, scheme.deriv, cfg.output_dir / "profile_initial.csv")
     emit_profile_csv(res.final, params, scheme.deriv, cfg.output_dir / "profile_final.csv")
@@ -676,7 +675,7 @@ def _cmd_evolve(args) -> int:
         # crest tracking is unambiguous only with a single crest in the domain
         ts, xs = _track_crests(res)
         results["crest_speed"] = _fmt(fit_speed(ts, xs, initial.grid.L))
-    write_manifest(cfg.output_dir / "manifest.txt", cfg, results)
+    write_manifest(cfg.output_dir / "manifest.txt", cfg, results, ic=args.ic)
     for k in sorted(results):
         print(f"{k} = {results[k]}")
     return EXIT_OK

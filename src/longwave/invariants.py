@@ -151,21 +151,21 @@ def critical_point_residual(field: WaveField, params: PhysicalParams,
 def conservation_drift(series: Sequence[InvariantSet]) -> dict[str, float]:
     """Max relative drift of each invariant over a time series.
 
-    Drift of I is max_t |I(t) - I(0)| / max(|I(0)|, 1e-14); for initial
-    values below the floor this is effectively the absolute drift.
-    xg_dot is included only when defined on every snapshot.
+    Drift of I is max_t |I(t) - I(0)| / |I(0)|, or the absolute drift
+    max_t |I(t) - I(0)| when |I(0)| is below DRIFT_FLOOR (the mass of a
+    zero-mean field, say).  xg_dot is included only when defined on
+    every snapshot.
     """
     if not series:
         raise ValueError("empty invariant series")
-    out: dict[str, float] = {}
-    for name in ("Q", "E", "M", "Hfun"):
-        v0 = getattr(series[0], name)
-        denom = max(abs(v0), DRIFT_FLOOR)
-        out[name] = max(abs(getattr(s, name) - v0) for s in series) / denom
+    names = ["Q", "E", "M", "Hfun"]
     if all(s.xg_dot is not None for s in series):
-        v0 = series[0].xg_dot
-        denom = max(abs(v0), DRIFT_FLOOR)
-        out["xg_dot"] = max(abs(s.xg_dot - v0) for s in series) / denom
+        names.append("xg_dot")
+    out: dict[str, float] = {}
+    for name in names:
+        v0 = getattr(series[0], name)
+        denom = abs(v0) if abs(v0) >= DRIFT_FLOOR else 1.0
+        out[name] = max(abs(getattr(s, name) - v0) for s in series) / denom
     return out
 
 

@@ -13,11 +13,14 @@ from longwave import (
     dispersion_sigma,
     solitary_field,
 )
+from longwave import SchemeConfig, conservation_drift, evolve
 from longwave.cli import (
     EXIT_BLOWUP,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    KINDS,
+    KNOWN_KEYS,
     emit_invariants_csv,
     emit_profile_csv,
     main,
@@ -107,6 +110,85 @@ class TestConfigResolution:
         cfg = resolve_config("not_a_thing", None, [], str(tmp_path))
         with pytest.raises(ValueError, match="solitary_transit"):
             run_scenario(cfg)
+
+
+def _manifest(out):
+    return dict(l.split("=", 1) for l in (out / "manifest.txt").read_text().splitlines())
+
+
+class TestConfigTable:
+    def test_every_key_has_a_kind(self):
+        assert set(KINDS) == KNOWN_KEYS
+
+    def test_values_parsed_once_by_kind(self):
+        cfg = resolve_config("factorization", None, ["scheme.dt=0.01"], None)
+        assert cfg.fnum("scenario.n_list") == [128, 256, 512, 1024]
+        assert all(type(n) is int for n in cfg.fnum("scenario.n_list"))
+        assert cfg.fnum("scheme.dt") == cfg.scheme.dt == 0.01
+        assert cfg.fnum("scheme.t_end") is None and cfg.t_end_auto
+        assert cfg.fnum("scheme.filter") is True
+        assert resolve_config("analytic", None, [], None).fnum("scenario.n_waves") == 1
+        assert resolve_config("evolve", None, [], None).fnum("scenario.n_waves") == 4
+
+    @pytest.mark.parametrize("key", sorted(KNOWN_KEYS - {"output_dir"}))
+    def test_malformed_value_exits_before_output(self, tmp_path, capsys, key):
+        out = tmp_path / "out"
+        rc = main(["scenario", "cnoidal_family", "--out", str(out), "--set", f"{key}=abc"])
+        assert rc == EXIT_USAGE
+        assert "abc" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fractional_grid_list_rejected(self, tmp_path, capsys):
+        out = tmp_path / "fa"
+        rc = main(["scenario", "factorization", "--out", str(out),
+                   "--set", "scenario.n_list=64.7,128"])
+        assert rc == EXIT_USAGE
+        assert "'scenario.n_list' must be a comma-separated list of integers" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_moment_conservation_runs_the_recorded_frame(self, tmp_path, params):
+        sets = ["--set", "grid.N=128", "--set", "grid.L=60", "--set", "scheme.t_end=2.0"]
+        moving = ["--set", "scheme.frame=moving", "--set", "scheme.alpha=0.3"]
+        for name, extra in (("fixed", []), ("moving", moving)):
+            rc = main(["scenario", "moment_conservation", "--out", str(tmp_path / name),
+                       *sets, *extra])
+            assert rc == EXIT_OK
+        fixed, moved = _manifest(tmp_path / "fixed"), _manifest(tmp_path / "moving")
+        assert moved["config.scheme.frame"] == "moving"
+        assert moved["result.drift_E"] != fixed["result.drift_E"]
+        # the recorded drift is the one of a moving-frame run of the library
+        spec = SolitarySpec(0.1, dispersion_sigma(params), params.H, params.g)
+        res = evolve(solitary_field(spec, PeriodicGrid(L=60.0, N=128)), params,
+                     SchemeConfig(t_end=2.0, frame="moving", alpha=0.3))
+        drift_E = conservation_drift(res.invariants)["E"]
+        assert moved["result.drift_E"] == format(drift_E, ".17g")
+
+    def test_two_soliton_requires_moving_frame(self, tmp_path, capsys):
+        rc = main(["scenario", "two_soliton", "--out", str(tmp_path / "ts"),
+                   "--set", "scheme.frame=fixed", "--set", "grid.N=128",
+                   "--set", "scheme.t_end=1.0"])
+        assert rc == EXIT_USAGE
+        assert "'scheme.frame' must be 'moving'" in capsys.readouterr().err
+
+    def test_evolve_manifest_reproduces_cnoidal_run(self, tmp_path):
+        first = tmp_path / "c1"
+        rc = main(["evolve", "--ic", "cnoidal", "--out", str(first),
+                   "--set", "grid.N=128", "--set", "scheme.t_end=2.0"])
+        assert rc == EXIT_OK
+        manifest = _manifest(first)
+        assert manifest["ic"] == "cnoidal"
+        for key, value in (("h0", "0.1"), ("kl_sum", "0.2"), ("m", "0.5"), ("n_waves", "4")):
+            assert manifest[f"config.scenario.{key}"] == value
+        # the mass of a zero-mean field moves by roundoff only
+        assert float(manifest["result.drift_Q"]) <= 1e-12
+        again = ["evolve", "--ic", manifest["ic"], "--out", str(tmp_path / "c2")]
+        for key, value in manifest.items():
+            if key.startswith("config."):
+                again += ["--set", f"{key[7:]}={value}"]
+        assert main(again) == EXIT_OK
+        for name in ("manifest.txt", "profile_final.csv", "invariants.csv"):
+            assert filecmp.cmp(first / name, tmp_path / "c2" / name, shallow=False), name
 
 
 class TestDeterminism:

@@ -22,6 +22,7 @@ from longwave import (
     solitary_speed,
     variational_derivative,
 )
+from longwave.invariants import InvariantSet
 from longwave.operators import diff, integrate, lowpass
 from conftest import smooth_random_fields
 
@@ -181,6 +182,22 @@ class TestConservationDrift:
     def test_empty_series(self):
         with pytest.raises(ValueError):
             conservation_drift([])
+
+    def test_below_floor_reports_absolute_drift(self):
+        # a zero-mean field: Q starts at exactly 0 and moves by roundoff only
+        series = [InvariantSet(Q=q, E=2.0, M=-1.0, Hfun=1.0, xg_dot=None, t=t)
+                  for t, q in ((0.0, 0.0), (1.0, 4e-17), (2.0, -1e-17))]
+        drifts = conservation_drift(series)
+        assert drifts["Q"] == 4e-17
+        assert drifts["E"] == drifts["M"] == drifts["Hfun"] == 0.0
+        assert "xg_dot" not in drifts
+
+    def test_above_floor_is_relative(self):
+        series = [InvariantSet(Q=q, E=1.0, M=1.0, Hfun=1.0, xg_dot=v, t=0.0)
+                  for q, v in ((2.0, 4.0), (2.5, 3.0))]
+        drifts = conservation_drift(series)
+        assert drifts["Q"] == 0.25
+        assert drifts["xg_dot"] == 0.25
 
 
 class TestBoussinesqEnergy:
