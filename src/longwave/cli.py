@@ -258,29 +258,22 @@ def emit_profile_csv(field: WaveField, params: PhysicalParams,
     ]
     lines = [f"# {k}={v}" for k, v in head]
     lines.append("# columns=x,h")
-    x = grid.x
-    lines.extend(f"{_fmt(x[j])},{_fmt(field.h[j])}" for j in range(grid.N))
+    lines.extend(map("{:.17g},{:.17g}".format, grid.x.tolist(), field.h.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def read_profile_csv(path: str | Path):
     """Inverse of emit_profile_csv: (meta dict, x array, h array)."""
     meta: dict[str, str] = {}
-    xs: list[float] = []
-    hs: list[float] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for line in lines:
         if line.startswith("#"):
             body = line[1:].strip()
             if "=" in body:
                 k, v = body.split("=", 1)
                 meta[k.strip()] = v.strip()
-            continue
-        if not line.strip():
-            continue
-        a, b = line.split(",")
-        xs.append(float(a))
-        hs.append(float(b))
-    return meta, np.array(xs), np.array(hs)
+    x, h = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2).T.copy()
+    return meta, x, h
 
 
 def emit_invariants_csv(series, path: str | Path) -> None:

@@ -15,17 +15,17 @@ the bidirectional second-order equation
     h_tt = g H d^2/dx^2 ( h + 3 h^2/(2H) + (H^2/3) h_xx )
 
 integrated as the first-order system (h, v = h_t).  The bidirectional
-model is linearly ill-posed above the wavenumber sqrt(3)/H, so every
-right-hand-side evaluation passes through a sharp spectral low-pass at
-filter_cut * sqrt(3)/H; the filter can be disabled only to demonstrate
-the blow-up.
+model is linearly ill-posed above the wavenumber sqrt(3)/H, so it is
+stepped on the band of rfft modes at or below filter_cut * sqrt(3)/H,
+onto which the starting (h, v) is projected once; the filter (the band
+limit) can be disabled only to demonstrate the blow-up.
 
 Both equations are written in Fourier space the same way, as one
 linear symbol plus one multiplier of the transformed h^2 flux, built
 from the derivative symbols of the chosen scheme (the centered stencils
 through their exact trigonometric symbols).  For the bidirectional
-system the pair gives h_tt; the low-pass zeroes both multipliers above
-the cut and is applied to h_t = v as well.
+system the pair gives h_tt, and the low-pass zeroes both multipliers
+above the cut.
 
 The time integrator follows from the step.  With scheme.dt=auto a
 unidirectional run uses Lawson's integrating-factor RK4 (IFRK4): the
@@ -61,7 +61,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -243,24 +243,19 @@ def kdv_rhs(field: WaveField, params: PhysicalParams,
 
 @lru_cache(maxsize=32)
 def _boussinesq_symbols(N: int, L: float, g: float, H: float, deriv: str,
-                        k_cut: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(lin, flux, keep) with rfft(h_tt) = lin * rfft(h) + flux * rfft(h^2).
+                        k_cut: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """(lin, flux) with rfft(h_tt) = lin * rfft(h) + flux * rfft(h^2) on the band.
 
-    Both symbols are zeroed above k_cut; keep is the retained band as 0/1
-    weights, None when the low-pass is off (read-only arrays).
+    The retained band is the leading rfft modes at or below k_cut (all of
+    them when the low-pass is off); h_tt is zero above it (read-only arrays).
     """
-    d2 = derivative_symbols(N, L, deriv)[1]
+    J = N // 2 + 1 if k_cut is None else int(np.count_nonzero(wavenumbers(N, L) <= k_cut))
+    d2 = derivative_symbols(N, L, deriv)[1][:J]
     lin = g * H * d2 * (1.0 + (H * H / 3.0) * d2)
     flux = 1.5 * g * d2
-    keep = None
-    if k_cut is not None:
-        keep = (wavenumbers(N, L) <= k_cut).astype(float)
-        lin *= keep
-        flux *= keep
-        keep.setflags(write=False)
     lin.setflags(write=False)
     flux.setflags(write=False)
-    return lin, flux, keep
+    return lin, flux
 
 
 def _boussinesq_symbols_for(grid: PeriodicGrid, params: PhysicalParams,
@@ -271,17 +266,17 @@ def _boussinesq_symbols_for(grid: PeriodicGrid, params: PhysicalParams,
 
 def _boussinesq_fn_for(grid: PeriodicGrid, params: PhysicalParams,
                        config: SchemeConfig) -> Callable[[np.ndarray], np.ndarray]:
-    """RHS of the first-order system y = (h, v = h_t) -> (h_t, h_tt)."""
-    lin, flux, keep = _boussinesq_symbols_for(grid, params, config)
+    """Full-grid RHS of the first-order system y = (h, v = h_t) -> (h_t, h_tt)."""
+    lin, flux = _boussinesq_symbols_for(grid, params, config)
     N = grid.N
 
     def rhs(y: np.ndarray) -> np.ndarray:
         h, v = y
-        if keep is None:
+        if not config.boussinesq_filter:
             hh, sq = np.fft.rfft(np.stack([h, h * h]))
             return np.stack([v, np.fft.irfft(lin * hh + flux * sq, n=N)])
-        hh, vh, sq = np.fft.rfft(np.stack([h, v, h * h]))
-        return np.fft.irfft(np.stack([keep * vh, lin * hh + flux * sq]), n=N)
+        hh, vh, sq = np.fft.rfft(np.stack([h, v, h * h]))[:, :lin.size]
+        return np.fft.irfft(np.stack([vh, lin * hh + flux * sq]), n=N)
 
     return rhs
 
@@ -388,6 +383,31 @@ def _ifrk4(lin: np.ndarray, flux: np.ndarray, dt: float,
     return advance
 
 
+def _band_rk4(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
+              dt: float, y: np.ndarray) -> Iterator[np.ndarray]:
+    """Classical RK4 steps of the bidirectional system on its band, from y = (h, v).
+
+    The state is the rfft coefficients of the J retained modes, onto which
+    y is projected once, here.  h^2 is formed on the smallest 5-smooth
+    M >= 3J - 2 points (M divides 30^64), where the sum of two band modes
+    folds above the band, so the product is exact inside it; capped at N,
+    it is the full-grid product.  Yields the (2, J) coefficients per step.
+    """
+    lin, flux = _boussinesq_symbols_for(grid, params, config)
+    J = lin.size
+    M = next((M for M in range(3 * J - 2, grid.N) if 30 ** 64 % M == 0), grid.N)
+    flux = flux * (M / grid.N)  # to the N-point rfft scale
+    z = np.fft.rfft(y)[:, :J].ravel()
+
+    def rhs(z: np.ndarray) -> np.ndarray:
+        sq = np.fft.rfft(np.fft.irfft(z[:J], n=M) ** 2)[:J]
+        return np.concatenate((z[J:], lin * z[:J] + flux * sq))
+
+    while True:
+        z = _rk4(z, rhs, dt)
+        yield z.reshape(2, J)
+
+
 def _check_alive(h: np.ndarray, H: float, t: float, step: int = 1) -> None:
     m = float(np.max(np.abs(h)))
     if not math.isfinite(m) or m > BLOWUP_FACTOR * H:
@@ -401,8 +421,9 @@ def step_rk4(state, params: PhysicalParams, config: SchemeConfig,
     state is a WaveField (unidirectional) or an (h, v) pair of
     WaveFields (bidirectional); the advanced state of the same kind is
     returned with time moved by dt (default: config.dt, else the
-    advisory step).  Raises BlowUpError when the solution leaves the
-    model's validity range.
+    advisory step).  A pair takes evolve's band step, so it is projected
+    onto the retained band first.  Raises BlowUpError when the solution
+    leaves the model's validity range.
     """
     if isinstance(state, WaveField):
         if dt is None:
@@ -417,11 +438,11 @@ def step_rk4(state, params: PhysicalParams, config: SchemeConfig,
         raise ValueError("state fields live on different grids")
     if dt is None:
         dt = config.dt or stable_dt(h_field.grid, params, config, "boussinesq")
-    fn = _boussinesq_fn_for(h_field.grid, params, config)
-    y = _rk4(np.stack([h_field.h, v_field.h]), fn, dt)
-    _check_alive(y[0], params.H, h_field.t + dt)
+    steps = _band_rk4(h_field.grid, params, config, dt, np.stack([h_field.h, v_field.h]))
+    h, v = np.fft.irfft(next(steps), n=h_field.grid.N)
     t = h_field.t + dt
-    return (WaveField(h_field.grid, y[0], t), WaveField(h_field.grid, y[1], t))
+    _check_alive(h, params.H, t)
+    return (WaveField(h_field.grid, h, t), WaveField(h_field.grid, v, t))
 
 
 def step_ifrk4(field: WaveField, params: PhysicalParams, config: SchemeConfig,
@@ -468,13 +489,15 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     follows from config.dt.  A unidirectional run with dt = None steps
     with 2/3-dealiased Lawson integrating-factor RK4 ("ifrk4"): the
     linear symbol is propagated exactly, so the step is bounded by the
-    nonlinearity and by the phase limit (see the module docstring); the
-    first snapshot is the initial field as given, later ones carry no
-    modes above the retained band.  An explicit dt, and
-    every bidirectional run, steps with classical RK4 ("rk4"), warned
-    against (or, for dt = None, set to) the RK4 stability advisory.
-    The step is shrunk so that an integer number of steps lands exactly
-    on t_end.
+    nonlinearity and by the phase limit (see the module docstring).  An
+    explicit dt, and every bidirectional run, steps with classical RK4
+    ("rk4"), warned against (or, for dt = None, set to) the RK4
+    stability advisory; a bidirectional run steps the rfft coefficients
+    of its retained band (every mode when the filter is off).  Both
+    band-limited steppers project the initial state onto their band
+    once: the first snapshot is the initial state as given, later ones
+    carry no modes above the band.  The step is shrunk so that an
+    integer number of steps lands exactly on t_end.
     Snapshots, invariant sets, and observer callbacks fire every
     sample_every steps (default: ~50 samples per run) and always at the
     endpoints.  Observers receive (t, snapshot) and must not mutate it.
@@ -505,16 +528,12 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
         sample_every = max(1, nsteps // 50)
 
     if bidirectional:
-        rhs = _boussinesq_fn_for(grid, params, config)
         y = np.stack([initial[0].h, initial[1].h])
+        advance = _band_rk4(grid, params, config, dt, y).__next__
     else:
         rhs = _kdv_rhs_fn(lin, flux, grid.N)
         y = initial.h.copy()
-    if integrator == "ifrk4":
-        advance = _ifrk4(lin, flux, dt, y)
-    else:
-        def advance() -> np.ndarray:
-            return _rk4(y, rhs, dt)
+        advance = _ifrk4(lin, flux, dt, y) if integrator == "ifrk4" else lambda: _rk4(y, rhs, dt)
 
     result = EvolutionResult(times=[], snapshots=[], invariants=[],
                              energy=[] if bidirectional else None,
@@ -542,9 +561,9 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     for i in range(nsteps):
         y = advance()
         t = t0 + (i + 1) * dt
-        _check_alive(y[0] if bidirectional else y, params.H, t, i + 1)
+        _check_alive(np.fft.irfft(y[0], n=grid.N) if bidirectional else y, params.H, t, i + 1)
         if (i + 1) % sample_every == 0 or (i + 1) == nsteps:
-            sample(t, y)
+            sample(t, np.fft.irfft(y, n=grid.N) if bidirectional else y)
     return result
 
 

@@ -13,7 +13,7 @@ from longwave import (
     dispersion_sigma,
     solitary_field,
 )
-from longwave import SchemeConfig, conservation_drift, evolve
+from longwave import SchemeConfig, cli, conservation_drift, evolve
 from longwave.cli import (
     EXIT_BLOWUP,
     EXIT_IO,
@@ -55,6 +55,25 @@ class TestProfileCsv:
         assert np.array_equal(x, grid.x)
         assert meta["scheme"] == "spectral"
         assert float(meta["t"]) == 0.5
+
+    @pytest.mark.parametrize("N", [256, 4096])
+    def test_random_bit_patterns_write_and_read_exactly(self, tmp_path, params, N):
+        # every finite double, subnormals and extremes included: the rows are
+        # the per-value _fmt text and read back bit for bit
+        bits = np.random.default_rng(N).integers(0, 2 ** 64, size=4 * N, dtype=np.uint64)
+        pool = bits.view(np.float64)
+        h = pool[np.isfinite(pool)][:N].copy()
+        h[:3] = [-0.0, 5e-324, 1.7976931348623157e308]
+        grid = PeriodicGrid(L=7.3, N=N)
+        field = WaveField(grid, h, t=0.25)
+        path = tmp_path / "p.csv"
+        emit_profile_csv(field, params, "spectral", path)
+        text = path.read_text(encoding="utf-8")
+        rows = [f"{cli._fmt(a)},{cli._fmt(b)}" for a, b in zip(grid.x, h)]
+        assert text.endswith("# columns=x,h\n" + "\n".join(rows) + "\n")
+        _, x, h2 = read_profile_csv(path)
+        assert np.array_equal(h2.view(np.uint64), h.view(np.uint64))
+        assert np.array_equal(x.view(np.uint64), grid.x.view(np.uint64))
 
     def test_header_sigma_consistent(self, tmp_path, water):
         grid = PeriodicGrid(L=4.0, N=8)

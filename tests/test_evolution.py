@@ -30,7 +30,7 @@ from longwave import (
     step_rk4,
 )
 from longwave import evolution
-from longwave.operators import diff, fourier_shift, wavenumbers
+from longwave.operators import diff, fourier_shift, lowpass, wavenumbers
 from conftest import smooth_random_fields
 
 SIGMA0 = 1.0 / 3.0
@@ -178,6 +178,123 @@ class TestStepRk4:
             for _ in range(50):
                 f = step_rk4(f, params, SchemeConfig(), dt=5.0)  # far beyond stability
         assert exc.value.time > 0
+
+
+def criterion_10_state(params, part):
+    """Criterion 10's inputs: (state, dt, filter_cut) of parts a, b and c."""
+    H = params.H
+    if part == "a":
+        grid = PeriodicGrid(L=64.0, N=256)
+        h = 1e-8 * H * np.cos(2 * math.pi * 8 / grid.L * grid.x)
+        v, dt, cut = np.zeros(grid.N), 0.005, 0.5
+    elif part == "b":
+        spec = SolitarySpec(0.1, SIGMA0, H, params.g)
+        grid, cut = PeriodicGrid(L=120.0, N=1024), 0.75
+        h = lowpass(solitary_profile(spec, grid.x), grid.L, cut * math.sqrt(3.0) / H)
+        v, dt = -solitary_speed(spec) * diff(h, grid.L, 1), 0.01
+    else:
+        grid = PeriodicGrid(L=64.0, N=256)
+        noise = 1e-10 * H * np.random.default_rng(1234).standard_normal(grid.N)
+        h = lowpass(noise - noise.mean(), grid.L, 0.5 * math.sqrt(3.0) / H)
+        v, dt, cut = np.zeros(grid.N), 1e-4, 0.5
+    return (WaveField(grid, h), WaveField(grid, v)), dt, cut
+
+
+def reference_boussinesq(state, params, config, dt, nsteps):
+    """Full-grid RK4 over the boussinesq_rhs closure, checked every step."""
+    rhs = evolution._boussinesq_fn_for(state[0].grid, params, config)
+    ys = [np.stack([state[0].h, state[1].h])]
+    for i in range(nsteps):
+        ys.append(evolution._rk4(ys[-1], rhs, dt))
+        evolution._check_alive(ys[-1][0], params.H, (i + 1) * dt, i + 1)
+    return ys
+
+
+class TestBoussinesqBand:
+    @pytest.mark.parametrize("scheme", ["spectral", "centered4"])
+    @pytest.mark.parametrize("part", ["a", "b", "c"])
+    def test_band_step_matches_the_full_grid_step(self, params, part, scheme):
+        state, dt, cut = criterion_10_state(params, part)
+        config = SchemeConfig(deriv=scheme, dt=dt, t_end=200 * dt, filter_cut=cut)
+        res = evolve(state, params, config, record_invariants=False, sample_every=1)
+        ref = reference_boussinesq(state, params, config, res.dt, res.steps)
+        assert res.steps == 200 and len(res.snapshots) == len(ref)
+        h_scale = max(np.max(np.abs(y[0])) for y in ref)
+        v_scale = max(np.max(np.abs(y[1])) for y in ref)
+        for (h, v), y in zip(res.snapshots, ref):
+            assert np.max(np.abs(h.h - y[0])) <= 1e-12 * h_scale
+            assert np.max(np.abs(v.h - y[1])) <= 1e-12 * v_scale
+
+    def test_input_is_projected_onto_the_band(self, params):
+        (h0, v0), dt, cut = criterion_10_state(params, "a")
+        grid = h0.grid
+        high = sum(1e-4 * np.cos(2 * math.pi * j / grid.L * grid.x) for j in (20, 77, 128))
+        state = (WaveField(grid, 1e5 * h0.h + high), WaveField(grid, 0.3 * high))
+        res = evolve(state, params, SchemeConfig(dt=dt, t_end=0.5, filter_cut=cut),
+                     record_invariants=False, sample_every=10)
+        assert np.array_equal(res.snapshots[0][0].h, state[0].h)
+        assert np.array_equal(res.snapshots[0][1].h, state[1].h)
+        J = int(np.count_nonzero(wavenumbers(grid.N, grid.L) <= cut * math.sqrt(3.0)))
+        assert J == 9
+        for h, v in res.snapshots[1:]:
+            for f in (h, v):
+                above = np.abs(np.fft.rfft(f.h))[J:] / grid.N
+                assert above.max() <= 1e-15 * np.max(np.abs(h.h))
+
+    @pytest.mark.parametrize("factor", [2.75, 25.0])  # 1.1x and 10x the RK4 limit
+    def test_filtered_blowup_in_the_reference_step(self, params, factor):
+        (h0, v0), _, cut = criterion_10_state(params, "a")
+        state = (WaveField(h0.grid, 1e4 * h0.h), v0)
+        config = SchemeConfig(filter_cut=cut)
+        dt = factor * stable_dt(h0.grid, params, config, "boussinesq")
+        with pytest.raises(BlowUpError) as ref:
+            reference_boussinesq(state, params, config, dt, 1000)
+        with pytest.raises(BlowUpError) as exc:
+            evolve(state, params, SchemeConfig(dt=dt, t_end=1000 * dt, filter_cut=cut),
+                   record_invariants=False)
+        assert exc.value.step == ref.value.step > 1
+        assert exc.value.max_abs_h == pytest.approx(ref.value.max_abs_h, rel=1e-6)
+
+    def test_unfiltered_blowup_in_the_reference_step(self, params):
+        (h0, v0), dt, _ = criterion_10_state(params, "c")
+        grid = h0.grid
+        noise = 1e-10 * params.H * np.random.default_rng(1234).standard_normal(grid.N)
+        state = (WaveField(grid, noise - noise.mean()), v0)
+        config = SchemeConfig(dt=dt, t_end=2.0, boussinesq_filter=False)
+        with pytest.raises(BlowUpError) as ref:
+            reference_boussinesq(state, params, config, dt, 20000)
+        with pytest.raises(BlowUpError) as exc:
+            evolve(state, params, config, record_invariants=False)
+        assert exc.value.step == ref.value.step > 1
+        assert exc.value.max_abs_h == pytest.approx(ref.value.max_abs_h, rel=1e-6)
+
+    @pytest.mark.parametrize("filtered", [True, False])
+    def test_non_finite_state_raises(self, params, filtered):
+        # a step of 1e300 s overflows the stages, and the state turns to NaN
+        state, _, cut = criterion_10_state(params, "a")
+        config = SchemeConfig(dt=1e300, t_end=1e301, filter_cut=cut, boussinesq_filter=filtered)
+        big = (WaveField(state[0].grid, 1e6 * state[0].h), state[1])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as exc:
+            evolve(big, params, config, record_invariants=False)
+        assert exc.value.step == 1 and math.isnan(exc.value.max_abs_h)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as exc:
+            step_rk4(big, params, config)
+        assert math.isnan(exc.value.max_abs_h)
+
+    def test_public_steps_repeat_the_evolve_run(self, params):
+        spec = SolitarySpec(0.1, SIGMA0, params.H, params.g)
+        grid, cut = PeriodicGrid(L=120.0, N=256), 0.75
+        h = solitary_profile(spec, grid.x) + 1e-4 * np.cos(2 * math.pi * 60 / grid.L * grid.x)
+        state = (WaveField(grid, h), WaveField(grid, -solitary_speed(spec) * diff(h, grid.L, 1)))
+        config = SchemeConfig(dt=0.01, t_end=0.5, filter_cut=cut)
+        res = evolve(state, params, config, record_invariants=False)
+        assert res.steps == 50
+        f = state
+        for _ in range(res.steps):
+            f = step_rk4(f, params, config, dt=res.dt)
+        assert f[0].t == pytest.approx(res.final[0].t)
+        assert np.max(np.abs(f[0].h - res.final[0].h)) <= 1e-13
+        assert np.max(np.abs(f[1].h - res.final[1].h)) <= 1e-13
 
 
 def kdv_linear_symbol(params, grid, scheme):
