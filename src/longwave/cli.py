@@ -417,22 +417,24 @@ def scenario_cnoidal_family(cfg: ExperimentConfig) -> dict[str, str]:
     kl_sum = cfg.fnum("scenario.kl_sum")
     n_waves = cfg.fnum("scenario.n_waves")
     phase = cfg.fnum("scenario.phase")
+    # every member is built, and so checked, before the first file is written
+    members = []
+    for m in cfg.fnum("scenario.m_list"):
+        spec = CnoidalSpec(k=kl_sum - m * kl_sum, l=m * kl_sum, sigma=sigma,
+                           H=params.H, g=params.g)
+        members.append((m, spec, grid_for_cnoidal(spec, n_waves, cfg.grid.N)))
     rows = ["# columns=m,k,l,K,wavelength,speed_periodic,speed_frame"]
     results: dict[str, str] = {}
-    for i, m in enumerate(cfg.fnum("scenario.m_list")):
-        l = m * kl_sum
-        k = kl_sum - l
-        spec = CnoidalSpec(k=k, l=l, sigma=sigma, H=params.H, g=params.g)
+    for i, (m, spec, grid) in enumerate(members):
         lam = cnoidal_wavelength(spec)
         speed_p = boussinesq_periodic_speed(spec)
         speed_f = (math.sqrt(params.g * params.H)
                    - math.sqrt(params.g / params.H) * cnoidal_alpha(spec))
-        grid = grid_for_cnoidal(spec, n_waves, cfg.grid.N)
         field = cnoidal_field(spec, grid, phase=phase)
         emit_profile_csv(field, params, "analytic",
                          cfg.output_dir / f"profile_{i:02d}.csv")
         rows.append(",".join(_fmt(v) for v in
-                             (m, k, l, complete_K(m), lam, speed_p, speed_f)))
+                             (m, spec.k, spec.l, complete_K(m), lam, speed_p, speed_f)))
         results[f"wavelength_{i:02d}"] = _fmt(lam)
     (cfg.output_dir / "family.csv").write_text("\n".join(rows) + "\n",
                                                encoding="utf-8", newline="\n")
@@ -446,15 +448,17 @@ def scenario_steepening(cfg: ExperimentConfig) -> dict[str, str]:
     hbar = cfg.fnum("scenario.hbar")
     t_check = cfg.fnum("scenario.t_check")
     p_star = math.sqrt(hbar / (4.0 * sigma))
-    rows = ["# columns=p_ratio,p,verdict,front_slope_change"]
-    results: dict[str, str] = {}
+    # every member is built, and so checked, before the first run
+    specs = []
     for ratio in cfg.fnum("scenario.p_ratios"):
         p = ratio * p_star
-        spec = DeformationSpec(hbar=hbar, p=p,
-                               alpha=4.0 * sigma * p * p - 1.5 * hbar)
+        specs.append(DeformationSpec(hbar=hbar, p=p, alpha=4.0 * sigma * p * p - 1.5 * hbar))
+    rows = ["# columns=p_ratio,p,verdict,front_slope_change"]
+    results: dict[str, str] = {}
+    for ratio, spec in zip(cfg.fnum("scenario.p_ratios"), specs):
         verdict = steepening_verdict(spec, params)
         change = front_slope_change(spec, params, t_check)
-        rows.append(f"{_fmt(ratio)},{_fmt(p)},{verdict.value},{_fmt(change)}")
+        rows.append(f"{_fmt(ratio)},{_fmt(spec.p)},{verdict.value},{_fmt(change)}")
         results[f"verdict_{ratio:.6g}"] = verdict.value
     (cfg.output_dir / "steepening.csv").write_text("\n".join(rows) + "\n",
                                                    encoding="utf-8", newline="\n")
@@ -483,12 +487,13 @@ def scenario_factorization(cfg: ExperimentConfig) -> dict[str, str]:
     rows = ["# columns=scheme,N,residual,normalized"]
     norm_unit = params.g * params.H * 1.5 * spec.h0 ** 2 / params.H ** 3
     last_norm = None
+    # every grid is built, and so checked, before the first residual
+    grids = [PeriodicGrid(L=L, N=N) for N in cfg.fnum("scenario.n_list")]
     for deriv in ("centered4", "spectral"):
-        for N in cfg.fnum("scenario.n_list"):
-            grid = PeriodicGrid(L=L, N=N)
+        for grid in grids:
             field = solitary_field(spec, grid)
             r = factorization_residual(field, params, scheme=deriv)
-            rows.append(f"{deriv},{N},{_fmt(r)},{_fmt(r / norm_unit)}")
+            rows.append(f"{deriv},{grid.N},{_fmt(r)},{_fmt(r / norm_unit)}")
             last_norm = r / norm_unit
     gridc = PeriodicGrid(L=L, N=512)
     fieldc = solitary_field(spec, gridc)
@@ -532,7 +537,7 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig) -> dict[str, str]:
     t10 = 10.0 * 2.0 * math.pi / om_exact
     scheme = SchemeConfig(deriv="spectral", dt=0.005, t_end=t10,
                           filter_cut=cfg.scheme.filter_cut)
-    res = evolve((h0f, v0f), params, scheme, sample_every=14)
+    res = evolve((h0f, v0f), params, scheme, sample_every=14, record_invariants=False)
     ts = np.array(res.times)
     cosk = np.cos(k0 * grid.x)
     cs = np.array([2.0 / grid.N * float(np.dot(s[0].h, cosk)) for s in res.snapshots])
@@ -551,7 +556,8 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig) -> dict[str, str]:
     hs = lowpass(solitary_profile(spec, gridS.x), gridS.L, cut * math.sqrt(3.0) / H)
     vs = -omega * diff(hs, gridS.L, 1)
     schemeS = SchemeConfig(deriv="spectral", dt=0.01, t_end=30.0, filter_cut=cut)
-    resS = evolve((WaveField(gridS, hs), WaveField(gridS, vs)), params, schemeS)
+    resS = evolve((WaveField(gridS, hs), WaveField(gridS, vs)), params, schemeS,
+                  record_invariants=False)
     ts2, xs2 = _track_crests(resS)
     results["solitary_speed_formula"] = _fmt(omega)
     results["solitary_speed_measured"] = _fmt(fit_speed(ts2, xs2, gridS.L))

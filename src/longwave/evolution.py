@@ -24,18 +24,19 @@ Both equations are written in Fourier space the same way, as one
 linear symbol plus one multiplier of the transformed h^2 flux, built
 from the derivative symbols of the chosen scheme (the centered stencils
 through their exact trigonometric symbols).  For the bidirectional
-system the pair gives h_tt, and the low-pass zeroes both multipliers
-above the cut.
+system the pair gives h_tt, and the low-pass keeps both multipliers
+only up to the cut.
 
+Every run is stepped the same way, on the rfft coefficients of its
+band of retained modes (_band_run): the starting state is projected onto
+the band once, and each stage forms h^2 on the fewest points that make
+the product exact inside the band (Orszag 1971; Boyd 2001, ch. 11).
 The time integrator follows from the step.  With scheme.dt=auto a
 unidirectional run uses Lawson's integrating-factor RK4 (IFRK4): the
 linear symbol is propagated exactly by exp(L dt), so the dispersive
-stiffness (dt ~ dx^3 under RK4) no longer sets the step.  The IFRK4
-step is 2/3-dealiased (Orszag 1971): the linear symbol and the flux
-multiplier are zeroed above rfft mode N/3 and the starting field is
-projected onto that band, so the h^2 product is exact inside the band
-and the fastest retained mode turns about (2/3)^3 as fast as the Nyquist
-one.
+stiffness (dt ~ dx^3 under RK4) no longer sets the step.  Its band is
+the 2/3-rule one, the rfft modes below N/3, so the fastest retained
+mode turns about (2/3)^3 as fast as the Nyquist one.
 Two limits, both measured over the retained band, set the step.  The
 nonlinear one is IF_SAFETY = 0.1 times the RK4 imaginary-axis limit of
 the linearized flux, 1.5 sqrt(g/H) k_max max|h0|; 0.1 is frozen from an
@@ -49,9 +50,13 @@ acceptance collision at N = 256 blew up at t = 51 s); it is kept for
 the dealiased step, which has not been certified beyond it.
 
 An explicit dt, and every bidirectional run, uses classical 4-stage
-Runge-Kutta (RK4), whose advisory step is 0.4 times the RK4 limit of
-the linearized symbol; the 0.4 is frozen from a blow-up sweep (solitary
-runs remain stable up to about 1.05 times the limit).
+Runge-Kutta (RK4) on the same stepper, whose advisory step is 0.4 times
+the RK4 limit of the linearized symbol; the 0.4 is frozen from a
+blow-up sweep (solitary runs remain stable up to about 1.05 times the
+limit).  An explicit-dt unidirectional band is every mode, so its
+product is the full-grid pseudo-spectral one of kdv_rhs.  The blow-up
+check reads a bound on max|h| from the band coefficients and forms h on
+the grid only when that bound nears the limit, so it stays exact.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -174,16 +179,6 @@ class SteepeningVerdict(Enum):
 # right-hand sides
 # --------------------------------------------------------------------------
 
-def _alias_free_modes(N: int) -> int:
-    """Number of leading rfft modes kept by Orszag's 2/3 rule.
-
-    Modes j with 3j < N square without aliasing: the sum j1 + j2 of two
-    such modes is either at most N/2, and exact, or folds onto
-    N - j1 - j2 > N/3, above the band, where the zeroed multipliers drop it.
-    """
-    return (N + 2) // 3
-
-
 @lru_cache(maxsize=32)
 def _kdv_symbols(N: int, L: float, g: float, H: float, sigma: float,
                  frame: str, alpha: float, deriv: str,
@@ -192,10 +187,13 @@ def _kdv_symbols(N: int, L: float, g: float, H: float, sigma: float,
 
     Returns (lin, flux) with  rfft(h_t) = lin * rfft(h) + flux * rfft(h^2):
     lin carries the advection and dispersion terms, flux the h^2/2
-    nonlinearity.  Both are purely imaginary.  With dealias both are
-    zero above the 2/3-rule band (_alias_free_modes).
+    nonlinearity.  Both are purely imaginary.  With dealias both cover
+    only Orszag's 2/3-rule band, the rfft modes j with 3j < N, on which
+    the h^2 of a band-limited field is exact (see _band_run).
     """
     d1, d2 = derivative_symbols(N, L, deriv)
+    if dealias:
+        d1, d2 = d1[:(N + 2) // 3], d2[:(N + 2) // 3]
     c = 1.5 * math.sqrt(g / H)
     if frame == "fixed":
         adv, disp = (2.0 / 3.0) * H, H ** 3 / 9.0
@@ -203,10 +201,6 @@ def _kdv_symbols(N: int, L: float, g: float, H: float, sigma: float,
         adv, disp = (2.0 / 3.0) * alpha, sigma / 3.0
     lin = -c * d1 * (adv + disp * d2)
     flux = -0.5 * c * d1
-    if dealias:
-        kept = _alias_free_modes(N)
-        lin[kept:] = 0.0
-        flux[kept:] = 0.0
     lin.setflags(write=False)
     flux.setflags(write=False)
     return lin, flux
@@ -223,22 +217,16 @@ def _symbols_for(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfi
                         "moving", config.alpha, config.deriv, dealias)
 
 
-def _kdv_rhs_fn(lin: np.ndarray, flux: np.ndarray,
-                N: int) -> Callable[[np.ndarray], np.ndarray]:
-    def rhs(h: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(lin * np.fft.rfft(h) + flux * np.fft.rfft(h * h), n=N)
-
-    return rhs
-
-
-def _kdv_fn_for(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig):
-    return _kdv_rhs_fn(*_symbols_for(grid, params, config), grid.N)
+def _grid_rhs(lin: np.ndarray, flux: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """irfft(lin * rfft(h) + flux * rfft(h^2)) over the band of lin, from samples h."""
+    J = lin.size
+    return np.fft.irfft(lin * np.fft.rfft(h)[:J] + flux * np.fft.rfft(h * h)[:J], n=h.size)
 
 
 def kdv_rhs(field: WaveField, params: PhysicalParams,
             config: SchemeConfig = SchemeConfig()) -> np.ndarray:
     """dh/dt of the unidirectional equation in the configured frame [m/s]."""
-    return _kdv_fn_for(field.grid, params, config)(field.h)
+    return _grid_rhs(*_symbols_for(field.grid, params, config), field.h)
 
 
 @lru_cache(maxsize=32)
@@ -343,75 +331,96 @@ def _rk4(y: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray], dt: float) -> n
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _ifrk4(lin: np.ndarray, flux: np.ndarray, dt: float,
-           h: np.ndarray) -> Callable[[], np.ndarray]:
-    """Lawson integrating-factor RK4 stepper for h_t = lin h + flux (h^2), from h.
+def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
+              bidirectional: bool, integrator: str, dt: float):
+    """The stepper of every run, on its band of retained rfft modes.
 
-    The linear symbol is propagated exactly by exp(lin dt) and classical
-    RK4 sees only the h^2 flux.  lin and flux are the dealiased pair, so
-    this is a 2/3-rule Fourier-Galerkin step: h is projected onto the
-    band once, here, and the pseudo-spectral square of a band-limited
-    field is exact inside the band.  The state is kept in Fourier space;
-    each call of the returned advance() gives the field one step later.
-    That field, which the caller checks and samples anyway, also feeds
-    the next step's first stage: 8 FFTs per step against RK4's 12.
+    Returns (lin, flux, advance): the run's symbols on its band of
+    J = lin.size modes, and the step.  The band is every mode for an
+    explicit-dt unidirectional run, the 2/3-rule band for an
+    integrating-factor one and the low-pass band for a bidirectional one.
+    The state z is the rfft coefficients of h on the band, followed by
+    v's for a bidirectional run: rfft(y)[:, :J].ravel() of the stacked
+    samples y.  h^2 is formed on the smallest 5-smooth M >= 3J - 2 points
+    (M divides 30^64), where the sum of two band modes folds above the
+    band, so the product is exact inside it; capped at N, it is the
+    full-grid product.  advance(z) is the state one step of dt later:
+    classical RK4 on the band RHS, or for integrator "ifrk4"
+    (unidirectional only) Lawson's RK4, which propagates lin exactly by
+    exp(lin dt) and leaves the stages only the h^2 flux.
     """
-    N = h.shape[-1]
+    if bidirectional:
+        lin, flux = _boussinesq_symbols_for(grid, params, config)
+    else:
+        lin, flux = _symbols_for(grid, params, config, dealias=integrator == "ifrk4")
+    J, N = lin.size, grid.N
+    M = next((M for M in range(3 * J - 2, N) if 30 ** 64 % M == 0), N)
+    flux_m = flux * (M / N)  # the M-point product to the N-point rfft scale
+
+    def squared(hh: np.ndarray) -> np.ndarray:
+        return np.fft.rfft(np.fft.irfft(hh, n=M) ** 2)[:J]
+
+    if bidirectional:
+        def rhs(z: np.ndarray) -> np.ndarray:
+            return np.concatenate((z[J:], lin * z[:J] + flux_m * squared(z[:J])))
+    else:
+        def rhs(z: np.ndarray) -> np.ndarray:
+            return lin * z + flux_m * squared(z)
+
+    if integrator == "rk4":
+        return lin, flux, lambda z: _rk4(z, rhs, dt)
+
     E = np.exp(0.5 * dt * lin)
     # the flux multiplier and the stage weights folded into one array each
-    a2, a3, a4 = (0.5 * dt) * E * flux, (0.5 * dt) * flux, dt * E * flux
-    b1, b23, b4 = (dt / 6.0) * E * E * flux, (dt / 3.0) * E * flux, (dt / 6.0) * flux
-    hh = np.fft.rfft(h)
-    hh[_alias_free_modes(N):] = 0.0
-    w = np.fft.irfft(hh, n=N)
+    a2, a3, a4 = (0.5 * dt) * E * flux_m, (0.5 * dt) * flux_m, dt * E * flux_m
+    b1, b23, b4 = (dt / 6.0) * E * E * flux_m, (dt / 3.0) * E * flux_m, (dt / 6.0) * flux_m
 
-    def squared(u: np.ndarray) -> np.ndarray:
-        return np.fft.rfft(u * u)
+    def advance(z: np.ndarray) -> np.ndarray:
+        Ez = E * z
+        E2z = E * Ez
+        n1 = squared(z)
+        n2 = squared(Ez + a2 * n1)
+        n3 = squared(Ez + a3 * n2)
+        n4 = squared(E2z + a4 * n3)
+        return E2z + b1 * n1 + b23 * (n2 + n3) + b4 * n4
 
-    def advance() -> np.ndarray:
-        nonlocal hh, w
-        Ehh = E * hh
-        E2hh = E * Ehh
-        n1 = squared(w)
-        n2 = squared(np.fft.irfft(Ehh + a2 * n1, n=N))
-        n3 = squared(np.fft.irfft(Ehh + a3 * n2, n=N))
-        n4 = squared(np.fft.irfft(E2hh + a4 * n3, n=N))
-        hh = E2hh + b1 * n1 + b23 * (n2 + n3) + b4 * n4
-        w = np.fft.irfft(hh, n=N)
-        return w
-
-    return advance
-
-
-def _band_rk4(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
-              dt: float, y: np.ndarray) -> Iterator[np.ndarray]:
-    """Classical RK4 steps of the bidirectional system on its band, from y = (h, v).
-
-    The state is the rfft coefficients of the J retained modes, onto which
-    y is projected once, here.  h^2 is formed on the smallest 5-smooth
-    M >= 3J - 2 points (M divides 30^64), where the sum of two band modes
-    folds above the band, so the product is exact inside it; capped at N,
-    it is the full-grid product.  Yields the (2, J) coefficients per step.
-    """
-    lin, flux = _boussinesq_symbols_for(grid, params, config)
-    J = lin.size
-    M = next((M for M in range(3 * J - 2, grid.N) if 30 ** 64 % M == 0), grid.N)
-    flux = flux * (M / grid.N)  # to the N-point rfft scale
-    z = np.fft.rfft(y)[:, :J].ravel()
-
-    def rhs(z: np.ndarray) -> np.ndarray:
-        sq = np.fft.rfft(np.fft.irfft(z[:J], n=M) ** 2)[:J]
-        return np.concatenate((z[J:], lin * z[:J] + flux * sq))
-
-    while True:
-        z = _rk4(z, rhs, dt)
-        yield z.reshape(2, J)
+    return lin, flux, advance
 
 
 def _check_alive(h: np.ndarray, H: float, t: float, step: int = 1) -> None:
     m = float(np.max(np.abs(h)))
     if not math.isfinite(m) or m > BLOWUP_FACTOR * H:
         raise BlowUpError(t, step, m)
+
+
+def _unpack(state) -> tuple[bool, PeriodicGrid, float, np.ndarray]:
+    """(bidirectional, grid, t, y) of a WaveField or an (h, v) pair; y stacks copies."""
+    if isinstance(state, WaveField):
+        return False, state.grid, state.t, np.stack([state.h])
+    h_field, v_field = state
+    if h_field.grid != v_field.grid:
+        raise ValueError("state fields live on different grids")
+    return True, h_field.grid, h_field.t, np.stack([h_field.h, v_field.h])
+
+
+def _pack(grid: PeriodicGrid, y: np.ndarray, t: float, bidirectional: bool):
+    if bidirectional:
+        return WaveField(grid, y[0], t), WaveField(grid, y[1], t)
+    return WaveField(grid, y[0], t)
+
+
+def _step(state, params: PhysicalParams, config: SchemeConfig, integrator: str,
+          dt: float | None):
+    """One step of evolve's band stepper; state is projected onto the band first."""
+    bidirectional, grid, t, y = _unpack(state)
+    if dt is None:
+        dt = config.dt or stable_dt(grid, params, config,
+                                    "boussinesq" if bidirectional else "kdv")
+    lin, _, advance = _band_run(grid, params, config, bidirectional, integrator, dt)
+    J = lin.size
+    y = np.fft.irfft(advance(np.fft.rfft(y)[:, :J].ravel()).reshape(-1, J), n=grid.N)
+    _check_alive(y[0], params.H, t + dt)
+    return _pack(grid, y, t + dt, bidirectional)
 
 
 def step_rk4(state, params: PhysicalParams, config: SchemeConfig,
@@ -421,28 +430,12 @@ def step_rk4(state, params: PhysicalParams, config: SchemeConfig,
     state is a WaveField (unidirectional) or an (h, v) pair of
     WaveFields (bidirectional); the advanced state of the same kind is
     returned with time moved by dt (default: config.dt, else the
-    advisory step).  A pair takes evolve's band step, so it is projected
-    onto the retained band first.  Raises BlowUpError when the solution
-    leaves the model's validity range.
+    advisory step).  This is evolve's explicit-dt step: the state is
+    projected onto its band first (every mode for a WaveField, the
+    retained band for a pair) and stepped there.  Raises BlowUpError
+    when the solution leaves the model's validity range.
     """
-    if isinstance(state, WaveField):
-        if dt is None:
-            dt = config.dt or stable_dt(state.grid, params, config, "kdv")
-        fn = _kdv_fn_for(state.grid, params, config)
-        h = _rk4(state.h, fn, dt)
-        _check_alive(h, params.H, state.t + dt)
-        return WaveField(state.grid, h, state.t + dt)
-
-    h_field, v_field = state
-    if h_field.grid != v_field.grid:
-        raise ValueError("state fields live on different grids")
-    if dt is None:
-        dt = config.dt or stable_dt(h_field.grid, params, config, "boussinesq")
-    steps = _band_rk4(h_field.grid, params, config, dt, np.stack([h_field.h, v_field.h]))
-    h, v = np.fft.irfft(next(steps), n=h_field.grid.N)
-    t = h_field.t + dt
-    _check_alive(h, params.H, t)
-    return (WaveField(h_field.grid, h, t), WaveField(h_field.grid, v, t))
+    return _step(state, params, config, "rk4", dt)
 
 
 def step_ifrk4(field: WaveField, params: PhysicalParams, config: SchemeConfig,
@@ -457,10 +450,7 @@ def step_ifrk4(field: WaveField, params: PhysicalParams, config: SchemeConfig,
     (rfft modes j with 3j < N) and the result has no content above it.
     Raises BlowUpError when the solution leaves the model's validity range.
     """
-    lin, flux = _symbols_for(field.grid, params, config, dealias=True)
-    h = _ifrk4(lin, flux, dt, field.h)()
-    _check_alive(h, params.H, field.t + dt)
-    return WaveField(field.grid, h, field.t + dt)
+    return _step(field, params, config, "ifrk4", dt)
 
 
 @dataclass
@@ -485,39 +475,34 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
            record_invariants: bool = True) -> EvolutionResult:
     """Integrate to config.t_end, sampling snapshots and invariants.
 
-    initial is a WaveField or an (h, v) WaveField pair.  The integrator
-    follows from config.dt.  A unidirectional run with dt = None steps
-    with 2/3-dealiased Lawson integrating-factor RK4 ("ifrk4"): the
-    linear symbol is propagated exactly, so the step is bounded by the
-    nonlinearity and by the phase limit (see the module docstring).  An
-    explicit dt, and every bidirectional run, steps with classical RK4
-    ("rk4"), warned against (or, for dt = None, set to) the RK4
-    stability advisory; a bidirectional run steps the rfft coefficients
-    of its retained band (every mode when the filter is off).  Both
-    band-limited steppers project the initial state onto their band
-    once: the first snapshot is the initial state as given, later ones
-    carry no modes above the band.  The step is shrunk so that an
-    integer number of steps lands exactly on t_end.
+    initial is a WaveField or an (h, v) WaveField pair.  Every run steps
+    the rfft coefficients of its retained band through one stepper
+    (_band_run); the integrator follows from config.dt.  A
+    unidirectional run with dt = None steps with Lawson integrating-factor
+    RK4 ("ifrk4") on the 2/3-rule band: the linear symbol is propagated
+    exactly, so the step is bounded by the nonlinearity and by the phase
+    limit (see the module docstring).  An explicit dt, and every
+    bidirectional run, steps with classical RK4 ("rk4"), warned against
+    (or, for dt = None, set to) the RK4 stability advisory; its band is
+    every mode for a unidirectional run and the low-pass band for a
+    bidirectional one (every mode when the filter is off).  The initial
+    state is projected onto the band once: the first snapshot is the
+    initial state as given, later ones carry no modes above the band.
+    The step is shrunk so that an integer number of steps lands exactly
+    on t_end.  Every step is checked for blow-up.
     Snapshots, invariant sets, and observer callbacks fire every
     sample_every steps (default: ~50 samples per run) and always at the
     endpoints.  Observers receive (t, snapshot) and must not mutate it.
     """
-    bidirectional = not isinstance(initial, WaveField)
-    if bidirectional and initial[0].grid != initial[1].grid:
-        raise ValueError("state fields live on different grids")
-    grid = (initial[0] if bidirectional else initial).grid
-    t0 = (initial[0] if bidirectional else initial).t
-
+    bidirectional, grid, t0, y = _unpack(initial)
     integrator = "rk4" if bidirectional or config.dt is not None else "ifrk4"
-    if not bidirectional:
-        lin, flux = _symbols_for(grid, params, config, dealias=integrator == "ifrk4")
     if integrator == "rk4":
         advisory = stable_dt(grid, params, config, "boussinesq" if bidirectional else "kdv")
         dt_req = config.dt if config.dt is not None else advisory
         if dt_req > advisory * (1.0 + 1e-12):
             logger.warning("dt = %.3e exceeds stability advisory %.3e", dt_req, advisory)
     else:
-        dt_req = _ifrk4_dt(lin, flux, initial.h)
+        dt_req = _ifrk4_dt(*_symbols_for(grid, params, config, dealias=True), y[0])
 
     if config.t_end <= 0:
         nsteps, dt = 0, 0.0
@@ -527,43 +512,38 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     if sample_every is None:
         sample_every = max(1, nsteps // 50)
 
-    if bidirectional:
-        y = np.stack([initial[0].h, initial[1].h])
-        advance = _band_rk4(grid, params, config, dt, y).__next__
-    else:
-        rhs = _kdv_rhs_fn(lin, flux, grid.N)
-        y = initial.h.copy()
-        advance = _ifrk4(lin, flux, dt, y) if integrator == "ifrk4" else lambda: _rk4(y, rhs, dt)
-
+    lin, flux, advance = _band_run(grid, params, config, bidirectional, integrator, dt)
+    J = lin.size
     result = EvolutionResult(times=[], snapshots=[], invariants=[],
                              energy=[] if bidirectional else None,
                              integrator=integrator, dt=dt, steps=nsteps)
 
     def sample(t: float, y: np.ndarray) -> None:
-        if bidirectional:
-            snap = (WaveField(grid, y[0], t), WaveField(grid, y[1], t))
-            if record_invariants:
-                result.invariants.append(
-                    compute_invariants(snap[0], params, scheme=config.deriv, h_t=y[1]))
-                result.energy.append(boussinesq_energy(snap[0], snap[1], params))
-        else:
-            snap = WaveField(grid, y, t)
-            if record_invariants:
-                result.invariants.append(
-                    compute_invariants(snap, params, scheme=config.deriv, h_t=rhs(y)))
+        snap = _pack(grid, y, t, bidirectional)
+        if record_invariants:
+            h_t = y[1] if bidirectional else _grid_rhs(lin, flux, y[0])
+            result.invariants.append(compute_invariants(
+                snap[0] if bidirectional else snap, params, scheme=config.deriv, h_t=h_t))
+            if bidirectional:
+                result.energy.append(boussinesq_energy(*snap, params))
         result.times.append(t)
         result.snapshots.append(snap)
         for obs in observers:
             obs(t, snap)
 
+    z = np.fft.rfft(y)[:, :J].ravel()
     sample(t0, y)
-    t = t0
+    # (2/N) sum_j |h_j| bounds max|h| from above, so h is formed on the grid
+    # and checked exactly only on the steps where that bound reaches the
+    # limit (less a margin for the bound's own roundoff) or is not finite
+    limit = (1.0 - 1e-12) * BLOWUP_FACTOR * params.H
     for i in range(nsteps):
-        y = advance()
+        z = advance(z)
         t = t0 + (i + 1) * dt
-        _check_alive(np.fft.irfft(y[0], n=grid.N) if bidirectional else y, params.H, t, i + 1)
+        if not 2.0 / grid.N * np.abs(z[:J]).sum() < limit:
+            _check_alive(np.fft.irfft(z[:J], n=grid.N), params.H, t, i + 1)
         if (i + 1) % sample_every == 0 or (i + 1) == nsteps:
-            sample(t, np.fft.irfft(y, n=grid.N) if bidirectional else y)
+            sample(t, np.fft.irfft(z.reshape(-1, J), n=grid.N))
     return result
 
 

@@ -166,6 +166,27 @@ class TestConfigTable:
             capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario, setting, message", [
+        ("cnoidal_family", "scenario.m_list=0.5,1.5", "roots k and l must be positive"),
+        ("steepening", "scenario.p_ratios=0.9,-1", "hbar and p must be positive"),
+        ("factorization", "scenario.n_list=64,0", "N must be even and >= 8"),
+    ])
+    def test_out_of_range_sweep_member_stops_the_sweep_before_it_runs(
+            self, tmp_path, capsys, monkeypatch, scenario, setting, message):
+        # every member is built, and so checked, before the first one is
+        # computed or written
+        def member_ran(*args, **kwargs):
+            raise AssertionError("a sweep member ran before the sweep was checked")
+
+        for name in ("emit_profile_csv", "front_slope_change", "factorization_residual"):
+            monkeypatch.setattr(cli, name, member_ran)
+        out = tmp_path / "out"
+        rc = main(["scenario", scenario, "--out", str(out),
+                   "--set", "grid.N=64", "--set", setting])
+        assert rc == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_moment_conservation_runs_the_recorded_frame(self, tmp_path, params):
         sets = ["--set", "grid.N=128", "--set", "grid.L=60", "--set", "scheme.t_end=2.0"]
         moving = ["--set", "scheme.frame=moving", "--set", "scheme.alpha=0.3"]

@@ -478,6 +478,58 @@ class TestIfrk4:
         assert above.max() <= 1e-15 * np.max(np.abs(f.h))
 
 
+def reference_kdv(field, params, config, dt, nsteps):
+    """Full-grid RK4 over the kdv_rhs closure, checked every step."""
+    def rhs(h):
+        return kdv_rhs(WaveField(field.grid, h), params, config)
+
+    hs = [field.h]
+    for i in range(nsteps):
+        hs.append(evolution._rk4(hs[-1], rhs, dt))
+        evolution._check_alive(hs[-1], params.H, (i + 1) * dt, i + 1)
+    return hs
+
+
+class TestBandStepper:
+    @pytest.mark.parametrize("scheme", ["spectral", "centered4"])
+    @pytest.mark.parametrize("frame", ["fixed", "moving"])
+    def test_explicit_kdv_step_matches_the_full_grid_step(self, params, frame, scheme):
+        # an explicit-dt band is every mode: the modes above N/3 are stepped
+        # and the product is the full-grid one, aliasing included
+        grid = PeriodicGrid(L=60.0, N=128)
+        field = TestIfrk4._with_high_modes(params, grid)
+        dt = stable_dt(grid, params, SchemeConfig(deriv=scheme, frame=frame, alpha=0.37))
+        config = SchemeConfig(deriv=scheme, frame=frame, alpha=0.37, dt=dt, t_end=200 * dt)
+        res = evolve(field, params, config, record_invariants=False, sample_every=1)
+        ref = reference_kdv(field, params, config, res.dt, res.steps)
+        assert (res.integrator, res.steps, len(res.snapshots)) == ("rk4", 200, len(ref))
+        scale = max(np.max(np.abs(h)) for h in ref)
+        for snap, h in zip(res.snapshots, ref):
+            assert np.max(np.abs(snap.h - h)) <= 1e-12 * scale
+
+    def test_blowup_check_is_exact_when_the_bound_exceeds_the_limit(self, params):
+        # 60 cosines of 0.3 m: the coefficient bound (2/N) sum_j |h_j| is about
+        # 18 m, over the 10 m limit, while max|h| stays near 5 m, so no step
+        # may raise
+        grid = PeriodicGrid(L=400.0, N=256)
+        phases = np.random.default_rng(2024).uniform(0.0, 2 * math.pi, 60)
+        h = sum(0.3 * np.cos(2 * math.pi * j / grid.L * grid.x + phase)
+                for j, phase in enumerate(phases, 1))
+        field, zero = WaveField(grid, h), WaveField(grid, np.zeros(grid.N))
+        snaps = [step_rk4(field, params, SchemeConfig(), 0.005),
+                 step_ifrk4(field, params, SchemeConfig(), 0.005),
+                 step_rk4((field, zero), params, SchemeConfig(), 0.005)[0]]
+        for config, initial in ((SchemeConfig(t_end=0.2), field),
+                                (SchemeConfig(dt=0.005, t_end=0.2), field),
+                                (SchemeConfig(dt=0.005, t_end=0.2), (field, zero))):
+            res = evolve(initial, params, config, record_invariants=False, sample_every=1)
+            assert res.steps >= 20
+            snaps += [s[0] if isinstance(s, tuple) else s for s in res.snapshots]
+        for s in snaps:
+            assert 2.0 / grid.N * np.abs(np.fft.rfft(s.h)).sum() > 15 * params.H
+            assert np.max(np.abs(s.h)) < 7 * params.H
+
+
 class TestEvolve:
     def test_zero_field(self, params):
         grid = PeriodicGrid(L=20.0, N=64)
