@@ -4,11 +4,13 @@ CSV output.
 Configuration is a flat key=value map (dots group sections, e.g.
 grid.N=1024).  Defaults < config file (--config) < command-line
 overrides (--set key=value).  An unknown key or a value that does not
-parse as its kind (KINDS) is a usage error, raised before anything runs
-or any output directory exists.  Every run writes a manifest echoing the
-fully resolved configuration and the library version, so outputs are
-reproducible from the manifest alone; identical configuration and seed
-give byte-identical files.
+parse as its kind (KINDS) is a usage error, raised before anything runs.
+Each experiment returns its results and its files, a map from file
+name to (writer, *args); _run writes them only after it returns, so a
+run that fails writes nothing, not even its output directory.  Every
+run, analytic included, writes a manifest of the resolved configuration
+and the library version, so outputs are reproducible from the manifest
+alone; identical configuration and seed give byte-identical files.
 
 Exit codes: 0 success, 2 usage error, 3 numerical blow-up, 4 I/O error.
 """
@@ -33,6 +35,7 @@ from .evolution import (
     factorization_residual,
     fit_speed,
     front_slope_change,
+    steady_inverse_width,
     steepening_verdict,
 )
 from .invariants import (
@@ -41,7 +44,7 @@ from .invariants import (
     conservation_drift,
 )
 from .model import PeriodicGrid, PhysicalParams, WaveField, dispersion_sigma
-from .operators import diff, fourier_shift, lowpass
+from .operators import diff, fourier_shift, lowpass, wavenumbers
 from .waves import (
     CnoidalSpec,
     SolitarySpec,
@@ -241,6 +244,11 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _write_rows(rows, path: str | Path) -> None:
+    """Write text rows as one UTF-8 file with LF line endings."""
+    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+
+
 def emit_profile_csv(field: WaveField, params: PhysicalParams,
                      scheme: str, path: str | Path) -> None:
     """Write one elevation profile: '#' key=value header, then x,h rows.
@@ -259,7 +267,7 @@ def emit_profile_csv(field: WaveField, params: PhysicalParams,
     lines = [f"# {k}={v}" for k, v in head]
     lines.append("# columns=x,h")
     lines.extend(map("{:.17g},{:.17g}".format, grid.x.tolist(), field.h.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_rows(lines, path)
 
 
 def read_profile_csv(path: str | Path):
@@ -283,23 +291,33 @@ def emit_invariants_csv(series, path: str | Path) -> None:
         xg = "" if s.xg_dot is None else _fmt(s.xg_dot)
         lines.append(",".join([_fmt(s.t), _fmt(s.Q), _fmt(s.E), _fmt(s.M),
                                _fmt(s.Hfun), xg]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_rows(lines, path)
 
 
 def write_manifest(path: str | Path, cfg: ExperimentConfig,
-                   results: dict[str, str], **choices: str) -> None:
+                   results: dict[str, str], **choices) -> None:
     # output_dir is where the files land, not part of the experiment itself;
-    # choices are command-line options outside the configuration (evolve's --ic)
+    # choices are command-line options outside the configuration (--ic, --wave)
     entries = {f"config.{k}": v for k, v in cfg.raw.items() if k != "output_dir"}
     entries.update(scenario=cfg.scenario, version=__version__, **choices)
     entries.update({f"result.{k}": v for k, v in results.items()})
-    lines = [f"{k}={entries[k]}" for k in sorted(entries)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_rows([f"{k}={entries[k]}" for k in sorted(entries)], path)
 
 
-def _drift_entries(drifts: dict[str, float]) -> dict[str, str]:
+def _run(cfg: ExperimentConfig, experiment, **choices) -> dict[str, str]:
+    """Run an experiment, then write the files it returns and the manifest."""
+    results, files = experiment(cfg, **choices)
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    for name, (writer, *args) in files.items():
+        writer(*args, cfg.output_dir / name)
+    write_manifest(cfg.output_dir / "manifest.txt", cfg, results, **choices)
+    return results
+
+
+def _drift_entries(res) -> dict[str, str]:
     # the centroid velocity lives on the grid chart and spikes while a wave
     # straddles the periodic seam, so only the four functionals are reported
+    drifts = conservation_drift(res.invariants)
     return {f"drift_{k}": _fmt(drifts[k]) for k in ("Q", "E", "M", "Hfun")}
 
 
@@ -325,42 +343,48 @@ def _solitary_pieces(cfg: ExperimentConfig, h0: float):
     return spec, solitary_speed(spec)
 
 
-def _track_crests(res) -> tuple[list[float], list[float]]:
+def _crest_speed(res) -> float:
     ts, xs = [], []
     for t, snap in zip(res.times, res.snapshots):
         field = snap[0] if isinstance(snap, tuple) else snap
         ts.append(t)
         xs.append(crest_position(field))
-    return ts, xs
+    return fit_speed(ts, xs, field.grid.L)
 
 
-def scenario_solitary_transit(cfg: ExperimentConfig) -> dict[str, str]:
+def _evolve_to(cfg: ExperimentConfig, initial: WaveField, t_auto: float):
+    """Evolve to scheme.t_end (t_auto if 'auto'): the run, its t_end and its three files."""
+    t_end = t_auto if cfg.t_end_auto else cfg.scheme.t_end
+    scheme = replace(cfg.scheme, t_end=t_end)
+    res = evolve(initial, cfg.params, scheme)
+    files = {
+        "profile_initial.csv": (emit_profile_csv, initial, cfg.params, scheme.deriv),
+        "profile_final.csv": (emit_profile_csv, res.final, cfg.params, scheme.deriv),
+        "invariants.csv": (emit_invariants_csv, res.invariants),
+    }
+    return res, t_end, files
+
+
+def scenario_solitary_transit(cfg: ExperimentConfig):
     """One full periodic transit of the solitary wave at its own speed."""
     spec, omega = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
-    t_end = cfg.grid.L / omega if cfg.t_end_auto else cfg.scheme.t_end
-    scheme = replace(cfg.scheme, t_end=t_end)
     field0 = solitary_field(spec, cfg.grid)
     tail = abs(solitary_profile(spec, cfg.grid.L / 2)) / abs(spec.h0)
-    res = evolve(field0, cfg.params, scheme)
-    emit_profile_csv(field0, cfg.params, scheme.deriv, cfg.output_dir / "profile_initial.csv")
-    emit_profile_csv(res.final, cfg.params, scheme.deriv, cfg.output_dir / "profile_final.csv")
-    emit_invariants_csv(res.invariants, cfg.output_dir / "invariants.csv")
-    ts, xs = _track_crests(res)
-    drifts = conservation_drift(res.invariants)
+    res, t_end, files = _evolve_to(cfg, field0, cfg.grid.L / omega)
     shape_err = recentered_shape_error(res.final, field0)
     return {
         "t_end": _fmt(t_end),
         "speed_formula": _fmt(omega),
-        "speed_measured": _fmt(fit_speed(ts, xs, cfg.grid.L)),
+        "speed_measured": _fmt(_crest_speed(res)),
         "shape_error": _fmt(shape_err),
         "shape_error_rel_h0": _fmt(shape_err / abs(spec.h0)),
         "tail_rel": _fmt(tail),
-        **_drift_entries(drifts),
+        **_drift_entries(res),
         **_step_entries(res),
-    }
+    }, files
 
 
-def scenario_two_soliton(cfg: ExperimentConfig) -> dict[str, str]:
+def scenario_two_soliton(cfg: ExperimentConfig):
     """Overtaking of a short solitary wave by a tall one (moving frame)."""
     if cfg.scheme.frame != "moving":
         raise ValueError("two_soliton measures its phase shifts in the moving frame: "
@@ -373,10 +397,7 @@ def scenario_two_soliton(cfg: ExperimentConfig) -> dict[str, str]:
     specB = SolitarySpec(hB, sigma, params.H, params.g)
     x = grid.x
     h = (solitary_profile(specA, x - xA) + solitary_profile(specB, x - xB))
-    field0 = WaveField(grid, h)
-    t_end = cfg.scheme.t_end if not cfg.t_end_auto else 60.0
-    scheme = replace(cfg.scheme, t_end=t_end)
-    res = evolve(field0, params, scheme)
+    res, t_end, files = _evolve_to(cfg, WaveField(grid, h), 60.0)
     final = res.final
     L = grid.L
     wrap = lambda z: (z + L / 2) % L - L / 2
@@ -398,56 +419,48 @@ def scenario_two_soliton(cfg: ExperimentConfig) -> dict[str, str]:
     winB = np.abs(wrap(x - posB)) < 7.0
     errA = float(np.max(np.abs(final.h[winA] - (refA + refB)[winA]))) / hA
     errB = float(np.max(np.abs(final.h[winB] - (refA + refB)[winB]))) / hB
-
-    emit_profile_csv(field0, params, scheme.deriv, cfg.output_dir / "profile_initial.csv")
-    emit_profile_csv(final, params, scheme.deriv, cfg.output_dir / "profile_final.csv")
-    emit_invariants_csv(res.invariants, cfg.output_dir / "invariants.csv")
     return {
         "phase_shift_tall": _fmt(shiftA), "phase_shift_short": _fmt(shiftB),
         "amp_tall": _fmt(np.max(final.h)), "amp_short": _fmt(np.max(final.h[awayA])),
         "shape_error_tall_rel": _fmt(errA), "shape_error_short_rel": _fmt(errB),
         **_step_entries(res),
-    }
+    }, files
 
 
-def scenario_cnoidal_family(cfg: ExperimentConfig) -> dict[str, str]:
+def scenario_cnoidal_family(cfg: ExperimentConfig):
     """Profiles and speeds across the elliptic-parameter family."""
     params = cfg.params
     sigma = dispersion_sigma(params)
     kl_sum = cfg.fnum("scenario.kl_sum")
     n_waves = cfg.fnum("scenario.n_waves")
     phase = cfg.fnum("scenario.phase")
-    # every member is built, and so checked, before the first file is written
-    members = []
-    for m in cfg.fnum("scenario.m_list"):
-        spec = CnoidalSpec(k=kl_sum - m * kl_sum, l=m * kl_sum, sigma=sigma,
-                           H=params.H, g=params.g)
-        members.append((m, spec, grid_for_cnoidal(spec, n_waves, cfg.grid.N)))
     rows = ["# columns=m,k,l,K,wavelength,speed_periodic,speed_frame"]
     results: dict[str, str] = {}
-    for i, (m, spec, grid) in enumerate(members):
+    files = {}
+    for i, m in enumerate(cfg.fnum("scenario.m_list")):
+        spec = CnoidalSpec(k=kl_sum - m * kl_sum, l=m * kl_sum, sigma=sigma,
+                           H=params.H, g=params.g)
+        grid = grid_for_cnoidal(spec, n_waves, cfg.grid.N)
         lam = cnoidal_wavelength(spec)
         speed_p = boussinesq_periodic_speed(spec)
         speed_f = (math.sqrt(params.g * params.H)
                    - math.sqrt(params.g / params.H) * cnoidal_alpha(spec))
         field = cnoidal_field(spec, grid, phase=phase)
-        emit_profile_csv(field, params, "analytic",
-                         cfg.output_dir / f"profile_{i:02d}.csv")
+        files[f"profile_{i:02d}.csv"] = (emit_profile_csv, field, params, "analytic")
         rows.append(",".join(_fmt(v) for v in
                              (m, spec.k, spec.l, complete_K(m), lam, speed_p, speed_f)))
         results[f"wavelength_{i:02d}"] = _fmt(lam)
-    (cfg.output_dir / "family.csv").write_text("\n".join(rows) + "\n",
-                                               encoding="utf-8", newline="\n")
-    return results
+    files["family.csv"] = (_write_rows, rows)
+    return results, files
 
 
-def scenario_steepening(cfg: ExperimentConfig) -> dict[str, str]:
+def scenario_steepening(cfg: ExperimentConfig):
     """Verdict sweep across profile widths, with evolution cross-checks."""
     params = cfg.params
     sigma = dispersion_sigma(params)
     hbar = cfg.fnum("scenario.hbar")
     t_check = cfg.fnum("scenario.t_check")
-    p_star = math.sqrt(hbar / (4.0 * sigma))
+    p_star = steady_inverse_width(hbar, params)
     # every member is built, and so checked, before the first run
     specs = []
     for ratio in cfg.fnum("scenario.p_ratios"):
@@ -460,25 +473,18 @@ def scenario_steepening(cfg: ExperimentConfig) -> dict[str, str]:
         change = front_slope_change(spec, params, t_check)
         rows.append(f"{_fmt(ratio)},{_fmt(spec.p)},{verdict.value},{_fmt(change)}")
         results[f"verdict_{ratio:.6g}"] = verdict.value
-    (cfg.output_dir / "steepening.csv").write_text("\n".join(rows) + "\n",
-                                                   encoding="utf-8", newline="\n")
-    return results
+    return results, {"steepening.csv": (_write_rows, rows)}
 
 
-def scenario_moment_conservation(cfg: ExperimentConfig) -> dict[str, str]:
+def scenario_moment_conservation(cfg: ExperimentConfig):
     """Invariant drift over a solitary transit (conservation showcase)."""
     spec, omega = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
-    t_end = cfg.grid.L / omega if cfg.t_end_auto else cfg.scheme.t_end
-    scheme = replace(cfg.scheme, t_end=t_end)
-    field0 = solitary_field(spec, cfg.grid)
-    res = evolve(field0, cfg.params, scheme)
-    emit_invariants_csv(res.invariants, cfg.output_dir / "invariants.csv")
-    return {"t_end": _fmt(t_end),
-            **_drift_entries(conservation_drift(res.invariants)),
-            **_step_entries(res)}
+    res, t_end, files = _evolve_to(cfg, solitary_field(spec, cfg.grid), cfg.grid.L / omega)
+    return ({"t_end": _fmt(t_end), **_drift_entries(res), **_step_entries(res)},
+            {"invariants.csv": files["invariants.csv"]})
 
 
-def scenario_factorization(cfg: ExperimentConfig) -> dict[str, str]:
+def scenario_factorization(cfg: ExperimentConfig):
     """Bidirectional-operator residual on unidirectional jets, with control."""
     params = cfg.params
     spec, _ = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
@@ -500,10 +506,9 @@ def scenario_factorization(cfg: ExperimentConfig) -> dict[str, str]:
     left = math.sqrt(params.g * params.H) * diff(fieldc.h, L, 1)
     rc = factorization_residual(fieldc, params, h_t=left)
     rows.append(f"left_moving_control,512,{_fmt(rc)},{_fmt(rc / norm_unit)}")
-    (cfg.output_dir / "factorization.csv").write_text(
-        "\n".join(rows) + "\n", encoding="utf-8", newline="\n")
-    return {"normalized_residual": _fmt(last_norm),
-            "normalized_control": _fmt(rc / norm_unit)}
+    return ({"normalized_residual": _fmt(last_norm),
+             "normalized_control": _fmt(rc / norm_unit)},
+            {"factorization.csv": (_write_rows, rows)})
 
 
 def _mode_frequency(ts: np.ndarray, cs: np.ndarray) -> float:
@@ -520,71 +525,74 @@ def _mode_frequency(ts: np.ndarray, cs: np.ndarray) -> float:
     return math.acos(max(-1.0, min(1.0, num / den))) / dt
 
 
-def scenario_boussinesq_demo(cfg: ExperimentConfig) -> dict[str, str]:
+def scenario_boussinesq_demo(cfg: ExperimentConfig):
     """Filtered bidirectional runs plus the unfiltered blow-up control."""
     params = cfg.params
     g, H = params.g, params.H
     results: dict[str, str] = {}
 
-    # (a) one low linear mode: measured oscillation frequency
-    grid = PeriodicGrid(L=64.0, N=256)
+    # every input of the three parts is checked before part (a) runs
+    grid = PeriodicGrid(L=64.0, N=256)  # parts (a) and (c)
+    k_cut = cfg.scheme.filter_cut * math.sqrt(3.0) / H
     j = cfg.fnum("scenario.mode_index")
+    j_max = int(np.count_nonzero(wavenumbers(grid.N, grid.L) <= k_cut)) - 1
+    if not 1 <= j <= j_max:
+        raise ValueError("'scenario.mode_index' must name a mode the filter keeps, "
+                         f"1 to {j_max}, got {j}")
+    for key in ("scenario.mode_amp", "scenario.noise_amp"):
+        if not cfg.fnum(key):
+            raise ValueError(f"{key!r} must be nonzero")
+    spec, omega = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
+    cut = cfg.fnum("scenario.solitary_filter_cut")
+    schemeS = SchemeConfig(deriv="spectral", dt=0.01, t_end=30.0, filter_cut=cut)
+    rest = WaveField(grid, np.zeros(grid.N))
+
+    # (a) one low linear mode: measured oscillation frequency
     k0 = 2.0 * math.pi * j / grid.L
     om_exact = k0 * math.sqrt(g * H) * math.sqrt(1.0 - H * H * k0 * k0 / 3.0)
-    amp = cfg.fnum("scenario.mode_amp") * H
-    h0f = WaveField(grid, amp * np.cos(k0 * grid.x))
-    v0f = WaveField(grid, np.zeros(grid.N))
+    cosk = np.cos(k0 * grid.x)
+    h0f = WaveField(grid, cfg.fnum("scenario.mode_amp") * H * cosk)
     t10 = 10.0 * 2.0 * math.pi / om_exact
     scheme = SchemeConfig(deriv="spectral", dt=0.005, t_end=t10,
                           filter_cut=cfg.scheme.filter_cut)
-    res = evolve((h0f, v0f), params, scheme, sample_every=14, record_invariants=False)
+    res = evolve((h0f, rest), params, scheme, sample_every=14, record_invariants=False)
     ts = np.array(res.times)
-    cosk = np.cos(k0 * grid.x)
     cs = np.array([2.0 / grid.N * float(np.dot(s[0].h, cosk)) for s in res.snapshots])
     rows = ["# columns=t,mode_amplitude"]
     rows += [f"{_fmt(t)},{_fmt(c)}" for t, c in zip(ts, cs)]
-    (cfg.output_dir / "mode_series.csv").write_text("\n".join(rows) + "\n",
-                                                    encoding="utf-8", newline="\n")
-    om_fit = _mode_frequency(ts, cs)
     results["mode_frequency_exact"] = _fmt(om_exact)
-    results["mode_frequency_measured"] = _fmt(om_fit)
+    results["mode_frequency_measured"] = _fmt(_mode_frequency(ts, cs))
 
     # (b) right-moving solitary data at the corrected long-wave speed
-    spec, omega = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
     gridS = cfg.grid
-    cut = cfg.fnum("scenario.solitary_filter_cut")
     hs = lowpass(solitary_profile(spec, gridS.x), gridS.L, cut * math.sqrt(3.0) / H)
     vs = -omega * diff(hs, gridS.L, 1)
-    schemeS = SchemeConfig(deriv="spectral", dt=0.01, t_end=30.0, filter_cut=cut)
     resS = evolve((WaveField(gridS, hs), WaveField(gridS, vs)), params, schemeS,
                   record_invariants=False)
-    ts2, xs2 = _track_crests(resS)
     results["solitary_speed_formula"] = _fmt(omega)
-    results["solitary_speed_measured"] = _fmt(fit_speed(ts2, xs2, gridS.L))
-    emit_profile_csv(resS.final[0], params, "spectral",
-                     cfg.output_dir / "profile_solitary_final.csv")
+    results["solitary_speed_measured"] = _fmt(_crest_speed(resS))
 
     # (c) broadband noise: unfiltered blow-up against the filtered twin
-    gridN = PeriodicGrid(L=64.0, N=256)
     rng = np.random.default_rng(cfg.seed)
-    noise = cfg.fnum("scenario.noise_amp") * H * rng.standard_normal(gridN.N)
+    noise = cfg.fnum("scenario.noise_amp") * H * rng.standard_normal(grid.N)
     noise -= noise.mean()
-    v0 = WaveField(gridN, np.zeros(gridN.N))
     raw = SchemeConfig(deriv="spectral", dt=1e-4, t_end=2.0, boussinesq_filter=False)
     try:
-        evolve((WaveField(gridN, noise), v0), params, raw, record_invariants=False)
+        evolve((WaveField(grid, noise), rest), params, raw, record_invariants=False)
         results["unfiltered_blowup_time"] = "none"
     except BlowUpError as e:
         results["unfiltered_blowup_time"] = _fmt(e.time)
     filt = SchemeConfig(deriv="spectral", dt=1e-4, t_end=1.0,
                         filter_cut=cfg.scheme.filter_cut)
-    hf = WaveField(gridN, lowpass(noise, gridN.L,
-                                  cfg.scheme.filter_cut * math.sqrt(3.0) / H))
-    resF = evolve((hf, v0), params, filt, record_invariants=False, sample_every=500)
+    hf = WaveField(grid, lowpass(noise, grid.L, k_cut))
+    resF = evolve((hf, rest), params, filt, record_invariants=False, sample_every=500)
     E = [boussinesq_energy(s[0], s[1], params) for s in resF.snapshots]
     drift = max(abs(e - E[0]) for e in E) / abs(E[0])
     results["filtered_energy_drift"] = _fmt(drift)
-    return results
+    return results, {
+        "mode_series.csv": (_write_rows, rows),
+        "profile_solitary_final.csv": (emit_profile_csv, resS.final[0], params, "spectral"),
+    }
 
 
 SCENARIOS = {
@@ -599,27 +607,11 @@ SCENARIOS = {
 
 
 def run_scenario(cfg: ExperimentConfig) -> dict[str, str]:
-    """Run one named scenario; returns the manifest result entries."""
+    """Run one named scenario and write its files; returns the manifest result entries."""
     if cfg.scenario not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise ValueError(f"unknown scenario {cfg.scenario!r}; known scenarios: {known}")
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    results = SCENARIOS[cfg.scenario](cfg)
-    write_manifest(cfg.output_dir / "manifest.txt", cfg, results)
-    return results
-
-
-# --------------------------------------------------------------------------
-# subcommands
-# --------------------------------------------------------------------------
-
-def _cmd_scenario(args) -> int:
-    cfg = resolve_config(args.name, args.config, args.set or [], args.out)
-    results = run_scenario(cfg)
-    for k in sorted(results):
-        print(f"{k} = {results[k]}")
-    print(f"wrote {cfg.output_dir}/manifest.txt")
-    return EXIT_OK
+    return _run(cfg, SCENARIOS[cfg.scenario])
 
 
 def _cnoidal_pieces(cfg: ExperimentConfig):
@@ -630,54 +622,61 @@ def _cnoidal_pieces(cfg: ExperimentConfig):
     return spec, grid_for_cnoidal(spec, cfg.fnum("scenario.n_waves"), cfg.grid.N)
 
 
-def _cmd_analytic(args) -> int:
-    cfg = resolve_config("analytic", args.config, args.set or [], args.out)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    print(f"sigma = {_fmt(dispersion_sigma(cfg.params))}")
-    if args.wave == "solitary":
+def _analytic(cfg: ExperimentConfig, wave: str, phase: float):
+    """One closed-form steady profile, crest at `phase`, with its speed."""
+    results = {"sigma": _fmt(dispersion_sigma(cfg.params))}
+    if wave == "solitary":
         spec, speed = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
-        field = solitary_field(spec, cfg.grid, center=args.phase)
-        print(f"speed = {_fmt(speed)}")
+        field = solitary_field(spec, cfg.grid, center=phase)
     else:
         spec, grid = _cnoidal_pieces(cfg)
-        field = cnoidal_field(spec, grid, phase=args.phase)
-        print(f"wavelength = {_fmt(cnoidal_wavelength(spec))}")
-        print(f"speed = {_fmt(boussinesq_periodic_speed(spec))}")
-    emit_profile_csv(field, cfg.params, "analytic", cfg.output_dir / "profile.csv")
-    print(f"wrote {cfg.output_dir}/profile.csv")
+        field = cnoidal_field(spec, grid, phase=phase)
+        results["wavelength"] = _fmt(cnoidal_wavelength(spec))
+        speed = boussinesq_periodic_speed(spec)
+    results["speed"] = _fmt(speed)
+    return results, {"profile.csv": (emit_profile_csv, field, cfg.params, "analytic")}
+
+
+def _evolve(cfg: ExperimentConfig, ic: str):
+    """One run from a solitary or a cnoidal initial condition."""
+    if ic == "solitary":
+        spec, speed = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
+        initial, t_auto = solitary_field(spec, cfg.grid), cfg.grid.L / speed
+    else:
+        spec, grid = _cnoidal_pieces(cfg)
+        initial, t_auto = cnoidal_field(spec, grid, zero_mean=True), 10.0
+    res, t_end, files = _evolve_to(cfg, initial, t_auto)
+    results = {"t_end": _fmt(t_end), **_drift_entries(res), **_step_entries(res)}
+    if ic == "solitary":
+        # crest tracking is unambiguous only with a single crest in the domain
+        results["crest_speed"] = _fmt(_crest_speed(res))
+    return results, files
+
+
+# --------------------------------------------------------------------------
+# subcommands
+# --------------------------------------------------------------------------
+
+def _print_results(cfg: ExperimentConfig, results: dict[str, str]) -> int:
+    for k in sorted(results):
+        print(f"{k} = {results[k]}")
+    print(f"wrote {cfg.output_dir}/manifest.txt")
     return EXIT_OK
+
+
+def _cmd_scenario(args) -> int:
+    cfg = resolve_config(args.name, args.config, args.set or [], args.out)
+    return _print_results(cfg, run_scenario(cfg))
+
+
+def _cmd_analytic(args) -> int:
+    cfg = resolve_config("analytic", args.config, args.set or [], args.out)
+    return _print_results(cfg, _run(cfg, _analytic, wave=args.wave, phase=args.phase))
 
 
 def _cmd_evolve(args) -> int:
     cfg = resolve_config("evolve", args.config, args.set or [], args.out)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    params = cfg.params
-    if args.ic == "solitary":
-        spec, speed = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
-        initial = solitary_field(spec, cfg.grid)
-        t_end = cfg.grid.L / speed if cfg.t_end_auto else cfg.scheme.t_end
-    elif args.ic == "cnoidal":
-        spec, grid = _cnoidal_pieces(cfg)
-        initial = cnoidal_field(spec, grid, zero_mean=True)
-        t_end = 10.0 if cfg.t_end_auto else cfg.scheme.t_end
-    else:
-        raise ValueError(f"unknown initial condition {args.ic!r}")
-    scheme = replace(cfg.scheme, t_end=t_end)
-    res = evolve(initial, params, scheme)
-    emit_profile_csv(initial, params, scheme.deriv, cfg.output_dir / "profile_initial.csv")
-    emit_profile_csv(res.final, params, scheme.deriv, cfg.output_dir / "profile_final.csv")
-    emit_invariants_csv(res.invariants, cfg.output_dir / "invariants.csv")
-    results = {"t_end": _fmt(t_end),
-               **_drift_entries(conservation_drift(res.invariants)),
-               **_step_entries(res)}
-    if args.ic == "solitary":
-        # crest tracking is unambiguous only with a single crest in the domain
-        ts, xs = _track_crests(res)
-        results["crest_speed"] = _fmt(fit_speed(ts, xs, initial.grid.L))
-    write_manifest(cfg.output_dir / "manifest.txt", cfg, results, ic=args.ic)
-    for k in sorted(results):
-        print(f"{k} = {results[k]}")
-    return EXIT_OK
+    return _print_results(cfg, _run(cfg, _evolve, ic=args.ic))
 
 
 def _cmd_invariants(args) -> int:
@@ -700,16 +699,14 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    cfg = resolve_config("stability", args.config, args.set or [], None)
-    params = cfg.params
-    sigma = dispersion_sigma(params)
-    hbar = args.hbar
-    p = args.p if args.p is not None else args.p_ratio * math.sqrt(hbar / (4 * sigma))
-    alpha = 4.0 * sigma * p * p - 1.5 * hbar
-    spec = DeformationSpec(hbar=hbar, p=p, alpha=alpha)
+    params = resolve_config("stability", args.config, args.set or [], None).params
+    p_star = steady_inverse_width(args.hbar, params)
+    p = args.p if args.p is not None else args.p_ratio * p_star
+    alpha = 4.0 * dispersion_sigma(params) * p * p - 1.5 * args.hbar
+    spec = DeformationSpec(hbar=args.hbar, p=p, alpha=alpha)
     verdict = steepening_verdict(spec, params, cross_check=args.cross_check)
     print(f"p = {_fmt(p)}")
-    print(f"p_steady = {_fmt(math.sqrt(hbar / (4 * sigma)))}")
+    print(f"p_steady = {_fmt(p_star)}")
     print(f"verdict = {verdict.value}")
     return EXIT_OK
 

@@ -573,6 +573,16 @@ def deformation_rate_closed_form(spec: DeformationSpec, params: PhysicalParams, 
     return 3.0 * math.sqrt(params.g / params.H) * hbar * p * s2 * t * bracket
 
 
+def steady_inverse_width(hbar: float, params: PhysicalParams) -> float:
+    """Inverse width p* = sqrt(hbar/(4 sigma)) of the steady hbar*sech^2(p xi) wave [1/m]."""
+    sigma = dispersion_sigma(params)
+    if not sigma > 0:
+        raise ValueError("steepening analysis requires sigma > 0")
+    if not hbar > 0:
+        raise ValueError("hbar and p must be positive")
+    return math.sqrt(hbar / (4.0 * sigma))
+
+
 def steepening_verdict(spec: DeformationSpec, params: PhysicalParams,
                        cross_check: bool = False, t_check: float = 1.0,
                        rel_threshold: float = 3e-3) -> SteepeningVerdict:
@@ -586,10 +596,7 @@ def steepening_verdict(spec: DeformationSpec, params: PhysicalParams,
     which the criterion is stated, measures the forward-face slope
     max(-h_xi) and raises RuntimeError if the trend disagrees.
     """
-    sigma = dispersion_sigma(params)
-    if sigma <= 0:
-        raise ValueError("steepening analysis requires sigma > 0")
-    p_star = math.sqrt(spec.hbar / (4.0 * sigma))
+    p_star = steady_inverse_width(spec.hbar, params)
     if abs(spec.p - p_star) <= 1e-12 * p_star:
         verdict = SteepeningVerdict.STEADY
     elif spec.p < p_star:

@@ -185,7 +185,7 @@ class TestConfigTable:
                    "--set", "grid.N=64", "--set", setting])
         assert rc == EXIT_USAGE
         assert message in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_moment_conservation_runs_the_recorded_frame(self, tmp_path, params):
         sets = ["--set", "grid.N=128", "--set", "grid.L=60", "--set", "scheme.t_end=2.0"]
@@ -501,3 +501,116 @@ class TestScenarioSmoke:
         sp = float(manifest["result.solitary_speed_measured"])
         sp0 = float(manifest["result.solitary_speed_formula"])
         assert abs(sp - sp0) / sp0 < 0.01
+
+
+BLOWUP = ["--set", "grid.N=64", "--set", "grid.L=60",
+          "--set", "scheme.dt=5.0", "--set", "scheme.t_end=50.0"]
+
+
+class TestNothingWrittenUnlessTheRunSucceeds:
+    @pytest.mark.parametrize("argv, code, message", [
+        (["scenario", "cnoidal_family", "--set", "scenario.m_list=0.5,1.5"], EXIT_USAGE,
+         "roots k and l must be positive"),
+        (["scenario", "factorization", "--set", "scenario.n_list=0,64"], EXIT_USAGE,
+         "N must be even and >= 8, got 0"),
+        (["scenario", "two_soliton", "--set", "scheme.frame=fixed"], EXIT_USAGE,
+         "'scheme.frame' must be 'moving'"),
+        (["evolve", "--ic", "solitary", *BLOWUP], EXIT_BLOWUP, "blew up"),
+        (["analytic", "--wave", "cnoidal", "--set", "scenario.m=1.5"], EXIT_USAGE,
+         "roots k and l must be positive"),
+        (["scenario", "boussinesq_demo", "--set", "scenario.h0=-5"], EXIT_USAGE,
+         "h0*sigma must be positive"),
+        (["scenario", "steepening", "--set", "physical.T=3270"], EXIT_USAGE,
+         "steepening analysis requires sigma > 0"),
+        (["scenario", "steepening", "--set", "physical.T=5000"], EXIT_USAGE,
+         "steepening analysis requires sigma > 0"),
+        (["stability", "--hbar", "0.1", "--p-ratio", "1", "--set", "physical.T=3270"],
+         EXIT_USAGE, "steepening analysis requires sigma > 0"),
+        (["stability", "--hbar", "0.1", "--p-ratio", "1", "--set", "physical.T=5000"],
+         EXIT_USAGE, "steepening analysis requires sigma > 0"),
+        (["stability", "--hbar", "-0.1", "--p-ratio", "1"], EXIT_USAGE,
+         "hbar and p must be positive"),
+        (["scenario", "boussinesq_demo", "--set", "scenario.mode_index=0"], EXIT_USAGE,
+         "'scenario.mode_index' must name a mode the filter keeps, 1 to 8, got 0"),
+        (["scenario", "boussinesq_demo", "--set", "scenario.mode_index=20"], EXIT_USAGE,
+         "'scenario.mode_index' must name a mode the filter keeps, 1 to 8, got 20"),
+        (["scenario", "boussinesq_demo", "--set", "scenario.mode_index=-3"], EXIT_USAGE,
+         "'scenario.mode_index' must name a mode the filter keeps, 1 to 8, got -3"),
+        (["scenario", "boussinesq_demo", "--set", "scenario.mode_amp=0"], EXIT_USAGE,
+         "'scenario.mode_amp' must be nonzero"),
+        (["scenario", "boussinesq_demo", "--set", "scenario.noise_amp=0"], EXIT_USAGE,
+         "'scenario.noise_amp' must be nonzero"),
+    ])
+    def test_bad_input_exits_with_its_reason_and_leaves_no_directory(
+            self, tmp_path, capsys, argv, code, message):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, files", [
+        (["scenario", "solitary_transit", "--set", "grid.N=128", "--set", "grid.L=60",
+          "--set", "scheme.t_end=0.5"],
+         {"profile_initial.csv", "profile_final.csv", "invariants.csv"}),
+        (["scenario", "two_soliton", "--set", "grid.N=128", "--set", "scheme.t_end=0.5"],
+         {"profile_initial.csv", "profile_final.csv", "invariants.csv"}),
+        (["scenario", "cnoidal_family", "--set", "grid.N=64",
+          "--set", "scenario.m_list=0.5,0.9"],
+         {"profile_00.csv", "profile_01.csv", "family.csv"}),
+        (["scenario", "steepening", "--set", "scenario.p_ratios=0.9,1.1",
+          "--set", "scenario.t_check=0.1"], {"steepening.csv"}),
+        (["scenario", "moment_conservation", "--set", "grid.N=128", "--set", "grid.L=60",
+          "--set", "scheme.t_end=0.5"], {"invariants.csv"}),
+        (["scenario", "factorization", "--set", "scenario.n_list=64,128"],
+         {"factorization.csv"}),
+        (["scenario", "boussinesq_demo", "--set", "grid.N=64"],
+         {"mode_series.csv", "profile_solitary_final.csv"}),
+        (["evolve", "--ic", "solitary", "--set", "grid.N=128", "--set", "grid.L=60",
+          "--set", "scheme.t_end=0.5"],
+         {"profile_initial.csv", "profile_final.csv", "invariants.csv"}),
+        (["evolve", "--ic", "cnoidal", "--set", "grid.N=128", "--set", "scheme.t_end=0.5"],
+         {"profile_initial.csv", "profile_final.csv", "invariants.csv"}),
+        (["analytic", "--wave", "solitary", "--set", "grid.N=64"], {"profile.csv"}),
+        (["analytic", "--wave", "cnoidal", "--set", "grid.N=64"], {"profile.csv"}),
+    ])
+    def test_each_command_writes_its_files_and_a_manifest(self, tmp_path, capsys, argv, files):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        assert {f.name for f in out.iterdir()} == files | {"manifest.txt"}
+        printed = capsys.readouterr().out.splitlines()
+        results = {k: v for k, v in _manifest(out).items() if k.startswith("result.")}
+        assert printed == [f"{k[7:]} = {v}" for k, v in sorted(results.items())] + [
+            f"wrote {out}/manifest.txt"]
+
+    @pytest.mark.parametrize("wave", ["solitary", "cnoidal"])
+    def test_analytic_manifest_reproduces_profile(self, tmp_path, wave):
+        first = tmp_path / "a1"
+        rc = main(["analytic", "--wave", wave, "--phase", "2.5", "--out", str(first),
+                   "--set", "grid.N=64", "--set", "scenario.m=0.3"])
+        assert rc == EXIT_OK
+        manifest = _manifest(first)
+        assert manifest["wave"] == wave and float(manifest["phase"]) == 2.5
+        assert manifest["scenario"] == "analytic"
+        again = ["analytic", "--wave", manifest["wave"], "--phase", manifest["phase"],
+                 "--out", str(tmp_path / "a2")]
+        for key, value in manifest.items():
+            if key.startswith("config."):
+                again += ["--set", f"{key[7:]}={value}"]
+        assert main(again) == EXIT_OK
+        for name in ("manifest.txt", "profile.csv"):
+            assert filecmp.cmp(first / name, tmp_path / "a2" / name, shallow=False), name
+
+    def test_traced_names_are_called_from_the_cli_module(self, tmp_path, monkeypatch):
+        # the benchmark's layer metrics wrap these names on the cli module;
+        # a run that stopped calling them there would read zero, not fail
+        calls = {}
+        for name in ("evolve", "emit_profile_csv", "emit_invariants_csv", "write_manifest"):
+            def counted(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        rc = main(["scenario", "two_soliton", "--out", str(tmp_path / "ts"),
+                   "--set", "grid.N=128", "--set", "scheme.t_end=2"])
+        assert rc == EXIT_OK
+        assert calls == {"evolve": 1, "emit_profile_csv": 2, "emit_invariants_csv": 1,
+                         "write_manifest": 1}
