@@ -122,13 +122,20 @@ def _integer(text: str) -> int:
     return int(v)
 
 
+def _list_of(parse):
+    def parse_list(text: str) -> list:
+        items = [parse(s) for s in text.split(",") if s.strip()]
+        if not items:
+            raise ValueError(text)
+        return items
+    return parse_list
+
+
 # a kind is (what the value must be, parser of its text)
 NUMBER = ("a number", float)
 INTEGER = ("an integer", _integer)
-NUMBERS = ("a comma-separated list of numbers",
-           lambda text: [float(s) for s in text.split(",") if s.strip()])
-INTEGERS = ("a comma-separated list of integers",
-            lambda text: [_integer(s) for s in text.split(",") if s.strip()])
+NUMBERS = ("a comma-separated list of numbers (at least one)", _list_of(float))
+INTEGERS = ("a comma-separated list of integers (at least one)", _list_of(_integer))
 AUTO_OR_NUMBER = ("'auto' or a number", lambda text: None if text == "auto" else float(text))
 SWITCH = (f"one of {', '.join(SWITCH_VALUES)}", SWITCH_VALUES.__getitem__)
 TEXT = ("text", str)
@@ -323,7 +330,8 @@ def _drift_entries(res) -> dict[str, str]:
 
 def _step_entries(res) -> dict[str, str]:
     # how the run stepped is deterministic, so it belongs in the manifest
-    return {"integrator": res.integrator, "dt": _fmt(res.dt), "steps": str(res.steps)}
+    return {"integrator": res.integrator, "dt": _fmt(res.dt), "steps": str(res.steps),
+            "rejected": str(res.rejected)}
 
 
 def recentered_shape_error(final: WaveField, reference: WaveField) -> float:
@@ -344,6 +352,8 @@ def _solitary_pieces(cfg: ExperimentConfig, h0: float):
 
 
 def _crest_speed(res) -> float:
+    if len(res.times) < 2:
+        raise ValueError("'scheme.t_end' must be positive: a crest speed needs two samples")
     ts, xs = [], []
     for t, snap in zip(res.times, res.snapshots):
         field = snap[0] if isinstance(snap, tuple) else snap

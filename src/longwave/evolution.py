@@ -32,22 +32,21 @@ band of retained modes (_band_run): the starting state is projected onto
 the band once, and each stage forms h^2 on the fewest points that make
 the product exact inside the band (Orszag 1971; Boyd 2001, ch. 11).
 The time integrator follows from the step.  With scheme.dt=auto a
-unidirectional run uses Lawson's integrating-factor RK4 (IFRK4): the
-linear symbol is propagated exactly by exp(L dt), so the dispersive
-stiffness (dt ~ dx^3 under RK4) no longer sets the step.  Its band is
-the 2/3-rule one, the rfft modes below N/3, so the fastest retained
-mode turns about (2/3)^3 as fast as the Nyquist one.
-Two limits, both measured over the retained band, set the step.  The
-nonlinear one is IF_SAFETY = 0.1 times the RK4 imaginary-axis limit of
-the linearized flux, 1.5 sqrt(g/H) k_max max|h0|; 0.1 is frozen from an
-accuracy sweep under this limit alone (the cnoidal energy drift over
-2 s at N = 128 must stay below 1e-8; it was 1.6e-6 at 0.4, 6.0e-8 at
-0.2 and 2.5e-9 at 0.1).  The phase one keeps every retained mode's
-exact rotation below IF_PHASE_LIMIT = 0.8 of a turn per step.  It was
-introduced for the aliased product, whose near-Nyquist pairs the RK4
-stages resonated once a step turned them past a full cycle (the
-acceptance collision at N = 256 blew up at t = 51 s); it is kept for
-the dealiased step, which has not been certified beyond it.
+unidirectional run uses the embedded Lawson pair ERK4(3)-IP (Balac &
+Mahe 2013): the linear symbol is propagated exactly by exp(L dt), so the
+dispersive stiffness (dt ~ dx^3 under RK4) no longer sets the step, and
+a third-order partner that shares the next step's first stage estimates
+each step's local error at no extra cost.  Its band is the 2/3-rule one,
+the rfft modes below N/3.  A PI controller (Gustafsson 1991) sizes every
+step so that its local error stays within IF_TOL = 3e-7 of the starting
+state's L2 norm, and no step passes the RK4 imaginary-axis limit of the
+fastest beat in the interaction picture, 2 sqrt(2) / (c_max k_rms), the
+largest group speed of the band times the state's rms wavenumber (see
+_controlled_run).  Steps may turn the fastest retained mode many times:
+about 5 turns on a transit at N = 512 and 11 at N = 1024.  3e-7 is the
+largest tolerance in a sweep (CHANGES.md) at which the acceptance
+collision's invariants drift no more than 1.5 times as much as they did
+under the two step limits this controller replaced.
 
 An explicit dt, and every bidirectional run, uses classical 4-stage
 Runge-Kutta (RK4) on the same stepper, whose advisory step is 0.4 times
@@ -100,8 +99,7 @@ logger = logging.getLogger(__name__)
 
 RK4_IMAG_LIMIT = 2.0 * math.sqrt(2.0)
 CFL_SAFETY = 0.4
-IF_SAFETY = 0.1
-IF_PHASE_LIMIT = 0.8 * 2.0 * math.pi  # largest rotation of a mode per IFRK4 step [rad]
+IF_TOL = 3e-7  # local error per auto-dt (ERK4(3)-IP) step, relative to the start's L2 norm
 BLOWUP_FACTOR = 10.0  # |h| beyond this multiple of H aborts the run
 
 
@@ -304,25 +302,6 @@ def stable_dt(grid: PeriodicGrid, params: PhysicalParams,
     return CFL_SAFETY * RK4_IMAG_LIMIT / lam_max
 
 
-def _ifrk4_dt(lin: np.ndarray, flux: np.ndarray, h: np.ndarray) -> float:
-    """Step of an integrating-factor run started from h [s].
-
-    lin and flux are the 2/3-dealiased pair the IFRK4 step uses, so both
-    limits are measured over the retained band.  The lesser of the two:
-    IF_SAFETY x the RK4 limit of the linearized h^2/2 flux, whose largest
-    rate is 2 max|flux| max|h| = 1.5 sqrt(g/H) k_max max|h| (k_max the
-    scheme's largest first-derivative multiplier in the band).  And
-    IF_PHASE_LIMIT / max|lin|, which keeps the RK4 stages from sampling
-    any retained mode's exact rotation past a full turn.  A zero field
-    has no coupling and gets an infinite step.
-    """
-    rate = 2.0 * float(np.max(np.abs(flux))) * float(np.max(np.abs(h)))
-    if rate == 0.0:
-        return math.inf
-    return min(IF_SAFETY * RK4_IMAG_LIMIT / rate,
-               IF_PHASE_LIMIT / float(np.max(np.abs(lin))))
-
-
 def _rk4(y: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray], dt: float) -> np.ndarray:
     k1 = rhs(y)
     k2 = rhs(y + 0.5 * dt * k1)
@@ -332,10 +311,10 @@ def _rk4(y: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray], dt: float) -> n
 
 
 def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
-              bidirectional: bool, integrator: str, dt: float):
+              bidirectional: bool, integrator: str):
     """The stepper of every run, on its band of retained rfft modes.
 
-    Returns (lin, flux, advance): the run's symbols on its band of
+    Returns (lin, flux, step): the run's symbols on its band of
     J = lin.size modes, and the step.  The band is every mode for an
     explicit-dt unidirectional run, the 2/3-rule band for an
     integrating-factor one and the low-pass band for a bidirectional one.
@@ -344,10 +323,19 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     samples y.  h^2 is formed on the smallest 5-smooth M >= 3J - 2 points
     (M divides 30^64), where the sum of two band modes folds above the
     band, so the product is exact inside it; capped at N, it is the
-    full-grid product.  advance(z) is the state one step of dt later:
-    classical RK4 on the band RHS, or for integrator "ifrk4"
-    (unidirectional only) Lawson's RK4, which propagates lin exactly by
-    exp(lin dt) and leaves the stages only the h^2 flux.
+    full-grid product.
+
+    For integrator "rk4", step(z, dt) is the state one classical RK4 step
+    of dt later.  For "ifrk4" (unidirectional only), step(z, n, dt) is one
+    step of the embedded Lawson pair ERK4(3)-IP (Balac & Mahe 2013).  Its
+    fourth-order solution is Lawson's RK4, which propagates lin exactly by
+    exp(lin dt) and leaves the stages only the h^2 flux; its third-order
+    partner adds the stage of the new state, which is the next step's
+    first (first same as last).  n is the band square of z (None: formed
+    here).  It returns (z1, n1, err): the new state, its band square (the
+    next step's n) and the local error estimate ||(dt/10) flux (n4 - n1)||
+    from the fourth stage's square n4, which costs no product beyond the
+    four of Lawson's RK4.
     """
     if bidirectional:
         lin, flux = _boussinesq_symbols_for(grid, params, config)
@@ -368,23 +356,31 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
             return lin * z + flux_m * squared(z)
 
     if integrator == "rk4":
-        return lin, flux, lambda z: _rk4(z, rhs, dt)
+        return lin, flux, lambda z, dt: _rk4(z, rhs, dt)
 
-    E = np.exp(0.5 * dt * lin)
-    # the flux multiplier and the stage weights folded into one array each
-    a2, a3, a4 = (0.5 * dt) * E * flux_m, (0.5 * dt) * flux_m, dt * E * flux_m
-    b1, b23, b4 = (dt / 6.0) * E * E * flux_m, (dt / 3.0) * E * flux_m, (dt / 6.0) * flux_m
+    @lru_cache(maxsize=8)  # evolve's steps sit on a few rungs of a ladder
+    def weights(dt: float):
+        # the flux multiplier and the stage weights folded into one array each
+        E = np.exp(0.5 * dt * lin)
+        return (E, (0.5 * dt) * E * flux_m, (0.5 * dt) * flux_m, dt * E * flux_m,
+                (dt / 6.0) * E * E * flux_m, (dt / 3.0) * E * flux_m, (dt / 6.0) * flux_m,
+                (dt / 10.0) * flux_m)
 
-    def advance(z: np.ndarray) -> np.ndarray:
+    def step(z: np.ndarray, n1: np.ndarray | None, dt: float):
+        E, a2, a3, a4, b1, b23, b4, e = weights(dt)
+        if n1 is None:
+            n1 = squared(z)
         Ez = E * z
         E2z = E * Ez
-        n1 = squared(z)
         n2 = squared(Ez + a2 * n1)
         n3 = squared(Ez + a3 * n2)
         n4 = squared(E2z + a4 * n3)
-        return E2z + b1 * n1 + b23 * (n2 + n3) + b4 * n4
+        z1 = E2z + b1 * n1 + b23 * (n2 + n3) + b4 * n4
+        n5 = squared(z1)
+        d = e * (n4 - n5)
+        return z1, n5, math.sqrt(np.vdot(d, d).real)
 
-    return lin, flux, advance
+    return lin, flux, step
 
 
 def _check_alive(h: np.ndarray, H: float, t: float, step: int = 1) -> None:
@@ -416,9 +412,11 @@ def _step(state, params: PhysicalParams, config: SchemeConfig, integrator: str,
     if dt is None:
         dt = config.dt or stable_dt(grid, params, config,
                                     "boussinesq" if bidirectional else "kdv")
-    lin, _, advance = _band_run(grid, params, config, bidirectional, integrator, dt)
+    lin, _, step = _band_run(grid, params, config, bidirectional, integrator)
     J = lin.size
-    y = np.fft.irfft(advance(np.fft.rfft(y)[:, :J].ravel()).reshape(-1, J), n=grid.N)
+    z = np.fft.rfft(y)[:, :J].ravel()
+    z = step(z, dt) if integrator == "rk4" else step(z, None, dt)[0]
+    y = np.fft.irfft(z.reshape(-1, J), n=grid.N)
     _check_alive(y[0], params.H, t + dt)
     return _pack(grid, y, t + dt, bidirectional)
 
@@ -443,11 +441,12 @@ def step_ifrk4(field: WaveField, params: PhysicalParams, config: SchemeConfig,
     """One Lawson integrating-factor RK4 step of the unidirectional equation.
 
     The scheme's linear symbol (advection and dispersion) is propagated
-    exactly, so dt is not bounded by the dispersive stiffness; evolve
-    takes this step for scheme.dt=auto, sized by the nonlinear and
-    phase limits of the module docstring.  The step is the 2/3-dealiased
-    one evolve takes: field is projected onto the retained band
-    (rfft modes j with 3j < N) and the result has no content above it.
+    exactly, so dt is not bounded by the dispersive stiffness.  This is
+    the fourth-order solution of the pair evolve steps scheme.dt=auto runs
+    with, taken at the fixed step dt (evolve sizes its steps by the error
+    controller of the module docstring).  The step is 2/3-dealiased:
+    field is projected onto the retained band (rfft modes j with 3j < N)
+    and the result has no content above it.
     Raises BlowUpError when the solution leaves the model's validity range.
     """
     return _step(field, params, config, "ifrk4", dt)
@@ -462,8 +461,9 @@ class EvolutionResult:
     invariants: list[InvariantSet]
     energy: list[float] | None = None  # bidirectional conserved energy
     integrator: str = ""  # "ifrk4" or "rk4"
-    dt: float = 0.0  # the step taken [s]
-    steps: int = 0
+    dt: float = 0.0  # the mean step t_end / steps [s]
+    steps: int = 0  # accepted steps
+    rejected: int = 0  # steps the error controller retried smaller
 
     @property
     def final(self):
@@ -478,45 +478,32 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     initial is a WaveField or an (h, v) WaveField pair.  Every run steps
     the rfft coefficients of its retained band through one stepper
     (_band_run); the integrator follows from config.dt.  A
-    unidirectional run with dt = None steps with Lawson integrating-factor
-    RK4 ("ifrk4") on the 2/3-rule band: the linear symbol is propagated
-    exactly, so the step is bounded by the nonlinearity and by the phase
-    limit (see the module docstring).  An explicit dt, and every
-    bidirectional run, steps with classical RK4 ("rk4"), warned against
-    (or, for dt = None, set to) the RK4 stability advisory; its band is
-    every mode for a unidirectional run and the low-pass band for a
-    bidirectional one (every mode when the filter is off).  The initial
-    state is projected onto the band once: the first snapshot is the
-    initial state as given, later ones carry no modes above the band.
-    The step is shrunk so that an integer number of steps lands exactly
-    on t_end.  Every step is checked for blow-up.
-    Snapshots, invariant sets, and observer callbacks fire every
-    sample_every steps (default: ~50 samples per run) and always at the
-    endpoints.  Observers receive (t, snapshot) and must not mutate it.
+    unidirectional run with dt = None steps with the embedded Lawson pair
+    ERK4(3)-IP ("ifrk4") on the 2/3-rule band: the linear symbol is
+    propagated exactly, and a PI controller sizes each step so that its
+    relative local error stays within IF_TOL (see the module docstring).
+    Steps land exactly on the sample times and on t_end; a step rejected
+    by the controller is retried smaller and counted in result.rejected.
+    An explicit dt, and every bidirectional run, steps with classical RK4
+    ("rk4"), warned against (or, for dt = None, set to) the RK4 stability
+    advisory; its step is shrunk so that an integer number of steps lands
+    exactly on t_end.  Its band is every mode for a unidirectional run and
+    the low-pass band for a bidirectional one (every mode when the filter
+    is off).  The initial state is projected onto the band once: the first
+    snapshot is the initial state as given, later ones carry no modes
+    above the band.  Every accepted step is checked for blow-up.
+    Snapshots, invariant sets, and observer callbacks fire at the
+    endpoints and every sample_every accepted steps; by default at ~50
+    samples per run (RK4: every nsteps // 50 steps; IF: at t_end k/50,
+    k = 1..50).  Observers receive (t, snapshot) and must not mutate it.
+    result.dt is the mean step t_end / steps.
     """
     bidirectional, grid, t0, y = _unpack(initial)
     integrator = "rk4" if bidirectional or config.dt is not None else "ifrk4"
-    if integrator == "rk4":
-        advisory = stable_dt(grid, params, config, "boussinesq" if bidirectional else "kdv")
-        dt_req = config.dt if config.dt is not None else advisory
-        if dt_req > advisory * (1.0 + 1e-12):
-            logger.warning("dt = %.3e exceeds stability advisory %.3e", dt_req, advisory)
-    else:
-        dt_req = _ifrk4_dt(*_symbols_for(grid, params, config, dealias=True), y[0])
-
-    if config.t_end <= 0:
-        nsteps, dt = 0, 0.0
-    else:
-        nsteps = max(1, int(math.ceil(config.t_end / dt_req - 1e-12)))
-        dt = config.t_end / nsteps
-    if sample_every is None:
-        sample_every = max(1, nsteps // 50)
-
-    lin, flux, advance = _band_run(grid, params, config, bidirectional, integrator, dt)
+    lin, flux, step = _band_run(grid, params, config, bidirectional, integrator)
     J = lin.size
     result = EvolutionResult(times=[], snapshots=[], invariants=[],
-                             energy=[] if bidirectional else None,
-                             integrator=integrator, dt=dt, steps=nsteps)
+                             energy=[] if bidirectional else None, integrator=integrator)
 
     def sample(t: float, y: np.ndarray) -> None:
         snap = _pack(grid, y, t, bidirectional)
@@ -531,20 +518,112 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
         for obs in observers:
             obs(t, snap)
 
-    z = np.fft.rfft(y)[:, :J].ravel()
-    sample(t0, y)
     # (2/N) sum_j |h_j| bounds max|h| from above, so h is formed on the grid
     # and checked exactly only on the steps where that bound reaches the
     # limit (less a margin for the bound's own roundoff) or is not finite
     limit = (1.0 - 1e-12) * BLOWUP_FACTOR * params.H
-    for i in range(nsteps):
-        z = advance(z)
-        t = t0 + (i + 1) * dt
+
+    def accepted(i: int, t: float, z: np.ndarray, due: bool) -> None:
         if not 2.0 / grid.N * np.abs(z[:J]).sum() < limit:
-            _check_alive(np.fft.irfft(z[:J], n=grid.N), params.H, t, i + 1)
-        if (i + 1) % sample_every == 0 or (i + 1) == nsteps:
+            _check_alive(np.fft.irfft(z[:J], n=grid.N), params.H, t, i)
+        if due:
             sample(t, np.fft.irfft(z.reshape(-1, J), n=grid.N))
+
+    sample(t0, y)
+    if integrator == "rk4":
+        advisory = stable_dt(grid, params, config, "boussinesq" if bidirectional else "kdv")
+        dt_req = config.dt if config.dt is not None else advisory
+        if dt_req > advisory * (1.0 + 1e-12):
+            logger.warning("dt = %.3e exceeds stability advisory %.3e", dt_req, advisory)
+        nsteps = 0
+        if config.t_end > 0:
+            nsteps = max(1, int(math.ceil(config.t_end / dt_req - 1e-12)))
+        dt = config.t_end / nsteps if nsteps else 0.0
+        if sample_every is None:
+            sample_every = max(1, nsteps // 50)
+        z = np.fft.rfft(y)[:, :J].ravel()
+        for i in range(1, nsteps + 1):
+            z = step(z, dt)
+            accepted(i, t0 + i * dt, z, i % sample_every == 0 or i == nsteps)
+    elif config.t_end > 0:
+        stops = ([t0 + config.t_end * k / 50 for k in range(1, 51)] if sample_every is None
+                 else [t0 + config.t_end])
+        nsteps, result.rejected = _controlled_run(step, lin, flux, y[0], grid.L, t0, stops,
+                                                  sample_every, accepted)
+    else:
+        nsteps = 0
+    result.steps = nsteps
+    result.dt = config.t_end / nsteps if nsteps else 0.0
     return result
+
+
+def _controlled_run(step, lin: np.ndarray, flux: np.ndarray, h: np.ndarray, L: float,
+                    t: float, stops: list[float], sample_every: int | None,
+                    accepted) -> tuple[int, int]:
+    """Step an ERK4(3)-IP run from the field h at time t through every stop.
+
+    step, lin and flux are _band_run's.  Returns the accepted and rejected
+    step counts; accepted(i, t, z, due) sees every accepted step, due at
+    each landing on a stop and, with sample_every, at every
+    sample_every-th step.
+
+    A PI controller (Gustafsson 1991) keeps each step's local error within
+    IF_TOL of the starting state's L2 norm.  The first step wanted is 0.01
+    of the time the flux takes to change the state by its own size
+    (Hairer, Norsett & Wanner, sec. II.4).  Every step is also held within
+    the RK4 imaginary-axis limit of the fastest beat in the interaction
+    picture, 2 sqrt(2) / (c_max k_rms): c_max is the largest group speed
+    of the retained band and k_rms the state's rms wavenumber.  Beyond it
+    the stages sample the beat of the top modes against the state's own
+    structure too coarsely, and roundoff there grows by a factor each lap
+    that the error norm does not see until it is large.  Steps are rounded
+    down to a 2^(1/16) ladder, so the stepper's exp-folded weights are
+    reused; a step that would pass the next stop lands on it.  A step
+    wanted below 1e-8 of the run raises BlowUpError, with the max|h| of the
+    last rejected step, rather than spin: near that size (about sqrt(eps)
+    of the state's time scale) the two solutions of the pair agree to the
+    last bit and the error estimate reads zero.
+    """
+    J, N = lin.size, h.size
+    z = np.fft.rfft(h)[:J]
+    k2 = (2.0 * math.pi / L * np.arange(J)) ** 2
+    c_max = float(np.abs(np.diff(lin.imag)).max()) * L / (2.0 * math.pi)
+
+    def beat_limit(z: np.ndarray) -> float:
+        power = np.vdot(z, z).real
+        k2_mean = np.vdot(z, k2 * z).real / power if power else 0.0
+        return RK4_IMAG_LIMIT / (c_max * math.sqrt(k2_mean)) if k2_mean else math.inf
+
+    size = math.sqrt(np.vdot(z, z).real)
+    tol, floor = IF_TOL * size, 1e-8 * (stops[-1] - t)
+    rate = np.linalg.norm(flux * np.fft.rfft(h * h)[:J]) / size if size else 0.0
+    want = min(0.01 / rate if rate else math.inf, beat_limit(z))
+    n, i, rejected, r_prev = None, 0, 0, 1.0
+    for stop in stops:
+        while t < stop:
+            rung = want
+            if want < math.inf:
+                rung = 2.0 ** (math.floor(16.0 * math.log2(want)) / 16.0)
+            land = rung >= (stop - t) * (1.0 - 1e-9)
+            dt = stop - t if land else rung
+            z1, n1, err = step(z, n, dt)
+            if err <= tol:
+                i, z, n, t = i + 1, z1, n1, stop if land else t + dt
+                # a landing step is short by choice, not by its error, so it
+                # leaves the controller as it was
+                if not land:
+                    r = err / tol if err else 0.0
+                    fac = 5.0 if r == 0.0 else 0.9 * r ** -0.175 * r_prev ** 0.1
+                    want, r_prev = dt * min(5.0, max(0.2, fac)), max(r, 1e-4)
+                want = min(want, beat_limit(z))
+                accepted(i, t, z, land or (sample_every is not None and i % sample_every == 0))
+            else:
+                rejected += 1
+                fac = 0.9 * (tol / err) ** 0.25 if err < math.inf else 0.0  # nan too
+                want = dt * min(0.9, max(0.2, fac))
+                if want < floor:
+                    raise BlowUpError(t, i + 1, float(np.max(np.abs(np.fft.irfft(z1, n=N)))))
+    return i, rejected
 
 
 # --------------------------------------------------------------------------

@@ -166,6 +166,20 @@ class TestConfigTable:
             capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario, key", [
+        ("factorization", "scenario.n_list"),
+        ("cnoidal_family", "scenario.m_list"),
+        ("steepening", "scenario.p_ratios"),
+    ])
+    @pytest.mark.parametrize("value", ["", " , "])
+    def test_empty_sweep_list_exits_before_output(self, tmp_path, capsys, scenario, key,
+                                                  value):
+        out = tmp_path / "out"
+        rc = main(["scenario", scenario, "--out", str(out), "--set", f"{key}={value}"])
+        assert rc == EXIT_USAGE
+        assert f"{key!r} must be a comma-separated list" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("scenario, setting, message", [
         ("cnoidal_family", "scenario.m_list=0.5,1.5", "roots k and l must be positive"),
         ("steepening", "scenario.p_ratios=0.9,-1", "hbar and p must be positive"),
@@ -382,6 +396,24 @@ class TestSubcommands:
         assert runs["fixed"]["result.steps"] == "500"
         for m in runs.values():
             assert int(m["result.steps"]) * float(m["result.dt"]) == pytest.approx(0.5)
+
+    def test_manifest_records_rejected_steps(self, tmp_path):
+        for name, extra in (("auto", []), ("fixed", ["--set", "scheme.dt=0.01"])):
+            rc = main(["scenario", "solitary_transit", "--out", str(tmp_path / name),
+                       "--set", "grid.N=128", "--set", "grid.L=60",
+                       "--set", "scheme.t_end=0.5", *extra])
+            assert rc == EXIT_OK
+            assert _manifest(tmp_path / name)["result.rejected"] == "0"
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve"], ["evolve", "--ic", "solitary"], ["scenario", "solitary_transit"]])
+    def test_zero_length_run_has_no_crest_speed(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        rc = main([*argv, "--out", str(out), "--set", "grid.N=64", "--set", "scheme.t_end=0"])
+        assert rc == EXIT_USAGE
+        assert "'scheme.t_end' must be positive: a crest speed needs two samples" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
     def test_evolve_centered4_passthrough(self, tmp_path):
         out = tmp_path / "run4"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -384,11 +385,12 @@ class TestIfrk4:
         assert np.max(np.abs(auto.final.h - rk4.final.h)) <= 1e-8 * spec.h0
 
     def test_blowup_raised_in_the_crossing_step(self, params, monkeypatch):
-        # a step 50x the nonlinear limit (phase limit lifted) diverges; the
-        # check runs on every step, so the error comes one step after the
-        # last sample, which every step takes here
-        monkeypatch.setattr(evolution, "IF_SAFETY", 5.0)
-        monkeypatch.setattr(evolution, "IF_PHASE_LIMIT", math.inf)
+        # a tolerance of 100, with the beat limit lifted, lets the controller
+        # grow the step until the run diverges; the check runs on every
+        # accepted step, so the error comes one step after the last sample,
+        # which every accepted step takes here
+        monkeypatch.setattr(evolution, "IF_TOL", 100.0)
+        monkeypatch.setattr(evolution, "RK4_IMAG_LIMIT", math.inf)
         spec, grid, field = solitary_case(params, h0=0.2, N=128, L=60.0)
         seen = []
         with pytest.raises(BlowUpError) as exc:
@@ -398,7 +400,27 @@ class TestIfrk4:
         times = [t for t, _ in seen]
         assert len(times) >= 3
         assert all(m <= 10 * params.H for _, m in seen)
-        assert exc.value.time == pytest.approx(times[-1] + (times[1] - times[0]))
+        assert exc.value.step == len(times)
+        assert exc.value.time > times[-1] and exc.value.max_abs_h > 10 * params.H
+
+    def test_step_below_the_floor_raises_instead_of_spinning(self, params, monkeypatch):
+        # no step meets a tolerance below roundoff: the controller shrinks the
+        # first step until it falls below 1e-8 of the run, then raises
+        monkeypatch.setattr(evolution, "IF_TOL", 1e-300)
+        spec, grid, field = solitary_case(params, h0=0.2, N=128, L=60.0)
+        with pytest.raises(BlowUpError) as exc:
+            evolve(field, params, SchemeConfig(t_end=50.0), record_invariants=False)
+        assert (exc.value.time, exc.value.step) == (0.0, 1)
+        assert exc.value.max_abs_h == pytest.approx(spec.h0, rel=1e-3)
+
+    def test_zero_field_lands_on_every_sample_without_dividing_by_zero(self, params):
+        grid = PeriodicGrid(L=60.0, N=128)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = evolve(WaveField(grid, np.zeros(grid.N)), params, SchemeConfig(t_end=1.0))
+        assert (res.integrator, res.steps, res.rejected) == ("ifrk4", 50, 0)
+        assert res.times == [k / 50 for k in range(51)]
+        assert all(np.all(s.h == 0.0) for s in res.snapshots)
 
     @pytest.mark.parametrize("h0_tall", [0.42, 0.46])
     def test_phase_limit_keeps_collisions_clean(self, params, h0_tall):
@@ -415,15 +437,21 @@ class TestIfrk4:
         assert res.integrator == "ifrk4" and tail < 1e-8
 
     def test_run_records_how_it_stepped(self, params):
+        # an auto-dt run lands on 50 equally spaced sample times and records
+        # its mean step; with sparse sampling it lands on t_end alone
         spec, grid, field = solitary_case(params, N=128, L=60.0)
         auto = evolve(field, params, SchemeConfig(t_end=1.0), record_invariants=False)
-        assert auto.integrator == "ifrk4"
+        assert (auto.integrator, auto.rejected) == ("ifrk4", 0)
+        assert auto.times == [k / 50 for k in range(51)]
         assert auto.steps * auto.dt == pytest.approx(1.0)
+        sparse = evolve(field, params, SchemeConfig(t_end=1.0), record_invariants=False,
+                        sample_every=10 ** 9)
+        assert sparse.times == [0.0, 1.0] and sparse.steps < auto.steps
+        assert sparse.steps * sparse.dt == pytest.approx(1.0)
         fixed = evolve(field, params, SchemeConfig(t_end=1.0, dt=0.01),
                        record_invariants=False)
-        assert (fixed.integrator, fixed.steps, fixed.dt) == ("rk4", 100, pytest.approx(0.01))
-        zero = evolve(WaveField(grid, np.zeros(grid.N)), params, SchemeConfig(t_end=1.0))
-        assert (zero.integrator, zero.steps) == ("ifrk4", 1)
+        assert (fixed.integrator, fixed.steps, fixed.dt, fixed.rejected) == (
+            "rk4", 100, pytest.approx(0.01), 0)
 
     @staticmethod
     def _with_high_modes(params, grid, h0=0.2):
@@ -444,26 +472,60 @@ class TestIfrk4:
         assert above.max() <= 1e-15 * np.max(np.abs(res.final.h))
 
     @pytest.mark.parametrize("scheme", ["spectral", "centered4"])
-    def test_phase_cap_is_measured_over_the_band(self, params, scheme):
-        # a transit at N = 512: the cap, not the nonlinear limit, sets the step
-        spec, grid, field = solitary_case(params, N=512, L=120.0)
+    def test_beat_limit_is_measured_over_the_band(self, params, scheme):
+        # a transit at N = 1024: the RK4 limit 2 sqrt(2) / (c_max k_rms) of the
+        # fastest beat over the retained band, not the error, sets the step,
+        # which turns the fastest retained mode many times
+        spec, grid, field = solitary_case(params, N=1024, L=120.0)
         band = 3 * np.arange(grid.N // 2 + 1) < grid.N
-        lin = kdv_linear_symbol(params, grid, scheme)[band]
-        cap = evolution.IF_PHASE_LIMIT / np.max(np.abs(lin))
-        kd = wavenumbers(grid.N, grid.L)[band] * grid.dx
-        if scheme == "spectral":
-            k_max = kd.max() / grid.dx
-        else:
-            k_max = np.max(np.abs(8 * np.sin(kd) - np.sin(2 * kd))) / (6 * grid.dx)
-        nonlinear = (evolution.IF_SAFETY * 2 * math.sqrt(2)
-                     / (1.5 * math.sqrt(params.g / params.H) * k_max * spec.h0))
-        assert cap < nonlinear
-        t_end = 3.0
-        res = evolve(field, params, SchemeConfig(deriv=scheme, t_end=t_end),
+        omega = kdv_linear_symbol(params, grid, scheme)[band].imag
+        k = wavenumbers(grid.N, grid.L)[band]
+        c_max = np.max(np.abs(np.diff(omega) / np.diff(k)))
+        power = np.abs(np.fft.rfft(field.h)[band]) ** 2
+        limit = 2 * math.sqrt(2) / (c_max * math.sqrt(np.sum(k * k * power) / np.sum(power)))
+        times = []
+        evolve(field, params, SchemeConfig(deriv=scheme, t_end=3.0), record_invariants=False,
+               observers=[lambda t, s: times.append(t)], sample_every=1)
+        largest = np.diff(times)[:-1].max()  # the last step lands on t_end
+        assert limit * 2 ** (-1 / 16) * (1 - 1e-9) <= largest <= limit * (1 + 1e-9)
+        assert largest * np.max(np.abs(omega)) > 4 * 2 * math.pi
+
+    def test_steps_beyond_one_turn_raise_no_stage_resonance(self, params):
+        # two laps at N = 1024 in steps of about 11 turns of the fastest
+        # retained mode; past the beat limit the top of the band grows ~300x
+        # a lap from roundoff (to ~2e-14 m after two laps)
+        spec, grid, field = solitary_case(params, N=1024, L=120.0)
+        res = evolve(field, params, SchemeConfig(t_end=2 * grid.L / solitary_speed(spec)),
                      record_invariants=False)
-        n = math.ceil(t_end / cap)
-        assert res.steps == n
-        assert res.dt == pytest.approx(t_end / n, rel=1e-12)
+        J = (grid.N + 2) // 3
+        lin = kdv_linear_symbol(params, grid, "spectral")[:J]
+        assert res.dt * np.max(np.abs(lin)) > 5 * 2 * math.pi
+        coeffs = np.abs(np.fft.rfft(res.final.h)) / grid.N
+        assert coeffs[J:].max() <= 1e-17
+        assert coeffs[J - J // 8:J].max() <= 1e-16
+
+    @pytest.mark.parametrize("N, h0_tall", [(256, 0.45), (384, 0.5)])
+    def test_collision_steps_beyond_one_turn_stay_clean(self, params, N, h0_tall):
+        # the old 0.8-turn cap bound these overtakings; error-controlled steps
+        # pass a full turn of the fastest retained mode, and the modes above
+        # the band stay at roundoff, as under the cap
+        grid = PeriodicGrid(L=80.0, N=N)
+        specA = SolitarySpec(h0_tall, SIGMA0, params.H, params.g)
+        specB = SolitarySpec(0.2, SIGMA0, params.H, params.g)
+        h = solitary_profile(specA, grid.x + 22.0) + solitary_profile(specB, grid.x + 4.0)
+        config = SchemeConfig(frame="moving", t_end=60.0)
+        times = []
+        res = evolve(WaveField(grid, h), params, config, record_invariants=False,
+                     observers=[lambda t, s: times.append(t)], sample_every=1)
+        lin, _ = evolution._symbols_for(grid, params, config, dealias=True)
+        assert np.diff(times).max() * np.max(np.abs(lin)) > 2 * math.pi
+        J = lin.size
+        coeffs = np.abs(np.fft.rfft(res.final.h)) / grid.N
+        assert coeffs[J:].max() <= 1e-17
+        # the top of the band holds the waves' own content (6e-8 m at N = 256)
+        # and the tolerance's truncation error (2e-8 m at N = 384, 1.3e-10 m
+        # at a tolerance of 1e-8), far below what a resonance would grow to
+        assert coeffs[J - J // 8:J].max() <= 1e-7
 
     def test_public_steps_repeat_the_evolve_run(self, params):
         grid = PeriodicGrid(L=60.0, N=256)
