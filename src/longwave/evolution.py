@@ -612,6 +612,8 @@ def _controlled_run(step, lin: np.ndarray, flux: np.ndarray, h: np.ndarray, L: f
                 # a landing step is short by choice, not by its error, so it
                 # leaves the controller as it was
                 if not land:
+                    # PI exponents 0.7/4 and 0.4/4 for an error of order dt^4;
+                    # the floor on r_prev keeps a zero error from shrinking the next step
                     r = err / tol if err else 0.0
                     fac = 5.0 if r == 0.0 else 0.9 * r ** -0.175 * r_prev ** 0.1
                     want, r_prev = dt * min(5.0, max(0.2, fac)), max(r, 1e-4)
