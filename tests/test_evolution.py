@@ -521,7 +521,7 @@ class TestIfrk4:
         assert np.diff(times).max() * np.max(np.abs(lin)) > 2 * math.pi
         J = lin.size
         coeffs = np.abs(np.fft.rfft(res.final.h)) / grid.N
-        assert coeffs[J:].max() <= 1e-17
+        assert coeffs[J:].max() <= 1e-16
         # the top of the band holds the waves' own content (6e-8 m at N = 256)
         # and the tolerance's truncation error (2e-8 m at N = 384, 1.3e-10 m
         # at a tolerance of 1e-8), far below what a resonance would grow to
