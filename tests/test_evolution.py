@@ -373,6 +373,22 @@ class TestIfrk4:
         assert 8.0 <= e10 / e20 <= 32.0
         assert 8.0 <= e20 / e40 <= 32.0
 
+    def test_embedded_error_estimate_is_third_order(self, params):
+        # the pair's estimate (dt/10) flux (n4 - n5) is the local error of
+        # its third-order partner: halving dt cuts it ~16x, while the
+        # fourth-order step's own local error falls ~32x and stays below it
+        spec, grid, field = solitary_case(params, h0=0.2, N=256, L=60.0)
+        lin, _, step = evolution._band_run(grid, params, SchemeConfig(), False, "ifrk4")
+        z = np.fft.rfft(field.h)[:lin.size]
+        dts = (0.04, 0.02, 0.01)
+        est = [step(z, None, dt)[2] for dt in dts]
+        assert all(12.0 <= a / b <= 24.0 for a, b in zip(est, est[1:]))
+        for dt, e in zip(dts, est):
+            fine, n = z, None
+            for _ in range(64):
+                fine, n, _ = step(fine, n, dt / 64)
+            assert np.linalg.norm(step(z, None, dt)[0] - fine) <= e
+
     def test_centered4_auto_step_agrees_with_rk4(self, params):
         spec, grid, field = solitary_case(params, h0=0.2, N=256, L=60.0)
         auto = evolve(field, params, SchemeConfig(deriv="centered4", t_end=1.0),
