@@ -539,7 +539,7 @@ class TestIfrk4:
         coeffs = np.abs(np.fft.rfft(res.final.h)) / grid.N
         assert coeffs[J:].max() <= 1e-16
         # the top of the band holds the waves' own content (6e-8 m at N = 256)
-        # and the tolerance's truncation error (2e-8 m at N = 384, 1.3e-10 m
+        # and the tolerance's truncation error (3e-9 m at N = 384, 1.3e-10 m
         # at a tolerance of 1e-8), far below what a resonance would grow to
         assert coeffs[J - J // 8:J].max() <= 1e-7
 
