@@ -20,12 +20,14 @@ stepped on the band of rfft modes at or below filter_cut * sqrt(3)/H,
 onto which the starting (h, v) is projected once; the filter (the band
 limit) can be disabled only to demonstrate the blow-up.
 
-Both equations are written in Fourier space the same way, as one
-linear symbol plus one multiplier of the transformed h^2 flux, built
-from the derivative symbols of the chosen scheme (the centered stencils
-through their exact trigonometric symbols).  For the bidirectional
-system the pair gives h_tt, and the low-pass keeps both multipliers
-only up to the cut.
+Each equation is written once, in Fourier space, as one linear symbol
+plus one multiplier of the transformed h^2 flux (_kdv_symbols and
+_boussinesq_symbols), built from the derivative symbols of the chosen
+scheme (the centered stencils through their exact trigonometric
+symbols).  For the bidirectional system the pair gives h_tt, and the
+low-pass keeps both multipliers only up to the cut.  Every full-grid
+evaluation (kdv_rhs, boussinesq_rhs, the sampled h_t of a run and the
+factorization residual) goes through the one evaluator _grid_rhs.
 
 Every run is stepped the same way, on the rfft coefficients of its
 band of retained modes (_band_run): the starting state is projected onto
@@ -250,31 +252,18 @@ def _boussinesq_symbols_for(grid: PeriodicGrid, params: PhysicalParams,
     return _boussinesq_symbols(grid.N, grid.L, params.g, params.H, config.deriv, k_cut)
 
 
-def _boussinesq_fn_for(grid: PeriodicGrid, params: PhysicalParams,
-                       config: SchemeConfig) -> Callable[[np.ndarray], np.ndarray]:
-    """Full-grid RHS of the first-order system y = (h, v = h_t) -> (h_t, h_tt)."""
-    lin, flux = _boussinesq_symbols_for(grid, params, config)
-    N = grid.N
-
-    def rhs(y: np.ndarray) -> np.ndarray:
-        h, v = y
-        if not config.boussinesq_filter:
-            hh, sq = np.fft.rfft(np.stack([h, h * h]))
-            return np.stack([v, np.fft.irfft(lin * hh + flux * sq, n=N)])
-        hh, vh, sq = np.fft.rfft(np.stack([h, v, h * h]))[:, :lin.size]
-        return np.fft.irfft(np.stack([vh, lin * hh + flux * sq]), n=N)
-
-    return rhs
-
-
 def boussinesq_rhs(state: tuple[WaveField, WaveField], params: PhysicalParams,
                    config: SchemeConfig = SchemeConfig()) -> tuple[np.ndarray, np.ndarray]:
-    """(h_t, h_tt) of the bidirectional system, low-pass applied [m/s, m/s^2]."""
-    h_field, v_field = state
-    if h_field.grid != v_field.grid:
-        raise ValueError("state fields live on different grids")
-    out = _boussinesq_fn_for(h_field.grid, params, config)(np.stack([h_field.h, v_field.h]))
-    return out[0], out[1]
+    """(h_t, h_tt) of the bidirectional system, low-pass applied [m/s, m/s^2].
+
+    h_tt is _grid_rhs over the retained band's symbols; h_t is v cut to
+    that band (v itself when the filter is off).
+    """
+    _, grid, _, (h, v) = _unpack(state)
+    lin, flux = _boussinesq_symbols_for(grid, params, config)
+    if config.boussinesq_filter:
+        v = np.fft.irfft(np.fft.rfft(v)[:lin.size], n=grid.N)
+    return v, _grid_rhs(lin, flux, h)
 
 
 # --------------------------------------------------------------------------
@@ -498,6 +487,10 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     k = 1..50).  Observers receive (t, snapshot) and must not mutate it.
     result.dt is the mean step t_end / steps.
     """
+    if sample_every is not None and not (isinstance(sample_every, (int, np.integer))
+                                         and sample_every > 0):
+        raise ValueError(f"sample_every must be a positive integer or None, "
+                         f"got {sample_every!r}")
     bidirectional, grid, t0, y = _unpack(initial)
     integrator = "rk4" if bidirectional or config.dt is not None else "ifrk4"
     lin, flux, step = _band_run(grid, params, config, bidirectional, integrator)
@@ -728,33 +721,26 @@ def factorization_residual(field: WaveField, params: PhysicalParams,
                            h_t: np.ndarray | None = None) -> float:
     """Bidirectional-operator residual on a unidirectional jet [m/s^2].
 
-    Builds the jet (h, h_t, h_tt) with h_t defaulting to the fixed-frame
-    unidirectional RHS and h_tt obtained by chain-ruling d/dt through
-    that RHS, then evaluates the bidirectional operator
+    Builds the jet (h, h_t, h_tt) from the fixed-frame unidirectional
+    symbols: h_t defaults to that RHS, and h_tt chain-rules d/dt through
+    it, rfft(h_tt) = lin * rfft(h_t) + 2 flux * rfft(h h_t).  Less the
+    unfiltered bidirectional RHS, h_tt gives the operator
 
         h_tt - g H h_xx - g H d^2/dx^2 (3 h^2/(2H) + (H^2/3) h_xx)
 
-    and returns its max norm.  Unidirectional jets annihilate the
+    whose max norm is returned.  Unidirectional jets annihilate the
     operator up to terms two orders down in amplitude (for the exact
     solitary profile the residual converges under refinement to
     g h0^2/(4H) * max|h_xx| exactly); generic jets such as a left-moving
     pair (pass h_t = +sqrt(gH) h_x) leave an order-one residual.
     """
-    g, H = params.g, params.H
-    L = field.grid.L
-    h = field.h
-    c = 1.5 * math.sqrt(g / H)
-
-    def flux_lin(w, base):
-        return (2.0 / 3.0) * H * w + base + (H ** 3 / 9.0) * diff(w, L, 2, scheme)
-
+    grid, h = field.grid, field.h
+    lin, flux = _symbols_for(grid, params, SchemeConfig(deriv=scheme))
     if h_t is None:
-        h_t = -c * diff(flux_lin(h, 0.5 * h * h), L, 1, scheme)
-    # directional derivative of the RHS at h in the direction h_t
-    h_tt = -c * diff(flux_lin(h_t, h * h_t), L, 1, scheme)
-    hxx = diff(h, L, 2, scheme)
-    B = h_tt - g * H * hxx - g * H * diff(1.5 * h * h / H + (H * H / 3.0) * hxx, L, 2, scheme)
-    return float(np.max(np.abs(B)))
+        h_t = _grid_rhs(lin, flux, h)
+    h_tt = np.fft.irfft(lin * np.fft.rfft(h_t) + 2.0 * flux * np.fft.rfft(h * h_t), n=grid.N)
+    bidirectional = _boussinesq_symbols(grid.N, grid.L, params.g, params.H, scheme, None)
+    return float(np.max(np.abs(h_tt - _grid_rhs(*bidirectional, h))))
 
 
 # --------------------------------------------------------------------------

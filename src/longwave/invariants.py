@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import PhysicalParams, WaveField
-from .operators import diff, integrate
+from .operators import antiderivative, diff, integrate
 
 __all__ = [
     "InvariantSet",
@@ -178,8 +178,6 @@ def boussinesq_energy(h_field: WaveField, v_field: WaveField,
     zero-mean, which the bidirectional RHS preserves.  Not sign-definite:
     the model is only well-posed on low wavenumbers.
     """
-    from .operators import antiderivative
-
     if h_field.grid != v_field.grid:
         raise ValueError("h and v fields must share a grid")
     g, H = params.g, params.H

@@ -202,8 +202,13 @@ def criterion_10_state(params, part):
 
 
 def reference_boussinesq(state, params, config, dt, nsteps):
-    """Full-grid RK4 over the boussinesq_rhs closure, checked every step."""
-    rhs = evolution._boussinesq_fn_for(state[0].grid, params, config)
+    """Full-grid RK4 over boussinesq_rhs, checked every step."""
+    grid = state[0].grid
+
+    def rhs(y):
+        return np.stack(boussinesq_rhs((WaveField(grid, y[0]), WaveField(grid, y[1])),
+                                       params, config))
+
     ys = [np.stack([state[0].h, state[1].h])]
     for i in range(nsteps):
         ys.append(evolution._rk4(ys[-1], rhs, dt))
@@ -438,20 +443,6 @@ class TestIfrk4:
         assert res.times == [k / 50 for k in range(51)]
         assert all(np.all(s.h == 0.0) for s in res.snapshots)
 
-    @pytest.mark.parametrize("h0_tall", [0.42, 0.46])
-    def test_phase_limit_keeps_collisions_clean(self, params, h0_tall):
-        # under the nonlinear limit alone these overtakings take steps that
-        # turn the fastest modes past a full cycle, and grid-scale noise
-        # grows to 3e-7..3e-6 m (criterion 07's 0.5 m case blows up)
-        grid = PeriodicGrid(L=80.0, N=256)
-        specA = SolitarySpec(h0_tall, SIGMA0, params.H, params.g)
-        specB = SolitarySpec(0.2, SIGMA0, params.H, params.g)
-        h = solitary_profile(specA, grid.x + 22.0) + solitary_profile(specB, grid.x + 4.0)
-        res = evolve(WaveField(grid, h), params,
-                     SchemeConfig(frame="moving", t_end=60.0), record_invariants=False)
-        tail = np.abs(np.fft.rfft(res.final.h))[-grid.N // 16:].max() / grid.N
-        assert res.integrator == "ifrk4" and tail < 1e-8
-
     def test_run_records_how_it_stepped(self, params):
         # an auto-dt run lands on 50 equally spaced sample times and records
         # its mean step; with sparse sampling it lands on t_end alone
@@ -520,11 +511,11 @@ class TestIfrk4:
         assert coeffs[J:].max() <= 1e-17
         assert coeffs[J - J // 8:J].max() <= 1e-16
 
-    @pytest.mark.parametrize("N, h0_tall", [(256, 0.45), (384, 0.5)])
+    @pytest.mark.parametrize("N, h0_tall", [(256, 0.42), (256, 0.45), (256, 0.46), (384, 0.5)])
     def test_collision_steps_beyond_one_turn_stay_clean(self, params, N, h0_tall):
-        # the old 0.8-turn cap bound these overtakings; error-controlled steps
-        # pass a full turn of the fastest retained mode, and the modes above
-        # the band stay at roundoff, as under the cap
+        # error-controlled steps through these overtakings pass a full turn
+        # of the fastest retained mode (1.09 to 3.3 turns), and the modes
+        # above the band stay at roundoff
         grid = PeriodicGrid(L=80.0, N=N)
         specA = SolitarySpec(h0_tall, SIGMA0, params.H, params.g)
         specB = SolitarySpec(0.2, SIGMA0, params.H, params.g)
@@ -538,9 +529,10 @@ class TestIfrk4:
         J = lin.size
         coeffs = np.abs(np.fft.rfft(res.final.h)) / grid.N
         assert coeffs[J:].max() <= 1e-16
-        # the top of the band holds the waves' own content (6e-8 m at N = 256)
-        # and the tolerance's truncation error (3e-9 m at N = 384, 1.3e-10 m
-        # at a tolerance of 1e-8), far below what a resonance would grow to
+        # the top of the band holds the waves' own content (3e-8 to 7e-8 m at
+        # N = 256) and the tolerance's truncation error (3e-9 m at N = 384,
+        # 1.3e-10 m at a tolerance of 1e-8), far below what a resonance would
+        # grow to
         assert coeffs[J - J // 8:J].max() <= 1e-7
 
     def test_public_steps_repeat_the_evolve_run(self, params):
@@ -665,6 +657,16 @@ class TestEvolve:
         assert seen == res.times
         assert res.times[0] == 0.0 and res.times[-1] == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("dt", [None, 0.01])
+    @pytest.mark.parametrize("sample_every", [0, -1, 2.5])
+    def test_sample_every_must_be_a_positive_integer(self, params, dt, sample_every):
+        spec, grid, field = solitary_case(params, N=64, L=60.0)
+        seen = []
+        with pytest.raises(ValueError, match="sample_every"):
+            evolve(field, params, SchemeConfig(dt=dt, t_end=5.0), sample_every=sample_every,
+                   observers=[lambda t, s: seen.append(t)])
+        assert seen == []
+
     def test_dt_advisory_warning(self, params, caplog):
         spec, grid, field = solitary_case(params, N=128, L=60.0)
         advisory = stable_dt(grid, params, SchemeConfig(), "kdv")
@@ -786,6 +788,24 @@ class TestSteepeningVerdict:
         assert change(1.1) < -3e-3
 
 
+def written_out_factorization(field, params, scheme, h_t=None):
+    """The bidirectional operator on a unidirectional jet, term by term through diff."""
+    g, H = params.g, params.H
+    L, h = field.grid.L, field.h
+    c = 1.5 * math.sqrt(g / H)
+
+    def flux_lin(w, base):
+        return (2.0 / 3.0) * H * w + base + (H ** 3 / 9.0) * diff(w, L, 2, scheme)
+
+    if h_t is None:
+        h_t = -c * diff(flux_lin(h, 0.5 * h * h), L, 1, scheme)
+    # directional derivative of the RHS at h in the direction h_t
+    h_tt = -c * diff(flux_lin(h_t, h * h_t), L, 1, scheme)
+    hxx = diff(h, L, 2, scheme)
+    B = h_tt - g * H * hxx - g * H * diff(1.5 * h * h / H + (H * H / 3.0) * hxx, L, 2, scheme)
+    return float(np.max(np.abs(B)))
+
+
 class TestFactorization:
     def test_zero_field(self, params):
         grid = PeriodicGrid(L=50.0, N=64)
@@ -800,6 +820,21 @@ class TestFactorization:
         r = factorization_residual(field, params)
         defect = params.g * h0 ** 2 / (4 * params.H) * 1.5 * h0 ** 2 / params.H ** 3
         assert r == pytest.approx(defect, rel=0.01)
+
+    @pytest.mark.parametrize("scheme", ["spectral", "centered4"])
+    @pytest.mark.parametrize("N", [256, 1024, 4096])
+    def test_matches_the_written_out_operator(self, params, N, scheme):
+        spec = SolitarySpec(h0=0.05, sigma=SIGMA0, H=params.H, g=params.g)
+        grid = PeriodicGrid(L=160.0, N=N)
+        field = solitary_field(spec, grid)
+        left = math.sqrt(params.g * params.H) * diff(field.h, grid.L, 1)
+        # roundoff grows with the fourth-derivative term at the top mode,
+        # g H^3/3 k_max^4 max|h| (the differences sit below 3e-17 of it)
+        k_max = wavenumbers(N, grid.L)[-1]
+        scale = params.g * params.H ** 3 / 3.0 * k_max ** 4 * np.max(np.abs(field.h))
+        for h_t in (None, left):
+            r = factorization_residual(field, params, scheme, h_t)
+            assert abs(r - written_out_factorization(field, params, scheme, h_t)) <= 1e-15 * scale
 
     def test_left_moving_control_is_large(self, params):
         spec, grid, field = solitary_case(params, h0=0.1, N=512)
