@@ -328,10 +328,10 @@ def _drift_entries(res) -> dict[str, str]:
     return {f"drift_{k}": _fmt(drifts[k]) for k in ("Q", "E", "M", "Hfun")}
 
 
-def _step_entries(res) -> dict[str, str]:
+def _step_entries(res, prefix: str = "") -> dict[str, str]:
     # how the run stepped is deterministic, so it belongs in the manifest
-    return {"integrator": res.integrator, "dt": _fmt(res.dt), "steps": str(res.steps),
-            "rejected": str(res.rejected)}
+    return {f"{prefix}integrator": res.integrator, f"{prefix}dt": _fmt(res.dt),
+            f"{prefix}steps": str(res.steps), f"{prefix}rejected": str(res.rejected)}
 
 
 def recentered_shape_error(final: WaveField, reference: WaveField) -> float:
@@ -536,7 +536,12 @@ def _mode_frequency(ts: np.ndarray, cs: np.ndarray) -> float:
 
 
 def scenario_boussinesq_demo(cfg: ExperimentConfig):
-    """Filtered bidirectional runs plus the unfiltered blow-up control."""
+    """Filtered bidirectional runs plus the unfiltered blow-up control.
+
+    The three filtered runs step at scheme.dt (auto: the error-controlled
+    integrating factor); the unfiltered control always takes RK4 steps of
+    1e-4 s.  Each run's integrator and step counts go in the results.
+    """
     params = cfg.params
     g, H = params.g, params.H
     results: dict[str, str] = {}
@@ -554,7 +559,8 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
             raise ValueError(f"{key!r} must be nonzero")
     spec, omega = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
     cut = cfg.fnum("scenario.solitary_filter_cut")
-    schemeS = SchemeConfig(deriv="spectral", dt=0.01, t_end=30.0, filter_cut=cut)
+    dt = cfg.scheme.dt
+    schemeS = SchemeConfig(deriv="spectral", dt=dt, t_end=30.0, filter_cut=cut)
     rest = WaveField(grid, np.zeros(grid.N))
 
     # (a) one low linear mode: measured oscillation frequency
@@ -563,15 +569,16 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     cosk = np.cos(k0 * grid.x)
     h0f = WaveField(grid, cfg.fnum("scenario.mode_amp") * H * cosk)
     t10 = 10.0 * 2.0 * math.pi / om_exact
-    scheme = SchemeConfig(deriv="spectral", dt=0.005, t_end=t10,
-                          filter_cut=cfg.scheme.filter_cut)
-    res = evolve((h0f, rest), params, scheme, sample_every=14, record_invariants=False)
+    scheme = SchemeConfig(deriv="spectral", dt=dt, t_end=t10, filter_cut=cfg.scheme.filter_cut)
+    # the default sampling is uniform under both integrators, as the fit needs
+    res = evolve((h0f, rest), params, scheme, record_invariants=False)
     ts = np.array(res.times)
     cs = np.array([2.0 / grid.N * float(np.dot(s[0].h, cosk)) for s in res.snapshots])
     rows = ["# columns=t,mode_amplitude"]
     rows += [f"{_fmt(t)},{_fmt(c)}" for t, c in zip(ts, cs)]
     results["mode_frequency_exact"] = _fmt(om_exact)
     results["mode_frequency_measured"] = _fmt(_mode_frequency(ts, cs))
+    results.update(_step_entries(res, "mode_"))
 
     # (b) right-moving solitary data at the corrected long-wave speed
     gridS = cfg.grid
@@ -581,6 +588,7 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
                   record_invariants=False)
     results["solitary_speed_formula"] = _fmt(omega)
     results["solitary_speed_measured"] = _fmt(_crest_speed(resS))
+    results.update(_step_entries(resS, "solitary_"))
 
     # (c) broadband noise: unfiltered blow-up against the filtered twin
     rng = np.random.default_rng(cfg.seed)
@@ -588,17 +596,21 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     noise -= noise.mean()
     raw = SchemeConfig(deriv="spectral", dt=1e-4, t_end=2.0, boussinesq_filter=False)
     try:
-        evolve((WaveField(grid, noise), rest), params, raw, record_invariants=False)
+        resU = evolve((WaveField(grid, noise), rest), params, raw, record_invariants=False)
         results["unfiltered_blowup_time"] = "none"
+        results.update(_step_entries(resU, "unfiltered_"))
     except BlowUpError as e:
+        # RK4 retries no step; the run ends in the step that tripped the check
         results["unfiltered_blowup_time"] = _fmt(e.time)
-    filt = SchemeConfig(deriv="spectral", dt=1e-4, t_end=1.0,
-                        filter_cut=cfg.scheme.filter_cut)
+        results.update(unfiltered_integrator=e.integrator, unfiltered_steps=str(e.step),
+                       unfiltered_rejected="0")
+    filt = SchemeConfig(deriv="spectral", dt=dt, t_end=1.0, filter_cut=cfg.scheme.filter_cut)
     hf = WaveField(grid, lowpass(noise, grid.L, k_cut))
-    resF = evolve((hf, rest), params, filt, record_invariants=False, sample_every=500)
+    resF = evolve((hf, rest), params, filt, record_invariants=False)
     E = [boussinesq_energy(s[0], s[1], params) for s in resF.snapshots]
     drift = max(abs(e - E[0]) for e in E) / abs(E[0])
     results["filtered_energy_drift"] = _fmt(drift)
+    results.update(_step_entries(resF, "filtered_"))
     return results, {
         "mode_series.csv": (_write_rows, rows),
         "profile_solitary_final.csv": (emit_profile_csv, resS.final[0], params, "spectral"),

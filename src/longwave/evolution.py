@@ -33,29 +33,38 @@ Every run is stepped the same way, on the rfft coefficients of its
 band of retained modes (_band_run): the starting state is projected onto
 the band once, and each stage forms h^2 on the fewest points that make
 the product exact inside the band (Orszag 1971; Boyd 2001, ch. 11).
-The time integrator follows from the step.  With scheme.dt=auto a
-unidirectional run uses the embedded Lawson pair ERK4(3)-IP (Balac &
-Mahe 2013): the linear symbol is propagated exactly by exp(L dt), so the
+The time integrator follows from the step.  With scheme.dt=auto a run
+uses the embedded Lawson pair ERK4(3)-IP (Balac & Mahe 2013; Hochbruck
+& Ostermann 2010): the linear part is propagated exactly, so the
 dispersive stiffness (dt ~ dx^3 under RK4) no longer sets the step, and
 a third-order partner that shares the next step's first stage estimates
-each step's local error at no extra cost.  Its band is the 2/3-rule one,
-the rfft modes below N/3.  A PI controller (Gustafsson 1991) sizes every
+each step's local error at no extra cost.  For the unidirectional
+equation the propagator is exp(lin dt), on the 2/3-rule band (the rfft
+modes below N/3).  For the bidirectional one, on its low-pass band,
+each mode's (h, v)' = [[0, 1], [lin, 0]] (h, v) with lin = -omega^2 is
+propagated by the rotation [[cos omega dt, sin(omega dt)/omega],
+[-omega sin omega dt, cos omega dt]] ([[1, dt], [0, 1]] at mode 0), and
+the flux enters v only.  A PI controller (Gustafsson 1991) sizes every
 step so that its local error stays within IF_TOL = 3e-7 of the starting
-state's L2 norm, and no step passes the RK4 imaginary-axis limit of the
-fastest beat in the interaction picture, 2 sqrt(2) / (c_max k_rms), the
-largest group speed of the band times the state's rms wavenumber (see
-_controlled_run).  Steps may turn the fastest retained mode many times:
-about 5 turns on a transit at N = 512 and 11 at N = 1024.  3e-7 is the
-largest tolerance in a sweep (CHANGES.md) at which the acceptance
-collision's invariants drift no more than 1.5 times as much as they did
-under the two step limits this controller replaced.
+state's norm, taken as the norm in which the propagator is an isometry
+(the L2 norm of h; (sum omega^2 |h|^2 + |v|^2)^(1/2) for the
+bidirectional pair), and no step passes the RK4 imaginary-axis limit of
+the fastest beat in the interaction picture, 2 sqrt(2) / (c_max k_rms),
+the largest group speed of the band's dispersion relation times the
+state's rms wavenumber (see _controlled_run).  Steps may turn the
+fastest retained mode many times: about 5 turns on a transit at N = 512
+and 11 at N = 1024.  3e-7 is the largest tolerance in a sweep
+(CHANGES.md) at which the acceptance collision's invariants drift no
+more than 1.5 times as much as they did under the two step limits this
+controller replaced.
 
-An explicit dt, and every bidirectional run, uses classical 4-stage
-Runge-Kutta (RK4) on the same stepper, whose advisory step is 0.4 times
-the RK4 limit of the linearized symbol; the 0.4 is frozen from a
-blow-up sweep (solitary runs remain stable up to about 1.05 times the
-limit).  An explicit-dt unidirectional band is every mode, so its
-product is the full-grid pseudo-spectral one of kdv_rhs.  The blow-up
+An explicit dt, and an unfiltered bidirectional run (whose linear part
+grows above sqrt(3)/H, so no rotation propagates it), uses classical
+4-stage Runge-Kutta (RK4) on the same stepper, whose advisory step is
+0.4 times the RK4 limit of the linearized symbol; the 0.4 is frozen
+from a blow-up sweep (solitary runs remain stable up to about 1.05
+times the limit).  An explicit-dt unidirectional band is every mode,
+so its product is the full-grid pseudo-spectral one of kdv_rhs.  The blow-up
 check reads a bound on max|h| from the band coefficients and forms h on
 the grid only when that bound nears the limit, so it stays exact.
 """
@@ -66,7 +75,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -101,7 +110,7 @@ logger = logging.getLogger(__name__)
 
 RK4_IMAG_LIMIT = 2.0 * math.sqrt(2.0)
 CFL_SAFETY = 0.4
-IF_TOL = 3e-7  # local error per auto-dt (ERK4(3)-IP) step, relative to the start's L2 norm
+IF_TOL = 3e-7  # local error per auto-dt (ERK4(3)-IP) step, relative to the start's norm
 BLOWUP_FACTOR = 10.0  # |h| beyond this multiple of H aborts the run
 
 
@@ -109,14 +118,16 @@ class BlowUpError(RuntimeError):
     """Raised when the solution leaves the model's validity range.
 
     time is when, step the number of the step that tripped the check
-    (counted from the run's start; 1 for a single public step), and
-    max_abs_h the max|h| it found [m] (inf or nan when not finite).
+    (counted from the run's start; 1 for a single public step),
+    max_abs_h the max|h| it found [m] (inf or nan when not finite) and
+    integrator the integrator that took the step ("rk4" or "ifrk4").
     """
 
-    def __init__(self, time: float, step: int, max_abs_h: float):
+    def __init__(self, time: float, step: int, max_abs_h: float, integrator: str = ""):
         self.time = time
         self.step = step
         self.max_abs_h = max_abs_h
+        self.integrator = integrator
         super().__init__(f"solution blew up at t = {time:.6g} s "
                          f"(step {step}, max|h| = {max_abs_h:.6g} m)")
 
@@ -315,16 +326,20 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     full-grid product.
 
     For integrator "rk4", step(z, dt) is the state one classical RK4 step
-    of dt later.  For "ifrk4" (unidirectional only), step(z, n, dt) is one
-    step of the embedded Lawson pair ERK4(3)-IP (Balac & Mahe 2013).  Its
-    fourth-order solution is Lawson's RK4, which propagates lin exactly by
-    exp(lin dt) and leaves the stages only the h^2 flux; its third-order
+    of dt later.  For "ifrk4", step(z, n, dt) is one step of the embedded
+    Lawson pair ERK4(3)-IP (Balac & Mahe 2013).  Its fourth-order solution
+    is Lawson's RK4, which propagates the linear part exactly and leaves
+    the stages only the h^2 flux: by exp(lin dt) for a unidirectional run;
+    for a bidirectional one by the rotation of each mode's (h, v) pair
+    (see the module docstring), with the flux entering v only (the
+    low-pass band is required, ValueError otherwise).  Its third-order
     partner adds the stage of the new state, which is the next step's
     first (first same as last).  n is the band square of z (None: formed
     here).  It returns (z1, n1, err): the new state, its band square (the
     next step's n) and the local error estimate ||(dt/10) flux (n4 - n1)||
     from the fourth stage's square n4, which costs no product beyond the
-    four of Lawson's RK4.
+    four of Lawson's RK4.  That error sits in h, or in v alone, so its L2
+    norm is its norm in the isometric norm of _controlled_run.
     """
     if bidirectional:
         lin, flux = _boussinesq_symbols_for(grid, params, config)
@@ -347,35 +362,68 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     if integrator == "rk4":
         return lin, flux, lambda z, dt: _rk4(z, rhs, dt)
 
-    @lru_cache(maxsize=8)  # evolve's steps sit on a few rungs of a ladder
-    def weights(dt: float):
-        # the flux multiplier and the stage weights folded into one array each
-        E = np.exp(0.5 * dt * lin)
-        return (E, (0.5 * dt) * E * flux_m, (0.5 * dt) * flux_m, dt * E * flux_m,
-                (dt / 6.0) * E * E * flux_m, (dt / 3.0) * E * flux_m, (dt / 6.0) * flux_m,
-                (dt / 10.0) * flux_m)
+    # weights(dt) gives the half-step propagator P of the linear part and
+    # the stage weights, each a coefficient times P, P^2 or 1 applied to the
+    # flux vector, folded into one array; sq(x) is the band square of the h
+    # of a stage x (a bidirectional stage has one row per field)
+    if bidirectional:
+        if not config.boussinesq_filter:
+            raise ValueError("the integrating factor needs the low-pass band: unfiltered, "
+                             "the bidirectional model grows without bound above sqrt(3)/H")
+        om = np.sqrt(-lin)  # lin = -omega^2 <= 0 on the low-pass band
+        g = np.stack((np.zeros(J), flux_m))  # the flux enters v only
+        shape = (2, J)
+
+        def sq(x: np.ndarray) -> np.ndarray:
+            return squared(x[0])
+
+        def rotation(tau: float):
+            # exp(tau [[0, 1], [lin, 0]]) = [[c, s], [lin s, c]], s = sin(om tau)/om
+            # (tau at mode 0, where it is [[1, tau], [0, 1]])
+            s = np.divide(np.sin(om * tau), om, out=np.full(J, tau), where=om > 0)
+            return np.cos(om * tau), s
+
+        @lru_cache(maxsize=8)
+        def weights(dt: float):
+            c, s = rotation(0.5 * dt)
+            c2, s2 = rotation(dt)
+            X = np.stack((s, lin * s))
+            Pg, P2g = np.stack((s, c)) * flux_m, np.stack((s2, c2)) * flux_m
+            return (lambda z: c * z + X * z[::-1], (0.5 * dt) * Pg, (0.5 * dt) * g, dt * Pg,
+                    (dt / 6.0) * P2g, (dt / 3.0) * Pg, (dt / 6.0) * g, (dt / 10.0) * flux_m)
+    else:
+        shape, sq = (J,), squared
+
+        @lru_cache(maxsize=8)  # evolve's steps sit on a few rungs of a ladder
+        def weights(dt: float):
+            E = np.exp(0.5 * dt * lin)
+            return (partial(np.multiply, E), (0.5 * dt) * E * flux_m, (0.5 * dt) * flux_m,
+                    dt * E * flux_m, (dt / 6.0) * E * E * flux_m, (dt / 3.0) * E * flux_m,
+                    (dt / 6.0) * flux_m, (dt / 10.0) * flux_m)
 
     def step(z: np.ndarray, n1: np.ndarray | None, dt: float):
-        E, a2, a3, a4, b1, b23, b4, e = weights(dt)
+        P, a2, a3, a4, b1, b23, b4, e = weights(dt)
+        z = z.reshape(shape)
         if n1 is None:
-            n1 = squared(z)
-        Ez = E * z
-        E2z = E * Ez
-        n2 = squared(Ez + a2 * n1)
-        n3 = squared(Ez + a3 * n2)
-        n4 = squared(E2z + a4 * n3)
-        z1 = E2z + b1 * n1 + b23 * (n2 + n3) + b4 * n4
-        n5 = squared(z1)
+            n1 = sq(z)
+        Pz = P(z)
+        P2z = P(Pz)
+        n2 = sq(Pz + a2 * n1)
+        n3 = sq(Pz + a3 * n2)
+        n4 = sq(P2z + a4 * n3)
+        z1 = P2z + b1 * n1 + b23 * (n2 + n3) + b4 * n4
+        n5 = sq(z1)
         d = e * (n4 - n5)
-        return z1, n5, math.sqrt(np.vdot(d, d).real)
+        return z1.ravel(), n5, math.sqrt(np.vdot(d, d).real)
 
     return lin, flux, step
 
 
-def _check_alive(h: np.ndarray, H: float, t: float, step: int = 1) -> None:
+def _check_alive(h: np.ndarray, H: float, t: float, step: int = 1,
+                 integrator: str = "") -> None:
     m = float(np.max(np.abs(h)))
     if not math.isfinite(m) or m > BLOWUP_FACTOR * H:
-        raise BlowUpError(t, step, m)
+        raise BlowUpError(t, step, m, integrator)
 
 
 def _unpack(state) -> tuple[bool, PeriodicGrid, float, np.ndarray]:
@@ -406,7 +454,7 @@ def _step(state, params: PhysicalParams, config: SchemeConfig, integrator: str,
     z = np.fft.rfft(y)[:, :J].ravel()
     z = step(z, dt) if integrator == "rk4" else step(z, None, dt)[0]
     y = np.fft.irfft(z.reshape(-1, J), n=grid.N)
-    _check_alive(y[0], params.H, t + dt)
+    _check_alive(y[0], params.H, t + dt, 1, integrator)
     return _pack(grid, y, t + dt, bidirectional)
 
 
@@ -425,20 +473,22 @@ def step_rk4(state, params: PhysicalParams, config: SchemeConfig,
     return _step(state, params, config, "rk4", dt)
 
 
-def step_ifrk4(field: WaveField, params: PhysicalParams, config: SchemeConfig,
-               dt: float) -> WaveField:
-    """One Lawson integrating-factor RK4 step of the unidirectional equation.
+def step_ifrk4(state, params: PhysicalParams, config: SchemeConfig, dt: float):
+    """One Lawson integrating-factor RK4 step of the appropriate dynamics.
 
-    The scheme's linear symbol (advection and dispersion) is propagated
-    exactly, so dt is not bounded by the dispersive stiffness.  This is
-    the fourth-order solution of the pair evolve steps scheme.dt=auto runs
+    state is a WaveField (unidirectional) or an (h, v) pair of
+    WaveFields (bidirectional, low-pass filter on), as for step_rk4.  The
+    scheme's linear part is propagated exactly (exp(lin dt) for the
+    unidirectional equation, each mode's rotation for the bidirectional
+    one), so dt is not bounded by the dispersive stiffness.  This is the
+    fourth-order solution of the pair evolve steps scheme.dt=auto runs
     with, taken at the fixed step dt (evolve sizes its steps by the error
-    controller of the module docstring).  The step is 2/3-dealiased:
-    field is projected onto the retained band (rfft modes j with 3j < N)
-    and the result has no content above it.
-    Raises BlowUpError when the solution leaves the model's validity range.
+    controller of the module docstring).  The state is projected onto its
+    band first (rfft modes j with 3j < N for a WaveField, the retained
+    band for a pair) and the result has no content above it.  Raises
+    BlowUpError when the solution leaves the model's validity range.
     """
-    return _step(field, params, config, "ifrk4", dt)
+    return _step(state, params, config, "ifrk4", dt)
 
 
 @dataclass
@@ -466,25 +516,26 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
 
     initial is a WaveField or an (h, v) WaveField pair.  Every run steps
     the rfft coefficients of its retained band through one stepper
-    (_band_run); the integrator follows from config.dt.  A
-    unidirectional run with dt = None steps with the embedded Lawson pair
-    ERK4(3)-IP ("ifrk4") on the 2/3-rule band: the linear symbol is
-    propagated exactly, and a PI controller sizes each step so that its
+    (_band_run); the integrator follows from config.dt.  A run with
+    dt = None steps with the embedded Lawson pair ERK4(3)-IP ("ifrk4"):
+    the linear part is propagated exactly (on the 2/3-rule band for a
+    unidirectional run, by each mode's rotation on the low-pass band for
+    a bidirectional one), and a PI controller sizes each step so that its
     relative local error stays within IF_TOL (see the module docstring).
     Steps land exactly on the sample times and on t_end; a step rejected
     by the controller is retried smaller and counted in result.rejected.
-    An explicit dt, and every bidirectional run, steps with classical RK4
-    ("rk4"), warned against (or, for dt = None, set to) the RK4 stability
-    advisory; its step is shrunk so that an integer number of steps lands
-    exactly on t_end.  Its band is every mode for a unidirectional run and
-    the low-pass band for a bidirectional one (every mode when the filter
-    is off).  The initial state is projected onto the band once: the first
-    snapshot is the initial state as given, later ones carry no modes
-    above the band.  Every accepted step is checked for blow-up.
-    Snapshots, invariant sets, and observer callbacks fire at the
-    endpoints and every sample_every accepted steps; by default at ~50
-    samples per run (RK4: every nsteps // 50 steps; IF: at t_end k/50,
-    k = 1..50).  Observers receive (t, snapshot) and must not mutate it.
+    An explicit dt, and an unfiltered bidirectional run, steps with
+    classical RK4 ("rk4"), warned against (or, for dt = None, set to) the
+    RK4 stability advisory; its step is shrunk so that an integer number
+    of steps lands exactly on t_end.  Its band is every mode for a
+    unidirectional run and the low-pass band for a bidirectional one
+    (every mode when the filter is off).  The initial state is projected
+    onto the band once: the first snapshot is the initial state as given,
+    later ones carry no modes above the band.  Every accepted step is
+    checked for blow-up.  Snapshots, invariant sets, and observer
+    callbacks fire at the endpoints and every sample_every accepted
+    steps; by default at ~50 samples per run (RK4: every nsteps // 50
+    steps; IF: at t_end k/50, k = 1..50).  Observers receive (t, snapshot) and must not mutate it.
     result.dt is the mean step t_end / steps.
     """
     if sample_every is not None and not (isinstance(sample_every, (int, np.integer))
@@ -492,7 +543,9 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
         raise ValueError(f"sample_every must be a positive integer or None, "
                          f"got {sample_every!r}")
     bidirectional, grid, t0, y = _unpack(initial)
-    integrator = "rk4" if bidirectional or config.dt is not None else "ifrk4"
+    # the unfiltered bidirectional model has no integrating factor: it grows above sqrt(3)/H
+    rk4 = config.dt is not None or (bidirectional and not config.boussinesq_filter)
+    integrator = "rk4" if rk4 else "ifrk4"
     lin, flux, step = _band_run(grid, params, config, bidirectional, integrator)
     J = lin.size
     result = EvolutionResult(times=[], snapshots=[], invariants=[],
@@ -518,7 +571,7 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
 
     def accepted(i: int, t: float, z: np.ndarray, due: bool) -> None:
         if not 2.0 / grid.N * np.abs(z[:J]).sum() < limit:
-            _check_alive(np.fft.irfft(z[:J], n=grid.N), params.H, t, i)
+            _check_alive(np.fft.irfft(z[:J], n=grid.N), params.H, t, i, integrator)
         if due:
             sample(t, np.fft.irfft(z.reshape(-1, J), n=grid.N))
 
@@ -541,7 +594,7 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     elif config.t_end > 0:
         stops = ([t0 + config.t_end * k / 50 for k in range(1, 51)] if sample_every is None
                  else [t0 + config.t_end])
-        nsteps, result.rejected = _controlled_run(step, lin, flux, y[0], grid.L, t0, stops,
+        nsteps, result.rejected = _controlled_run(step, lin, flux, y, grid.L, t0, stops,
                                                   sample_every, accepted)
     else:
         nsteps = 0
@@ -550,46 +603,57 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     return result
 
 
-def _controlled_run(step, lin: np.ndarray, flux: np.ndarray, h: np.ndarray, L: float,
+def _controlled_run(step, lin: np.ndarray, flux: np.ndarray, y: np.ndarray, L: float,
                     t: float, stops: list[float], sample_every: int | None,
                     accepted) -> tuple[int, int]:
-    """Step an ERK4(3)-IP run from the field h at time t through every stop.
+    """Step an ERK4(3)-IP run from the samples y at time t through every stop.
 
-    step, lin and flux are _band_run's.  Returns the accepted and rejected
-    step counts; accepted(i, t, z, due) sees every accepted step, due at
-    each landing on a stop and, with sample_every, at every
-    sample_every-th step.
+    step, lin and flux are _band_run's, and y stacks the samples of h (and
+    of v for a bidirectional run).  Returns the accepted and rejected step
+    counts; accepted(i, t, z, due) sees every accepted step, due at each
+    landing on a stop and, with sample_every, at every sample_every-th
+    step.
 
-    A PI controller (Gustafsson 1991) keeps each step's local error within
-    IF_TOL of the starting state's L2 norm.  The first step wanted is 0.01
-    of the time the flux takes to change the state by its own size
-    (Hairer, Norsett & Wanner, sec. II.4).  Every step is also held within
-    the RK4 imaginary-axis limit of the fastest beat in the interaction
-    picture, 2 sqrt(2) / (c_max k_rms): c_max is the largest group speed
-    of the retained band and k_rms the state's rms wavenumber.  Beyond it
-    the stages sample the beat of the top modes against the state's own
-    structure too coarsely, and roundoff there grows by a factor each lap
-    that the error norm does not see until it is large.  Steps are rounded
-    down to a 2^(1/16) ladder, so the stepper's exp-folded weights are
-    reused; a step that would pass the next stop lands on it.  A step
-    wanted below 1e-8 of the run raises BlowUpError, with the max|h| of the
-    last rejected step, rather than spin: near that size (about sqrt(eps)
-    of the state's time scale) the two solutions of the pair agree to the
-    last bit and the error estimate reads zero.
+    Errors and sizes are measured in the norm in which the band's linear
+    flow is an isometry: the L2 norm of h for the unidirectional equation,
+    (sum omega^2 |h|^2 + |v|^2)^(1/2) for the bidirectional one, with
+    omega^2 = -lin.  A PI controller (Gustafsson 1991) keeps each step's
+    local error within IF_TOL of the starting state's norm.  The first
+    step wanted is 0.01 of the time the flux takes to change the state by
+    its own size (Hairer, Norsett & Wanner, sec. II.4).  Every step is
+    also held within the RK4 imaginary-axis limit of the fastest beat in
+    the interaction picture, 2 sqrt(2) / (c_max k_rms): c_max is the
+    largest group speed of the band's own dispersion relation (omega =
+    Im lin, or sqrt(-lin)) and k_rms the state's rms wavenumber in that
+    norm.  Beyond it the stages sample the beat of the top modes against
+    the state's own structure too coarsely, and roundoff there grows by a
+    factor each lap that the error norm does not see until it is large.
+    Steps are rounded down to a 2^(1/16) ladder, so the stepper's folded
+    weights are reused; a step that would pass the next stop lands on it.
+    A step wanted below 1e-8 of the run raises BlowUpError, with the
+    max|h| of the last rejected step, rather than spin: near that size
+    (about sqrt(eps) of the state's time scale) the two solutions of the
+    pair agree to the last bit and the error estimate reads zero.
     """
-    J, N = lin.size, h.size
-    z = np.fft.rfft(h)[:J]
-    k2 = (2.0 * math.pi / L * np.arange(J)) ** 2
-    c_max = float(np.abs(np.diff(lin.imag)).max()) * L / (2.0 * math.pi)
+    (m, N), J = y.shape, lin.size
+    z = np.fft.rfft(y)[:, :J].ravel()
+    # the band's dispersion relation and the weights of the isometric norm
+    omega = np.sqrt(-lin) if m == 2 else lin.imag
+    iso = np.concatenate((omega, np.ones(J))) if m == 2 else 1.0
+    k2 = np.tile((2.0 * math.pi / L * np.arange(J)) ** 2, m)
+    c_max = float(np.abs(np.diff(omega)).max()) * L / (2.0 * math.pi)
 
     def beat_limit(z: np.ndarray) -> float:
-        power = np.vdot(z, z).real
-        k2_mean = np.vdot(z, k2 * z).real / power if power else 0.0
+        u = iso * z
+        power = np.vdot(u, u).real
+        k2_mean = np.vdot(u, k2 * u).real / power if power else 0.0
         return RK4_IMAG_LIMIT / (c_max * math.sqrt(k2_mean)) if k2_mean else math.inf
 
-    size = math.sqrt(np.vdot(z, z).real)
+    u = iso * z
+    size = math.sqrt(np.vdot(u, u).real)
     tol, floor = IF_TOL * size, 1e-8 * (stops[-1] - t)
-    rate = np.linalg.norm(flux * np.fft.rfft(h * h)[:J]) / size if size else 0.0
+    # the flux changes h (unidirectional) or v (bidirectional), unit weight both
+    rate = np.linalg.norm(flux * np.fft.rfft(y[0] * y[0])[:J]) / size if size else 0.0
     want = min(0.01 / rate if rate else math.inf, beat_limit(z))
     n, i, rejected, r_prev = None, 0, 0, 1.0
     for stop in stops:
@@ -617,7 +681,8 @@ def _controlled_run(step, lin: np.ndarray, flux: np.ndarray, h: np.ndarray, L: f
                 fac = 0.9 * (tol / err) ** 0.25 if err < math.inf else 0.0  # nan too
                 want = dt * min(0.9, max(0.2, fac))
                 if want < floor:
-                    raise BlowUpError(t, i + 1, float(np.max(np.abs(np.fft.irfft(z1, n=N)))))
+                    h1 = np.fft.irfft(z1[:J], n=N)
+                    raise BlowUpError(t, i + 1, float(np.max(np.abs(h1))), "ifrk4")
     return i, rejected
 
 
@@ -735,11 +800,15 @@ def factorization_residual(field: WaveField, params: PhysicalParams,
     pair (pass h_t = +sqrt(gH) h_x) leave an order-one residual.
     """
     grid, h = field.grid, field.h
-    lin, flux = _symbols_for(grid, params, SchemeConfig(deriv=scheme))
+    # both tables are built uncached: a residual's domain length is seldom
+    # reused, and each would hold a cache entry that no run reads
+    lin, flux = _kdv_symbols.__wrapped__(grid.N, grid.L, params.g, params.H, 0.0,
+                                         "fixed", 0.0, scheme, False)
     if h_t is None:
         h_t = _grid_rhs(lin, flux, h)
     h_tt = np.fft.irfft(lin * np.fft.rfft(h_t) + 2.0 * flux * np.fft.rfft(h * h_t), n=grid.N)
-    bidirectional = _boussinesq_symbols(grid.N, grid.L, params.g, params.H, scheme, None)
+    bidirectional = _boussinesq_symbols.__wrapped__(grid.N, grid.L, params.g, params.H,
+                                                    scheme, None)
     return float(np.max(np.abs(h_tt - _grid_rhs(*bidirectional, h))))
 
 

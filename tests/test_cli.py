@@ -519,12 +519,24 @@ class TestScenarioSmoke:
             assert filecmp.cmp(tmp_path / "r1" / name, tmp_path / "r2" / name,
                                shallow=False)
 
-    def test_boussinesq_demo_scenario(self, tmp_path):
+    @pytest.mark.parametrize("sets, filtered", [
+        ([], "ifrk4"),  # scheme.dt=auto: the three filtered runs take the integrating factor
+        (["--set", "scheme.dt=0.005"], "rk4"),
+    ], ids=["auto", "explicit_dt"])
+    def test_boussinesq_demo_scenario(self, tmp_path, sets, filtered):
         rc = main(["scenario", "boussinesq_demo", "--out", str(tmp_path / "bd"),
-                   "--set", "grid.N=256", "--set", "grid.L=64"])
+                   "--set", "grid.N=256", "--set", "grid.L=64", *sets])
         assert rc == EXIT_OK
         manifest = dict(l.split("=", 1) for l in
                         (tmp_path / "bd" / "manifest.txt").read_text().splitlines())
+        # the unfiltered control keeps its 1e-4 s RK4 step whatever scheme.dt says
+        integrators = {run: manifest[f"result.{run}_integrator"]
+                       for run in ("mode", "solitary", "unfiltered", "filtered")}
+        assert integrators == {"mode": filtered, "solitary": filtered, "unfiltered": "rk4",
+                               "filtered": filtered}
+        for run in ("mode", "solitary", "unfiltered", "filtered"):
+            assert int(manifest[f"result.{run}_steps"]) > 0
+            assert manifest[f"result.{run}_rejected"] == "0"
         om = float(manifest["result.mode_frequency_measured"])
         om0 = float(manifest["result.mode_frequency_exact"])
         assert abs(om - om0) / om0 < 1e-3
@@ -646,3 +658,17 @@ class TestNothingWrittenUnlessTheRunSucceeds:
         assert rc == EXIT_OK
         assert calls == {"evolve": 1, "emit_profile_csv": 2, "emit_invariants_csv": 1,
                          "write_manifest": 1}
+
+    def test_traced_names_are_called_from_the_cli_module_by_the_demo(self, tmp_path,
+                                                                      monkeypatch):
+        # the same guard for the benchmark's boussinesq_filtered workload
+        calls = {}
+        for name in ("evolve", "emit_profile_csv", "emit_invariants_csv", "write_manifest"):
+            def counted(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        rc = main(["scenario", "boussinesq_demo", "--out", str(tmp_path / "bd"),
+                   "--set", "grid.N=256", "--set", "grid.L=64"])
+        assert rc == EXIT_OK
+        assert calls == {"evolve": 4, "emit_profile_csv": 1, "write_manifest": 1}

@@ -166,7 +166,7 @@ class TestStepRk4:
                    SchemeConfig(dt=1e-4, t_end=2.0, boussinesq_filter=False),
                    record_invariants=False)
         e = exc.value
-        assert 0 < e.step < 20000
+        assert 0 < e.step < 20000 and e.integrator == "rk4"
         assert e.time == pytest.approx(e.step * 1e-4, rel=1e-9)
         assert not (e.max_abs_h <= 10 * params.H)
         assert str(e).startswith(f"solution blew up at t = {e.time:.6g} s")
@@ -301,6 +301,135 @@ class TestBoussinesqBand:
         assert f[0].t == pytest.approx(res.final[0].t)
         assert np.max(np.abs(f[0].h - res.final[0].h)) <= 1e-13
         assert np.max(np.abs(f[1].h - res.final[1].h)) <= 1e-13
+
+
+def boussinesq_band_state(params, state, config):
+    """(z, iso) of a pair: its band state and the weights of the norm on it.
+
+    iso weighs (h, v) so that the rotation is an isometry: omega for h,
+    1 for v, with omega^2 = -lin.
+    """
+    lin, _ = evolution._boussinesq_symbols_for(state[0].grid, params, config)
+    J = lin.size
+    z = np.fft.rfft(np.stack([state[0].h, state[1].h]))[:, :J].ravel()
+    return z, np.concatenate((np.sqrt(-lin), np.ones(J)))
+
+
+def filtered_solitary(params, h0, grid, cut):
+    """Criterion 10's right-moving solitary data on the band below cut sqrt(3)/H."""
+    spec = SolitarySpec(h0, SIGMA0, params.H, params.g)
+    h = lowpass(solitary_profile(spec, grid.x), grid.L, cut * math.sqrt(3.0) / params.H)
+    v = -solitary_speed(spec) * diff(h, grid.L, 1)
+    return (WaveField(grid, h), WaveField(grid, v)), solitary_speed(spec)
+
+
+class TestBoussinesqIfrk4:
+    @pytest.mark.parametrize("scheme", ["spectral", "centered4"])
+    @pytest.mark.parametrize("part", ["a", "b", "c"])
+    def test_rotation_step_matches_the_band_rk4_step(self, params, part, scheme):
+        # at criterion 10's own small steps both fourth-order steppers move the
+        # band state alike: after 20 steps they part by RK4's own error, 1e-10
+        # of the motion on (a) and 3e-9 on (b); a wrong rotation entry would
+        # part them by the motion itself
+        state, dt, cut = criterion_10_state(params, part)
+        config = SchemeConfig(deriv=scheme, filter_cut=cut)
+        z0, iso = boussinesq_band_state(params, state, config)
+        _, _, rk4 = evolution._band_run(state[0].grid, params, config, True, "rk4")
+        _, _, lawson = evolution._band_run(state[0].grid, params, config, True, "ifrk4")
+        za, zb, n = z0, z0, None
+        for _ in range(20):
+            za = rk4(za, dt)
+            zb, n, _ = lawson(zb, n, dt)
+        moved = np.linalg.norm(iso * (za - z0))
+        assert np.linalg.norm(iso * (zb - za)) <= 1e-8 * moved
+
+    def test_linear_mode_propagated_exactly(self, params):
+        # mode 8 of part (a)'s J = 9 band squares onto mode 0, where the flux
+        # is zero, and onto mode 16, above the band: only the rotation acts on
+        # it, so one step 100x past the RK4 limit must be exact
+        (h, _), _, cut = criterion_10_state(params, "a")
+        grid, g, H = h.grid, params.g, params.H
+        k = 2 * math.pi * 8 / grid.L
+        om = k * math.sqrt(g * H * (1 - H * H * k * k / 3))
+        v = WaveField(grid, 0.5 * om * h.h)
+        config = SchemeConfig(filter_cut=cut)
+        dt = 100 * stable_dt(grid, params, config, "boussinesq") / 0.4
+        out = step_ifrk4((h, v), params, config, dt)
+        h8, v8 = np.fft.rfft(h.h)[8], np.fft.rfft(v.h)[8]
+        want_h = h8 * math.cos(om * dt) + v8 * math.sin(om * dt) / om
+        want_v = -om * h8 * math.sin(om * dt) + v8 * math.cos(om * dt)
+        size = math.hypot(om * abs(h8), abs(v8))
+        assert om * abs(np.fft.rfft(out[0].h)[8] - want_h) <= 1e-12 * size
+        assert abs(np.fft.rfft(out[1].h)[8] - want_v) <= 1e-12 * size
+        assert out[0].t == out[1].t == pytest.approx(dt)
+
+    @pytest.mark.parametrize("scheme", ["spectral", "centered4"])
+    def test_embedded_error_estimate_is_third_order(self, params, scheme):
+        # as for the unidirectional pair: halving dt cuts the estimate ~16x,
+        # and the fourth-order step's own local error, in the norm the
+        # rotation conserves, stays below it
+        grid, cut = PeriodicGrid(L=60.0, N=256), 0.75
+        state, _ = filtered_solitary(params, 0.2, grid, cut)
+        config = SchemeConfig(deriv=scheme, filter_cut=cut)
+        z, iso = boussinesq_band_state(params, state, config)
+        _, _, step = evolution._band_run(grid, params, config, True, "ifrk4")
+        dts = (0.1, 0.05, 0.025)
+        est = [step(z, None, dt)[2] for dt in dts]
+        assert all(12.0 <= a / b <= 24.0 for a, b in zip(est, est[1:]))
+        for dt, e in zip(dts, est):
+            fine, n = z, None
+            for _ in range(64):
+                fine, n, _ = step(fine, n, dt / 64)
+            assert np.linalg.norm(iso * (step(z, None, dt)[0] - fine)) <= e
+
+    def test_filtered_solitary_laps_keep_the_top_of_the_band(self, params):
+        # criterion 10's solitary data on a coarser grid, three laps under the
+        # error controller: the top eighth of the band holds the profile's own
+        # content (1e-4 m), which must not grow from lap to lap.  The
+        # tolerance sets every step here (about 0.05 s); the beat limit, some
+        # seconds, does not bind
+        grid, cut = PeriodicGrid(L=120.0, N=256), 0.75
+        state, c = filtered_solitary(params, 0.1, grid, cut)
+        config = SchemeConfig(t_end=grid.L / c, filter_cut=cut)
+        J = np.count_nonzero(wavenumbers(grid.N, grid.L) <= cut * math.sqrt(3.0) / params.H)
+        tops = []
+        for _ in range(3):
+            res = evolve(state, params, config, record_invariants=False, sample_every=10 ** 9)
+            assert (res.integrator, res.rejected) == ("ifrk4", 0)
+            state = res.final
+            tops.append((np.abs(np.fft.rfft(state[0].h)) / grid.N)[J - J // 8:J].max())
+        assert all(b <= a for a, b in zip(tops, tops[1:]))
+
+    def test_beat_limit_reads_the_bidirectional_dispersion_relation(self, params):
+        # filtered noise at 1e-10 H is linear to roundoff, so its error
+        # estimate is near zero and, between sparse stops, the steps grow to
+        # the RK4 limit of the fastest beat, 2 sqrt(2) / (c_max k_rms): c_max
+        # is the largest group speed of omega^2 = g H k^2 (1 - H^2 k^2 / 3)
+        # over the band, and k_rms is taken in the norm the rotation conserves
+        state, _, cut = criterion_10_state(params, "c")
+        grid, g, H = state[0].grid, params.g, params.H
+        k = wavenumbers(grid.N, grid.L)
+        k = k[k <= cut * math.sqrt(3.0) / H]
+        om = k * np.sqrt(g * H * (1 - H * H * k * k / 3))
+        c_max = np.max(np.abs(np.diff(om) / np.diff(k)))
+        power = (om * np.abs(np.fft.rfft(state[0].h)[:k.size])) ** 2  # v = 0
+        limit = 2 * math.sqrt(2) / (c_max * math.sqrt(np.sum(k * k * power) / np.sum(power)))
+        times = []
+        res = evolve(state, params, SchemeConfig(t_end=20.0, filter_cut=cut),
+                     record_invariants=False, observers=[lambda t, s: times.append(t)],
+                     sample_every=1)
+        assert res.integrator == "ifrk4"
+        largest = np.diff(times)[:-1].max()  # the last step lands on t_end
+        assert limit * 2 ** (-1 / 16) * (1 - 1e-9) <= largest <= limit * (1 + 1e-9)
+
+    def test_unfiltered_run_stays_on_rk4(self, params):
+        # above sqrt(3)/H the unfiltered model grows, so no rotation propagates it
+        state, _, _ = criterion_10_state(params, "c")
+        config = SchemeConfig(t_end=0.01, boussinesq_filter=False)
+        res = evolve(state, params, config, record_invariants=False)
+        assert (res.integrator, res.rejected) == ("rk4", 0)
+        with pytest.raises(ValueError, match="low-pass band"):
+            step_ifrk4(state, params, config, 0.01)
 
 
 def kdv_linear_symbol(params, grid, scheme):
@@ -528,7 +657,7 @@ class TestIfrk4:
         assert np.diff(times).max() * np.max(np.abs(lin)) > 2 * math.pi
         J = lin.size
         coeffs = np.abs(np.fft.rfft(res.final.h)) / grid.N
-        assert coeffs[J:].max() <= 1e-16
+        assert coeffs[J:].max() <= 1e-17
         # the top of the band holds the waves' own content (3e-8 to 7e-8 m at
         # N = 256) and the tolerance's truncation error (3e-9 m at N = 384,
         # 1.3e-10 m at a tolerance of 1e-8), far below what a resonance would
@@ -842,6 +971,26 @@ class TestFactorization:
         r = factorization_residual(field, params, h_t=left)
         norm = params.g * params.H * 1.5 * spec.h0 ** 2 / params.H ** 3
         assert r / norm > 1e-3
+
+    def test_residual_leaves_the_symbol_caches_alone(self, params):
+        # a residual at a fresh domain length builds its two tables uncached,
+        # and its value is the one the cached tables give, bit for bit
+        spec = SolitarySpec(h0=0.02, sigma=SIGMA0, H=params.H, g=params.g)
+        caches = (evolution._kdv_symbols, evolution._boussinesq_symbols)
+        sizes = [c.cache_info().currsize for c in caches]
+        fields = [solitary_field(spec, PeriodicGrid(L=160.0 + 0.37 * i, N=128)) for i in range(4)]
+        cases = [(f, s) for f in fields for s in ("spectral", "centered4")]
+        got = [factorization_residual(f, params, s) for f, s in cases]
+        assert [c.cache_info().currsize for c in caches] == sizes
+        for (field, scheme), r in zip(cases, got):
+            grid, h = field.grid, field.h
+            lin, flux = evolution._symbols_for(grid, params, SchemeConfig(deriv=scheme))
+            h_t = evolution._grid_rhs(lin, flux, h)
+            h_tt = np.fft.irfft(lin * np.fft.rfft(h_t) + 2 * flux * np.fft.rfft(h * h_t),
+                                n=grid.N)
+            bidirectional = evolution._boussinesq_symbols(grid.N, grid.L, params.g, params.H,
+                                                          scheme, None)
+            assert r == np.max(np.abs(h_tt - evolution._grid_rhs(*bidirectional, h)))
 
 
 class TestCrestTracking:
