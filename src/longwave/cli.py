@@ -2,15 +2,19 @@
 CSV output.
 
 Configuration is a flat key=value map (dots group sections, e.g.
-grid.N=1024).  Defaults < config file (--config) < command-line
-overrides (--set key=value).  An unknown key or a value that does not
-parse as its kind (KINDS) is a usage error, raised before anything runs.
+grid.N=1024).  COMMANDS lists the keys each command reads, with their
+defaults, and KINDS what each key's value must be.  Defaults < config
+file (--config) < command-line overrides (--set key=value).  A value
+that does not parse as its kind, a key no command reads and a --set key
+the command does not read are usage errors, raised before anything
+runs; a config-file key the command does not read is left out, so one
+file can serve several commands.
 Each experiment returns its results and its files, a map from file
 name to (writer, *args); _run writes them only after it returns, so a
 run that fails writes nothing, not even its output directory.  Every
-run, analytic included, writes a manifest of the resolved configuration
-and the library version, so outputs are reproducible from the manifest
-alone; identical configuration and seed give byte-identical files.
+run, analytic included, writes a manifest of the keys it read and the
+library version, so outputs are reproducible from the manifest alone;
+identical configuration and seed give byte-identical files.
 
 Exit codes: 0 success, 2 usage error, 3 numerical blow-up, 4 I/O error.
 """
@@ -61,58 +65,39 @@ from .elliptic import complete_K
 
 EXIT_OK, EXIT_USAGE, EXIT_BLOWUP, EXIT_IO = 0, 2, 3, 4
 
-DEFAULTS = {
-    "physical.g": "9.81",
-    "physical.H": "1.0",
-    "physical.rho": "1000.0",
-    "physical.T": "0.0",
-    "grid.N": "1024",
-    "grid.L": "120.0",
-    "scheme.deriv": "spectral",
-    "scheme.dt": "auto",
-    "scheme.t_end": "auto",
-    "scheme.filter_cut": "0.5",
-    "scheme.filter": "on",
-    "scheme.frame": "fixed",
-    "scheme.alpha": "0.0",
-    "seed": "0",
-    "output_dir": "out",
-}
+# key groups that several commands read, each written once
+PHYSICAL = {"physical.g": "9.81", "physical.H": "1.0", "physical.rho": "1000.0",
+            "physical.T": "0.0"}
+WRITES = {**PHYSICAL, "output_dir": "out"}  # every command but stability writes files
+GRID = {"grid.N": "1024", "grid.L": "120.0"}
+STEPPING = {"scheme.deriv": "spectral", "scheme.dt": "auto", "scheme.t_end": "auto",
+            "scheme.frame": "fixed", "scheme.alpha": "0.0"}
+EVOLVES = {**WRITES, **GRID, **STEPPING}
 
-SWITCH_VALUES = {"on": True, "1": True, "true": True, "yes": True,
-                 "off": False, "0": False, "false": False, "no": False}
-
-# per-command defaults on top of DEFAULTS (scenario names, "analytic", "evolve")
-SCENARIO_DEFAULTS = {
-    "solitary_transit": {"scenario.h0": "0.1"},
-    "two_soliton": {
-        "scenario.h0_tall": "0.5", "scenario.h0_short": "0.2",
-        "scenario.x_tall": "-22.0", "scenario.x_short": "-4.0",
-        "grid.N": "256", "grid.L": "80.0",
-        "scheme.frame": "moving", "scheme.alpha": "0.0", "scheme.t_end": "60.0",
-    },
-    "cnoidal_family": {
-        "scenario.m_list": "0.1,0.5,0.9,0.99", "scenario.kl_sum": "0.2",
-        "scenario.n_waves": "1", "scenario.phase": "0.0", "grid.N": "512",
-    },
-    "steepening": {
-        "scenario.hbar": "0.1", "scenario.p_ratios": "0.8,0.9,1.0,1.1,1.2",
-        "scenario.t_check": "1.0",
-    },
-    "moment_conservation": {"scenario.h0": "0.1", "grid.N": "512"},
-    "factorization": {"scenario.h0": "0.02", "scenario.n_list": "128,256,512,1024"},
-    "boussinesq_demo": {
-        "scenario.h0": "0.1", "scenario.mode_index": "8",
-        "scenario.mode_amp": "1e-8", "scenario.noise_amp": "1e-10",
-        "scenario.solitary_filter_cut": "0.75",
-    },
-    "analytic": {"scenario.h0": "0.1", "scenario.kl_sum": "0.2", "scenario.m": "0.5",
-                 "scenario.n_waves": "1"},
-    "evolve": {"scenario.h0": "0.1", "scenario.kl_sum": "0.2", "scenario.m": "0.5",
+# the keys each command (scenario names, "analytic", "evolve", "stability")
+# reads, with their defaults; analytic and evolve read both their choices' keys
+COMMANDS = {
+    "solitary_transit": {**EVOLVES, "scenario.h0": "0.1"},
+    "two_soliton": {**EVOLVES, "grid.N": "256", "grid.L": "80.0", "scheme.frame": "moving",
+                    "scheme.t_end": "60.0", "scenario.h0_tall": "0.5", "scenario.h0_short": "0.2",
+                    "scenario.x_tall": "-22.0", "scenario.x_short": "-4.0"},
+    "cnoidal_family": {**WRITES, "grid.N": "512", "scenario.m_list": "0.1,0.5,0.9,0.99",
+                       "scenario.kl_sum": "0.2", "scenario.n_waves": "1", "scenario.phase": "0.0"},
+    "steepening": {**WRITES, "scenario.hbar": "0.1", "scenario.p_ratios": "0.8,0.9,1.0,1.1,1.2",
+                   "scenario.t_check": "1.0"},
+    "moment_conservation": {**EVOLVES, "grid.N": "512", "scenario.h0": "0.1"},
+    "factorization": {**WRITES, "grid.L": "120.0", "scenario.h0": "0.02",
+                      "scenario.n_list": "128,256,512,1024"},
+    "boussinesq_demo": {**WRITES, **GRID, "scheme.dt": "auto", "scheme.filter_cut": "0.5",
+                        "seed": "0", "scenario.h0": "0.1", "scenario.mode_index": "8",
+                        "scenario.mode_amp": "1e-8", "scenario.noise_amp": "1e-10",
+                        "scenario.solitary_filter_cut": "0.75"},
+    "analytic": {**WRITES, **GRID, "scenario.h0": "0.1", "scenario.kl_sum": "0.2",
+                 "scenario.m": "0.5", "scenario.n_waves": "1"},
+    "evolve": {**EVOLVES, "scenario.h0": "0.1", "scenario.kl_sum": "0.2", "scenario.m": "0.5",
                "scenario.n_waves": "4"},
+    "stability": PHYSICAL,
 }
-
-KNOWN_KEYS = frozenset(DEFAULTS).union(*SCENARIO_DEFAULTS.values())
 
 
 def _integer(text: str) -> int:
@@ -137,14 +122,13 @@ INTEGER = ("an integer", _integer)
 NUMBERS = ("a comma-separated list of numbers (at least one)", _list_of(float))
 INTEGERS = ("a comma-separated list of integers (at least one)", _list_of(_integer))
 AUTO_OR_NUMBER = ("'auto' or a number", lambda text: None if text == "auto" else float(text))
-SWITCH = (f"one of {', '.join(SWITCH_VALUES)}", SWITCH_VALUES.__getitem__)
 TEXT = ("text", str)
 
 KINDS = {
     "physical.g": NUMBER, "physical.H": NUMBER, "physical.rho": NUMBER, "physical.T": NUMBER,
     "grid.N": INTEGER, "grid.L": NUMBER,
     "scheme.deriv": TEXT, "scheme.dt": AUTO_OR_NUMBER, "scheme.t_end": AUTO_OR_NUMBER,
-    "scheme.filter_cut": NUMBER, "scheme.filter": SWITCH, "scheme.frame": TEXT,
+    "scheme.filter_cut": NUMBER, "scheme.frame": TEXT,
     "scheme.alpha": NUMBER, "seed": INTEGER, "output_dir": TEXT,
     "scenario.h0": NUMBER, "scenario.h0_tall": NUMBER, "scenario.h0_short": NUMBER,
     "scenario.x_tall": NUMBER, "scenario.x_short": NUMBER, "scenario.m_list": NUMBERS,
@@ -175,16 +159,17 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 @dataclass
 class ExperimentConfig:
-    """Resolved configuration: raw text (as the manifest echoes it), parsed values."""
+    """Resolved configuration: the raw text of the keys the command reads (as
+    the manifest echoes it) and their parsed values; grid, scheme and
+    output_dir are None for a command that does not read all their keys."""
 
     scenario: str
     raw: dict[str, str]
     values: dict[str, object]
     params: PhysicalParams
-    grid: PeriodicGrid
-    scheme: SchemeConfig
-    seed: int
-    output_dir: Path
+    grid: PeriodicGrid | None
+    scheme: SchemeConfig | None
+    output_dir: Path | None
 
     def fnum(self, key: str):
         """The parsed value of `key`: a number, a list, None for 'auto', ..."""
@@ -199,9 +184,9 @@ def _check_known(keys) -> None:
     """Reject configuration keys no command reads, naming the nearest known one."""
     import difflib  # only this error path needs it; keeps it out of every start-up
 
-    by_lower = {k.lower(): k for k in KNOWN_KEYS}
+    by_lower = {k.lower(): k for k in KINDS}
     problems = []
-    for key in sorted(set(keys) - KNOWN_KEYS):
+    for key in sorted(set(keys) - KINDS.keys()):
         near = difflib.get_close_matches(key.lower(), by_lower, n=1)
         hint = f" (did you mean {by_lower[near[0]]!r}?)" if near else ""
         problems.append(f"unknown configuration key {key!r}{hint}")
@@ -213,34 +198,46 @@ def _parse(key: str, text: str):
     what, parse = KINDS[key]
     try:
         return parse(text)
-    except (ValueError, KeyError):
+    except ValueError:
         raise ValueError(f"{key!r} must be {what}, got {text!r}") from None
 
 
 def resolve_config(scenario: str, config_file: str | None,
                    overrides: list[str], out_dir: str | None) -> ExperimentConfig:
-    raw = dict(DEFAULTS)
-    raw.update(SCENARIO_DEFAULTS.get(scenario, {}))
-    if config_file:
-        raw.update(parse_config_file(config_file))
+    """The command's defaults, updated by the config file, then by --set."""
+    if scenario not in COMMANDS:
+        known = ", ".join(sorted(SCENARIOS))
+        raise ValueError(f"unknown scenario {scenario!r}; known scenarios: {known}")
+    reads = COMMANDS[scenario]
+    from_file = parse_config_file(config_file) if config_file else {}
+    from_set: dict[str, str] = {}
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
-        raw[key.strip()] = value.strip()
+        from_set[key.strip()] = value.strip()
+    given = {**from_file, **from_set}
+    _check_known(given)
+    for key, text in given.items():
+        _parse(key, text)  # a malformed value is reported as such, read or not
+    unread = [f"{scenario} does not read {key!r} (--set {key}={text})"
+              for key, text in from_set.items() if key not in reads]
+    if unread:
+        raise ValueError("; ".join(unread))
+    raw = {key: given.get(key, text) for key, text in reads.items()}
     if out_dir:
         raw["output_dir"] = out_dir
-    _check_known(raw)
     v = {key: _parse(key, text) for key, text in raw.items()}
     params = PhysicalParams(g=v["physical.g"], H=v["physical.H"],
                             rho=v["physical.rho"], T=v["physical.T"])
-    scheme = SchemeConfig(deriv=v["scheme.deriv"], dt=v["scheme.dt"],
-                          t_end=v["scheme.t_end"] or 0.0, filter_cut=v["scheme.filter_cut"],
-                          boussinesq_filter=v["scheme.filter"], frame=v["scheme.frame"],
-                          alpha=v["scheme.alpha"])
-    return ExperimentConfig(scenario=scenario, raw=raw, values=v, params=params,
-                            grid=PeriodicGrid(L=v["grid.L"], N=v["grid.N"]),
-                            scheme=scheme, seed=v["seed"], output_dir=Path(v["output_dir"]))
+    grid = PeriodicGrid(L=v["grid.L"], N=v["grid.N"]) if GRID.keys() <= v.keys() else None
+    scheme = (SchemeConfig(deriv=v["scheme.deriv"], dt=v["scheme.dt"],
+                           t_end=v["scheme.t_end"] or 0.0, frame=v["scheme.frame"],
+                           alpha=v["scheme.alpha"])
+              if STEPPING.keys() <= v.keys() else None)
+    return ExperimentConfig(scenario=scenario, raw=raw, values=v, params=params, grid=grid,
+                            scheme=scheme,
+                            output_dir=Path(v["output_dir"]) if "output_dir" in v else None)
 
 
 # --------------------------------------------------------------------------
@@ -450,7 +447,7 @@ def scenario_cnoidal_family(cfg: ExperimentConfig):
     for i, m in enumerate(cfg.fnum("scenario.m_list")):
         spec = CnoidalSpec(k=kl_sum - m * kl_sum, l=m * kl_sum, sigma=sigma,
                            H=params.H, g=params.g)
-        grid = grid_for_cnoidal(spec, n_waves, cfg.grid.N)
+        grid = grid_for_cnoidal(spec, n_waves, cfg.fnum("grid.N"))
         lam = cnoidal_wavelength(spec)
         speed_p = boussinesq_periodic_speed(spec)
         speed_f = (math.sqrt(params.g * params.H)
@@ -498,8 +495,10 @@ def scenario_factorization(cfg: ExperimentConfig):
     """Bidirectional-operator residual on unidirectional jets, with control."""
     params = cfg.params
     spec, _ = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
+    if not cfg.fnum("grid.L") > 0:
+        raise ValueError(f"'grid.L' must be positive, got {cfg.fnum('grid.L')}")
     # domain wide enough that the tails sit below 1e-12 of the crest
-    L = max(cfg.grid.L, 30.0 / spec.inv_width)
+    L = max(cfg.fnum("grid.L"), 30.0 / spec.inv_width)
     rows = ["# columns=scheme,N,residual,normalized"]
     norm_unit = params.g * params.H * 1.5 * spec.h0 ** 2 / params.H ** 3
     last_norm = None
@@ -547,8 +546,10 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     results: dict[str, str] = {}
 
     # every input of the three parts is checked before part (a) runs
+    filtered = SchemeConfig(deriv="spectral", dt=cfg.fnum("scheme.dt"),
+                            filter_cut=cfg.fnum("scheme.filter_cut"))
     grid = PeriodicGrid(L=64.0, N=256)  # parts (a) and (c)
-    k_cut = cfg.scheme.filter_cut * math.sqrt(3.0) / H
+    k_cut = filtered.filter_cut * math.sqrt(3.0) / H
     j = cfg.fnum("scenario.mode_index")
     j_max = int(np.count_nonzero(wavenumbers(grid.N, grid.L) <= k_cut)) - 1
     if not 1 <= j <= j_max:
@@ -559,8 +560,7 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
             raise ValueError(f"{key!r} must be nonzero")
     spec, omega = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
     cut = cfg.fnum("scenario.solitary_filter_cut")
-    dt = cfg.scheme.dt
-    schemeS = SchemeConfig(deriv="spectral", dt=dt, t_end=30.0, filter_cut=cut)
+    schemeS = replace(filtered, t_end=30.0, filter_cut=cut)
     rest = WaveField(grid, np.zeros(grid.N))
 
     # (a) one low linear mode: measured oscillation frequency
@@ -569,9 +569,8 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     cosk = np.cos(k0 * grid.x)
     h0f = WaveField(grid, cfg.fnum("scenario.mode_amp") * H * cosk)
     t10 = 10.0 * 2.0 * math.pi / om_exact
-    scheme = SchemeConfig(deriv="spectral", dt=dt, t_end=t10, filter_cut=cfg.scheme.filter_cut)
     # the default sampling is uniform under both integrators, as the fit needs
-    res = evolve((h0f, rest), params, scheme, record_invariants=False)
+    res = evolve((h0f, rest), params, replace(filtered, t_end=t10), record_invariants=False)
     ts = np.array(res.times)
     cs = np.array([2.0 / grid.N * float(np.dot(s[0].h, cosk)) for s in res.snapshots])
     rows = ["# columns=t,mode_amplitude"]
@@ -591,7 +590,7 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     results.update(_step_entries(resS, "solitary_"))
 
     # (c) broadband noise: unfiltered blow-up against the filtered twin
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.fnum("seed"))
     noise = cfg.fnum("scenario.noise_amp") * H * rng.standard_normal(grid.N)
     noise -= noise.mean()
     raw = SchemeConfig(deriv="spectral", dt=1e-4, t_end=2.0, boussinesq_filter=False)
@@ -604,9 +603,8 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
         results["unfiltered_blowup_time"] = _fmt(e.time)
         results.update(unfiltered_integrator=e.integrator, unfiltered_steps=str(e.step),
                        unfiltered_rejected="0")
-    filt = SchemeConfig(deriv="spectral", dt=dt, t_end=1.0, filter_cut=cfg.scheme.filter_cut)
     hf = WaveField(grid, lowpass(noise, grid.L, k_cut))
-    resF = evolve((hf, rest), params, filt, record_invariants=False)
+    resF = evolve((hf, rest), params, replace(filtered, t_end=1.0), record_invariants=False)
     E = [boussinesq_energy(s[0], s[1], params) for s in resF.snapshots]
     drift = max(abs(e - E[0]) for e in E) / abs(E[0])
     results["filtered_energy_drift"] = _fmt(drift)
@@ -630,9 +628,6 @@ SCENARIOS = {
 
 def run_scenario(cfg: ExperimentConfig) -> dict[str, str]:
     """Run one named scenario and write its files; returns the manifest result entries."""
-    if cfg.scenario not in SCENARIOS:
-        known = ", ".join(sorted(SCENARIOS))
-        raise ValueError(f"unknown scenario {cfg.scenario!r}; known scenarios: {known}")
     return _run(cfg, SCENARIOS[cfg.scenario])
 
 
@@ -687,6 +682,8 @@ def _print_results(cfg: ExperimentConfig, results: dict[str, str]) -> int:
 
 
 def _cmd_scenario(args) -> int:
+    if args.name in COMMANDS.keys() - SCENARIOS.keys():
+        raise ValueError(f"{args.name!r} is not a scenario: run 'longwave {args.name}'")
     cfg = resolve_config(args.name, args.config, args.set or [], args.out)
     return _print_results(cfg, run_scenario(cfg))
 
@@ -741,24 +738,26 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"longwave {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value configuration file")
-    common.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="override one configuration key (repeatable)")
-    common.add_argument("--out", help="output directory")
+    # each subcommand takes only the flags it reads
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", help="key=value configuration file")
+    configured.add_argument("--set", action="append", metavar="KEY=VALUE",
+                            help="override one configuration key (repeatable)")
+    writes = argparse.ArgumentParser(add_help=False, parents=[configured])
+    writes.add_argument("--out", help="output directory")
 
-    p = sub.add_parser("analytic", parents=[common],
+    p = sub.add_parser("analytic", parents=[writes],
                        help="closed-form steady profiles and speeds")
     p.add_argument("--wave", choices=("solitary", "cnoidal"), default="solitary")
     p.add_argument("--phase", type=float, default=0.0,
                    help="shift the crest to this abscissa [m]")
     p.set_defaults(func=_cmd_analytic)
 
-    p = sub.add_parser("evolve", parents=[common], help="time-integrate an initial condition")
+    p = sub.add_parser("evolve", parents=[writes], help="time-integrate an initial condition")
     p.add_argument("--ic", choices=("solitary", "cnoidal"), default="solitary")
     p.set_defaults(func=_cmd_evolve)
 
-    p = sub.add_parser("stability", parents=[common],
+    p = sub.add_parser("stability", parents=[configured],
                        help="steepening verdict for a near-solitary profile")
     p.add_argument("--hbar", type=float, required=True, help="profile amplitude [m]")
     g = p.add_mutually_exclusive_group(required=True)
@@ -768,12 +767,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="confirm the verdict with a short evolution run")
     p.set_defaults(func=_cmd_stability)
 
-    p = sub.add_parser("invariants", parents=[common],
-                       help="conserved functionals of a stored profile")
+    p = sub.add_parser("invariants", help="conserved functionals of a stored profile")
     p.add_argument("--input", required=True, help="profile CSV to read")
+    p.add_argument("--out", help="invariants CSV to write")
     p.set_defaults(func=_cmd_invariants)
 
-    p = sub.add_parser("scenario", parents=[common], help="run a named experiment")
+    p = sub.add_parser("scenario", parents=[writes], help="run a named experiment")
     p.add_argument("name", help=f"one of: {', '.join(sorted(SCENARIOS))}")
     p.set_defaults(func=_cmd_scenario)
     return ap

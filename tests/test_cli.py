@@ -15,19 +15,18 @@ from longwave import (
 )
 from longwave import SchemeConfig, cli, conservation_drift, evolve
 from longwave.cli import (
+    COMMANDS,
     EXIT_BLOWUP,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     KINDS,
-    KNOWN_KEYS,
     emit_invariants_csv,
     emit_profile_csv,
     main,
     parse_config_file,
     read_profile_csv,
     resolve_config,
-    run_scenario,
 )
 from longwave.invariants import InvariantSet
 
@@ -126,35 +125,98 @@ class TestConfigResolution:
             resolve_config("solitary_transit", None, ["badpair"], None)
 
     def test_unknown_scenario_lists_names(self, tmp_path):
-        cfg = resolve_config("not_a_thing", None, [], str(tmp_path))
         with pytest.raises(ValueError, match="solitary_transit"):
-            run_scenario(cfg)
+            resolve_config("not_a_thing", None, [], str(tmp_path))
 
 
 def _manifest(out):
     return dict(l.split("=", 1) for l in (out / "manifest.txt").read_text().splitlines())
 
 
+def _command(name):
+    """The argv that runs the command `name` with every flag it requires."""
+    if name == "stability":
+        return ["stability", "--hbar", "0.1", "--p-ratio", "1"]
+    return [name] if name in ("analytic", "evolve") else ["scenario", name]
+
+
+def _config_keys(manifest):
+    return {k[len("config."):] for k in manifest if k.startswith("config.")}
+
+
 class TestConfigTable:
-    def test_every_key_has_a_kind(self):
-        assert set(KINDS) == KNOWN_KEYS
+    def test_every_key_read_has_a_kind_and_every_kind_is_read(self):
+        read = set().union(*COMMANDS.values())
+        assert read - set(KINDS) == set()
+        assert set(KINDS) - read == set()  # a key no command reads is dead
 
     def test_values_parsed_once_by_kind(self):
-        cfg = resolve_config("factorization", None, ["scheme.dt=0.01"], None)
+        cfg = resolve_config("factorization", None, [], None)
         assert cfg.fnum("scenario.n_list") == [128, 256, 512, 1024]
         assert all(type(n) is int for n in cfg.fnum("scenario.n_list"))
+        cfg = resolve_config("evolve", None, ["scheme.dt=0.01"], None)
         assert cfg.fnum("scheme.dt") == cfg.scheme.dt == 0.01
         assert cfg.fnum("scheme.t_end") is None and cfg.t_end_auto
-        assert cfg.fnum("scheme.filter") is True
         assert resolve_config("analytic", None, [], None).fnum("scenario.n_waves") == 1
         assert resolve_config("evolve", None, [], None).fnum("scenario.n_waves") == 4
 
-    @pytest.mark.parametrize("key", sorted(KNOWN_KEYS - {"output_dir"}))
+    @pytest.mark.parametrize("key", sorted(set(KINDS) - {"output_dir"}))
     def test_malformed_value_exits_before_output(self, tmp_path, capsys, key):
         out = tmp_path / "out"
         rc = main(["scenario", "cnoidal_family", "--out", str(out), "--set", f"{key}=abc"])
         assert rc == EXIT_USAGE
         assert "abc" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, reads in COMMANDS.items()
+        for key in sorted(KINDS) if key not in reads])
+    def test_set_key_the_command_does_not_read_exits_naming_it(
+            self, tmp_path, capsys, monkeypatch, command, key):
+        value = next(reads[key] for reads in COMMANDS.values() if key in reads)
+        monkeypatch.chdir(tmp_path)  # the default output directory lands here
+        assert main([*_command(command), "--set", f"{key}={value}"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{command} does not read" in err and f"{key}={value}" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_one_config_file_serves_commands_that_read_part_of_it(self, tmp_path, capsys):
+        shared = tmp_path / "shared.cfg"
+        shared.write_text("grid.N=128\nseed=7\nscheme.deriv=centered4\n")
+        steep = ["scenario", "steepening", "--set", "scenario.p_ratios=0.9,1.1",
+                 "--set", "scenario.t_check=0.1"]
+        assert main([*steep, "--config", str(shared), "--out", str(tmp_path / "st")]) == EXIT_OK
+        assert main([*steep, "--out", str(tmp_path / "plain")]) == EXIT_OK
+        # steepening reads none of the file's keys: the run and its record are unchanged
+        for name in ("steepening.csv", "manifest.txt"):
+            assert filecmp.cmp(tmp_path / "st" / name, tmp_path / "plain" / name,
+                               shallow=False), name
+        assert _config_keys(_manifest(tmp_path / "st")) == set(COMMANDS["steepening"]) - {
+            "output_dir"}
+        assert main(["scenario", "solitary_transit", "--config", str(shared),
+                     "--out", str(tmp_path / "tr"), "--set", "grid.L=60",
+                     "--set", "scheme.t_end=0.5"]) == EXIT_OK
+        transit = _manifest(tmp_path / "tr")
+        assert _config_keys(transit) == set(COMMANDS["solitary_transit"]) - {"output_dir"}
+        assert transit["config.grid.N"] == "128"
+        assert transit["config.scheme.deriv"] == "centered4"
+        meta, _, _ = read_profile_csv(tmp_path / "tr" / "profile_final.csv")
+        assert (meta["N"], meta["scheme"]) == ("128", "centered4")
+        capsys.readouterr()
+        shared.write_text("grid.N=128\nseed=7\nscheme.driv=centered4\n")
+        out = tmp_path / "typo"
+        assert main([*steep, "--config", str(shared), "--out", str(out)]) == EXIT_USAGE
+        assert "did you mean 'scheme.deriv'?" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("length", ["0", "-5", "nan"])
+    def test_factorization_rejects_a_least_length_that_is_not_positive(
+            self, tmp_path, capsys, length):
+        # factorization reads grid.L alone, so no grid checks it
+        out = tmp_path / "fa"
+        rc = main(["scenario", "factorization", "--out", str(out), "--set", f"grid.L={length}"])
+        assert rc == EXIT_USAGE
+        assert "'grid.L' must be positive" in capsys.readouterr().err
         assert not out.exists()
 
     def test_fractional_grid_list_rejected(self, tmp_path, capsys):
@@ -180,13 +242,14 @@ class TestConfigTable:
         assert f"{key!r} must be a comma-separated list" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("scenario, setting, message", [
-        ("cnoidal_family", "scenario.m_list=0.5,1.5", "roots k and l must be positive"),
-        ("steepening", "scenario.p_ratios=0.9,-1", "hbar and p must be positive"),
-        ("factorization", "scenario.n_list=64,0", "N must be even and >= 8"),
+    @pytest.mark.parametrize("scenario, settings, message", [
+        ("cnoidal_family", ["grid.N=64", "scenario.m_list=0.5,1.5"],
+         "roots k and l must be positive"),
+        ("steepening", ["scenario.p_ratios=0.9,-1"], "hbar and p must be positive"),
+        ("factorization", ["scenario.n_list=64,0"], "N must be even and >= 8"),
     ])
     def test_out_of_range_sweep_member_stops_the_sweep_before_it_runs(
-            self, tmp_path, capsys, monkeypatch, scenario, setting, message):
+            self, tmp_path, capsys, monkeypatch, scenario, settings, message):
         # every member is built, and so checked, before the first one is
         # computed or written
         def member_ran(*args, **kwargs):
@@ -196,7 +259,7 @@ class TestConfigTable:
             monkeypatch.setattr(cli, name, member_ran)
         out = tmp_path / "out"
         rc = main(["scenario", scenario, "--out", str(out),
-                   "--set", "grid.N=64", "--set", setting])
+                   *[arg for setting in settings for arg in ("--set", setting)]])
         assert rc == EXIT_USAGE
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -263,6 +326,12 @@ class TestExitCodes:
         assert rc == EXIT_USAGE
         assert "known scenarios" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analytic", "evolve", "stability"])
+    def test_other_command_is_not_a_scenario(self, tmp_path, capsys, command):
+        assert main(["scenario", command, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert f"run 'longwave {command}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_blowup_exit(self, tmp_path, capsys):
         rc = main(["evolve", "--ic", "solitary", "--out", str(tmp_path / "o"),
                    "--set", "grid.N=64", "--set", "grid.L=60",
@@ -290,10 +359,9 @@ class TestExitCodes:
             resolve_config("solitary_transit", str(cfgfile), [], None)
         with pytest.raises(ValueError, match="unknown configuration key 'zzz'$"):
             resolve_config("solitary_transit", None, ["zzz=1"], None)
-        # every key a command reads stays accepted, also outside its own scenario
-        cfg = resolve_config("evolve", None, ["scenario.m=0.3", "scenario.mode_amp=1e-9"],
-                             None)
-        assert cfg.raw["scenario.m"] == "0.3"
+        # a key that another command reads is rejected, naming this one
+        with pytest.raises(ValueError, match="evolve does not read 'scenario.mode_amp'"):
+            resolve_config("evolve", None, ["scenario.m=0.3", "scenario.mode_amp=1e-9"], None)
 
     def _analytic_with(self, tmp_path, setting):
         return main(["analytic", "--wave", "solitary", "--out", str(tmp_path),
@@ -309,20 +377,30 @@ class TestExitCodes:
         assert "'seed' must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "profile.csv").exists()
 
-    def test_misspelled_filter_switch_rejected(self, tmp_path, capsys):
-        assert self._analytic_with(tmp_path, "scheme.filter=of") == EXIT_USAGE
-        assert "'scheme.filter' must be one of" in capsys.readouterr().err
-        assert not (tmp_path / "profile.csv").exists()
-        for text, on in (("on", True), ("yes", True), ("off", False), ("0", False)):
-            cfg = resolve_config("solitary_transit", None, [f"scheme.filter={text}"], None)
-            assert cfg.scheme.boussinesq_filter is on
-
     def test_io_error(self, tmp_path, capsys):
         block = tmp_path / "blocker"
         block.write_text("i am a file")
         rc = main(["scenario", "cnoidal_family", "--out", str(block / "sub"),
                    "--set", "grid.N=64", "--set", "scenario.m_list=0.5"])
         assert rc == EXIT_IO
+
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "--input", "p.csv", "--config", "p.csv"],
+        ["invariants", "--input", "p.csv", "--set", "physical.H=2"],
+        ["stability", "--hbar", "0.1", "--p-ratio", "1", "--out", "out"],
+    ], ids=["invariants_config", "invariants_set", "stability_out"])
+    def test_flag_the_command_does_not_read_is_rejected(self, tmp_path, capsys, monkeypatch,
+                                                        params, argv):
+        # invariants takes H and the grid from the profile's header, and
+        # stability writes nothing
+        monkeypatch.chdir(tmp_path)
+        emit_profile_csv(WaveField(PeriodicGrid(L=4.0, N=8), np.zeros(8)), params, "analytic",
+                         tmp_path / "p.csv")
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["p.csv"]
 
 
 class TestSubcommands:
@@ -586,9 +664,10 @@ class TestNothingWrittenUnlessTheRunSucceeds:
          "'scenario.noise_amp' must be nonzero"),
     ])
     def test_bad_input_exits_with_its_reason_and_leaves_no_directory(
-            self, tmp_path, capsys, argv, code, message):
+            self, tmp_path, capsys, monkeypatch, argv, code, message):
         out = tmp_path / "out"
-        assert main([*argv, "--out", str(out)]) == code
+        monkeypatch.chdir(tmp_path)  # the default output directory; stability has no --out
+        assert main(argv) == code
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -643,6 +722,38 @@ class TestNothingWrittenUnlessTheRunSucceeds:
         assert main(again) == EXIT_OK
         for name in ("manifest.txt", "profile.csv"):
             assert filecmp.cmp(first / name, tmp_path / "a2" / name, shallow=False), name
+
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "solitary_transit", "--set", "grid.N=128", "--set", "grid.L=60",
+         "--set", "scheme.t_end=0.5"],
+        ["scenario", "two_soliton", "--set", "grid.N=128", "--set", "scheme.t_end=0.5"],
+        ["scenario", "cnoidal_family", "--set", "grid.N=64", "--set", "scenario.m_list=0.5,0.9"],
+        ["scenario", "steepening", "--set", "scenario.p_ratios=0.9,1.1",
+         "--set", "scenario.t_check=0.1"],
+        ["scenario", "moment_conservation", "--set", "grid.N=128", "--set", "grid.L=60",
+         "--set", "scheme.t_end=0.5"],
+        ["scenario", "factorization", "--set", "scenario.n_list=64,128"],
+        ["scenario", "boussinesq_demo", "--set", "grid.N=64"],
+        ["evolve", "--ic", "solitary", "--set", "grid.N=128", "--set", "grid.L=60",
+         "--set", "scheme.t_end=0.5"],
+        ["analytic", "--wave", "cnoidal", "--phase", "2.5", "--set", "grid.N=64"],
+    ], ids=lambda argv: argv[argv[0] == "scenario"])
+    def test_manifest_alone_replays_every_file(self, tmp_path, argv):
+        # every key a manifest records is one its command accepts, and reads
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main([*argv, "--out", str(first)]) == EXIT_OK
+        manifest = _manifest(first)
+        replay = _command(manifest["scenario"])
+        for choice in ("wave", "phase", "ic"):
+            if choice in manifest:
+                replay += [f"--{choice}", manifest[choice]]
+        for key in sorted(_config_keys(manifest)):
+            replay += ["--set", f"{key}={manifest['config.' + key]}"]
+        assert main([*replay, "--out", str(again)]) == EXIT_OK
+        names = sorted(f.name for f in first.iterdir())
+        assert names == sorted(f.name for f in again.iterdir())
+        for name in names:
+            assert filecmp.cmp(first / name, again / name, shallow=False), name
 
     def test_traced_names_are_called_from_the_cli_module(self, tmp_path, monkeypatch):
         # the benchmark's layer metrics wrap these names on the cli module;
