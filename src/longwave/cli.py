@@ -328,7 +328,8 @@ def _drift_entries(res) -> dict[str, str]:
 def _step_entries(res, prefix: str = "") -> dict[str, str]:
     # how the run stepped is deterministic, so it belongs in the manifest
     return {f"{prefix}integrator": res.integrator, f"{prefix}dt": _fmt(res.dt),
-            f"{prefix}steps": str(res.steps), f"{prefix}rejected": str(res.rejected)}
+            f"{prefix}steps": str(res.steps), f"{prefix}rejected": str(res.rejected),
+            f"{prefix}band_min": str(res.band[0]), f"{prefix}band_max": str(res.band[1])}
 
 
 def recentered_shape_error(final: WaveField, reference: WaveField) -> float:
@@ -599,10 +600,13 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
         results["unfiltered_blowup_time"] = "none"
         results.update(_step_entries(resU, "unfiltered_"))
     except BlowUpError as e:
-        # RK4 retries no step; the run ends in the step that tripped the check
+        # RK4 retries no step; the run ends in the step that tripped the check,
+        # and with the filter off it steps every mode
         results["unfiltered_blowup_time"] = _fmt(e.time)
+        every = str(grid.N // 2 + 1)
         results.update(unfiltered_integrator=e.integrator, unfiltered_steps=str(e.step),
-                       unfiltered_rejected="0")
+                       unfiltered_rejected="0", unfiltered_band_min=every,
+                       unfiltered_band_max=every)
     hf = WaveField(grid, lowpass(noise, grid.L, k_cut))
     resF = evolve((hf, rest), params, replace(filtered, t_end=1.0), record_invariants=False)
     E = [boussinesq_energy(s[0], s[1], params) for s in resF.snapshots]

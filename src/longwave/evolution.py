@@ -39,8 +39,15 @@ uses the embedded Lawson pair ERK4(3)-IP (Balac & Mahe 2013; Hochbruck
 dispersive stiffness (dt ~ dx^3 under RK4) no longer sets the step, and
 a third-order partner that shares the next step's first stage estimates
 each step's local error at no extra cost.  For the unidirectional
-equation the propagator is exp(lin dt), on the 2/3-rule band (the rfft
-modes below N/3).  For the bidirectional one, on its low-pass band,
+equation the propagator is exp(lin dt), on the modes the state
+occupies: the shortest prefix of the 2/3-rule band (the rfft modes
+below N/3) that holds every mode of the start above CHOP_LEVEL = 1e-14
+of its peak coefficient, plus a margin, the chop of a series at its
+roundoff plateau (Aurentz & Trefethen 2017; Boyd 2001, ch. 2).  The
+band grows, up to the 2/3-rule band, whenever a mode at its top passes
+GROW_LEVEL = 1e-10 of the peak, so a state that fills the 2/3-rule band
+is stepped on all of it.  A solitary transit at L = 120 occupies about
+136 modes, whatever N.  For the bidirectional one, on its low-pass band,
 each mode's (h, v)' = [[0, 1], [lin, 0]] (h, v) with lin = -omega^2 is
 propagated by the rotation [[cos omega dt, sin(omega dt)/omega],
 [-omega sin omega dt, cos omega dt]] ([[1, dt], [0, 1]] at mode 0), and
@@ -51,12 +58,13 @@ state's norm, taken as the norm in which the propagator is an isometry
 bidirectional pair), and no step passes the RK4 imaginary-axis limit of
 the fastest beat in the interaction picture, 2 sqrt(2) / (c_max k_rms),
 the largest group speed of the band's dispersion relation times the
-state's rms wavenumber (see _controlled_run).  Steps may turn the
-fastest retained mode many times: about 5 turns on a transit at N = 512
-and 11 at N = 1024.  3e-7 is the largest tolerance in a sweep
-(CHANGES.md) at which the acceptance collision's invariants drift no
-more than 1.5 times as much as they did under the two step limits this
-controller replaced.
+state's rms wavenumber (see _controlled_run).  Since the group speed
+grows like the square of the band's top wavenumber, every unused mode
+there would cost steps.  Steps may turn the fastest stepped mode many
+times: about 4 turns on a transit, at N = 512 and N = 1024 alike.  3e-7
+is the largest tolerance in a sweep (CHANGES.md) at which the acceptance
+collision's invariants drift no more than 1.5 times as much as they did
+under the two step limits this controller replaced.
 
 An explicit dt, and an unfiltered bidirectional run (whose linear part
 grows above sqrt(3)/H, so no rotation propagates it), uses classical
@@ -111,6 +119,13 @@ logger = logging.getLogger(__name__)
 RK4_IMAG_LIMIT = 2.0 * math.sqrt(2.0)
 CFL_SAFETY = 0.4
 IF_TOL = 3e-7  # local error per auto-dt (ERK4(3)-IP) step, relative to the start's norm
+# an auto-dt unidirectional run steps the modes its start holds above CHOP_LEVEL
+# of the peak coefficient, and grows that band when a mode at its top passes
+# GROW_LEVEL; the two differ because the pair's truncation fills the top of a
+# cut band to a plateau of about 5e-12 of the peak (see _controlled_run)
+CHOP_LEVEL = 1e-14
+GROW_LEVEL = 1e-10
+BAND_MARGIN = 8  # the fewest modes in the start's margin, the watched top and one growth
 BLOWUP_FACTOR = 10.0  # |h| beyond this multiple of H aborts the run
 
 
@@ -311,16 +326,19 @@ def _rk4(y: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray], dt: float) -> n
 
 
 def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
-              bidirectional: bool, integrator: str):
+              bidirectional: bool, integrator: str, J: int | None = None):
     """The stepper of every run, on its band of retained rfft modes.
 
     Returns (lin, flux, step): the run's symbols on its band of
-    J = lin.size modes, and the step.  The band is every mode for an
+    J = lin.size modes, and the step.  The band is the first J modes (all
+    of them for J = None) of the run's full band: every mode for an
     explicit-dt unidirectional run, the 2/3-rule band for an
     integrating-factor one and the low-pass band for a bidirectional one.
-    The state z is the rfft coefficients of h on the band, followed by
-    v's for a bidirectional run: rfft(y)[:, :J].ravel() of the stacked
-    samples y.  h^2 is formed on the smallest 5-smooth M >= 3J - 2 points
+    evolve steps an integrating-factor unidirectional run on the prefix its
+    state occupies (_occupied_band), which _controlled_run grows on demand;
+    the public steps take the full band.  The state z is the rfft
+    coefficients of h on the band, followed by v's for a bidirectional
+    run: rfft(y)[:, :J].ravel() of the stacked samples y.  h^2 is formed on the smallest 5-smooth M >= 3J - 2 points
     (M divides 30^64), where the sum of two band modes folds above the
     band, so the product is exact inside it; capped at N, it is the
     full-grid product.
@@ -345,6 +363,7 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
         lin, flux = _boussinesq_symbols_for(grid, params, config)
     else:
         lin, flux = _symbols_for(grid, params, config, dealias=integrator == "ifrk4")
+    lin, flux = lin[:J], flux[:J]
     J, N = lin.size, grid.N
     M = next((M for M in range(3 * J - 2, N) if 30 ** 64 % M == 0), N)
     flux_m = flux * (M / N)  # the M-point product to the N-point rfft scale
@@ -503,6 +522,7 @@ class EvolutionResult:
     dt: float = 0.0  # the mean step t_end / steps [s]
     steps: int = 0  # accepted steps
     rejected: int = 0  # steps the error controller retried smaller
+    band: tuple[int, int] = (0, 0)  # the least and greatest number of rfft modes stepped
 
     @property
     def final(self):
@@ -518,9 +538,10 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     the rfft coefficients of its retained band through one stepper
     (_band_run); the integrator follows from config.dt.  A run with
     dt = None steps with the embedded Lawson pair ERK4(3)-IP ("ifrk4"):
-    the linear part is propagated exactly (on the 2/3-rule band for a
-    unidirectional run, by each mode's rotation on the low-pass band for
-    a bidirectional one), and a PI controller sizes each step so that its
+    the linear part is propagated exactly (for a unidirectional run on
+    the prefix of the 2/3-rule band that its state occupies, grown on
+    demand; by each mode's rotation on the low-pass band for a
+    bidirectional one), and a PI controller sizes each step so that its
     relative local error stays within IF_TOL (see the module docstring).
     Steps land exactly on the sample times and on t_end; a step rejected
     by the controller is retried smaller and counted in result.rejected.
@@ -536,7 +557,8 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     callbacks fire at the endpoints and every sample_every accepted
     steps; by default at ~50 samples per run (RK4: every nsteps // 50
     steps; IF: at t_end k/50, k = 1..50).  Observers receive (t, snapshot) and must not mutate it.
-    result.dt is the mean step t_end / steps.
+    result.dt is the mean step t_end / steps, and result.band the least
+    and greatest number of rfft modes stepped (a fixed band's size twice).
     """
     if sample_every is not None and not (isinstance(sample_every, (int, np.integer))
                                          and sample_every > 0):
@@ -546,10 +568,12 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     # the unfiltered bidirectional model has no integrating factor: it grows above sqrt(3)/H
     rk4 = config.dt is not None or (bidirectional and not config.boussinesq_filter)
     integrator = "rk4" if rk4 else "ifrk4"
-    lin, flux, step = _band_run(grid, params, config, bidirectional, integrator)
+    band = partial(_band_run, grid, params, config, bidirectional, integrator)
+    lin, flux, step = band()
     J = lin.size
     result = EvolutionResult(times=[], snapshots=[], invariants=[],
-                             energy=[] if bidirectional else None, integrator=integrator)
+                             energy=[] if bidirectional else None, integrator=integrator,
+                             band=(J, J))
 
     def sample(t: float, y: np.ndarray) -> None:
         snap = _pack(grid, y, t, bidirectional)
@@ -569,11 +593,15 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     # limit (less a margin for the bound's own roundoff) or is not finite
     limit = (1.0 - 1e-12) * BLOWUP_FACTOR * params.H
 
-    def accepted(i: int, t: float, z: np.ndarray, due: bool) -> None:
-        if not 2.0 / grid.N * np.abs(z[:J]).sum() < limit:
-            _check_alive(np.fft.irfft(z[:J], n=grid.N), params.H, t, i, integrator)
+    def accepted(i: int, t: float, z: np.ndarray, due: bool) -> np.ndarray:
+        # z is one row of band coefficients per field; returns |h_j| on the band
+        z = z.reshape(y.shape[0], -1)
+        a = np.abs(z[0])
+        if not 2.0 / grid.N * a.sum() < limit:
+            _check_alive(np.fft.irfft(z[0], n=grid.N), params.H, t, i, integrator)
         if due:
-            sample(t, np.fft.irfft(z.reshape(-1, J), n=grid.N))
+            sample(t, np.fft.irfft(z, n=grid.N))
+        return a
 
     sample(t0, y)
     if integrator == "rk4":
@@ -594,8 +622,10 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     elif config.t_end > 0:
         stops = ([t0 + config.t_end * k / 50 for k in range(1, 51)] if sample_every is None
                  else [t0 + config.t_end])
-        nsteps, result.rejected = _controlled_run(step, lin, flux, y, grid.L, t0, stops,
-                                                  sample_every, accepted)
+        if not bidirectional:
+            J = _occupied_band(np.abs(np.fft.rfft(y[0])[:J]), J)
+        nsteps, result.rejected, result.band = _controlled_run(
+            band, lin.size, J, y, grid.L, t0, stops, sample_every, accepted)
     else:
         nsteps = 0
     result.steps = nsteps
@@ -603,16 +633,39 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     return result
 
 
-def _controlled_run(step, lin: np.ndarray, flux: np.ndarray, y: np.ndarray, L: float,
-                    t: float, stops: list[float], sample_every: int | None,
-                    accepted) -> tuple[int, int]:
+def _occupied_band(a: np.ndarray, cap: int) -> int:
+    """The band an auto-dt unidirectional run starts on, from its |h_j| on the full band.
+
+    The shortest prefix that holds every mode above CHOP_LEVEL of the peak
+    coefficient, the chop of a series at its roundoff plateau (Aurentz &
+    Trefethen 2017; Boyd 2001, ch. 2), plus a margin of an eighth of it
+    (at least BAND_MARGIN modes), and never more than the cap modes of
+    the 2/3-rule band.
+    """
+    above = np.flatnonzero(a > CHOP_LEVEL * a.max())
+    top = int(above[-1]) if above.size else 0
+    return min(cap, top + max(BAND_MARGIN, top // 8))
+
+
+def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, t: float,
+                    stops: list[float], sample_every: int | None,
+                    accepted) -> tuple[int, int, tuple[int, int]]:
     """Step an ERK4(3)-IP run from the samples y at time t through every stop.
 
-    step, lin and flux are _band_run's, and y stacks the samples of h (and
-    of v for a bidirectional run).  Returns the accepted and rejected step
-    counts; accepted(i, t, z, due) sees every accepted step, due at each
-    landing on a stop and, with sample_every, at every sample_every-th
-    step.
+    band(J) is _band_run's (lin, flux, step) on the first J modes of the
+    run's band of cap modes; the run starts on J of them.  y stacks the
+    samples of h (and of v for a bidirectional run).  Returns the accepted
+    and rejected step counts and the least and greatest band stepped;
+    accepted(i, t, z, due) sees every accepted step, due at each landing
+    on a stop and, with sample_every, at every sample_every-th step, and
+    returns |h_j| on the band.
+
+    The band grows on demand: when a mode in its top ninth (at least
+    BAND_MARGIN modes) passes GROW_LEVEL of the peak coefficient after
+    an accepted step, a quarter of it (at least BAND_MARGIN modes, at
+    most up to cap) is added, on which z is zero, so the state is exact.
+    The next step forms its first-stage square afresh and the beat limit
+    and norm weights below are rebuilt, while the PI controller carries on.
 
     Errors and sizes are measured in the norm in which the band's linear
     flow is an isometry: the L2 norm of h for the unidirectional equation,
@@ -635,20 +688,27 @@ def _controlled_run(step, lin: np.ndarray, flux: np.ndarray, y: np.ndarray, L: f
     (about sqrt(eps) of the state's time scale) the two solutions of the
     pair agree to the last bit and the error estimate reads zero.
     """
-    (m, N), J = y.shape, lin.size
+    m, N = y.shape
+    J0 = J
     z = np.fft.rfft(y)[:, :J].ravel()
-    # the band's dispersion relation and the weights of the isometric norm
-    omega = np.sqrt(-lin) if m == 2 else lin.imag
-    iso = np.concatenate((omega, np.ones(J))) if m == 2 else 1.0
-    k2 = np.tile((2.0 * math.pi / L * np.arange(J)) ** 2, m)
-    c_max = float(np.abs(np.diff(omega)).max()) * L / (2.0 * math.pi)
 
-    def beat_limit(z: np.ndarray) -> float:
-        u = iso * z
-        power = np.vdot(u, u).real
-        k2_mean = np.vdot(u, k2 * u).real / power if power else 0.0
-        return RK4_IMAG_LIMIT / (c_max * math.sqrt(k2_mean)) if k2_mean else math.inf
+    def on_band(J: int):
+        lin, flux, step = band(J)
+        # the band's dispersion relation and the weights of the isometric norm
+        omega = np.sqrt(-lin) if m == 2 else lin.imag
+        iso = np.concatenate((omega, np.ones(J))) if m == 2 else 1.0
+        k2 = np.tile((2.0 * math.pi / L * np.arange(J)) ** 2, m)
+        c_max = float(np.abs(np.diff(omega)).max()) * L / (2.0 * math.pi)
 
+        def beat_limit(z: np.ndarray) -> float:
+            u = iso * z
+            power = np.vdot(u, u).real
+            k2_mean = np.vdot(u, k2 * u).real / power if power else 0.0
+            return RK4_IMAG_LIMIT / (c_max * math.sqrt(k2_mean)) if k2_mean else math.inf
+
+        return flux, step, iso, beat_limit
+
+    flux, step, iso, beat_limit = on_band(J)
     u = iso * z
     size = math.sqrt(np.vdot(u, u).real)
     tol, floor = IF_TOL * size, 1e-8 * (stops[-1] - t)
@@ -674,8 +734,13 @@ def _controlled_run(step, lin: np.ndarray, flux: np.ndarray, y: np.ndarray, L: f
                     r = err / tol if err else 0.0
                     fac = 5.0 if r == 0.0 else 0.9 * r ** -0.175 * r_prev ** 0.1
                     want, r_prev = dt * min(5.0, max(0.2, fac)), max(r, 1e-4)
+                a = accepted(i, t, z, land or (sample_every is not None and i % sample_every == 0))
+                if J < cap and a[-max(BAND_MARGIN, J // 9):].max() > GROW_LEVEL * a.max():
+                    grown = min(cap, J + max(BAND_MARGIN, J // 4))
+                    z = np.pad(z.reshape(m, J), ((0, 0), (0, grown - J))).ravel()
+                    J, n = grown, None
+                    flux, step, iso, beat_limit = on_band(J)
                 want = min(want, beat_limit(z))
-                accepted(i, t, z, land or (sample_every is not None and i % sample_every == 0))
             else:
                 rejected += 1
                 fac = 0.9 * (tol / err) ** 0.25 if err < math.inf else 0.0  # nan too
@@ -683,7 +748,7 @@ def _controlled_run(step, lin: np.ndarray, flux: np.ndarray, y: np.ndarray, L: f
                 if want < floor:
                     h1 = np.fft.irfft(z1[:J], n=N)
                     raise BlowUpError(t, i + 1, float(np.max(np.abs(h1))), "ifrk4")
-    return i, rejected
+    return i, rejected, (J0, J)
 
 
 # --------------------------------------------------------------------------

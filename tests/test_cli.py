@@ -474,6 +474,9 @@ class TestSubcommands:
         assert runs["fixed"]["result.steps"] == "500"
         for m in runs.values():
             assert int(m["result.steps"]) * float(m["result.dt"]) == pytest.approx(0.5)
+        # the explicit step moves every mode; the auto step at most those below N/3
+        assert runs["fixed"]["result.band_min"] == runs["fixed"]["result.band_max"] == "65"
+        assert 0 < int(runs["auto"]["result.band_min"]) <= int(runs["auto"]["result.band_max"]) <= 43
 
     def test_manifest_records_rejected_steps(self, tmp_path):
         for name, extra in (("auto", []), ("fixed", ["--set", "scheme.dt=0.01"])):

@@ -610,18 +610,20 @@ class TestIfrk4:
     @pytest.mark.parametrize("scheme", ["spectral", "centered4"])
     def test_beat_limit_is_measured_over_the_band(self, params, scheme):
         # a transit at N = 1024: the RK4 limit 2 sqrt(2) / (c_max k_rms) of the
-        # fastest beat over the retained band, not the error, sets the step,
-        # which turns the fastest retained mode many times
+        # fastest beat over the band the run steps, not the error, sets the
+        # step, which turns the fastest stepped mode many times
         spec, grid, field = solitary_case(params, N=1024, L=120.0)
-        band = 3 * np.arange(grid.N // 2 + 1) < grid.N
-        omega = kdv_linear_symbol(params, grid, scheme)[band].imag
-        k = wavenumbers(grid.N, grid.L)[band]
-        c_max = np.max(np.abs(np.diff(omega) / np.diff(k)))
-        power = np.abs(np.fft.rfft(field.h)[band]) ** 2
-        limit = 2 * math.sqrt(2) / (c_max * math.sqrt(np.sum(k * k * power) / np.sum(power)))
         times = []
-        evolve(field, params, SchemeConfig(deriv=scheme, t_end=3.0), record_invariants=False,
-               observers=[lambda t, s: times.append(t)], sample_every=1)
+        res = evolve(field, params, SchemeConfig(deriv=scheme, t_end=3.0),
+                     record_invariants=False, observers=[lambda t, s: times.append(t)],
+                     sample_every=1)
+        J = res.band[0]
+        assert res.band == (J, J)
+        omega = kdv_linear_symbol(params, grid, scheme)[:J].imag
+        k = wavenumbers(grid.N, grid.L)[:J]
+        c_max = np.max(np.abs(np.diff(omega) / np.diff(k)))
+        power = np.abs(np.fft.rfft(field.h)[:J]) ** 2
+        limit = 2 * math.sqrt(2) / (c_max * math.sqrt(np.sum(k * k * power) / np.sum(power)))
         largest = np.diff(times)[:-1].max()  # the last step lands on t_end
         assert limit * 2 ** (-1 / 16) * (1 - 1e-9) <= largest <= limit * (1 + 1e-9)
         assert largest * np.max(np.abs(omega)) > 4 * 2 * math.pi
@@ -639,6 +641,52 @@ class TestIfrk4:
         coeffs = np.abs(np.fft.rfft(res.final.h)) / grid.N
         assert coeffs[J:].max() <= 1e-17
         assert coeffs[J - J // 8:J].max() <= 1e-16
+
+    def test_steps_beyond_one_turn_raise_no_stage_resonance_at_a_cut_band(self, params):
+        # four laps at N = 1024 on the band the wave occupies, in steps of about
+        # 4 turns of its fastest mode: the band never grows, and its top eighth
+        # stays at the truncation plateau (1.5e-11 of the peak after two laps,
+        # 1.6e-11 after four), where a stage resonance would grow it ~300x a lap
+        spec, grid, field = solitary_case(params, N=1024, L=120.0)
+        res = evolve(field, params, SchemeConfig(t_end=4 * grid.L / solitary_speed(spec)),
+                     record_invariants=False)
+        J = res.band[0]
+        assert res.band == (J, J) and J < (grid.N + 2) // 3
+        lin = kdv_linear_symbol(params, grid, "spectral")[:J]
+        assert res.dt * np.max(np.abs(lin)) > 3 * 2 * math.pi
+        tops = []
+        for snap in (res.snapshots[25], res.final):  # after laps 2 and 4
+            coeffs = np.abs(np.fft.rfft(snap.h)) / grid.N
+            assert coeffs[J:].max() <= 1e-17
+            tops.append(coeffs[J - J // 8:J].max())
+            assert tops[-1] <= 1e-10 * coeffs.max()
+        assert tops[1] < 2 * tops[0]
+
+    def test_band_grows_as_the_state_steepens(self, params, monkeypatch):
+        # a hump that steepens fills ever more modes: the run starts on a band
+        # of under half the 2/3-rule band and grows it on demand, to the same
+        # final h as the run on the whole 2/3-rule band
+        grid = PeriodicGrid(L=200.0, N=512)
+        field = WaveField(grid, 0.15 * np.exp(-(grid.x / 6.0) ** 2))
+        config = SchemeConfig(t_end=40.0)
+        built, band_run = [], evolution._band_run
+
+        def spy(*args):
+            out = band_run(*args)
+            built.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(evolution, "_band_run", spy)
+        res = evolve(field, params, config, record_invariants=False)
+        cap = (grid.N + 2) // 3
+        # evolve builds the full band, then the start's, then each grown one
+        assert built[0] == cap and built[1] == res.band[0] < cap // 2
+        assert len(built) - 2 >= 3 and built[-1] == res.band[1]
+        monkeypatch.setattr(evolution, "CHOP_LEVEL", 0.0)
+        full = evolve(field, params, config, record_invariants=False)
+        assert full.band == (cap, cap)
+        scale = np.max(np.abs(full.final.h))
+        assert np.max(np.abs(res.final.h - full.final.h)) <= 1e-7 * scale
 
     @pytest.mark.parametrize("N, h0_tall", [(256, 0.42), (256, 0.45), (256, 0.46), (384, 0.5)])
     def test_collision_steps_beyond_one_turn_stay_clean(self, params, N, h0_tall):
