@@ -5,17 +5,15 @@ square of the modulus.  This is the convention of DLMF chapter 22 with
 cn(u|m), and it is the value that the cnoidal steady-wave ODE fixes to
 l/(l+k) (see the waves module).
 
-K(m) is computed by the arithmetic-geometric mean.  sn, cn, dn use the
-AGM/descending-Landen phi recursion (DLMF 22.20(ii)); the recursion runs
-in extended precision with the argument reduced modulo the real period,
-which keeps the absolute error at or below ~1e-13 across all of
-m in [0, 1], including the cnoidal-to-solitary limit m -> 1.
+K(m), sn, cn and dn share one arithmetic-geometric mean, run in extended
+precision (_agm): K(m) = pi/(2 a_n) is within 1 ulp of the exact value,
+and sn, cn, dn use the AGM/descending-Landen phi recursion (DLMF
+22.20(ii)) with the argument reduced modulo the real period 4K, which
+keeps their absolute error at or below ~1e-13 across all of m in [0, 1],
+including the cnoidal-to-solitary limit m -> 1.
 """
 
 from __future__ import annotations
-
-import math
-import sys
 
 import numpy as np
 
@@ -23,7 +21,24 @@ __all__ = ["complete_K", "jacobi_cn_sn_dn", "sech_sq"]
 
 _LD = np.longdouble
 _LD_EPS = float(np.finfo(np.longdouble).eps)
+_PI = np.longdouble("3.14159265358979323846264338327950288")
 _MAX_AGM_ITER = 40
+
+
+def _agm(m: float) -> tuple[list, list]:
+    """The AGM of 1 and sqrt(1 - m) in extended precision, as (a, c).
+
+    a[n+1] = (a[n] + b[n])/2, b[n+1] = sqrt(a[n] b[n]) and c[n+1] =
+    (a[n] - b[n])/2 from c[0] = sqrt(m), run until c is within 4 eps of a;
+    K(m) = pi/(2 a[-1]).
+    """
+    a, b, c = [_LD(1.0)], np.sqrt(_LD(1.0) - _LD(m)), [np.sqrt(_LD(m))]
+    while abs(c[-1]) > 4.0 * _LD_EPS * a[-1] and len(a) <= _MAX_AGM_ITER:
+        a_n = a[-1]
+        a.append(0.5 * (a_n + b))
+        c.append(0.5 * (a_n - b))
+        b = np.sqrt(a_n * b)
+    return a, c
 
 
 def complete_K(m: float) -> float:
@@ -37,28 +52,13 @@ def complete_K(m: float) -> float:
     Returns
     -------
     float
-        Complete elliptic integral of the first kind, relative error
-        at the 1e-15 level (AGM converges quadratically).
+        Complete elliptic integral of the first kind, within 1 ulp
+        (the AGM converges quadratically, in extended precision).
     """
     m = float(m)
     if not (0.0 <= m < 1.0):
         raise ValueError(f"complete_K requires 0 <= m < 1, got {m}")
-    a, b = 1.0, math.sqrt(1.0 - m)
-    for _ in range(_MAX_AGM_ITER):
-        if abs(a - b) <= 4.0 * sys.float_info.epsilon * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
-
-
-def _complete_K_ld(m: float) -> np.longdouble:
-    a = _LD(1.0)
-    b = np.sqrt(_LD(1.0) - _LD(m))
-    for _ in range(_MAX_AGM_ITER * 2):
-        if abs(a - b) <= 4.0 * _LD_EPS * a:
-            break
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-    return _LD(np.pi) / (2.0 * a)
+    return float(_PI / (2.0 * _agm(m)[0][-1]))
 
 
 def jacobi_cn_sn_dn(u, m: float):
@@ -103,20 +103,11 @@ def _jacobi_agm(u: np.ndarray, m: float):
     """AGM phi recursion, extended precision, argument reduced mod 4K."""
     one = _LD(1.0)
     m_ld = _LD(m)
-    K = _complete_K_ld(m)
-    period = 4.0 * K
+    a, c = _agm(m)
+    n = len(a) - 1
+    period = 4.0 * (_PI / (2.0 * a[n]))
     w = u.astype(_LD)
     w = w - period * np.rint(w / period)
-
-    a = [one]
-    b = [np.sqrt(one - m_ld)]
-    c = [np.sqrt(m_ld)]
-    n = 0
-    while abs(c[-1]) > 4.0 * _LD_EPS * a[-1] and n < _MAX_AGM_ITER:
-        a.append(0.5 * (a[n] + b[n]))
-        b.append(np.sqrt(a[n] * b[n]))
-        c.append(0.5 * (a[n] - b[n]))
-        n += 1
 
     phi = (_LD(2.0) ** n) * a[n] * w
     for j in range(n, 0, -1):

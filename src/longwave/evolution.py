@@ -1,16 +1,17 @@
 """Time integration of the long-wave evolution equations.
 
-Two dynamics are provided.  The unidirectional equation, in the fixed
-frame
-
-    h_t = -(3/2) sqrt(g/H) d/dx ( (2/3) H h + h^2/2 + (H^3/9) h_xx )
-
-or in a frame moving at sqrt(gH) - sqrt(g/H) alpha
+Two dynamics are provided.  The unidirectional equation, in a frame
+moving at sqrt(gH) - sqrt(g/H) alpha
 
     h_t = -(3/2) sqrt(g/H) d/dxi ( h^2/2 + (2/3) alpha h + (sigma/3) h_xixi )
 
-where sigma = H^3/3 - T H/(rho g) carries the capillary correction.  And
-the bidirectional second-order equation
+where sigma = H^3/3 - T H/(rho g) carries the capillary correction.  The
+fixed frame is this equation at alpha = H, where the frame speed is zero,
+with the pure-gravity sigma = H^3/3 whatever T is:
+
+    h_t = -(3/2) sqrt(g/H) d/dx ( (2/3) H h + h^2/2 + (H^3/9) h_xx )
+
+And the bidirectional second-order equation
 
     h_tt = g H d^2/dx^2 ( h + 3 h^2/(2H) + (H^2/3) h_xx )
 
@@ -21,13 +22,13 @@ onto which the starting (h, v) is projected once; the filter (the band
 limit) can be disabled only to demonstrate the blow-up.
 
 Each equation is written once, in Fourier space, as one linear symbol
-plus one multiplier of the transformed h^2 flux (_kdv_symbols and
-_boussinesq_symbols), built from the derivative symbols of the chosen
-scheme (the centered stencils through their exact trigonometric
-symbols).  For the bidirectional system the pair gives h_tt, and the
-low-pass keeps both multipliers only up to the cut.  Every full-grid
-evaluation (kdv_rhs, boussinesq_rhs, the sampled h_t of a run and the
-factorization residual) goes through the one evaluator _grid_rhs.
+plus one multiplier of the transformed h^2 flux (_kdv_symbols, for
+every frame, and _boussinesq_symbols), built from the derivative symbols
+of the chosen scheme (the centered stencils through their exact
+trigonometric symbols).  For the bidirectional system the pair gives
+h_tt, and the low-pass keeps both multipliers only up to the cut.  Every
+full-grid evaluation (kdv_rhs, boussinesq_rhs, the sampled h_t of a run
+and the factorization residual) goes through the one evaluator _grid_rhs.
 
 Every run is stepped the same way, on the rfft coefficients of its
 band of retained modes (_band_run): the starting state is projected onto
@@ -51,20 +52,21 @@ is stepped on all of it.  A solitary transit at L = 120 occupies about
 each mode's (h, v)' = [[0, 1], [lin, 0]] (h, v) with lin = -omega^2 is
 propagated by the rotation [[cos omega dt, sin(omega dt)/omega],
 [-omega sin omega dt, cos omega dt]] ([[1, dt], [0, 1]] at mode 0), and
-the flux enters v only.  A PI controller (Gustafsson 1991) sizes every
-step so that its local error stays within IF_TOL = 3e-7 of the starting
-state's norm, taken as the norm in which the propagator is an isometry
-(the L2 norm of h; (sum omega^2 |h|^2 + |v|^2)^(1/2) for the
-bidirectional pair), and no step passes the RK4 imaginary-axis limit of
-the fastest beat in the interaction picture, 2 sqrt(2) / (c_max k_rms),
-the largest group speed of the band's dispersion relation times the
-state's rms wavenumber (see _controlled_run).  Since the group speed
-grows like the square of the band's top wavenumber, every unused mode
-there would cost steps.  Steps may turn the fastest stepped mode many
-times: about 4 turns on a transit, at N = 512 and N = 1024 alike.  3e-7
-is the largest tolerance in a sweep (CHANGES.md) at which the acceptance
-collision's invariants drift no more than 1.5 times as much as they did
-under the two step limits this controller replaced.
+the flux enters v only; either propagator builds the one set of stage
+weights.  A PI controller (Gustafsson 1991) sizes every step so that its
+local error stays within IF_TOL = 3e-7 of the starting state's norm,
+taken as the norm in which the propagator is an isometry (the L2 norm
+of h; (sum omega^2 |h|^2 + |v|^2)^(1/2) for the bidirectional pair), and
+no step passes the RK4 imaginary-axis limit of the fastest beat in the
+interaction picture, 2 sqrt(2) / (c_max k_rms), the largest group speed
+of the band's dispersion relation times the state's rms wavenumber (see
+_controlled_run).  Since the group speed grows like the square of the
+band's top wavenumber, every unused mode there would cost steps.  Steps
+may turn the fastest stepped mode many times: about 4 turns on a
+transit, at N = 512 and N = 1024 alike.  3e-7 is the largest tolerance
+in a sweep (CHANGES.md) at which the acceptance collision's invariants
+drift no more than 1.5 times as much as they did under the two step
+limits this controller replaced.
 
 An explicit dt, and an unfiltered bidirectional run (whose linear part
 grows above sqrt(3)/H, so no rotation propagates it), uses classical
@@ -154,6 +156,8 @@ class SchemeConfig:
     deriv selects the spatial scheme ("spectral" or "centered4").  dt of
     None means "use the stability advisory".  frame applies to the
     unidirectional equation only; alpha is the moving-frame parameter.
+    The fixed frame is the pure-gravity equation at alpha = H, whatever
+    the surface tension T of the PhysicalParams is (it reads neither).
     filter_cut is the bidirectional low-pass cutoff as a fraction of
     sqrt(3)/H; boussinesq_filter=False disables it (ill-posedness demo
     only).
@@ -206,26 +210,17 @@ class SteepeningVerdict(Enum):
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
-def _kdv_symbols(N: int, L: float, g: float, H: float, sigma: float,
-                 frame: str, alpha: float, deriv: str,
-                 dealias: bool) -> tuple[np.ndarray, np.ndarray]:
+def _kdv_symbols(N: int, L: float, g: float, H: float, sigma: float, alpha: float,
+                 deriv: str) -> tuple[np.ndarray, np.ndarray]:
     """Fourier form of the unidirectional equation (read-only arrays).
 
-    Returns (lin, flux) with  rfft(h_t) = lin * rfft(h) + flux * rfft(h^2):
-    lin carries the advection and dispersion terms, flux the h^2/2
-    nonlinearity.  Both are purely imaginary.  With dealias both cover
-    only Orszag's 2/3-rule band, the rfft modes j with 3j < N, on which
-    the h^2 of a band-limited field is exact (see _band_run).
+    Returns (lin, flux) with  rfft(h_t) = lin * rfft(h) + flux * rfft(h^2)
+    over every rfft mode: lin carries the advection and dispersion terms of
+    the frame alpha, flux the h^2/2 nonlinearity.  Both are purely imaginary.
     """
     d1, d2 = derivative_symbols(N, L, deriv)
-    if dealias:
-        d1, d2 = d1[:(N + 2) // 3], d2[:(N + 2) // 3]
     c = 1.5 * math.sqrt(g / H)
-    if frame == "fixed":
-        adv, disp = (2.0 / 3.0) * H, H ** 3 / 9.0
-    else:
-        adv, disp = (2.0 / 3.0) * alpha, sigma / 3.0
-    lin = -c * d1 * (adv + disp * d2)
+    lin = -c * d1 * ((2.0 / 3.0) * alpha + (sigma / 3.0) * d2)
     flux = -0.5 * c * d1
     lin.setflags(write=False)
     flux.setflags(write=False)
@@ -233,14 +228,13 @@ def _kdv_symbols(N: int, L: float, g: float, H: float, sigma: float,
 
 
 def _symbols_for(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
-                 dealias: bool = False):
-    """(lin, flux) of the run; dealias=True gives the IFRK4 band-limited pair."""
+                 table=_kdv_symbols):
+    """(lin, flux) of the run; the fixed frame is the pure-gravity one at alpha = H."""
     if config.frame == "fixed":
-        # sigma and alpha play no role in the fixed frame; normalize the cache key
-        return _kdv_symbols(grid.N, grid.L, params.g, params.H, 0.0,
-                            "fixed", 0.0, config.deriv, dealias)
-    return _kdv_symbols(grid.N, grid.L, params.g, params.H, dispersion_sigma(params),
-                        "moving", config.alpha, config.deriv, dealias)
+        sigma, alpha = params.H ** 3 / 3.0, params.H
+    else:
+        sigma, alpha = dispersion_sigma(params), config.alpha
+    return table(grid.N, grid.L, params.g, params.H, sigma, alpha, config.deriv)
 
 
 def _grid_rhs(lin: np.ndarray, flux: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -296,6 +290,11 @@ def boussinesq_rhs(state: tuple[WaveField, WaveField], params: PhysicalParams,
 # stepping
 # --------------------------------------------------------------------------
 
+def _omega(lin: np.ndarray, bidirectional: bool) -> np.ndarray:
+    """A band's dispersion relation: Im lin, or sqrt|lin| for the (h, v) pair."""
+    return np.sqrt(np.abs(lin)) if bidirectional else lin.imag
+
+
 def stable_dt(grid: PeriodicGrid, params: PhysicalParams,
               config: SchemeConfig = SchemeConfig(), equation: str = "kdv") -> float:
     """Advisory RK4 time step: 0.4 x the RK4 limit of the linearized symbol [s].
@@ -306,12 +305,12 @@ def stable_dt(grid: PeriodicGrid, params: PhysicalParams,
     retained band (or the fastest growth rate when the filter is off).
     """
     if equation == "kdv":
-        lam = np.abs(_symbols_for(grid, params, config)[0])
+        lin = _symbols_for(grid, params, config)[0]
     elif equation == "boussinesq":
-        lam = np.sqrt(np.abs(_boussinesq_symbols_for(grid, params, config)[0]))
+        lin = _boussinesq_symbols_for(grid, params, config)[0]
     else:
         raise ValueError(f"unknown equation {equation!r}")
-    lam_max = float(lam.max())
+    lam_max = float(np.abs(_omega(lin, equation == "boussinesq")).max())
     if lam_max == 0.0:
         raise ValueError("degenerate linear symbol; cannot size a step")
     return CFL_SAFETY * RK4_IMAG_LIMIT / lam_max
@@ -338,10 +337,10 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     state occupies (_occupied_band), which _controlled_run grows on demand;
     the public steps take the full band.  The state z is the rfft
     coefficients of h on the band, followed by v's for a bidirectional
-    run: rfft(y)[:, :J].ravel() of the stacked samples y.  h^2 is formed on the smallest 5-smooth M >= 3J - 2 points
-    (M divides 30^64), where the sum of two band modes folds above the
-    band, so the product is exact inside it; capped at N, it is the
-    full-grid product.
+    run: rfft(y)[:, :J].ravel() of the stacked samples y.  h^2 is formed on
+    the smallest 5-smooth M >= 3J - 2 points (M divides 30^64), where the
+    sum of two band modes folds above the band, so the product is exact
+    inside it; capped at N, it is the full-grid product.
 
     For integrator "rk4", step(z, dt) is the state one classical RK4 step
     of dt later.  For "ifrk4", step(z, n, dt) is one step of the embedded
@@ -350,7 +349,8 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     the stages only the h^2 flux: by exp(lin dt) for a unidirectional run;
     for a bidirectional one by the rotation of each mode's (h, v) pair
     (see the module docstring), with the flux entering v only (the
-    low-pass band is required, ValueError otherwise).  Its third-order
+    low-pass band is required, ValueError otherwise); one set of stage
+    weights serves either propagator.  Its third-order
     partner adds the stage of the new state, which is the next step's
     first (first same as last).  n is the band square of z (None: formed
     here).  It returns (z1, n1, err): the new state, its band square (the
@@ -362,7 +362,9 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     if bidirectional:
         lin, flux = _boussinesq_symbols_for(grid, params, config)
     else:
-        lin, flux = _symbols_for(grid, params, config, dealias=integrator == "ifrk4")
+        lin, flux = _symbols_for(grid, params, config)
+        if integrator == "ifrk4" and J is None:
+            J = (grid.N + 2) // 3  # Orszag's 2/3-rule band
     lin, flux = lin[:J], flux[:J]
     J, N = lin.size, grid.N
     M = next((M for M in range(3 * J - 2, N) if 30 ** 64 % M == 0), N)
@@ -381,48 +383,44 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     if integrator == "rk4":
         return lin, flux, lambda z, dt: _rk4(z, rhs, dt)
 
-    # weights(dt) gives the half-step propagator P of the linear part and
-    # the stage weights, each a coefficient times P, P^2 or 1 applied to the
-    # flux vector, folded into one array; sq(x) is the band square of the h
-    # of a stage x (a bidirectional stage has one row per field)
+    # propagator(tau) applies the linear flow over tau to a stage, g is the
+    # flux vector and sq(x) the band square of the h of a stage x (a
+    # bidirectional stage has one row per field, g's shape)
     if bidirectional:
         if not config.boussinesq_filter:
             raise ValueError("the integrating factor needs the low-pass band: unfiltered, "
                              "the bidirectional model grows without bound above sqrt(3)/H")
-        om = np.sqrt(-lin)  # lin = -omega^2 <= 0 on the low-pass band
+        om = _omega(lin, True)
         g = np.stack((np.zeros(J), flux_m))  # the flux enters v only
-        shape = (2, J)
 
         def sq(x: np.ndarray) -> np.ndarray:
             return squared(x[0])
 
-        def rotation(tau: float):
+        def propagator(tau: float):
             # exp(tau [[0, 1], [lin, 0]]) = [[c, s], [lin s, c]], s = sin(om tau)/om
             # (tau at mode 0, where it is [[1, tau], [0, 1]])
+            c = np.cos(om * tau)
             s = np.divide(np.sin(om * tau), om, out=np.full(J, tau), where=om > 0)
-            return np.cos(om * tau), s
-
-        @lru_cache(maxsize=8)
-        def weights(dt: float):
-            c, s = rotation(0.5 * dt)
-            c2, s2 = rotation(dt)
             X = np.stack((s, lin * s))
-            Pg, P2g = np.stack((s, c)) * flux_m, np.stack((s2, c2)) * flux_m
-            return (lambda z: c * z + X * z[::-1], (0.5 * dt) * Pg, (0.5 * dt) * g, dt * Pg,
-                    (dt / 6.0) * P2g, (dt / 3.0) * Pg, (dt / 6.0) * g, (dt / 10.0) * flux_m)
+            return lambda x: c * x + X * x[::-1]
     else:
-        shape, sq = (J,), squared
+        g, sq = flux_m, squared
 
-        @lru_cache(maxsize=8)  # evolve's steps sit on a few rungs of a ladder
-        def weights(dt: float):
-            E = np.exp(0.5 * dt * lin)
-            return (partial(np.multiply, E), (0.5 * dt) * E * flux_m, (0.5 * dt) * flux_m,
-                    dt * E * flux_m, (dt / 6.0) * E * E * flux_m, (dt / 3.0) * E * flux_m,
-                    (dt / 6.0) * flux_m, (dt / 10.0) * flux_m)
+        def propagator(tau: float):
+            return partial(np.multiply, np.exp(tau * lin))
+
+    @lru_cache(maxsize=8)  # evolve's steps sit on a few rungs of a ladder
+    def weights(dt: float):
+        # the half-step propagator P and the stage weights, each a coefficient
+        # times g propagated over dt/2, dt or not at all, folded into one array
+        P = propagator(0.5 * dt)
+        Pg, P2g = P(g), propagator(dt)(g)
+        return (P, (0.5 * dt) * Pg, (0.5 * dt) * g, dt * Pg, (dt / 6.0) * P2g,
+                (dt / 3.0) * Pg, (dt / 6.0) * g, (dt / 10.0) * flux_m)
 
     def step(z: np.ndarray, n1: np.ndarray | None, dt: float):
         P, a2, a3, a4, b1, b23, b4, e = weights(dt)
-        z = z.reshape(shape)
+        z = z.reshape(g.shape)
         if n1 is None:
             n1 = sq(z)
         Pz = P(z)
@@ -695,7 +693,7 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, t: float,
     def on_band(J: int):
         lin, flux, step = band(J)
         # the band's dispersion relation and the weights of the isometric norm
-        omega = np.sqrt(-lin) if m == 2 else lin.imag
+        omega = _omega(lin, m == 2)
         iso = np.concatenate((omega, np.ones(J))) if m == 2 else 1.0
         k2 = np.tile((2.0 * math.pi / L * np.arange(J)) ** 2, m)
         c_max = float(np.abs(np.diff(omega)).max()) * L / (2.0 * math.pi)
@@ -867,8 +865,7 @@ def factorization_residual(field: WaveField, params: PhysicalParams,
     grid, h = field.grid, field.h
     # both tables are built uncached: a residual's domain length is seldom
     # reused, and each would hold a cache entry that no run reads
-    lin, flux = _kdv_symbols.__wrapped__(grid.N, grid.L, params.g, params.H, 0.0,
-                                         "fixed", 0.0, scheme, False)
+    lin, flux = _symbols_for(grid, params, SchemeConfig(deriv=scheme), _kdv_symbols.__wrapped__)
     if h_t is None:
         h_t = _grid_rhs(lin, flux, h)
     h_tt = np.fft.irfft(lin * np.fft.rfft(h_t) + 2.0 * flux * np.fft.rfft(h * h_t), n=grid.N)

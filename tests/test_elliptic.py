@@ -28,6 +28,12 @@ class TestCompleteK:
         assert complete_K(0.5) == pytest.approx(1.854074677301372, rel=1e-14)
         assert complete_K(0.99) == pytest.approx(K_quadrature(0.99), rel=1e-12)
 
+    def test_within_one_ulp_of_mpmath(self):
+        with mp.workdps(40):
+            for m in np.arange(1000) / 1000:
+                exact = mp.ellipk(m)
+                assert abs(mp.mpf(complete_K(m)) - exact) <= math.ulp(float(exact)), m
+
     def test_domain_errors(self):
         for m in (1.0, 1.5, -0.1):
             with pytest.raises(ValueError):
