@@ -465,15 +465,12 @@ def scenario_cnoidal_family(cfg: ExperimentConfig):
 def scenario_steepening(cfg: ExperimentConfig):
     """Verdict sweep across profile widths, with evolution cross-checks."""
     params = cfg.params
-    sigma = dispersion_sigma(params)
     hbar = cfg.fnum("scenario.hbar")
     t_check = cfg.fnum("scenario.t_check")
     p_star = steady_inverse_width(hbar, params)
     # every member is built, and so checked, before the first run
-    specs = []
-    for ratio in cfg.fnum("scenario.p_ratios"):
-        p = ratio * p_star
-        specs.append(DeformationSpec(hbar=hbar, p=p, alpha=4.0 * sigma * p * p - 1.5 * hbar))
+    specs = [DeformationSpec(hbar=hbar, p=ratio * p_star)
+             for ratio in cfg.fnum("scenario.p_ratios")]
     rows = ["# columns=p_ratio,p,verdict,front_slope_change"]
     results: dict[str, str] = {}
     for ratio, spec in zip(cfg.fnum("scenario.p_ratios"), specs):
@@ -722,9 +719,8 @@ def _cmd_stability(args) -> int:
     params = resolve_config("stability", args.config, args.set or [], None).params
     p_star = steady_inverse_width(args.hbar, params)
     p = args.p if args.p is not None else args.p_ratio * p_star
-    alpha = 4.0 * dispersion_sigma(params) * p * p - 1.5 * args.hbar
-    spec = DeformationSpec(hbar=args.hbar, p=p, alpha=alpha)
-    verdict = steepening_verdict(spec, params, cross_check=args.cross_check)
+    verdict = steepening_verdict(DeformationSpec(hbar=args.hbar, p=p), params,
+                                 cross_check=args.cross_check)
     print(f"p = {_fmt(p)}")
     print(f"p_steady = {_fmt(p_star)}")
     print(f"verdict = {verdict.value}")

@@ -34,29 +34,33 @@ Every run is stepped the same way, on the rfft coefficients of its
 band of retained modes (_band_run): the starting state is projected onto
 the band once, and each stage forms h^2 on the fewest points that make
 the product exact inside the band (Orszag 1971; Boyd 2001, ch. 11).
-The time integrator follows from the step.  With scheme.dt=auto a run
-uses the embedded Lawson pair ERK4(3)-IP (Balac & Mahe 2013; Hochbruck
-& Ostermann 2010): the linear part is propagated exactly, so the
-dispersive stiffness (dt ~ dx^3 under RK4) no longer sets the step, and
-a third-order partner that shares the next step's first stage estimates
-each step's local error at no extra cost.  For the unidirectional
-equation the propagator is exp(lin dt), on the modes the state
-occupies: the shortest prefix of the 2/3-rule band (the rfft modes
-below N/3) that holds every mode of the start above CHOP_LEVEL = 1e-14
-of its peak coefficient, plus a margin, the chop of a series at its
-roundoff plateau (Aurentz & Trefethen 2017; Boyd 2001, ch. 2).  The
-band grows, up to the 2/3-rule band, whenever a mode at its top passes
-GROW_LEVEL = 1e-10 of the peak, so a state that fills the 2/3-rule band
-is stepped on all of it.  A solitary transit at L = 120 occupies about
-136 modes, whatever N.  For the bidirectional one, on its low-pass band,
-each mode's (h, v)' = [[0, 1], [lin, 0]] (h, v) with lin = -omega^2 is
-propagated by the rotation [[cos omega dt, sin(omega dt)/omega],
-[-omega sin omega dt, cos omega dt]] ([[1, dt], [0, 1]] at mode 0), and
-the flux enters v only; either propagator builds the one set of stage
-weights.  A PI controller (Gustafsson 1991) sizes every step so that its
-local error stays within IF_TOL = 3e-7 of the starting state's norm,
-taken as the norm in which the propagator is an isometry (the L2 norm
-of h; (sum omega^2 |h|^2 + |v|^2)^(1/2) for the bidirectional pair), and
+The state holds one row of band coefficients per field, h alone or h
+and v, and both equations take one form on it: the linear part is one
+generator A on each mode, lin = i omega for the unidirectional equation
+and [[0, 1], [lin, 0]] with lin = -omega^2 for the (h, v) pair, and one
+flux vector puts the transformed h^2 flux in the last row (in v alone
+for the pair).  The time integrator follows from the step.  With
+scheme.dt=auto a run uses the embedded Lawson pair ERK4(3)-IP (Balac &
+Mahe 2013; Hochbruck & Ostermann 2010): the linear part is propagated
+exactly, so the dispersive stiffness (dt ~ dx^3 under RK4) no longer
+sets the step, and a third-order partner that shares the next step's
+first stage estimates each step's local error at no extra cost.  Both
+generators square to -omega^2, so one propagator serves both equations,
+exp(A dt) = cos(omega dt) + A sin(omega dt)/omega (1 + A dt where
+omega = 0): exp(lin dt) for the unidirectional equation, each mode's
+rotation for the pair.  A unidirectional run is stepped on the modes its
+state occupies: the shortest prefix of the 2/3-rule band (the rfft
+modes below N/3) that holds every mode of the start above
+CHOP_LEVEL = 1e-14 of its peak coefficient, plus a margin, the chop of a
+series at its roundoff plateau (Aurentz & Trefethen 2017; Boyd 2001,
+ch. 2).  The band grows, up to the 2/3-rule band, whenever a mode at its
+top passes GROW_LEVEL = 1e-10 of the peak, so a state that fills the
+2/3-rule band is stepped on all of it.  A solitary transit at L = 120
+occupies about 136 modes, whatever N.  A bidirectional run is stepped
+on its low-pass band.  A PI controller (Gustafsson 1991) sizes every
+step so that its local error stays within IF_TOL = 3e-7 of the starting
+state's norm, taken as the norm in which the propagator is an isometry
+(the L2 norm of h; (sum omega^2 |h|^2 + |v|^2)^(1/2) for the pair), and
 no step passes the RK4 imaginary-axis limit of the fastest beat in the
 interaction picture, 2 sqrt(2) / (c_max k_rms), the largest group speed
 of the band's dispersion relation times the state's rms wavenumber (see
@@ -266,8 +270,11 @@ def _boussinesq_symbols(N: int, L: float, g: float, H: float, deriv: str,
     return lin, flux
 
 
-def _boussinesq_symbols_for(grid: PeriodicGrid, params: PhysicalParams,
-                            config: SchemeConfig):
+def _symbols(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
+             bidirectional: bool):
+    """(lin, flux) of the run's equation: the pair's on its retained band."""
+    if not bidirectional:
+        return _symbols_for(grid, params, config)
     k_cut = config.filter_cut * math.sqrt(3.0) / params.H if config.boussinesq_filter else None
     return _boussinesq_symbols(grid.N, grid.L, params.g, params.H, config.deriv, k_cut)
 
@@ -280,7 +287,7 @@ def boussinesq_rhs(state: tuple[WaveField, WaveField], params: PhysicalParams,
     that band (v itself when the filter is off).
     """
     _, grid, _, (h, v) = _unpack(state)
-    lin, flux = _boussinesq_symbols_for(grid, params, config)
+    lin, flux = _symbols(grid, params, config, True)
     if config.boussinesq_filter:
         v = np.fft.irfft(np.fft.rfft(v)[:lin.size], n=grid.N)
     return v, _grid_rhs(lin, flux, h)
@@ -304,12 +311,9 @@ def stable_dt(grid: PeriodicGrid, params: PhysicalParams,
     bidirectional one its root is the dispersion frequency over the
     retained band (or the fastest growth rate when the filter is off).
     """
-    if equation == "kdv":
-        lin = _symbols_for(grid, params, config)[0]
-    elif equation == "boussinesq":
-        lin = _boussinesq_symbols_for(grid, params, config)[0]
-    else:
+    if equation not in ("kdv", "boussinesq"):
         raise ValueError(f"unknown equation {equation!r}")
+    lin = _symbols(grid, params, config, equation == "boussinesq")[0]
     lam_max = float(np.abs(_omega(lin, equation == "boussinesq")).max())
     if lam_max == 0.0:
         raise ValueError("degenerate linear symbol; cannot size a step")
@@ -335,22 +339,20 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     integrating-factor one and the low-pass band for a bidirectional one.
     evolve steps an integrating-factor unidirectional run on the prefix its
     state occupies (_occupied_band), which _controlled_run grows on demand;
-    the public steps take the full band.  The state z is the rfft
-    coefficients of h on the band, followed by v's for a bidirectional
-    run: rfft(y)[:, :J].ravel() of the stacked samples y.  h^2 is formed on
-    the smallest 5-smooth M >= 3J - 2 points (M divides 30^64), where the
-    sum of two band modes folds above the band, so the product is exact
-    inside it; capped at N, it is the full-grid product.
+    the public steps take the full band.  The state z is rfft(y)[:, :J]
+    of the stacked samples y, one row of band coefficients per field:
+    (1, J) for h alone, (2, J) for (h, v).  h^2 is formed on the smallest
+    5-smooth M >= 3J - 2 points (M divides 30^64), where the sum of two
+    band modes folds above the band, so the product is exact inside it;
+    capped at N, it is the full-grid product.
 
     For integrator "rk4", step(z, dt) is the state one classical RK4 step
     of dt later.  For "ifrk4", step(z, n, dt) is one step of the embedded
     Lawson pair ERK4(3)-IP (Balac & Mahe 2013).  Its fourth-order solution
-    is Lawson's RK4, which propagates the linear part exactly and leaves
-    the stages only the h^2 flux: by exp(lin dt) for a unidirectional run;
-    for a bidirectional one by the rotation of each mode's (h, v) pair
-    (see the module docstring), with the flux entering v only (the
-    low-pass band is required, ValueError otherwise); one set of stage
-    weights serves either propagator.  Its third-order
+    is Lawson's RK4, which propagates the linear part exactly, by the one
+    propagator exp(A dt) of the module docstring, and leaves the stages
+    only the h^2 flux, which enters the last row (a bidirectional run
+    needs the low-pass band, ValueError otherwise).  Its third-order
     partner adds the stage of the new state, which is the next step's
     first (first same as last).  n is the band square of z (None: formed
     here).  It returns (z1, n1, err): the new state, its band square (the
@@ -359,55 +361,42 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     four of Lawson's RK4.  That error sits in h, or in v alone, so its L2
     norm is its norm in the isometric norm of _controlled_run.
     """
-    if bidirectional:
-        lin, flux = _boussinesq_symbols_for(grid, params, config)
-    else:
-        lin, flux = _symbols_for(grid, params, config)
-        if integrator == "ifrk4" and J is None:
-            J = (grid.N + 2) // 3  # Orszag's 2/3-rule band
+    lin, flux = _symbols(grid, params, config, bidirectional)
+    if integrator == "ifrk4" and J is None and not bidirectional:
+        J = (grid.N + 2) // 3  # Orszag's 2/3-rule band
     lin, flux = lin[:J], flux[:J]
     J, N = lin.size, grid.N
     M = next((M for M in range(3 * J - 2, N) if 30 ** 64 % M == 0), N)
-    flux_m = flux * (M / N)  # the M-point product to the N-point rfft scale
+    # x' = A * x[::-1] + g * sq(x) on a state x of one row per field: A is lin
+    # for h alone and [1, lin] for (h, v), whose reversal is (v, h); the flux
+    # vector g holds the flux, scaled from the M-point product to the N-point
+    # rfft, in the last row (v's for the pair) and zero above it
+    A = np.stack((np.ones(J), lin)) if bidirectional else lin[None]
+    g = np.zeros_like(A)
+    g[-1] = flux * (M / N)
 
-    def squared(hh: np.ndarray) -> np.ndarray:
-        return np.fft.rfft(np.fft.irfft(hh, n=M) ** 2)[:J]
-
-    if bidirectional:
-        def rhs(z: np.ndarray) -> np.ndarray:
-            return np.concatenate((z[J:], lin * z[:J] + flux_m * squared(z[:J])))
-    else:
-        def rhs(z: np.ndarray) -> np.ndarray:
-            return lin * z + flux_m * squared(z)
+    def sq(x: np.ndarray) -> np.ndarray:
+        # the band square of the h of x, as one row (transformed as a 1-D
+        # array: pocketfft costs more on a batch of one)
+        return np.fft.rfft(np.fft.irfft(x[0], n=M) ** 2)[None, :J]
 
     if integrator == "rk4":
-        return lin, flux, lambda z, dt: _rk4(z, rhs, dt)
+        return lin, flux, lambda z, dt: _rk4(z, lambda x: A * x[::-1] + g * sq(x), dt)
 
-    # propagator(tau) applies the linear flow over tau to a stage, g is the
-    # flux vector and sq(x) the band square of the h of a stage x (a
-    # bidirectional stage has one row per field, g's shape)
-    if bidirectional:
-        if not config.boussinesq_filter:
-            raise ValueError("the integrating factor needs the low-pass band: unfiltered, "
-                             "the bidirectional model grows without bound above sqrt(3)/H")
-        om = _omega(lin, True)
-        g = np.stack((np.zeros(J), flux_m))  # the flux enters v only
+    if bidirectional and not config.boussinesq_filter:
+        raise ValueError("the integrating factor needs the low-pass band: unfiltered, "
+                         "the bidirectional model grows without bound above sqrt(3)/H")
+    om = _omega(lin, bidirectional)
 
-        def sq(x: np.ndarray) -> np.ndarray:
-            return squared(x[0])
-
-        def propagator(tau: float):
-            # exp(tau [[0, 1], [lin, 0]]) = [[c, s], [lin s, c]], s = sin(om tau)/om
-            # (tau at mode 0, where it is [[1, tau], [0, 1]])
-            c = np.cos(om * tau)
-            s = np.divide(np.sin(om * tau), om, out=np.full(J, tau), where=om > 0)
-            X = np.stack((s, lin * s))
-            return lambda x: c * x + X * x[::-1]
-    else:
-        g, sq = flux_m, squared
-
-        def propagator(tau: float):
-            return partial(np.multiply, np.exp(tau * lin))
+    def propagator(tau: float):
+        # A acts as the matrix i omega or [[0, 1], [lin, 0]], both squaring to
+        # -omega^2, so exp(tau A) = cos(omega tau) + A sin(omega tau)/omega
+        # (omega changes sign over a unidirectional band; tau A where omega = 0)
+        c = np.cos(om * tau)
+        As = A * np.divide(np.sin(om * tau), om, out=np.full(J, tau), where=om != 0)
+        if not bidirectional:  # one row: x[::-1] is x
+            return partial(np.multiply, c + As)
+        return lambda x: c * x + As * x[::-1]
 
     @lru_cache(maxsize=8)  # evolve's steps sit on a few rungs of a ladder
     def weights(dt: float):
@@ -416,11 +405,10 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
         P = propagator(0.5 * dt)
         Pg, P2g = P(g), propagator(dt)(g)
         return (P, (0.5 * dt) * Pg, (0.5 * dt) * g, dt * Pg, (dt / 6.0) * P2g,
-                (dt / 3.0) * Pg, (dt / 6.0) * g, (dt / 10.0) * flux_m)
+                (dt / 3.0) * Pg, (dt / 6.0) * g, (dt / 10.0) * g[-1:])
 
     def step(z: np.ndarray, n1: np.ndarray | None, dt: float):
         P, a2, a3, a4, b1, b23, b4, e = weights(dt)
-        z = z.reshape(g.shape)
         if n1 is None:
             n1 = sq(z)
         Pz = P(z)
@@ -431,7 +419,7 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
         z1 = P2z + b1 * n1 + b23 * (n2 + n3) + b4 * n4
         n5 = sq(z1)
         d = e * (n4 - n5)
-        return z1.ravel(), n5, math.sqrt(np.vdot(d, d).real)
+        return z1, n5, math.sqrt(np.vdot(d, d).real)
 
     return lin, flux, step
 
@@ -467,10 +455,9 @@ def _step(state, params: PhysicalParams, config: SchemeConfig, integrator: str,
         dt = config.dt or stable_dt(grid, params, config,
                                     "boussinesq" if bidirectional else "kdv")
     lin, _, step = _band_run(grid, params, config, bidirectional, integrator)
-    J = lin.size
-    z = np.fft.rfft(y)[:, :J].ravel()
+    z = np.fft.rfft(y)[:, :lin.size]
     z = step(z, dt) if integrator == "rk4" else step(z, None, dt)[0]
-    y = np.fft.irfft(z.reshape(-1, J), n=grid.N)
+    y = np.fft.irfft(z, n=grid.N)
     _check_alive(y[0], params.H, t + dt, 1, integrator)
     return _pack(grid, y, t + dt, bidirectional)
 
@@ -593,7 +580,6 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
 
     def accepted(i: int, t: float, z: np.ndarray, due: bool) -> np.ndarray:
         # z is one row of band coefficients per field; returns |h_j| on the band
-        z = z.reshape(y.shape[0], -1)
         a = np.abs(z[0])
         if not 2.0 / grid.N * a.sum() < limit:
             _check_alive(np.fft.irfft(z[0], n=grid.N), params.H, t, i, integrator)
@@ -613,7 +599,7 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
         dt = config.t_end / nsteps if nsteps else 0.0
         if sample_every is None:
             sample_every = max(1, nsteps // 50)
-        z = np.fft.rfft(y)[:, :J].ravel()
+        z = np.fft.rfft(y)[:, :J]
         for i in range(1, nsteps + 1):
             z = step(z, dt)
             accepted(i, t0 + i * dt, z, i % sample_every == 0 or i == nsteps)
@@ -688,14 +674,14 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, t: float,
     """
     m, N = y.shape
     J0 = J
-    z = np.fft.rfft(y)[:, :J].ravel()
+    z = np.fft.rfft(y)[:, :J]
 
     def on_band(J: int):
         lin, flux, step = band(J)
         # the band's dispersion relation and the weights of the isometric norm
         omega = _omega(lin, m == 2)
-        iso = np.concatenate((omega, np.ones(J))) if m == 2 else 1.0
-        k2 = np.tile((2.0 * math.pi / L * np.arange(J)) ** 2, m)
+        iso = np.stack((omega, np.ones(J)))[-m:]
+        k2 = (2.0 * math.pi / L * np.arange(J)) ** 2
         c_max = float(np.abs(np.diff(omega)).max()) * L / (2.0 * math.pi)
 
         def beat_limit(z: np.ndarray) -> float:
@@ -735,7 +721,7 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, t: float,
                 a = accepted(i, t, z, land or (sample_every is not None and i % sample_every == 0))
                 if J < cap and a[-max(BAND_MARGIN, J // 9):].max() > GROW_LEVEL * a.max():
                     grown = min(cap, J + max(BAND_MARGIN, J // 4))
-                    z = np.pad(z.reshape(m, J), ((0, 0), (0, grown - J))).ravel()
+                    z = np.pad(z, ((0, 0), (0, grown - J)))
                     J, n = grown, None
                     flux, step, iso, beat_limit = on_band(J)
                 want = min(want, beat_limit(z))
@@ -744,7 +730,7 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, t: float,
                 fac = 0.9 * (tol / err) ** 0.25 if err < math.inf else 0.0  # nan too
                 want = dt * min(0.9, max(0.2, fac))
                 if want < floor:
-                    h1 = np.fft.irfft(z1[:J], n=N)
+                    h1 = np.fft.irfft(z1[0], n=N)
                     raise BlowUpError(t, i + 1, float(np.max(np.abs(h1))), "ifrk4")
     return i, rejected, (J0, J)
 

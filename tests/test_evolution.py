@@ -321,10 +321,10 @@ def boussinesq_band_state(params, state, config):
     iso weighs (h, v) so that the rotation is an isometry: omega for h,
     1 for v, with omega^2 = -lin.
     """
-    lin, _ = evolution._boussinesq_symbols_for(state[0].grid, params, config)
+    lin, _ = evolution._symbols(state[0].grid, params, config, True)
     J = lin.size
-    z = np.fft.rfft(np.stack([state[0].h, state[1].h]))[:, :J].ravel()
-    return z, np.concatenate((np.sqrt(-lin), np.ones(J)))
+    z = np.fft.rfft(np.stack([state[0].h, state[1].h]))[:, :J]
+    return z, np.stack((np.sqrt(-lin), np.ones(J)))
 
 
 def filtered_solitary(params, h0, grid, cut):
@@ -444,8 +444,8 @@ class TestBoussinesqIfrk4:
             step_ifrk4(state, params, config, 0.01)
 
 
-def kdv_linear_symbol(params, grid, scheme):
-    """Fixed-frame linear symbol written out from the stencils (or ik)."""
+def kdv_linear_symbol(params, grid, scheme, frame="fixed", alpha=0.0):
+    """Linear symbol of the frame written out from the stencils (or ik)."""
     k = wavenumbers(grid.N, grid.L)
     if scheme == "spectral":
         d1, d2 = 1j * k, -k * k
@@ -455,6 +455,8 @@ def kdv_linear_symbol(params, grid, scheme):
         d2 = -(15 - 16 * np.cos(kd) + np.cos(2 * kd)) / (6 * grid.dx ** 2)
     d1[-1] = 0.0
     c = 1.5 * math.sqrt(params.g / params.H)
+    if frame == "moving":
+        return -c * d1 * ((2.0 / 3.0) * alpha + (dispersion_sigma(params) / 3.0) * d2)
     return -c * d1 * ((2.0 / 3.0) * params.H + (params.H ** 3 / 9.0) * d2)
 
 
@@ -487,17 +489,20 @@ class TestStableDt:
 
 
 class TestIfrk4:
-    def test_linear_mode_propagated_exactly(self, params):
+    @pytest.mark.parametrize("j", [10, 20])
+    @pytest.mark.parametrize("frame", ["fixed", "moving"])
+    def test_linear_mode_propagated_exactly(self, params, frame, j):
         # at 1e-9 m the nonlinearity moves the mode's own coefficient by
         # ~1e-18 relative; one step 100x past the RK4 limit must rotate
-        # that coefficient by exactly exp(L dt)
+        # that coefficient by exactly exp(L dt).  omega = Im L changes sign
+        # over the band in both frames: mode 10 turns backwards (-2.90 1/s
+        # in the fixed frame), mode 20 forwards
         grid = PeriodicGrid(L=50.0, N=256)
-        j = 20
         h = 1e-9 * np.cos(2 * math.pi * j * grid.x / grid.L)
-        rk4_limit = stable_dt(grid, params) / 0.4
-        dt = 100 * rk4_limit
-        out = step_ifrk4(WaveField(grid, h), params, SchemeConfig(), dt)
-        lin = kdv_linear_symbol(params, grid, "spectral")
+        config = SchemeConfig(frame=frame, alpha=0.37)
+        dt = 100 * stable_dt(grid, params, config) / 0.4
+        out = step_ifrk4(WaveField(grid, h), params, config, dt)
+        lin = kdv_linear_symbol(params, grid, "spectral", frame, config.alpha)
         want = np.exp(lin[j] * dt) * np.fft.rfft(h)[j]
         assert abs(np.fft.rfft(out.h)[j] - want) <= 1e-12 * abs(want)
         assert out.t == pytest.approx(dt)
@@ -525,7 +530,7 @@ class TestIfrk4:
         # fourth-order step's own local error falls ~32x and stays below it
         spec, grid, field = solitary_case(params, h0=0.2, N=256, L=60.0)
         lin, _, step = evolution._band_run(grid, params, SchemeConfig(), False, "ifrk4")
-        z = np.fft.rfft(field.h)[:lin.size]
+        z = np.fft.rfft(field.h)[None, :lin.size]
         dts = (0.04, 0.02, 0.01)
         est = [step(z, None, dt)[2] for dt in dts]
         assert all(12.0 <= a / b <= 24.0 for a, b in zip(est, est[1:]))
