@@ -34,6 +34,11 @@ Every run is stepped the same way, on the rfft coefficients of its
 band of retained modes (_band_run): the starting state is projected onto
 the band once, and each stage forms h^2 on the fewest points that make
 the product exact inside the band (Orszag 1971; Boyd 2001, ch. 11).
+That band square is the hot transform of every run, so it calls
+pocketfft's kernels directly, the ones np.fft.rfft and irfft call, with
+the same 1/M factor: the square is bit-identical to np.fft's, without
+np.fft's per-call wrapper, which at these sizes costs about as much as
+the transform.
 The state holds one row of band coefficients per field, h alone or h
 and v, and both equations take one form on it: the linear part is one
 generator A on each mode, lin = i omega for the unidirectional equation
@@ -93,6 +98,7 @@ from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pfu
 
 from .elliptic import sech_sq
 from .invariants import InvariantSet, boussinesq_energy, compute_invariants
@@ -344,7 +350,13 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     (1, J) for h alone, (2, J) for (h, v).  h^2 is formed on the smallest
     5-smooth M >= 3J - 2 points (M divides 30^64), where the sum of two
     band modes folds above the band, so the product is exact inside it;
-    capped at N, it is the full-grid product.
+    capped at N, it is the full-grid product.  Its two transforms call
+    pocketfft's kernels directly (numpy.fft._pocketfft_umath: irfft with
+    the 1/M factor, then rfft_n_even or rfft_n_odd by the parity of M),
+    the ones np.fft.irfft and np.fft.rfft call, so the square is
+    bit-identical to np.fft's.  Every step forms four or five squares, and
+    at these sizes np.fft's per-call wrapper costs about as much as the
+    transform itself.
 
     For integrator "rk4", step(z, dt) is the state one classical RK4 step
     of dt later.  For "ifrk4", step(z, n, dt) is one step of the embedded
@@ -370,18 +382,31 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     # x' = A * x[::-1] + g * sq(x) on a state x of one row per field: A is lin
     # for h alone and [1, lin] for (h, v), whose reversal is (v, h); the flux
     # vector g holds the flux, scaled from the M-point product to the N-point
-    # rfft, in the last row (v's for the pair) and zero above it
+    # rfft, in the last row (v's for the pair) and zero above it, so rhs adds
+    # the flux into the last row alone
     A = np.stack((np.ones(J), lin)) if bidirectional else lin[None]
     g = np.zeros_like(A)
     g[-1] = flux * (M / N)
 
+    rfft = _pfu.rfft_n_even if M % 2 == 0 else _pfu.rfft_n_odd
+    axes = [(0,), (), (0,)]  # the gufuncs' core axes: data, scale factor, output
+
     def sq(x: np.ndarray) -> np.ndarray:
-        # the band square of the h of x, as one row (transformed as a 1-D
-        # array: pocketfft costs more on a batch of one)
-        return np.fft.rfft(np.fft.irfft(x[0], n=M) ** 2)[None, :J]
+        # the band square of the h of x, as one row, bit for bit
+        # np.fft.rfft(np.fft.irfft(x[0], n=M) ** 2)[None, :J]; x[0] is
+        # transformed as a 1-D array (pocketfft costs more on a batch of one)
+        # into fresh outputs, since a step holds several squares at once
+        h = _pfu.irfft(x[0], 1.0 / M, axes=axes, out=np.empty(M))
+        np.multiply(h, h, out=h)
+        return rfft(h, 1.0, axes=axes, out=np.empty(M // 2 + 1, complex))[None, :J]
+
+    def rhs(x: np.ndarray) -> np.ndarray:
+        r = A * x[::-1]
+        r[-1] += g[-1] * sq(x)[0]
+        return r
 
     if integrator == "rk4":
-        return lin, flux, lambda z, dt: _rk4(z, lambda x: A * x[::-1] + g * sq(x), dt)
+        return lin, flux, lambda z, dt: _rk4(z, rhs, dt)
 
     if bidirectional and not config.boussinesq_filter:
         raise ValueError("the integrating factor needs the low-pass band: unfiltered, "

@@ -757,6 +757,35 @@ class TestBandStepper:
         for snap, h in zip(res.snapshots, ref):
             assert np.max(np.abs(snap.h - h)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("N, L, bidirectional, filtered, J, M", [
+        (256, 60.0, False, True, 86, 256),     # the acceptance collision's band
+        (512, 120.0, False, True, 136, 432),   # the reference transit's band
+        (512, 120.0, False, True, 135, 405),   # an odd product grid
+        (128, 60.0, False, True, None, 128),   # an explicit-dt run: every mode
+        (256, 64.0, True, True, None, 25),     # boussinesq_demo's low-pass pair, J = 9
+        (256, 64.0, True, False, None, 256),   # its unfiltered control run
+    ])
+    def test_band_square_is_the_numpy_fft_one(self, params, N, L, bidirectional,
+                                              filtered, J, M):
+        # the band square calls pocketfft's kernels directly; an RK4 step over
+        # the np.fft form of the same square must give the same bits
+        grid = PeriodicGrid(L=L, N=N)
+        config = SchemeConfig(boussinesq_filter=filtered)
+        lin, flux, step = evolution._band_run(grid, params, config, bidirectional, "rk4", J)
+        J = lin.size
+        hv = smooth_random_fields(grid, 1 + bidirectional, 0.1 * params.H, max_mode=40, seed=J)
+        z = np.fft.rfft(np.stack(hv))[:, :J]
+
+        def rhs(x):
+            r = np.concatenate((x[1:], lin * x[:1]))  # (v, lin h) or lin h
+            r[-1] += flux * (M / N) * np.fft.rfft(np.fft.irfft(x[0], n=M) ** 2)[:J]
+            return r
+
+        assert np.array_equal(step(z, 0.01), evolution._rk4(z, rhs, 0.01))
+
+    def test_band_square_calls_numpys_own_kernels(self):
+        assert evolution._pfu is np.fft._pocketfft.pfu
+
     def test_blowup_check_is_exact_when_the_bound_exceeds_the_limit(self, params):
         # 60 cosines of 0.3 m: the coefficient bound (2/N) sum_j |h_j| is about
         # 18 m, over the 10 m limit, while max|h| stays near 5 m, so no step
