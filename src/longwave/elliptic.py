@@ -5,12 +5,19 @@ square of the modulus.  This is the convention of DLMF chapter 22 with
 cn(u|m), and it is the value that the cnoidal steady-wave ODE fixes to
 l/(l+k) (see the waves module).
 
-K(m), sn, cn and dn share one arithmetic-geometric mean, run in extended
-precision (_agm): K(m) = pi/(2 a_n) is within 1 ulp of the exact value,
-and sn, cn, dn use the AGM/descending-Landen phi recursion (DLMF
-22.20(ii)) with the argument reduced modulo the real period 4K, which
-keeps their absolute error at or below ~1e-13 across all of m in [0, 1],
-including the cnoidal-to-solitary limit m -> 1.
+K(m), sn, cn and dn share one arithmetic-geometric mean.  Only that
+scalar AGM runs in extended precision (_agm): K(m) = pi/(2 a_n) is within
+1 ulp of the exact value.  sn, cn and dn use the AGM/descending-Landen phi
+recursion (DLMF 22.20(ii)) on float64 arrays, with the argument reduced
+modulo the real period 4K in double.  Each step takes arcsin((c_j/a_j)
+sin phi) as atan2(c_j sin phi, hypot(b_j, c_j cos phi)), which is the same
+angle because b_j^2 = a_j^2 - c_j^2, and dn is sqrt((1 - m) + m cn^2).
+Neither form subtracts nearly equal numbers as c_j/a_j -> 1, so double
+needs no extended-precision guard digits; NumPy's float64 transcendentals
+are vectorised, where its longdouble ones are not; and the result does not
+depend on what the platform's longdouble is.  The absolute error stays at
+or below ~1e-13 across all of m in [0, 1], including the
+cnoidal-to-solitary limit up to m = 1 - 2^-52.
 """
 
 from __future__ import annotations
@@ -25,20 +32,20 @@ _PI = np.longdouble("3.14159265358979323846264338327950288")
 _MAX_AGM_ITER = 40
 
 
-def _agm(m: float) -> tuple[list, list]:
-    """The AGM of 1 and sqrt(1 - m) in extended precision, as (a, c).
+def _agm(m: float) -> tuple[list, list, list]:
+    """The AGM of 1 and sqrt(1 - m) in extended precision, as (a, b, c).
 
     a[n+1] = (a[n] + b[n])/2, b[n+1] = sqrt(a[n] b[n]) and c[n+1] =
     (a[n] - b[n])/2 from c[0] = sqrt(m), run until c is within 4 eps of a;
     K(m) = pi/(2 a[-1]).
     """
-    a, b, c = [_LD(1.0)], np.sqrt(_LD(1.0) - _LD(m)), [np.sqrt(_LD(m))]
+    a, b, c = [_LD(1.0)], [np.sqrt(_LD(1.0) - _LD(m))], [np.sqrt(_LD(m))]
     while abs(c[-1]) > 4.0 * _LD_EPS * a[-1] and len(a) <= _MAX_AGM_ITER:
-        a_n = a[-1]
-        a.append(0.5 * (a_n + b))
-        c.append(0.5 * (a_n - b))
-        b = np.sqrt(a_n * b)
-    return a, c
+        a_n, b_n = a[-1], b[-1]
+        a.append(0.5 * (a_n + b_n))
+        c.append(0.5 * (a_n - b_n))
+        b.append(np.sqrt(a_n * b_n))
+    return a, b, c
 
 
 def complete_K(m: float) -> float:
@@ -100,24 +107,28 @@ def jacobi_cn_sn_dn(u, m: float):
 
 
 def _jacobi_agm(u: np.ndarray, m: float):
-    """AGM phi recursion, extended precision, argument reduced mod 4K."""
-    one = _LD(1.0)
-    m_ld = _LD(m)
-    a, c = _agm(m)
+    """AGM phi recursion on float64 arrays, argument reduced mod 4K in double.
+
+    Only the scalar AGM runs in extended precision; its a, b and c are
+    rounded to double once.  The step phi <- (phi + arcsin((c_j/a_j)
+    sin phi))/2 is taken as atan2(c_j sin phi, hypot(b_j, c_j cos phi)),
+    and dn as sqrt((1 - m) + m cn^2), in which 1 - m is exact for m >= 1/2.
+    Neither cancels as c_j/a_j -> 1, so no array needs extended precision:
+    NumPy vectorises the float64 sin, cos and atan2, and the result is the
+    same whatever the platform's longdouble is.
+    """
+    a, b, c = _agm(m)
     n = len(a) - 1
-    period = 4.0 * (_PI / (2.0 * a[n]))
-    w = u.astype(_LD)
-    w = w - period * np.rint(w / period)
+    period = 4.0 * float(_PI / (2.0 * a[n]))
+    w = u - period * np.rint(u / period)
 
-    phi = (_LD(2.0) ** n) * a[n] * w
+    phi = 2.0 ** n * float(a[n]) * w
     for j in range(n, 0, -1):
-        arg = np.clip(c[j] / a[j] * np.sin(phi), -one, one)
-        phi = 0.5 * (phi + np.arcsin(arg))
+        b_j, c_j = float(b[j]), float(c[j])
+        phi = 0.5 * (phi + np.arctan2(c_j * np.sin(phi), np.hypot(b_j, c_j * np.cos(phi))))
 
-    sn = np.sin(phi)
     cn = np.cos(phi)
-    dn = np.sqrt(np.maximum(one - m_ld * sn * sn, _LD(0.0)))
-    return (cn.astype(float), sn.astype(float), dn.astype(float))
+    return cn, np.sin(phi), np.sqrt((1.0 - m) + m * cn * cn)
 
 
 def _sech(u: np.ndarray) -> np.ndarray:

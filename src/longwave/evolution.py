@@ -710,7 +710,7 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, t: float,
         c_max = float(np.abs(np.diff(omega)).max()) * L / (2.0 * math.pi)
 
         def beat_limit(z: np.ndarray) -> float:
-            u = iso * z
+            u = z if m == 1 else iso * z
             power = np.vdot(u, u).real
             k2_mean = np.vdot(u, k2 * u).real / power if power else 0.0
             return RK4_IMAG_LIMIT / (c_max * math.sqrt(k2_mean)) if k2_mean else math.inf

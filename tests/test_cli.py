@@ -1,5 +1,9 @@
 import filecmp
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +325,14 @@ class TestDeterminism:
 
 
 class TestExitCodes:
+    def test_module_entry_point(self):
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-m", "longwave", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "usage: longwave" in done.stdout
+
     def test_usage_error(self, tmp_path, capsys):
         rc = main(["scenario", "nosuch", "--out", str(tmp_path)])
         assert rc == EXIT_USAGE

@@ -78,6 +78,18 @@ class TestJacobi:
                     assert abs(sn[j] - float(mp.ellipfun("sn", u, m=m))) < 1e-12
                     assert abs(dn[j] - float(mp.ellipfun("dn", u, m=m))) < 1e-12
 
+    def test_near_the_solitary_limit(self):
+        # as c_j/a_j -> 1 the arcsin step of the phi recursion cancels
+        # unless it is taken in the atan2/hypot form
+        rng = np.random.default_rng(17)
+        us = np.concatenate((np.linspace(-60.0, 60.0, 121), rng.uniform(-60.0, 60.0, 40)))
+        for m in (1.0 - 1e-12, 1.0 - 1e-15, 1.0 - 2.0**-52):
+            got = jacobi_cn_sn_dn(us, m)
+            with mp.workdps(30):
+                for name, values in zip(("cn", "sn", "dn"), got):
+                    exact = np.array([float(mp.ellipfun(name, u, m=m)) for u in us])
+                    assert np.max(np.abs(values - exact)) < 1e-13, (name, m)
+
     def test_identities_random(self):
         rng = np.random.default_rng(42)
         u = rng.uniform(-30.0, 30.0, size=10_000)
