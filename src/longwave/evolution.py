@@ -34,6 +34,10 @@ Every run is stepped the same way, on the rfft coefficients of its
 band of retained modes (_band_run): the starting state is projected onto
 the band once, and each stage forms h^2 on the fewest points that make
 the product exact inside the band (Orszag 1971; Boyd 2001, ch. 11).
+The band belongs to the equation, not to the integrator (_symbols): the
+unidirectional equation keeps Orszag's 2/3-rule band, the rfft modes j
+with 3j < N, on which the product of its one quadratic term is exact;
+the pair keeps its low-pass band.
 That band square is the hot transform of every run, so it calls
 pocketfft's kernels directly, the ones np.fft.rfft and irfft call, with
 the same 1/M factor: the square is bit-identical to np.fft's, without
@@ -53,14 +57,14 @@ first stage estimates each step's local error at no extra cost.  Both
 generators square to -omega^2, so one propagator serves both equations,
 exp(A dt) = cos(omega dt) + A sin(omega dt)/omega (1 + A dt where
 omega = 0): exp(lin dt) for the unidirectional equation, each mode's
-rotation for the pair.  A unidirectional run is stepped on the modes its
-state occupies: the shortest prefix of the 2/3-rule band (the rfft
-modes below N/3) that holds every mode of the start above
-CHOP_LEVEL = 1e-14 of its peak coefficient, plus a margin, the chop of a
-series at its roundoff plateau (Aurentz & Trefethen 2017; Boyd 2001,
-ch. 2).  The band grows, up to the 2/3-rule band, whenever a mode at its
-top passes GROW_LEVEL = 1e-10 of the peak, so a state that fills the
-2/3-rule band is stepped on all of it.  A solitary transit at L = 120
+rotation for the pair.  Such a unidirectional run is stepped on the
+modes its state occupies: the shortest prefix of the 2/3-rule band that
+holds every mode of the start above CHOP_LEVEL = 1e-14 of its peak
+coefficient, plus a margin, the chop of a series at its roundoff
+plateau (Aurentz & Trefethen 2017; Boyd 2001, ch. 2).  The band grows,
+up to the 2/3-rule band, whenever a mode at its top passes
+GROW_LEVEL = 1e-10 of the peak, so a state that fills the 2/3-rule band
+is stepped on all of it.  A solitary transit at L = 120
 occupies about 136 modes, whatever N.  A bidirectional run is stepped
 on its low-pass band.  A PI controller (Gustafsson 1991) sizes every
 step so that its local error stays within IF_TOL = 3e-7 of the starting
@@ -79,13 +83,13 @@ limits this controller replaced.
 
 An explicit dt, and an unfiltered bidirectional run (whose linear part
 grows above sqrt(3)/H, so no rotation propagates it), uses classical
-4-stage Runge-Kutta (RK4) on the same stepper, whose advisory step is
-0.4 times the RK4 limit of the linearized symbol; the 0.4 is frozen
-from a blow-up sweep (solitary runs remain stable up to about 1.05
-times the limit).  An explicit-dt unidirectional band is every mode,
-so its product is the full-grid pseudo-spectral one of kdv_rhs.  The blow-up
-check reads a bound on max|h| from the band coefficients and forms h on
-the grid only when that bound nears the limit, so it stays exact.
+4-stage Runge-Kutta (RK4) on the same stepper and the same band (all of
+the 2/3-rule band for a unidirectional run), whose advisory step is 0.4
+times the RK4 limit of the linearized symbol on that band; the 0.4 is
+frozen from a blow-up sweep (solitary runs remain stable up to about
+1.05 times the limit).  The blow-up check reads a bound on max|h| from
+the band coefficients and forms h on the grid only when that bound
+nears the limit, so it stays exact.
 """
 
 from __future__ import annotations
@@ -164,8 +168,11 @@ class SchemeConfig:
     """Discretization choices for one run.
 
     deriv selects the spatial scheme ("spectral" or "centered4").  dt of
-    None means "use the stability advisory".  frame applies to the
-    unidirectional equation only; alpha is the moving-frame parameter.
+    None selects the error-controlled pair ERK4(3)-IP, except for the
+    unfiltered bidirectional run, which steps classical RK4 at the
+    stability advisory; an explicit dt steps RK4 at that dt.  t_end, dt
+    and alpha must be finite.  frame applies to the unidirectional
+    equation only; alpha is the moving-frame parameter.
     The fixed frame is the pure-gravity equation at alpha = H, whatever
     the surface tension T of the PhysicalParams is (it reads neither).
     filter_cut is the bidirectional low-pass cutoff as a fraction of
@@ -183,10 +190,12 @@ class SchemeConfig:
 
     def __post_init__(self):
         check_scheme(self.deriv)
-        if self.dt is not None and not (self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be non-negative, got {self.t_end}")
+        if self.dt is not None and not (0 < self.dt < math.inf):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (0 <= self.t_end < math.inf):
+            raise ValueError(f"t_end must be non-negative and finite, got {self.t_end}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if not (0.0 < self.filter_cut < 1.0):
             raise ValueError(f"filter_cut must lie in (0, 1), got {self.filter_cut}")
         if self.frame not in ("fixed", "moving"):
@@ -278,9 +287,15 @@ def _boussinesq_symbols(N: int, L: float, g: float, H: float, deriv: str,
 
 def _symbols(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
              bidirectional: bool):
-    """(lin, flux) of the run's equation: the pair's on its retained band."""
+    """(lin, flux) of the run's equation on its band of retained rfft modes.
+
+    The unidirectional band is Orszag's 2/3-rule band, the first
+    (N + 2) // 3 modes (those with 3j < N), on which the band square of
+    h^2 is exact; the pair's is its low-pass band.
+    """
     if not bidirectional:
-        return _symbols_for(grid, params, config)
+        J = (grid.N + 2) // 3  # Orszag's 2/3-rule band
+        return tuple(a[:J] for a in _symbols_for(grid, params, config))
     k_cut = config.filter_cut * math.sqrt(3.0) / params.H if config.boussinesq_filter else None
     return _boussinesq_symbols(grid.N, grid.L, params.g, params.H, config.deriv, k_cut)
 
@@ -312,10 +327,11 @@ def stable_dt(grid: PeriodicGrid, params: PhysicalParams,
               config: SchemeConfig = SchemeConfig(), equation: str = "kdv") -> float:
     """Advisory RK4 time step: 0.4 x the RK4 limit of the linearized symbol [s].
 
-    Both read the scheme's own linear symbol: for the unidirectional
-    equation it is purely imaginary (scaling like dx^-3); for the
-    bidirectional one its root is the dispersion frequency over the
-    retained band (or the fastest growth rate when the filter is off).
+    Both read the scheme's own linear symbol on the band a run steps
+    (_symbols): for the unidirectional equation it is purely imaginary
+    (scaling like dx^-3) over the 2/3-rule band; for the bidirectional
+    one its root is the dispersion frequency over the retained band (or
+    the fastest growth rate when the filter is off).
     """
     if equation not in ("kdv", "boussinesq"):
         raise ValueError(f"unknown equation {equation!r}")
@@ -340,17 +356,17 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
 
     Returns (lin, flux, step): the run's symbols on its band of
     J = lin.size modes, and the step.  The band is the first J modes (all
-    of them for J = None) of the run's full band: every mode for an
-    explicit-dt unidirectional run, the 2/3-rule band for an
-    integrating-factor one and the low-pass band for a bidirectional one.
-    evolve steps an integrating-factor unidirectional run on the prefix its
-    state occupies (_occupied_band), which _controlled_run grows on demand;
-    the public steps take the full band.  The state z is rfft(y)[:, :J]
-    of the stacked samples y, one row of band coefficients per field:
-    (1, J) for h alone, (2, J) for (h, v).  h^2 is formed on the smallest
-    5-smooth M >= 3J - 2 points (M divides 30^64), where the sum of two
-    band modes folds above the band, so the product is exact inside it;
-    capped at N, it is the full-grid product.  Its two transforms call
+    of them for J = None) of the run's band from _symbols, whatever the
+    integrator: the 2/3-rule band for a unidirectional run and the
+    low-pass band for a bidirectional one.  evolve steps an
+    integrating-factor unidirectional run on the prefix its state
+    occupies (_occupied_band), which _controlled_run grows on demand; the
+    public steps and every RK4 run take the whole band.  The state z is
+    rfft(y)[:, :J] of the stacked samples y, one row of band coefficients
+    per field: (1, J) for h alone, (2, J) for (h, v).  h^2 is formed on
+    the smallest 5-smooth M >= 3J - 2 points (M divides 30^64), where the
+    sum of two band modes folds above the band, so the product is exact
+    inside it; capped at N, it is the full-grid product.  Its two transforms call
     pocketfft's kernels directly (numpy.fft._pocketfft_umath: irfft with
     the 1/M factor, then rfft_n_even or rfft_n_odd by the parity of M),
     the ones np.fft.irfft and np.fft.rfft call, so the square is
@@ -373,10 +389,7 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     four of Lawson's RK4.  That error sits in h, or in v alone, so its L2
     norm is its norm in the isometric norm of _controlled_run.
     """
-    lin, flux = _symbols(grid, params, config, bidirectional)
-    if integrator == "ifrk4" and J is None and not bidirectional:
-        J = (grid.N + 2) // 3  # Orszag's 2/3-rule band
-    lin, flux = lin[:J], flux[:J]
+    lin, flux = (a[:J] for a in _symbols(grid, params, config, bidirectional))
     J, N = lin.size, grid.N
     M = next((M for M in range(3 * J - 2, N) if 30 ** 64 % M == 0), N)
     # x' = A * x[::-1] + g * sq(x) on a state x of one row per field: A is lin
@@ -495,8 +508,9 @@ def step_rk4(state, params: PhysicalParams, config: SchemeConfig,
     WaveFields (bidirectional); the advanced state of the same kind is
     returned with time moved by dt (default: config.dt, else the
     advisory step).  This is evolve's explicit-dt step: the state is
-    projected onto its band first (every mode for a WaveField, the
-    retained band for a pair) and stepped there.  Raises BlowUpError
+    projected onto its band first (the 2/3-rule band, rfft modes j with
+    3j < N, for a WaveField; the retained band for a pair) and stepped
+    there, so the result has no content above it.  Raises BlowUpError
     when the solution leaves the model's validity range.
     """
     return _step(state, params, config, "rk4", dt)
@@ -512,10 +526,10 @@ def step_ifrk4(state, params: PhysicalParams, config: SchemeConfig, dt: float):
     one), so dt is not bounded by the dispersive stiffness.  This is the
     fourth-order solution of the pair evolve steps scheme.dt=auto runs
     with, taken at the fixed step dt (evolve sizes its steps by the error
-    controller of the module docstring).  The state is projected onto its
-    band first (rfft modes j with 3j < N for a WaveField, the retained
-    band for a pair) and the result has no content above it.  Raises
-    BlowUpError when the solution leaves the model's validity range.
+    controller of the module docstring).  The state is projected onto the
+    band of step_rk4 first and the result has no content above it.
+    Raises BlowUpError when the solution leaves the model's validity
+    range.
     """
     return _step(state, params, config, "ifrk4", dt)
 
@@ -546,27 +560,28 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
 
     initial is a WaveField or an (h, v) WaveField pair.  Every run steps
     the rfft coefficients of its retained band through one stepper
-    (_band_run); the integrator follows from config.dt.  A run with
-    dt = None steps with the embedded Lawson pair ERK4(3)-IP ("ifrk4"):
-    the linear part is propagated exactly (for a unidirectional run on
-    the prefix of the 2/3-rule band that its state occupies, grown on
-    demand; by each mode's rotation on the low-pass band for a
-    bidirectional one), and a PI controller sizes each step so that its
-    relative local error stays within IF_TOL (see the module docstring).
-    Steps land exactly on the sample times and on t_end; a step rejected
-    by the controller is retried smaller and counted in result.rejected.
-    An explicit dt, and an unfiltered bidirectional run, steps with
-    classical RK4 ("rk4"), warned against (or, for dt = None, set to) the
-    RK4 stability advisory; its step is shrunk so that an integer number
-    of steps lands exactly on t_end.  Its band is every mode for a
+    (_band_run): the 2/3-rule band (rfft modes j with 3j < N) for a
     unidirectional run and the low-pass band for a bidirectional one
-    (every mode when the filter is off).  The initial state is projected
-    onto the band once: the first snapshot is the initial state as given,
-    later ones carry no modes above the band.  Every accepted step is
-    checked for blow-up.  Snapshots, invariant sets, and observer
+    (every mode when the filter is off).  The integrator follows from
+    config.dt.  A run with dt = None steps with the embedded Lawson pair
+    ERK4(3)-IP ("ifrk4"): the linear part is propagated exactly (for a
+    unidirectional run on the prefix of the band that its state occupies,
+    grown on demand; by each mode's rotation for a bidirectional one), and
+    a PI controller sizes each step so that its relative local error
+    stays within IF_TOL (see the module docstring).  Steps land exactly
+    on the sample times and on t_end; a step rejected by the controller
+    is retried smaller and counted in result.rejected.  An explicit dt,
+    and an unfiltered bidirectional run, steps with classical RK4
+    ("rk4"), warned against (or, for dt = None, set to) the RK4 stability
+    advisory; its step is shrunk so that an integer number of steps lands
+    exactly on t_end, and it steps the whole band.  The initial state is
+    projected onto the band once: the first snapshot is the initial state
+    as given, later ones carry no modes above the band.  Every accepted
+    step is checked for blow-up.  Snapshots, invariant sets, and observer
     callbacks fire at the endpoints and every sample_every accepted
     steps; by default at ~50 samples per run (RK4: every nsteps // 50
-    steps; IF: at t_end k/50, k = 1..50).  Observers receive (t, snapshot) and must not mutate it.
+    steps; IF: at t_end k/50, k = 1..50).  Observers receive
+    (t, snapshot) and must not mutate it.
     result.dt is the mean step t_end / steps, and result.band the least
     and greatest number of rfft modes stepped (a fixed band's size twice).
     """

@@ -28,13 +28,14 @@ class PhysicalParams:
     Attributes
     ----------
     g : float
-        Gravitational acceleration [m/s^2], > 0.
+        Gravitational acceleration [m/s^2], finite and > 0.
     H : float
-        Undisturbed water depth [m], > 0.
+        Undisturbed water depth [m], finite and > 0.
     rho : float
-        Fluid density [kg/m^3], > 0.
+        Fluid density [kg/m^3], finite and > 0.
     T : float
-        Surface tension [N/m], >= 0.  T = 0 recovers the pure-gravity case.
+        Surface tension [N/m], finite and >= 0.  T = 0 recovers the
+        pure-gravity case.
     """
 
     g: float = 9.81
@@ -43,14 +44,14 @@ class PhysicalParams:
     T: float = 0.0
 
     def __post_init__(self):
-        if not (self.g > 0):
-            raise ValueError(f"g must be positive, got {self.g}")
-        if not (self.H > 0):
-            raise ValueError(f"H must be positive, got {self.H}")
-        if not (self.rho > 0):
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if not (self.T >= 0):
-            raise ValueError(f"T must be non-negative, got {self.T}")
+        if not (0 < self.g < math.inf):
+            raise ValueError(f"g must be positive and finite, got {self.g}")
+        if not (0 < self.H < math.inf):
+            raise ValueError(f"H must be positive and finite, got {self.H}")
+        if not (0 < self.rho < math.inf):
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        if not (0 <= self.T < math.inf):
+            raise ValueError(f"T must be non-negative and finite, got {self.T}")
 
     @property
     def c0(self) -> float:
@@ -84,17 +85,18 @@ def critical_depth(params: PhysicalParams) -> float:
 class PeriodicGrid:
     """Uniform periodic grid x_j = -L/2 + j*dx, j = 0..N-1, dx = L/N.
 
-    N must be even and at least 8 so spectral differentiation has an
-    unambiguous Nyquist mode (which is forced to zero).  x = 0 is a grid
-    point, so even profiles sample symmetrically.
+    L must be positive and finite.  N must be even and at least 8 so
+    spectral differentiation has an unambiguous Nyquist mode (which is
+    forced to zero).  x = 0 is a grid point, so even profiles sample
+    symmetrically.
     """
 
     L: float
     N: int
 
     def __post_init__(self):
-        if not (self.L > 0):
-            raise ValueError(f"L must be positive, got {self.L}")
+        if not (0 < self.L < math.inf):
+            raise ValueError(f"L must be positive and finite, got {self.L}")
         if self.N < 8 or self.N % 2 != 0:
             raise ValueError(f"N must be even and >= 8, got {self.N}")
 

@@ -486,8 +486,9 @@ class TestSubcommands:
         assert runs["fixed"]["result.steps"] == "500"
         for m in runs.values():
             assert int(m["result.steps"]) * float(m["result.dt"]) == pytest.approx(0.5)
-        # the explicit step moves every mode; the auto step at most those below N/3
-        assert runs["fixed"]["result.band_min"] == runs["fixed"]["result.band_max"] == "65"
+        # the explicit step moves the 2/3-rule band, the modes below N/3; the
+        # auto step at most those
+        assert runs["fixed"]["result.band_min"] == runs["fixed"]["result.band_max"] == "43"
         assert 0 < int(runs["auto"]["result.band_min"]) <= int(runs["auto"]["result.band_max"]) <= 43
 
     def test_manifest_records_rejected_steps(self, tmp_path):
@@ -677,6 +678,15 @@ class TestNothingWrittenUnlessTheRunSucceeds:
          "'scenario.mode_amp' must be nonzero"),
         (["scenario", "boussinesq_demo", "--set", "scenario.noise_amp=0"], EXIT_USAGE,
          "'scenario.noise_amp' must be nonzero"),
+        (["evolve", "--set", "scheme.dt=0.01", "--set", "scheme.t_end=inf"], EXIT_USAGE,
+         "t_end must be non-negative and finite, got inf"),
+        (["evolve", "--set", "scheme.frame=moving", "--set", "scheme.alpha=nan"], EXIT_USAGE,
+         "alpha must be finite, got nan"),
+        (["evolve", "--set", "physical.g=inf"], EXIT_USAGE,
+         "g must be positive and finite, got inf"),
+        (["analytic", "--wave", "solitary", "--set", "physical.g=inf"], EXIT_USAGE,
+         "g must be positive and finite, got inf"),
+        (["evolve", "--set", "grid.L=inf"], EXIT_USAGE, "L must be positive and finite, got inf"),
     ])
     def test_bad_input_exits_with_its_reason_and_leaves_no_directory(
             self, tmp_path, capsys, monkeypatch, argv, code, message):

@@ -24,6 +24,13 @@ class TestPhysicalParams:
             PhysicalParams(T=-1e-3)
         PhysicalParams(T=0.0)  # zero tension is allowed
 
+    @pytest.mark.parametrize("name", ["g", "H", "rho", "T"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_values_rejected(self, name, value):
+        wording = "non-negative" if name == "T" else "positive"
+        with pytest.raises(ValueError, match=f"{name} must be {wording} and finite"):
+            PhysicalParams(**{name: value})
+
     def test_c0(self):
         p = PhysicalParams(g=9.81, H=5.0)
         assert p.c0 == pytest.approx(math.sqrt(49.05), rel=1e-15)
@@ -85,6 +92,11 @@ class TestPeriodicGrid:
             PeriodicGrid(L=10.0, N=6)  # too small
         with pytest.raises(ValueError):
             PeriodicGrid(L=0.0, N=16)
+
+    @pytest.mark.parametrize("L", [math.inf, math.nan])
+    def test_non_finite_length_rejected(self, L):
+        with pytest.raises(ValueError, match="L must be positive and finite"):
+            PeriodicGrid(L=L, N=16)
 
     def test_cell_sum_and_symmetry(self):
         g = PeriodicGrid(L=37.5, N=48)
