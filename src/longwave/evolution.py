@@ -5,13 +5,10 @@ moving at sqrt(gH) - sqrt(g/H) alpha
 
     h_t = -(3/2) sqrt(g/H) d/dxi ( h^2/2 + (2/3) alpha h + (sigma/3) h_xixi )
 
-where sigma = H^3/3 - T H/(rho g) carries the capillary correction.  The
-fixed frame is this equation at alpha = H, where the frame speed is zero,
-with the pure-gravity sigma = H^3/3 whatever T is:
-
-    h_t = -(3/2) sqrt(g/H) d/dx ( (2/3) H h + h^2/2 + (H^3/9) h_xx )
-
-And the bidirectional second-order equation
+where sigma = H^3/3 - T H/(rho g) carries the capillary correction
+(dispersion_sigma).  The fixed frame is this equation at alpha = H, where
+the frame speed is zero, with the same sigma.  And the bidirectional
+second-order equation, which is pure gravity as Boussinesq wrote it
 
     h_tt = g H d^2/dx^2 ( h + 3 h^2/(2H) + (H^2/3) h_xx )
 
@@ -96,7 +93,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
 from typing import Callable, Sequence
@@ -173,8 +170,8 @@ class SchemeConfig:
     stability advisory; an explicit dt steps RK4 at that dt.  t_end, dt
     and alpha must be finite.  frame applies to the unidirectional
     equation only; alpha is the moving-frame parameter.
-    The fixed frame is the pure-gravity equation at alpha = H, whatever
-    the surface tension T of the PhysicalParams is (it reads neither).
+    frame="fixed" is the moving frame at alpha = H, where the frame speed
+    is zero, and ignores alpha.
     filter_cut is the bidirectional low-pass cutoff as a fraction of
     sqrt(3)/H; boussinesq_filter=False disables it (ill-posedness demo
     only).
@@ -248,12 +245,10 @@ def _kdv_symbols(N: int, L: float, g: float, H: float, sigma: float, alpha: floa
 
 def _symbols_for(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
                  table=_kdv_symbols):
-    """(lin, flux) of the run; the fixed frame is the pure-gravity one at alpha = H."""
-    if config.frame == "fixed":
-        sigma, alpha = params.H ** 3 / 3.0, params.H
-    else:
-        sigma, alpha = dispersion_sigma(params), config.alpha
-    return table(grid.N, grid.L, params.g, params.H, sigma, alpha, config.deriv)
+    """(lin, flux) of the run at the run's sigma; the fixed frame is alpha = H."""
+    alpha = params.H if config.frame == "fixed" else config.alpha
+    return table(grid.N, grid.L, params.g, params.H, dispersion_sigma(params), alpha,
+                 config.deriv)
 
 
 def _grid_rhs(lin: np.ndarray, flux: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -275,6 +270,7 @@ def _boussinesq_symbols(N: int, L: float, g: float, H: float, deriv: str,
 
     The retained band is the leading rfft modes at or below k_cut (all of
     them when the low-pass is off); h_tt is zero above it (read-only arrays).
+    Pure gravity: the bidirectional equation carries no surface tension.
     """
     J = N // 2 + 1 if k_cut is None else int(np.count_nonzero(wavenumbers(N, L) <= k_cut))
     d2 = derivative_symbols(N, L, deriv)[1][:J]
@@ -577,7 +573,9 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     exactly on t_end, and it steps the whole band.  The initial state is
     projected onto the band once: the first snapshot is the initial state
     as given, later ones carry no modes above the band.  Every accepted
-    step is checked for blow-up.  Snapshots, invariant sets, and observer
+    step is checked for blow-up.  A bidirectional run's invariant sets
+    are taken at T = 0, as its equation is pure gravity (and so defined
+    at the critical depth).  Snapshots, invariant sets, and observer
     callbacks fire at the endpoints and every sample_every accepted
     steps; by default at ~50 samples per run (RK4: every nsteps // 50
     steps; IF: at t_end k/50, k = 1..50).  Observers receive
@@ -599,13 +597,15 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     result = EvolutionResult(times=[], snapshots=[], invariants=[],
                              energy=[] if bidirectional else None, integrator=integrator,
                              band=(J, J))
+    invariant_params = replace(params, T=0.0) if bidirectional else params
 
     def sample(t: float, y: np.ndarray) -> None:
         snap = _pack(grid, y, t, bidirectional)
         if record_invariants:
             h_t = y[1] if bidirectional else _grid_rhs(lin, flux, y[0])
             result.invariants.append(compute_invariants(
-                snap[0] if bidirectional else snap, params, scheme=config.deriv, h_t=h_t))
+                snap[0] if bidirectional else snap, invariant_params, scheme=config.deriv,
+                h_t=h_t))
             if bidirectional:
                 result.energy.append(boussinesq_energy(*snap, params))
         result.times.append(t)
@@ -851,7 +851,9 @@ def steepening_verdict(spec: DeformationSpec, params: PhysicalParams,
 
 def front_slope_change(spec: DeformationSpec, params: PhysicalParams,
                        t_check: float = 1.0) -> float:
-    """Relative change of max(-h_xi) over a short moving-frame run."""
+    """Relative change of max(-h_xi) over a short moving-frame run of t_check > 0 s."""
+    if not (0 < t_check < math.inf):
+        raise ValueError(f"t_check must be positive and finite, got {t_check}")
     # domain wide enough for sech^2 tails below ~1e-13 of hbar
     L = 32.0 / spec.p
     grid = PeriodicGrid(L=L, N=512)
@@ -876,9 +878,11 @@ def factorization_residual(field: WaveField, params: PhysicalParams,
     """Bidirectional-operator residual on a unidirectional jet [m/s^2].
 
     Builds the jet (h, h_t, h_tt) from the fixed-frame unidirectional
-    symbols: h_t defaults to that RHS, and h_tt chain-rules d/dt through
-    it, rfft(h_tt) = lin * rfft(h_t) + 2 flux * rfft(h h_t).  Less the
-    unfiltered bidirectional RHS, h_tt gives the operator
+    symbols at T = 0, since the bidirectional operator it is checked
+    against is pure gravity: h_t defaults to that RHS, and h_tt
+    chain-rules d/dt through it, rfft(h_tt) = lin * rfft(h_t)
+    + 2 flux * rfft(h h_t).  The residual therefore does not depend on T.
+    Less the unfiltered bidirectional RHS, h_tt gives the operator
 
         h_tt - g H h_xx - g H d^2/dx^2 (3 h^2/(2H) + (H^2/3) h_xx)
 
@@ -891,7 +895,8 @@ def factorization_residual(field: WaveField, params: PhysicalParams,
     grid, h = field.grid, field.h
     # both tables are built uncached: a residual's domain length is seldom
     # reused, and each would hold a cache entry that no run reads
-    lin, flux = _symbols_for(grid, params, SchemeConfig(deriv=scheme), _kdv_symbols.__wrapped__)
+    lin, flux = _symbols_for(grid, replace(params, T=0.0), SchemeConfig(deriv=scheme),
+                             _kdv_symbols.__wrapped__)
     if h_t is None:
         h_t = _grid_rhs(lin, flux, h)
     h_tt = np.fft.irfft(lin * np.fft.rfft(h_t) + 2.0 * flux * np.fft.rfft(h * h_t), n=grid.N)

@@ -1,12 +1,17 @@
 """Conserved functionals of the unidirectional wave motion.
 
 Mass Q = int h dx, energy E = int h^2 dx, the stability moment
-M = int ((h_x)^2 - 3 h^3/H^3) dx, the Hamiltonian
-Hfun = int (h^2/2 + eps ((h_x)^2 - 3 h^3/H^3)) dx = E/2 + eps*M,
-and the centre-of-gravity velocity.  With the canonical scale
-eps = -H^2/12 the Hamiltonian flow -sqrt(gH) d/dx dHfun/dh reproduces
-the unidirectional evolution equation exactly; the operation accepts any
-eps so the identity can be demonstrated rather than assumed.
+M = int ((h_x)^2 - h^3/sigma) dx, the Hamiltonian
+Hfun = int (h^2/2 + eps ((h_x)^2 - h^3/sigma)) dx = E/2 + eps*M,
+and the centre-of-gravity velocity, where sigma = H^3/3 - T H/(rho g) is
+the dispersion parameter of the unidirectional equation
+(dispersion_sigma).  With the canonical scale eps = -sigma/(4H) the
+Hamiltonian flow -sqrt(gH) d/dx dHfun/dh reproduces the unidirectional
+evolution equation exactly; the operation accepts any eps so the
+identity can be demonstrated rather than assumed.  At the critical
+depth sigma = 0 the equation has no dispersion and M does not exist:
+every function that divides by sigma raises ValueError there.  The
+bidirectional energy is pure gravity, as the bidirectional equation is.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import PhysicalParams, WaveField
+from .model import PhysicalParams, WaveField, dispersion_sigma
 from .operators import antiderivative, diff, integrate
 
 __all__ = [
@@ -52,8 +57,20 @@ class InvariantSet:
 
 
 def canonical_epsilon(params: PhysicalParams) -> float:
-    """The unique scale -H^2/12 matching the Hamiltonian flow to kdv_rhs."""
-    return -params.H ** 2 / 12.0
+    """The unique scale -sigma/(4H) matching the Hamiltonian flow to kdv_rhs.
+
+    At T = 0 this is -H^2/12.
+    """
+    return -dispersion_sigma(params) / (4.0 * params.H)
+
+
+def _sigma(params: PhysicalParams) -> float:
+    """The nonzero dispersion parameter that M and its derivative divide by [m^3]."""
+    sigma = dispersion_sigma(params)
+    if sigma == 0.0:
+        raise ValueError("sigma = 0 at the critical depth: the unidirectional equation "
+                         "has no dispersion there and no stability moment M")
+    return sigma
 
 
 def compute_invariants(field: WaveField, params: PhysicalParams,
@@ -78,7 +95,7 @@ def compute_invariants(field: WaveField, params: PhysicalParams,
     hx = diff(h, L, 1, scheme)
     Q = integrate(h, L)
     E = integrate(h * h, L)
-    M = integrate(hx * hx - 3.0 * h ** 3 / H ** 3, L)
+    M = integrate(hx * hx - h ** 3 / _sigma(params), L)
     Hfun = 0.5 * E + epsilon * M
 
     xg_dot = None
@@ -94,24 +111,24 @@ def compute_invariants(field: WaveField, params: PhysicalParams,
 def hamiltonian_functional(field: WaveField, params: PhysicalParams,
                            epsilon: float | None = None,
                            scheme: str = "spectral") -> float:
-    """Hfun(h) = int (h^2/2 + eps ((h_x)^2 - 3 h^3/H^3)) dx  [m^3]."""
+    """Hfun(h) = int (h^2/2 + eps ((h_x)^2 - h^3/sigma)) dx  [m^3]."""
     if epsilon is None:
         epsilon = canonical_epsilon(params)
     h = field.h
     hx = diff(h, field.grid.L, 1, scheme)
-    dens = 0.5 * h * h + epsilon * (hx * hx - 3.0 * h ** 3 / params.H ** 3)
+    dens = 0.5 * h * h + epsilon * (hx * hx - h ** 3 / _sigma(params))
     return integrate(dens, field.grid.L)
 
 
 def variational_derivative(field: WaveField, params: PhysicalParams,
                            epsilon: float | None = None,
                            scheme: str = "spectral") -> np.ndarray:
-    """Euler-Lagrange derivative h + eps(-2 h_xx - 9 h^2/H^3) of Hfun [m]."""
+    """Euler-Lagrange derivative h + eps(-2 h_xx - 3 h^2/sigma) of Hfun [m]."""
     if epsilon is None:
         epsilon = canonical_epsilon(params)
     h = field.h
     hxx = diff(h, field.grid.L, 2, scheme)
-    return h + epsilon * (-2.0 * hxx - 9.0 * h * h / params.H ** 3)
+    return h + epsilon * (-2.0 * hxx - 3.0 * h * h / _sigma(params))
 
 
 def hamiltonian_flow_rhs(field: WaveField, params: PhysicalParams,
@@ -127,11 +144,11 @@ def critical_point_residual(field: WaveField, params: PhysicalParams,
                             mask_rel: float = 1e-8) -> tuple[float, float]:
     """Constrained-critical-point certificate for steady solitary waves.
 
-    Evaluates r(x) = (-2 h_xx - 9 h^2/H^3) / (2 h) where |h| exceeds
+    Evaluates r(x) = (-2 h_xx - 3 h^2/sigma) / (2 h) where |h| exceeds
     mask_rel * max|h| and returns (mean, relative spread).  A steady
     solitary wave makes r constant: the mean is the Lagrange multiplier
-    -3 h0/H^3 of the stability-moment extremum at fixed energy, and the
-    spread is at roundoff level.  Pure-gravity regime (T = 0) assumed.
+    -h0/sigma of the stability-moment extremum at fixed energy (-3 h0/H^3
+    at T = 0), and the spread is at roundoff level.
     """
     h = field.h
     peak = np.max(np.abs(h))
@@ -141,7 +158,7 @@ def critical_point_residual(field: WaveField, params: PhysicalParams,
     if not np.any(mask):
         raise ValueError("all points masked; field too flat for the certificate")
     hxx = diff(h, field.grid.L, 2, scheme)
-    r = (-2.0 * hxx[mask] - 9.0 * h[mask] ** 2 / params.H ** 3) / (2.0 * h[mask])
+    r = (-2.0 * hxx[mask] - 3.0 * h[mask] ** 2 / _sigma(params)) / (2.0 * h[mask])
     lam = float(r.mean())
     denom = abs(lam) if lam != 0.0 else 1.0
     spread = float((r.max() - r.min()) / denom)
@@ -176,7 +193,8 @@ def boussinesq_energy(h_field: WaveField, v_field: WaveField,
     E = int [ w^2/2 + g H h^2/2 + g h^3/2 - g H^3 (h_x)^2/6 ] dx with
     w the periodic antiderivative of v = h_t.  v must be (numerically)
     zero-mean, which the bidirectional RHS preserves.  Not sign-definite:
-    the model is only well-posed on low wavenumbers.
+    the model is only well-posed on low wavenumbers.  Pure gravity, as the
+    bidirectional equation is: T does not enter.
     """
     if h_field.grid != v_field.grid:
         raise ValueError("h and v fields must share a grid")

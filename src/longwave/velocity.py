@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PhysicalParams, WaveField
+from .model import PhysicalParams, WaveField, dispersion_sigma
 from .operators import antiderivative, diff
 
 __all__ = [
@@ -65,9 +65,11 @@ def _masked(h: np.ndarray, mask_rel: float) -> np.ndarray:
 def omega_pointwise(field: WaveField, params: PhysicalParams,
                     scheme: str = "spectral",
                     mask_rel: float = MASK_THRESHOLD) -> MaskedSamples:
-    """Local wave velocity sqrt(gH) (1 + 3h/(4H) + H^2 h_xx/(6h)) [m/s].
+    """Local wave velocity sqrt(gH) (1 + 3h/(4H) + sigma h_xx/(2Hh)) [m/s].
 
-    Constant exactly on a steady profile; the pointwise variation of a
+    sigma = dispersion_sigma(params), so at T = 0 the last term is
+    H^2 h_xx/(6h).  Constant exactly on a steady profile of the
+    unidirectional equation; the pointwise variation of a
     general field is what deforms it.  Entries with |h| below
     mask_rel * max|h| are masked (the formula is singular at h = 0).
     """
@@ -78,7 +80,7 @@ def omega_pointwise(field: WaveField, params: PhysicalParams,
     omega = np.full(h.shape, np.nan)
     c0 = np.sqrt(g * H)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = c0 * (1.0 + 0.75 * h / H + H * H / 6.0 * hxx / h)
+        vals = c0 * (1.0 + 0.75 * h / H + dispersion_sigma(params) / (2.0 * H) * hxx / h)
     omega[mask] = vals[mask]
     return MaskedSamples(values=omega, mask=mask)
 
@@ -130,8 +132,9 @@ def bernoulli_residual(field: WaveField, omega_const: float,
                        scheme: str = "spectral") -> BernoulliResidual:
     """Steady-flow pressure-balance samples and their spread.
 
-    Evaluates -omega U + g h + U^2/2 + (H omega^2/3) h_xx pointwise with
-    the exact U closure.  On an exact steady profile the samples are
+    Evaluates -omega U + g h + U^2/2 + (H omega^2/3 - T/rho) h_xx pointwise
+    with the exact U closure; -T h_xx/rho is the capillary pressure of the
+    curved surface.  On an exact steady profile the samples are
     constant up to terms cubic in the amplitude, so the spread
     (max - min) is an amplitude-cubed diagnostic; it contains the
     integration constant only as a common offset.  h is the elevation
@@ -143,7 +146,7 @@ def bernoulli_residual(field: WaveField, omega_const: float,
     U = mean_velocity_U(field, omega_const, params)
     hxx = diff(h, field.grid.L, 2, scheme)
     samples = (-omega_const * U + g * h + 0.5 * U * U
-               + H * omega_const ** 2 / 3.0 * hxx)
+               + (H * omega_const ** 2 / 3.0 - params.T / params.rho) * hxx)
     return BernoulliResidual(samples=samples, spread=float(samples.max() - samples.min()))
 
 

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from longwave import (
+    WATER,
     PeriodicGrid,
     PhysicalParams,
     SolitarySpec,
     WaveField,
     compute_invariants,
+    critical_depth,
     dispersion_sigma,
     solitary_field,
 )
@@ -450,6 +452,15 @@ class TestSubcommands:
         assert float(printed_q.split("=")[1]) == pytest.approx(inv.Q, rel=1e-15)
         assert (tmp_path / "inv.csv").exists()
 
+    def test_invariants_subcommand_at_the_critical_depth(self, tmp_path, capsys):
+        # sigma = 0: no dispersion and no stability moment, reported as a usage error
+        params = PhysicalParams(H=critical_depth(WATER), T=WATER.T)
+        grid = PeriodicGrid(L=1.0, N=32)
+        field = WaveField(grid, 1e-4 * np.cos(2 * np.pi * grid.x / grid.L))
+        emit_profile_csv(field, params, "analytic", tmp_path / "p.csv")
+        assert main(["invariants", "--input", str(tmp_path / "p.csv")]) == EXIT_USAGE
+        assert "sigma = 0" in capsys.readouterr().err
+
     def test_stability_subcommand(self, capsys):
         rc = main(["stability", "--hbar", "0.1", "--p-ratio", "0.9"])
         assert rc == EXIT_OK
@@ -595,6 +606,21 @@ class TestScenarioSmoke:
         Q = [float(r[1]) for r in rows]
         assert max(abs(q - Q[0]) for q in Q) <= 1e-12 * abs(Q[0])
 
+    def test_capillary_transit_in_the_default_frame(self, tmp_path):
+        # one lap in 1 cm of water: the fixed frame steps the capillary sigma
+        # (at the pure-gravity sigma the shape error read 0.069 h0)
+        out = tmp_path / "cap"
+        rc = main(["scenario", "solitary_transit", "--out", str(out),
+                   "--set", "physical.H=0.01", "--set", "physical.T=0.0728",
+                   "--set", "scenario.h0=0.001", "--set", "grid.L=1.2",
+                   "--set", "grid.N=256"])
+        assert rc == EXIT_OK
+        manifest = _manifest(out)
+        assert manifest["config.scheme.frame"] == "fixed"
+        assert float(manifest["result.shape_error_rel_h0"]) <= 1e-5
+        for name in ("E", "M", "Hfun"):
+            assert float(manifest[f"result.drift_{name}"]) <= 1e-6
+
     def test_manifest_reproduces_run(self, tmp_path):
         # a manifest alone must suffice to regenerate identical outputs
         rc = main(["scenario", "steepening", "--out", str(tmp_path / "r1"),
@@ -668,6 +694,12 @@ class TestNothingWrittenUnlessTheRunSucceeds:
          EXIT_USAGE, "steepening analysis requires sigma > 0"),
         (["stability", "--hbar", "-0.1", "--p-ratio", "1"], EXIT_USAGE,
          "hbar and p must be positive"),
+        (["scenario", "steepening", "--set", "scenario.t_check=0"], EXIT_USAGE,
+         "t_check must be positive and finite, got 0.0"),
+        (["scenario", "steepening", "--set", "scenario.t_check=-1"], EXIT_USAGE,
+         "t_check must be positive and finite, got -1.0"),
+        (["scenario", "steepening", "--set", "scenario.t_check=inf"], EXIT_USAGE,
+         "t_check must be positive and finite, got inf"),
         (["scenario", "boussinesq_demo", "--set", "scenario.mode_index=0"], EXIT_USAGE,
          "'scenario.mode_index' must name a mode the filter keeps, 1 to 8, got 0"),
         (["scenario", "boussinesq_demo", "--set", "scenario.mode_index=20"], EXIT_USAGE,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from longwave import (
+    WATER,
     BlowUpError,
     DeformationSpec,
     PeriodicGrid,
@@ -15,6 +16,7 @@ from longwave import (
     WaveField,
     boussinesq_rhs,
     conservation_drift,
+    critical_depth,
     crest_position,
     deformation_rate_closed_form,
     dispersion_sigma,
@@ -84,9 +86,11 @@ class TestKdvRhs:
 
     @pytest.mark.parametrize("scheme", ["spectral", "centered4"])
     @pytest.mark.parametrize("H", [0.5, 1.0, 2.0])
-    def test_fixed_frame_is_the_moving_frame_at_alpha_h(self, scheme, H):
-        # the frame speed sqrt(gH) - sqrt(g/H) alpha vanishes at alpha = H
-        params = PhysicalParams(g=9.81, H=H, rho=1000.0, T=0.0)
+    @pytest.mark.parametrize("T", [0.0, 0.0728])
+    def test_fixed_frame_is_the_moving_frame_at_alpha_h(self, scheme, H, T):
+        # the frame speed sqrt(gH) - sqrt(g/H) alpha vanishes at alpha = H,
+        # and both frames carry the run's own sigma
+        params = PhysicalParams(g=9.81, H=H, rho=1000.0, T=T)
         spec = SolitarySpec(h0=0.1 * H, sigma=dispersion_sigma(params), H=H, g=params.g)
         field = solitary_field(spec, PeriodicGrid(L=60.0 * H, N=256))
         fixed = kdv_rhs(field, params, SchemeConfig(deriv=scheme))
@@ -824,6 +828,18 @@ class TestBandStepper:
 
 
 class TestEvolve:
+    def test_bidirectional_run_records_pure_gravity_invariants(self):
+        # the pair reads no T, so neither do its M and Hfun, even at the
+        # critical depth, where the unidirectional sigma is zero
+        grid = PeriodicGrid(L=1.0, N=64)
+        h = WaveField(grid, 1e-4 * np.cos(2 * np.pi * grid.x / grid.L))
+        state = (h, WaveField(grid, np.zeros(64)))
+        capillary = PhysicalParams(H=critical_depth(WATER), T=WATER.T)
+        gravity = PhysicalParams(H=capillary.H, T=0.0)
+        runs = [evolve(state, p, SchemeConfig(t_end=0.01)).invariants
+                for p in (capillary, gravity)]
+        assert len(runs[0]) > 1 and runs[0] == runs[1]
+
     def test_zero_field(self, params):
         grid = PeriodicGrid(L=20.0, N=64)
         res = evolve(WaveField(grid, np.zeros(64)), params, SchemeConfig(t_end=0.2))
@@ -1065,6 +1081,15 @@ class TestFactorization:
         r = factorization_residual(field, params, h_t=left)
         norm = params.g * params.H * 1.5 * spec.h0 ** 2 / params.H ** 3
         assert r / norm > 1e-3
+
+    @pytest.mark.parametrize("H", [1.0, 0.01])
+    def test_residual_does_not_read_surface_tension(self, H):
+        # the jet is built at T = 0, like the pure-gravity operator it is checked against
+        gravity = PhysicalParams(g=9.81, H=H, rho=1000.0, T=0.0)
+        capillary = PhysicalParams(g=9.81, H=H, rho=1000.0, T=0.0728)
+        spec = SolitarySpec(h0=0.05 * H, sigma=dispersion_sigma(gravity), H=H, g=9.81)
+        field = solitary_field(spec, PeriodicGrid(L=160.0 * H, N=256))
+        assert factorization_residual(field, capillary) == factorization_residual(field, gravity)
 
     def test_residual_leaves_the_symbol_caches_alone(self, params):
         # a residual at a fresh domain length builds its two tables uncached,

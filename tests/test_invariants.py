@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from longwave import (
+    WATER,
     PeriodicGrid,
+    PhysicalParams,
     SchemeConfig,
     SolitarySpec,
     WaveField,
@@ -12,6 +14,7 @@ from longwave import (
     canonical_epsilon,
     compute_invariants,
     conservation_drift,
+    critical_depth,
     critical_point_residual,
     dispersion_sigma,
     evolve,
@@ -58,6 +61,15 @@ class TestComputeInvariants:
             for eps in (0.0, -params.H ** 2 / 12.0, 0.37):
                 inv = compute_invariants(field, params, epsilon=eps)
                 assert inv.Hfun == pytest.approx(0.5 * inv.E + eps * inv.M, rel=1e-12, abs=1e-15)
+
+    def test_no_moment_at_the_critical_depth(self):
+        # sigma = 0 there: the equation has no dispersion and M does not exist
+        params = PhysicalParams(H=critical_depth(WATER), T=WATER.T)
+        assert dispersion_sigma(params) == 0.0
+        grid = PeriodicGrid(L=1.0, N=32)
+        field = WaveField(grid, 1e-4 * np.cos(2 * np.pi * grid.x / grid.L))
+        with pytest.raises(ValueError, match="sigma = 0"):
+            compute_invariants(field, params)
 
     def test_centroid_velocity_is_wave_speed(self, params):
         spec, grid, field = solitary_case(params)
@@ -120,25 +132,35 @@ class TestHamiltonianFlow:
         expected = -math.sqrt(params.g * params.H) * diff(h, grid.L, 1)
         assert np.allclose(rhs, expected, atol=1e-14)
 
-    def test_matches_kdv_rhs_at_canonical_epsilon(self, params):
-        grid = PeriodicGrid(L=50.0, N=256)
-        cfg = SchemeConfig(deriv="spectral", frame="fixed")
+    @pytest.mark.parametrize("case", ["params", "water", "below_critical_depth"])
+    def test_matches_kdv_rhs_at_canonical_epsilon(self, request, case):
+        # eps = -sigma/(4H) for any sigma != 0; 4 mm of water has sigma < 0
+        params = (PhysicalParams(H=0.004, T=0.0728) if case == "below_critical_depth"
+                  else request.getfixturevalue(case))
+        H = params.H
+        grid = PeriodicGrid(L=50.0 * H, N=256)
         eps = canonical_epsilon(params)
-        for h in smooth_random_fields(grid, 5, 0.2, seed=41):
+        for h in smooth_random_fields(grid, 5, 0.2 * H, seed=41):
             field = WaveField(grid, h)
             a = hamiltonian_flow_rhs(field, params, eps)
-            b = kdv_rhs(field, params, cfg)
-            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+            for cfg in (SchemeConfig(deriv="spectral", frame="fixed"),
+                        SchemeConfig(deriv="spectral", frame="moving", alpha=H)):
+                b = kdv_rhs(field, params, cfg)
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 class TestCriticalPoint:
-    def test_solitary_multiplier(self, params):
+    @pytest.mark.parametrize("H, T, L", [(1.0, 0.0, 140.0), (0.01, 0.0728, 1.2)])
+    def test_solitary_multiplier(self, H, T, L):
         # mask-edge points need the tail wrap below 1e-15 h0 and the sech^2
         # spectrum resolved to the roundoff floor (k_max >= ~24/width), or
         # the division by h ~ 1e-8 h0 amplifies derivative noise
-        spec, grid, field = solitary_case(params, h0=0.3, N=512, L=140.0)
+        params = PhysicalParams(g=9.81, H=H, rho=1000.0, T=T)
+        sigma = dispersion_sigma(params)
+        spec = SolitarySpec(h0=0.3 * H, sigma=sigma, H=H, g=params.g)
+        field = solitary_field(spec, PeriodicGrid(L=L, N=512))
         lam, spread = critical_point_residual(field, params)
-        assert lam == pytest.approx(-3 * spec.h0 / params.H ** 3, abs=1e-6)
+        assert lam == pytest.approx(-spec.h0 / sigma, rel=1e-6)
         assert spread <= 1e-6
 
     def test_multiplier_scales_linearly(self, params):

@@ -6,6 +6,7 @@ import pytest
 from longwave import (
     CnoidalSpec,
     PeriodicGrid,
+    PhysicalParams,
     SchemeConfig,
     SolitarySpec,
     WaveField,
@@ -50,8 +51,11 @@ class TestOmegaPointwise:
         out = omega_pointwise(WaveField(grid, np.zeros(64)), params)
         assert not out.mask.any()
 
-    def test_constant_on_solitary(self, params):
-        _, spec, grid, field = solitary_setup()
+    @pytest.mark.parametrize("H, T", [(1.0, 0.0), (0.01, 0.0728)])
+    def test_constant_on_solitary(self, H, T):
+        params = PhysicalParams(g=9.81, H=H, rho=1000.0, T=T)
+        spec = SolitarySpec(h0=0.1 * H, sigma=dispersion_sigma(params), H=H, g=params.g)
+        field = solitary_field(spec, PeriodicGrid(L=120.0 * H, N=2048))
         out = omega_pointwise(field, params)
         omega = solitary_speed(spec)
         assert out.mask.sum() > 100
@@ -167,6 +171,16 @@ class TestBernoulliResidual:
         unit = params.g * spec.h0 ** 3 / params.H ** 2
         assert out.spread <= 1.55 * unit
         assert out.spread >= 0.5 * unit  # genuinely third order, not smaller
+
+    @pytest.mark.parametrize("H, h0_rel", [(0.01, 0.1), (0.004, -0.1)])
+    def test_capillary_pressure_keeps_the_spread_third_order(self, H, h0_rel):
+        # calibrated: 1.56 and 0.80 g|h0|^3/H^2; without the -T/rho h_xx
+        # pressure the spread is second order, 3.5 and 23 of that unit
+        params = PhysicalParams(g=9.81, H=H, rho=1000.0, T=0.0728)
+        spec = SolitarySpec(h0=h0_rel * H, sigma=dispersion_sigma(params), H=H, g=params.g)
+        field = solitary_field(spec, PeriodicGrid(L=120.0 * H, N=2048))
+        out = bernoulli_residual(field, solitary_speed(spec), params)
+        assert out.spread <= 2.0 * params.g * abs(spec.h0) ** 3 / H ** 2
 
     def test_solitary_amplitude_scaling(self, params):
         def spread(h0):
