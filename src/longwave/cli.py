@@ -2,9 +2,10 @@
 CSV output.
 
 Configuration is a flat key=value map (dots group sections, e.g.
-grid.N=1024).  COMMANDS lists the keys each command reads, with their
-defaults, and KINDS what each key's value must be.  Defaults < config
-file (--config) < command-line overrides (--set key=value).  A value
+grid.N=1024).  COMMANDS lists the keys each command reads (analytic and
+evolve: each --wave or --ic choice), with their defaults, and KINDS what
+each key's value must be.  Defaults < config file (--config) <
+command-line overrides (--set key=value).  A value
 that does not parse as its kind, a key no command reads and a --set key
 the command does not read are usage errors, raised before anything
 runs; a config-file key the command does not read is left out, so one
@@ -66,16 +67,18 @@ from .elliptic import complete_K
 EXIT_OK, EXIT_USAGE, EXIT_BLOWUP, EXIT_IO = 0, 2, 3, 4
 
 # key groups that several commands read, each written once
-PHYSICAL = {"physical.g": "9.81", "physical.H": "1.0", "physical.rho": "1000.0",
-            "physical.T": "0.0"}
+GRAVITY = {"physical.g": "9.81", "physical.H": "1.0"}
+PHYSICAL = {**GRAVITY, "physical.rho": "1000.0", "physical.T": "0.0"}
 WRITES = {**PHYSICAL, "output_dir": "out"}  # every command but stability writes files
 GRID = {"grid.N": "1024", "grid.L": "120.0"}
 STEPPING = {"scheme.deriv": "spectral", "scheme.dt": "auto", "scheme.t_end": "auto",
             "scheme.frame": "fixed", "scheme.alpha": "0.0"}
 EVOLVES = {**WRITES, **GRID, **STEPPING}
+# a cnoidal wave spans n_waves wavelengths, so it reads grid.N but not grid.L
+CNOIDAL = {"grid.N": "1024", "scenario.kl_sum": "0.2", "scenario.m": "0.5"}
 
-# the keys each command (scenario names, "analytic", "evolve", "stability")
-# reads, with their defaults; analytic and evolve read both their choices' keys
+# the keys each command reads, with their defaults: scenario names,
+# "stability", and analytic and evolve per --wave or --ic choice
 COMMANDS = {
     "solitary_transit": {**EVOLVES, "scenario.h0": "0.1"},
     "two_soliton": {**EVOLVES, "grid.N": "256", "grid.L": "80.0", "scheme.frame": "moving",
@@ -88,14 +91,15 @@ COMMANDS = {
     "moment_conservation": {**EVOLVES, "grid.N": "512", "scenario.h0": "0.1"},
     "factorization": {**WRITES, "grid.L": "120.0", "scenario.h0": "0.02",
                       "scenario.n_list": "128,256,512,1024"},
-    "boussinesq_demo": {**WRITES, **GRID, "scheme.dt": "auto", "scheme.filter_cut": "0.5",
-                        "seed": "0", "scenario.h0": "0.1", "scenario.mode_index": "8",
-                        "scenario.mode_amp": "1e-8", "scenario.noise_amp": "1e-10",
-                        "scenario.solitary_filter_cut": "0.75"},
-    "analytic": {**WRITES, **GRID, "scenario.h0": "0.1", "scenario.kl_sum": "0.2",
-                 "scenario.m": "0.5", "scenario.n_waves": "1"},
-    "evolve": {**EVOLVES, "scenario.h0": "0.1", "scenario.kl_sum": "0.2", "scenario.m": "0.5",
-               "scenario.n_waves": "4"},
+    # the bidirectional pair is pure gravity, so the demo reads no rho or T
+    "boussinesq_demo": {**GRAVITY, "output_dir": "out", **GRID, "scheme.dt": "auto",
+                        "scheme.filter_cut": "0.5", "seed": "0", "scenario.h0": "0.1",
+                        "scenario.mode_index": "8", "scenario.mode_amp": "1e-8",
+                        "scenario.noise_amp": "1e-10", "scenario.solitary_filter_cut": "0.75"},
+    "analytic --wave solitary": {**WRITES, **GRID, "scenario.h0": "0.1"},
+    "analytic --wave cnoidal": {**WRITES, **CNOIDAL, "scenario.n_waves": "1"},
+    "evolve --ic solitary": {**EVOLVES, "scenario.h0": "0.1"},
+    "evolve --ic cnoidal": {**WRITES, **STEPPING, **CNOIDAL, "scenario.n_waves": "4"},
     "stability": PHYSICAL,
 }
 
@@ -161,7 +165,9 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 class ExperimentConfig:
     """Resolved configuration: the raw text of the keys the command reads (as
     the manifest echoes it) and their parsed values; grid, scheme and
-    output_dir are None for a command that does not read all their keys."""
+    output_dir are None for a command that does not read all their keys,
+    and params takes its defaults for the physical.* keys it does not
+    read.  scenario is the command without its --wave or --ic choice."""
 
     scenario: str
     raw: dict[str, str]
@@ -228,15 +234,18 @@ def resolve_config(scenario: str, config_file: str | None,
     if out_dir:
         raw["output_dir"] = out_dir
     v = {key: _parse(key, text) for key, text in raw.items()}
-    params = PhysicalParams(g=v["physical.g"], H=v["physical.H"],
-                            rho=v["physical.rho"], T=v["physical.T"])
-    grid = PeriodicGrid(L=v["grid.L"], N=v["grid.N"]) if GRID.keys() <= v.keys() else None
-    scheme = (SchemeConfig(deriv=v["scheme.deriv"], dt=v["scheme.dt"],
-                           t_end=v["scheme.t_end"] or 0.0, frame=v["scheme.frame"],
-                           alpha=v["scheme.alpha"])
-              if STEPPING.keys() <= v.keys() else None)
-    return ExperimentConfig(scenario=scenario, raw=raw, values=v, params=params, grid=grid,
-                            scheme=scheme,
+    try:  # a value out of range names the command and choice that read it
+        params = PhysicalParams(**{key.split(".", 1)[1]: value for key, value in v.items()
+                                   if key.startswith("physical.")})
+        grid = PeriodicGrid(L=v["grid.L"], N=v["grid.N"]) if GRID.keys() <= v.keys() else None
+        scheme = (SchemeConfig(deriv=v["scheme.deriv"], dt=v["scheme.dt"],
+                               t_end=v["scheme.t_end"] or 0.0, frame=v["scheme.frame"],
+                               alpha=v["scheme.alpha"])
+                  if STEPPING.keys() <= v.keys() else None)
+    except ValueError as e:
+        raise ValueError(f"{scenario}: {e}") from None
+    return ExperimentConfig(scenario=scenario.partition(" ")[0], raw=raw, values=v,
+                            params=params, grid=grid, scheme=scheme,
                             output_dir=Path(v["output_dir"]) if "output_dir" in v else None)
 
 
@@ -360,10 +369,17 @@ def _crest_speed(res) -> float:
     return fit_speed(ts, xs, field.grid.L)
 
 
+def _run_to(scheme: SchemeConfig, t_end: float) -> SchemeConfig:
+    """scheme run to t_end; an explicit step must leave a step count that is finite."""
+    if scheme.dt is not None and not t_end / scheme.dt < math.inf:
+        raise ValueError(f"'scheme.dt' = {_fmt(scheme.dt)} s is too small to count the steps")
+    return replace(scheme, t_end=t_end)
+
+
 def _evolve_to(cfg: ExperimentConfig, initial: WaveField, t_auto: float):
     """Evolve to scheme.t_end (t_auto if 'auto'): the run, its t_end and its three files."""
     t_end = t_auto if cfg.t_end_auto else cfg.scheme.t_end
-    scheme = replace(cfg.scheme, t_end=t_end)
+    scheme = _run_to(cfg.scheme, t_end)
     res = evolve(initial, cfg.params, scheme)
     files = {
         "profile_initial.csv": (emit_profile_csv, initial, cfg.params, scheme.deriv),
@@ -438,17 +454,12 @@ def scenario_two_soliton(cfg: ExperimentConfig):
 def scenario_cnoidal_family(cfg: ExperimentConfig):
     """Profiles and speeds across the elliptic-parameter family."""
     params = cfg.params
-    sigma = dispersion_sigma(params)
-    kl_sum = cfg.fnum("scenario.kl_sum")
-    n_waves = cfg.fnum("scenario.n_waves")
     phase = cfg.fnum("scenario.phase")
     rows = ["# columns=m,k,l,K,wavelength,speed_periodic,speed_frame"]
     results: dict[str, str] = {}
     files = {}
     for i, m in enumerate(cfg.fnum("scenario.m_list")):
-        spec = CnoidalSpec(k=kl_sum - m * kl_sum, l=m * kl_sum, sigma=sigma,
-                           H=params.H, g=params.g)
-        grid = grid_for_cnoidal(spec, n_waves, cfg.fnum("grid.N"))
+        spec, grid = _cnoidal_pieces(cfg, m)
         lam = cnoidal_wavelength(spec)
         speed_p = boussinesq_periodic_speed(spec)
         speed_f = (math.sqrt(params.g * params.H)
@@ -556,19 +567,22 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     for key in ("scenario.mode_amp", "scenario.noise_amp"):
         if not cfg.fnum(key):
             raise ValueError(f"{key!r} must be nonzero")
+    k0 = 2.0 * math.pi * j / grid.L
+    om_exact = k0 * math.sqrt(g * H) * math.sqrt(1.0 - H * H * k0 * k0 / 3.0)
+    t10 = 10.0 * 2.0 * math.pi / om_exact
+    # the frequency fit needs three samples, so two steps of part (a) at least
+    if filtered.dt is not None and not filtered.dt <= t10 / 2:
+        raise ValueError(f"'scheme.dt' must be at most {_fmt(t10 / 2)} s, half of part (a)")
     spec, omega = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
     cut = cfg.fnum("scenario.solitary_filter_cut")
-    schemeS = replace(filtered, t_end=30.0, filter_cut=cut)
+    schemeS = _run_to(replace(filtered, filter_cut=cut), 30.0)
     rest = WaveField(grid, np.zeros(grid.N))
 
     # (a) one low linear mode: measured oscillation frequency
-    k0 = 2.0 * math.pi * j / grid.L
-    om_exact = k0 * math.sqrt(g * H) * math.sqrt(1.0 - H * H * k0 * k0 / 3.0)
     cosk = np.cos(k0 * grid.x)
     h0f = WaveField(grid, cfg.fnum("scenario.mode_amp") * H * cosk)
-    t10 = 10.0 * 2.0 * math.pi / om_exact
     # the default sampling is uniform under both integrators, as the fit needs
-    res = evolve((h0f, rest), params, replace(filtered, t_end=t10), record_invariants=False)
+    res = evolve((h0f, rest), params, _run_to(filtered, t10), record_invariants=False)
     ts = np.array(res.times)
     cs = np.array([2.0 / grid.N * float(np.dot(s[0].h, cosk)) for s in res.snapshots])
     rows = ["# columns=t,mode_amplitude"]
@@ -629,12 +643,12 @@ def run_scenario(cfg: ExperimentConfig) -> dict[str, str]:
     return _run(cfg, SCENARIOS[cfg.scenario])
 
 
-def _cnoidal_pieces(cfg: ExperimentConfig):
-    """The cnoidal wave of the analytic and evolve commands, and its grid."""
-    kl_sum, m, params = cfg.fnum("scenario.kl_sum"), cfg.fnum("scenario.m"), cfg.params
-    spec = CnoidalSpec(k=(1 - m) * kl_sum, l=m * kl_sum, sigma=dispersion_sigma(params),
+def _cnoidal_pieces(cfg: ExperimentConfig, m: float):
+    """The cnoidal wave of elliptic parameter m, and its grid of n_waves wavelengths."""
+    kl_sum, params = cfg.fnum("scenario.kl_sum"), cfg.params
+    spec = CnoidalSpec(k=kl_sum - m * kl_sum, l=m * kl_sum, sigma=dispersion_sigma(params),
                        H=params.H, g=params.g)
-    return spec, grid_for_cnoidal(spec, cfg.fnum("scenario.n_waves"), cfg.grid.N)
+    return spec, grid_for_cnoidal(spec, cfg.fnum("scenario.n_waves"), cfg.fnum("grid.N"))
 
 
 def _analytic(cfg: ExperimentConfig, wave: str, phase: float):
@@ -644,7 +658,7 @@ def _analytic(cfg: ExperimentConfig, wave: str, phase: float):
         spec, speed = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
         field = solitary_field(spec, cfg.grid, center=phase)
     else:
-        spec, grid = _cnoidal_pieces(cfg)
+        spec, grid = _cnoidal_pieces(cfg, cfg.fnum("scenario.m"))
         field = cnoidal_field(spec, grid, phase=phase)
         results["wavelength"] = _fmt(cnoidal_wavelength(spec))
         speed = boussinesq_periodic_speed(spec)
@@ -658,7 +672,7 @@ def _evolve(cfg: ExperimentConfig, ic: str):
         spec, speed = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
         initial, t_auto = solitary_field(spec, cfg.grid), cfg.grid.L / speed
     else:
-        spec, grid = _cnoidal_pieces(cfg)
+        spec, grid = _cnoidal_pieces(cfg, cfg.fnum("scenario.m"))
         initial, t_auto = cnoidal_field(spec, grid, zero_mean=True), 10.0
     res, t_end, files = _evolve_to(cfg, initial, t_auto)
     results = {"t_end": _fmt(t_end), **_drift_entries(res), **_step_entries(res)}
@@ -680,19 +694,20 @@ def _print_results(cfg: ExperimentConfig, results: dict[str, str]) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    if args.name in COMMANDS.keys() - SCENARIOS.keys():
-        raise ValueError(f"{args.name!r} is not a scenario: run 'longwave {args.name}'")
+    command = args.name.partition(" ")[0]
+    if args.name not in SCENARIOS and command in {c.partition(" ")[0] for c in COMMANDS}:
+        raise ValueError(f"{args.name!r} is not a scenario: run 'longwave {command}'")
     cfg = resolve_config(args.name, args.config, args.set or [], args.out)
     return _print_results(cfg, run_scenario(cfg))
 
 
 def _cmd_analytic(args) -> int:
-    cfg = resolve_config("analytic", args.config, args.set or [], args.out)
+    cfg = resolve_config(f"analytic --wave {args.wave}", args.config, args.set or [], args.out)
     return _print_results(cfg, _run(cfg, _analytic, wave=args.wave, phase=args.phase))
 
 
 def _cmd_evolve(args) -> int:
-    cfg = resolve_config("evolve", args.config, args.set or [], args.out)
+    cfg = resolve_config(f"evolve --ic {args.ic}", args.config, args.set or [], args.out)
     return _print_results(cfg, _run(cfg, _evolve, ic=args.ic))
 
 

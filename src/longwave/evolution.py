@@ -171,7 +171,7 @@ class SchemeConfig:
     and alpha must be finite.  frame applies to the unidirectional
     equation only; alpha is the moving-frame parameter.
     frame="fixed" is the moving frame at alpha = H, where the frame speed
-    is zero, and ignores alpha.
+    is zero, so it takes no alpha: a nonzero one is rejected.
     filter_cut is the bidirectional low-pass cutoff as a fraction of
     sqrt(3)/H; boussinesq_filter=False disables it (ill-posedness demo
     only).
@@ -193,6 +193,8 @@ class SchemeConfig:
             raise ValueError(f"t_end must be non-negative and finite, got {self.t_end}")
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
+        if self.frame == "fixed" and self.alpha:
+            raise ValueError(f"alpha applies to the moving frame only, got {self.alpha}")
         if not (0.0 < self.filter_cut < 1.0):
             raise ValueError(f"filter_cut must lie in (0, 1), got {self.filter_cut}")
         if self.frame not in ("fixed", "moving"):
@@ -211,8 +213,8 @@ class DeformationSpec:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if not (self.hbar > 0 and self.p > 0):
-            raise ValueError("hbar and p must be positive")
+        if not (0 < self.hbar < math.inf and 0 < self.p < math.inf):
+            raise ValueError(f"hbar and p must be positive and finite, got {self.hbar}, {self.p}")
 
 
 class SteepeningVerdict(Enum):
@@ -707,10 +709,12 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, t: float,
     factor each lap that the error norm does not see until it is large.
     Steps are rounded down to a 2^(1/16) ladder, so the stepper's folded
     weights are reused; a step that would pass the next stop lands on it.
-    A step wanted below 1e-8 of the run raises BlowUpError, with the
-    max|h| of the last rejected step, rather than spin: near that size
+    A step wanted below 1e-8 of the run, or nan, raises BlowUpError, with
+    the max|h| of the last rejected step, rather than spin: near that size
     (about sqrt(eps) of the state's time scale) the two solutions of the
-    pair agree to the last bit and the error estimate reads zero.
+    pair agree to the last bit and the error estimate reads zero.  So does
+    a first step wanted that is nan or zero (a state so large that its
+    norms overflow), with the max|h| of the start.
     """
     m, N = y.shape
     J0 = J
@@ -739,6 +743,8 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, t: float,
     # the flux changes h (unidirectional) or v (bidirectional), unit weight both
     rate = np.linalg.norm(flux * np.fft.rfft(y[0] * y[0])[:J]) / size if size else 0.0
     want = min(0.01 / rate if rate else math.inf, beat_limit(z))
+    if not want > 0:  # nan or zero: the state is too large to size a step for
+        raise BlowUpError(t, 1, float(np.max(np.abs(y[0]))), "ifrk4")
     n, i, rejected, r_prev = None, 0, 0, 1.0
     for stop in stops:
         while t < stop:
@@ -769,7 +775,7 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, t: float,
                 rejected += 1
                 fac = 0.9 * (tol / err) ** 0.25 if err < math.inf else 0.0  # nan too
                 want = dt * min(0.9, max(0.2, fac))
-                if want < floor:
+                if not want >= floor:  # nan too
                     h1 = np.fft.irfft(z1[0], n=N)
                     raise BlowUpError(t, i + 1, float(np.max(np.abs(h1))), "ifrk4")
     return i, rejected, (J0, J)
@@ -806,8 +812,8 @@ def steady_inverse_width(hbar: float, params: PhysicalParams) -> float:
     sigma = dispersion_sigma(params)
     if not sigma > 0:
         raise ValueError("steepening analysis requires sigma > 0")
-    if not hbar > 0:
-        raise ValueError("hbar and p must be positive")
+    if not 0 < hbar < math.inf:
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
     return math.sqrt(hbar / (4.0 * sigma))
 
 

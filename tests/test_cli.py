@@ -140,10 +140,22 @@ def _manifest(out):
 
 
 def _command(name):
-    """The argv that runs the command `name` with every flag it requires."""
+    """The argv that runs the command `name` (a COMMANDS key, or a command
+    without its --wave or --ic choice) with every flag it requires."""
     if name == "stability":
         return ["stability", "--hbar", "0.1", "--p-ratio", "1"]
-    return [name] if name in ("analytic", "evolve") else ["scenario", name]
+    if name.partition(" ")[0] in ("analytic", "evolve"):
+        return name.split()
+    return ["scenario", name]
+
+
+def _longwave_process(*argv):
+    """`python -m longwave *argv` in a child process; a run past 60 s fails the test."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "longwave", *argv],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
 
 
 def _config_keys(manifest):
@@ -160,11 +172,13 @@ class TestConfigTable:
         cfg = resolve_config("factorization", None, [], None)
         assert cfg.fnum("scenario.n_list") == [128, 256, 512, 1024]
         assert all(type(n) is int for n in cfg.fnum("scenario.n_list"))
-        cfg = resolve_config("evolve", None, ["scheme.dt=0.01"], None)
+        cfg = resolve_config("evolve --ic solitary", None, ["scheme.dt=0.01"], None)
         assert cfg.fnum("scheme.dt") == cfg.scheme.dt == 0.01
         assert cfg.fnum("scheme.t_end") is None and cfg.t_end_auto
-        assert resolve_config("analytic", None, [], None).fnum("scenario.n_waves") == 1
-        assert resolve_config("evolve", None, [], None).fnum("scenario.n_waves") == 4
+        assert cfg.scenario == "evolve"  # the manifest's scenario line
+        cnoidal = resolve_config("analytic --wave cnoidal", None, [], None)
+        assert cnoidal.fnum("scenario.n_waves") == 1 and cnoidal.grid is None
+        assert resolve_config("evolve --ic cnoidal", None, [], None).fnum("scenario.n_waves") == 4
 
     @pytest.mark.parametrize("key", sorted(set(KINDS) - {"output_dir"}))
     def test_malformed_value_exits_before_output(self, tmp_path, capsys, key):
@@ -301,8 +315,10 @@ class TestConfigTable:
         assert rc == EXIT_OK
         manifest = _manifest(first)
         assert manifest["ic"] == "cnoidal"
-        for key, value in (("h0", "0.1"), ("kl_sum", "0.2"), ("m", "0.5"), ("n_waves", "4")):
+        for key, value in (("kl_sum", "0.2"), ("m", "0.5"), ("n_waves", "4")):
             assert manifest[f"config.scenario.{key}"] == value
+        # the domain is n_waves wavelengths and the wave has no h0
+        assert "config.grid.L" not in manifest and "config.scenario.h0" not in manifest
         # the mass of a zero-mean field moves by roundoff only
         assert float(manifest["result.drift_Q"]) <= 1e-12
         again = ["evolve", "--ic", manifest["ic"], "--out", str(tmp_path / "c2")]
@@ -328,10 +344,7 @@ class TestDeterminism:
 
 class TestExitCodes:
     def test_module_entry_point(self):
-        src = str(Path(cli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        done = subprocess.run([sys.executable, "-m", "longwave", "--help"], env=env,
-                              capture_output=True, text=True, timeout=60)
+        done = _longwave_process("--help")
         assert done.returncode == EXIT_OK, done.stderr
         assert "usage: longwave" in done.stdout
 
@@ -353,6 +366,22 @@ class TestExitCodes:
         assert rc == EXIT_BLOWUP
         assert "blew up" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--set", "grid.N=128", "--set", "grid.L=60", "--set", "scenario.h0=1e200"],
+        ["evolve", "--set", "grid.N=128", "--set", "grid.L=60", "--set", "scenario.h0=1e150"],
+        ["scenario", "steepening", "--set", "scenario.hbar=1e300",
+         "--set", "scenario.p_ratios=0.9"],
+    ], ids=["h0_1e200", "h0_1e150", "steepening_1e300"])
+    def test_state_too_large_to_size_a_step_blows_up(self, tmp_path, argv):
+        # its norms overflow, so the controller wants a nan or zero step: the
+        # run must stop with exit 3, not spin (a subprocess, so a spin fails
+        # this test instead of hanging the suite)
+        out = tmp_path / "o"
+        done = _longwave_process(*argv, "--out", str(out))
+        assert done.returncode == EXIT_BLOWUP, done.stderr
+        assert "blew up at t = 0 s (step 1" in done.stderr
+        assert not out.exists()
+
     def test_blowup_stderr_names_step_and_amplitude(self, tmp_path, capsys):
         rc = main(["evolve", "--ic", "solitary", "--out", str(tmp_path / "o"),
                    "--set", "grid.N=64", "--set", "grid.L=60",
@@ -373,9 +402,11 @@ class TestExitCodes:
             resolve_config("solitary_transit", str(cfgfile), [], None)
         with pytest.raises(ValueError, match="unknown configuration key 'zzz'$"):
             resolve_config("solitary_transit", None, ["zzz=1"], None)
-        # a key that another command reads is rejected, naming this one
-        with pytest.raises(ValueError, match="evolve does not read 'scenario.mode_amp'"):
-            resolve_config("evolve", None, ["scenario.m=0.3", "scenario.mode_amp=1e-9"], None)
+        # a key that another command reads is rejected, naming this one and its choice
+        with pytest.raises(ValueError,
+                           match="evolve --ic cnoidal does not read 'scenario.mode_amp'"):
+            resolve_config("evolve --ic cnoidal", None,
+                           ["scenario.m=0.3", "scenario.mode_amp=1e-9"], None)
 
     def _analytic_with(self, tmp_path, setting):
         return main(["analytic", "--wave", "solitary", "--out", str(tmp_path),
@@ -693,7 +724,15 @@ class TestNothingWrittenUnlessTheRunSucceeds:
         (["stability", "--hbar", "0.1", "--p-ratio", "1", "--set", "physical.T=5000"],
          EXIT_USAGE, "steepening analysis requires sigma > 0"),
         (["stability", "--hbar", "-0.1", "--p-ratio", "1"], EXIT_USAGE,
-         "hbar and p must be positive"),
+         "hbar must be positive and finite, got -0.1"),
+        (["stability", "--hbar", "inf", "--p-ratio", "1"], EXIT_USAGE,
+         "hbar must be positive and finite, got inf"),
+        (["stability", "--hbar", "0.1", "--p", "inf"], EXIT_USAGE,
+         "hbar and p must be positive and finite, got 0.1, inf"),
+        (["stability", "--hbar", "0.1", "--p-ratio", "inf"], EXIT_USAGE,
+         "hbar and p must be positive and finite, got 0.1, inf"),
+        (["scenario", "steepening", "--set", "scenario.hbar=inf"], EXIT_USAGE,
+         "hbar must be positive and finite, got inf"),
         (["scenario", "steepening", "--set", "scenario.t_check=0"], EXIT_USAGE,
          "t_check must be positive and finite, got 0.0"),
         (["scenario", "steepening", "--set", "scenario.t_check=-1"], EXIT_USAGE,
@@ -719,6 +758,30 @@ class TestNothingWrittenUnlessTheRunSucceeds:
         (["analytic", "--wave", "solitary", "--set", "physical.g=inf"], EXIT_USAGE,
          "g must be positive and finite, got inf"),
         (["evolve", "--set", "grid.L=inf"], EXIT_USAGE, "L must be positive and finite, got inf"),
+        # a key the choice does not read, and an alpha the fixed frame ignores
+        (["analytic", "--wave", "solitary", "--set", "scenario.m=0.9"], EXIT_USAGE,
+         "analytic --wave solitary does not read 'scenario.m'"),
+        (["analytic", "--wave", "cnoidal", "--set", "grid.L=5"], EXIT_USAGE,
+         "analytic --wave cnoidal does not read 'grid.L'"),
+        (["evolve", "--ic", "cnoidal", "--set", "scenario.h0=0.3"], EXIT_USAGE,
+         "evolve --ic cnoidal does not read 'scenario.h0'"),
+        (["scenario", "boussinesq_demo", "--set", "physical.T=0.0728"], EXIT_USAGE,
+         "boussinesq_demo does not read 'physical.T'"),
+        (["scenario", "solitary_transit", "--set", "scheme.alpha=0.3"], EXIT_USAGE,
+         "solitary_transit: alpha applies to the moving frame only, got 0.3"),
+        (["scenario", "moment_conservation", "--set", "scheme.alpha=0.3"], EXIT_USAGE,
+         "moment_conservation: alpha applies to the moving frame only, got 0.3"),
+        (["evolve", "--set", "scheme.alpha=0.3"], EXIT_USAGE,
+         "evolve --ic solitary: alpha applies to the moving frame only, got 0.3"),
+        # explicit steps too small to count, or too long for part (a)'s fit
+        (["evolve", "--set", "grid.N=128", "--set", "grid.L=60", "--set", "scheme.dt=1e-320"],
+         EXIT_USAGE, "'scheme.dt' = 9.9998886718268301e-321 s is too small to count the steps"),
+        (["scenario", "boussinesq_demo", "--set", "scheme.dt=1e-320"], EXIT_USAGE,
+         "'scheme.dt' = 9.9998886718268301e-321 s is too small to count the steps"),
+        (["scenario", "boussinesq_demo", "--set", "scheme.dt=40"], EXIT_USAGE,
+         "'scheme.dt' must be at most 14.328820783085497 s, half of part (a)"),
+        (["scenario", "boussinesq_demo", "--set", "scheme.dt=100"], EXIT_USAGE,
+         "'scheme.dt' must be at most 14.328820783085497 s, half of part (a)"),
     ])
     def test_bad_input_exits_with_its_reason_and_leaves_no_directory(
             self, tmp_path, capsys, monkeypatch, argv, code, message):
@@ -762,11 +825,12 @@ class TestNothingWrittenUnlessTheRunSucceeds:
         assert printed == [f"{k[7:]} = {v}" for k, v in sorted(results.items())] + [
             f"wrote {out}/manifest.txt"]
 
-    @pytest.mark.parametrize("wave", ["solitary", "cnoidal"])
-    def test_analytic_manifest_reproduces_profile(self, tmp_path, wave):
+    @pytest.mark.parametrize("wave, setting", [("solitary", "scenario.h0=0.3"),
+                                               ("cnoidal", "scenario.m=0.3")])
+    def test_analytic_manifest_reproduces_profile(self, tmp_path, wave, setting):
         first = tmp_path / "a1"
         rc = main(["analytic", "--wave", wave, "--phase", "2.5", "--out", str(first),
-                   "--set", "grid.N=64", "--set", "scenario.m=0.3"])
+                   "--set", "grid.N=64", "--set", setting])
         assert rc == EXIT_OK
         manifest = _manifest(first)
         assert manifest["wave"] == wave and float(manifest["phase"]) == 2.5

@@ -511,7 +511,7 @@ class TestIfrk4:
         # in the fixed frame), mode 20 forwards
         grid = PeriodicGrid(L=50.0, N=256)
         h = 1e-9 * np.cos(2 * math.pi * j * grid.x / grid.L)
-        config = SchemeConfig(frame=frame, alpha=0.37)
+        config = SchemeConfig(frame=frame, alpha=0.37 if frame == "moving" else 0.0)
         dt = 100 * stable_dt(grid, params, config) / 0.4
         out = step_ifrk4(WaveField(grid, h), params, config, dt)
         lin = kdv_linear_symbol(params, grid, "spectral", frame, config.alpha)
@@ -766,8 +766,9 @@ class TestBandStepper:
         # are dropped and the band product is the full-grid one less its alias
         grid = PeriodicGrid(L=60.0, N=128)
         field = TestIfrk4._with_high_modes(params, grid)
-        dt = stable_dt(grid, params, SchemeConfig(deriv=scheme, frame=frame, alpha=0.37))
-        config = SchemeConfig(deriv=scheme, frame=frame, alpha=0.37, dt=dt, t_end=200 * dt)
+        alpha = 0.37 if frame == "moving" else 0.0  # the fixed frame takes no alpha
+        dt = stable_dt(grid, params, SchemeConfig(deriv=scheme, frame=frame, alpha=alpha))
+        config = SchemeConfig(deriv=scheme, frame=frame, alpha=alpha, dt=dt, t_end=200 * dt)
         res = evolve(field, params, config, record_invariants=False, sample_every=1)
         ref = reference_kdv(field, params, config, res.dt, res.steps)
         assert (res.integrator, res.steps, len(res.snapshots)) == ("rk4", 200, len(ref))
@@ -1150,3 +1151,21 @@ class TestSchemeConfigValidation:
         # an infinite t_end would step forever; a nan alpha blows up at t = 0
         with pytest.raises(ValueError, match=wording):
             SchemeConfig(**{name: value})
+
+    def test_fixed_frame_takes_no_alpha(self):
+        # the fixed frame is alpha = H: an alpha given with it would be ignored
+        with pytest.raises(ValueError, match="alpha applies to the moving frame only"):
+            SchemeConfig(alpha=0.3)
+        assert SchemeConfig(frame="moving", alpha=0.3).alpha == 0.3
+        assert SchemeConfig(alpha=0.0).frame == "fixed"
+
+    @pytest.mark.parametrize("hbar, p", [(math.inf, 0.1), (0.1, math.inf), (math.nan, 0.1),
+                                         (0.1, math.nan), (0.1, 0.0)])
+    def test_deformation_spec_needs_finite_positive_hbar_and_p(self, hbar, p):
+        with pytest.raises(ValueError, match="hbar and p must be positive and finite"):
+            DeformationSpec(hbar=hbar, p=p)
+
+    @pytest.mark.parametrize("hbar", [math.inf, math.nan, 0.0, -0.1])
+    def test_steady_width_needs_finite_positive_hbar(self, params, hbar):
+        with pytest.raises(ValueError, match="hbar must be positive and finite"):
+            evolution.steady_inverse_width(hbar, params)
