@@ -35,11 +35,14 @@ The band belongs to the equation, not to the integrator (_symbols): the
 unidirectional equation keeps Orszag's 2/3-rule band, the rfft modes j
 with 3j < N, on which the product of its one quadratic term is exact;
 the pair keeps its low-pass band.
-That band square is the hot transform of every run, so it calls
-pocketfft's kernels directly, the ones np.fft.rfft and irfft call, with
-the same 1/M factor: the square is bit-identical to np.fft's, without
-np.fft's per-call wrapper, which at these sizes costs about as much as
-the transform.
+Every transform here, the band square, the sampled and checked h of a
+run and each full-grid evaluation, goes through operators' one kernel
+pair (operators.rfft and irfft), which calls pocketfft's kernels, the
+ones np.fft calls, with np.fft's factors: each is bit-identical to
+np.fft's, without np.fft's per-call wrapper, which at these sizes costs
+about as much as the transform.  The band square is the hot transform
+of every run, and each stepper forms it, and its stages, in work arrays
+of its own (_band_run).
 The state holds one row of band coefficients per field, h alone or h
 and v, and both equations take one form on it: the linear part is one
 generator A on each mode, lin = i omega for the unidirectional equation
@@ -99,12 +102,11 @@ from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.fft import _pocketfft_umath as _pfu
 
 from .elliptic import sech_sq
 from .invariants import InvariantSet, boussinesq_energy, compute_invariants
 from .model import PeriodicGrid, PhysicalParams, WaveField, dispersion_sigma
-from .operators import check_scheme, derivative_symbols, diff, wavenumbers
+from .operators import check_scheme, derivative_symbols, diff, irfft, rfft, wavenumbers
 
 __all__ = [
     "BlowUpError",
@@ -256,7 +258,7 @@ def _symbols_for(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfi
 def _grid_rhs(lin: np.ndarray, flux: np.ndarray, h: np.ndarray) -> np.ndarray:
     """irfft(lin * rfft(h) + flux * rfft(h^2)) over the band of lin, from samples h."""
     J = lin.size
-    return np.fft.irfft(lin * np.fft.rfft(h)[:J] + flux * np.fft.rfft(h * h)[:J], n=h.size)
+    return irfft(lin * rfft(h)[:J] + flux * rfft(h * h)[:J], h.size)
 
 
 def kdv_rhs(field: WaveField, params: PhysicalParams,
@@ -308,7 +310,7 @@ def boussinesq_rhs(state: tuple[WaveField, WaveField], params: PhysicalParams,
     _, grid, _, (h, v) = _unpack(state)
     lin, flux = _symbols(grid, params, config, True)
     if config.boussinesq_filter:
-        v = np.fft.irfft(np.fft.rfft(v)[:lin.size], n=grid.N)
+        v = irfft(rfft(v)[:lin.size], grid.N)
     return v, _grid_rhs(lin, flux, h)
 
 
@@ -340,14 +342,6 @@ def stable_dt(grid: PeriodicGrid, params: PhysicalParams,
     return CFL_SAFETY * RK4_IMAG_LIMIT / lam_max
 
 
-def _rk4(y: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray], dt: float) -> np.ndarray:
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * dt * k1)
-    k3 = rhs(y + 0.5 * dt * k2)
-    k4 = rhs(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
               bidirectional: bool, integrator: str, J: int | None = None):
     """The stepper of every run, on its band of retained rfft modes.
@@ -364,60 +358,75 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     per field: (1, J) for h alone, (2, J) for (h, v).  h^2 is formed on
     the smallest 5-smooth M >= 3J - 2 points (M divides 30^64), where the
     sum of two band modes folds above the band, so the product is exact
-    inside it; capped at N, it is the full-grid product.  Its two transforms call
-    pocketfft's kernels directly (numpy.fft._pocketfft_umath: irfft with
-    the 1/M factor, then rfft_n_even or rfft_n_odd by the parity of M),
-    the ones np.fft.irfft and np.fft.rfft call, so the square is
-    bit-identical to np.fft's.  Every step forms four or five squares, and
-    at these sizes np.fft's per-call wrapper costs about as much as the
-    transform itself.
+    inside it; capped at N, it is the full-grid product.  Its two
+    transforms are operators' kernel pair, so the square is bit-identical
+    to np.fft's.  A step forms four or five squares and about twenty small
+    array operations, each of which costs more in its call than in its
+    arithmetic at these sizes, so every stepper owns its work arrays: the
+    M-point product of every square goes into one real buffer, and the
+    stages are formed in place.  A step writes none of its arguments and
+    returns new arrays, so a rejected step is retried from the same (z, n).
 
     For integrator "rk4", step(z, dt) is the state one classical RK4 step
-    of dt later.  For "ifrk4", step(z, n, dt) is one step of the embedded
-    Lawson pair ERK4(3)-IP (Balac & Mahe 2013).  Its fourth-order solution
-    is Lawson's RK4, which propagates the linear part exactly, by the one
-    propagator exp(A dt) of the module docstring, and leaves the stages
-    only the h^2 flux, which enters the last row (a bidirectional run
-    needs the low-pass band, ValueError otherwise).  Its third-order
-    partner adds the stage of the new state, which is the next step's
-    first (first same as last).  n is the band square of z (None: formed
-    here).  It returns (z1, n1, err): the new state, its band square (the
-    next step's n) and the local error estimate ||(dt/10) flux (n4 - n1)||
-    from the fourth stage's square n4, which costs no product beyond the
-    four of Lawson's RK4.  That error sits in h, or in v alone, so its L2
-    norm is its norm in the isometric norm of _controlled_run.
+    of dt later, for the right-hand side lin h + flux n on h alone and
+    (v, lin h + flux n) on the pair, n the band square.  For "ifrk4",
+    step(z, n, dt) is one step of the embedded Lawson pair ERK4(3)-IP
+    (Balac & Mahe 2013).  Its fourth-order solution is Lawson's RK4,
+    which propagates the linear part exactly, by the one propagator
+    exp(A dt) of the module docstring, and leaves the stages only the h^2
+    flux, which enters the last row (a bidirectional run needs the
+    low-pass band, ValueError otherwise).  Its third-order partner adds
+    the stage of the new state, which is the next step's first (first
+    same as last).  n is the band square of z (None: formed here).  It
+    returns (z1, n1, err): the new state, its band square (the next
+    step's n) and the local error estimate ||(dt/10) flux (n4 - n1)|| from
+    the fourth stage's square n4, which costs no product beyond the four
+    of Lawson's RK4.  That error sits in h, or in v alone, so its L2 norm
+    is its norm in the isometric norm of _controlled_run.
     """
     lin, flux = (a[:J] for a in _symbols(grid, params, config, bidirectional))
-    J, N = lin.size, grid.N
+    J, N, m = lin.size, grid.N, 1 + bidirectional
     M = next((M for M in range(3 * J - 2, N) if 30 ** 64 % M == 0), N)
-    # x' = A * x[::-1] + g * sq(x) on a state x of one row per field: A is lin
-    # for h alone and [1, lin] for (h, v), whose reversal is (v, h); the flux
-    # vector g holds the flux, scaled from the M-point product to the N-point
-    # rfft, in the last row (v's for the pair) and zero above it, so rhs adds
-    # the flux into the last row alone
-    A = np.stack((np.ones(J), lin)) if bidirectional else lin[None]
-    g = np.zeros_like(A)
+    # the flux vector g holds the flux, scaled from the M-point product to the
+    # N-point rfft, in the last row (v's for the pair) and zero above it
+    g = np.zeros((m, J), lin.dtype)
     g[-1] = flux * (M / N)
+    h = np.empty(M)  # the M-point product of every square
+    w = np.empty((m, J), complex)  # a stage's state, or one term of a sum
 
-    rfft = _pfu.rfft_n_even if M % 2 == 0 else _pfu.rfft_n_odd
-    axes = [(0,), (), (0,)]  # the gufuncs' core axes: data, scale factor, output
-
-    def sq(x: np.ndarray) -> np.ndarray:
+    def sq(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # the band square of the h of x, as one row, bit for bit
-        # np.fft.rfft(np.fft.irfft(x[0], n=M) ** 2)[None, :J]; x[0] is
-        # transformed as a 1-D array (pocketfft costs more on a batch of one)
-        # into fresh outputs, since a step holds several squares at once
-        h = _pfu.irfft(x[0], 1.0 / M, axes=axes, out=np.empty(M))
-        np.multiply(h, h, out=h)
-        return rfft(h, 1.0, axes=axes, out=np.empty(M // 2 + 1, complex))[None, :J]
-
-    def rhs(x: np.ndarray) -> np.ndarray:
-        r = A * x[::-1]
-        r[-1] += g[-1] * sq(x)[0]
-        return r
+        # np.fft.rfft(np.fft.irfft(x[0], n=M) ** 2)[None, :J], in out (M // 2 + 1
+        # coefficients, new if None); x[0] is transformed as a 1-D array
+        # (pocketfft costs more on a batch of one)
+        irfft(x[0], M, h)
+        np.multiply(h, h, h)
+        return rfft(h, out)[None, :J]
 
     if integrator == "rk4":
-        return lin, flux, lambda z, dt: _rk4(z, rhs, dt)
+        k = np.empty((4, m, J), complex)  # the four slopes
+        n = np.empty(M // 2 + 1, complex)  # a slope's square
+
+        def slope(x: np.ndarray, out: np.ndarray) -> None:
+            # out = lin h + g n, below v for the pair
+            if bidirectional:
+                out[0] = x[1]
+            np.multiply(lin, x[0], out[-1])
+            np.add(out[-1], np.multiply(g[-1], sq(x, n)[0], n[:J]), out[-1])
+
+        def rk4(z: np.ndarray, dt: float) -> np.ndarray:
+            k1, k2, k3, k4 = k
+            slope(z, k1)
+            slope(np.add(z, np.multiply(0.5 * dt, k1, w), w), k2)
+            slope(np.add(z, np.multiply(0.5 * dt, k2, w), w), k3)
+            slope(np.add(z, np.multiply(dt, k3, w), w), k4)
+            # z + (dt/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            np.add(k1, np.multiply(2.0, k2, k2), k1)
+            np.add(k1, np.multiply(2.0, k3, k3), k1)
+            np.add(k1, k4, k1)
+            return np.add(z, np.multiply(dt / 6.0, k1, k1))
+
+        return lin, flux, rk4
 
     if bidirectional and not config.boussinesq_filter:
         raise ValueError("the integrating factor needs the low-pass band: unfiltered, "
@@ -427,12 +436,20 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     def propagator(tau: float):
         # A acts as the matrix i omega or [[0, 1], [lin, 0]], both squaring to
         # -omega^2, so exp(tau A) = cos(omega tau) + A sin(omega tau)/omega
-        # (omega changes sign over a unidirectional band; tau A where omega = 0)
+        # (omega changes sign over a unidirectional band; tau A where omega = 0).
+        # P(x, out, tmp) applies it to x in out, with tmp holding the pair's
+        # second product (each new if None)
         c = np.cos(om * tau)
-        As = A * np.divide(np.sin(om * tau), om, out=np.full(J, tau), where=om != 0)
+        s = np.divide(np.sin(om * tau), om, out=np.full(J, tau), where=om != 0)
         if not bidirectional:  # one row: x[::-1] is x
-            return partial(np.multiply, c + As)
-        return lambda x: c * x + As * x[::-1]
+            cAs = c + lin * s
+            return lambda x, out=None, tmp=None: np.multiply(cAs, x, out)
+        As = np.stack((s, lin * s))
+
+        def P(x, out=None, tmp=None):  # c x + As x[::-1]
+            out = np.multiply(c, x, out)
+            return np.add(out, np.multiply(As, x[::-1], tmp), out)
+        return P
 
     @lru_cache(maxsize=8)  # evolve's steps sit on a few rungs of a ladder
     def weights(dt: float):
@@ -443,21 +460,29 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
         return (P, (0.5 * dt) * Pg, (0.5 * dt) * g, dt * Pg, (dt / 6.0) * P2g,
                 (dt / 3.0) * Pg, (dt / 6.0) * g, (dt / 10.0) * g[-1:])
 
-    def step(z: np.ndarray, n1: np.ndarray | None, dt: float):
+    Pz, P2z, tmp = np.empty((3, m, J), complex)  # P z, P P z and P's second product
+    r2, r3, r4 = np.empty((3, M // 2 + 1), complex)  # the inner stages' squares
+    d = np.empty((1, J), complex)  # n2 + n3, then the error
+
+    def ifrk4(z: np.ndarray, n1: np.ndarray | None, dt: float):
         P, a2, a3, a4, b1, b23, b4, e = weights(dt)
         if n1 is None:
             n1 = sq(z)
-        Pz = P(z)
-        P2z = P(Pz)
-        n2 = sq(Pz + a2 * n1)
-        n3 = sq(Pz + a3 * n2)
-        n4 = sq(P2z + a4 * n3)
-        z1 = P2z + b1 * n1 + b23 * (n2 + n3) + b4 * n4
+        P(z, Pz, tmp)
+        P(Pz, P2z, tmp)
+        n2 = sq(np.add(Pz, np.multiply(a2, n1, w), w), r2)
+        n3 = sq(np.add(Pz, np.multiply(a3, n2, w), w), r3)
+        n4 = sq(np.add(P2z, np.multiply(a4, n3, w), w), r4)
+        # z1 = P2z + b1 n1 + b23 (n2 + n3) + b4 n4, summed left to right
+        z1 = np.multiply(b1, n1)
+        np.add(P2z, z1, z1)
+        np.add(z1, np.multiply(b23, np.add(n2, n3, d), w), z1)
+        np.add(z1, np.multiply(b4, n4, w), z1)
         n5 = sq(z1)
-        d = e * (n4 - n5)
+        np.multiply(e, np.subtract(n4, n5, d), d)
         return z1, n5, math.sqrt(np.vdot(d, d).real)
 
-    return lin, flux, step
+    return lin, flux, ifrk4
 
 
 def _check_alive(h: np.ndarray, H: float, t: float, step: int = 1,
@@ -491,9 +516,9 @@ def _step(state, params: PhysicalParams, config: SchemeConfig, integrator: str,
         dt = config.dt or stable_dt(grid, params, config,
                                     "boussinesq" if bidirectional else "kdv")
     lin, _, step = _band_run(grid, params, config, bidirectional, integrator)
-    z = np.fft.rfft(y)[:, :lin.size]
+    z = rfft(y)[:, :lin.size]
     z = step(z, dt) if integrator == "rk4" else step(z, None, dt)[0]
-    y = np.fft.irfft(z, n=grid.N)
+    y = irfft(z, grid.N)
     _check_alive(y[0], params.H, t + dt, 1, integrator)
     return _pack(grid, y, t + dt, bidirectional)
 
@@ -572,7 +597,8 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     and an unfiltered bidirectional run, steps with classical RK4
     ("rk4"), warned against (or, for dt = None, set to) the RK4 stability
     advisory; its step is shrunk so that an integer number of steps lands
-    exactly on t_end, and it steps the whole band.  The initial state is
+    exactly on t_end, and it steps the whole band (ValueError, before any
+    sample, when t_end / dt is not finite).  The initial state is
     projected onto the band once: the first snapshot is the initial state
     as given, later ones carry no modes above the band.  Every accepted
     step is checked for blow-up.  A bidirectional run's invariant sets
@@ -589,6 +615,9 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
                                          and sample_every > 0):
         raise ValueError(f"sample_every must be a positive integer or None, "
                          f"got {sample_every!r}")
+    if config.dt is not None and not config.t_end / config.dt < math.inf:
+        raise ValueError(f"dt = {config.dt!r} s is too small to count the steps to "
+                         f"t_end = {config.t_end!r} s: t_end / dt is not finite")
     bidirectional, grid, t0, y = _unpack(initial)
     # the unfiltered bidirectional model has no integrating factor: it grows above sqrt(3)/H
     rk4 = config.dt is not None or (bidirectional and not config.boussinesq_filter)
@@ -623,10 +652,10 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     def accepted(i: int, t: float, z: np.ndarray, due: bool) -> np.ndarray:
         # z is one row of band coefficients per field; returns |h_j| on the band
         a = np.abs(z[0])
-        if not 2.0 / grid.N * a.sum() < limit:
-            _check_alive(np.fft.irfft(z[0], n=grid.N), params.H, t, i, integrator)
+        if not 2.0 / grid.N * np.add.reduce(a) < limit:
+            _check_alive(irfft(z[0], grid.N), params.H, t, i, integrator)
         if due:
-            sample(t, np.fft.irfft(z, n=grid.N))
+            sample(t, irfft(z, grid.N))
         return a
 
     sample(t0, y)
@@ -641,7 +670,7 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
         dt = config.t_end / nsteps if nsteps else 0.0
         if sample_every is None:
             sample_every = max(1, nsteps // 50)
-        z = np.fft.rfft(y)[:, :J]
+        z = rfft(y)[:, :J]
         for i in range(1, nsteps + 1):
             z = step(z, dt)
             accepted(i, t0 + i * dt, z, i % sample_every == 0 or i == nsteps)
@@ -649,7 +678,7 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
         stops = ([t0 + config.t_end * k / 50 for k in range(1, 51)] if sample_every is None
                  else [t0 + config.t_end])
         if not bidirectional:
-            J = _occupied_band(np.abs(np.fft.rfft(y[0])[:J]), J)
+            J = _occupied_band(np.abs(rfft(y[0])[:J]), J)
         nsteps, result.rejected, result.band = _controlled_run(
             band, lin.size, J, y, grid.L, t0, stops, sample_every, accepted)
     else:
@@ -718,7 +747,7 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, t: float,
     """
     m, N = y.shape
     J0 = J
-    z = np.fft.rfft(y)[:, :J]
+    z = rfft(y)[:, :J]
 
     def on_band(J: int):
         lin, flux, step = band(J)
@@ -741,7 +770,7 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, t: float,
     size = math.sqrt(np.vdot(u, u).real)
     tol, floor = IF_TOL * size, 1e-8 * (stops[-1] - t)
     # the flux changes h (unidirectional) or v (bidirectional), unit weight both
-    rate = np.linalg.norm(flux * np.fft.rfft(y[0] * y[0])[:J]) / size if size else 0.0
+    rate = np.linalg.norm(flux * rfft(y[0] * y[0])[:J]) / size if size else 0.0
     want = min(0.01 / rate if rate else math.inf, beat_limit(z))
     if not want > 0:  # nan or zero: the state is too large to size a step for
         raise BlowUpError(t, 1, float(np.max(np.abs(y[0]))), "ifrk4")
@@ -776,7 +805,7 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, t: float,
                 fac = 0.9 * (tol / err) ** 0.25 if err < math.inf else 0.0  # nan too
                 want = dt * min(0.9, max(0.2, fac))
                 if not want >= floor:  # nan too
-                    h1 = np.fft.irfft(z1[0], n=N)
+                    h1 = irfft(z1[0], N)
                     raise BlowUpError(t, i + 1, float(np.max(np.abs(h1))), "ifrk4")
     return i, rejected, (J0, J)
 
@@ -905,7 +934,7 @@ def factorization_residual(field: WaveField, params: PhysicalParams,
                              _kdv_symbols.__wrapped__)
     if h_t is None:
         h_t = _grid_rhs(lin, flux, h)
-    h_tt = np.fft.irfft(lin * np.fft.rfft(h_t) + 2.0 * flux * np.fft.rfft(h * h_t), n=grid.N)
+    h_tt = irfft(lin * rfft(h_t) + 2.0 * flux * rfft(h * h_t), grid.N)
     bidirectional = _boussinesq_symbols.__wrapped__(grid.N, grid.L, params.g, params.H,
                                                     scheme, None)
     return float(np.max(np.abs(h_tt - _grid_rhs(*bidirectional, h))))

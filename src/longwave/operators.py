@@ -5,6 +5,13 @@ the default) and 4th-order centered differences ("centered4", the
 cross-check scheme), both applied through their exact Fourier symbols
 in derivative_symbols.  The rectangle rule is the quadrature; on a
 torus it is spectrally accurate for smooth integrands.
+
+Every transform of the package goes through one pair, rfft and irfft
+below.  They call pocketfft's own kernels (numpy.fft._pocketfft_umath),
+the gufuncs np.fft.rfft and np.fft.irfft call, with the same factors (1
+forward, 1/n inverse), so each returns np.fft's bits; they skip np.fft's
+per-call wrapper, which at the package's band sizes costs about as much
+as the transform, and can write into a caller's buffer.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pfu
 
 SCHEMES = ("spectral", "centered4")
 
@@ -19,6 +27,28 @@ SCHEMES = ("spectral", "centered4")
 def check_scheme(scheme: str) -> None:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+
+
+def rfft(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.fft.rfft(x) over the last axis of float64 samples, bit for bit.
+
+    out, if given, receives the n // 2 + 1 coefficients of each row.
+    """
+    n = x.shape[-1]
+    if out is None:
+        out = np.empty(x.shape[:-1] + (n // 2 + 1,), complex)
+    return (_pfu.rfft_n_even if n % 2 == 0 else _pfu.rfft_n_odd)(x, 1.0, out)
+
+
+def irfft(z: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """np.fft.irfft(z, n=n) over the last axis of complex128 coefficients, bit for bit.
+
+    z may hold fewer than n // 2 + 1 coefficients per row (the rest are
+    zero); out, if given, receives the n samples of each row.
+    """
+    if out is None:
+        out = np.empty(z.shape[:-1] + (n,))
+    return _pfu.irfft(z, 1.0 / n, out)
 
 
 @lru_cache(maxsize=64)
@@ -67,7 +97,7 @@ def diff(h: np.ndarray, L: float, order: int = 1, scheme: str = "spectral") -> n
         raise ValueError(f"order must be 1 or 2, got {order}")
     N = h.shape[-1]
     symbol = derivative_symbols(N, L, scheme)[order - 1]
-    return np.fft.irfft(symbol * np.fft.rfft(h), n=N)
+    return irfft(symbol * rfft(h), N)
 
 
 def antiderivative(f: np.ndarray, L: float, scheme: str = "spectral") -> np.ndarray:
@@ -82,10 +112,10 @@ def antiderivative(f: np.ndarray, L: float, scheme: str = "spectral") -> np.ndar
     g = f - f.mean()
     if scheme == "spectral":
         d1 = derivative_symbols(N, L, scheme)[0]
-        gh = np.fft.rfft(g)
+        gh = rfft(g)
         out = np.zeros_like(gh)
         out[1:-1] = gh[1:-1] / d1[1:-1]
-        return np.fft.irfft(out, n=N)
+        return irfft(out, N)
     # trapezoid cumulative sum, a quadrature with no derivative symbol
     # (constants drop out after recentering)
     dx = L / N
@@ -97,8 +127,7 @@ def lowpass(h: np.ndarray, L: float, k_cut: float) -> np.ndarray:
     """Sharp spectral low-pass: zero all modes with |k| > k_cut."""
     N = h.shape[-1]
     k = wavenumbers(N, L)
-    hh = np.fft.rfft(h)
-    return np.fft.irfft(np.where(k <= k_cut, hh, 0.0), n=N)
+    return irfft(np.where(k <= k_cut, rfft(h), 0.0), N)
 
 
 def integrate(f: np.ndarray, L: float) -> float:
@@ -110,4 +139,4 @@ def fourier_shift(h: np.ndarray, L: float, a: float) -> np.ndarray:
     """Evaluate h(x - a) by the spectral shift theorem (band-limited exact)."""
     N = h.shape[-1]
     k = wavenumbers(N, L)
-    return np.fft.irfft(np.fft.rfft(h) * np.exp(-1j * k * a), n=N)
+    return irfft(rfft(h) * np.exp(-1j * k * a), N)

@@ -30,6 +30,12 @@ def water():
     return PhysicalParams(g=9.81, H=1.0, rho=1000.0, T=0.0728)
 
 
+def same_bits(a, b):
+    """a and b hold the same shape, dtype and bits, signed zeros included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def smooth_random_fields(grid: PeriodicGrid, count: int, amplitude: float,
                          max_mode: int = 8, seed: int = 0):
     """Band-limited random periodic fields, reproducible by seed."""

@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from longwave import (
 )
 from longwave import evolution
 from longwave.operators import diff, fourier_shift, lowpass, wavenumbers
-from conftest import smooth_random_fields
+from conftest import same_bits, smooth_random_fields
 
 SIGMA0 = 1.0 / 3.0
 
@@ -44,6 +45,15 @@ def solitary_case(params, h0=0.1, N=512, L=120.0):
     spec = SolitarySpec(h0=h0, sigma=SIGMA0, H=params.H, g=params.g)
     grid = PeriodicGrid(L=L, N=N)
     return spec, grid, solitary_field(spec, grid)
+
+
+def rk4(y, rhs, dt):
+    """One classical RK4 step of y' = rhs(y), the reference the band stepper is checked against."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * dt * k1)
+    k3 = rhs(y + 0.5 * dt * k2)
+    k4 = rhs(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def band_projected(h):
@@ -234,7 +244,7 @@ def reference_boussinesq(state, params, config, dt, nsteps):
 
     ys = [np.stack([state[0].h, state[1].h])]
     for i in range(nsteps):
-        ys.append(evolution._rk4(ys[-1], rhs, dt))
+        ys.append(rk4(ys[-1], rhs, dt))
         evolution._check_alive(ys[-1][0], params.H, (i + 1) * dt, i + 1)
     return ys
 
@@ -751,10 +761,48 @@ def reference_kdv(field, params, config, dt, nsteps):
 
     hs, h = [field.h], band_projected(field.h)
     for i in range(nsteps):
-        h = evolution._rk4(h, rhs, dt)
+        h = rk4(h, rhs, dt)
         evolution._check_alive(h, params.H, (i + 1) * dt, i + 1)
         hs.append(h)
     return hs
+
+
+def lawson_reference(lin, flux, M, N, z, n1, dt):
+    """One ERK4(3)-IP step of _band_run's, written with fresh arrays over the np.fft square.
+
+    Returns (z1, n5, err) as the band stepper does; the order of operations
+    is the stepper's, so the two agree bit for bit.
+    """
+    J, bidirectional = lin.size, z.shape[0] == 2
+    A = np.stack((np.ones(J), lin)) if bidirectional else lin[None]
+    g = np.zeros_like(A)
+    g[-1] = flux * (M / N)
+    om = np.sqrt(np.abs(lin)) if bidirectional else lin.imag
+
+    def sq(x):
+        return np.fft.rfft(np.fft.irfft(x[0], n=M) ** 2)[None, :J]
+
+    def propagator(tau):
+        c = np.cos(om * tau)
+        As = A * np.divide(np.sin(om * tau), om, out=np.full(J, tau), where=om != 0)
+        if bidirectional:
+            return lambda x: c * x + As * x[::-1]
+        return lambda x: (c + As) * x
+
+    P = propagator(0.5 * dt)
+    Pg, P2g = P(g), propagator(dt)(g)
+    if n1 is None:
+        n1 = sq(z)
+    Pz = P(z)
+    P2z = P(Pz)
+    n2 = sq(Pz + (0.5 * dt) * Pg * n1)
+    n3 = sq(Pz + (0.5 * dt) * g * n2)
+    n4 = sq(P2z + (dt * Pg) * n3)
+    z1 = (P2z + ((dt / 6.0) * P2g) * n1 + ((dt / 3.0) * Pg) * (n2 + n3)
+          + ((dt / 6.0) * g) * n4)
+    n5 = sq(z1)
+    d = ((dt / 10.0) * g[-1:]) * (n4 - n5)
+    return z1, n5, math.sqrt(np.vdot(d, d).real)
 
 
 class TestBandStepper:
@@ -786,8 +834,9 @@ class TestBandStepper:
     ])
     def test_band_square_is_the_numpy_fft_one(self, params, N, L, bidirectional,
                                               filtered, J, M):
-        # the band square calls pocketfft's kernels directly; an RK4 step over
-        # the np.fft form of the same square must give the same bits
+        # the steps form their squares through operators' kernel pair, in place;
+        # each step over the np.fft form of the same square, written with fresh
+        # arrays in the same order of operations, must give the same bits
         grid = PeriodicGrid(L=L, N=N)
         config = SchemeConfig(boussinesq_filter=filtered)
         lin, flux, step = evolution._band_run(grid, params, config, bidirectional, "rk4", J)
@@ -800,10 +849,56 @@ class TestBandStepper:
             r[-1] += flux * (M / N) * np.fft.rfft(np.fft.irfft(x[0], n=M) ** 2)[:J]
             return r
 
-        assert np.array_equal(step(z, 0.01), evolution._rk4(z, rhs, 0.01))
+        assert same_bits(step(z, 0.01), rk4(z, rhs, 0.01))
+        if bidirectional and not filtered:
+            return  # the integrating factor needs the low-pass band
+        _, _, step = evolution._band_run(grid, params, config, bidirectional, "ifrk4", J)
+        n = None
+        for _ in range(3):  # the first step forms its own first square
+            got, want = step(z, n, 0.01), lawson_reference(lin, flux, M, N, z, n, 0.01)
+            assert all(same_bits(a, b) for a, b in zip(got[:2], want[:2]))
+            assert got[2] == want[2]
+            z, n = got[:2]
+
+    @pytest.mark.parametrize("integrator", ["rk4", "ifrk4"])
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_steps_share_no_array_with_their_caller(self, params, integrator, bidirectional):
+        # the steppers reuse work arrays: a step retried from the same (z, n),
+        # as after a rejection, must give the same result and leave the first
+        # result, and its own arguments, as they were
+        grid = PeriodicGrid(L=64.0, N=256)
+        lin, _, step = evolution._band_run(grid, params, SchemeConfig(), bidirectional,
+                                           integrator)
+        hv = smooth_random_fields(grid, 1 + bidirectional, 0.1 * params.H, max_mode=6, seed=3)
+        z = np.fft.rfft(np.stack(hv))[:, :lin.size]
+        if integrator == "rk4":
+            args = (z,)
+
+            def retry():
+                return (step(z, 0.01),)
+        else:
+            z, n, _ = step(z, None, 0.01)
+            args = (z, n)
+
+            def retry():
+                return step(z, n, 0.01)[:2]
+        given = [a.copy() for a in args]
+        first = retry()
+        kept = [a.copy() for a in first]
+        second = retry()
+        assert all(same_bits(a, b) for a, b in zip(second, kept))
+        assert all(same_bits(a, b) for a, b in zip(first, kept))
+        assert all(same_bits(a, b) for a, b in zip(args, given))
+        assert not any(np.shares_memory(a, b) for a in first + args for b in second)
 
     def test_band_square_calls_numpys_own_kernels(self):
-        assert evolution._pfu is np.fft._pocketfft.pfu
+        # one kernel pair serves every transform: operators imports pocketfft's
+        # kernels, the ones np.fft calls, and no other module of the package does
+        from longwave import operators
+        assert operators._pfu is np.fft._pocketfft.pfu
+        importers = [p.name for p in Path(operators.__file__).parent.glob("*.py")
+                     if "_pocketfft_umath" in p.read_text()]
+        assert importers == ["operators.py"]
 
     def test_blowup_check_is_exact_when_the_bound_exceeds_the_limit(self, params):
         # 60 cosines of 0.3 m: the coefficient bound (2/N) sum_j |h_j| is about
@@ -904,6 +999,18 @@ class TestEvolve:
         seen = []
         with pytest.raises(ValueError, match="sample_every"):
             evolve(field, params, SchemeConfig(dt=dt, t_end=5.0), sample_every=sample_every,
+                   observers=[lambda t, s: seen.append(t)])
+        assert seen == []
+
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_explicit_step_too_small_to_count_is_a_value_error(self, params, pair):
+        # t_end / dt overflows: a ValueError naming both, before any sample,
+        # not an OverflowError from the step count
+        spec, grid, field = solitary_case(params, N=64, L=60.0)
+        initial = (field, WaveField(grid, np.zeros(grid.N))) if pair else field
+        seen = []
+        with pytest.raises(ValueError, match=r"dt = 1e-320 s .* t_end = 1\.0 s"):
+            evolve(initial, params, SchemeConfig(dt=1e-320, t_end=1.0),
                    observers=[lambda t, s: seen.append(t)])
         assert seen == []
 
