@@ -529,6 +529,11 @@ def scenario_factorization(cfg: ExperimentConfig):
             {"factorization.csv": (_write_rows, rows)})
 
 
+def _is_normal(x: float) -> bool:
+    """True for a finite float that is not zero or subnormal."""
+    return sys.float_info.min <= abs(x) < math.inf
+
+
 def _mode_frequency(ts: np.ndarray, cs: np.ndarray) -> float:
     """Frequency of uniformly sampled A cos(w t + phi) by linear prediction.
 
@@ -547,8 +552,11 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     """Filtered bidirectional runs plus the unfiltered blow-up control.
 
     The three filtered runs step at scheme.dt (auto: the error-controlled
-    integrating factor); the unfiltered control always takes RK4 steps of
-    1e-4 s.  Each run's integrator and step counts go in the results.
+    integrating factor); the unfiltered control, whatever scheme.dt says,
+    takes classical RK4 steps at its stability advisory (0.4 x the RK4
+    limit of its fastest growth rate; 25 steps to blow-up at the
+    defaults).  Each run's integrator, step, step count and rejected
+    steps go in the results.
     """
     params = cfg.params
     g, H = params.g, params.H
@@ -567,6 +575,21 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     for key in ("scenario.mode_amp", "scenario.noise_amp"):
         if not cfg.fnum(key):
             raise ValueError(f"{key!r} must be nonzero")
+    # the frequency fit divides by the mode's squared amplitude, the drift by E(0)
+    amp = cfg.fnum("scenario.mode_amp") * H
+    if not _is_normal(amp * amp):
+        raise ValueError("'scenario.mode_amp' must leave (mode_amp*H)**2 a normal float, "
+                         f"got {_fmt(amp * amp)}")
+    rng = np.random.default_rng(cfg.fnum("seed"))
+    noise = cfg.fnum("scenario.noise_amp") * H * rng.standard_normal(grid.N)
+    noise -= noise.mean()
+    rest = WaveField(grid, np.zeros(grid.N))
+    hf = WaveField(grid, lowpass(noise, grid.L, k_cut))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        E0 = boussinesq_energy(hf, rest, params)
+    if not _is_normal(E0):
+        raise ValueError("'scenario.noise_amp' and 'physical.g' must leave the filtered noise "
+                         f"run a normal starting energy, got {_fmt(E0)} J/m")
     k0 = 2.0 * math.pi * j / grid.L
     om_exact = k0 * math.sqrt(g * H) * math.sqrt(1.0 - H * H * k0 * k0 / 3.0)
     t10 = 10.0 * 2.0 * math.pi / om_exact
@@ -576,11 +599,10 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     spec, omega = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
     cut = cfg.fnum("scenario.solitary_filter_cut")
     schemeS = _run_to(replace(filtered, filter_cut=cut), 30.0)
-    rest = WaveField(grid, np.zeros(grid.N))
 
     # (a) one low linear mode: measured oscillation frequency
     cosk = np.cos(k0 * grid.x)
-    h0f = WaveField(grid, cfg.fnum("scenario.mode_amp") * H * cosk)
+    h0f = WaveField(grid, amp * cosk)
     # the default sampling is uniform under both integrators, as the fit needs
     res = evolve((h0f, rest), params, _run_to(filtered, t10), record_invariants=False)
     ts = np.array(res.times)
@@ -602,10 +624,8 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     results.update(_step_entries(resS, "solitary_"))
 
     # (c) broadband noise: unfiltered blow-up against the filtered twin
-    rng = np.random.default_rng(cfg.fnum("seed"))
-    noise = cfg.fnum("scenario.noise_amp") * H * rng.standard_normal(grid.N)
-    noise -= noise.mean()
-    raw = SchemeConfig(deriv="spectral", dt=1e-4, t_end=2.0, boussinesq_filter=False)
+    # dt = None: RK4 at the advisory, which resolves the fastest growth rate
+    raw = SchemeConfig(deriv="spectral", dt=None, t_end=2.0, boussinesq_filter=False)
     try:
         resU = evolve((WaveField(grid, noise), rest), params, raw, record_invariants=False)
         results["unfiltered_blowup_time"] = "none"
@@ -613,12 +633,11 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     except BlowUpError as e:
         # RK4 retries no step; the run ends in the step that tripped the check
         results["unfiltered_blowup_time"] = _fmt(e.time)
-        results.update(unfiltered_integrator=e.integrator, unfiltered_steps=str(e.step),
-                       unfiltered_rejected="0")
-    hf = WaveField(grid, lowpass(noise, grid.L, k_cut))
+        results.update(unfiltered_integrator=e.integrator, unfiltered_dt=_fmt(e.time / e.step),
+                       unfiltered_steps=str(e.step), unfiltered_rejected="0")
     resF = evolve((hf, rest), params, replace(filtered, t_end=1.0), record_invariants=False)
-    E = [boussinesq_energy(s[0], s[1], params) for s in resF.snapshots]
-    drift = max(abs(e - E[0]) for e in E) / abs(E[0])
+    drift = max(abs(boussinesq_energy(s[0], s[1], params) - E0)
+                for s in resF.snapshots) / abs(E0)
     results["filtered_energy_drift"] = _fmt(drift)
     results.update(_step_entries(resF, "filtered_"))
     return results, {

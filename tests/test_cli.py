@@ -19,7 +19,7 @@ from longwave import (
     dispersion_sigma,
     solitary_field,
 )
-from longwave import SchemeConfig, cli, conservation_drift, evolve
+from longwave import SchemeConfig, cli, conservation_drift, evolve, stable_dt
 from longwave.cli import (
     COMMANDS,
     EXIT_BLOWUP,
@@ -680,14 +680,20 @@ class TestScenarioSmoke:
         assert rc == EXIT_OK
         manifest = dict(l.split("=", 1) for l in
                         (tmp_path / "bd" / "manifest.txt").read_text().splitlines())
-        # the unfiltered control keeps its 1e-4 s RK4 step whatever scheme.dt says
+        # the unfiltered control takes RK4 at its advisory whatever scheme.dt says
         integrators = {run: manifest[f"result.{run}_integrator"]
                        for run in ("mode", "solitary", "unfiltered", "filtered")}
         assert integrators == {"mode": filtered, "solitary": filtered, "unfiltered": "rk4",
                                "filtered": filtered}
         for run in ("mode", "solitary", "unfiltered", "filtered"):
+            assert float(manifest[f"result.{run}_dt"]) > 0
             assert int(manifest[f"result.{run}_steps"]) > 0
             assert manifest[f"result.{run}_rejected"] == "0"
+        advisory = stable_dt(PeriodicGrid(L=64.0, N=256), PhysicalParams(),
+                             SchemeConfig(boussinesq_filter=False), "boussinesq")
+        assert int(manifest["result.unfiltered_steps"]) <= 30
+        assert (advisory * (1 - 1e-9) >= float(manifest["result.unfiltered_dt"])
+                >= 0.99 * advisory)
         om = float(manifest["result.mode_frequency_measured"])
         om0 = float(manifest["result.mode_frequency_exact"])
         assert abs(om - om0) / om0 < 1e-3
@@ -749,6 +755,26 @@ class TestNothingWrittenUnlessTheRunSucceeds:
          "'scenario.mode_amp' must be nonzero"),
         (["scenario", "boussinesq_demo", "--set", "scenario.noise_amp=0"], EXIT_USAGE,
          "'scenario.noise_amp' must be nonzero"),
+        # amplitudes whose squares underflow: the fit and the drift would divide by zero
+        (["scenario", "boussinesq_demo", "--set", "scenario.mode_amp=1e-300"], EXIT_USAGE,
+         "'scenario.mode_amp' must leave (mode_amp*H)**2 a normal float, got 0"),
+        (["scenario", "boussinesq_demo", "--set", "scenario.mode_amp=1e-320"], EXIT_USAGE,
+         "'scenario.mode_amp' must leave (mode_amp*H)**2 a normal float, got 0"),
+        (["scenario", "boussinesq_demo", "--set", "scenario.noise_amp=1e-300"], EXIT_USAGE,
+         "'scenario.noise_amp' and 'physical.g' must leave the filtered noise run a normal "
+         "starting energy, got 0 J/m"),
+        (["scenario", "boussinesq_demo", "--set", "scenario.noise_amp=1e-320"], EXIT_USAGE,
+         "'scenario.noise_amp' and 'physical.g' must leave the filtered noise run a normal "
+         "starting energy, got 0 J/m"),
+        (["scenario", "boussinesq_demo", "--set", "physical.g=1e-320"], EXIT_USAGE,
+         "'scenario.noise_amp' and 'physical.g' must leave the filtered noise run a normal "
+         "starting energy, got 0 J/m"),
+        # and whose squares overflow
+        (["scenario", "boussinesq_demo", "--set", "scenario.mode_amp=1e200"], EXIT_USAGE,
+         "'scenario.mode_amp' must leave (mode_amp*H)**2 a normal float, got inf"),
+        (["scenario", "boussinesq_demo", "--set", "scenario.noise_amp=1e200"], EXIT_USAGE,
+         "'scenario.noise_amp' and 'physical.g' must leave the filtered noise run a normal "
+         "starting energy, got nan J/m"),
         (["evolve", "--set", "scheme.dt=0.01", "--set", "scheme.t_end=inf"], EXIT_USAGE,
          "t_end must be non-negative and finite, got inf"),
         (["evolve", "--set", "scheme.frame=moving", "--set", "scheme.alpha=nan"], EXIT_USAGE,

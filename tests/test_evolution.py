@@ -307,6 +307,26 @@ class TestBoussinesqBand:
         assert exc.value.step == ref.value.step > 1
         assert exc.value.max_abs_h == pytest.approx(ref.value.max_abs_h, rel=1e-6)
 
+    @pytest.mark.parametrize("seed", [*range(8), 19, 1234])  # 1234: criterion 10's noise
+    def test_unfiltered_blowup_at_the_advisory_matches_a_fine_step(self, params, seed):
+        # the demo's control steps at the RK4 advisory: it must blow up when a
+        # 40x finer step does, within two of its own steps, and not sooner
+        grid = PeriodicGrid(L=64.0, N=256)
+        noise = 1e-10 * params.H * np.random.default_rng(seed).standard_normal(grid.N)
+        state = (WaveField(grid, noise - noise.mean()), WaveField(grid, np.zeros(grid.N)))
+        blowups = []
+        for dt in (None, 1e-4):
+            with pytest.raises(BlowUpError) as exc:
+                evolve(state, params, SchemeConfig(dt=dt, t_end=2.0, boussinesq_filter=False),
+                       record_invariants=False)
+            assert exc.value.integrator == "rk4"
+            blowups.append(exc.value)
+        adv, fine = blowups
+        dt_adv = adv.time / adv.step
+        assert 0 <= adv.time - fine.time <= 2 * dt_adv
+        assert 10 * params.H < adv.max_abs_h < math.inf
+        assert adv.step <= 30
+
     @pytest.mark.parametrize("filtered", [True, False])
     def test_non_finite_state_raises(self, params, filtered):
         # a step of 1e300 s overflows the stages, and the state turns to NaN
