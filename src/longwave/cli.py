@@ -35,6 +35,7 @@ from .evolution import (
     BlowUpError,
     DeformationSpec,
     SchemeConfig,
+    _is_normal,
     crest_position,
     evolve,
     factorization_residual,
@@ -369,17 +370,10 @@ def _crest_speed(res) -> float:
     return fit_speed(ts, xs, field.grid.L)
 
 
-def _run_to(scheme: SchemeConfig, t_end: float) -> SchemeConfig:
-    """scheme run to t_end; an explicit step must leave a step count that is finite."""
-    if scheme.dt is not None and not t_end / scheme.dt < math.inf:
-        raise ValueError(f"'scheme.dt' = {_fmt(scheme.dt)} s is too small to count the steps")
-    return replace(scheme, t_end=t_end)
-
-
 def _evolve_to(cfg: ExperimentConfig, initial: WaveField, t_auto: float):
     """Evolve to scheme.t_end (t_auto if 'auto'): the run, its t_end and its three files."""
     t_end = t_auto if cfg.t_end_auto else cfg.scheme.t_end
-    scheme = _run_to(cfg.scheme, t_end)
+    scheme = replace(cfg.scheme, t_end=t_end)
     res = evolve(initial, cfg.params, scheme)
     files = {
         "profile_initial.csv": (emit_profile_csv, initial, cfg.params, scheme.deriv),
@@ -415,6 +409,9 @@ def scenario_two_soliton(cfg: ExperimentConfig):
                          f"'scheme.frame' must be 'moving', got {cfg.scheme.frame!r}")
     params, grid = cfg.params, cfg.grid
     hA, hB = cfg.fnum("scenario.h0_tall"), cfg.fnum("scenario.h0_short")
+    for key in ("scenario.h0_tall", "scenario.h0_short"):  # the shape errors divide by them
+        if not _is_normal(cfg.fnum(key)):
+            raise ValueError(f"{key!r} must be a normal float, got {cfg.raw[key]}")
     xA, xB = cfg.fnum("scenario.x_tall"), cfg.fnum("scenario.x_short")
     sigma = dispersion_sigma(params)
     specA = SolitarySpec(hA, sigma, params.H, params.g)
@@ -509,7 +506,10 @@ def scenario_factorization(cfg: ExperimentConfig):
     # domain wide enough that the tails sit below 1e-12 of the crest
     L = max(cfg.fnum("grid.L"), 30.0 / spec.inv_width)
     rows = ["# columns=scheme,N,residual,normalized"]
-    norm_unit = params.g * params.H * 1.5 * spec.h0 ** 2 / params.H ** 3
+    norm_unit = params.g * params.H * 1.5 * (spec.h0 * spec.h0) / params.H ** 3
+    if not _is_normal(norm_unit):
+        raise ValueError("'scenario.h0' must leave the residual's unit g H (3/2) h0^2/H^3 "
+                         f"a normal float, got {_fmt(norm_unit)} m/s^2")
     last_norm = None
     # every grid is built, and so checked, before the first residual
     grids = [PeriodicGrid(L=L, N=N) for N in cfg.fnum("scenario.n_list")]
@@ -527,11 +527,6 @@ def scenario_factorization(cfg: ExperimentConfig):
     return ({"normalized_residual": _fmt(last_norm),
              "normalized_control": _fmt(rc / norm_unit)},
             {"factorization.csv": (_write_rows, rows)})
-
-
-def _is_normal(x: float) -> bool:
-    """True for a finite float that is not zero or subnormal."""
-    return sys.float_info.min <= abs(x) < math.inf
 
 
 def _mode_frequency(ts: np.ndarray, cs: np.ndarray) -> float:
@@ -598,13 +593,13 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
         raise ValueError(f"'scheme.dt' must be at most {_fmt(t10 / 2)} s, half of part (a)")
     spec, omega = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
     cut = cfg.fnum("scenario.solitary_filter_cut")
-    schemeS = _run_to(replace(filtered, filter_cut=cut), 30.0)
+    schemeS = replace(filtered, filter_cut=cut, t_end=30.0)
 
     # (a) one low linear mode: measured oscillation frequency
     cosk = np.cos(k0 * grid.x)
     h0f = WaveField(grid, amp * cosk)
     # the default sampling is uniform under both integrators, as the fit needs
-    res = evolve((h0f, rest), params, _run_to(filtered, t10), record_invariants=False)
+    res = evolve((h0f, rest), params, replace(filtered, t_end=t10), record_invariants=False)
     ts = np.array(res.times)
     cs = np.array([2.0 / grid.N * float(np.dot(s[0].h, cosk)) for s in res.snapshots])
     rows = ["# columns=t,mode_amplitude"]

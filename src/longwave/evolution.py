@@ -96,6 +96,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
@@ -142,6 +143,9 @@ CHOP_LEVEL = 1e-14
 GROW_LEVEL = 1e-10
 BAND_MARGIN = 8  # the fewest modes in the start's margin, the watched top and one growth
 BLOWUP_FACTOR = 10.0  # |h| beyond this multiple of H aborts the run
+# no run takes more steps than this: evolve refuses a run, or stops it, as soon
+# as the time left over its step (explicit, advisory or wanted) passes it
+MAX_STEPS = 10 ** 8
 
 
 class BlowUpError(RuntimeError):
@@ -151,15 +155,20 @@ class BlowUpError(RuntimeError):
     (counted from the run's start; 1 for a single public step),
     max_abs_h the max|h| it found [m] (inf or nan when not finite) and
     integrator the integrator that took the step ("rk4" or "ifrk4").
+    cause, when given, follows the message: an error-controlled run
+    whose wanted step would need more than MAX_STEPS steps to finish
+    raises with the max|h| of its last accepted state and says so there.
     """
 
-    def __init__(self, time: float, step: int, max_abs_h: float, integrator: str = ""):
+    def __init__(self, time: float, step: int, max_abs_h: float, integrator: str = "",
+                 cause: str = ""):
         self.time = time
         self.step = step
         self.max_abs_h = max_abs_h
         self.integrator = integrator
         super().__init__(f"solution blew up at t = {time:.6g} s "
-                         f"(step {step}, max|h| = {max_abs_h:.6g} m)")
+                         f"(step {step}, max|h| = {max_abs_h:.6g} m)"
+                         + (f": {cause}" if cause else ""))
 
 
 @dataclass(frozen=True)
@@ -492,6 +501,11 @@ def _check_alive(h: np.ndarray, H: float, t: float, step: int = 1,
         raise BlowUpError(t, step, m, integrator)
 
 
+def _is_normal(x: float) -> bool:
+    """True for a finite float that is not zero or subnormal."""
+    return sys.float_info.min <= abs(x) < math.inf
+
+
 def _unpack(state) -> tuple[bool, PeriodicGrid, float, np.ndarray]:
     """(bidirectional, grid, t, y) of a WaveField or an (h, v) pair; y stacks copies."""
     if isinstance(state, WaveField):
@@ -597,17 +611,19 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     and an unfiltered bidirectional run, steps with classical RK4
     ("rk4"), warned against (or, for dt = None, set to) the RK4 stability
     advisory; its step is shrunk so that an integer number of steps lands
-    exactly on t_end, and it steps the whole band (ValueError, before any
-    sample, when t_end / dt is not finite).  The initial state is
+    exactly on t_end, and it steps the whole band.  No run takes more
+    than MAX_STEPS = 10**8 steps: an RK4 run that would raises ValueError
+    before any sample, and a controlled one raises BlowUpError as soon as
+    its wanted step would (see _controlled_run).  The initial state is
     projected onto the band once: the first snapshot is the initial state
-    as given, later ones carry no modes above the band.  Every accepted
-    step is checked for blow-up.  A bidirectional run's invariant sets
-    are taken at T = 0, as its equation is pure gravity (and so defined
-    at the critical depth).  Snapshots, invariant sets, and observer
-    callbacks fire at the endpoints and every sample_every accepted
-    steps; by default at ~50 samples per run (RK4: every nsteps // 50
-    steps; IF: at t_end k/50, k = 1..50).  Observers receive
-    (t, snapshot) and must not mutate it.
+    as given, later ones carry no modes above the band.  The start, before
+    anything is built, and every accepted step are checked for blow-up.
+    A bidirectional run's invariant sets are taken at T = 0, as its
+    equation is pure gravity (and so defined at the critical depth).
+    Snapshots, invariant sets, and observer callbacks fire at the
+    endpoints and every sample_every accepted steps; by default at ~50
+    samples per run (RK4: every nsteps // 50 steps; IF: at t_end k/50,
+    k = 1..50).  Observers receive (t, snapshot) and must not mutate it.
     result.dt is the mean step t_end / steps, and result.band the least
     and greatest number of rfft modes stepped (a fixed band's size twice).
     """
@@ -615,13 +631,18 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
                                          and sample_every > 0):
         raise ValueError(f"sample_every must be a positive integer or None, "
                          f"got {sample_every!r}")
-    if config.dt is not None and not config.t_end / config.dt < math.inf:
-        raise ValueError(f"dt = {config.dt!r} s is too small to count the steps to "
-                         f"t_end = {config.t_end!r} s: t_end / dt is not finite")
     bidirectional, grid, t0, y = _unpack(initial)
     # the unfiltered bidirectional model has no integrating factor: it grows above sqrt(3)/H
     rk4 = config.dt is not None or (bidirectional and not config.boussinesq_filter)
     integrator = "rk4" if rk4 else "ifrk4"
+    # a start past the limit stops here, before any norm of it can overflow
+    _check_alive(y[0], params.H, t0, 1, integrator)
+    if rk4:
+        advisory = stable_dt(grid, params, config, "boussinesq" if bidirectional else "kdv")
+        dt_req = config.dt if config.dt is not None else advisory
+        if not config.t_end <= MAX_STEPS * dt_req:
+            raise ValueError(f"dt = {dt_req!r} s is too small to reach t_end = "
+                             f"{config.t_end!r} s in MAX_STEPS = {MAX_STEPS:.0e} steps")
     band = partial(_band_run, grid, params, config, bidirectional, integrator)
     lin, flux, step = band()
     J = lin.size
@@ -659,9 +680,7 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
         return a
 
     sample(t0, y)
-    if integrator == "rk4":
-        advisory = stable_dt(grid, params, config, "boussinesq" if bidirectional else "kdv")
-        dt_req = config.dt if config.dt is not None else advisory
+    if rk4:
         if dt_req > advisory * (1.0 + 1e-12):
             logger.warning("dt = %.3e exceeds stability advisory %.3e", dt_req, advisory)
         nsteps = 0
@@ -738,12 +757,11 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, t: float,
     factor each lap that the error norm does not see until it is large.
     Steps are rounded down to a 2^(1/16) ladder, so the stepper's folded
     weights are reused; a step that would pass the next stop lands on it.
-    A step wanted below 1e-8 of the run, or nan, raises BlowUpError, with
-    the max|h| of the last rejected step, rather than spin: near that size
+    A wanted step that is nan, zero or so short that the rest of the run
+    would take more than MAX_STEPS of it raises BlowUpError, with the
+    max|h| of the last accepted state, rather than spin: at 1e-8 of a run
     (about sqrt(eps) of the state's time scale) the two solutions of the
-    pair agree to the last bit and the error estimate reads zero.  So does
-    a first step wanted that is nan or zero (a state so large that its
-    norms overflow), with the max|h| of the start.
+    pair agree to the last bit and the error estimate reads zero.
     """
     m, N = y.shape
     J0 = J
@@ -768,15 +786,17 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, t: float,
     flux, step, iso, beat_limit = on_band(J)
     u = iso * z
     size = math.sqrt(np.vdot(u, u).real)
-    tol, floor = IF_TOL * size, 1e-8 * (stops[-1] - t)
+    tol = IF_TOL * size
     # the flux changes h (unidirectional) or v (bidirectional), unit weight both
     rate = np.linalg.norm(flux * rfft(y[0] * y[0])[:J]) / size if size else 0.0
     want = min(0.01 / rate if rate else math.inf, beat_limit(z))
-    if not want > 0:  # nan or zero: the state is too large to size a step for
-        raise BlowUpError(t, 1, float(np.max(np.abs(y[0]))), "ifrk4")
     n, i, rejected, r_prev = None, 0, 0, 1.0
     for stop in stops:
         while t < stop:
+            if not stops[-1] - t <= MAX_STEPS * want:  # a nan or zero want too
+                raise BlowUpError(t, i + 1, float(np.max(np.abs(irfft(z[0], N)))), "ifrk4",
+                                  f"a step of {want:.3g} s would take more than MAX_STEPS = "
+                                  f"{MAX_STEPS:.0e} steps to t = {stops[-1]:.6g} s")
             rung = want
             if want < math.inf:
                 rung = 2.0 ** (math.floor(16.0 * math.log2(want)) / 16.0)
@@ -804,9 +824,6 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, t: float,
                 rejected += 1
                 fac = 0.9 * (tol / err) ** 0.25 if err < math.inf else 0.0  # nan too
                 want = dt * min(0.9, max(0.2, fac))
-                if not want >= floor:  # nan too
-                    h1 = irfft(z1[0], N)
-                    raise BlowUpError(t, i + 1, float(np.max(np.abs(h1))), "ifrk4")
     return i, rejected, (J0, J)
 
 
@@ -857,7 +874,8 @@ def steepening_verdict(spec: DeformationSpec, params: PhysicalParams,
     relative).  With cross_check=True a short moving-frame run, using
     the frame normalization alpha = 4 sigma p^2 - (3/2) hbar under
     which the criterion is stated, measures the forward-face slope
-    max(-h_xi) and raises RuntimeError if the trend disagrees.
+    max(-h_xi) over t_check and raises ValueError if its trend disagrees,
+    or is too slow to pass rel_threshold in that time.
     """
     p_star = steady_inverse_width(spec.hbar, params)
     if abs(spec.p - p_star) <= 1e-12 * p_star:
@@ -876,29 +894,40 @@ def steepening_verdict(spec: DeformationSpec, params: PhysicalParams,
         else:
             ok = change < -rel_threshold
         if not ok:
-            raise RuntimeError(
+            raise ValueError(
                 f"evolution cross-check contradicts verdict {verdict.value}: "
-                f"forward-face slope changed by {change:+.3e} over {t_check} s "
-                "(extend t_check if the deformation is too slow to resolve)"
+                f"forward-face slope changed by {change:+.3e} over {t_check} s, "
+                f"where the verdict needs a change beyond {rel_threshold:g} "
+                "(a deformation this slow is not resolved)"
             )
     return verdict
 
 
 def front_slope_change(spec: DeformationSpec, params: PhysicalParams,
                        t_check: float = 1.0) -> float:
-    """Relative change of max(-h_xi) over a short moving-frame run of t_check > 0 s."""
+    """Relative change of max(-h_xi) over a short moving-frame run of t_check > 0 s.
+
+    ValueError when p is so large that the frame's alpha overflows, or
+    when hbar and p leave the starting slope a zero or subnormal float.
+    """
     if not (0 < t_check < math.inf):
         raise ValueError(f"t_check must be positive and finite, got {t_check}")
     # domain wide enough for sech^2 tails below ~1e-13 of hbar
     L = 32.0 / spec.p
     grid = PeriodicGrid(L=L, N=512)
-    alpha_c = 4.0 * dispersion_sigma(params) * spec.p ** 2 - 1.5 * spec.hbar
+    alpha_c = 4.0 * dispersion_sigma(params) * (spec.p * spec.p) - 1.5 * spec.hbar
+    if not math.isfinite(alpha_c):
+        raise ValueError(f"p = {spec.p} 1/m overflows the frame's alpha = "
+                         "4 sigma p^2 - (3/2) hbar")
     config = SchemeConfig(deriv="spectral", frame="moving", alpha=alpha_c,
                           t_end=t_check)
     field = WaveField(grid, spec.hbar * sech_sq(spec.p * grid.x))
     res = evolve(field, params, config, record_invariants=False,
                  sample_every=10 ** 9)
     slope0 = float(np.max(-diff(field.h, L, 1)))
+    if not _is_normal(slope0):
+        raise ValueError(f"hbar = {spec.hbar} m and p = {spec.p} 1/m must leave the starting "
+                         f"forward-face slope a normal float, got {slope0}")
     slope1 = float(np.max(-diff(res.final.h, L, 1)))
     return slope1 / slope0 - 1.0
 

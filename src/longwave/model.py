@@ -36,6 +36,8 @@ class PhysicalParams:
     T : float
         Surface tension [N/m], finite and >= 0.  T = 0 recovers the
         pure-gravity case.
+
+    Together they must leave sigma (dispersion_sigma) and c0 finite.
     """
 
     g: float = 9.81
@@ -52,6 +54,11 @@ class PhysicalParams:
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
         if not (0 <= self.T < math.inf):
             raise ValueError(f"T must be non-negative and finite, got {self.T}")
+        # a rho g that underflows to zero would divide by zero in sigma
+        sigma = dispersion_sigma(self) if self.rho * self.g else math.nan
+        if not (math.isfinite(sigma) and math.isfinite(self.c0)):
+            raise ValueError(f"H = {self.H} m (with g, rho and T) must leave sigma and "
+                             f"sqrt(g H) finite, got {sigma} m^3 and {self.c0} m/s")
 
     @property
     def c0(self) -> float:
@@ -59,18 +66,19 @@ class PhysicalParams:
         return math.sqrt(self.g * self.H)
 
 
-#: Clean water at laboratory conditions, depth 1 m.
-WATER = PhysicalParams(g=9.81, H=1.0, rho=1000.0, T=0.0728)
-
-
 def dispersion_sigma(params: PhysicalParams) -> float:
     """Dispersion parameter sigma = H^3/3 - T*H/(rho*g) [m^3].
 
     Combines depth and capillarity; may be negative (thin layers) or zero
     (at the critical depth).  Its sign selects elevation versus depression
-    solitary waves.
+    solitary waves.  The cube is a product, so an H whose cube overflows
+    gives inf here instead of raising.
     """
-    return params.H ** 3 / 3.0 - params.T * params.H / (params.rho * params.g)
+    return params.H * params.H * params.H / 3.0 - params.T * params.H / (params.rho * params.g)
+
+
+#: Clean water at laboratory conditions, depth 1 m.
+WATER = PhysicalParams(g=9.81, H=1.0, rho=1000.0, T=0.0728)
 
 
 def critical_depth(params: PhysicalParams) -> float:

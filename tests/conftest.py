@@ -1,5 +1,7 @@
 """Shared fixtures, including the expensive reference transit run."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -80,3 +82,18 @@ def reference_transit(params):
         "drifts": conservation_drift(result.invariants),
         "speed": fit_speed(times, positions, grid.L),
     }
+
+
+@pytest.fixture
+def time_limit():
+    """Fail the test, instead of hanging the suite, if it runs for more than 20 s."""
+    def expire(signum, frame):
+        pytest.fail("did not finish within 20 s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

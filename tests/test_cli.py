@@ -373,9 +373,9 @@ class TestExitCodes:
          "--set", "scenario.p_ratios=0.9"],
     ], ids=["h0_1e200", "h0_1e150", "steepening_1e300"])
     def test_state_too_large_to_size_a_step_blows_up(self, tmp_path, argv):
-        # its norms overflow, so the controller wants a nan or zero step: the
-        # run must stop with exit 3, not spin (a subprocess, so a spin fails
-        # this test instead of hanging the suite)
+        # evolve checks the start before it builds anything, so the run stops
+        # with exit 3 before any norm of it can overflow (a subprocess, so a
+        # spin fails this test instead of hanging the suite)
         out = tmp_path / "o"
         done = _longwave_process(*argv, "--out", str(out))
         assert done.returncode == EXIT_BLOWUP, done.stderr
@@ -708,6 +708,54 @@ BLOWUP = ["--set", "grid.N=64", "--set", "grid.L=60",
           "--set", "scheme.dt=5.0", "--set", "scheme.t_end=50.0"]
 
 
+# runs that would take more than MAX_STEPS steps: an explicit dt is refused
+# before the run, a controlled run when its first wanted step is too short
+TOO_MANY_STEPS = [
+    *[([*command, "--set", "scheme.dt=1e-300"], EXIT_USAGE,
+       "dt = 1e-300 s is too small to reach t_end = ")
+      for command in (["scenario", "solitary_transit"], ["scenario", "two_soliton"],
+                      ["scenario", "moment_conservation"], ["scenario", "boussinesq_demo"],
+                      ["evolve", "--ic", "solitary"], ["evolve", "--ic", "cnoidal"])],
+    *[([*command, "--set", "scheme.t_end=1e300"], EXIT_BLOWUP, "steps to t = 1e+300 s")
+      for command in (["scenario", "solitary_transit"], ["scenario", "two_soliton"],
+                      ["scenario", "moment_conservation"], ["evolve", "--ic", "solitary"],
+                      ["evolve", "--ic", "cnoidal"])],
+    *[([*command, "--set", "physical.g=1e300"], EXIT_BLOWUP,
+       "would take more than MAX_STEPS = 1e+08 steps")
+      for command in (["scenario", "two_soliton"], ["scenario", "steepening"],
+                      ["evolve", "--ic", "cnoidal"])],
+    (["scenario", "two_soliton", "--set", "scheme.alpha=1e300"], EXIT_BLOWUP,
+     "would take more than MAX_STEPS = 1e+08 steps to t = 60 s"),
+    (["scenario", "steepening", "--set", "scenario.t_check=1e300"], EXIT_BLOWUP,
+     "would take more than MAX_STEPS = 1e+08 steps to t = 1e+300 s"),
+]
+
+# derived values and amplitudes that overflow or underflow, and a cross-check
+# too slow to resolve its trend
+OUT_OF_RANGE = [
+    *[([*_command(name), "--set", "physical.H=1e300"], EXIT_USAGE,
+       "H = 1e+300 m (with g, rho and T) must leave sigma and sqrt(g H) finite, got inf m^3")
+      for name in cli.COMMANDS],
+    (["scenario", "steepening", "--set", "scenario.hbar=1e-300"], EXIT_USAGE,
+     "hbar = 1e-300 m and p = 6.92820323027551e-151 1/m must leave the starting "
+     "forward-face slope a normal float"),
+    (["stability", "--hbar", "1e-320", "--p-ratio", "1", "--cross-check"], EXIT_USAGE,
+     "must leave the starting forward-face slope a normal float"),
+    (["scenario", "steepening", "--set", "scenario.p_ratios=1e300"], EXIT_USAGE,
+     "p = 2.7386127875258312e+299 1/m overflows the frame's alpha"),
+    (["stability", "--hbar", "0.1", "--p-ratio", "1e300", "--cross-check"], EXIT_USAGE,
+     "p = 2.7386127875258312e+299 1/m overflows the frame's alpha"),
+    *[(["scenario", "factorization", "--set", f"scenario.h0={h0}"], EXIT_USAGE,
+       "'scenario.h0' must leave the residual's unit g H (3/2) h0^2/H^3 a normal float, "
+       f"got {unit} m/s^2") for h0, unit in (("1e-300", "0"), ("1e-320", "0"), ("1e300", "inf"))],
+    *[(["scenario", "two_soliton", "--set", f"{key}=1e-320"], EXIT_USAGE,
+       f"{key!r} must be a normal float, got 1e-320")
+      for key in ("scenario.h0_tall", "scenario.h0_short")],
+    (["stability", "--hbar", "0.1", "--p-ratio", "1.0001", "--cross-check"], EXIT_USAGE,
+     "evolution cross-check contradicts verdict flattens_in_front"),
+]
+
+
 class TestNothingWrittenUnlessTheRunSucceeds:
     @pytest.mark.parametrize("argv, code, message", [
         (["scenario", "cnoidal_family", "--set", "scenario.m_list=0.5,1.5"], EXIT_USAGE,
@@ -801,16 +849,20 @@ class TestNothingWrittenUnlessTheRunSucceeds:
          "evolve --ic solitary: alpha applies to the moving frame only, got 0.3"),
         # explicit steps too small to count, or too long for part (a)'s fit
         (["evolve", "--set", "grid.N=128", "--set", "grid.L=60", "--set", "scheme.dt=1e-320"],
-         EXIT_USAGE, "'scheme.dt' = 9.9998886718268301e-321 s is too small to count the steps"),
+         EXIT_USAGE, "dt = 1e-320 s is too small to reach t_end = 18.244310194688598 s "
+                     "in MAX_STEPS = 1e+08 steps"),
         (["scenario", "boussinesq_demo", "--set", "scheme.dt=1e-320"], EXIT_USAGE,
-         "'scheme.dt' = 9.9998886718268301e-321 s is too small to count the steps"),
+         "dt = 1e-320 s is too small to reach t_end = 28.657641566170994 s "
+         "in MAX_STEPS = 1e+08 steps"),
         (["scenario", "boussinesq_demo", "--set", "scheme.dt=40"], EXIT_USAGE,
          "'scheme.dt' must be at most 14.328820783085497 s, half of part (a)"),
         (["scenario", "boussinesq_demo", "--set", "scheme.dt=100"], EXIT_USAGE,
          "'scheme.dt' must be at most 14.328820783085497 s, half of part (a)"),
+        *TOO_MANY_STEPS,
+        *OUT_OF_RANGE,
     ])
     def test_bad_input_exits_with_its_reason_and_leaves_no_directory(
-            self, tmp_path, capsys, monkeypatch, argv, code, message):
+            self, tmp_path, capsys, monkeypatch, time_limit, argv, code, message):
         out = tmp_path / "out"
         monkeypatch.chdir(tmp_path)  # the default output directory; stability has no --out
         assert main(argv) == code

@@ -622,6 +622,17 @@ class TestIfrk4:
         assert (exc.value.time, exc.value.step) == (0.0, 1)
         assert exc.value.max_abs_h == pytest.approx(spec.h0, rel=1e-3)
 
+    def test_wanted_step_past_max_steps_raises_instead_of_spinning(self, params):
+        # a frame of alpha = 1e300 turns the band so fast that the beat limit
+        # wants steps of about 1e-300 s: the first step would already leave
+        # more than MAX_STEPS of them, so the run stops before taking it
+        spec, grid, field = solitary_case(params, N=128, L=60.0)
+        with pytest.raises(BlowUpError, match="MAX_STEPS") as exc:
+            evolve(field, params, SchemeConfig(frame="moving", alpha=1e300, t_end=1.0),
+                   record_invariants=False)
+        assert (exc.value.time, exc.value.step, exc.value.integrator) == (0.0, 1, "ifrk4")
+        assert exc.value.max_abs_h == pytest.approx(spec.h0, rel=1e-3)
+
     def test_zero_field_lands_on_every_sample_without_dividing_by_zero(self, params):
         grid = PeriodicGrid(L=60.0, N=128)
         with warnings.catch_warnings():
@@ -1031,6 +1042,19 @@ class TestEvolve:
         seen = []
         with pytest.raises(ValueError, match=r"dt = 1e-320 s .* t_end = 1\.0 s"):
             evolve(initial, params, SchemeConfig(dt=1e-320, t_end=1.0),
+                   observers=[lambda t, s: seen.append(t)])
+        assert seen == []
+
+    def test_advisory_step_past_max_steps_is_a_value_error(self, params):
+        # the unfiltered pair steps RK4 at its advisory: 1e300 s of it is more
+        # than MAX_STEPS steps, refused before any sample
+        grid = PeriodicGrid(L=64.0, N=256)
+        zero = WaveField(grid, np.zeros(grid.N))
+        seen = []
+        with pytest.raises(ValueError, match=r"dt = \S+ s is too small to reach "
+                                             r"t_end = 1e\+300 s in MAX_STEPS"):
+            evolve((zero, zero), params,
+                   SchemeConfig(t_end=1e300, boussinesq_filter=False),
                    observers=[lambda t, s: seen.append(t)])
         assert seen == []
 

@@ -31,6 +31,14 @@ class TestPhysicalParams:
         with pytest.raises(ValueError, match=f"{name} must be {wording} and finite"):
             PhysicalParams(**{name: value})
 
+    @pytest.mark.parametrize("given", [dict(H=1e300), dict(H=1e103), dict(g=1e300, H=1e10),
+                                       dict(T=1e300, H=1e10), dict(rho=1e-200, g=1e-200)])
+    def test_derived_values_must_be_finite(self, given):
+        # the cube in sigma or sqrt(g H) overflows, or rho g underflows to zero:
+        # a ValueError naming H, not an OverflowError or a ZeroDivisionError
+        with pytest.raises(ValueError, match=r"H = \S+ m \(with g, rho and T\) must leave"):
+            PhysicalParams(**given)
+
     def test_c0(self):
         p = PhysicalParams(g=9.81, H=5.0)
         assert p.c0 == pytest.approx(math.sqrt(49.05), rel=1e-15)
