@@ -26,7 +26,6 @@ from .evolution import (
     steepening_verdict,
     step_ifrk4,
     step_rk4,
-    unwrap_track,
 )
 from .invariants import (
     InvariantSet,

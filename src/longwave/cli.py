@@ -412,6 +412,9 @@ def scenario_two_soliton(cfg: ExperimentConfig):
     for key in ("scenario.h0_tall", "scenario.h0_short"):  # the shape errors divide by them
         if not _is_normal(cfg.fnum(key)):
             raise ValueError(f"{key!r} must be a normal float, got {cfg.raw[key]}")
+    if not hA > hB:  # the crest search and the signed shifts assume the tall wave overtakes
+        raise ValueError("'scenario.h0_tall' must exceed 'scenario.h0_short', got "
+                         f"{cfg.raw['scenario.h0_tall']} and {cfg.raw['scenario.h0_short']}")
     xA, xB = cfg.fnum("scenario.x_tall"), cfg.fnum("scenario.x_short")
     sigma = dispersion_sigma(params)
     specA = SolitarySpec(hA, sigma, params.H, params.g)
@@ -452,6 +455,8 @@ def scenario_cnoidal_family(cfg: ExperimentConfig):
     """Profiles and speeds across the elliptic-parameter family."""
     params = cfg.params
     phase = cfg.fnum("scenario.phase")
+    if not math.isfinite(phase):
+        raise ValueError(f"'scenario.phase' must be finite, got {cfg.raw['scenario.phase']}")
     rows = ["# columns=m,k,l,K,wavelength,speed_periodic,speed_frame"]
     results: dict[str, str] = {}
     files = {}
@@ -471,7 +476,11 @@ def scenario_cnoidal_family(cfg: ExperimentConfig):
 
 
 def scenario_steepening(cfg: ExperimentConfig):
-    """Verdict sweep across profile widths, with evolution cross-checks."""
+    """Analytic verdict per profile width, beside the front-slope change a short run measures.
+
+    The measured change is reported, not checked against the verdict;
+    only `stability --cross-check` confirms a verdict by its run.
+    """
     params = cfg.params
     hbar = cfg.fnum("scenario.hbar")
     t_check = cfg.fnum("scenario.t_check")
@@ -594,6 +603,10 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     spec, omega = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
     cut = cfg.fnum("scenario.solitary_filter_cut")
     schemeS = replace(filtered, filter_cut=cut, t_end=30.0)
+    # part (b)'s start is built here, so a grid.L too short for its slope stops before (a)
+    gridS = cfg.grid
+    hs = lowpass(solitary_profile(spec, gridS.x), gridS.L, cut * math.sqrt(3.0) / H)
+    vs = -omega * diff(hs, gridS.L, 1)
 
     # (a) one low linear mode: measured oscillation frequency
     cosk = np.cos(k0 * grid.x)
@@ -609,9 +622,6 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     results.update(_step_entries(res, "mode_"))
 
     # (b) right-moving solitary data at the corrected long-wave speed
-    gridS = cfg.grid
-    hs = lowpass(solitary_profile(spec, gridS.x), gridS.L, cut * math.sqrt(3.0) / H)
-    vs = -omega * diff(hs, gridS.L, 1)
     resS = evolve((WaveField(gridS, hs), WaveField(gridS, vs)), params, schemeS,
                   record_invariants=False)
     results["solitary_speed_formula"] = _fmt(omega)
@@ -666,7 +676,9 @@ def _cnoidal_pieces(cfg: ExperimentConfig, m: float):
 
 
 def _analytic(cfg: ExperimentConfig, wave: str, phase: float):
-    """One closed-form steady profile, crest at `phase`, with its speed."""
+    """One closed-form steady profile, crest at `phase` (modulo its period), with its speed."""
+    if not math.isfinite(phase):
+        raise ValueError(f"--phase must be finite, got {phase}")
     results = {"sigma": _fmt(dispersion_sigma(cfg.params))}
     if wave == "solitary":
         spec, speed = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
@@ -727,6 +739,10 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_invariants(args) -> int:
     meta, x, h = read_profile_csv(args.input)
+    missing = [key for key in ("g", "H", "rho", "T", "L", "N") if key not in meta]
+    if missing:
+        raise ValueError(f"{args.input}: the header lacks "
+                         + ", ".join(f"'# {key}='" for key in missing))
     params = PhysicalParams(g=float(meta["g"]), H=float(meta["H"]),
                             rho=float(meta["rho"]), T=float(meta["T"]))
     grid = PeriodicGrid(L=float(meta["L"]), N=int(meta["N"]))
@@ -776,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="closed-form steady profiles and speeds")
     p.add_argument("--wave", choices=("solitary", "cnoidal"), default="solitary")
     p.add_argument("--phase", type=float, default=0.0,
-                   help="shift the crest to this abscissa [m]")
+                   help="shift the crest to this abscissa, modulo the period [m]")
     p.set_defaults(func=_cmd_analytic)
 
     p = sub.add_parser("evolve", parents=[writes], help="time-integrate an initial condition")

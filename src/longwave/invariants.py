@@ -8,10 +8,12 @@ the dispersion parameter of the unidirectional equation
 (dispersion_sigma).  With the canonical scale eps = -sigma/(4H) the
 Hamiltonian flow -sqrt(gH) d/dx dHfun/dh reproduces the unidirectional
 evolution equation exactly; the operation accepts any eps so the
-identity can be demonstrated rather than assumed.  At the critical
-depth sigma = 0 the equation has no dispersion and M does not exist:
-every function that divides by sigma raises ValueError there.  The
-bidirectional energy is pure gravity, as the bidirectional equation is.
+identity can be demonstrated rather than assumed.  The Hamiltonian, its
+variational derivative, its flow and the critical-point certificate
+differentiate spectrally.  At the critical depth sigma = 0 the equation
+has no dispersion and M does not exist: every function that divides by
+sigma raises ValueError there.  The bidirectional energy is pure
+gravity, as the bidirectional equation is.
 """
 
 from __future__ import annotations
@@ -109,43 +111,38 @@ def compute_invariants(field: WaveField, params: PhysicalParams,
 
 
 def hamiltonian_functional(field: WaveField, params: PhysicalParams,
-                           epsilon: float | None = None,
-                           scheme: str = "spectral") -> float:
+                           epsilon: float | None = None) -> float:
     """Hfun(h) = int (h^2/2 + eps ((h_x)^2 - h^3/sigma)) dx  [m^3]."""
     if epsilon is None:
         epsilon = canonical_epsilon(params)
     h = field.h
-    hx = diff(h, field.grid.L, 1, scheme)
+    hx = diff(h, field.grid.L, 1)
     dens = 0.5 * h * h + epsilon * (hx * hx - h ** 3 / _sigma(params))
     return integrate(dens, field.grid.L)
 
 
 def variational_derivative(field: WaveField, params: PhysicalParams,
-                           epsilon: float | None = None,
-                           scheme: str = "spectral") -> np.ndarray:
+                           epsilon: float | None = None) -> np.ndarray:
     """Euler-Lagrange derivative h + eps(-2 h_xx - 3 h^2/sigma) of Hfun [m]."""
     if epsilon is None:
         epsilon = canonical_epsilon(params)
     h = field.h
-    hxx = diff(h, field.grid.L, 2, scheme)
+    hxx = diff(h, field.grid.L, 2)
     return h + epsilon * (-2.0 * hxx - 3.0 * h * h / _sigma(params))
 
 
 def hamiltonian_flow_rhs(field: WaveField, params: PhysicalParams,
-                         epsilon: float | None = None,
-                         scheme: str = "spectral") -> np.ndarray:
+                         epsilon: float | None = None) -> np.ndarray:
     """dh/dt = -sqrt(gH) d/dx [dHfun/dh]  [m/s]."""
-    v = variational_derivative(field, params, epsilon, scheme)
-    return -np.sqrt(params.g * params.H) * diff(v, field.grid.L, 1, scheme)
+    v = variational_derivative(field, params, epsilon)
+    return -np.sqrt(params.g * params.H) * diff(v, field.grid.L, 1)
 
 
-def critical_point_residual(field: WaveField, params: PhysicalParams,
-                            scheme: str = "spectral",
-                            mask_rel: float = 1e-8) -> tuple[float, float]:
+def critical_point_residual(field: WaveField, params: PhysicalParams) -> tuple[float, float]:
     """Constrained-critical-point certificate for steady solitary waves.
 
     Evaluates r(x) = (-2 h_xx - 3 h^2/sigma) / (2 h) where |h| exceeds
-    mask_rel * max|h| and returns (mean, relative spread).  A steady
+    1e-8 * max|h| and returns (mean, relative spread).  A steady
     solitary wave makes r constant: the mean is the Lagrange multiplier
     -h0/sigma of the stability-moment extremum at fixed energy (-3 h0/H^3
     at T = 0), and the spread is at roundoff level.
@@ -154,10 +151,10 @@ def critical_point_residual(field: WaveField, params: PhysicalParams,
     peak = np.max(np.abs(h))
     if peak == 0.0:
         raise ValueError("zero field: all points masked")
-    mask = np.abs(h) > mask_rel * peak
+    mask = np.abs(h) > 1e-8 * peak
     if not np.any(mask):
         raise ValueError("all points masked; field too flat for the certificate")
-    hxx = diff(h, field.grid.L, 2, scheme)
+    hxx = diff(h, field.grid.L, 2)
     r = (-2.0 * hxx[mask] - 3.0 * h[mask] ** 2 / _sigma(params)) / (2.0 * h[mask])
     lam = float(r.mean())
     denom = abs(lam) if lam != 0.0 else 1.0

@@ -140,7 +140,3 @@ class WaveField:
             raise ValueError("h contains non-finite entries")
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
-
-    def with_h(self, h: np.ndarray, t: float | None = None) -> "WaveField":
-        """New field on the same grid with replacement samples."""
-        return WaveField(self.grid, h, self.t if t is None else t)

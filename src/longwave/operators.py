@@ -16,6 +16,7 @@ as the transform, and can write into a caller's buffer.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -85,9 +86,14 @@ def derivative_symbols(N: int, L: float,
     -(15 - 16 cos k dx + cos 2k dx)/(6 dx^2), so that multiplying by
     them reproduces the stencils to roundoff.  The last (Nyquist) entry
     of D1 is zero: that mode has no well-defined odd derivative.
+    ValueError when L / N is so small that a symbol overflows.
     """
     d1, d2 = _unit_symbols(N, scheme)
     dx = L / N
+    # both symbols stay below 10 at unit spacing, so they are finite while 10 / dx^2 is
+    if not dx * dx > 10.0 / sys.float_info.max:
+        raise ValueError(f"L = {L!r} m is too short for N = {N} points: "
+                         "its derivative symbols overflow")
     return d1 / dx, d2 / (dx * dx)
 
 

@@ -26,7 +26,7 @@ __all__ = [
     "velocity_diagnostics",
 ]
 
-#: Default relative |h| threshold below which velocity samples are masked.
+#: Relative |h| threshold below which velocity samples are masked.
 MASK_THRESHOLD = 1e-6
 
 
@@ -55,28 +55,27 @@ class VelocityDiagnostics:
     bernoulli: BernoulliResidual
 
 
-def _masked(h: np.ndarray, mask_rel: float) -> np.ndarray:
+def _masked(h: np.ndarray) -> np.ndarray:
     peak = np.max(np.abs(h))
     if peak == 0.0:
         return np.zeros(h.shape, dtype=bool)
-    return np.abs(h) > mask_rel * peak
+    return np.abs(h) > MASK_THRESHOLD * peak
 
 
 def omega_pointwise(field: WaveField, params: PhysicalParams,
-                    scheme: str = "spectral",
-                    mask_rel: float = MASK_THRESHOLD) -> MaskedSamples:
+                    scheme: str = "spectral") -> MaskedSamples:
     """Local wave velocity sqrt(gH) (1 + 3h/(4H) + sigma h_xx/(2Hh)) [m/s].
 
     sigma = dispersion_sigma(params), so at T = 0 the last term is
     H^2 h_xx/(6h).  Constant exactly on a steady profile of the
     unidirectional equation; the pointwise variation of a
     general field is what deforms it.  Entries with |h| below
-    mask_rel * max|h| are masked (the formula is singular at h = 0).
+    MASK_THRESHOLD * max|h| are masked (the formula is singular at h = 0).
     """
     g, H = params.g, params.H
     h = field.h
     hxx = diff(h, field.grid.L, 2, scheme)
-    mask = _masked(h, mask_rel)
+    mask = _masked(h)
     omega = np.full(h.shape, np.nan)
     c0 = np.sqrt(g * H)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -86,8 +85,8 @@ def omega_pointwise(field: WaveField, params: PhysicalParams,
 
 
 def omega_from_mass_flux(before: WaveField, after: WaveField,
-                         params: PhysicalParams, scheme: str = "spectral",
-                         mask_rel: float = MASK_THRESHOLD) -> MaskedSamples:
+                         params: PhysicalParams,
+                         scheme: str = "spectral") -> MaskedSamples:
     """Wave velocity recovered from mass conservation, omega = flux/h.
 
     dh/dt is the two-snapshot difference quotient (centered at the
@@ -106,7 +105,7 @@ def omega_from_mass_flux(before: WaveField, after: WaveField,
     F = antiderivative(-h_t, before.grid.L, scheme)
     j0 = int(np.argmin(np.abs(h_mid)))
     F = F - F[j0]
-    mask = _masked(h_mid, mask_rel)
+    mask = _masked(h_mid)
     omega = np.full(h_mid.shape, np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = F / h_mid
@@ -128,8 +127,7 @@ def mean_velocity_U(field: WaveField, omega_const: float,
 
 
 def bernoulli_residual(field: WaveField, omega_const: float,
-                       params: PhysicalParams,
-                       scheme: str = "spectral") -> BernoulliResidual:
+                       params: PhysicalParams) -> BernoulliResidual:
     """Steady-flow pressure-balance samples and their spread.
 
     Evaluates -omega U + g h + U^2/2 + (H omega^2/3 - T/rho) h_xx pointwise
@@ -144,18 +142,17 @@ def bernoulli_residual(field: WaveField, omega_const: float,
     g, H = params.g, params.H
     h = field.h
     U = mean_velocity_U(field, omega_const, params)
-    hxx = diff(h, field.grid.L, 2, scheme)
+    hxx = diff(h, field.grid.L, 2)
     samples = (-omega_const * U + g * h + 0.5 * U * U
                + (H * omega_const ** 2 / 3.0 - params.T / params.rho) * hxx)
     return BernoulliResidual(samples=samples, spread=float(samples.max() - samples.min()))
 
 
 def velocity_diagnostics(field: WaveField, params: PhysicalParams,
-                         omega_const: float, scheme: str = "spectral",
-                         mask_rel: float = MASK_THRESHOLD) -> VelocityDiagnostics:
-    """Bundle of all three velocity diagnostics for one field."""
+                         omega_const: float) -> VelocityDiagnostics:
+    """Bundle of all three velocity diagnostics for one field (spectral derivatives)."""
     return VelocityDiagnostics(
-        omega=omega_pointwise(field, params, scheme, mask_rel),
+        omega=omega_pointwise(field, params),
         U=mean_velocity_U(field, omega_const, params),
-        bernoulli=bernoulli_residual(field, omega_const, params, scheme),
+        bernoulli=bernoulli_residual(field, omega_const, params),
     )

@@ -189,18 +189,27 @@ def cnoidal_alpha(spec: CnoidalSpec) -> float:
     return 0.5 * (spec.k - spec.l)
 
 
-def solitary_field(spec: SolitarySpec, grid: PeriodicGrid, center: float = 0.0,
-                   t: float = 0.0) -> WaveField:
-    """Sample the solitary profile on a grid, crest at x = center."""
-    return WaveField(grid, solitary_profile(spec, grid.x - center), t)
+def solitary_field(spec: SolitarySpec, grid: PeriodicGrid, center: float = 0.0) -> WaveField:
+    """Sample the periodic solitary wave on a grid, crest at x = center (mod L).
+
+    center is reduced modulo L exactly (math.fmod), and each point takes
+    the profile at its distance from the crest wrapped into [-L/2, L/2),
+    so a crest near the seam keeps its tail on the other side.
+    """
+    L = grid.L
+    d = grid.x - math.fmod(center, L)
+    d = np.where(d >= L / 2, d - L, np.where(d < -L / 2, d + L, d))
+    return WaveField(grid, solitary_profile(spec, d))
 
 
 def cnoidal_field(spec: CnoidalSpec, grid: PeriodicGrid, phase: float = 0.0,
-                  zero_mean: bool = False, t: float = 0.0) -> WaveField:
+                  zero_mean: bool = False) -> WaveField:
     """Sample the cnoidal profile on a grid, crest shifted to x = phase.
 
-    The grid length must hold an integer number of wavelengths (checked
-    to 1e-9 relative).  With zero_mean=True the spatial mean is removed,
+    phase is reduced modulo the wavelength exactly (math.fmod), so any
+    finite phase samples the same periodic wave.  The grid length must
+    hold an integer number of wavelengths (checked to 1e-9 relative).
+    With zero_mean=True the spatial mean is removed,
     which is the bookkeeping the evolution module expects: time
     integration conserves the mean, so a zero-mean field keeps the mass
     functional meaningful.
@@ -212,10 +221,10 @@ def cnoidal_field(spec: CnoidalSpec, grid: PeriodicGrid, phase: float = 0.0,
             f"grid length {grid.L} is not a whole number of wavelengths "
             f"(lambda = {lam:.6g}, L/lambda = {waves:.6g})"
         )
-    h = cnoidal_profile(spec, grid.x - phase)
+    h = cnoidal_profile(spec, grid.x - math.fmod(phase, lam))
     if zero_mean:
         h = h - h.mean()
-    return WaveField(grid, h, t)
+    return WaveField(grid, h)
 
 
 def grid_for_cnoidal(spec: CnoidalSpec, n_waves: int, N: int) -> PeriodicGrid:

@@ -18,6 +18,7 @@ from longwave import (
     critical_depth,
     dispersion_sigma,
     solitary_field,
+    solitary_profile,
 )
 from longwave import SchemeConfig, cli, conservation_drift, evolve, stable_dt
 from longwave.cli import (
@@ -469,6 +470,22 @@ class TestSubcommands:
         _, x, h = read_profile_csv(tmp_path / "profile.csv")
         assert abs(x[np.argmax(h)] - 2.0) <= x[1] - x[0]
 
+    def test_analytic_phase_is_taken_modulo_the_domain(self, tmp_path):
+        # L = 120 at the defaults: a crest at 100 is the crest at -20
+        for name, phase in (("ahead", "100"), ("behind", "-20")):
+            assert main(["analytic", f"--phase={phase}", "--out", str(tmp_path / name)]) == EXIT_OK
+        _, _, ahead = read_profile_csv(tmp_path / "ahead" / "profile.csv")
+        _, _, behind = read_profile_csv(tmp_path / "behind" / "profile.csv")
+        assert np.array_equal(ahead, behind)
+
+    def test_analytic_crest_near_the_seam_keeps_its_tail_across_it(self, tmp_path):
+        # a crest at 59 is 1 m from x = -60 across the seam, not 119 m
+        assert main(["analytic", "--phase", "59", "--out", str(tmp_path)]) == EXIT_OK
+        _, x, h = read_profile_csv(tmp_path / "profile.csv")
+        assert x[0] == -60.0
+        spec = SolitarySpec(0.1, 1.0 / 3.0, 1.0, 9.81)
+        assert abs(h[0] - solitary_profile(spec, 1.0)) <= 1e-15
+
     def test_invariants_subcommand(self, tmp_path, capsys, params):
         grid = PeriodicGrid(L=60.0, N=64)
         spec = SolitarySpec(0.2, 1.0 / 3.0, 1.0, 9.81)
@@ -482,6 +499,16 @@ class TestSubcommands:
         printed_q = [l for l in out.splitlines() if l.startswith("Q =")][0]
         assert float(printed_q.split("=")[1]) == pytest.approx(inv.Q, rel=1e-15)
         assert (tmp_path / "inv.csv").exists()
+
+    def test_invariants_subcommand_names_the_header_key_a_profile_lacks(self, tmp_path, capsys,
+                                                                        params):
+        path = tmp_path / "p.csv"
+        emit_profile_csv(WaveField(PeriodicGrid(L=4.0, N=8), np.zeros(8)), params, "analytic",
+                         path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if not line.startswith("# g=")))
+        assert main(["invariants", "--input", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {path}: the header lacks '# g='\n"
 
     def test_invariants_subcommand_at_the_critical_depth(self, tmp_path, capsys):
         # sigma = 0: no dispersion and no stability moment, reported as a usage error
@@ -753,6 +780,16 @@ OUT_OF_RANGE = [
       for key in ("scenario.h0_tall", "scenario.h0_short")],
     (["stability", "--hbar", "0.1", "--p-ratio", "1.0001", "--cross-check"], EXIT_USAGE,
      "evolution cross-check contradicts verdict flattens_in_front"),
+    # domains too short for their grids: the Fourier symbols of the run overflow
+    (["evolve", "--set", "grid.L=1e-100"], EXIT_USAGE,
+     "L = 1e-100 m over N = 1024 points leaves the equation's Fourier symbols not finite"),
+    *[([*command, "--set", "grid.L=1e-300"], EXIT_USAGE,
+       f"L = 1e-300 m is too short for N = {N} points: its derivative symbols overflow")
+      for command, N in ((["evolve"], 1024), (["scenario", "two_soliton"], 256),
+                         (["scenario", "boussinesq_demo"], 1024))],
+    (["stability", "--hbar", "0.1", "--p-ratio", "1e150", "--cross-check"], EXIT_USAGE,
+     "p = 2.7386127875258307e+149 1/m: L = 1.1684747893443543e-148 m over N = 512 points "
+     "leaves the equation's Fourier symbols not finite"),
 ]
 
 
@@ -858,6 +895,17 @@ class TestNothingWrittenUnlessTheRunSucceeds:
          "'scheme.dt' must be at most 14.328820783085497 s, half of part (a)"),
         (["scenario", "boussinesq_demo", "--set", "scheme.dt=100"], EXIT_USAGE,
          "'scheme.dt' must be at most 14.328820783085497 s, half of part (a)"),
+        (["scenario", "two_soliton", "--set", "scenario.h0_tall=0.2",
+          "--set", "scenario.h0_short=0.5"], EXIT_USAGE,
+         "'scenario.h0_tall' must exceed 'scenario.h0_short', got 0.2 and 0.5"),
+        # a crest offset is taken modulo the period, which a non-finite one has none of
+        *[(["analytic", "--wave", wave, "--phase", phase], EXIT_USAGE,
+           f"--phase must be finite, got {phase}")
+          for wave in ("solitary", "cnoidal") for phase in ("nan", "inf")],
+        (["scenario", "cnoidal_family", "--set", "scenario.phase=nan"], EXIT_USAGE,
+         "'scenario.phase' must be finite, got nan"),
+        (["scenario", "cnoidal_family", "--set", "scenario.phase=-inf"], EXIT_USAGE,
+         "'scenario.phase' must be finite, got -inf"),
         *TOO_MANY_STEPS,
         *OUT_OF_RANGE,
     ])

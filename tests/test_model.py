@@ -135,9 +135,3 @@ class TestWaveField:
         f = WaveField(g, np.zeros(16))
         with pytest.raises(ValueError):
             f.h[0] = 1.0
-
-    def test_with_h(self):
-        g = PeriodicGrid(L=10.0, N=16)
-        f = WaveField(g, np.zeros(16), t=1.0)
-        f2 = f.with_h(np.ones(16), t=2.0)
-        assert f2.t == 2.0 and f2.h[0] == 1.0 and f.h[0] == 0.0

@@ -274,7 +274,9 @@ class TestFieldConstructors:
         spec = spec01()
         grid = PeriodicGrid(L=60.0, N=128)
         f = solitary_field(spec, grid, center=5.0)
-        assert np.array_equal(f.h, solitary_profile(spec, grid.x - 5.0))
+        # the periodic wave: points more than L/2 behind the crest take the tail ahead of it
+        d = np.where(grid.x < -25.0, grid.x + 55.0, grid.x - 5.0)
+        assert np.array_equal(f.h, solitary_profile(spec, d))
         assert abs(grid.x[np.argmax(f.h)] - 5.0) <= grid.dx
 
     def test_cnoidal_field_needs_commensurate_grid(self):
@@ -298,3 +300,13 @@ class TestFieldConstructors:
         f = cnoidal_field(spec, grid, phase=1.5)
         j = np.argmax(f.h)
         assert abs(grid.x[j] - 1.5) <= grid.dx
+
+    def test_cnoidal_field_phase_is_taken_modulo_the_wavelength(self):
+        spec = CnoidalSpec(k=0.1, l=0.1, sigma=SIGMA0, H=1.0)
+        grid = grid_for_cnoidal(spec, 1, 128)
+        lam = cnoidal_wavelength(spec)
+        near = cnoidal_field(spec, grid, phase=1.5).h
+        assert np.allclose(cnoidal_field(spec, grid, phase=1.5 + 3 * lam).h, near, atol=1e-12)
+        # an unreduced phase this large samples a flat profile
+        far = cnoidal_field(spec, grid, phase=1e300).h
+        assert far.max() - far.min() > 0.9 * spec.l
