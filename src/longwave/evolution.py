@@ -67,7 +67,7 @@ GROW_LEVEL = 1e-10 of the peak, so a state that fills the 2/3-rule band
 is stepped on all of it.  A solitary transit at L = 120
 occupies about 136 modes, whatever N.  A bidirectional run is stepped
 on its low-pass band.  A PI controller (Gustafsson 1991) sizes every
-step so that its local error stays within IF_TOL = 3e-7 of the starting
+step so that its local error stays within IF_TOL = 1e-6 of the starting
 state's norm, taken as the norm in which the propagator is an isometry
 (the L2 norm of h; (sum omega^2 |h|^2 + |v|^2)^(1/2) for the pair), and
 no step passes the RK4 imaginary-axis limit of the fastest beat in the
@@ -76,10 +76,25 @@ of the band's dispersion relation times the state's rms wavenumber (see
 _controlled_run).  Since the group speed grows like the square of the
 band's top wavenumber, every unused mode there would cost steps.  Steps
 may turn the fastest stepped mode many times: about 4 turns on a
-transit, at N = 512 and N = 1024 alike.  3e-7 is the largest tolerance
-in a sweep (CHANGES.md) at which the acceptance collision's invariants
-drift no more than 1.5 times as much as they did under the two step
-limits this controller replaced.
+transit, at N = 512 and N = 1024 alike.
+
+IF_TOL is set by a global-error budget against KdV's exact two-soliton
+solution (Hirota 1971; a standard stepper test, Kassam & Trefethen
+2005): started from it, the overtaking of a 0.2 m wave by a 0.5 m one
+(from -22 m and -4 m, moving frame at alpha = 0, 60 s) must stay within
+5e-5 of the tall crest at every one of its 51 samples.  That is under a
+tenth of the 6.8e-4 shape error the default collision carries from its
+sum-of-sech^2 start.  1e-6 is the largest rung of the 1-3-10 ladder
+that meets it:
+
+    IF_TOL   N = 256, L = 80: steps, error   N = 384, L = 120: steps, error
+    3e-6          1,827   8.2e-5                   -         -
+    1e-6          2,357   2.47e-5              2,362   2.46e-5
+    3e-7          3,005   7.88e-6              3,012   7.97e-6
+
+The error falls at about order 4.5 in the step count; tests/test_oracle.py
+certifies the budget and the order.  A transit's step is set by the beat
+limit, not by IF_TOL.
 
 An explicit dt, and an unfiltered bidirectional run (whose linear part
 grows above sqrt(3)/H, so no rotation propagates it), uses classical
@@ -133,7 +148,9 @@ logger = logging.getLogger(__name__)
 
 RK4_IMAG_LIMIT = 2.0 * math.sqrt(2.0)
 CFL_SAFETY = 0.4
-IF_TOL = 3e-7  # local error per auto-dt (ERK4(3)-IP) step, relative to the start's norm
+# local error per auto-dt (ERK4(3)-IP) step, relative to the start's norm; set
+# by the exact two-soliton error budget of the module docstring
+IF_TOL = 1e-6
 # an auto-dt unidirectional run steps the modes its start holds above CHOP_LEVEL
 # of the peak coefficient, and grows that band when a mode at its top passes
 # GROW_LEVEL; the two differ because the pair's truncation fills the top of a
@@ -292,8 +309,13 @@ def _boussinesq_symbols(N: int, L: float, g: float, H: float, deriv: str,
     The retained band is the leading rfft modes at or below k_cut (all of
     them when the low-pass is off); h_tt is zero above it (read-only arrays).
     Pure gravity: the bidirectional equation carries no surface tension.
+    A low-pass band of fewer than two modes, the mean alone, has no
+    dispersion relation to size a step by (ValueError naming L and the cut).
     """
     J = N // 2 + 1 if k_cut is None else int(np.count_nonzero(wavenumbers(N, L) <= k_cut))
+    if J < 2:
+        raise ValueError(f"L = {L!r} m leaves only the mean mode at or below the low-pass "
+                         f"cut k = {k_cut!r} 1/m; the band needs two or more")
     d2 = derivative_symbols(N, L, deriv)[1][:J]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         lin = g * H * d2 * (1.0 + (H * H / 3.0) * d2)

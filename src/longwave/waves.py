@@ -52,6 +52,8 @@ class SolitarySpec:
     def __post_init__(self):
         if not (self.H > 0 and self.g > 0):
             raise ValueError("H and g must be positive")
+        if not math.isfinite(self.h0):
+            raise ValueError(f"h0 must be finite, got {self.h0}")
         if self.h0 == 0.0 or not (self.h0 * self.sigma > 0):
             raise ValueError(
                 f"h0*sigma must be positive (h0={self.h0}, sigma={self.sigma}); "

@@ -783,6 +783,10 @@ OUT_OF_RANGE = [
     # domains too short for their grids: the Fourier symbols of the run overflow
     (["evolve", "--set", "grid.L=1e-100"], EXIT_USAGE,
      "L = 1e-100 m over N = 1024 points leaves the equation's Fourier symbols not finite"),
+    # and a low-pass band that keeps only the mean mode
+    (["scenario", "boussinesq_demo", "--set", "grid.L=1e-100"], EXIT_USAGE,
+     "L = 1e-100 m leaves only the mean mode at or below the low-pass cut k = "
+     "1.299038105676658 1/m"),
     *[([*command, "--set", "grid.L=1e-300"], EXIT_USAGE,
        f"L = 1e-300 m is too short for N = {N} points: its derivative symbols overflow")
       for command, N in ((["evolve"], 1024), (["scenario", "two_soliton"], 256),
@@ -806,6 +810,10 @@ class TestNothingWrittenUnlessTheRunSucceeds:
          "roots k and l must be positive"),
         (["scenario", "boussinesq_demo", "--set", "scenario.h0=-5"], EXIT_USAGE,
          "h0*sigma must be positive"),
+        *[([*command, "--set", "scenario.h0=inf"], EXIT_USAGE, "h0 must be finite, got inf")
+          for command in (["scenario", "solitary_transit"], ["scenario", "moment_conservation"],
+                          ["scenario", "boussinesq_demo"], ["analytic", "--wave", "solitary"],
+                          ["evolve", "--ic", "solitary"])],
         (["scenario", "steepening", "--set", "physical.T=3270"], EXIT_USAGE,
          "steepening analysis requires sigma > 0"),
         (["scenario", "steepening", "--set", "physical.T=5000"], EXIT_USAGE,
@@ -914,7 +922,8 @@ class TestNothingWrittenUnlessTheRunSucceeds:
         out = tmp_path / "out"
         monkeypatch.chdir(tmp_path)  # the default output directory; stability has no --out
         assert main(argv) == code
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, files", [

@@ -1,0 +1,133 @@
+"""The auto-dt stepper against KdV's exact two-soliton solution, and its symmetries.
+
+The collision of criterion 07 (a 0.5 m wave overtaking a 0.2 m one from
+-22 m and -4 m, N = 256, L = 80, 60 s) is started from the exact
+solution (conftest.two_soliton), so every snapshot has an exact answer.
+Errors are relative to the tall crest.  evolution.IF_TOL is the largest
+1-3-10 rung that keeps this collision within ERROR_BUDGET.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from longwave import (
+    WATER,
+    PeriodicGrid,
+    SchemeConfig,
+    SolitarySpec,
+    WaveField,
+    dispersion_sigma,
+    evolve,
+    solitary_profile,
+)
+from longwave import evolution
+from longwave.cli import EXIT_OK, main
+from longwave.operators import fourier_shift
+from conftest import same_bits, two_soliton
+
+HEIGHTS, CENTRES, T_END = (0.5, 0.2), (-22.0, -4.0), 60.0
+# a tenth of the 6.8e-4 shape error the default collision carries from its
+# sum-of-sech^2 start, relative to the tall crest
+ERROR_BUDGET = 5e-5
+
+
+def exact(params, x, t):
+    return two_soliton(params, x, t, HEIGHTS, CENTRES)
+
+
+def exact_start_error(params, N, L):
+    """(steps, largest error of the 51 samples / h_tall) of the exact-start collision."""
+    grid = PeriodicGrid(L=L, N=N)
+    res = evolve(WaveField(grid, exact(params, grid.x, 0.0)), params,
+                 SchemeConfig(frame="moving", alpha=0.0, t_end=T_END), record_invariants=False)
+    assert len(res.times) == 51
+    err = max(float(np.max(np.abs(s.h - exact(params, grid.x, t))))
+              for t, s in zip(res.times, res.snapshots))
+    return res.steps, err / HEIGHTS[0]
+
+
+def sech_sq_start(params, grid):
+    """The default collision's start: the two solitary waves summed."""
+    sigma = dispersion_sigma(params)
+    return WaveField(grid, sum(solitary_profile(SolitarySpec(h, sigma, params.H, params.g),
+                                                grid.x - x0) for h, x0 in zip(HEIGHTS, CENTRES)))
+
+
+def test_exact_start_collision_stays_within_the_error_budget(params):
+    # measured 2.47e-5 in 2,357 steps (8.2e-5 at IF_TOL = 3e-6)
+    steps, err = exact_start_error(params, 256, 80.0)
+    assert err <= ERROR_BUDGET, (steps, err)
+
+
+@pytest.mark.parametrize("L, bound", [(80.0, 2e-6), (120.0, 1e-8)])
+def test_oracle_seam_is_far_below_the_budget(params, L, bound):
+    # the solution lives on the line; its value at the seam x = +-L/2 over
+    # the run bounds what periodizing it costs.  Measured at L = 80: 1.1e-9
+    # at -L/2 and 9.1e-7 at +L/2, where the tall wave's front nears it by
+    # 60 s; at L = 120: 2.0e-14
+    seam = max(float(np.max(np.abs(exact(params, [-L / 2, L / 2], t))))
+               for t in np.linspace(0.0, T_END, 51))
+    assert seam <= bound * HEIGHTS[0]
+
+
+def test_error_falls_at_fourth_order_along_the_tolerance_ladder(params, monkeypatch):
+    # measured at N = 384, L = 120 (spatial floor 5.6e-7): 1,395 steps 2.8e-4,
+    # 2,362 steps 2.46e-5, 3,868 steps 2.71e-6, order 4.55 in the step count
+    runs = []
+    for tol in (1e-5, 1e-6, 1e-7):
+        monkeypatch.setattr(evolution, "IF_TOL", tol)
+        runs.append(exact_start_error(params, 384, 120.0))
+    steps, errs = np.array(runs).T
+    assert np.all(np.diff(steps) > 0) and np.all(np.diff(errs) < 0)
+    order = -np.polyfit(np.log(steps), np.log(errs), 1)[0]
+    assert order >= 3.5, runs
+
+
+def test_default_collision_phase_shifts_match_the_closed_form(params, tmp_path, capsys):
+    # Delta_tall = D / kappa_1 = +2.43479 m and Delta_short = -D / kappa_2 =
+    # -3.84974 m, D = log((kappa_1 + kappa_2) / (kappa_1 - kappa_2)); measured
+    # +2.43645 m (1.7e-3 off, from the sum-of-sech^2 start) and -3.84977 m
+    # (3.7e-5 off) in 2,322 steps
+    out = tmp_path / "ts"
+    assert main(["scenario", "two_soliton", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    manifest = dict(line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    sigma = dispersion_sigma(params)  # the command's default channel
+    k1, k2 = (math.sqrt(h / (4.0 * sigma)) for h in HEIGHTS)
+    D = math.log((k1 + k2) / (k1 - k2))
+    assert abs(float(manifest["result.phase_shift_tall"]) - D / k1) <= 5e-3
+    assert abs(float(manifest["result.phase_shift_short"]) + D / k2) <= 1e-3
+    assert int(manifest["result.steps"]) <= 2400
+
+
+def test_moving_frame_is_the_fixed_frame_translated(params):
+    # the moving frame at alpha = 0 runs at sqrt(gH): the same steps at the same
+    # times, and snapshots within 4.9e-13 m once shifted by sqrt(gH) t
+    grid = PeriodicGrid(L=80.0, N=256)
+    field0 = sech_sq_start(params, grid)
+    moving = evolve(field0, params, SchemeConfig(frame="moving", alpha=0.0, t_end=T_END),
+                    record_invariants=False)
+    fixed = evolve(field0, params, SchemeConfig(frame="fixed", t_end=T_END),
+                   record_invariants=False)
+    assert moving.steps == fixed.steps and moving.times == fixed.times
+    c0 = math.sqrt(params.g * params.H)
+    for t, a, b in zip(moving.times, moving.snapshots, fixed.snapshots):
+        assert np.max(np.abs(fourier_shift(a.h, grid.L, c0 * t) - b.h)) <= 1e-11
+
+
+@pytest.mark.parametrize("frame", ["moving", "fixed"])
+def test_g_scaling_doubles_every_rate_bit_for_bit(frame):
+    # (g, rho, t) -> (4 g, rho / 4, t / 2) keeps sigma, and so the start, and
+    # doubles every rate: the same steps, at half the times, to the last bit
+    grid = PeriodicGrid(L=80.0, N=256)
+    base, scaled = (evolve(sech_sq_start(params, grid), params,
+                           SchemeConfig(frame=frame, t_end=t_end), record_invariants=False)
+                    for params, t_end in ((WATER, T_END),
+                                          (replace(WATER, g=4.0 * WATER.g, rho=WATER.rho / 4.0),
+                                           T_END / 2.0)))
+    assert scaled.steps == base.steps
+    assert scaled.times == [t / 2.0 for t in base.times]
+    assert all(same_bits(a.h, b.h) for a, b in zip(base.snapshots, scaled.snapshots))
