@@ -16,6 +16,7 @@ from .evolution import (
     SteepeningVerdict,
     boussinesq_rhs,
     crest_position,
+    crest_position_rows,
     deformation_rate_closed_form,
     evolve,
     factorization_residual,
@@ -30,12 +31,14 @@ from .evolution import (
 from .invariants import (
     InvariantSet,
     boussinesq_energy,
+    boussinesq_energy_rows,
     canonical_epsilon,
     compute_invariants,
     conservation_drift,
     critical_point_residual,
     hamiltonian_flow_rhs,
     hamiltonian_functional,
+    invariant_rows,
     variational_derivative,
 )
 from .model import (

@@ -120,7 +120,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .elliptic import sech_sq
-from .invariants import InvariantSet, boussinesq_energy, compute_invariants
+# boussinesq_energy and compute_invariants are unused here but kept: bench/tracing.py wraps them
+from .invariants import (InvariantSet, boussinesq_energy, boussinesq_energy_rows,
+                         compute_invariants, invariant_rows)
 from .model import PeriodicGrid, PhysicalParams, WaveField, dispersion_sigma
 from .operators import check_scheme, derivative_symbols, diff, irfft, rfft, wavenumbers
 
@@ -141,6 +143,7 @@ __all__ = [
     "front_slope_change",
     "factorization_residual",
     "crest_position",
+    "crest_position_rows",
     "fit_speed",
 ]
 
@@ -290,9 +293,12 @@ def _symbols_for(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfi
 
 
 def _grid_rhs(lin: np.ndarray, flux: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """irfft(lin * rfft(h) + flux * rfft(h^2)) over the band of lin, from samples h."""
+    """irfft(lin * rfft(h) + flux * rfft(h^2)) over the band of lin, from samples h.
+
+    h is one row of samples or a stack of them (..., N), each row transformed alone.
+    """
     J = lin.size
-    return irfft(lin * rfft(h)[:J] + flux * rfft(h * h)[:J], h.size)
+    return irfft(lin * rfft(h)[..., :J] + flux * rfft(h * h)[..., :J], h.shape[-1])
 
 
 def kdv_rhs(field: WaveField, params: PhysicalParams,
@@ -647,12 +653,17 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     projected onto the band once: the first snapshot is the initial state
     as given, later ones carry no modes above the band.  The start, before
     anything is built, and every accepted step are checked for blow-up.
-    A bidirectional run's invariant sets are taken at T = 0, as its
-    equation is pure gravity (and so defined at the critical depth).
-    Snapshots, invariant sets, and observer callbacks fire at the
-    endpoints and every sample_every accepted steps; by default at ~50
-    samples per run (RK4: every nsteps // 50 steps; IF: at t_end k/50,
-    k = 1..50).  Observers receive (t, snapshot) and must not mutate it.
+    Snapshots and observer callbacks fire at the endpoints and every
+    sample_every accepted steps; by default at ~50 samples per run (RK4:
+    every nsteps // 50 steps; IF: at t_end k/50, k = 1..50).  Observers
+    receive (t, snapshot) and must not mutate it.  With
+    record_invariants, each snapshot's invariant set (and a pair's
+    energy) is evaluated after the run, in one pass over the stacked
+    snapshots (invariant_rows, boussinesq_energy_rows), with h_t the
+    run's own right-hand side on its band (_grid_rhs over the stack) or,
+    for a pair, the sampled v.  A bidirectional run's invariant sets are
+    taken at T = 0, as its equation is pure gravity (and so defined at
+    the critical depth).
     result.dt is the mean step t_end / steps, and result.band the least
     and greatest number of rfft modes stepped (a fixed band's size twice).
     """
@@ -682,13 +693,6 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
 
     def sample(t: float, y: np.ndarray) -> None:
         snap = _pack(grid, y, t, bidirectional)
-        if record_invariants:
-            h_t = y[1] if bidirectional else _grid_rhs(lin, flux, y[0])
-            result.invariants.append(compute_invariants(
-                snap[0] if bidirectional else snap, invariant_params, scheme=config.deriv,
-                h_t=h_t))
-            if bidirectional:
-                result.energy.append(boussinesq_energy(*snap, params))
         result.times.append(t)
         result.snapshots.append(snap)
         for obs in observers:
@@ -733,6 +737,15 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
         nsteps = 0
     result.steps = nsteps
     result.dt = config.t_end / nsteps if nsteps else 0.0
+    if record_invariants:
+        # every sample's diagnostics in one pass over the stacked samples
+        snaps = result.snapshots
+        h = np.stack([s[0].h for s in snaps] if bidirectional else [s.h for s in snaps])
+        h_t = np.stack([s[1].h for s in snaps]) if bidirectional else _grid_rhs(lin, flux, h)
+        result.invariants = invariant_rows(h, grid, invariant_params, result.times,
+                                           scheme=config.deriv, h_t=h_t)
+        if bidirectional:
+            result.energy = boussinesq_energy_rows(h, h_t, grid.L, params).tolist()
     return result
 
 
@@ -1005,25 +1018,45 @@ def factorization_residual(field: WaveField, params: PhysicalParams,
 # crest tracking
 # --------------------------------------------------------------------------
 
+def crest_position_rows(h: np.ndarray, grid: PeriodicGrid,
+                        where: np.ndarray | None = None) -> np.ndarray:
+    """crest_position of each row of the (S, N) stack h on grid, in one pass.
+
+    where, if given, is one mask for every row or a stack of them.
+    """
+    N, L = grid.N, grid.L
+    j = np.argmax(h if where is None else np.where(where, h, -np.inf), axis=-1)
+    rows = np.arange(len(h))
+    hm, hc, hp = h[rows, (j - 1) % N], h[rows, j], h[rows, (j + 1) % N]
+    denom = hm + hp - 2.0 * hc
+    delta = np.divide(0.5 * (hm - hp), denom, out=np.zeros_like(denom), where=denom != 0.0)
+    x = (-0.5 * L + grid.dx * j) + delta * grid.dx  # grid.x[j] + delta dx, bit for bit
+    return (x + 0.5 * L) % L - 0.5 * L
+
+
 def crest_position(field: WaveField, where: np.ndarray | None = None) -> float:
     """Sub-grid crest abscissa from a parabola through the discrete maximum.
 
     where (boolean, one entry per grid point) restricts the search for
     the maximum; the parabola still uses that sample's unmasked neighbours.
+    This is the one-row case of crest_position_rows.
     """
-    h = field.h
-    N = field.grid.N
-    j = int(np.argmax(h if where is None else np.where(where, h, -np.inf)))
-    hm, hc, hp = h[(j - 1) % N], h[j], h[(j + 1) % N]
-    denom = hm + hp - 2.0 * hc
-    delta = 0.0 if denom == 0.0 else 0.5 * (hm - hp) / denom
-    x = field.grid.x[j] + delta * field.grid.dx
-    L = field.grid.L
-    return float((x + 0.5 * L) % L - 0.5 * L)
+    return float(crest_position_rows(field.h[None], field.grid, where)[0])
 
 
 def fit_speed(times: Sequence[float], positions: Sequence[float], L: float) -> float:
-    """Least-squares speed of a periodic trajectory [m/s], lifted to a continuous one."""
+    """Least-squares speed of a periodic trajectory [m/s], lifted to a continuous one.
+
+    The line is fitted against the times shifted to the first and divided
+    by their span, so times of any magnitude fit; ValueError unless the
+    span is positive.
+    """
+    t = np.asarray(times, dtype=float)
+    span = float(t[-1] - t[0]) if t.size else 0.0
+    if not span > 0.0:
+        raise ValueError(f"a speed needs sample times that advance, got a span of {span} s")
+    s = (t - t[0]) / span
+    s -= s.mean()
     ang = np.asarray(positions, dtype=float) * (2.0 * np.pi / L)
     x = np.unwrap(ang) * (L / (2.0 * np.pi))
-    return float(np.polyfit(np.asarray(times, dtype=float), x, 1)[0])
+    return float(np.dot(s, x - x.mean()) / np.dot(s, s)) / span

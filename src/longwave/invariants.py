@@ -23,19 +23,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import PhysicalParams, WaveField, dispersion_sigma
+from .model import PeriodicGrid, PhysicalParams, WaveField, dispersion_sigma
 from .operators import antiderivative, diff, integrate
 
 __all__ = [
     "InvariantSet",
     "canonical_epsilon",
     "compute_invariants",
+    "invariant_rows",
     "hamiltonian_functional",
     "variational_derivative",
     "hamiltonian_flow_rhs",
     "critical_point_residual",
     "conservation_drift",
     "boussinesq_energy",
+    "boussinesq_energy_rows",
 ]
 
 #: Relative floor under which drifts are reported in absolute terms.
@@ -75,6 +77,43 @@ def _sigma(params: PhysicalParams) -> float:
     return sigma
 
 
+def invariant_rows(h: np.ndarray, grid: PeriodicGrid, params: PhysicalParams,
+                   times: Sequence[float], epsilon: float | None = None,
+                   scheme: str = "spectral",
+                   h_t: np.ndarray | None = None) -> list[InvariantSet]:
+    """compute_invariants of each row of h, the snapshot at times[i], in one pass.
+
+    h is one row of samples (N,) or a stack of them (S, N), and h_t, if
+    given, holds their time derivatives alike.  Every transform, product
+    and last-axis sum acts on all rows at once and gives each row the
+    bits it gets alone.
+    """
+    if epsilon is None:
+        epsilon = canonical_epsilon(params)
+    L, H = grid.L, params.H
+    dx = L / grid.N
+    hx = diff(h, L, 1, scheme)
+    Q = h.sum(axis=-1) * dx
+    E = (h * h).sum(axis=-1) * dx
+    M = (hx * hx - h ** 3 / _sigma(params)).sum(axis=-1) * dx
+    Hfun = 0.5 * E + epsilon * M
+
+    # four lists of floats, one entry per row, for one row or a stack alike
+    Q, E, M, Hfun = np.array([Q, E, M, Hfun]).reshape(4, -1).tolist()
+    # the centroid of a row with |Q| <= 1e-12 H L is not defined
+    centroid = [abs(q) > 1e-12 * H * L for q in Q]
+    moment = [0.0] * len(Q)
+    if any(centroid):
+        if h_t is None:
+            # deferred: avoids module cycle
+            from .evolution import SchemeConfig, _grid_rhs, _symbols_for
+            h_t = _grid_rhs(*_symbols_for(grid, params, SchemeConfig(deriv=scheme)), h)
+        moment = np.array((grid.x * h_t).sum(axis=-1) * dx, ndmin=1).tolist()
+    # Q is conserved by the flux form, so d/dt(centroid) = int x h_t / Q
+    return [InvariantSet(Q=q, E=e, M=m, Hfun=hf, xg_dot=xq / q if c else None, t=t)
+            for q, e, m, hf, xq, c, t in zip(Q, E, M, Hfun, moment, centroid, times)]
+
+
 def compute_invariants(field: WaveField, params: PhysicalParams,
                        epsilon: float | None = None, scheme: str = "spectral",
                        h_t: np.ndarray | None = None) -> InvariantSet:
@@ -87,27 +126,10 @@ def compute_invariants(field: WaveField, params: PhysicalParams,
     unidirectional RHS is used.  xg_dot is absent when
     |Q| <= 1e-12 * H * L.  The centroid uses the grid chart
     [-L/2, L/2), so its value is meaningful only while the wave's
-    support stays clear of the periodic seam.
+    support stays clear of the periodic seam.  This is the one-row case
+    of invariant_rows.
     """
-    if epsilon is None:
-        epsilon = canonical_epsilon(params)
-    grid = field.grid
-    h = field.h
-    L, H = grid.L, params.H
-    hx = diff(h, L, 1, scheme)
-    Q = integrate(h, L)
-    E = integrate(h * h, L)
-    M = integrate(hx * hx - h ** 3 / _sigma(params), L)
-    Hfun = 0.5 * E + epsilon * M
-
-    xg_dot = None
-    if abs(Q) > 1e-12 * H * L:
-        if h_t is None:
-            from .evolution import SchemeConfig, kdv_rhs  # deferred: avoids module cycle
-            h_t = kdv_rhs(field, params, SchemeConfig(deriv=scheme, frame="fixed"))
-        # Q is conserved by the flux form, so d/dt(centroid) = int x h_t / Q
-        xg_dot = integrate(grid.x * h_t, L) / Q
-    return InvariantSet(Q=Q, E=E, M=M, Hfun=Hfun, xg_dot=xg_dot, t=field.t)
+    return invariant_rows(field.h, field.grid, params, [field.t], epsilon, scheme, h_t)[0]
 
 
 def hamiltonian_functional(field: WaveField, params: PhysicalParams,
@@ -183,6 +205,16 @@ def conservation_drift(series: Sequence[InvariantSet]) -> dict[str, float]:
     return out
 
 
+def boussinesq_energy_rows(h: np.ndarray, v: np.ndarray, L: float,
+                           params: PhysicalParams) -> np.ndarray:
+    """boussinesq_energy of each row pair of h and v, one row (N,) or a stack (S, N) each."""
+    g, H = params.g, params.H
+    w = antiderivative(v, L)
+    hx = diff(h, L, 1)
+    dens = 0.5 * w * w + 0.5 * g * H * h * h + 0.5 * g * h ** 3 - g * H ** 3 / 6.0 * hx * hx
+    return dens.sum(axis=-1) * (L / h.shape[-1])
+
+
 def boussinesq_energy(h_field: WaveField, v_field: WaveField,
                       params: PhysicalParams) -> float:
     """Conserved energy of the bidirectional model in first-order form.
@@ -191,14 +223,9 @@ def boussinesq_energy(h_field: WaveField, v_field: WaveField,
     w the periodic antiderivative of v = h_t.  v must be (numerically)
     zero-mean, which the bidirectional RHS preserves.  Not sign-definite:
     the model is only well-posed on low wavenumbers.  Pure gravity, as the
-    bidirectional equation is: T does not enter.
+    bidirectional equation is: T does not enter.  This is the one-row
+    case of boussinesq_energy_rows.
     """
     if h_field.grid != v_field.grid:
         raise ValueError("h and v fields must share a grid")
-    g, H = params.g, params.H
-    L = h_field.grid.L
-    h, v = h_field.h, v_field.h
-    w = antiderivative(v, L)
-    hx = diff(h, L, 1)
-    dens = 0.5 * w * w + 0.5 * g * H * h * h + 0.5 * g * h ** 3 - g * H ** 3 / 6.0 * hx * hx
-    return integrate(dens, L)
+    return float(boussinesq_energy_rows(h_field.h, v_field.h, h_field.grid.L, params))

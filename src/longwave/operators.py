@@ -54,7 +54,13 @@ def irfft(z: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def wavenumbers(N: int, L: float) -> np.ndarray:
-    """Non-negative rfft wavenumbers 2*pi*j/L, j = 0..N/2 (read-only)."""
+    """Non-negative rfft wavenumbers 2*pi*j/L, j = 0..N/2 (read-only).
+
+    ValueError when L / N is so small that the largest, pi N / L, overflows.
+    """
+    if not L / N > 4.0 / sys.float_info.max:
+        raise ValueError(f"L = {L!r} m is too short for N = {N} points: "
+                         "its wavenumbers overflow")
     k = 2.0 * np.pi * np.fft.rfftfreq(N, L / N)
     k.setflags(write=False)
     return k
@@ -98,7 +104,7 @@ def derivative_symbols(N: int, L: float,
 
 
 def diff(h: np.ndarray, L: float, order: int = 1, scheme: str = "spectral") -> np.ndarray:
-    """order-th spatial derivative (order 1 or 2) of periodic samples."""
+    """order-th spatial derivative (order 1 or 2) of periodic samples, over the last axis."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     N = h.shape[-1]
@@ -107,7 +113,7 @@ def diff(h: np.ndarray, L: float, order: int = 1, scheme: str = "spectral") -> n
 
 
 def antiderivative(f: np.ndarray, L: float, scheme: str = "spectral") -> np.ndarray:
-    """Periodic antiderivative of the zero-mean part of f.
+    """Periodic antiderivative of the zero-mean part of f, over its last axis.
 
     The mean of f is discarded (a nonzero mean has no periodic
     antiderivative); the result has zero mean itself and is defined up to
@@ -115,18 +121,18 @@ def antiderivative(f: np.ndarray, L: float, scheme: str = "spectral") -> np.ndar
     """
     check_scheme(scheme)
     N = f.shape[-1]
-    g = f - f.mean()
+    g = f - f.mean(axis=-1, keepdims=True)
     if scheme == "spectral":
         d1 = derivative_symbols(N, L, scheme)[0]
         gh = rfft(g)
         out = np.zeros_like(gh)
-        out[1:-1] = gh[1:-1] / d1[1:-1]
+        out[..., 1:-1] = gh[..., 1:-1] / d1[1:-1]
         return irfft(out, N)
     # trapezoid cumulative sum, a quadrature with no derivative symbol
     # (constants drop out after recentering)
     dx = L / N
-    F = (np.cumsum(g) - 0.5 * g) * dx
-    return F - F.mean()
+    F = (np.cumsum(g, axis=-1) - 0.5 * g) * dx
+    return F - F.mean(axis=-1, keepdims=True)
 
 
 def lowpass(h: np.ndarray, L: float, k_cut: float) -> np.ndarray:

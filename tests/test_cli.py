@@ -19,6 +19,7 @@ from longwave import (
     dispersion_sigma,
     solitary_field,
     solitary_profile,
+    solitary_speed,
 )
 from longwave import SchemeConfig, cli, conservation_drift, evolve, stable_dt
 from longwave.cli import (
@@ -578,6 +579,26 @@ class TestSubcommands:
             capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["evolve", "--ic", "solitary"],
+                                      ["scenario", "solitary_transit"]])
+    def test_crest_speed_at_a_subnormal_gravity_is_the_formula(self, tmp_path, argv):
+        # a transit at g = 1e-320 lasts about 1e162 s; the fit must not overflow
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out), "--set", "grid.N=256",
+                     "--set", "physical.g=1e-320"]) == EXIT_OK
+        manifest = _manifest(out)
+        speed = float(manifest.get("result.speed_measured", manifest.get("result.crest_speed")))
+        formula = solitary_speed(SolitarySpec(h0=0.1, sigma=1.0 / 3.0, H=1.0, g=1e-320))
+        assert speed == pytest.approx(formula, rel=1e-2)
+
+    def test_crest_at_rest_in_its_frame_has_zero_speed(self, tmp_path):
+        # the moving frame at alpha = -h0/2 carries the solitary wave with it
+        out = tmp_path / "out"
+        assert main(["evolve", "--ic", "solitary", "--out", str(out), "--set", "grid.N=128",
+                     "--set", "grid.L=60", "--set", "scheme.t_end=2.0",
+                     "--set", "scheme.frame=moving", "--set", "scheme.alpha=-0.05"]) == EXIT_OK
+        assert abs(float(_manifest(out)["result.crest_speed"])) < 1e-6
+
     def test_evolve_centered4_passthrough(self, tmp_path):
         out = tmp_path / "run4"
         rc = main(["evolve", "--ic", "solitary", "--out", str(out),
@@ -791,6 +812,14 @@ OUT_OF_RANGE = [
        f"L = 1e-300 m is too short for N = {N} points: its derivative symbols overflow")
       for command, N in ((["evolve"], 1024), (["scenario", "two_soliton"], 256),
                          (["scenario", "boussinesq_demo"], 1024))],
+    # and so short that its wavenumbers overflow
+    (["scenario", "boussinesq_demo", "--set", "grid.L=1e-320"], EXIT_USAGE,
+     "L = 1e-320 m is too short for N = 1024 points: its wavenumbers overflow"),
+    # runs too short for the crest positions' roundoff to resolve a speed
+    *[([*command, "--set", f"scheme.t_end={t_end}"], EXIT_USAGE,
+       f"'scheme.t_end' is too short for a crest speed: over a run of {t_end} s")
+      for command in (["scenario", "solitary_transit"], ["evolve", "--ic", "solitary"])
+      for t_end in ("1e-300", "1e-320")],
     (["stability", "--hbar", "0.1", "--p-ratio", "1e150", "--cross-check"], EXIT_USAGE,
      "p = 2.7386127875258307e+149 1/m: L = 1.1684747893443543e-148 m over N = 512 points "
      "leaves the equation's Fourier symbols not finite"),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 import warnings
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from longwave import (
     WATER,
     BlowUpError,
+    CnoidalSpec,
     DeformationSpec,
     PeriodicGrid,
     PhysicalParams,
@@ -15,16 +17,21 @@ from longwave import (
     SolitarySpec,
     SteepeningVerdict,
     WaveField,
+    boussinesq_energy,
     boussinesq_rhs,
+    cnoidal_field,
+    compute_invariants,
     conservation_drift,
     critical_depth,
     crest_position,
+    crest_position_rows,
     deformation_rate_closed_form,
     dispersion_sigma,
     evolve,
     factorization_residual,
     fit_speed,
     front_slope_change,
+    grid_for_cnoidal,
     kdv_rhs,
     solitary_field,
     solitary_profile,
@@ -34,7 +41,7 @@ from longwave import (
     step_ifrk4,
     step_rk4,
 )
-from longwave import evolution
+from longwave import evolution, operators
 from longwave.operators import diff, fourier_shift, lowpass, wavenumbers
 from conftest import same_bits, smooth_random_fields
 
@@ -1277,6 +1284,122 @@ class TestCrestTracking:
         times = np.linspace(0.0, 10.0, 21)
         pos = (3.0 * times + L / 2) % L - L / 2  # wraps several times
         assert fit_speed(times, pos, L) == pytest.approx(3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e162, 1e300])
+    def test_fit_speed_at_any_time_scale(self, scale):
+        # the line is fitted against times shifted and divided by their span,
+        # so neither a huge nor a tiny time overflows the fit (or warns)
+        L = 40.0
+        times = scale * (7.0 + np.linspace(0.0, 10.0, 21))
+        pos = (3.0 / scale * times + L / 2) % L - L / 2
+        assert fit_speed(times, pos, L) == pytest.approx(3.0 / scale, rel=1e-12)
+
+    def test_fit_speed_of_a_crest_at_rest_is_zero(self):
+        assert fit_speed([0.0, 1.0, 2.0], [1.5, 1.5, 1.5], 40.0) == 0.0
+
+    @pytest.mark.parametrize("times", [[], [1.0], [2.0, 2.0], [3.0, 1.0]])
+    def test_fit_speed_needs_times_that_advance(self, times):
+        with pytest.raises(ValueError, match="a speed needs sample times that advance"):
+            fit_speed(times, [0.0] * len(times), 40.0)
+
+
+def _transit_run(params):
+    spec, grid, field = solitary_case(params)
+    return field, params, SchemeConfig(t_end=grid.L / solitary_speed(spec))
+
+
+def _collision_run(params):
+    grid = PeriodicGrid(L=80.0, N=256)
+    specs = [SolitarySpec(h0=h0, sigma=SIGMA0, H=params.H, g=params.g) for h0 in (0.5, 0.2)]
+    h = sum(solitary_profile(s, grid.x - x0) for s, x0 in zip(specs, (-22.0, -4.0)))
+    return WaveField(grid, h), params, SchemeConfig(frame="moving", alpha=0.0, t_end=20.0)
+
+
+def _capillary_run(params):
+    spec = SolitarySpec(h0=0.1, sigma=dispersion_sigma(WATER), H=WATER.H, g=WATER.g)
+    grid = PeriodicGrid(L=80.0, N=256)
+    return solitary_field(spec, grid), WATER, SchemeConfig(t_end=5.0)
+
+
+def _cnoidal_run(params):
+    spec = CnoidalSpec(k=0.1, l=0.1, sigma=SIGMA0, H=params.H, g=params.g)
+    field = cnoidal_field(spec, grid_for_cnoidal(spec, 4, 256), zero_mean=True)
+    return field, params, SchemeConfig(t_end=5.0)
+
+
+def _pair_run(params):
+    # the pair's invariant sets are taken at T = 0, its energy is pure gravity
+    spec = SolitarySpec(h0=0.1, sigma=SIGMA0, H=params.H, g=params.g)
+    grid = PeriodicGrid(L=120.0, N=256)
+    h = lowpass(solitary_profile(spec, grid.x), grid.L, 0.5 * math.sqrt(3.0))
+    v = -solitary_speed(spec) * diff(h, grid.L, 1)
+    return (WaveField(grid, h), WaveField(grid, v)), WATER, SchemeConfig(t_end=5.0)
+
+
+class TestBatchedDiagnostics:
+    @pytest.mark.parametrize("run", [_transit_run, _collision_run, _capillary_run,
+                                     _cnoidal_run, _pair_run],
+                             ids=["transit", "collision", "capillary", "cnoidal", "pair"])
+    def test_stacked_diagnostics_match_the_one_row_path_bit_for_bit(self, params, run):
+        initial, run_params, config = run(params)
+        pair = isinstance(initial, tuple)
+        res = evolve(initial, run_params, config)
+        fields = [s[0] if pair else s for s in res.snapshots]
+        grid = fields[0].grid
+        # the one-row path: each snapshot alone, with the h_t evolve samples
+        if pair:
+            h_ts = [s[1].h for s in res.snapshots]
+            one_row = [compute_invariants(f, replace(run_params, T=0.0), h_t=h_t)
+                       for f, h_t in zip(fields, h_ts)]
+            energies = [boussinesq_energy(*s, run_params) for s in res.snapshots]
+            assert same_bits(np.array(res.energy), np.array(energies))
+        else:
+            lin, flux = evolution._symbols(grid, run_params, config, False)
+            one_row = [compute_invariants(f, run_params, h_t=evolution._grid_rhs(lin, flux, f.h))
+                       for f in fields]
+
+        def bits(series):
+            return np.array([[s.Q, s.E, s.M, s.Hfun, s.t, 0.0 if s.xg_dot is None else s.xg_dot]
+                             for s in series])
+
+        assert len(res.invariants) == len(fields) == 51
+        assert same_bits(bits(res.invariants), bits(one_row))
+        assert [s.xg_dot is None for s in res.invariants] == [s.xg_dot is None for s in one_row]
+        if run is _cnoidal_run:  # zero mean: no centroid anywhere
+            assert all(s.xg_dot is None for s in res.invariants)
+
+        h = np.stack([f.h for f in fields])
+        where = np.arange(grid.N) % 3 != 0
+        assert same_bits(crest_position_rows(h, grid), np.array([crest_position(f) for f in fields]))
+        assert same_bits(crest_position_rows(h, grid, where),
+                         np.array([crest_position(f, where) for f in fields]))
+
+    def test_invariants_cost_a_fixed_number_of_transforms_per_run(self, params, monkeypatch):
+        # a run's invariants are one batched pass, so the transforms they add
+        # do not grow with the number of samples
+        calls = []
+        for module in (operators, evolution):
+            for name in ("rfft", "irfft"):
+                def counted(*args, _fn=getattr(module, name), **kwargs):
+                    calls.append(1)
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+        spec, grid, field = solitary_case(params, N=128, L=60.0)
+        config = SchemeConfig(t_end=40.0)
+
+        def transforms(sample_every, record_invariants):
+            calls.clear()
+            res = evolve(field, params, config, sample_every=sample_every,
+                         record_invariants=record_invariants)
+            return len(calls), len(res.times)
+
+        added, samples = [], []
+        for every in (5, 10):
+            (with_inv, n), (without, _) = transforms(every, True), transforms(every, False)
+            added.append(with_inv - without)
+            samples.append(n)
+        assert samples[0] > samples[1] + 5
+        assert added[0] == added[1]
 
 
 class TestSchemeConfigValidation:

@@ -124,6 +124,13 @@ class TestDiff:
         with pytest.raises(ValueError, match="scheme"):
             diff(h, 1.0, 1, "upwind")
 
+    @pytest.mark.parametrize("L", [1e-320, 1e-306])
+    def test_wavenumbers_that_overflow_name_L_and_N(self, L):
+        with pytest.raises(ValueError, match=f"L = {L!r} m is too short for N = 256 points: "
+                                             "its wavenumbers overflow"):
+            wavenumbers(256, L)
+        assert np.isfinite(wavenumbers(256, 1e-300)).all()
+
 
 def two_pass_boussinesq(h, v, params, config, grid):
     """(h_t, h_tt) as d2(w) with w = gH h + 1.5 g h^2 + (g H^3/3) h_xx, then the low-pass."""
