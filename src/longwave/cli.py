@@ -585,8 +585,8 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
         raise ValueError("'scenario.mode_index' must name a mode the filter keeps, "
                          f"1 to {j_max}, got {j}")
     for key in ("scenario.mode_amp", "scenario.noise_amp"):
-        if not cfg.fnum(key):
-            raise ValueError(f"{key!r} must be nonzero")
+        if not (cfg.fnum(key) and math.isfinite(cfg.fnum(key))):
+            raise ValueError(f"{key!r} must be nonzero and finite, got {cfg.fnum(key)}")
     # the frequency fit divides by the mode's squared amplitude, the drift by E(0)
     amp = cfg.fnum("scenario.mode_amp") * H
     if not _is_normal(amp * amp):
@@ -611,10 +611,15 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     spec, omega = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
     cut = cfg.fnum("scenario.solitary_filter_cut")
     schemeS = replace(filtered, filter_cut=cut, t_end=30.0)
-    # part (b)'s start is built here, so a grid.L too short for its slope stops before (a)
+    # part (b)'s start is built here, so a grid.L too short for its slope, or an h0
+    # whose start overflows, stops before (a)
     gridS = cfg.grid
-    hs = lowpass(solitary_profile(spec, gridS.x), gridS.L, cut * math.sqrt(3.0) / H)
-    vs = -omega * diff(hs, gridS.L, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        hs = lowpass(solitary_profile(spec, gridS.x), gridS.L, cut * math.sqrt(3.0) / H)
+        vs = -omega * diff(hs, gridS.L, 1)
+    if not (np.isfinite(hs).all() and np.isfinite(vs).all()):
+        raise ValueError(f"'scenario.h0' = {spec.h0} m leaves part (b)'s starting h and "
+                         "v = -omega h_x not finite")
 
     # (a) one low linear mode: measured oscillation frequency
     cosk = np.cos(k0 * grid.x)

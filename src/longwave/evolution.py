@@ -115,7 +115,7 @@ import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -557,13 +557,9 @@ def _pack(grid: PeriodicGrid, y: np.ndarray, t: float, bidirectional: bool):
     return WaveField(grid, y[0], t)
 
 
-def _step(state, params: PhysicalParams, config: SchemeConfig, integrator: str,
-          dt: float | None):
+def _step(state, params: PhysicalParams, config: SchemeConfig, integrator: str, dt: float):
     """One step of evolve's band stepper; state is projected onto the band first."""
     bidirectional, grid, t, y = _unpack(state)
-    if dt is None:
-        dt = config.dt or stable_dt(grid, params, config,
-                                    "boussinesq" if bidirectional else "kdv")
     lin, _, step = _band_run(grid, params, config, bidirectional, integrator)
     z = rfft(y)[:, :lin.size]
     z = step(z, dt) if integrator == "rk4" else step(z, None, dt)[0]
@@ -572,18 +568,17 @@ def _step(state, params: PhysicalParams, config: SchemeConfig, integrator: str,
     return _pack(grid, y, t + dt, bidirectional)
 
 
-def step_rk4(state, params: PhysicalParams, config: SchemeConfig,
-             dt: float | None = None):
+def step_rk4(state, params: PhysicalParams, config: SchemeConfig, dt: float):
     """One classical RK4 step of the appropriate dynamics.
 
     state is a WaveField (unidirectional) or an (h, v) pair of
     WaveFields (bidirectional); the advanced state of the same kind is
-    returned with time moved by dt (default: config.dt, else the
-    advisory step).  This is evolve's explicit-dt step: the state is
-    projected onto its band first (the 2/3-rule band, rfft modes j with
-    3j < N, for a WaveField; the retained band for a pair) and stepped
-    there, so the result has no content above it.  Raises BlowUpError
-    when the solution leaves the model's validity range.
+    returned with time moved by dt (stable_dt gives the advisory step).
+    This is evolve's explicit-dt step: the state is projected onto its
+    band first (the 2/3-rule band, rfft modes j with 3j < N, for a
+    WaveField; the retained band for a pair) and stepped there, so the
+    result has no content above it.  Raises BlowUpError when the
+    solution leaves the model's validity range.
     """
     return _step(state, params, config, "rk4", dt)
 
@@ -626,8 +621,7 @@ class EvolutionResult:
 
 
 def evolve(initial, params: PhysicalParams, config: SchemeConfig,
-           observers: Sequence[Callable] = (), sample_every: int | None = None,
-           record_invariants: bool = True) -> EvolutionResult:
+           sample_every: int | None = None, record_invariants: bool = True) -> EvolutionResult:
     """Integrate to config.t_end, sampling snapshots and invariants.
 
     initial is a WaveField or an (h, v) WaveField pair.  Every run steps
@@ -653,15 +647,14 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     projected onto the band once: the first snapshot is the initial state
     as given, later ones carry no modes above the band.  The start, before
     anything is built, and every accepted step are checked for blow-up.
-    Snapshots and observer callbacks fire at the endpoints and every
-    sample_every accepted steps; by default at ~50 samples per run (RK4:
-    every nsteps // 50 steps; IF: at t_end k/50, k = 1..50).  Observers
-    receive (t, snapshot) and must not mutate it.  With
-    record_invariants, each snapshot's invariant set (and a pair's
-    energy) is evaluated after the run, in one pass over the stacked
-    snapshots (invariant_rows, boussinesq_energy_rows), with h_t the
-    run's own right-hand side on its band (_grid_rhs over the stack) or,
-    for a pair, the sampled v.  A bidirectional run's invariant sets are
+    Snapshots are taken at the endpoints and every sample_every accepted
+    steps; by default at ~50 samples per run (RK4: every nsteps // 50
+    steps; IF: at t_end k/50, k = 1..50).  With record_invariants, each
+    snapshot's invariant set (and a pair's energy) is evaluated after the
+    run, in one pass over the stacked snapshots (invariant_rows,
+    boussinesq_energy_rows), with h_t the run's own right-hand side on
+    its band (_grid_rhs over the stack) or, for a pair, the sampled v.
+    A bidirectional run's invariant sets are
     taken at T = 0, as its equation is pure gravity (and so defined at
     the critical depth).
     result.dt is the mean step t_end / steps, and result.band the least
@@ -692,11 +685,8 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     invariant_params = replace(params, T=0.0) if bidirectional else params
 
     def sample(t: float, y: np.ndarray) -> None:
-        snap = _pack(grid, y, t, bidirectional)
         result.times.append(t)
-        result.snapshots.append(snap)
-        for obs in observers:
-            obs(t, snap)
+        result.snapshots.append(_pack(grid, y, t, bidirectional))
 
     # (2/N) sum_j |h_j| bounds max|h| from above, so h is formed on the grid
     # and checked exactly only on the steps where that bound reaches the
@@ -829,8 +819,10 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, t: float,
     u = iso * z
     size = math.sqrt(np.vdot(u, u).real)
     tol = IF_TOL * size
-    # the flux changes h (unidirectional) or v (bidirectional), unit weight both
-    rate = np.linalg.norm(flux * rfft(y[0] * y[0])[:J]) / size if size else 0.0
+    # the flux changes h (unidirectional) or v (bidirectional), unit weight both;
+    # a rate that overflows wants a zero first step, which the MAX_STEPS check reports
+    with np.errstate(over="ignore"):
+        rate = np.linalg.norm(flux * rfft(y[0] * y[0])[:J]) / size if size else 0.0
     want = min(0.01 / rate if rate else math.inf, beat_limit(z))
     n, i, rejected, r_prev = None, 0, 0, 1.0
     for stop in stops:

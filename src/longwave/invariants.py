@@ -7,8 +7,10 @@ and the centre-of-gravity velocity, where sigma = H^3/3 - T H/(rho g) is
 the dispersion parameter of the unidirectional equation
 (dispersion_sigma).  With the canonical scale eps = -sigma/(4H) the
 Hamiltonian flow -sqrt(gH) d/dx dHfun/dh reproduces the unidirectional
-evolution equation exactly; the operation accepts any eps so the
-identity can be demonstrated rather than assumed.  The Hamiltonian, its
+evolution equation exactly; the Hamiltonian, its variational derivative
+and its flow accept any eps so the identity can be demonstrated rather
+than assumed, while the invariant sets (compute_invariants,
+invariant_rows) take Hfun at the canonical eps.  The Hamiltonian, its
 variational derivative, its flow and the critical-point certificate
 differentiate spectrally.  At the critical depth sigma = 0 the equation
 has no dispersion and M does not exist: every function that divides by
@@ -78,25 +80,22 @@ def _sigma(params: PhysicalParams) -> float:
 
 
 def invariant_rows(h: np.ndarray, grid: PeriodicGrid, params: PhysicalParams,
-                   times: Sequence[float], epsilon: float | None = None,
-                   scheme: str = "spectral",
-                   h_t: np.ndarray | None = None) -> list[InvariantSet]:
+                   times: Sequence[float], scheme: str, h_t: np.ndarray) -> list[InvariantSet]:
     """compute_invariants of each row of h, the snapshot at times[i], in one pass.
 
-    h is one row of samples (N,) or a stack of them (S, N), and h_t, if
-    given, holds their time derivatives alike.  Every transform, product
-    and last-axis sum acts on all rows at once and gives each row the
-    bits it gets alone.
+    h is one row of samples (N,) or a stack of them (S, N), and h_t holds
+    their time derivatives alike; h_x is taken with the derivative
+    scheme, and Hfun at the canonical eps.  Every transform, product and
+    last-axis sum acts on all rows at once and gives each row the bits
+    it gets alone.
     """
-    if epsilon is None:
-        epsilon = canonical_epsilon(params)
     L, H = grid.L, params.H
     dx = L / grid.N
     hx = diff(h, L, 1, scheme)
     Q = h.sum(axis=-1) * dx
     E = (h * h).sum(axis=-1) * dx
     M = (hx * hx - h ** 3 / _sigma(params)).sum(axis=-1) * dx
-    Hfun = 0.5 * E + epsilon * M
+    Hfun = 0.5 * E + canonical_epsilon(params) * M
 
     # four lists of floats, one entry per row, for one row or a stack alike
     Q, E, M, Hfun = np.array([Q, E, M, Hfun]).reshape(4, -1).tolist()
@@ -104,32 +103,29 @@ def invariant_rows(h: np.ndarray, grid: PeriodicGrid, params: PhysicalParams,
     centroid = [abs(q) > 1e-12 * H * L for q in Q]
     moment = [0.0] * len(Q)
     if any(centroid):
-        if h_t is None:
-            # deferred: avoids module cycle
-            from .evolution import SchemeConfig, _grid_rhs, _symbols_for
-            h_t = _grid_rhs(*_symbols_for(grid, params, SchemeConfig(deriv=scheme)), h)
         moment = np.array((grid.x * h_t).sum(axis=-1) * dx, ndmin=1).tolist()
     # Q is conserved by the flux form, so d/dt(centroid) = int x h_t / Q
     return [InvariantSet(Q=q, E=e, M=m, Hfun=hf, xg_dot=xq / q if c else None, t=t)
             for q, e, m, hf, xq, c, t in zip(Q, E, M, Hfun, moment, centroid, times)]
 
 
-def compute_invariants(field: WaveField, params: PhysicalParams,
-                       epsilon: float | None = None, scheme: str = "spectral",
-                       h_t: np.ndarray | None = None) -> InvariantSet:
+def compute_invariants(field: WaveField, params: PhysicalParams) -> InvariantSet:
     """Evaluate all conserved functionals of a field snapshot.
 
-    Quadrature is the periodic rectangle rule.  The centroid velocity is
+    Quadrature is the periodic rectangle rule, derivatives are spectral
+    and Hfun is taken at the canonical eps.  The centroid velocity is
     d/dt [int x h dx / Q] with the time derivative taken through the
-    evolution right-hand side; pass h_t to use the actual dynamics of a
-    run (e.g. the bidirectional model), otherwise the fixed-frame
-    unidirectional RHS is used.  xg_dot is absent when
+    fixed-frame unidirectional right-hand side, kdv_rhs(field, params);
+    evolve evaluates a run's own samples, with the run's scheme and
+    dynamics, through invariant_rows.  xg_dot is absent when
     |Q| <= 1e-12 * H * L.  The centroid uses the grid chart
     [-L/2, L/2), so its value is meaningful only while the wave's
     support stays clear of the periodic seam.  This is the one-row case
     of invariant_rows.
     """
-    return invariant_rows(field.h, field.grid, params, [field.t], epsilon, scheme, h_t)[0]
+    from .evolution import kdv_rhs  # deferred: evolution imports this module
+    return invariant_rows(field.h, field.grid, params, [field.t], "spectral",
+                          kdv_rhs(field, params))[0]
 
 
 def hamiltonian_functional(field: WaveField, params: PhysicalParams,

@@ -1,10 +1,13 @@
 """Spatial differentiation and quadrature on periodic grids.
 
-Two schemes are provided everywhere: Fourier collocation ("spectral",
-the default) and 4th-order centered differences ("centered4", the
+Derivatives come in two schemes: Fourier collocation ("spectral", the
+default) and 4th-order centered differences ("centered4", the
 cross-check scheme), both applied through their exact Fourier symbols
-in derivative_symbols.  The rectangle rule is the quadrature; on a
-torus it is spectrally accurate for smooth integrands.
+in derivative_symbols.  centered4 reaches derivatives and, through
+them, the evolution equations, the invariants of a run and the
+factorization residual; the antiderivative, the low-pass and the shift
+are spectral only.  The rectangle rule is the quadrature; on a torus it
+is spectrally accurate for smooth integrands.
 
 Every transform of the package goes through one pair, rfft and irfft
 below.  They call pocketfft's own kernels (numpy.fft._pocketfft_umath),
@@ -112,27 +115,20 @@ def diff(h: np.ndarray, L: float, order: int = 1, scheme: str = "spectral") -> n
     return irfft(symbol * rfft(h), N)
 
 
-def antiderivative(f: np.ndarray, L: float, scheme: str = "spectral") -> np.ndarray:
-    """Periodic antiderivative of the zero-mean part of f, over its last axis.
+def antiderivative(f: np.ndarray, L: float) -> np.ndarray:
+    """Spectral periodic antiderivative of the zero-mean part of f, over its last axis.
 
     The mean of f is discarded (a nonzero mean has no periodic
     antiderivative); the result has zero mean itself and is defined up to
     the constant the caller anchors.
     """
-    check_scheme(scheme)
     N = f.shape[-1]
     g = f - f.mean(axis=-1, keepdims=True)
-    if scheme == "spectral":
-        d1 = derivative_symbols(N, L, scheme)[0]
-        gh = rfft(g)
-        out = np.zeros_like(gh)
-        out[..., 1:-1] = gh[..., 1:-1] / d1[1:-1]
-        return irfft(out, N)
-    # trapezoid cumulative sum, a quadrature with no derivative symbol
-    # (constants drop out after recentering)
-    dx = L / N
-    F = (np.cumsum(g, axis=-1) - 0.5 * g) * dx
-    return F - F.mean(axis=-1, keepdims=True)
+    d1 = derivative_symbols(N, L)[0]
+    gh = rfft(g)
+    out = np.zeros_like(gh)
+    out[..., 1:-1] = gh[..., 1:-1] / d1[1:-1]
+    return irfft(out, N)
 
 
 def lowpass(h: np.ndarray, L: float, k_cut: float) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Pointwise wave velocity, mean-column velocity closure, and the
 steady-flow pressure-balance residual.
 
-The pointwise velocity formula divides by h, so samples where |h| falls
-below a relative threshold are masked rather than trusted; reductions
-must exclude masked entries.
+Every derivative and antiderivative here is spectral.  The pointwise
+velocity formula divides by h, so samples where |h| falls below a
+relative threshold are masked rather than trusted; reductions must
+exclude masked entries.
 """
 
 from __future__ import annotations
@@ -62,19 +63,19 @@ def _masked(h: np.ndarray) -> np.ndarray:
     return np.abs(h) > MASK_THRESHOLD * peak
 
 
-def omega_pointwise(field: WaveField, params: PhysicalParams,
-                    scheme: str = "spectral") -> MaskedSamples:
+def omega_pointwise(field: WaveField, params: PhysicalParams) -> MaskedSamples:
     """Local wave velocity sqrt(gH) (1 + 3h/(4H) + sigma h_xx/(2Hh)) [m/s].
 
     sigma = dispersion_sigma(params), so at T = 0 the last term is
-    H^2 h_xx/(6h).  Constant exactly on a steady profile of the
-    unidirectional equation; the pointwise variation of a
-    general field is what deforms it.  Entries with |h| below
-    MASK_THRESHOLD * max|h| are masked (the formula is singular at h = 0).
+    H^2 h_xx/(6h); h_xx is the spectral derivative.  Constant exactly on
+    a steady profile of the unidirectional equation; the pointwise
+    variation of a general field is what deforms it.  Entries with |h|
+    below MASK_THRESHOLD * max|h| are masked (the formula is singular at
+    h = 0).
     """
     g, H = params.g, params.H
     h = field.h
-    hxx = diff(h, field.grid.L, 2, scheme)
+    hxx = diff(h, field.grid.L, 2)
     mask = _masked(h)
     omega = np.full(h.shape, np.nan)
     c0 = np.sqrt(g * H)
@@ -85,15 +86,15 @@ def omega_pointwise(field: WaveField, params: PhysicalParams,
 
 
 def omega_from_mass_flux(before: WaveField, after: WaveField,
-                         params: PhysicalParams,
-                         scheme: str = "spectral") -> MaskedSamples:
+                         params: PhysicalParams) -> MaskedSamples:
     """Wave velocity recovered from mass conservation, omega = flux/h.
 
     dh/dt is the two-snapshot difference quotient (centered at the
-    midpoint time) and the flux is its periodic antiderivative anchored
-    at the sample of minimum |h|, the best-conditioned zero of the flux
-    on a torus.  The mean of dh/dt is discarded: mass conservation makes
-    it vanish for genuine evolution pairs.
+    midpoint time) and the flux is its spectral periodic antiderivative
+    (operators.antiderivative), anchored at the sample of minimum |h|,
+    the best-conditioned zero of the flux on a torus.  The mean of dh/dt
+    is discarded: mass conservation makes it vanish for genuine
+    evolution pairs.
     """
     if before.grid != after.grid:
         raise ValueError("snapshots live on different grids")
@@ -102,7 +103,7 @@ def omega_from_mass_flux(before: WaveField, after: WaveField,
         raise ValueError(f"need after.t > before.t, got dt = {dt}")
     h_t = (after.h - before.h) / dt
     h_mid = 0.5 * (before.h + after.h)
-    F = antiderivative(-h_t, before.grid.L, scheme)
+    F = antiderivative(-h_t, before.grid.L)
     j0 = int(np.argmin(np.abs(h_mid)))
     F = F - F[j0]
     mask = _masked(h_mid)

@@ -771,7 +771,7 @@ TOO_MANY_STEPS = [
     *[([*command, "--set", "physical.g=1e300"], EXIT_BLOWUP,
        "would take more than MAX_STEPS = 1e+08 steps")
       for command in (["scenario", "two_soliton"], ["scenario", "steepening"],
-                      ["evolve", "--ic", "cnoidal"])],
+                      ["evolve", "--ic", "cnoidal"], ["scenario", "boussinesq_demo"])],
     (["scenario", "two_soliton", "--set", "scheme.alpha=1e300"], EXIT_BLOWUP,
      "would take more than MAX_STEPS = 1e+08 steps to t = 60 s"),
     (["scenario", "steepening", "--set", "scenario.t_check=1e300"], EXIT_BLOWUP,
@@ -897,6 +897,13 @@ class TestNothingWrittenUnlessTheRunSucceeds:
         (["scenario", "boussinesq_demo", "--set", "scenario.noise_amp=1e200"], EXIT_USAGE,
          "'scenario.noise_amp' and 'physical.g' must leave the filtered noise run a normal "
          "starting energy, got nan J/m"),
+        # a solitary crest whose start overflows, and a noise amplitude that is not finite
+        *[(["scenario", "boussinesq_demo", "--set", f"scenario.h0={h0}"], EXIT_USAGE,
+           f"'scenario.h0' = {float(h0)} m leaves part (b)'s starting h and "
+           "v = -omega h_x not finite") for h0 in ("1e200", "1e300")],
+        *[(["scenario", "boussinesq_demo", "--set", f"scenario.noise_amp={amp}"], EXIT_USAGE,
+           f"'scenario.noise_amp' must be nonzero and finite, got {amp}")
+          for amp in ("inf", "-inf")],
         (["evolve", "--set", "scheme.dt=0.01", "--set", "scheme.t_end=inf"], EXIT_USAGE,
          "t_end must be non-negative and finite, got inf"),
         (["evolve", "--set", "scheme.frame=moving", "--set", "scheme.alpha=nan"], EXIT_USAGE,

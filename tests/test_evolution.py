@@ -20,7 +20,6 @@ from longwave import (
     boussinesq_energy,
     boussinesq_rhs,
     cnoidal_field,
-    compute_invariants,
     conservation_drift,
     critical_depth,
     crest_position,
@@ -32,6 +31,7 @@ from longwave import (
     fit_speed,
     front_slope_change,
     grid_for_cnoidal,
+    invariant_rows,
     kdv_rhs,
     solitary_field,
     solitary_profile,
@@ -344,7 +344,7 @@ class TestBoussinesqBand:
             evolve(big, params, config, record_invariants=False)
         assert exc.value.step == 1 and math.isnan(exc.value.max_abs_h)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as exc:
-            step_rk4(big, params, config)
+            step_rk4(big, params, config, config.dt)
         assert math.isnan(exc.value.max_abs_h)
 
     def test_public_steps_repeat_the_evolve_run(self, params):
@@ -474,12 +474,10 @@ class TestBoussinesqIfrk4:
         c_max = np.max(np.abs(np.diff(om) / np.diff(k)))
         power = (om * np.abs(np.fft.rfft(state[0].h)[:k.size])) ** 2  # v = 0
         limit = 2 * math.sqrt(2) / (c_max * math.sqrt(np.sum(k * k * power) / np.sum(power)))
-        times = []
         res = evolve(state, params, SchemeConfig(t_end=20.0, filter_cut=cut),
-                     record_invariants=False, observers=[lambda t, s: times.append(t)],
-                     sample_every=1)
+                     record_invariants=False, sample_every=1)
         assert res.integrator == "ifrk4"
-        largest = np.diff(times)[:-1].max()  # the last step lands on t_end
+        largest = np.diff(res.times)[:-1].max()  # the last step lands on t_end
         assert limit * 2 ** (-1 / 16) * (1 - 1e-9) <= largest <= limit * (1 + 1e-9)
 
     def test_unfiltered_run_stays_on_rk4(self, params):
@@ -608,10 +606,16 @@ class TestIfrk4:
         monkeypatch.setattr(evolution, "IF_TOL", 100.0)
         monkeypatch.setattr(evolution, "RK4_IMAG_LIMIT", math.inf)
         spec, grid, field = solitary_case(params, h0=0.2, N=128, L=60.0)
-        seen = []
+        seen = []  # (t, max|h|) of every sample, as evolve packs it
+        pack = evolution._pack
+
+        def record(grid, y, t, bidirectional):
+            seen.append((t, np.max(np.abs(y[0]))))
+            return pack(grid, y, t, bidirectional)
+
+        monkeypatch.setattr(evolution, "_pack", record)
         with pytest.raises(BlowUpError) as exc:
             evolve(field, params, SchemeConfig(t_end=50.0), record_invariants=False,
-                   observers=[lambda t, s: seen.append((t, np.max(np.abs(s.h))))],
                    sample_every=1)
         times = [t for t, _ in seen]
         assert len(times) >= 3
@@ -690,10 +694,8 @@ class TestIfrk4:
         # fastest beat over the band the run steps, not the error, sets the
         # step, which turns the fastest stepped mode many times
         spec, grid, field = solitary_case(params, N=1024, L=120.0)
-        times = []
         res = evolve(field, params, SchemeConfig(deriv=scheme, t_end=3.0),
-                     record_invariants=False, observers=[lambda t, s: times.append(t)],
-                     sample_every=1)
+                     record_invariants=False, sample_every=1)
         J = res.band[0]
         assert res.band == (J, J)
         omega = kdv_linear_symbol(params, grid, scheme)[:J].imag
@@ -701,7 +703,7 @@ class TestIfrk4:
         c_max = np.max(np.abs(np.diff(omega) / np.diff(k)))
         power = np.abs(np.fft.rfft(field.h)[:J]) ** 2
         limit = 2 * math.sqrt(2) / (c_max * math.sqrt(np.sum(k * k * power) / np.sum(power)))
-        largest = np.diff(times)[:-1].max()  # the last step lands on t_end
+        largest = np.diff(res.times)[:-1].max()  # the last step lands on t_end
         assert limit * 2 ** (-1 / 16) * (1 - 1e-9) <= largest <= limit * (1 + 1e-9)
         assert largest * np.max(np.abs(omega)) > 4 * 2 * math.pi
 
@@ -761,11 +763,10 @@ class TestIfrk4:
         specB = SolitarySpec(0.2, SIGMA0, params.H, params.g)
         h = solitary_profile(specA, grid.x + 22.0) + solitary_profile(specB, grid.x + 4.0)
         config = SchemeConfig(frame="moving", t_end=60.0)
-        times = []
         res = evolve(WaveField(grid, h), params, config, record_invariants=False,
-                     observers=[lambda t, s: times.append(t)], sample_every=1)
+                     sample_every=1)
         lin = evolution._symbols_for(grid, params, config)[0][:(grid.N + 2) // 3]
-        assert np.diff(times).max() * np.max(np.abs(lin)) > 2 * math.pi
+        assert np.diff(res.times).max() * np.max(np.abs(lin)) > 2 * math.pi
         J = lin.size
         coeffs = np.abs(np.fft.rfft(res.final.h)) / grid.N
         assert coeffs[J:].max() <= 1e-17
@@ -1022,23 +1023,20 @@ class TestEvolve:
         speed = fit_speed(res.times, [crest_position(s) for s in res.snapshots], grid.L)
         assert abs(speed - omega) / omega <= 0.01
 
-    def test_observers_and_sampling(self, params):
+    def test_sampling_every_fifth_step(self, params):
+        # the start, every fifth accepted step and the landing on t_end
         spec, grid, field = solitary_case(params, N=128, L=60.0)
-        seen = []
-        res = evolve(field, params, SchemeConfig(t_end=0.2),
-                     observers=[lambda t, s: seen.append(t)], sample_every=5)
-        assert seen == res.times
+        res = evolve(field, params, SchemeConfig(t_end=0.2), sample_every=5)
+        assert len(res.times) == 1 + res.steps // 5 + (res.steps % 5 != 0)
+        assert [s.t for s in res.snapshots] == res.times == [s.t for s in res.invariants]
         assert res.times[0] == 0.0 and res.times[-1] == pytest.approx(0.2)
 
     @pytest.mark.parametrize("dt", [None, 0.01])
     @pytest.mark.parametrize("sample_every", [0, -1, 2.5])
     def test_sample_every_must_be_a_positive_integer(self, params, dt, sample_every):
         spec, grid, field = solitary_case(params, N=64, L=60.0)
-        seen = []
         with pytest.raises(ValueError, match="sample_every"):
-            evolve(field, params, SchemeConfig(dt=dt, t_end=5.0), sample_every=sample_every,
-                   observers=[lambda t, s: seen.append(t)])
-        assert seen == []
+            evolve(field, params, SchemeConfig(dt=dt, t_end=5.0), sample_every=sample_every)
 
     @pytest.mark.parametrize("pair", [False, True])
     def test_explicit_step_too_small_to_count_is_a_value_error(self, params, pair):
@@ -1046,24 +1044,17 @@ class TestEvolve:
         # not an OverflowError from the step count
         spec, grid, field = solitary_case(params, N=64, L=60.0)
         initial = (field, WaveField(grid, np.zeros(grid.N))) if pair else field
-        seen = []
         with pytest.raises(ValueError, match=r"dt = 1e-320 s .* t_end = 1\.0 s"):
-            evolve(initial, params, SchemeConfig(dt=1e-320, t_end=1.0),
-                   observers=[lambda t, s: seen.append(t)])
-        assert seen == []
+            evolve(initial, params, SchemeConfig(dt=1e-320, t_end=1.0))
 
     def test_advisory_step_past_max_steps_is_a_value_error(self, params):
         # the unfiltered pair steps RK4 at its advisory: 1e300 s of it is more
         # than MAX_STEPS steps, refused before any sample
         grid = PeriodicGrid(L=64.0, N=256)
         zero = WaveField(grid, np.zeros(grid.N))
-        seen = []
         with pytest.raises(ValueError, match=r"dt = \S+ s is too small to reach "
                                              r"t_end = 1e\+300 s in MAX_STEPS"):
-            evolve((zero, zero), params,
-                   SchemeConfig(t_end=1e300, boussinesq_filter=False),
-                   observers=[lambda t, s: seen.append(t)])
-        assert seen == []
+            evolve((zero, zero), params, SchemeConfig(t_end=1e300, boussinesq_filter=False))
 
     def test_dt_advisory_warning(self, params, caplog):
         spec, grid, field = solitary_case(params, N=128, L=60.0)
@@ -1349,13 +1340,15 @@ class TestBatchedDiagnostics:
         # the one-row path: each snapshot alone, with the h_t evolve samples
         if pair:
             h_ts = [s[1].h for s in res.snapshots]
-            one_row = [compute_invariants(f, replace(run_params, T=0.0), h_t=h_t)
+            one_row = [invariant_rows(f.h, grid, replace(run_params, T=0.0), [f.t],
+                                      config.deriv, h_t)[0]
                        for f, h_t in zip(fields, h_ts)]
             energies = [boussinesq_energy(*s, run_params) for s in res.snapshots]
             assert same_bits(np.array(res.energy), np.array(energies))
         else:
             lin, flux = evolution._symbols(grid, run_params, config, False)
-            one_row = [compute_invariants(f, run_params, h_t=evolution._grid_rhs(lin, flux, f.h))
+            one_row = [invariant_rows(f.h, grid, run_params, [f.t], config.deriv,
+                                      evolution._grid_rhs(lin, flux, f.h))[0]
                        for f in fields]
 
         def bits(series):

@@ -55,12 +55,16 @@ class TestComputeInvariants:
         assert inv.E >= 0
 
     def test_hamiltonian_identity(self, params):
+        # Hfun = E/2 + eps M for any eps; the invariant set takes the canonical one
         grid = PeriodicGrid(L=50.0, N=256)
         for h in smooth_random_fields(grid, 5, 0.1, seed=5):
             field = WaveField(grid, h)
+            inv = compute_invariants(field, params)
             for eps in (0.0, -params.H ** 2 / 12.0, 0.37):
-                inv = compute_invariants(field, params, epsilon=eps)
-                assert inv.Hfun == pytest.approx(0.5 * inv.E + eps * inv.M, rel=1e-12, abs=1e-15)
+                assert hamiltonian_functional(field, params, eps) == pytest.approx(
+                    0.5 * inv.E + eps * inv.M, rel=1e-12, abs=1e-15)
+            eps = canonical_epsilon(params)
+            assert inv.Hfun == pytest.approx(0.5 * inv.E + eps * inv.M, rel=1e-12, abs=1e-15)
 
     def test_no_moment_at_the_critical_depth(self):
         # sigma = 0 there: the equation has no dispersion and M does not exist

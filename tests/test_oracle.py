@@ -5,6 +5,13 @@ The collision of criterion 07 (a 0.5 m wave overtaking a 0.2 m one from
 solution (conftest.two_soliton), so every snapshot has an exact answer.
 Errors are relative to the tall crest.  evolution.IF_TOL is the largest
 1-3-10 rung that keeps this collision within ERROR_BUDGET.
+
+The symmetries of the unidirectional equation (Olver, Applications of
+Lie Groups to Differential Equations, 1986) relate pairs of runs that
+take the same steps: a change of frame, a translation, and the scalings
+of g and of sigma.  Each is asserted bit for bit where it was measured
+bit for bit, and elsewhere within a roundoff bound stated with its
+measured value.
 """
 
 import math
@@ -103,19 +110,46 @@ def test_default_collision_phase_shifts_match_the_closed_form(params, tmp_path, 
     assert int(manifest["result.steps"]) <= 2400
 
 
-def test_moving_frame_is_the_fixed_frame_translated(params):
-    # the moving frame at alpha = 0 runs at sqrt(gH): the same steps at the same
-    # times, and snapshots within 4.9e-13 m once shifted by sqrt(gH) t
+@pytest.fixture(scope="module")
+def collision(params):
+    """The default collision's start and its run in the moving frame at alpha = 0."""
+    field0 = sech_sq_start(params, PeriodicGrid(L=80.0, N=256))
+    return field0, evolve(field0, params, SchemeConfig(frame="moving", alpha=0.0, t_end=T_END),
+                          record_invariants=False)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_moving_frame_is_the_fixed_frame_translated(params, alpha):
+    # the moving frame at alpha runs at sqrt(gH) - sqrt(g/H) alpha: the same steps
+    # at the same times, and snapshots within 4.9e-13 m (alpha = 0) and 1.9e-13 m
+    # (alpha = 0.3) once shifted by that speed times t
     grid = PeriodicGrid(L=80.0, N=256)
     field0 = sech_sq_start(params, grid)
-    moving = evolve(field0, params, SchemeConfig(frame="moving", alpha=0.0, t_end=T_END),
+    moving = evolve(field0, params, SchemeConfig(frame="moving", alpha=alpha, t_end=T_END),
                     record_invariants=False)
     fixed = evolve(field0, params, SchemeConfig(frame="fixed", t_end=T_END),
                    record_invariants=False)
     assert moving.steps == fixed.steps and moving.times == fixed.times
-    c0 = math.sqrt(params.g * params.H)
+    speed = math.sqrt(params.g * params.H) - math.sqrt(params.g / params.H) * alpha
     for t, a, b in zip(moving.times, moving.snapshots, fixed.snapshots):
-        assert np.max(np.abs(fourier_shift(a.h, grid.L, c0 * t) - b.h)) <= 1e-11
+        assert np.max(np.abs(fourier_shift(a.h, grid.L, speed * t) - b.h)) <= 1e-11
+
+
+@pytest.mark.parametrize("shift", [1, 37, 128])
+def test_a_rolled_start_runs_the_rolled_collision(params, collision, shift):
+    # the collision started shift points along takes the same 2,322 steps at the
+    # same times, and each snapshot is the original's rolled by shift: within
+    # 4.7e-14 m, and bit for bit for the half-period roll N/2 = 128
+    field0, base = collision
+    rolled = evolve(WaveField(field0.grid, np.roll(field0.h, shift)), params,
+                    SchemeConfig(frame="moving", alpha=0.0, t_end=T_END),
+                    record_invariants=False)
+    assert rolled.steps == base.steps and rolled.times == base.times
+    for a, b in zip(base.snapshots, rolled.snapshots):
+        if shift == field0.grid.N // 2:
+            assert same_bits(np.roll(a.h, shift), b.h)
+        else:
+            assert np.max(np.abs(np.roll(a.h, shift) - b.h)) <= 1e-13
 
 
 @pytest.mark.parametrize("frame", ["moving", "fixed"])
@@ -131,3 +165,48 @@ def test_g_scaling_doubles_every_rate_bit_for_bit(frame):
     assert scaled.steps == base.steps
     assert scaled.times == [t / 2.0 for t in base.times]
     assert all(same_bits(a.h, b.h) for a, b in zip(base.snapshots, scaled.snapshots))
+
+
+@pytest.mark.parametrize("frame, alpha", [("fixed", 0.0), ("moving", 0.0), ("moving", 0.3)])
+def test_sigma_scaling_halves_every_length_and_time(params, frame, alpha):
+    # (xi, t, sigma) -> (xi / 2, t / 2, sigma / 4), with h and alpha fixed, leaves
+    # the equation as it is: an h0 = 0.3 m transit with T set so that sigma is a
+    # quarter, on half the domain for half the time, takes the same steps at half
+    # the times, and its snapshots match on the halved grid.  Measured: 451 steps
+    # in each frame, and snapshots within 2.8e-16 m
+    sigma0 = dispersion_sigma(params)
+    quarter = replace(params, T=(params.H ** 3 / 3.0 - sigma0 / 4.0) * params.rho * params.g
+                      / params.H)
+    base, scaled = (evolve(WaveField(grid, solitary_profile(
+                               SolitarySpec(0.3, dispersion_sigma(p), p.H, p.g), grid.x)),
+                           p, SchemeConfig(frame=frame, alpha=alpha, t_end=t_end),
+                           record_invariants=False)
+                    for p, grid, t_end in ((params, PeriodicGrid(L=120.0, N=512), 20.0),
+                                           (quarter, PeriodicGrid(L=60.0, N=512), 10.0)))
+    assert scaled.steps == base.steps
+    assert base.times == [2.0 * t for t in scaled.times]
+    for a, b in zip(base.snapshots, scaled.snapshots):
+        assert np.max(np.abs(a.h - b.h)) <= 2e-15
+
+
+def test_cli_transit_under_four_g_doubles_its_speeds(tmp_path, capsys):
+    # the same g-scaling through the command's keys: at T = 0, sigma = H^3/3
+    # whatever g, so 4 g (39.24 = 4 x 9.81 in float) doubles both speeds and
+    # halves the run and its step, exactly, and leaves every other result alike
+    assert 4 * 9.81 == 39.24
+    results = []
+    for g in ("9.81", "39.24"):
+        out = tmp_path / g
+        assert main(["scenario", "solitary_transit", "--set", "grid.N=256",
+                     "--set", f"physical.g={g}", "--out", str(out)]) == EXIT_OK
+        results.append({k[7:]: v for k, v in (line.split("=", 1) for line in
+                                              (out / "manifest.txt").read_text().splitlines())
+                        if k.startswith("result.")})
+    capsys.readouterr()
+    base, scaled = results
+    for key in ("speed_formula", "speed_measured"):
+        assert float(scaled.pop(key)) == 2.0 * float(base.pop(key))
+    for key in ("t_end", "dt"):
+        assert float(scaled.pop(key)) == float(base.pop(key)) / 2.0
+    assert "steps" in base and "shape_error" in base and "drift_E" in base
+    assert scaled == base

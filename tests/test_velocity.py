@@ -61,16 +61,6 @@ class TestOmegaPointwise:
         assert out.mask.sum() > 100
         assert np.max(np.abs(out.valid - omega)) / omega < 1e-6
 
-    def test_convergence_with_resolution(self, params):
-        # centered-difference errors fall at 4th order (~16x) as N doubles
-        errs = []
-        for N in (256, 512, 1024):
-            _, spec, grid, field = solitary_setup(N=N)
-            out = omega_pointwise(field, params, scheme="centered4")
-            errs.append(np.max(np.abs(out.valid - solitary_speed(spec))))
-        assert 8.0 <= errs[0] / errs[1] <= 32.0
-        assert 8.0 <= errs[1] / errs[2] <= 32.0
-
 
 class TestOmegaFromMassFlux:
     def test_rigid_translation(self, params):
@@ -87,15 +77,6 @@ class TestOmegaFromMassFlux:
         later = WaveField(grid, field.h, t=1.0)
         out = omega_from_mass_flux(field, later, params)
         assert np.max(np.abs(out.valid)) < 1e-12
-
-    def test_rigid_translation_centered4(self, params):
-        # trapezoid antiderivative: coarser than spectral but still tight
-        _, spec, grid, field = solitary_setup()
-        omega = solitary_speed(spec)
-        dt = 1e-4 * grid.L / omega
-        shifted = WaveField(grid, fourier_shift(field.h, grid.L, omega * dt), t=dt)
-        out = omega_from_mass_flux(field, shifted, params, scheme="centered4")
-        assert np.max(np.abs(out.valid - omega)) / omega < 1e-3
 
     def test_usage_errors(self, params):
         _, _, grid, field = solitary_setup(N=256)
