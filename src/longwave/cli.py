@@ -32,6 +32,7 @@ import numpy as np
 
 from . import __version__
 from .evolution import (
+    BLOWUP_FACTOR,
     BlowUpError,
     DeformationSpec,
     SchemeConfig,
@@ -612,7 +613,7 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     cut = cfg.fnum("scenario.solitary_filter_cut")
     schemeS = replace(filtered, filter_cut=cut, t_end=30.0)
     # part (b)'s start is built here, so a grid.L too short for its slope, or an h0
-    # whose start overflows, stops before (a)
+    # whose start overflows or starts past evolve's blow-up limit, stops before (a)
     gridS = cfg.grid
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         hs = lowpass(solitary_profile(spec, gridS.x), gridS.L, cut * math.sqrt(3.0) / H)
@@ -620,6 +621,10 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     if not (np.isfinite(hs).all() and np.isfinite(vs).all()):
         raise ValueError(f"'scenario.h0' = {spec.h0} m leaves part (b)'s starting h and "
                          "v = -omega h_x not finite")
+    peak = float(np.max(np.abs(hs)))
+    if peak > BLOWUP_FACTOR * H:
+        raise ValueError(f"'scenario.h0' = {spec.h0} m starts part (b) past the blow-up limit "
+                         f"of {BLOWUP_FACTOR:g} H: its low-passed max|h| is {peak:.6g} m")
 
     # (a) one low linear mode: measured oscillation frequency
     cosk = np.cos(k0 * grid.x)

@@ -41,8 +41,9 @@ pair (operators.rfft and irfft), which calls pocketfft's kernels, the
 ones np.fft calls, with np.fft's factors: each is bit-identical to
 np.fft's, without np.fft's per-call wrapper, which at these sizes costs
 about as much as the transform.  The band square is the hot transform
-of every run, and each stepper forms it, and its stages, in work arrays
-of its own (_band_run).
+of every run: each stepper binds those two kernels once, from operators,
+and calls them directly, and forms the square and its stages in work
+arrays of its own (_band_run).
 The state holds one row of band coefficients per field, h alone or h
 and v, and both equations take one form on it: the linear part is one
 generator A on each mode, lin = i omega for the unidirectional equation
@@ -124,7 +125,8 @@ from .elliptic import sech_sq
 from .invariants import (InvariantSet, boussinesq_energy, boussinesq_energy_rows,
                          compute_invariants, invariant_rows)
 from .model import PeriodicGrid, PhysicalParams, WaveField, dispersion_sigma
-from .operators import check_scheme, derivative_symbols, diff, irfft, rfft, wavenumbers
+from .operators import (_kernel_pair, check_scheme, derivative_symbols, diff, irfft, rfft,
+                        wavenumbers)
 
 __all__ = [
     "BlowUpError",
@@ -403,13 +405,17 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     the smallest 5-smooth M >= 3J - 2 points (M divides 30^64), where the
     sum of two band modes folds above the band, so the product is exact
     inside it; capped at N, it is the full-grid product.  Its two
-    transforms are operators' kernel pair, so the square is bit-identical
-    to np.fft's.  A step forms four or five squares and about twenty small
-    array operations, each of which costs more in its call than in its
-    arithmetic at these sizes, so every stepper owns its work arrays: the
-    M-point product of every square goes into one real buffer, and the
-    stages are formed in place.  A step writes none of its arguments and
-    returns new arrays, so a rejected step is retried from the same (z, n).
+    transforms are the M-point kernels of operators' pair, with np.fft's
+    factors, bound once per band (operators._kernel_pair) and called
+    directly, so the square is bit-identical to np.fft's.  A step forms
+    four or five squares and about twenty small array operations, each of
+    which costs more in its call than in its arithmetic at these sizes, so
+    every stepper owns its work arrays and the views it reads them
+    through, made once per band: the M-point product of every square goes
+    into one real buffer, the inner stages' squares into three more, and
+    the stages are formed in place.  A step writes none of its arguments
+    and allocates only the arrays it returns (for "ifrk4" given n, z1 and
+    its square n5), so a rejected step is retried from the same (z, n).
 
     For integrator "rk4", step(z, dt) is the state one classical RK4 step
     of dt later, for the right-hand side lin h + flux n on h alone and
@@ -422,8 +428,8 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     low-pass band, ValueError otherwise).  Its third-order partner adds
     the stage of the new state, which is the next step's first (first
     same as last).  n is the band square of z (None: formed here).  It
-    returns (z1, n1, err): the new state, its band square (the next
-    step's n) and the local error estimate ||(dt/10) flux (n4 - n1)|| from
+    returns (z1, n5, err): the new state, its band square n5 (the next
+    step's n) and the local error estimate ||(dt/10) flux (n4 - n5)|| from
     the fourth stage's square n4, which costs no product beyond the four
     of Lawson's RK4.  That error sits in h, or in v alone, so its L2 norm
     is its norm in the isometric norm of _controlled_run.
@@ -435,40 +441,44 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     # N-point rfft, in the last row (v's for the pair) and zero above it
     g = np.zeros((m, J), lin.dtype)
     g[-1] = flux * (M / N)
-    h = np.empty(M)  # the M-point product of every square
+    # a square is inverse(x[0], fct, h), h *= h, forward(h, 1.0, out): the
+    # row x[0] transformed as a 1-D array (pocketfft costs more on a batch of
+    # one) into the M-point product h, and back into the M // 2 + 1
+    # coefficients of out, of which the first J are the band square, bit for
+    # bit np.fft.rfft(np.fft.irfft(x[0], n=M) ** 2)[:J]
+    forward, inverse, fct = _kernel_pair(M)
+    multiply, add = np.multiply, np.add
+    h = np.empty(M)
     w = np.empty((m, J), complex)  # a stage's state, or one term of a sum
-
-    def sq(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # the band square of the h of x, as one row, bit for bit
-        # np.fft.rfft(np.fft.irfft(x[0], n=M) ** 2)[None, :J], in out (M // 2 + 1
-        # coefficients, new if None); x[0] is transformed as a 1-D array
-        # (pocketfft costs more on a batch of one)
-        irfft(x[0], M, h)
-        np.multiply(h, h, h)
-        return rfft(h, out)[None, :J]
+    w0 = w[0]
 
     if integrator == "rk4":
         k = np.empty((4, m, J), complex)  # the four slopes
+        k1, k2, k3, k4 = k
         n = np.empty(M // 2 + 1, complex)  # a slope's square
+        nJ, g1 = n[:J], g[-1]
 
         def slope(x: np.ndarray, out: np.ndarray) -> None:
             # out = lin h + g n, below v for the pair
             if bidirectional:
                 out[0] = x[1]
-            np.multiply(lin, x[0], out[-1])
-            np.add(out[-1], np.multiply(g[-1], sq(x, n)[0], n[:J]), out[-1])
+            last = out[-1]
+            multiply(lin, x[0], last)
+            inverse(x[0], fct, h)
+            multiply(h, h, h)
+            forward(h, 1.0, n)
+            add(last, multiply(g1, nJ, nJ), last)
 
         def rk4(z: np.ndarray, dt: float) -> np.ndarray:
-            k1, k2, k3, k4 = k
             slope(z, k1)
-            slope(np.add(z, np.multiply(0.5 * dt, k1, w), w), k2)
-            slope(np.add(z, np.multiply(0.5 * dt, k2, w), w), k3)
-            slope(np.add(z, np.multiply(dt, k3, w), w), k4)
+            slope(add(z, multiply(0.5 * dt, k1, w), w), k2)
+            slope(add(z, multiply(0.5 * dt, k2, w), w), k3)
+            slope(add(z, multiply(dt, k3, w), w), k4)
             # z + (dt/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
-            np.add(k1, np.multiply(2.0, k2, k2), k1)
-            np.add(k1, np.multiply(2.0, k3, k3), k1)
-            np.add(k1, k4, k1)
-            return np.add(z, np.multiply(dt / 6.0, k1, k1))
+            add(k1, multiply(2.0, k2, k2), k1)
+            add(k1, multiply(2.0, k3, k3), k1)
+            add(k1, k4, k1)
+            return add(z, multiply(dt / 6.0, k1, k1))
 
         return lin, flux, rk4
 
@@ -476,54 +486,71 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
         raise ValueError("the integrating factor needs the low-pass band: unfiltered, "
                          "the bidirectional model grows without bound above sqrt(3)/H")
     om = _omega(lin, bidirectional)
+    Pz, P2z, tmp = np.empty((3, m, J), complex)  # P z, P P z and P's second product
+    r = np.empty((3, M // 2 + 1), complex)  # the inner stages' squares
+    r2, r3, r4 = r
+    n2, n3, n4 = r[:, None, :J]
+    d = np.empty((1, J), complex)  # n2 + n3, then the error
 
     def propagator(tau: float):
         # A acts as the matrix i omega or [[0, 1], [lin, 0]], both squaring to
         # -omega^2, so exp(tau A) = cos(omega tau) + A sin(omega tau)/omega
-        # (omega changes sign over a unidirectional band; tau A where omega = 0).
-        # P(x, out, tmp) applies it to x in out, with tmp holding the pair's
-        # second product (each new if None)
+        # (omega changes sign over a unidirectional band; tau A where omega = 0):
+        # the multiplier c + lin s of the one row, or the pair's (c, As), applied
+        # as c x + As x[::-1]
         c = np.cos(om * tau)
         s = np.divide(np.sin(om * tau), om, out=np.full(J, tau), where=om != 0)
-        if not bidirectional:  # one row: x[::-1] is x
-            cAs = c + lin * s
-            return lambda x, out=None, tmp=None: np.multiply(cAs, x, out)
-        As = np.stack((s, lin * s))
+        return c + lin * s if not bidirectional else (c, np.stack((s, lin * s)))
 
-        def P(x, out=None, tmp=None):  # c x + As x[::-1]
-            out = np.multiply(c, x, out)
-            return np.add(out, np.multiply(As, x[::-1], tmp), out)
-        return P
+    def propagated(P, x: np.ndarray) -> np.ndarray:
+        if not bidirectional:
+            return P * x
+        out = P[0] * x
+        return add(out, P[1] * x[::-1], out)
 
     @lru_cache(maxsize=8)  # evolve's steps sit on a few rungs of a ladder
     def weights(dt: float):
         # the half-step propagator P and the stage weights, each a coefficient
         # times g propagated over dt/2, dt or not at all, folded into one array
         P = propagator(0.5 * dt)
-        Pg, P2g = P(g), propagator(dt)(g)
+        Pg, P2g = propagated(P, g), propagated(propagator(dt), g)
         return (P, (0.5 * dt) * Pg, (0.5 * dt) * g, dt * Pg, (dt / 6.0) * P2g,
                 (dt / 3.0) * Pg, (dt / 6.0) * g, (dt / 10.0) * g[-1:])
-
-    Pz, P2z, tmp = np.empty((3, m, J), complex)  # P z, P P z and P's second product
-    r2, r3, r4 = np.empty((3, M // 2 + 1), complex)  # the inner stages' squares
-    d = np.empty((1, J), complex)  # n2 + n3, then the error
 
     def ifrk4(z: np.ndarray, n1: np.ndarray | None, dt: float):
         P, a2, a3, a4, b1, b23, b4, e = weights(dt)
         if n1 is None:
-            n1 = sq(z)
-        P(z, Pz, tmp)
-        P(Pz, P2z, tmp)
-        n2 = sq(np.add(Pz, np.multiply(a2, n1, w), w), r2)
-        n3 = sq(np.add(Pz, np.multiply(a3, n2, w), w), r3)
-        n4 = sq(np.add(P2z, np.multiply(a4, n3, w), w), r4)
+            inverse(z[0], fct, h)
+            multiply(h, h, h)
+            n1 = forward(h, 1.0, np.empty(M // 2 + 1, complex))[None, :J]
+        if bidirectional:
+            c, As = P
+            add(multiply(c, z, Pz), multiply(As, z[::-1], tmp), Pz)
+            add(multiply(c, Pz, P2z), multiply(As, Pz[::-1], tmp), P2z)
+        else:
+            multiply(P, z, Pz)
+            multiply(P, Pz, P2z)
+        add(Pz, multiply(a2, n1, w), w)
+        inverse(w0, fct, h)
+        multiply(h, h, h)
+        forward(h, 1.0, r2)
+        add(Pz, multiply(a3, n2, w), w)
+        inverse(w0, fct, h)
+        multiply(h, h, h)
+        forward(h, 1.0, r3)
+        add(P2z, multiply(a4, n3, w), w)
+        inverse(w0, fct, h)
+        multiply(h, h, h)
+        forward(h, 1.0, r4)
         # z1 = P2z + b1 n1 + b23 (n2 + n3) + b4 n4, summed left to right
-        z1 = np.multiply(b1, n1)
-        np.add(P2z, z1, z1)
-        np.add(z1, np.multiply(b23, np.add(n2, n3, d), w), z1)
-        np.add(z1, np.multiply(b4, n4, w), z1)
-        n5 = sq(z1)
-        np.multiply(e, np.subtract(n4, n5, d), d)
+        z1 = multiply(b1, n1)
+        add(P2z, z1, z1)
+        add(z1, multiply(b23, add(n2, n3, d), w), z1)
+        add(z1, multiply(b4, n4, w), z1)
+        inverse(z1[0], fct, h)
+        multiply(h, h, h)
+        n5 = forward(h, 1.0, np.empty(M // 2 + 1, complex))[None, :J]
+        multiply(e, np.subtract(n4, n5, d), d)
         return z1, n5, math.sqrt(np.vdot(d, d).real)
 
     return lin, flux, ifrk4
@@ -558,12 +585,19 @@ def _pack(grid: PeriodicGrid, y: np.ndarray, t: float, bidirectional: bool):
 
 
 def _step(state, params: PhysicalParams, config: SchemeConfig, integrator: str, dt: float):
-    """One step of evolve's band stepper; state is projected onto the band first."""
+    """One step of evolve's band stepper; state is projected onto the band first.
+
+    dt follows SchemeConfig's rule, positive and finite (ValueError
+    otherwise); a step that overflows ends in BlowUpError, not in a warning.
+    """
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     bidirectional, grid, t, y = _unpack(state)
     lin, _, step = _band_run(grid, params, config, bidirectional, integrator)
     z = rfft(y)[:, :lin.size]
-    z = step(z, dt) if integrator == "rk4" else step(z, None, dt)[0]
-    y = irfft(z, grid.N)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        z = step(z, dt) if integrator == "rk4" else step(z, None, dt)[0]
+        y = irfft(z, grid.N)
     _check_alive(y[0], params.H, t + dt, 1, integrator)
     return _pack(grid, y, t + dt, bidirectional)
 
@@ -688,20 +722,6 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
         result.times.append(t)
         result.snapshots.append(_pack(grid, y, t, bidirectional))
 
-    # (2/N) sum_j |h_j| bounds max|h| from above, so h is formed on the grid
-    # and checked exactly only on the steps where that bound reaches the
-    # limit (less a margin for the bound's own roundoff) or is not finite
-    limit = (1.0 - 1e-12) * BLOWUP_FACTOR * params.H
-
-    def accepted(i: int, t: float, z: np.ndarray, due: bool) -> np.ndarray:
-        # z is one row of band coefficients per field; returns |h_j| on the band
-        a = np.abs(z[0])
-        if not 2.0 / grid.N * np.add.reduce(a) < limit:
-            _check_alive(irfft(z[0], grid.N), params.H, t, i, integrator)
-        if due:
-            sample(t, irfft(z, grid.N))
-        return a
-
     sample(t0, y)
     if rk4:
         if dt_req > advisory * (1.0 + 1e-12):
@@ -713,16 +733,21 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
         if sample_every is None:
             sample_every = max(1, nsteps // 50)
         z = rfft(y)[:, :J]
+        limit = _bound_limit(params.H)
         for i in range(1, nsteps + 1):
             z = step(z, dt)
-            accepted(i, t0 + i * dt, z, i % sample_every == 0 or i == nsteps)
+            t = t0 + i * dt
+            if not 2.0 / grid.N * np.add.reduce(np.abs(z[0])) < limit:
+                _check_alive(irfft(z[0], grid.N), params.H, t, i, integrator)
+            if i % sample_every == 0 or i == nsteps:
+                sample(t, irfft(z, grid.N))
     elif config.t_end > 0:
         stops = ([t0 + config.t_end * k / 50 for k in range(1, 51)] if sample_every is None
                  else [t0 + config.t_end])
         if not bidirectional:
             J = _occupied_band(np.abs(rfft(y[0])[:J]), J)
         nsteps, result.rejected, result.band = _controlled_run(
-            band, lin.size, J, y, grid.L, t0, stops, sample_every, accepted)
+            band, lin.size, J, y, grid.L, params.H, t0, stops, sample_every, sample)
     else:
         nsteps = 0
     result.steps = nsteps
@@ -753,18 +778,28 @@ def _occupied_band(a: np.ndarray, cap: int) -> int:
     return min(cap, top + max(BAND_MARGIN, top // 8))
 
 
-def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, t: float,
+def _bound_limit(H: float) -> float:
+    """The least (2/N) sum_j |h_j| at which a step forms h on the grid to check it.
+
+    That sum bounds max|h| from above, so h is formed and checked exactly
+    (_check_alive) only on the steps where the bound reaches BLOWUP_FACTOR H,
+    less a margin for the bound's own roundoff, or is not finite.
+    """
+    return (1.0 - 1e-12) * BLOWUP_FACTOR * H
+
+
+def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, H: float, t: float,
                     stops: list[float], sample_every: int | None,
-                    accepted) -> tuple[int, int, tuple[int, int]]:
+                    sample) -> tuple[int, int, tuple[int, int]]:
     """Step an ERK4(3)-IP run from the samples y at time t through every stop.
 
     band(J) is _band_run's (lin, flux, step) on the first J modes of the
     run's band of cap modes; the run starts on J of them.  y stacks the
     samples of h (and of v for a bidirectional run).  Returns the accepted
-    and rejected step counts and the least and greatest band stepped;
-    accepted(i, t, z, due) sees every accepted step, due at each landing
-    on a stop and, with sample_every, at every sample_every-th step, and
-    returns |h_j| on the band.
+    and rejected step counts and the least and greatest band stepped.
+    Every accepted step is checked for blow-up at the depth H, through the
+    bound of _bound_limit, and sample(t, y) receives the samples of each
+    landing on a stop and, with sample_every, of every sample_every-th step.
 
     The band grows on demand: when a mode in its top ninth (at least
     BAND_MARGIN modes) passes GROW_LEVEL of the peak coefficient after
@@ -794,10 +829,12 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, t: float,
     max|h| of the last accepted state, rather than spin: at 1e-8 of a run
     (about sqrt(eps) of the state's time scale) the two solutions of the
     pair agree to the last bit and the error estimate reads zero.
+    Each of these per-step reads goes into work arrays of the band's own.
     """
     m, N = y.shape
     J0 = J
     z = rfft(y)[:, :J]
+    limit, multiply, maximum = _bound_limit(H), np.multiply, np.maximum.reduce
 
     def on_band(J: int):
         lin, flux, step = band(J)
@@ -806,27 +843,29 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, t: float,
         iso = np.stack((omega, np.ones(J)))[-m:]
         k2 = (2.0 * math.pi / L * np.arange(J)) ** 2
         c_max = float(np.abs(np.diff(omega)).max()) * L / (2.0 * math.pi)
+        a = np.empty(J)  # |h_j| of an accepted state
+        u, k2u = np.empty((2, m, J), complex)  # the pair's iso z, and k2 times the weighted z
+        return flux, step, iso, k2, c_max, a, a[-max(BAND_MARGIN, J // 9):], u, k2u
 
-        def beat_limit(z: np.ndarray) -> float:
-            u = z if m == 1 else iso * z
-            power = np.vdot(u, u).real
-            k2_mean = np.vdot(u, k2 * u).real / power if power else 0.0
-            return RK4_IMAG_LIMIT / (c_max * math.sqrt(k2_mean)) if k2_mean else math.inf
-
-        return flux, step, iso, beat_limit
-
-    flux, step, iso, beat_limit = on_band(J)
-    u = iso * z
+    flux, step, iso, k2, c_max, a, top, u, k2u = on_band(J)
+    multiply(iso, z, u)
     size = math.sqrt(np.vdot(u, u).real)
     tol = IF_TOL * size
     # the flux changes h (unidirectional) or v (bidirectional), unit weight both;
     # a rate that overflows wants a zero first step, which the MAX_STEPS check reports
     with np.errstate(over="ignore"):
         rate = np.linalg.norm(flux * rfft(y[0] * y[0])[:J]) / size if size else 0.0
-    want = min(0.01 / rate if rate else math.inf, beat_limit(z))
+    want = 0.01 / rate if rate else math.inf
     n, i, rejected, r_prev = None, 0, 0, 1.0
     for stop in stops:
         while t < stop:
+            # the beat limit of z, 2 sqrt(2) / (c_max k_rms); after a rejection the
+            # step wanted is already below it
+            w = z if m == 1 else multiply(iso, z, u)
+            power = np.vdot(w, w).real
+            k2_mean = np.vdot(w, multiply(k2, w, k2u)).real / power if power else 0.0
+            if k2_mean:
+                want = min(want, RK4_IMAG_LIMIT / (c_max * math.sqrt(k2_mean)))
             if not stops[-1] - t <= MAX_STEPS * want:  # a nan or zero want too
                 raise BlowUpError(t, i + 1, float(np.max(np.abs(irfft(z[0], N)))), "ifrk4",
                                   f"a step of {want:.3g} s would take more than MAX_STEPS = "
@@ -847,13 +886,16 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, t: float,
                     r = err / tol if err else 0.0
                     fac = 5.0 if r == 0.0 else 0.9 * r ** -0.175 * r_prev ** 0.1
                     want, r_prev = dt * min(5.0, max(0.2, fac)), max(r, 1e-4)
-                a = accepted(i, t, z, land or (sample_every is not None and i % sample_every == 0))
-                if J < cap and a[-max(BAND_MARGIN, J // 9):].max() > GROW_LEVEL * a.max():
+                np.abs(z[0], a)
+                if not 2.0 / N * np.add.reduce(a) < limit:
+                    _check_alive(irfft(z[0], N), H, t, i, "ifrk4")
+                if land or (sample_every is not None and i % sample_every == 0):
+                    sample(t, irfft(z, N))
+                if J < cap and maximum(top) > GROW_LEVEL * maximum(a):
                     grown = min(cap, J + max(BAND_MARGIN, J // 4))
                     z = np.pad(z, ((0, 0), (0, grown - J)))
                     J, n = grown, None
-                    flux, step, iso, beat_limit = on_band(J)
-                want = min(want, beat_limit(z))
+                    flux, step, iso, k2, c_max, a, top, u, k2u = on_band(J)
             else:
                 rejected += 1
                 fac = 0.9 * (tol / err) ** 0.25 if err < math.inf else 0.0  # nan too

@@ -14,7 +14,9 @@ below.  They call pocketfft's own kernels (numpy.fft._pocketfft_umath),
 the gufuncs np.fft.rfft and np.fft.irfft call, with the same factors (1
 forward, 1/n inverse), so each returns np.fft's bits; they skip np.fft's
 per-call wrapper, which at the package's band sizes costs about as much
-as the transform, and can write into a caller's buffer.
+as the transform, and can write into a caller's buffer.  A caller that
+transforms at one length many times, the band stepper of evolution,
+binds those two kernels once (_kernel_pair) and skips even these calls.
 """
 
 from __future__ import annotations
@@ -33,6 +35,16 @@ def check_scheme(scheme: str) -> None:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
 
 
+def _kernel_pair(n: int):
+    """(forward, inverse, fct): the kernels rfft and irfft call at n points.
+
+    forward(x, 1.0, out) is rfft(x, out) and inverse(z, fct, out) is
+    irfft(z, n, out), bit for bit, out required; a caller that transforms
+    at one n many times binds them once and skips rfft's and irfft's calls.
+    """
+    return _pfu.rfft_n_even if n % 2 == 0 else _pfu.rfft_n_odd, _pfu.irfft, 1.0 / n
+
+
 def rfft(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """np.fft.rfft(x) over the last axis of float64 samples, bit for bit.
 
@@ -41,7 +53,7 @@ def rfft(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     n = x.shape[-1]
     if out is None:
         out = np.empty(x.shape[:-1] + (n // 2 + 1,), complex)
-    return (_pfu.rfft_n_even if n % 2 == 0 else _pfu.rfft_n_odd)(x, 1.0, out)
+    return _kernel_pair(n)[0](x, 1.0, out)
 
 
 def irfft(z: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:

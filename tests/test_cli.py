@@ -901,6 +901,13 @@ class TestNothingWrittenUnlessTheRunSucceeds:
         *[(["scenario", "boussinesq_demo", "--set", f"scenario.h0={h0}"], EXIT_USAGE,
            f"'scenario.h0' = {float(h0)} m leaves part (b)'s starting h and "
            "v = -omega h_x not finite") for h0 in ("1e200", "1e300")],
+        # a finite start past evolve's blow-up limit stops before part (a) runs
+        (["scenario", "boussinesq_demo", "--set", "scenario.h0=1e100"], EXIT_USAGE,
+         "'scenario.h0' = 1e+100 m starts part (b) past the blow-up limit of 10 H: "
+         "its low-passed max|h| is 4.78516e+98 m"),
+        # a start under the limit runs, and this one blows up in part (b) itself
+        (["scenario", "boussinesq_demo", "--set", "scenario.h0=20"], EXIT_BLOWUP,
+         "solution blew up at t = 0.119179 s (step 11, max|h| = 10.4212 m)"),
         *[(["scenario", "boussinesq_demo", "--set", f"scenario.noise_amp={amp}"], EXIT_USAGE,
            f"'scenario.noise_amp' must be nonzero and finite, got {amp}")
           for amp in ("inf", "-inf")],

@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -219,6 +220,21 @@ class TestStepRk4:
             for _ in range(50):
                 f = step_rk4(f, params, SchemeConfig(), dt=5.0)  # far beyond stability
         assert exc.value.time > 0
+
+    @pytest.mark.parametrize("step", [step_rk4, step_ifrk4])
+    @pytest.mark.parametrize("dt, error, message", [
+        (0.0, ValueError, "dt must be positive and finite, got 0.0"),
+        (-0.01, ValueError, "dt must be positive and finite, got -0.01"),
+        (math.nan, ValueError, "dt must be positive and finite, got nan"),
+        (math.inf, ValueError, "dt must be positive and finite, got inf"),
+        # finite, but its stages overflow: a blow-up, with no RuntimeWarning first
+        (1e300, BlowUpError, r"blew up at t = 1e\+300 s \(step 1, max\|h\| = nan m\)"),
+    ])
+    def test_public_steps_follow_the_dt_rule_of_scheme_config(self, params, step, dt, error,
+                                                              message):
+        spec, grid, field = solitary_case(params, N=128, L=60.0)
+        with pytest.raises(error, match=message):
+            step(field, params, SchemeConfig(), dt)
 
 
 def criterion_10_state(params, part):
@@ -938,6 +954,83 @@ class TestBandStepper:
         importers = [p.name for p in Path(operators.__file__).parent.glob("*.py")
                      if "_pocketfft_umath" in p.read_text()]
         assert importers == ["operators.py"]
+
+    @staticmethod
+    def _count_transforms(monkeypatch) -> list[int]:
+        # the lengths of every transform made from here on through the kernels
+        # operators hands out, in the order they are made
+        lengths, pfu = [], operators._pfu
+
+        def counted(kernel, length):
+            def call(x, fct, out):
+                lengths.append(length(x, out))
+                return kernel(x, fct, out)
+            return call
+
+        monkeypatch.setattr(operators, "_pfu", SimpleNamespace(
+            rfft_n_even=counted(pfu.rfft_n_even, lambda x, out: x.shape[-1]),
+            rfft_n_odd=counted(pfu.rfft_n_odd, lambda x, out: x.shape[-1]),
+            irfft=counted(pfu.irfft, lambda z, out: out.shape[-1])))
+        return lengths
+
+    @pytest.mark.parametrize("N, L, config, bidirectional, J, M", [
+        (256, 80.0, SchemeConfig(frame="moving"), False, 86, 256),  # the default collision
+        (1024, 120.0, SchemeConfig(filter_cut=0.75), True, 25, 75),  # boussinesq_demo's (b)
+    ])
+    def test_a_step_keeps_its_transform_budget(self, params, monkeypatch, N, L, config,
+                                               bidirectional, J, M):
+        # a band square is two transforms of length M: a Lawson step forms four
+        # squares given the first stage's (first same as last), five without
+        # it, and an RK4 step four
+        lengths = self._count_transforms(monkeypatch)
+        grid = PeriodicGrid(L=L, N=N)
+        lin, _, ifrk4 = evolution._band_run(grid, params, config, bidirectional, "ifrk4")
+        _, _, rk4 = evolution._band_run(grid, params, config, bidirectional, "rk4")
+        assert lin.size == J
+        hv = smooth_random_fields(grid, 1 + bidirectional, 0.1 * params.H, max_mode=6, seed=5)
+        z = np.fft.rfft(np.stack(hv))[:, :J]
+        lengths.clear()
+        z1, n1, _ = ifrk4(z, None, 0.01)
+        assert lengths == [M] * 10
+        lengths.clear()
+        ifrk4(z1, n1, 0.01)
+        assert lengths == [M] * 8
+        lengths.clear()
+        rk4(z, 0.01)
+        assert lengths == [M] * 8
+
+    @pytest.mark.parametrize("case", ["collision", "boussinesq_demo_b"])
+    def test_evolve_steps_once_per_step_and_reuses_the_last_square(self, params, monkeypatch,
+                                                                   case):
+        # evolve calls the stepper once per accepted or rejected step, and hands
+        # each step the square the one before it formed: only the first step of
+        # a band that never grows forms its own, so it makes ten transforms and
+        # every later one eight
+        lengths, per_step, band_run = self._count_transforms(monkeypatch), [], evolution._band_run
+
+        def counting(*args):
+            lin, flux, step = band_run(*args)
+
+            def counted(*step_args):
+                before = len(lengths)
+                out = step(*step_args)
+                per_step.append(len(lengths) - before)
+                return out
+            return lin, flux, counted
+
+        monkeypatch.setattr(evolution, "_band_run", counting)
+        if case == "collision":  # two_soliton's defaults
+            grid = PeriodicGrid(L=80.0, N=256)
+            h = (solitary_profile(SolitarySpec(0.5, SIGMA0, params.H, params.g), grid.x + 22.0)
+                 + solitary_profile(SolitarySpec(0.2, SIGMA0, params.H, params.g), grid.x + 4.0))
+            state, config = WaveField(grid, h), SchemeConfig(frame="moving", t_end=60.0)
+        else:
+            state, _ = filtered_solitary(params, 0.1, PeriodicGrid(L=120.0, N=1024), 0.75)
+            config = SchemeConfig(filter_cut=0.75, t_end=30.0)
+        res = evolve(state, params, config, record_invariants=False)
+        assert res.integrator == "ifrk4" and res.band[0] == res.band[1]
+        assert len(per_step) == res.steps + res.rejected > 500
+        assert per_step == [10] + [8] * (len(per_step) - 1)
 
     def test_blowup_check_is_exact_when_the_bound_exceeds_the_limit(self, params):
         # 60 cosines of 0.3 m: the coefficient bound (2/N) sum_j |h_j| is about
