@@ -48,7 +48,6 @@ from .evolution import (
 )
 from .invariants import (
     boussinesq_energy,
-    boussinesq_energy_rows,
     compute_invariants,
     conservation_drift,
 )
@@ -380,16 +379,15 @@ def _crest_speed(res, params: PhysicalParams) -> float:
 
 
 def _evolve_to(cfg: ExperimentConfig, initial: WaveField, t_auto: float):
-    """Evolve to scheme.t_end (t_auto if 'auto'): the run, its t_end and its three files."""
+    """Evolve to scheme.t_end (t_auto if 'auto'): the run and its three files."""
     t_end = t_auto if cfg.t_end_auto else cfg.scheme.t_end
-    scheme = replace(cfg.scheme, t_end=t_end)
-    res = evolve(initial, cfg.params, scheme)
+    res = evolve(initial, cfg.params, replace(cfg.scheme, t_end=t_end))
     files = {
-        "profile_initial.csv": (emit_profile_csv, initial, cfg.params, scheme.deriv),
-        "profile_final.csv": (emit_profile_csv, res.final, cfg.params, scheme.deriv),
+        "profile_initial.csv": (emit_profile_csv, initial, cfg.params, cfg.scheme.deriv),
+        "profile_final.csv": (emit_profile_csv, res.final, cfg.params, cfg.scheme.deriv),
         "invariants.csv": (emit_invariants_csv, res.invariants),
     }
-    return res, t_end, files
+    return res, files
 
 
 def scenario_solitary_transit(cfg: ExperimentConfig):
@@ -397,10 +395,10 @@ def scenario_solitary_transit(cfg: ExperimentConfig):
     spec, omega = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
     field0 = solitary_field(spec, cfg.grid)
     tail = abs(solitary_profile(spec, cfg.grid.L / 2)) / abs(spec.h0)
-    res, t_end, files = _evolve_to(cfg, field0, cfg.grid.L / omega)
+    res, files = _evolve_to(cfg, field0, cfg.grid.L / omega)
     shape_err = recentered_shape_error(res.final, field0)
     return {
-        "t_end": _fmt(t_end),
+        "t_end": _fmt(res.config.t_end),
         "speed_formula": _fmt(omega),
         "speed_measured": _fmt(_crest_speed(res, cfg.params)),
         "shape_error": _fmt(shape_err),
@@ -430,8 +428,8 @@ def scenario_two_soliton(cfg: ExperimentConfig):
     specB = SolitarySpec(hB, sigma, params.H, params.g)
     x = grid.x
     h = (solitary_profile(specA, x - xA) + solitary_profile(specB, x - xB))
-    res, t_end, files = _evolve_to(cfg, WaveField(grid, h), 60.0)
-    final = res.final
+    res, files = _evolve_to(cfg, WaveField(grid, h), 60.0)
+    final, t_end = res.final, res.config.t_end
     L = grid.L
     wrap = lambda z: (z + L / 2) % L - L / 2
 
@@ -494,12 +492,16 @@ def scenario_steepening(cfg: ExperimentConfig):
     hbar = cfg.fnum("scenario.hbar")
     t_check = cfg.fnum("scenario.t_check")
     p_star = steady_inverse_width(hbar, params)
+    ratios = cfg.fnum("scenario.p_ratios")
+    # a verdict's result key is its ratio at 6 digits, so two alike would lose one
+    if len({f"{ratio:.6g}" for ratio in ratios}) < len(ratios):
+        raise ValueError("'scenario.p_ratios' must differ in their first 6 significant "
+                         f"digits, which name their verdicts, got {cfg.raw['scenario.p_ratios']}")
     # every member is built, and so checked, before the first run
-    specs = [DeformationSpec(hbar=hbar, p=ratio * p_star)
-             for ratio in cfg.fnum("scenario.p_ratios")]
+    specs = [DeformationSpec(hbar=hbar, p=ratio * p_star) for ratio in ratios]
     rows = ["# columns=p_ratio,p,verdict,front_slope_change"]
     results: dict[str, str] = {}
-    for ratio, spec in zip(cfg.fnum("scenario.p_ratios"), specs):
+    for ratio, spec in zip(ratios, specs):
         verdict = steepening_verdict(spec, params)
         change = front_slope_change(spec, params, t_check)
         rows.append(f"{_fmt(ratio)},{_fmt(spec.p)},{verdict.value},{_fmt(change)}")
@@ -510,8 +512,8 @@ def scenario_steepening(cfg: ExperimentConfig):
 def scenario_moment_conservation(cfg: ExperimentConfig):
     """Invariant drift over a solitary transit (conservation showcase)."""
     spec, omega = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
-    res, t_end, files = _evolve_to(cfg, solitary_field(spec, cfg.grid), cfg.grid.L / omega)
-    return ({"t_end": _fmt(t_end), **_drift_entries(res), **_step_entries(res)},
+    res, files = _evolve_to(cfg, solitary_field(spec, cfg.grid), cfg.grid.L / omega)
+    return ({"t_end": _fmt(res.config.t_end), **_drift_entries(res), **_step_entries(res)},
             {"invariants.csv": files["invariants.csv"]})
 
 
@@ -630,7 +632,7 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     cosk = np.cos(k0 * grid.x)
     h0f = WaveField(grid, amp * cosk)
     # the default sampling is uniform under both integrators, as the fit needs
-    res = evolve((h0f, rest), params, replace(filtered, t_end=t10), record_invariants=False)
+    res = evolve((h0f, rest), params, replace(filtered, t_end=t10))
     ts = np.array(res.times)
     cs = np.array([2.0 / grid.N * float(np.dot(s[0].h, cosk)) for s in res.snapshots])
     rows = ["# columns=t,mode_amplitude"]
@@ -640,8 +642,7 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     results.update(_step_entries(res, "mode_"))
 
     # (b) right-moving solitary data at the corrected long-wave speed
-    resS = evolve((WaveField(gridS, hs), WaveField(gridS, vs)), params, schemeS,
-                  record_invariants=False)
+    resS = evolve((WaveField(gridS, hs), WaveField(gridS, vs)), params, schemeS)
     results["solitary_speed_formula"] = _fmt(omega)
     results["solitary_speed_measured"] = _fmt(_crest_speed(resS, params))
     results.update(_step_entries(resS, "solitary_"))
@@ -650,7 +651,7 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     # dt = None: RK4 at the advisory, which resolves the fastest growth rate
     raw = SchemeConfig(deriv="spectral", dt=None, t_end=2.0, boussinesq_filter=False)
     try:
-        resU = evolve((WaveField(grid, noise), rest), params, raw, record_invariants=False)
+        resU = evolve((WaveField(grid, noise), rest), params, raw)
         results["unfiltered_blowup_time"] = "none"
         results.update(_step_entries(resU, "unfiltered_"))
     except BlowUpError as e:
@@ -658,10 +659,8 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
         results["unfiltered_blowup_time"] = _fmt(e.time)
         results.update(unfiltered_integrator=e.integrator, unfiltered_dt=_fmt(e.time / e.step),
                        unfiltered_steps=str(e.step), unfiltered_rejected="0")
-    resF = evolve((hf, rest), params, replace(filtered, t_end=1.0), record_invariants=False)
-    E = boussinesq_energy_rows(np.stack([s[0].h for s in resF.snapshots]),
-                               np.stack([s[1].h for s in resF.snapshots]), grid.L, params)
-    drift = float(np.max(np.abs(E - E0))) / abs(E0)
+    resF = evolve((hf, rest), params, replace(filtered, t_end=1.0))
+    drift = float(np.max(np.abs(np.array(resF.energy) - E0))) / abs(E0)
     results["filtered_energy_drift"] = _fmt(drift)
     results.update(_step_entries(resF, "filtered_"))
     return results, {
@@ -719,8 +718,8 @@ def _evolve(cfg: ExperimentConfig, ic: str):
     else:
         spec, grid = _cnoidal_pieces(cfg, cfg.fnum("scenario.m"))
         initial, t_auto = cnoidal_field(spec, grid, zero_mean=True), 10.0
-    res, t_end, files = _evolve_to(cfg, initial, t_auto)
-    results = {"t_end": _fmt(t_end), **_drift_entries(res), **_step_entries(res)}
+    res, files = _evolve_to(cfg, initial, t_auto)
+    results = {"t_end": _fmt(res.config.t_end), **_drift_entries(res), **_step_entries(res)}
     if ic == "solitary":
         # crest tracking is unambiguous only with a single crest in the domain
         results["crest_speed"] = _fmt(_crest_speed(res, cfg.params))

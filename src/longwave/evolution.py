@@ -115,7 +115,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -637,12 +637,22 @@ def step_ifrk4(state, params: PhysicalParams, config: SchemeConfig, dt: float):
 
 @dataclass
 class EvolutionResult:
-    """Sampled trajectory of one run."""
+    """Sampled trajectory of one run, with the params and config it ran with.
+
+    invariants (each snapshot's invariant set) and energy (a pair's
+    conserved energy per snapshot, None for a unidirectional run) are
+    evaluated on first read and kept, in one pass over the stacked
+    snapshots (invariant_rows, boussinesq_energy_rows), with h_t the
+    run's own right-hand side on its band (_grid_rhs over the stack) or,
+    for a pair, the sampled v.  A bidirectional run's invariant sets are
+    taken at T = 0, as its equation is pure gravity (and so defined at
+    the critical depth).
+    """
 
     times: list[float]
     snapshots: list
-    invariants: list[InvariantSet]
-    energy: list[float] | None = None  # bidirectional conserved energy
+    params: PhysicalParams
+    config: SchemeConfig
     integrator: str = ""  # "ifrk4" or "rk4"
     dt: float = 0.0  # the mean step t_end / steps [s]
     steps: int = 0  # accepted steps
@@ -653,10 +663,31 @@ class EvolutionResult:
     def final(self):
         return self.snapshots[-1]
 
+    def _stacks(self) -> tuple[PeriodicGrid, np.ndarray, np.ndarray | None]:
+        """The grid, the sampled h stacked, and a pair's sampled v stacked (else None)."""
+        if isinstance(self.final, tuple):
+            h, v = (np.stack([s[i].h for s in self.snapshots]) for i in (0, 1))
+            return self.final[0].grid, h, v
+        return self.final.grid, np.stack([s.h for s in self.snapshots]), None
+
+    @cached_property
+    def invariants(self) -> list[InvariantSet]:
+        grid, h, v = self._stacks()
+        params = self.params if v is None else replace(self.params, T=0.0)
+        h_t = _grid_rhs(*_symbols(grid, params, self.config, False), h) if v is None else v
+        return invariant_rows(h, grid, params, self.times, scheme=self.config.deriv, h_t=h_t)
+
+    @cached_property
+    def energy(self) -> list[float] | None:
+        if not isinstance(self.final, tuple):
+            return None
+        grid, h, v = self._stacks()
+        return boussinesq_energy_rows(h, v, grid.L, self.params).tolist()
+
 
 def evolve(initial, params: PhysicalParams, config: SchemeConfig,
-           sample_every: int | None = None, record_invariants: bool = True) -> EvolutionResult:
-    """Integrate to config.t_end, sampling snapshots and invariants.
+           sample_every: int | None = None) -> EvolutionResult:
+    """Integrate to config.t_end, sampling snapshots.
 
     initial is a WaveField or an (h, v) WaveField pair.  Every run steps
     the rfft coefficients of its retained band through one stepper
@@ -683,16 +714,11 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     anything is built, and every accepted step are checked for blow-up.
     Snapshots are taken at the endpoints and every sample_every accepted
     steps; by default at ~50 samples per run (RK4: every nsteps // 50
-    steps; IF: at t_end k/50, k = 1..50).  With record_invariants, each
-    snapshot's invariant set (and a pair's energy) is evaluated after the
-    run, in one pass over the stacked snapshots (invariant_rows,
-    boussinesq_energy_rows), with h_t the run's own right-hand side on
-    its band (_grid_rhs over the stack) or, for a pair, the sampled v.
-    A bidirectional run's invariant sets are
-    taken at T = 0, as its equation is pure gravity (and so defined at
-    the critical depth).
-    result.dt is the mean step t_end / steps, and result.band the least
-    and greatest number of rfft modes stepped (a fixed band's size twice).
+    steps; IF: at t_end k/50, k = 1..50).  The result evaluates the
+    snapshots' invariants (and a pair's energy) when they are first read
+    (EvolutionResult).  result.dt is the mean step t_end / steps, and
+    result.band the least and greatest number of rfft modes stepped (a
+    fixed band's size twice).
     """
     if sample_every is not None and not (isinstance(sample_every, (int, np.integer))
                                          and sample_every > 0):
@@ -711,12 +737,9 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
             raise ValueError(f"dt = {dt_req!r} s is too small to reach t_end = "
                              f"{config.t_end!r} s in MAX_STEPS = {MAX_STEPS:.0e} steps")
     band = partial(_band_run, grid, params, config, bidirectional, integrator)
-    lin, flux, step = band()
-    J = lin.size
-    result = EvolutionResult(times=[], snapshots=[], invariants=[],
-                             energy=[] if bidirectional else None, integrator=integrator,
-                             band=(J, J))
-    invariant_params = replace(params, T=0.0) if bidirectional else params
+    cap = _symbols(grid, params, config, bidirectional)[0].size
+    result = EvolutionResult(times=[], snapshots=[], params=params, config=config,
+                             integrator=integrator, band=(cap, cap))
 
     def sample(t: float, y: np.ndarray) -> None:
         result.times.append(t)
@@ -732,7 +755,7 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
         dt = config.t_end / nsteps if nsteps else 0.0
         if sample_every is None:
             sample_every = max(1, nsteps // 50)
-        z = rfft(y)[:, :J]
+        step, z = band()[2], rfft(y)[:, :cap]
         limit = _bound_limit(params.H)
         for i in range(1, nsteps + 1):
             z = step(z, dt)
@@ -744,23 +767,13 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     elif config.t_end > 0:
         stops = ([t0 + config.t_end * k / 50 for k in range(1, 51)] if sample_every is None
                  else [t0 + config.t_end])
-        if not bidirectional:
-            J = _occupied_band(np.abs(rfft(y[0])[:J]), J)
+        J = cap if bidirectional else _occupied_band(np.abs(rfft(y[0])[:cap]), cap)
         nsteps, result.rejected, result.band = _controlled_run(
-            band, lin.size, J, y, grid.L, params.H, t0, stops, sample_every, sample)
+            band, cap, J, y, grid.L, params.H, t0, stops, sample_every, sample)
     else:
         nsteps = 0
     result.steps = nsteps
     result.dt = config.t_end / nsteps if nsteps else 0.0
-    if record_invariants:
-        # every sample's diagnostics in one pass over the stacked samples
-        snaps = result.snapshots
-        h = np.stack([s[0].h for s in snaps] if bidirectional else [s.h for s in snaps])
-        h_t = np.stack([s[1].h for s in snaps]) if bidirectional else _grid_rhs(lin, flux, h)
-        result.invariants = invariant_rows(h, grid, invariant_params, result.times,
-                                           scheme=config.deriv, h_t=h_t)
-        if bidirectional:
-            result.energy = boussinesq_energy_rows(h, h_t, grid.L, params).tolist()
     return result
 
 
@@ -999,8 +1012,7 @@ def front_slope_change(spec: DeformationSpec, params: PhysicalParams,
                           t_end=t_check)
     field = WaveField(grid, spec.hbar * sech_sq(spec.p * grid.x))
     try:
-        res = evolve(field, params, config, record_invariants=False,
-                     sample_every=10 ** 9)
+        res = evolve(field, params, config, sample_every=10 ** 9)
     except ValueError as e:  # the run's domain is 32/p long, so what it rejects names p
         raise ValueError(f"p = {spec.p} 1/m: {e}") from None
     slope0 = float(np.max(-diff(field.h, L, 1)))

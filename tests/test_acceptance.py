@@ -62,7 +62,7 @@ def two_soliton_run(params):
                        + solitary_profile(specB, x - xB))
     t_end = 60.0
     cfg = SchemeConfig(frame="moving", alpha=0.0, t_end=t_end)
-    res = evolve(field0, params, cfg, record_invariants=False)
+    res = evolve(field0, params, cfg)
     return {"grid": grid, "final": res.final, "t_end": t_end,
             "specs": (specA, specB), "starts": (xA, xB)}
 
@@ -342,7 +342,7 @@ def test_criterion_10_bidirectional_model(params):
               WaveField(grid, np.zeros(grid.N)))
     t10 = 10 * 2 * math.pi / om_exact
     cfg = SchemeConfig(dt=0.005, t_end=t10, filter_cut=0.5)
-    res = evolve(state0, params, cfg, record_invariants=False, sample_every=14)
+    res = evolve(state0, params, cfg, sample_every=14)
     ts = np.array(res.times)
     cosk = np.cos(k0 * grid.x)
     cs = np.array([2.0 / grid.N * float(np.dot(s[0].h, cosk)) for s in res.snapshots])
@@ -361,8 +361,7 @@ def test_criterion_10_bidirectional_model(params):
     hs = lowpass(solitary_profile(spec, gridS.x), gridS.L, cut * math.sqrt(3.0) / H)
     vs = -omega * diff(hs, gridS.L, 1)
     cfgS = SchemeConfig(dt=0.01, t_end=30.0, filter_cut=cut)
-    resS = evolve((WaveField(gridS, hs), WaveField(gridS, vs)), params, cfgS,
-                  record_invariants=False)
+    resS = evolve((WaveField(gridS, hs), WaveField(gridS, vs)), params, cfgS)
     pos = [crest_position(s[0]) for s in resS.snapshots]
     speed = fit_speed(resS.times, pos, gridS.L)
     speed_dev = abs(speed - omega) / omega
@@ -377,8 +376,7 @@ def test_criterion_10_bidirectional_model(params):
     v0 = WaveField(gridN, np.zeros(gridN.N))
     with pytest.raises(BlowUpError) as exc:
         evolve((WaveField(gridN, noise), v0), params,
-               SchemeConfig(dt=1e-4, t_end=2.0, boussinesq_filter=False),
-               record_invariants=False)
+               SchemeConfig(dt=1e-4, t_end=2.0, boussinesq_filter=False))
     t_blow = exc.value.time
     assert t_blow < 2.0
 
@@ -386,7 +384,7 @@ def test_criterion_10_bidirectional_model(params):
     horizon = max(1.0, 2.0 * t_blow)
     resF = evolve((hf, v0), params,
                   SchemeConfig(dt=1e-4, t_end=horizon, filter_cut=0.5),
-                  record_invariants=False, sample_every=1000)
+                  sample_every=1000)
     E = [boussinesq_energy(s[0], s[1], params) for s in resF.snapshots]
     drift = max(abs(e - E[0]) for e in E) / abs(E[0])
     assert drift <= 1e-6

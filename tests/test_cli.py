@@ -957,6 +957,10 @@ class TestNothingWrittenUnlessTheRunSucceeds:
          "'scenario.phase' must be finite, got nan"),
         (["scenario", "cnoidal_family", "--set", "scenario.phase=-inf"], EXIT_USAGE,
          "'scenario.phase' must be finite, got -inf"),
+        # two ratios alike at 6 digits would name their verdicts alike, losing one
+        (["scenario", "steepening", "--set", "scenario.p_ratios=0.9999999,1.0000001"],
+         EXIT_USAGE, "'scenario.p_ratios' must differ in their first 6 significant digits, "
+                     "which name their verdicts, got 0.9999999,1.0000001"),
         *TOO_MANY_STEPS,
         *OUT_OF_RANGE,
     ])

@@ -187,7 +187,7 @@ class TestStepRk4:
 
         def err(dt):
             cfg = SchemeConfig(dt=dt, t_end=t_end)
-            res = evolve(field, params, cfg, record_invariants=False,
+            res = evolve(field, params, cfg,
                          sample_every=10 ** 9)
             exact = fourier_shift(band_projected(field.h), grid.L, omega * t_end)
             return np.max(np.abs(res.final.h - exact))
@@ -204,8 +204,7 @@ class TestStepRk4:
         zero = WaveField(grid, np.zeros(grid.N))
         with pytest.raises(BlowUpError) as exc:
             evolve((WaveField(grid, noise), zero), params,
-                   SchemeConfig(dt=1e-4, t_end=2.0, boussinesq_filter=False),
-                   record_invariants=False)
+                   SchemeConfig(dt=1e-4, t_end=2.0, boussinesq_filter=False))
         e = exc.value
         assert 0 < e.step < 20000 and e.integrator == "rk4"
         assert e.time == pytest.approx(e.step * 1e-4, rel=1e-9)
@@ -278,7 +277,7 @@ class TestBoussinesqBand:
     def test_band_step_matches_the_full_grid_step(self, params, part, scheme):
         state, dt, cut = criterion_10_state(params, part)
         config = SchemeConfig(deriv=scheme, dt=dt, t_end=200 * dt, filter_cut=cut)
-        res = evolve(state, params, config, record_invariants=False, sample_every=1)
+        res = evolve(state, params, config, sample_every=1)
         ref = reference_boussinesq(state, params, config, res.dt, res.steps)
         assert res.steps == 200 and len(res.snapshots) == len(ref)
         h_scale = max(np.max(np.abs(y[0])) for y in ref)
@@ -293,7 +292,7 @@ class TestBoussinesqBand:
         high = sum(1e-4 * np.cos(2 * math.pi * j / grid.L * grid.x) for j in (20, 77, 128))
         state = (WaveField(grid, 1e5 * h0.h + high), WaveField(grid, 0.3 * high))
         res = evolve(state, params, SchemeConfig(dt=dt, t_end=0.5, filter_cut=cut),
-                     record_invariants=False, sample_every=10)
+                     sample_every=10)
         assert np.array_equal(res.snapshots[0][0].h, state[0].h)
         assert np.array_equal(res.snapshots[0][1].h, state[1].h)
         J = int(np.count_nonzero(wavenumbers(grid.N, grid.L) <= cut * math.sqrt(3.0)))
@@ -312,8 +311,7 @@ class TestBoussinesqBand:
         with pytest.raises(BlowUpError) as ref:
             reference_boussinesq(state, params, config, dt, 1000)
         with pytest.raises(BlowUpError) as exc:
-            evolve(state, params, SchemeConfig(dt=dt, t_end=1000 * dt, filter_cut=cut),
-                   record_invariants=False)
+            evolve(state, params, SchemeConfig(dt=dt, t_end=1000 * dt, filter_cut=cut))
         assert exc.value.step == ref.value.step > 1
         assert exc.value.max_abs_h == pytest.approx(ref.value.max_abs_h, rel=1e-6)
 
@@ -326,7 +324,7 @@ class TestBoussinesqBand:
         with pytest.raises(BlowUpError) as ref:
             reference_boussinesq(state, params, config, dt, 20000)
         with pytest.raises(BlowUpError) as exc:
-            evolve(state, params, config, record_invariants=False)
+            evolve(state, params, config)
         assert exc.value.step == ref.value.step > 1
         assert exc.value.max_abs_h == pytest.approx(ref.value.max_abs_h, rel=1e-6)
 
@@ -340,8 +338,7 @@ class TestBoussinesqBand:
         blowups = []
         for dt in (None, 1e-4):
             with pytest.raises(BlowUpError) as exc:
-                evolve(state, params, SchemeConfig(dt=dt, t_end=2.0, boussinesq_filter=False),
-                       record_invariants=False)
+                evolve(state, params, SchemeConfig(dt=dt, t_end=2.0, boussinesq_filter=False))
             assert exc.value.integrator == "rk4"
             blowups.append(exc.value)
         adv, fine = blowups
@@ -357,7 +354,7 @@ class TestBoussinesqBand:
         config = SchemeConfig(dt=1e300, t_end=1e301, filter_cut=cut, boussinesq_filter=filtered)
         big = (WaveField(state[0].grid, 1e6 * state[0].h), state[1])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as exc:
-            evolve(big, params, config, record_invariants=False)
+            evolve(big, params, config)
         assert exc.value.step == 1 and math.isnan(exc.value.max_abs_h)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as exc:
             step_rk4(big, params, config, config.dt)
@@ -369,7 +366,7 @@ class TestBoussinesqBand:
         h = solitary_profile(spec, grid.x) + 1e-4 * np.cos(2 * math.pi * 60 / grid.L * grid.x)
         state = (WaveField(grid, h), WaveField(grid, -solitary_speed(spec) * diff(h, grid.L, 1)))
         config = SchemeConfig(dt=0.01, t_end=0.5, filter_cut=cut)
-        res = evolve(state, params, config, record_invariants=False)
+        res = evolve(state, params, config)
         assert res.steps == 50
         f = state
         for _ in range(res.steps):
@@ -470,7 +467,7 @@ class TestBoussinesqIfrk4:
         J = np.count_nonzero(wavenumbers(grid.N, grid.L) <= cut * math.sqrt(3.0) / params.H)
         tops = []
         for _ in range(3):
-            res = evolve(state, params, config, record_invariants=False, sample_every=10 ** 9)
+            res = evolve(state, params, config, sample_every=10 ** 9)
             assert (res.integrator, res.rejected) == ("ifrk4", 0)
             state = res.final
             tops.append((np.abs(np.fft.rfft(state[0].h)) / grid.N)[J - J // 8:J].max())
@@ -491,7 +488,7 @@ class TestBoussinesqIfrk4:
         power = (om * np.abs(np.fft.rfft(state[0].h)[:k.size])) ** 2  # v = 0
         limit = 2 * math.sqrt(2) / (c_max * math.sqrt(np.sum(k * k * power) / np.sum(power)))
         res = evolve(state, params, SchemeConfig(t_end=20.0, filter_cut=cut),
-                     record_invariants=False, sample_every=1)
+                     sample_every=1)
         assert res.integrator == "ifrk4"
         largest = np.diff(res.times)[:-1].max()  # the last step lands on t_end
         assert limit * 2 ** (-1 / 16) * (1 - 1e-9) <= largest <= limit * (1 + 1e-9)
@@ -500,7 +497,7 @@ class TestBoussinesqIfrk4:
         # above sqrt(3)/H the unfiltered model grows, so no rotation propagates it
         state, _, _ = criterion_10_state(params, "c")
         config = SchemeConfig(t_end=0.01, boussinesq_filter=False)
-        res = evolve(state, params, config, record_invariants=False)
+        res = evolve(state, params, config)
         assert (res.integrator, res.rejected) == ("rk4", 0)
         with pytest.raises(ValueError, match="low-pass band"):
             step_ifrk4(state, params, config, 0.01)
@@ -605,11 +602,9 @@ class TestIfrk4:
 
     def test_centered4_auto_step_agrees_with_rk4(self, params):
         spec, grid, field = solitary_case(params, h0=0.2, N=256, L=60.0)
-        auto = evolve(field, params, SchemeConfig(deriv="centered4", t_end=1.0),
-                      record_invariants=False)
+        auto = evolve(field, params, SchemeConfig(deriv="centered4", t_end=1.0))
         dt = stable_dt(grid, params, SchemeConfig(deriv="centered4"))
-        rk4 = evolve(field, params, SchemeConfig(deriv="centered4", t_end=1.0, dt=dt),
-                     record_invariants=False)
+        rk4 = evolve(field, params, SchemeConfig(deriv="centered4", t_end=1.0, dt=dt))
         assert (auto.integrator, rk4.integrator) == ("ifrk4", "rk4")
         assert auto.steps < rk4.steps
         assert np.max(np.abs(auto.final.h - rk4.final.h)) <= 1e-8 * spec.h0
@@ -631,7 +626,7 @@ class TestIfrk4:
 
         monkeypatch.setattr(evolution, "_pack", record)
         with pytest.raises(BlowUpError) as exc:
-            evolve(field, params, SchemeConfig(t_end=50.0), record_invariants=False,
+            evolve(field, params, SchemeConfig(t_end=50.0),
                    sample_every=1)
         times = [t for t, _ in seen]
         assert len(times) >= 3
@@ -645,7 +640,7 @@ class TestIfrk4:
         monkeypatch.setattr(evolution, "IF_TOL", 1e-300)
         spec, grid, field = solitary_case(params, h0=0.2, N=128, L=60.0)
         with pytest.raises(BlowUpError) as exc:
-            evolve(field, params, SchemeConfig(t_end=50.0), record_invariants=False)
+            evolve(field, params, SchemeConfig(t_end=50.0))
         assert (exc.value.time, exc.value.step) == (0.0, 1)
         assert exc.value.max_abs_h == pytest.approx(spec.h0, rel=1e-3)
 
@@ -655,8 +650,7 @@ class TestIfrk4:
         # more than MAX_STEPS of them, so the run stops before taking it
         spec, grid, field = solitary_case(params, N=128, L=60.0)
         with pytest.raises(BlowUpError, match="MAX_STEPS") as exc:
-            evolve(field, params, SchemeConfig(frame="moving", alpha=1e300, t_end=1.0),
-                   record_invariants=False)
+            evolve(field, params, SchemeConfig(frame="moving", alpha=1e300, t_end=1.0))
         assert (exc.value.time, exc.value.step, exc.value.integrator) == (0.0, 1, "ifrk4")
         assert exc.value.max_abs_h == pytest.approx(spec.h0, rel=1e-3)
 
@@ -673,16 +667,15 @@ class TestIfrk4:
         # an auto-dt run lands on 50 equally spaced sample times and records
         # its mean step; with sparse sampling it lands on t_end alone
         spec, grid, field = solitary_case(params, N=128, L=60.0)
-        auto = evolve(field, params, SchemeConfig(t_end=1.0), record_invariants=False)
+        auto = evolve(field, params, SchemeConfig(t_end=1.0))
         assert (auto.integrator, auto.rejected) == ("ifrk4", 0)
         assert auto.times == [k / 50 for k in range(51)]
         assert auto.steps * auto.dt == pytest.approx(1.0)
-        sparse = evolve(field, params, SchemeConfig(t_end=1.0), record_invariants=False,
+        sparse = evolve(field, params, SchemeConfig(t_end=1.0),
                         sample_every=10 ** 9)
         assert sparse.times == [0.0, 1.0] and sparse.steps < auto.steps
         assert sparse.steps * sparse.dt == pytest.approx(1.0)
-        fixed = evolve(field, params, SchemeConfig(t_end=1.0, dt=0.01),
-                       record_invariants=False)
+        fixed = evolve(field, params, SchemeConfig(t_end=1.0, dt=0.01))
         assert (fixed.integrator, fixed.steps, fixed.dt, fixed.rejected) == (
             "rk4", 100, pytest.approx(0.01), 0)
 
@@ -698,7 +691,7 @@ class TestIfrk4:
     def test_auto_step_clears_modes_above_the_band(self, params):
         grid = PeriodicGrid(L=60.0, N=256)
         field = self._with_high_modes(params, grid)
-        res = evolve(field, params, SchemeConfig(t_end=1.0), record_invariants=False)
+        res = evolve(field, params, SchemeConfig(t_end=1.0))
         assert res.integrator == "ifrk4"
         assert np.array_equal(res.snapshots[0].h, field.h)
         above = np.abs(np.fft.rfft(res.final.h))[(grid.N + 2) // 3:] / grid.N
@@ -711,7 +704,7 @@ class TestIfrk4:
         # step, which turns the fastest stepped mode many times
         spec, grid, field = solitary_case(params, N=1024, L=120.0)
         res = evolve(field, params, SchemeConfig(deriv=scheme, t_end=3.0),
-                     record_invariants=False, sample_every=1)
+                     sample_every=1)
         J = res.band[0]
         assert res.band == (J, J)
         omega = kdv_linear_symbol(params, grid, scheme)[:J].imag
@@ -729,8 +722,7 @@ class TestIfrk4:
         # stays at the truncation plateau (1.5e-11 of the peak after two laps,
         # 1.6e-11 after four), where a stage resonance would grow it ~300x a lap
         spec, grid, field = solitary_case(params, N=1024, L=120.0)
-        res = evolve(field, params, SchemeConfig(t_end=4 * grid.L / solitary_speed(spec)),
-                     record_invariants=False)
+        res = evolve(field, params, SchemeConfig(t_end=4 * grid.L / solitary_speed(spec)))
         J = res.band[0]
         assert res.band == (J, J) and J < (grid.N + 2) // 3
         lin = kdv_linear_symbol(params, grid, "spectral")[:J]
@@ -758,13 +750,13 @@ class TestIfrk4:
             return out
 
         monkeypatch.setattr(evolution, "_band_run", spy)
-        res = evolve(field, params, config, record_invariants=False)
+        res = evolve(field, params, config)
         cap = (grid.N + 2) // 3
-        # evolve builds the full band, then the start's, then each grown one
-        assert built[0] == cap and built[1] == res.band[0] < cap // 2
-        assert len(built) - 2 >= 3 and built[-1] == res.band[1]
+        # evolve builds the start's band, then each grown one, and no other
+        assert built[0] == res.band[0] < cap // 2 and built[-1] == res.band[1]
+        assert len(built) - 1 >= 3 and built == sorted(set(built))
         monkeypatch.setattr(evolution, "CHOP_LEVEL", 0.0)
-        full = evolve(field, params, config, record_invariants=False)
+        full = evolve(field, params, config)
         assert full.band == (cap, cap)
         scale = np.max(np.abs(full.final.h))
         assert np.max(np.abs(res.final.h - full.final.h)) <= 1e-7 * scale
@@ -779,7 +771,7 @@ class TestIfrk4:
         specB = SolitarySpec(0.2, SIGMA0, params.H, params.g)
         h = solitary_profile(specA, grid.x + 22.0) + solitary_profile(specB, grid.x + 4.0)
         config = SchemeConfig(frame="moving", t_end=60.0)
-        res = evolve(WaveField(grid, h), params, config, record_invariants=False,
+        res = evolve(WaveField(grid, h), params, config,
                      sample_every=1)
         lin = evolution._symbols_for(grid, params, config)[0][:(grid.N + 2) // 3]
         assert np.diff(res.times).max() * np.max(np.abs(lin)) > 2 * math.pi
@@ -795,7 +787,7 @@ class TestIfrk4:
     def test_public_steps_repeat_the_evolve_run(self, params):
         grid = PeriodicGrid(L=60.0, N=256)
         field = self._with_high_modes(params, grid)
-        res = evolve(field, params, SchemeConfig(t_end=0.5), record_invariants=False)
+        res = evolve(field, params, SchemeConfig(t_end=0.5))
         f = field
         for _ in range(res.steps):
             f = step_ifrk4(f, params, SchemeConfig(), res.dt)
@@ -872,7 +864,7 @@ class TestBandStepper:
         alpha = 0.37 if frame == "moving" else 0.0  # the fixed frame takes no alpha
         dt = stable_dt(grid, params, SchemeConfig(deriv=scheme, frame=frame, alpha=alpha))
         config = SchemeConfig(deriv=scheme, frame=frame, alpha=alpha, dt=dt, t_end=200 * dt)
-        res = evolve(field, params, config, record_invariants=False, sample_every=1)
+        res = evolve(field, params, config, sample_every=1)
         ref = reference_kdv(field, params, config, res.dt, res.steps)
         assert (res.integrator, res.steps, len(res.snapshots)) == ("rk4", 200, len(ref))
         scale = max(np.max(np.abs(h)) for h in ref)
@@ -1027,7 +1019,7 @@ class TestBandStepper:
         else:
             state, _ = filtered_solitary(params, 0.1, PeriodicGrid(L=120.0, N=1024), 0.75)
             config = SchemeConfig(filter_cut=0.75, t_end=30.0)
-        res = evolve(state, params, config, record_invariants=False)
+        res = evolve(state, params, config)
         assert res.integrator == "ifrk4" and res.band[0] == res.band[1]
         assert len(per_step) == res.steps + res.rejected > 500
         assert per_step == [10] + [8] * (len(per_step) - 1)
@@ -1047,7 +1039,7 @@ class TestBandStepper:
         for config, initial in ((SchemeConfig(t_end=0.2), field),
                                 (SchemeConfig(dt=0.005, t_end=0.2), field),
                                 (SchemeConfig(dt=0.005, t_end=0.2), (field, zero))):
-            res = evolve(initial, params, config, record_invariants=False, sample_every=1)
+            res = evolve(initial, params, config, sample_every=1)
             assert res.steps >= 20
             snaps += [s[0] if isinstance(s, tuple) else s for s in res.snapshots]
         for s in snaps:
@@ -1095,10 +1087,10 @@ class TestEvolve:
         t_end = 2.0
         dt = stable_dt(grid, params, SchemeConfig(), "kdv")
         fixed = evolve(field, params, SchemeConfig(dt=dt, t_end=t_end),
-                       record_invariants=False, sample_every=10 ** 9)
+                       sample_every=10 ** 9)
         moving = evolve(field, params,
                         SchemeConfig(dt=dt, t_end=t_end, frame="moving", alpha=alpha),
-                        record_invariants=False, sample_every=10 ** 9)
+                        sample_every=10 ** 9)
         mapped = fourier_shift(moving.final.h, grid.L, c_frame * t_end)
         assert np.max(np.abs(fixed.final.h - mapped)) <= 1e-8 * spec.h0
 
@@ -1154,8 +1146,7 @@ class TestEvolve:
         advisory = stable_dt(grid, params, SchemeConfig(), "kdv")
         with caplog.at_level("WARNING", logger="longwave.evolution"):
             try:
-                evolve(field, params, SchemeConfig(dt=3 * advisory, t_end=6 * advisory),
-                       record_invariants=False)
+                evolve(field, params, SchemeConfig(dt=3 * advisory, t_end=6 * advisory))
             except BlowUpError:
                 pass
         assert any("advisory" in r.message for r in caplog.records)
@@ -1461,8 +1452,8 @@ class TestBatchedDiagnostics:
                          np.array([crest_position(f, where) for f in fields]))
 
     def test_invariants_cost_a_fixed_number_of_transforms_per_run(self, params, monkeypatch):
-        # a run's invariants are one batched pass, so the transforms they add
-        # do not grow with the number of samples
+        # a run's invariants are one batched pass on their first read, so its
+        # transforms do not grow with the number of samples
         calls = []
         for module in (operators, evolution):
             for name in ("rfft", "irfft"):
@@ -1473,19 +1464,39 @@ class TestBatchedDiagnostics:
         spec, grid, field = solitary_case(params, N=128, L=60.0)
         config = SchemeConfig(t_end=40.0)
 
-        def transforms(sample_every, record_invariants):
+        def transforms(sample_every):
+            res = evolve(field, params, config, sample_every=sample_every)
             calls.clear()
-            res = evolve(field, params, config, sample_every=sample_every,
-                         record_invariants=record_invariants)
+            res.invariants
             return len(calls), len(res.times)
 
-        added, samples = [], []
-        for every in (5, 10):
-            (with_inv, n), (without, _) = transforms(every, True), transforms(every, False)
-            added.append(with_inv - without)
-            samples.append(n)
-        assert samples[0] > samples[1] + 5
-        assert added[0] == added[1]
+        (first, n5), (second, n10) = transforms(5), transforms(10)
+        assert n5 > n10 + 5
+        assert first == second > 0
+
+
+class TestLazyDiagnostics:
+    @pytest.mark.parametrize("run", [_transit_run, _pair_run], ids=["transit", "pair"])
+    def test_unread_diagnostics_are_never_evaluated(self, params, monkeypatch, run):
+        def unread(*args, **kwargs):
+            raise AssertionError("a diagnostic no caller read was evaluated")
+
+        monkeypatch.setattr(evolution, "invariant_rows", unread)
+        monkeypatch.setattr(evolution, "boussinesq_energy_rows", unread)
+        initial, run_params, config = run(params)
+        res = evolve(initial, run_params, config)
+        assert len(res.times) == len(res.snapshots) == 51 and res.steps > 0
+        if run is _transit_run:
+            assert res.energy is None
+
+    @pytest.mark.parametrize("run", [_transit_run, _pair_run], ids=["transit", "pair"])
+    def test_the_result_keeps_its_run_and_its_first_read(self, params, run):
+        initial, run_params, config = run(params)
+        res = evolve(initial, run_params, config)
+        assert res.params is run_params and res.config is config
+        assert res.invariants is res.invariants and len(res.invariants) == 51
+        if run is _pair_run:
+            assert res.energy is res.energy and len(res.energy) == 51
 
 
 class TestSchemeConfigValidation:

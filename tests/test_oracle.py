@@ -49,7 +49,7 @@ def exact_start_error(params, N, L):
     """(steps, largest error of the 51 samples / h_tall) of the exact-start collision."""
     grid = PeriodicGrid(L=L, N=N)
     res = evolve(WaveField(grid, exact(params, grid.x, 0.0)), params,
-                 SchemeConfig(frame="moving", alpha=0.0, t_end=T_END), record_invariants=False)
+                 SchemeConfig(frame="moving", alpha=0.0, t_end=T_END))
     assert len(res.times) == 51
     err = max(float(np.max(np.abs(s.h - exact(params, grid.x, t))))
               for t, s in zip(res.times, res.snapshots))
@@ -114,8 +114,7 @@ def test_default_collision_phase_shifts_match_the_closed_form(params, tmp_path, 
 def collision(params):
     """The default collision's start and its run in the moving frame at alpha = 0."""
     field0 = sech_sq_start(params, PeriodicGrid(L=80.0, N=256))
-    return field0, evolve(field0, params, SchemeConfig(frame="moving", alpha=0.0, t_end=T_END),
-                          record_invariants=False)
+    return field0, evolve(field0, params, SchemeConfig(frame="moving", alpha=0.0, t_end=T_END))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
@@ -125,10 +124,8 @@ def test_moving_frame_is_the_fixed_frame_translated(params, alpha):
     # (alpha = 0.3) once shifted by that speed times t
     grid = PeriodicGrid(L=80.0, N=256)
     field0 = sech_sq_start(params, grid)
-    moving = evolve(field0, params, SchemeConfig(frame="moving", alpha=alpha, t_end=T_END),
-                    record_invariants=False)
-    fixed = evolve(field0, params, SchemeConfig(frame="fixed", t_end=T_END),
-                   record_invariants=False)
+    moving = evolve(field0, params, SchemeConfig(frame="moving", alpha=alpha, t_end=T_END))
+    fixed = evolve(field0, params, SchemeConfig(frame="fixed", t_end=T_END))
     assert moving.steps == fixed.steps and moving.times == fixed.times
     speed = math.sqrt(params.g * params.H) - math.sqrt(params.g / params.H) * alpha
     for t, a, b in zip(moving.times, moving.snapshots, fixed.snapshots):
@@ -142,8 +139,7 @@ def test_a_rolled_start_runs_the_rolled_collision(params, collision, shift):
     # 4.7e-14 m, and bit for bit for the half-period roll N/2 = 128
     field0, base = collision
     rolled = evolve(WaveField(field0.grid, np.roll(field0.h, shift)), params,
-                    SchemeConfig(frame="moving", alpha=0.0, t_end=T_END),
-                    record_invariants=False)
+                    SchemeConfig(frame="moving", alpha=0.0, t_end=T_END))
     assert rolled.steps == base.steps and rolled.times == base.times
     for a, b in zip(base.snapshots, rolled.snapshots):
         if shift == field0.grid.N // 2:
@@ -158,7 +154,7 @@ def test_g_scaling_doubles_every_rate_bit_for_bit(frame):
     # doubles every rate: the same steps, at half the times, to the last bit
     grid = PeriodicGrid(L=80.0, N=256)
     base, scaled = (evolve(sech_sq_start(params, grid), params,
-                           SchemeConfig(frame=frame, t_end=t_end), record_invariants=False)
+                           SchemeConfig(frame=frame, t_end=t_end))
                     for params, t_end in ((WATER, T_END),
                                           (replace(WATER, g=4.0 * WATER.g, rho=WATER.rho / 4.0),
                                            T_END / 2.0)))
@@ -179,8 +175,7 @@ def test_sigma_scaling_halves_every_length_and_time(params, frame, alpha):
                       / params.H)
     base, scaled = (evolve(WaveField(grid, solitary_profile(
                                SolitarySpec(0.3, dispersion_sigma(p), p.H, p.g), grid.x)),
-                           p, SchemeConfig(frame=frame, alpha=alpha, t_end=t_end),
-                           record_invariants=False)
+                           p, SchemeConfig(frame=frame, alpha=alpha, t_end=t_end))
                     for p, grid, t_end in ((params, PeriodicGrid(L=120.0, N=512), 20.0),
                                            (quarter, PeriodicGrid(L=60.0, N=512), 10.0)))
     assert scaled.steps == base.steps
