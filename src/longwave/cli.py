@@ -37,11 +37,13 @@ from .evolution import (
     DeformationSpec,
     SchemeConfig,
     _is_normal,
+    _symbols,
     crest_position,
     crest_position_rows,
     evolve,
     factorization_residual,
     fit_speed,
+    frame_alpha,
     front_slope_change,
     steady_inverse_width,
     steepening_verdict,
@@ -74,16 +76,17 @@ GRAVITY = {"physical.g": "9.81", "physical.H": "1.0"}
 PHYSICAL = {**GRAVITY, "physical.rho": "1000.0", "physical.T": "0.0"}
 WRITES = {**PHYSICAL, "output_dir": "out"}  # every command but stability writes files
 GRID = {"grid.N": "1024", "grid.L": "120.0"}
-STEPPING = {"scheme.deriv": "spectral", "scheme.dt": "auto", "scheme.t_end": "auto",
-            "scheme.frame": "fixed", "scheme.alpha": "0.0"}
-EVOLVES = {**WRITES, **GRID, **STEPPING}
+STEPPING = {"scheme.deriv": "spectral", "scheme.dt": "auto", "scheme.t_end": "auto"}
+FRAME = {"scheme.frame": "fixed", "scheme.alpha": "0.0"}
+EVOLVES = {**WRITES, **GRID, **STEPPING, **FRAME}
 # a cnoidal wave spans n_waves wavelengths, so it reads grid.N but not grid.L
 CNOIDAL = {"grid.N": "1024", "scenario.kl_sum": "0.2", "scenario.m": "0.5"}
 
 # the keys each command reads, with their defaults: scenario names,
 # "stability", and analytic and evolve per --wave or --ic choice
 COMMANDS = {
-    "solitary_transit": {**EVOLVES, "scenario.h0": "0.1"},
+    # the transit's speed formula and its lap are the fixed frame's, so it reads no frame
+    "solitary_transit": {**WRITES, **GRID, **STEPPING, "scenario.h0": "0.1"},
     "two_soliton": {**EVOLVES, "grid.N": "256", "grid.L": "80.0", "scheme.frame": "moving",
                     "scheme.t_end": "60.0", "scenario.h0_tall": "0.5", "scenario.h0_short": "0.2",
                     "scenario.x_tall": "-22.0", "scenario.x_short": "-4.0"},
@@ -102,7 +105,7 @@ COMMANDS = {
     "analytic --wave solitary": {**WRITES, **GRID, "scenario.h0": "0.1"},
     "analytic --wave cnoidal": {**WRITES, **CNOIDAL, "scenario.n_waves": "1"},
     "evolve --ic solitary": {**EVOLVES, "scenario.h0": "0.1"},
-    "evolve --ic cnoidal": {**WRITES, **STEPPING, **CNOIDAL, "scenario.n_waves": "4"},
+    "evolve --ic cnoidal": {**WRITES, **STEPPING, **FRAME, **CNOIDAL, "scenario.n_waves": "4"},
     "stability": PHYSICAL,
 }
 
@@ -167,17 +170,19 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 @dataclass
 class ExperimentConfig:
     """Resolved configuration: the raw text of the keys the command reads (as
-    the manifest echoes it) and their parsed values; grid, scheme and
-    output_dir are None for a command that does not read all their keys,
-    and params takes its defaults for the physical.* keys it does not
-    read.  scenario is the command without its --wave or --ic choice."""
+    the manifest echoes it) and their parsed values.  params and scheme
+    are never None: each takes the physical.* or scheme.* keys the command
+    reads as its fields and its defaults for the rest.  grid is None for a
+    command that does not read both grid keys, output_dir for one that
+    writes nothing.  scenario is the command without its --wave or --ic
+    choice."""
 
     scenario: str
     raw: dict[str, str]
     values: dict[str, object]
     params: PhysicalParams
     grid: PeriodicGrid | None
-    scheme: SchemeConfig | None
+    scheme: SchemeConfig
     output_dir: Path | None
 
     def fnum(self, key: str):
@@ -211,6 +216,12 @@ def _parse(key: str, text: str):
         raise ValueError(f"{key!r} must be {what}, got {text!r}") from None
 
 
+def _fields(values: dict[str, object], section: str) -> dict[str, object]:
+    """The section's parsed keys by field name; 'auto' (None) leaves a field its default."""
+    return {key.partition(".")[2]: value for key, value in values.items()
+            if key.partition(".")[0] == section and value is not None}
+
+
 def resolve_config(scenario: str, config_file: str | None,
                    overrides: list[str], out_dir: str | None) -> ExperimentConfig:
     """The command's defaults, updated by the config file, then by --set."""
@@ -238,13 +249,9 @@ def resolve_config(scenario: str, config_file: str | None,
         raw["output_dir"] = out_dir
     v = {key: _parse(key, text) for key, text in raw.items()}
     try:  # a value out of range names the command and choice that read it
-        params = PhysicalParams(**{key.split(".", 1)[1]: value for key, value in v.items()
-                                   if key.startswith("physical.")})
-        grid = PeriodicGrid(L=v["grid.L"], N=v["grid.N"]) if GRID.keys() <= v.keys() else None
-        scheme = (SchemeConfig(deriv=v["scheme.deriv"], dt=v["scheme.dt"],
-                               t_end=v["scheme.t_end"] or 0.0, frame=v["scheme.frame"],
-                               alpha=v["scheme.alpha"])
-                  if STEPPING.keys() <= v.keys() else None)
+        params = PhysicalParams(**_fields(v, "physical"))
+        grid = PeriodicGrid(**_fields(v, "grid")) if GRID.keys() <= v.keys() else None
+        scheme = SchemeConfig(**_fields(v, "scheme"))
     except ValueError as e:
         raise ValueError(f"{scenario}: {e}") from None
     return ExperimentConfig(scenario=scenario.partition(" ")[0], raw=raw, values=v,
@@ -361,6 +368,27 @@ def _solitary_pieces(cfg: ExperimentConfig, h0: float):
     return spec, solitary_speed(spec)
 
 
+def _check_fit(spec: SolitarySpec, grid: PeriodicGrid, key: str = "scenario.h0") -> None:
+    """ValueError unless the solitary wave's width 1/kappa lies between one grid
+    step and the domain, kappa = SolitarySpec.inv_width.
+
+    Below L kappa = 1 the wave is flat on the grid: its tail at the seam
+    passes sech^2(1/2) = 0.79 of its crest, and a transit's crest speed
+    reads 0 by h0 = 1e-100 m.  Above kappa dx = 1 it falls between the
+    grid points: a transit at kappa dx = 2.7 misses its speed by 1.1% and
+    its shape by 36% of h0.
+    """
+    kappa = spec.inv_width
+    if not grid.L * kappa >= 1.0:
+        raise ValueError(f"{key!r} = {spec.h0:g} m is too small for 'grid.L' = {grid.L:g} m: "
+                         f"the solitary wave is wider than the domain (L kappa = "
+                         f"{grid.L * kappa:.3g}, at least 1 needed)")
+    if not kappa * grid.dx <= 1.0:
+        raise ValueError(f"'grid.L' = {grid.L:g} m over 'grid.N' = {grid.N} points is too "
+                         f"coarse for {key!r} = {spec.h0:g} m: the solitary wave is narrower "
+                         f"than a step (kappa dx = {kappa * grid.dx:.3g}, at most 1 allowed)")
+
+
 def _crest_speed(res, params: PhysicalParams) -> float:
     """The fitted speed of the run's crest, from every snapshot's crest in one pass.
 
@@ -378,8 +406,19 @@ def _crest_speed(res, params: PhysicalParams) -> float:
                      grid.L)
 
 
-def _evolve_to(cfg: ExperimentConfig, initial: WaveField, t_auto: float):
-    """Evolve to scheme.t_end (t_auto if 'auto'): the run and its three files."""
+def _evolve_to(cfg: ExperimentConfig, initial: WaveField, t_auto: float, *waves):
+    """Evolve to scheme.t_end (t_auto if 'auto'): the run and its three files.
+
+    waves are the (spec, key) of the solitary waves the start places.  Each
+    must fit the grid (_check_fit), once the grid is shown to carry the
+    equation's symbols and unless its crest is past evolve's blow-up limit,
+    so that a grid too short for its symbols and a crest too high for the
+    model are reported as such.
+    """
+    _symbols(initial.grid, cfg.params, cfg.scheme, False)
+    for spec, key in waves:
+        if abs(spec.h0) <= BLOWUP_FACTOR * spec.H:
+            _check_fit(spec, initial.grid, key)
     t_end = t_auto if cfg.t_end_auto else cfg.scheme.t_end
     res = evolve(initial, cfg.params, replace(cfg.scheme, t_end=t_end))
     files = {
@@ -395,7 +434,7 @@ def scenario_solitary_transit(cfg: ExperimentConfig):
     spec, omega = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
     field0 = solitary_field(spec, cfg.grid)
     tail = abs(solitary_profile(spec, cfg.grid.L / 2)) / abs(spec.h0)
-    res, files = _evolve_to(cfg, field0, cfg.grid.L / omega)
+    res, files = _evolve_to(cfg, field0, cfg.grid.L / omega, (spec, "scenario.h0"))
     shape_err = recentered_shape_error(res.final, field0)
     return {
         "t_end": _fmt(res.config.t_end),
@@ -410,10 +449,7 @@ def scenario_solitary_transit(cfg: ExperimentConfig):
 
 
 def scenario_two_soliton(cfg: ExperimentConfig):
-    """Overtaking of a short solitary wave by a tall one (moving frame)."""
-    if cfg.scheme.frame != "moving":
-        raise ValueError("two_soliton measures its phase shifts in the moving frame: "
-                         f"'scheme.frame' must be 'moving', got {cfg.scheme.frame!r}")
+    """Overtaking of a short solitary wave by a tall one, in the run's frame."""
     params, grid = cfg.params, cfg.grid
     hA, hB = cfg.fnum("scenario.h0_tall"), cfg.fnum("scenario.h0_short")
     for key in ("scenario.h0_tall", "scenario.h0_short"):  # the shape errors divide by them
@@ -427,8 +463,9 @@ def scenario_two_soliton(cfg: ExperimentConfig):
     specA = SolitarySpec(hA, sigma, params.H, params.g)
     specB = SolitarySpec(hB, sigma, params.H, params.g)
     x = grid.x
-    h = (solitary_profile(specA, x - xA) + solitary_profile(specB, x - xB))
-    res, files = _evolve_to(cfg, WaveField(grid, h), 60.0)
+    h = solitary_field(specA, grid, xA).h + solitary_field(specB, grid, xB).h
+    res, files = _evolve_to(cfg, WaveField(grid, h), 60.0,
+                            (specA, "scenario.h0_tall"), (specB, "scenario.h0_short"))
     final, t_end = res.final, res.config.t_end
     L = grid.L
     wrap = lambda z: (z + L / 2) % L - L / 2
@@ -438,9 +475,9 @@ def scenario_two_soliton(cfg: ExperimentConfig):
     awayA = np.abs(wrap(x - posA)) > 8.0
     posB = crest_position(final, where=awayA)
 
-    # speeds relative to a frame moving at sqrt(gH) - sqrt(g/H) alpha
-    vA = math.sqrt(params.g / params.H) * (0.5 * hA + cfg.scheme.alpha)
-    vB = math.sqrt(params.g / params.H) * (0.5 * hB + cfg.scheme.alpha)
+    # speeds relative to the run's frame, which moves at sqrt(gH) - sqrt(g/H) alpha
+    vA = math.sqrt(params.g / params.H) * (0.5 * hA + frame_alpha(params, cfg.scheme))
+    vB = math.sqrt(params.g / params.H) * (0.5 * hB + frame_alpha(params, cfg.scheme))
     shiftA = float(wrap(posA - (xA + vA * t_end)))
     shiftB = float(wrap(posB - (xB + vB * t_end)))
 
@@ -512,7 +549,8 @@ def scenario_steepening(cfg: ExperimentConfig):
 def scenario_moment_conservation(cfg: ExperimentConfig):
     """Invariant drift over a solitary transit (conservation showcase)."""
     spec, omega = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
-    res, files = _evolve_to(cfg, solitary_field(spec, cfg.grid), cfg.grid.L / omega)
+    res, files = _evolve_to(cfg, solitary_field(spec, cfg.grid), cfg.grid.L / omega,
+                            (spec, "scenario.h0"))
     return ({"t_end": _fmt(res.config.t_end), **_drift_entries(res), **_step_entries(res)},
             {"invariants.csv": files["invariants.csv"]})
 
@@ -578,8 +616,7 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     results: dict[str, str] = {}
 
     # every input of the three parts is checked before part (a) runs
-    filtered = SchemeConfig(deriv="spectral", dt=cfg.fnum("scheme.dt"),
-                            filter_cut=cfg.fnum("scheme.filter_cut"))
+    filtered = cfg.scheme
     grid = PeriodicGrid(L=64.0, N=256)  # parts (a) and (c)
     k_cut = filtered.filter_cut * math.sqrt(3.0) / H
     j = cfg.fnum("scenario.mode_index")
@@ -618,7 +655,7 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     # whose start overflows or starts past evolve's blow-up limit, stops before (a)
     gridS = cfg.grid
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        hs = lowpass(solitary_profile(spec, gridS.x), gridS.L, cut * math.sqrt(3.0) / H)
+        hs = lowpass(solitary_field(spec, gridS).h, gridS.L, cut * math.sqrt(3.0) / H)
         vs = -omega * diff(hs, gridS.L, 1)
     if not (np.isfinite(hs).all() and np.isfinite(vs).all()):
         raise ValueError(f"'scenario.h0' = {spec.h0} m leaves part (b)'s starting h and "
@@ -627,6 +664,8 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     if peak > BLOWUP_FACTOR * H:
         raise ValueError(f"'scenario.h0' = {spec.h0} m starts part (b) past the blow-up limit "
                          f"of {BLOWUP_FACTOR:g} H: its low-passed max|h| is {peak:.6g} m")
+    _symbols(gridS, params, schemeS, True)  # part (b)'s band, before part (a) runs
+    _check_fit(spec, gridS)
 
     # (a) one low linear mode: measured oscillation frequency
     cosk = np.cos(k0 * grid.x)
@@ -649,7 +688,7 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
 
     # (c) broadband noise: unfiltered blow-up against the filtered twin
     # dt = None: RK4 at the advisory, which resolves the fastest growth rate
-    raw = SchemeConfig(deriv="spectral", dt=None, t_end=2.0, boussinesq_filter=False)
+    raw = replace(filtered, dt=None, t_end=2.0, boussinesq_filter=False)
     try:
         resU = evolve((WaveField(grid, noise), rest), params, raw)
         results["unfiltered_blowup_time"] = "none"
@@ -700,6 +739,7 @@ def _analytic(cfg: ExperimentConfig, wave: str, phase: float):
     results = {"sigma": _fmt(dispersion_sigma(cfg.params))}
     if wave == "solitary":
         spec, speed = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
+        _check_fit(spec, cfg.grid)
         field = solitary_field(spec, cfg.grid, center=phase)
     else:
         spec, grid = _cnoidal_pieces(cfg, cfg.fnum("scenario.m"))
@@ -714,11 +754,11 @@ def _evolve(cfg: ExperimentConfig, ic: str):
     """One run from a solitary or a cnoidal initial condition."""
     if ic == "solitary":
         spec, speed = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
-        initial, t_auto = solitary_field(spec, cfg.grid), cfg.grid.L / speed
+        initial, t_auto, waves = solitary_field(spec, cfg.grid), cfg.grid.L / speed, [spec]
     else:
         spec, grid = _cnoidal_pieces(cfg, cfg.fnum("scenario.m"))
-        initial, t_auto = cnoidal_field(spec, grid, zero_mean=True), 10.0
-    res, files = _evolve_to(cfg, initial, t_auto)
+        initial, t_auto, waves = cnoidal_field(spec, grid, zero_mean=True), 10.0, []
+    res, files = _evolve_to(cfg, initial, t_auto, *[(w, "scenario.h0") for w in waves])
     results = {"t_end": _fmt(res.config.t_end), **_drift_entries(res), **_step_entries(res)}
     if ic == "solitary":
         # crest tracking is unambiguous only with a single crest in the domain

@@ -286,12 +286,16 @@ def _finite_symbols(lin: np.ndarray, flux: np.ndarray, N: int, L: float):
     return lin, flux
 
 
+def frame_alpha(params: PhysicalParams, config: SchemeConfig) -> float:
+    """The frame parameter alpha of a unidirectional run: the fixed frame is alpha = H."""
+    return params.H if config.frame == "fixed" else config.alpha
+
+
 def _symbols_for(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
                  table=_kdv_symbols):
-    """(lin, flux) of the run at the run's sigma; the fixed frame is alpha = H."""
-    alpha = params.H if config.frame == "fixed" else config.alpha
-    return table(grid.N, grid.L, params.g, params.H, dispersion_sigma(params), alpha,
-                 config.deriv)
+    """(lin, flux) of the run at the run's sigma and frame alpha."""
+    return table(grid.N, grid.L, params.g, params.H, dispersion_sigma(params),
+                 frame_alpha(params, config), config.deriv)
 
 
 def _grid_rhs(lin: np.ndarray, flux: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -303,12 +303,24 @@ class TestConfigTable:
         drift_E = conservation_drift(res.invariants)["E"]
         assert moved["result.drift_E"] == format(drift_E, ".17g")
 
-    def test_two_soliton_requires_moving_frame(self, tmp_path, capsys):
-        rc = main(["scenario", "two_soliton", "--out", str(tmp_path / "ts"),
-                   "--set", "scheme.frame=fixed", "--set", "grid.N=128",
-                   "--set", "scheme.t_end=1.0"])
-        assert rc == EXIT_USAGE
-        assert "'scheme.frame' must be 'moving'" in capsys.readouterr().err
+    def test_two_soliton_runs_in_the_fixed_frame(self, tmp_path):
+        # the reference speeds sqrt(g/H)(h0/2 + alpha) hold at the fixed frame's
+        # alpha = H too, so both frames measure the same phase shifts
+        runs = {}
+        for frame in ("moving", "fixed"):
+            out = tmp_path / frame
+            rc = main(["scenario", "two_soliton", "--out", str(out),
+                       "--set", f"scheme.frame={frame}"])
+            assert rc == EXIT_OK
+            runs[frame] = _manifest(out)
+        moving, fixed = runs["moving"], runs["fixed"]
+        assert fixed["config.scheme.frame"] == "fixed"
+        assert fixed["result.steps"] == moving["result.steps"]
+        tall, short = (float(fixed[f"result.phase_shift_{w}"]) for w in ("tall", "short"))
+        assert 1.7 <= tall <= 3.2 and -5.0 <= short <= -2.7  # criterion 07's ranges
+        for w in ("tall", "short"):
+            key = f"result.phase_shift_{w}"
+            assert abs(float(fixed[key]) - float(moving[key])) <= 5e-3
 
     def test_evolve_manifest_reproduces_cnoidal_run(self, tmp_path):
         first = tmp_path / "c1"
@@ -695,10 +707,26 @@ class TestScenarioSmoke:
                    "--set", "grid.N=256"])
         assert rc == EXIT_OK
         manifest = _manifest(out)
-        assert manifest["config.scheme.frame"] == "fixed"
+        # the transit's formula and lap are the fixed frame's: it reads no frame
+        assert not {"config.scheme.frame", "config.scheme.alpha"} & manifest.keys()
         assert float(manifest["result.shape_error_rel_h0"]) <= 1e-5
         for name in ("E", "M", "Hfun"):
             assert float(manifest[f"result.drift_{name}"]) <= 1e-6
+
+    def test_boussinesq_demo_control_that_does_not_blow_up(self, tmp_path, capsys):
+        # at g = 1e-3 the unfiltered noise grows too slowly to trip the check in its
+        # 2 s: six RK4 steps of 1/3 s at the advisory, on all 129 modes
+        out = tmp_path / "bd"
+        rc = main(["scenario", "boussinesq_demo", "--out", str(out), "--set", "physical.g=1e-3"])
+        assert rc == EXIT_OK
+        printed = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines()[:-1])
+        unfiltered = {k: v for k, v in printed.items() if k.startswith("unfiltered_")}
+        assert unfiltered == {
+            "unfiltered_blowup_time": "none", "unfiltered_integrator": "rk4",
+            "unfiltered_dt": cli._fmt(2.0 / 6), "unfiltered_steps": "6",
+            "unfiltered_rejected": "0", "unfiltered_band_min": "129", "unfiltered_band_max": "129"}
+        manifest = _manifest(out)
+        assert {k: manifest[f"result.{k}"] for k in unfiltered} == unfiltered
 
     def test_manifest_reproduces_run(self, tmp_path):
         # a manifest alone must suffice to regenerate identical outputs
@@ -750,6 +778,32 @@ class TestScenarioSmoke:
         sp = float(manifest["result.solitary_speed_measured"])
         sp0 = float(manifest["result.solitary_speed_formula"])
         assert abs(sp - sp0) / sp0 < 0.01
+
+
+class TestSolitaryFit:
+    @pytest.mark.parametrize("h0, L, N, message", [
+        (1.1e-4, 120.0, 1024, None),  # L kappa = 1.09
+        (8e-5, 120.0, 1024, "'scenario.h0' = 8e-05 m is too small for 'grid.L' = 120 m: the "
+                            "solitary wave is wider than the domain (L kappa = 0.93,"),
+        (0.1, 220.0, 64, None),  # kappa dx = 0.941
+        (0.1, 250.0, 64, "'grid.L' = 250 m over 'grid.N' = 64 points is too coarse for "
+                         "'scenario.h0' = 0.1 m: the solitary wave is narrower than a step "
+                         "(kappa dx = 1.07,"),
+    ])
+    def test_a_solitary_start_must_fit_its_grid(self, tmp_path, capsys, h0, L, N, message):
+        # the width 1/kappa, kappa = sqrt(h0/(4 sigma)), must lie between one step and
+        # the domain; each row sits within 10% of one of the two bounds
+        kappa = SolitarySpec(h0, 1.0 / 3.0, 1.0, 9.81).inv_width
+        assert 0.9 < min(L * kappa, N / (L * kappa)) < 1.1
+        out = tmp_path / "out"
+        rc = main(["analytic", "--out", str(out), "--set", f"scenario.h0={h0}",
+                   "--set", f"grid.L={L}", "--set", f"grid.N={N}"])
+        err = capsys.readouterr().err
+        if message is None:
+            assert (rc, err) == (EXIT_OK, "")
+        else:
+            assert rc == EXIT_USAGE and message in err and len(err.splitlines()) == 1
+            assert not out.exists()
 
 
 BLOWUP = ["--set", "grid.N=64", "--set", "grid.L=60",
@@ -832,8 +886,6 @@ class TestNothingWrittenUnlessTheRunSucceeds:
          "roots k and l must be positive"),
         (["scenario", "factorization", "--set", "scenario.n_list=0,64"], EXIT_USAGE,
          "N must be even and >= 8, got 0"),
-        (["scenario", "two_soliton", "--set", "scheme.frame=fixed"], EXIT_USAGE,
-         "'scheme.frame' must be 'moving'"),
         (["evolve", "--ic", "solitary", *BLOWUP], EXIT_BLOWUP, "blew up"),
         (["analytic", "--wave", "cnoidal", "--set", "scenario.m=1.5"], EXIT_USAGE,
          "roots k and l must be positive"),
@@ -843,6 +895,17 @@ class TestNothingWrittenUnlessTheRunSucceeds:
           for command in (["scenario", "solitary_transit"], ["scenario", "moment_conservation"],
                           ["scenario", "boussinesq_demo"], ["analytic", "--wave", "solitary"],
                           ["evolve", "--ic", "solitary"])],
+        # a solitary wave wider than its domain, or narrower than a grid step
+        *[([*command, "--set", "scenario.h0=1e-100"], EXIT_USAGE,
+           "'scenario.h0' = 1e-100 m is too small for 'grid.L' = 120 m")
+          for command in (["scenario", "solitary_transit"], ["scenario", "boussinesq_demo"],
+                          ["evolve", "--ic", "solitary"])],
+        *[([*command, "--set", "grid.L=1e300"], EXIT_USAGE,
+           "'grid.L' = 1e+300 m over 'grid.N' = 1024 points is too coarse for "
+           "'scenario.h0' = 0.1 m")
+          for command in (["scenario", "solitary_transit"], ["evolve", "--ic", "solitary"])],
+        (["analytic", "--set", "scenario.h0=1e150"], EXIT_USAGE,
+         "'grid.L' = 120 m over 'grid.N' = 1024 points is too coarse for 'scenario.h0' = 1e+150 m"),
         (["scenario", "steepening", "--set", "physical.T=3270"], EXIT_USAGE,
          "steepening analysis requires sigma > 0"),
         (["scenario", "steepening", "--set", "physical.T=5000"], EXIT_USAGE,
@@ -930,7 +993,9 @@ class TestNothingWrittenUnlessTheRunSucceeds:
         (["scenario", "boussinesq_demo", "--set", "physical.T=0.0728"], EXIT_USAGE,
          "boussinesq_demo does not read 'physical.T'"),
         (["scenario", "solitary_transit", "--set", "scheme.alpha=0.3"], EXIT_USAGE,
-         "solitary_transit: alpha applies to the moving frame only, got 0.3"),
+         "solitary_transit does not read 'scheme.alpha'"),
+        (["scenario", "solitary_transit", "--set", "scheme.frame=moving"], EXIT_USAGE,
+         "solitary_transit does not read 'scheme.frame'"),
         (["scenario", "moment_conservation", "--set", "scheme.alpha=0.3"], EXIT_USAGE,
          "moment_conservation: alpha applies to the moving frame only, got 0.3"),
         (["evolve", "--set", "scheme.alpha=0.3"], EXIT_USAGE,

@@ -6,6 +6,10 @@ solution (conftest.two_soliton), so every snapshot has an exact answer.
 Errors are relative to the tall crest.  evolution.IF_TOL is the largest
 1-3-10 rung that keeps this collision within ERROR_BUDGET.
 
+The cnoidal wave is the periodic oracle: its zero-mean profile travels
+unchanged at a speed known in closed form, so every snapshot of a
+cnoidal run has an exact answer too.
+
 The symmetries of the unidirectional equation (Olver, Applications of
 Lie Groups to Differential Equations, 1986) relate pairs of runs that
 take the same steps: a change of frame, a translation, and the scalings
@@ -22,12 +26,16 @@ import pytest
 
 from longwave import (
     WATER,
+    CnoidalSpec,
     PeriodicGrid,
     SchemeConfig,
     SolitarySpec,
     WaveField,
+    cnoidal_alpha,
+    cnoidal_field,
     dispersion_sigma,
     evolve,
+    grid_for_cnoidal,
     solitary_profile,
 )
 from longwave import evolution
@@ -205,3 +213,34 @@ def test_cli_transit_under_four_g_doubles_its_speeds(tmp_path, capsys):
         assert float(scaled.pop(key)) == float(base.pop(key)) / 2.0
     assert "steps" in base and "shape_error" in base and "drift_E" in base
     assert scaled == base
+
+
+# the error bound of the default cnoidal run at each elliptic parameter m, about
+# three times the largest error measured over its 51 samples relative to the
+# height l: 5.44e-10, 2.84e-9, 1.09e-8 and 3.21e-8 (200, 300, 300 and 250 steps)
+CNOIDAL_BOUNDS = {0.1: 1.5e-9, 0.5: 8e-9, 0.9: 3e-8, 0.99: 1e-7}
+
+
+@pytest.mark.parametrize("m", sorted(CNOIDAL_BOUNDS))
+def test_cnoidal_run_is_its_exact_translate(params, m):
+    # evolve --ic cnoidal at its defaults (kl_sum = 0.2, 4 waves, N = 1024, 10 s),
+    # its wave built as the command builds it.  The cn^2 profile less its mean mu
+    # travels unchanged at c = sqrt(gH) - sqrt(g/H)(alpha_c + 3 mu / 2): removing
+    # the mean is a Galilean shift of alpha by 3 mu / 2
+    kl_sum, g, H = 0.2, params.g, params.H
+    spec = CnoidalSpec(k=kl_sum - m * kl_sum, l=m * kl_sum, sigma=dispersion_sigma(params),
+                       H=H, g=g)
+    grid = grid_for_cnoidal(spec, 4, 1024)
+    mu = float(np.mean(cnoidal_field(spec, grid).h))
+    start = cnoidal_field(spec, grid, zero_mean=True)
+    res = evolve(start, params, SchemeConfig(t_end=10.0))
+    assert len(res.times) == 51
+
+    def error(alpha):
+        c = math.sqrt(g * H) - math.sqrt(g / H) * alpha
+        return max(float(np.max(np.abs(s.h - fourier_shift(start.h, grid.L, c * t))))
+                   for t, s in zip(res.times, res.snapshots)) / spec.l
+
+    assert error(cnoidal_alpha(spec) + 1.5 * mu) <= CNOIDAL_BOUNDS[m]
+    # the oracle sees the frame: without the mean's shift it misses by 0.17 to 0.77 l
+    assert error(cnoidal_alpha(spec)) > 0.1
