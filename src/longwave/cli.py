@@ -276,34 +276,51 @@ def emit_profile_csv(field: WaveField, params: PhysicalParams,
                      scheme: str, path: str | Path) -> None:
     """Write one elevation profile: '#' key=value header, then x,h rows.
 
-    Full double precision (17 significant digits), LF endings, '.'
-    decimal separator; reading the h column back reproduces the array
-    bit for bit.
+    Full double precision (17 significant digits, the text of `_fmt`),
+    LF endings, '.' decimal separator; reading the columns back
+    reproduces x and h bit for bit.
     """
     grid = field.grid
     head = [
         ("t", _fmt(field.t)), ("N", str(grid.N)), ("L", _fmt(grid.L)),
         ("H", _fmt(params.H)), ("g", _fmt(params.g)), ("rho", _fmt(params.rho)),
         ("T", _fmt(params.T)), ("sigma", _fmt(dispersion_sigma(params))),
-        ("scheme", scheme),
+        ("scheme", scheme), ("columns", "x,h"),
     ]
-    lines = [f"# {k}={v}" for k, v in head]
-    lines.append("# columns=x,h")
-    lines.extend(map("{:.17g},{:.17g}".format, grid.x.tolist(), field.h.tolist()))
-    _write_rows(lines, path)
+    xh = np.column_stack((grid.x, field.h)).ravel()
+    rows = ("%.17g,%.17g\n" * grid.N) % tuple(xh.tolist())
+    Path(path).write_text("".join(f"# {k}={v}\n" for k, v in head) + rows,
+                          encoding="utf-8", newline="\n")
 
 
 def read_profile_csv(path: str | Path):
-    """Inverse of emit_profile_csv: (meta dict, x array, h array)."""
+    """Inverse of emit_profile_csv: (meta dict, x array, h array).
+
+    The header is the file's leading block of '#' and blank lines, and
+    each '# key=value' line in it sets meta[key]. `np.loadtxt` parses
+    the lines after that block; it skips later '#' and blank lines, so
+    a '# key=value' line below the first x,h row sets no key. Raises
+    ValueError naming the file when it holds no x,h rows, when its rows
+    do not have two columns, or when a cell does not parse.
+    """
     meta: dict[str, str] = {}
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for line in lines:
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                k, v = body.split("=", 1)
-                meta[k.strip()] = v.strip()
-    x, h = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2).T.copy()
+    for n, line in enumerate(lines):
+        body = line.strip()
+        if body[:1] not in ("#", ""):
+            break
+        key, eq, value = body[1:].partition("=")
+        if eq:
+            meta[key.strip()] = value.strip()
+    else:
+        raise ValueError(f"{path}: no x,h rows below the '#' header")
+    try:
+        rows = np.loadtxt(lines[n:], delimiter=",", comments="#", ndmin=2)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    if rows.shape[1] != 2:
+        raise ValueError(f"{path}: x,h rows need 2 columns, got {rows.shape[1]}")
+    x, h = rows.T.copy()
     return meta, x, h
 
 
@@ -795,6 +812,11 @@ def _cmd_evolve(args) -> int:
     return _print_results(cfg, _run(cfg, _evolve, ic=args.ic))
 
 
+# how far, in grid steps, a profile's x may sit from x_j = -L/2 + j L/N of its
+# header; emit_profile_csv's x reads back exactly
+X_GRID_TOL = 1e-6
+
+
 def _cmd_invariants(args) -> int:
     meta, x, h = read_profile_csv(args.input)
     missing = [key for key in ("g", "H", "rho", "T", "L", "N") if key not in meta]
@@ -804,6 +826,14 @@ def _cmd_invariants(args) -> int:
     params = PhysicalParams(g=float(meta["g"]), H=float(meta["H"]),
                             rho=float(meta["rho"]), T=float(meta["T"]))
     grid = PeriodicGrid(L=float(meta["L"]), N=int(meta["N"]))
+    if x.size != grid.N:
+        raise ValueError(f"{args.input}: {x.size} x,h rows, but the header's N is {grid.N}")
+    # the invariants are integrals over the header's grid, so x must be that grid
+    off = np.flatnonzero(~(np.abs(x - grid.x) <= X_GRID_TOL * grid.dx))
+    if off.size:
+        j = off[0]
+        raise ValueError(f"{args.input}: x_{j} = {_fmt(x[j])} is more than {X_GRID_TOL:g} dx "
+                         f"from the header's grid point -L/2 + {j} L/N = {_fmt(grid.x[j])}")
     field = WaveField(grid, h, t=float(meta.get("t", "0")))
     inv = compute_invariants(field, params)
     print(f"Q = {_fmt(inv.Q)}")

@@ -82,6 +82,21 @@ class TestProfileCsv:
         assert np.array_equal(h2.view(np.uint64), h.view(np.uint64))
         assert np.array_equal(x.view(np.uint64), grid.x.view(np.uint64))
 
+    def test_header_is_the_leading_comment_block(self, tmp_path, params):
+        # a '# key=value' line below the first x,h row is a comment and sets no
+        # key; blank lines, in the header or among the rows, and CRLF endings read
+        grid = PeriodicGrid(L=7.3, N=16)
+        h = np.random.default_rng(3).standard_normal(16)
+        path = tmp_path / "p.csv"
+        emit_profile_csv(WaveField(grid, h, t=0.5), params, "spectral", path)
+        lines = path.read_text().splitlines()
+        lines[12:12] = ["", "# late=yes", "# N=99", ""]
+        lines.insert(3, "")
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        meta, x, h2 = read_profile_csv(path)
+        assert "late" not in meta and meta["N"] == "16" and meta["columns"] == "x,h"
+        assert np.array_equal(x, grid.x) and np.array_equal(h2, h)
+
     def test_header_sigma_consistent(self, tmp_path, water):
         grid = PeriodicGrid(L=4.0, N=8)
         path = tmp_path / "p.csv"
@@ -522,6 +537,48 @@ class TestSubcommands:
         path.write_text("".join(line for line in lines if not line.startswith("# g=")))
         assert main(["invariants", "--input", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"usage error: {path}: the header lacks '# g='\n"
+
+    @pytest.mark.parametrize("mangle, message", [
+        (lambda head, rows: head, "no x,h rows below the '#' header"),
+        (lambda head, rows: head + [r.split(",")[1] for r in rows],
+         "x,h rows need 2 columns, got 1"),
+        (lambda head, rows: head + [f"{r},0" for r in rows], "x,h rows need 2 columns, got 3"),
+        (lambda head, rows: head + rows[:10], "10 x,h rows, but the header's N is 64"),
+        (lambda head, rows: head + rows[:2] + ["-28.125,abc"] + rows[3:],
+         "could not convert string 'abc' to float64"),
+        # an analytic profile moved 1000 m along x: h alone would give its invariants
+        (lambda head, rows: head + [f"{float(x) + 1000:.17g},{h}"
+                                    for x, h in (r.split(",") for r in rows)],
+         "x_0 = 970 is more than 1e-06 dx from the header's grid point -L/2 + 0 L/N = -30"),
+    ], ids=["header_only", "one_column", "three_columns", "row_count", "unparsable_cell",
+            "shifted_x"])
+    def test_invariants_subcommand_names_the_file_and_what_is_wrong(self, tmp_path, capsys,
+                                                                    params, mangle, message):
+        path = tmp_path / "p.csv"
+        field = solitary_field(SolitarySpec(0.2, 1.0 / 3.0, 1.0, 9.81), PeriodicGrid(L=60.0, N=64))
+        emit_profile_csv(field, params, "analytic", path)
+        lines = path.read_text().splitlines()
+        head, rows = lines[:10], lines[10:]
+        path.write_text("".join(f"{line}\n" for line in mangle(head, rows)))
+        out = tmp_path / "inv.csv"
+        assert main(["invariants", "--input", str(path), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {path}: ") and message in err
+        assert len(err.splitlines()) == 1 and not out.exists()
+
+    @pytest.mark.parametrize("shift, code", [(0.9e-6, EXIT_OK), (1.1e-6, EXIT_USAGE)])
+    def test_invariants_subcommand_takes_x_within_its_tolerance_of_the_grid(
+            self, tmp_path, capsys, params, shift, code):
+        grid = PeriodicGrid(L=60.0, N=64)
+        path = tmp_path / "p.csv"
+        emit_profile_csv(WaveField(grid, np.zeros(64)), params, "analytic", path)
+        lines = path.read_text().splitlines()
+        x4 = float(grid.x[4] + shift * grid.dx)
+        lines[14] = f"{x4!r},0"
+        path.write_text("".join(f"{line}\n" for line in lines))
+        assert main(["invariants", "--input", str(path)]) == code
+        if code == EXIT_USAGE:
+            assert f"x_4 = {cli._fmt(x4)} is more than 1e-06 dx" in capsys.readouterr().err
 
     def test_invariants_subcommand_at_the_critical_depth(self, tmp_path, capsys):
         # sigma = 0: no dispersion and no stability moment, reported as a usage error
