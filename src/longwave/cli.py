@@ -63,6 +63,7 @@ from .waves import (
     cnoidal_field,
     cnoidal_wavelength,
     grid_for_cnoidal,
+    rayleigh_speed,
     solitary_field,
     solitary_profile,
     solitary_speed,
@@ -300,11 +301,17 @@ def read_profile_csv(path: str | Path):
     each '# key=value' line in it sets meta[key]. `np.loadtxt` parses
     the lines after that block; it skips later '#' and blank lines, so
     a '# key=value' line below the first x,h row sets no key. Raises
-    ValueError naming the file when it holds no x,h rows, when its rows
-    do not have two columns, or when a cell does not parse.
+    ValueError naming the file when a line of it is not UTF-8 text, when
+    it holds no x,h rows, when its rows do not have two columns, or when
+    a cell does not parse.
     """
     meta: dict[str, str] = {}
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    raw = Path(path).read_bytes()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise ValueError(f"{path}: line {line} is not UTF-8 text: {e}") from None
     for n, line in enumerate(lines):
         body = line.strip()
         if body[:1] not in ("#", ""):
@@ -700,6 +707,7 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     # (b) right-moving solitary data at the corrected long-wave speed
     resS = evolve((WaveField(gridS, hs), WaveField(gridS, vs)), params, schemeS)
     results["solitary_speed_formula"] = _fmt(omega)
+    results["solitary_speed_rayleigh"] = _fmt(rayleigh_speed(g, H, spec.h0))
     results["solitary_speed_measured"] = _fmt(_crest_speed(resS, params))
     results.update(_step_entries(resS, "solitary_"))
 
@@ -823,9 +831,20 @@ def _cmd_invariants(args) -> int:
     if missing:
         raise ValueError(f"{args.input}: the header lacks "
                          + ", ".join(f"'# {key}='" for key in missing))
-    params = PhysicalParams(g=float(meta["g"]), H=float(meta["H"]),
-                            rho=float(meta["rho"]), T=float(meta["T"]))
-    grid = PeriodicGrid(L=float(meta["L"]), N=int(meta["N"]))
+
+    def value(key: str, kind=float):
+        try:
+            return kind(meta.get(key, "0"))  # of the keys read, only t may be absent
+        except ValueError:
+            raise ValueError(f"the header's '# {key}={meta[key]}' is not "
+                             f"{'an integer' if kind is int else 'a number'}") from None
+
+    try:
+        params = PhysicalParams(g=value("g"), H=value("H"), rho=value("rho"), T=value("T"))
+        grid = PeriodicGrid(L=value("L"), N=value("N", int))
+        t = value("t")
+    except ValueError as e:
+        raise ValueError(f"{args.input}: {e}") from None
     if x.size != grid.N:
         raise ValueError(f"{args.input}: {x.size} x,h rows, but the header's N is {grid.N}")
     # the invariants are integrals over the header's grid, so x must be that grid
@@ -834,7 +853,10 @@ def _cmd_invariants(args) -> int:
         j = off[0]
         raise ValueError(f"{args.input}: x_{j} = {_fmt(x[j])} is more than {X_GRID_TOL:g} dx "
                          f"from the header's grid point -L/2 + {j} L/N = {_fmt(grid.x[j])}")
-    field = WaveField(grid, h, t=float(meta.get("t", "0")))
+    bad = np.flatnonzero(~np.isfinite(h))
+    if bad.size:
+        raise ValueError(f"{args.input}: h_{bad[0]} = {_fmt(h[bad[0]])} is not finite")
+    field = WaveField(grid, h, t=t)
     inv = compute_invariants(field, params)
     print(f"Q = {_fmt(inv.Q)}")
     print(f"E = {_fmt(inv.E)}")

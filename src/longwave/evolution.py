@@ -105,7 +105,9 @@ times the RK4 limit of the linearized symbol on that band; the 0.4 is
 frozen from a blow-up sweep (solitary runs remain stable up to about
 1.05 times the limit).  The blow-up check reads a bound on max|h| from
 the band coefficients and forms h on the grid only when that bound
-nears the limit, so it stays exact.
+nears the limit, so it stays exact.  An error-controlled run reads each
+accepted state once, in one pass that gives that bound, the beat limit
+and the band watch together (_controlled_run).
 """
 
 from __future__ import annotations
@@ -425,7 +427,9 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     of dt later, for the right-hand side lin h + flux n on h alone and
     (v, lin h + flux n) on the pair, n the band square.  For "ifrk4",
     step(z, n, dt) is one step of the embedded Lawson pair ERK4(3)-IP
-    (Balac & Mahe 2013).  Its fourth-order solution is Lawson's RK4,
+    (Balac & Mahe 2013), and step(z, n, dt, True) one that lands on a
+    stop, whose weights are cached apart from the ladder's rungs
+    (_stage_weights).  ERK4(3)-IP's fourth-order solution is Lawson's RK4,
     which propagates the linear part exactly, by the one propagator
     exp(A dt) of the module docstring, and leaves the stages only the h^2
     flux, which enters the last row (a bidirectional run needs the
@@ -489,40 +493,19 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     if bidirectional and not config.boussinesq_filter:
         raise ValueError("the integrating factor needs the low-pass band: unfiltered, "
                          "the bidirectional model grows without bound above sqrt(3)/H")
-    om = _omega(lin, bidirectional)
     Pz, P2z, tmp = np.empty((3, m, J), complex)  # P z, P P z and P's second product
     r = np.empty((3, M // 2 + 1), complex)  # the inner stages' squares
     r2, r3, r4 = r
     n2, n3, n4 = r[:, None, :J]
     d = np.empty((1, J), complex)  # n2 + n3, then the error
+    # evolve's steps sit on rungs of a ladder (24 over the default collision), and
+    # its steps that land on a stop repeat their lengths from stop to stop: each
+    # kind has a cache of its own, so that no landing evicts a rung
+    weights = partial(_stage_weights, _omega(lin, bidirectional), lin, g)
+    rungs, landings = lru_cache(maxsize=32)(weights), lru_cache(maxsize=8)(weights)
 
-    def propagator(tau: float):
-        # A acts as the matrix i omega or [[0, 1], [lin, 0]], both squaring to
-        # -omega^2, so exp(tau A) = cos(omega tau) + A sin(omega tau)/omega
-        # (omega changes sign over a unidirectional band; tau A where omega = 0):
-        # the multiplier c + lin s of the one row, or the pair's (c, As), applied
-        # as c x + As x[::-1]
-        c = np.cos(om * tau)
-        s = np.divide(np.sin(om * tau), om, out=np.full(J, tau), where=om != 0)
-        return c + lin * s if not bidirectional else (c, np.stack((s, lin * s)))
-
-    def propagated(P, x: np.ndarray) -> np.ndarray:
-        if not bidirectional:
-            return P * x
-        out = P[0] * x
-        return add(out, P[1] * x[::-1], out)
-
-    @lru_cache(maxsize=8)  # evolve's steps sit on a few rungs of a ladder
-    def weights(dt: float):
-        # the half-step propagator P and the stage weights, each a coefficient
-        # times g propagated over dt/2, dt or not at all, folded into one array
-        P = propagator(0.5 * dt)
-        Pg, P2g = propagated(P, g), propagated(propagator(dt), g)
-        return (P, (0.5 * dt) * Pg, (0.5 * dt) * g, dt * Pg, (dt / 6.0) * P2g,
-                (dt / 3.0) * Pg, (dt / 6.0) * g, (dt / 10.0) * g[-1:])
-
-    def ifrk4(z: np.ndarray, n1: np.ndarray | None, dt: float):
-        P, a2, a3, a4, b1, b23, b4, e = weights(dt)
+    def ifrk4(z: np.ndarray, n1: np.ndarray | None, dt: float, land: bool = False):
+        P, a2, a3, a4, b1, b23, b4, e = (landings if land else rungs)(dt)
         if n1 is None:
             inverse(z[0], fct, h)
             multiply(h, h, h)
@@ -558,6 +541,67 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
         return z1, n5, math.sqrt(np.vdot(d, d).real)
 
     return lin, flux, ifrk4
+
+
+def _stage_weights(om: np.ndarray, lin: np.ndarray, g: np.ndarray, dt: float) -> tuple:
+    """The half-step propagator P and ERK4(3)-IP's stage weights for a step of dt.
+
+    om is the band's omega (_omega), lin its linear symbol and g the flux
+    vector of _band_run, one row for h alone and two for (h, v).  Each
+    weight is a coefficient times g propagated over dt/2, dt or not at
+    all, folded into one array.
+    """
+    bidirectional = g.shape[0] == 2
+
+    def propagator(tau: float):
+        # A acts as the matrix i omega or [[0, 1], [lin, 0]], both squaring to
+        # -omega^2, so exp(tau A) = cos(omega tau) + A sin(omega tau)/omega
+        # (omega changes sign over a unidirectional band; tau A where omega = 0):
+        # the multiplier c + lin s of the one row, or the pair's (c, As), applied
+        # as c x + As x[::-1]
+        c = np.cos(om * tau)
+        s = np.divide(np.sin(om * tau), om, out=np.full(om.size, tau), where=om != 0)
+        return c + lin * s if not bidirectional else (c, np.stack((s, lin * s)))
+
+    def propagated(P, x: np.ndarray) -> np.ndarray:
+        if not bidirectional:
+            return P * x
+        out = P[0] * x
+        return np.add(out, P[1] * x[::-1], out)
+
+    P = propagator(0.5 * dt)
+    Pg, P2g = propagated(P, g), propagated(propagator(dt), g)
+    return (P, (0.5 * dt) * Pg, (0.5 * dt) * g, dt * Pg, (dt / 6.0) * P2g,
+            (dt / 3.0) * Pg, (dt / 6.0) * g, (dt / 10.0) * g[-1:])
+
+
+def _state_reader(iso: np.ndarray, k2: np.ndarray):
+    """(read, a): one pass over a band state z of m rows and J modes.
+
+    iso is the (m, J) weights of the isometric norm (_controlled_run) and
+    k2 the J squared wavenumbers.  read(z) forms |z| and |z|^2 in one work
+    array Y of (2, m, J) and returns S = Y.reshape(2, m J) W as nested
+    lists, for the (m J, 3) weights W = [1 on the h row, iso^2, k2 iso^2].
+    So S[0][0] is sum_j |h_j|, S[1][1] the state's power sum |iso z|^2 in
+    that norm and S[1][2] its k2 moment sum k2 |iso z|^2.  a is the |h_j|
+    row of Y, which each read overwrites.
+    """
+    m, J = iso.shape
+    W = np.zeros((m, J, 3))
+    W[0, :, 0] = 1.0
+    W[:, :, 1] = iso * iso
+    W[:, :, 2] = k2 * W[:, :, 1]
+    W = W.reshape(m * J, 3)
+    Y = np.empty((2, m, J))
+    absz, sq, flat = Y[0], Y[1], Y.reshape(2, m * J)
+    absolute, multiply, dot = np.abs, np.multiply, np.dot
+
+    def read(z: np.ndarray) -> list[list[float]]:
+        absolute(z, absz)
+        multiply(absz, absz, sq)
+        return dot(flat, W).tolist()
+
+    return read, Y[0, 0]
 
 
 def _check_alive(h: np.ndarray, H: float, t: float, step: int = 1,
@@ -822,8 +866,8 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, H: float, t
     BAND_MARGIN modes) passes GROW_LEVEL of the peak coefficient after
     an accepted step, a quarter of it (at least BAND_MARGIN modes, at
     most up to cap) is added, on which z is zero, so the state is exact.
-    The next step forms its first-stage square afresh and the beat limit
-    and norm weights below are rebuilt, while the PI controller carries on.
+    The next step forms its first-stage square afresh and the weights of
+    the read below are rebuilt, while the PI controller carries on.
 
     Errors and sizes are measured in the norm in which the band's linear
     flow is an isometry: the L2 norm of h for the unidirectional equation,
@@ -846,12 +890,22 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, H: float, t
     max|h| of the last accepted state, rather than spin: at 1e-8 of a run
     (about sqrt(eps) of the state's time scale) the two solutions of the
     pair agree to the last bit and the error estimate reads zero.
-    Each of these per-step reads goes into work arrays of the band's own.
+
+    Each accepted state is read once, in one pass of three calls over
+    work arrays of the band's own (_state_reader): |z| and |z|^2, and
+    their product with a weight matrix, which gives the blow-up bound
+    sum_j |h_j|, the power and the k^2 moment of the beat limit; the band
+    watch takes the maxima of |h_j| below and in the top in one more
+    call.  The read is made at the start, after each accepted step and
+    after each growth of the band; a rejected step changes no state, so
+    its retry reads nothing.  The start's norm, and so the tolerance, is
+    taken apart from the read (np.vdot), and the stepper's error norm is
+    its own (_band_run).
     """
     m, N = y.shape
     J0 = J
     z = rfft(y)[:, :J]
-    limit, multiply, maximum = _bound_limit(H), np.multiply, np.maximum.reduce
+    limit, watch = _bound_limit(H), np.maximum.reduceat
 
     def on_band(J: int):
         lin, flux, step = band(J)
@@ -860,29 +914,32 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, H: float, t
         iso = np.stack((omega, np.ones(J)))[-m:]
         k2 = (2.0 * math.pi / L * np.arange(J)) ** 2
         c_max = float(np.abs(np.diff(omega)).max()) * L / (2.0 * math.pi)
-        a = np.empty(J)  # |h_j| of an accepted state
-        u, k2u = np.empty((2, m, J), complex)  # the pair's iso z, and k2 times the weighted z
-        return flux, step, iso, k2, c_max, a, a[-max(BAND_MARGIN, J // 9):], u, k2u
+        # the band watch splits |h_j| below and in its top ninth (at least BAND_MARGIN)
+        split = np.array([0, max(0, J - max(BAND_MARGIN, J // 9))])
+        return (flux, step, iso, c_max, *_state_reader(iso, k2), split)
 
-    flux, step, iso, k2, c_max, a, top, u, k2u = on_band(J)
-    multiply(iso, z, u)
+    def beat_limit(S: list[list[float]]) -> float:
+        # the beat limit 2 sqrt(2) / (c_max k_rms) of the state that S reads (inf
+        # for a state without power or wavenumber)
+        power = S[1][1]
+        k2_mean = S[1][2] / power if power else 0.0
+        return RK4_IMAG_LIMIT / (c_max * math.sqrt(k2_mean)) if k2_mean else math.inf
+
+    flux, step, iso, c_max, read, a, split = on_band(J)
+    u = iso * z
     size = math.sqrt(np.vdot(u, u).real)
     tol = IF_TOL * size
     # the flux changes h (unidirectional) or v (bidirectional), unit weight both;
     # a rate that overflows wants a zero first step, which the MAX_STEPS check reports
     with np.errstate(over="ignore"):
         rate = np.linalg.norm(flux * rfft(y[0] * y[0])[:J]) / size if size else 0.0
+        beat = beat_limit(read(z))
     want = 0.01 / rate if rate else math.inf
     n, i, rejected, r_prev = None, 0, 0, 1.0
     for stop in stops:
         while t < stop:
-            # the beat limit of z, 2 sqrt(2) / (c_max k_rms); after a rejection the
-            # step wanted is already below it
-            w = z if m == 1 else multiply(iso, z, u)
-            power = np.vdot(w, w).real
-            k2_mean = np.vdot(w, multiply(k2, w, k2u)).real / power if power else 0.0
-            if k2_mean:
-                want = min(want, RK4_IMAG_LIMIT / (c_max * math.sqrt(k2_mean)))
+            # after a rejection the step wanted is already below the beat limit
+            want = min(want, beat)
             if not stops[-1] - t <= MAX_STEPS * want:  # a nan or zero want too
                 raise BlowUpError(t, i + 1, float(np.max(np.abs(irfft(z[0], N)))), "ifrk4",
                                   f"a step of {want:.3g} s would take more than MAX_STEPS = "
@@ -892,7 +949,7 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, H: float, t
                 rung = 2.0 ** (math.floor(16.0 * math.log2(want)) / 16.0)
             land = rung >= (stop - t) * (1.0 - 1e-9)
             dt = stop - t if land else rung
-            z1, n1, err = step(z, n, dt)
+            z1, n1, err = step(z, n, dt, land)
             if err <= tol:
                 i, z, n, t = i + 1, z1, n1, stop if land else t + dt
                 # a landing step is short by choice, not by its error, so it
@@ -903,16 +960,22 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, H: float, t
                     r = err / tol if err else 0.0
                     fac = 5.0 if r == 0.0 else 0.9 * r ** -0.175 * r_prev ** 0.1
                     want, r_prev = dt * min(5.0, max(0.2, fac)), max(r, 1e-4)
-                np.abs(z[0], a)
-                if not 2.0 / N * np.add.reduce(a) < limit:
+                S = read(z)
+                if not 2.0 / N * S[0][0] < limit:
                     _check_alive(irfft(z[0], N), H, t, i, "ifrk4")
                 if land or (sample_every is not None and i % sample_every == 0):
                     sample(t, irfft(z, N))
-                if J < cap and maximum(top) > GROW_LEVEL * maximum(a):
-                    grown = min(cap, J + max(BAND_MARGIN, J // 4))
-                    z = np.pad(z, ((0, 0), (0, grown - J)))
-                    J, n = grown, None
-                    flux, step, iso, k2, c_max, a, top, u, k2u = on_band(J)
+                if J < cap:
+                    # the top passes GROW_LEVEL of the peak where it passes
+                    # GROW_LEVEL of the greatest |h_j| below it
+                    below, top = watch(a, split).tolist()
+                    if top > GROW_LEVEL * below:
+                        grown = min(cap, J + max(BAND_MARGIN, J // 4))
+                        z = np.pad(z, ((0, 0), (0, grown - J)))
+                        J, n = grown, None
+                        flux, step, iso, c_max, read, a, split = on_band(J)
+                        S = read(z)
+                beat = beat_limit(S)
             else:
                 rejected += 1
                 fac = 0.9 * (tol / err) ** 0.25 if err < math.inf else 0.0  # nan too

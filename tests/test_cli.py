@@ -550,8 +550,17 @@ class TestSubcommands:
         (lambda head, rows: head + [f"{float(x) + 1000:.17g},{h}"
                                     for x, h in (r.split(",") for r in rows)],
          "x_0 = 970 is more than 1e-06 dx from the header's grid point -L/2 + 0 L/N = -30"),
+        # the lone surrogate \udcc0 is written as the byte 0xc0, which is not UTF-8
+        (lambda head, rows: head + rows[:2] + ["-28.125,\udcc0"] + rows[3:],
+         "line 13 is not UTF-8 text: 'utf-8' codec can't decode byte 0xc0"),
+        (lambda head, rows: ["# N=abc" if line.startswith("# N=") else line for line in head]
+         + rows, "the header's '# N=abc' is not an integer"),
+        (lambda head, rows: ["# g=-9.81" if line.startswith("# g=") else line for line in head]
+         + rows, "g must be positive and finite, got -9.81"),
+        (lambda head, rows: head + rows[:2] + ["-28.125,nan"] + rows[3:], "h_2 = nan is not finite"),
     ], ids=["header_only", "one_column", "three_columns", "row_count", "unparsable_cell",
-            "shifted_x"])
+            "shifted_x", "not_utf8", "unparsable_header", "header_out_of_range",
+            "non_finite_h"])
     def test_invariants_subcommand_names_the_file_and_what_is_wrong(self, tmp_path, capsys,
                                                                     params, mangle, message):
         path = tmp_path / "p.csv"
@@ -559,7 +568,8 @@ class TestSubcommands:
         emit_profile_csv(field, params, "analytic", path)
         lines = path.read_text().splitlines()
         head, rows = lines[:10], lines[10:]
-        path.write_text("".join(f"{line}\n" for line in mangle(head, rows)))
+        text = "".join(f"{line}\n" for line in mangle(head, rows))
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         out = tmp_path / "inv.csv"
         assert main(["invariants", "--input", str(path), "--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -835,6 +845,11 @@ class TestScenarioSmoke:
         sp = float(manifest["result.solitary_speed_measured"])
         sp0 = float(manifest["result.solitary_speed_formula"])
         assert abs(sp - sp0) / sp0 < 0.01
+        # the pair's solitary wave moves at Rayleigh's speed sqrt(g (H + h0)), closer
+        # to it (3.2849657 m/s) than to the KdV formula (3.2886966 m/s)
+        rayleigh = float(manifest["result.solitary_speed_rayleigh"])
+        assert rayleigh == math.sqrt(9.81 * (1.0 + 0.1))
+        assert abs(sp - rayleigh) < abs(sp - sp0)
 
 
 class TestSolitaryFit:

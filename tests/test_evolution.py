@@ -716,6 +716,47 @@ class TestIfrk4:
         assert limit * 2 ** (-1 / 16) * (1 - 1e-9) <= largest <= limit * (1 + 1e-9)
         assert largest * np.max(np.abs(omega)) > 4 * 2 * math.pi
 
+    @pytest.mark.parametrize("bidirectional", [False, True], ids=["kdv_cut_band", "lowpass_pair"])
+    def test_one_pass_read_gives_the_bound_power_and_moment(self, params, bidirectional):
+        # one read of a band state gives the blow-up bound sum |h_j|, the power
+        # sum |iso z|^2 in the isometric norm and its k2 moment, each within
+        # 1e-14 of its formula, and leaves |h_j| for the band watch
+        grid = PeriodicGrid(L=120.0, N=1024)
+        lin = evolution._symbols(grid, params, SchemeConfig(), bidirectional)[0]
+        J, m = (lin.size, 2) if bidirectional else (136, 1)  # a transit's cut band
+        omega = evolution._omega(lin[:J], bidirectional)
+        iso = np.stack((omega, np.ones(J)))[-m:]
+        k2 = wavenumbers(grid.N, grid.L)[:J] ** 2
+        read, a = evolution._state_reader(iso, k2)
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            z = rng.standard_normal((m, J)) + 1j * rng.standard_normal((m, J))
+            S = read(z)
+            w = iso * z
+            assert [S[0][0], S[1][1], S[1][2]] == pytest.approx(
+                [np.sum(np.abs(z[0])), np.vdot(w, w).real, np.vdot(w, k2 * w).real],
+                rel=1e-14, abs=0)
+            assert np.array_equal(a, np.abs(z[0]))
+
+    def test_collision_builds_no_stage_weights_twice(self, params, monkeypatch):
+        # the default collision steps on 24 rungs of the ladder and lands on its
+        # 50 stops with 30 step lengths; rungs and landings are cached apart, so
+        # no landing evicts a rung and no step's weights are built twice
+        built = []
+        stage_weights = evolution._stage_weights
+
+        def counted(om, lin, g, dt):
+            built.append((om.size, dt))
+            return stage_weights(om, lin, g, dt)
+
+        monkeypatch.setattr(evolution, "_stage_weights", counted)
+        initial, _, config = _collision_run(params)
+        res = evolve(initial, params, replace(config, t_end=60.0))
+        assert (res.integrator, res.steps, res.rejected) == ("ifrk4", 2322, 0)
+        rungs = {dt for _, dt in built if dt == 2.0 ** (round(16.0 * math.log2(dt)) / 16.0)}
+        assert len(rungs) == 24 and len(built) == 24 + 30
+        assert len(set(built)) == len(built)
+
     def test_steps_beyond_one_turn_raise_no_stage_resonance_at_a_cut_band(self, params):
         # four laps at N = 1024 on the band the wave occupies, in steps of about
         # 4 turns of its fastest mode: the band never grows, and its top eighth
