@@ -43,7 +43,10 @@ np.fft's, without np.fft's per-call wrapper, which at these sizes costs
 about as much as the transform.  The band square is the hot transform
 of every run: each stepper binds those two kernels once, from operators,
 and calls them directly, and forms the square and its stages in work
-arrays of its own (_band_run).
+arrays of its own (_band_run).  The pair's Lawson step squares its
+stages two rows to a kernel call, four calls a step where one row a
+call takes eight, since its flux enters v alone and a square reads h
+alone (_pair_lawson).
 The state holds one row of band coefficients per field, h alone or h
 and v, and both equations take one form on it: the linear part is one
 generator A on each mode, lin = i omega for the unidirectional equation
@@ -419,9 +422,11 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     every stepper owns its work arrays and the views it reads them
     through, made once per band: the M-point product of every square goes
     into one real buffer, the inner stages' squares into three more, and
-    the stages are formed in place.  A step writes none of its arguments
-    and allocates only the arrays it returns (for "ifrk4" given n, z1 and
-    its square n5), so a rejected step is retried from the same (z, n).
+    the stages are formed in place.  The pair's "ifrk4" step forms its
+    four squares as two batched pairs of rows, two kernel calls each
+    (_pair_lawson).  A step writes none of its arguments and allocates
+    only the arrays it returns (for "ifrk4" given n, z1 and its square
+    n5), so a rejected step is retried from the same (z, n).
 
     For integrator "rk4", step(z, dt) is the state one classical RK4 step
     of dt later, for the right-hand side lin h + flux n on h alone and
@@ -493,30 +498,33 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     if bidirectional and not config.boussinesq_filter:
         raise ValueError("the integrating factor needs the low-pass band: unfiltered, "
                          "the bidirectional model grows without bound above sqrt(3)/H")
-    Pz, P2z, tmp = np.empty((3, m, J), complex)  # P z, P P z and P's second product
-    r = np.empty((3, M // 2 + 1), complex)  # the inner stages' squares
-    r2, r3, r4 = r
-    n2, n3, n4 = r[:, None, :J]
-    d = np.empty((1, J), complex)  # n2 + n3, then the error
     # evolve's steps sit on rungs of a ladder (24 over the default collision), and
     # its steps that land on a stop repeat their lengths from stop to stop: each
     # kind has a cache of its own, so that no landing evicts a rung
     weights = partial(_stage_weights, _omega(lin, bidirectional), lin, g)
     rungs, landings = lru_cache(maxsize=32)(weights), lru_cache(maxsize=8)(weights)
 
+    def square(x: np.ndarray) -> np.ndarray:
+        # the band square of the h row of x, as a fresh (1, J) array
+        inverse(x[0], fct, h)
+        multiply(h, h, h)
+        return forward(h, 1.0, np.empty(M // 2 + 1, complex))[None, :J]
+
+    if bidirectional:
+        return lin, flux, _pair_lawson(J, M, rungs, landings, square)
+
+    Pz, P2z = np.empty((2, 1, J), complex)  # P z and P P z
+    r = np.empty((3, M // 2 + 1), complex)  # the inner stages' squares
+    r2, r3, r4 = r
+    n2, n3, n4 = r[:, None, :J]
+    d = np.empty((1, J), complex)  # n2 + n3, then the error
+
     def ifrk4(z: np.ndarray, n1: np.ndarray | None, dt: float, land: bool = False):
         P, a2, a3, a4, b1, b23, b4, e = (landings if land else rungs)(dt)
         if n1 is None:
-            inverse(z[0], fct, h)
-            multiply(h, h, h)
-            n1 = forward(h, 1.0, np.empty(M // 2 + 1, complex))[None, :J]
-        if bidirectional:
-            c, As = P
-            add(multiply(c, z, Pz), multiply(As, z[::-1], tmp), Pz)
-            add(multiply(c, Pz, P2z), multiply(As, Pz[::-1], tmp), P2z)
-        else:
-            multiply(P, z, Pz)
-            multiply(P, Pz, P2z)
+            n1 = square(z)
+        multiply(P, z, Pz)
+        multiply(P, Pz, P2z)
         add(Pz, multiply(a2, n1, w), w)
         inverse(w0, fct, h)
         multiply(h, h, h)
@@ -534,13 +542,71 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
         add(P2z, z1, z1)
         add(z1, multiply(b23, add(n2, n3, d), w), z1)
         add(z1, multiply(b4, n4, w), z1)
-        inverse(z1[0], fct, h)
-        multiply(h, h, h)
-        n5 = forward(h, 1.0, np.empty(M // 2 + 1, complex))[None, :J]
+        n5 = square(z1)
         multiply(e, np.subtract(n4, n5, d), d)
         return z1, n5, math.sqrt(np.vdot(d, d).real)
 
     return lin, flux, ifrk4
+
+
+def _pair_lawson(J: int, M: int, rungs, landings, square):
+    """_band_run's ERK4(3)-IP step for the (h, v) pair on J modes, squared on M points.
+
+    rungs(dt) and landings(dt) are the cached stage weights of _band_run
+    and square(x) the band square of x's h row as a fresh (1, J) array.
+    The flux vector g is zero in the h row, and a square reads only the h
+    row, so within a step the squares come in independent pairs: stage 3's
+    h row is P z's (a3 = (dt/2) g), and the new state's h row needs no n4
+    (b4 = (dt/6) g).  Stages 2 and 3 are squared as one batch of two rows,
+    and stage 4 with the new state as a second: four kernel calls a step
+    where one square a row takes eight.  pocketfft transforms each row of
+    a batch as it does a lone row, the stage inputs are formed on the h
+    row alone, and z1 keeps the whole left-to-right sum, b4 n4 on both
+    rows included, so the step is bit for bit the one-square-at-a-time
+    form.
+    """
+    forward, inverse, fct = _kernel_pair(M)
+    multiply, add = np.multiply, np.add
+    h = np.empty((2, M))  # the M-point products of a batch
+    B = np.empty((3, J), complex)  # stage 2's h row above P z: B[:2] is the first batch
+    x2, Pz = B[0], B[1:]
+    P2z, tmp = np.empty((2, 2, J), complex)  # P P z and P's second product
+    w = np.empty((2, J), complex)  # one term of a sum
+    r = np.empty((2, M // 2 + 1), complex)  # the squares of stages 2 and 3
+    n2, n3 = r[:, None, :J]
+    d = np.empty((1, J), complex)  # n2 + n3, then the error
+
+    def batch(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # the band squares of the two rows of x, in the rows of out
+        inverse(x, fct, h)
+        multiply(h, h, h)
+        return forward(h, 1.0, out)
+
+    def step(z: np.ndarray, n1: np.ndarray | None, dt: float, land: bool = False):
+        P, a2, _, a4, b1, b23, b4, e = (landings if land else rungs)(dt)
+        if n1 is None:
+            n1 = square(z)
+        c, As = P
+        add(multiply(c, z, Pz), multiply(As, z[::-1], tmp), Pz)
+        add(multiply(c, Pz, P2z), multiply(As, Pz[::-1], tmp), P2z)
+        add(Pz[0], multiply(a2[0], n1[0], x2), x2)
+        batch(B[:2], r)
+        # stage 4's h row above the new state z1: C[:2] is the second batch
+        C = np.empty((3, J), complex)
+        z1 = C[1:]
+        add(P2z[0], multiply(a4[0], n3[0], C[0]), C[0])
+        # z1 = P2z + b1 n1 + b23 (n2 + n3) + b4 n4, summed left to right; its
+        # h row is whole before the last term, whose h row is zero
+        multiply(b1, n1, z1)
+        add(P2z, z1, z1)
+        add(z1, multiply(b23, add(n2, n3, d), w), z1)
+        S = batch(C[:2], np.empty((2, M // 2 + 1), complex))
+        n4, n5 = S[:, None, :J]
+        add(z1, multiply(b4, n4, w), z1)
+        multiply(e, np.subtract(n4, n5, d), d)
+        return z1, n5, math.sqrt(np.vdot(d, d).real)
+
+    return step
 
 
 def _stage_weights(om: np.ndarray, lin: np.ndarray, g: np.ndarray, dt: float) -> tuple:

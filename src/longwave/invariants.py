@@ -94,7 +94,7 @@ def invariant_rows(h: np.ndarray, grid: PeriodicGrid, params: PhysicalParams,
     hx = diff(h, L, 1, scheme)
     Q = h.sum(axis=-1) * dx
     E = (h * h).sum(axis=-1) * dx
-    M = (hx * hx - h ** 3 / _sigma(params)).sum(axis=-1) * dx
+    M = (hx * hx - h * h * h / _sigma(params)).sum(axis=-1) * dx
     Hfun = 0.5 * E + canonical_epsilon(params) * M
 
     # four lists of floats, one entry per row, for one row or a stack alike
@@ -135,7 +135,7 @@ def hamiltonian_functional(field: WaveField, params: PhysicalParams,
         epsilon = canonical_epsilon(params)
     h = field.h
     hx = diff(h, field.grid.L, 1)
-    dens = 0.5 * h * h + epsilon * (hx * hx - h ** 3 / _sigma(params))
+    dens = 0.5 * h * h + epsilon * (hx * hx - h * h * h / _sigma(params))
     return integrate(dens, field.grid.L)
 
 
@@ -207,7 +207,7 @@ def boussinesq_energy_rows(h: np.ndarray, v: np.ndarray, L: float,
     g, H = params.g, params.H
     w = antiderivative(v, L)
     hx = diff(h, L, 1)
-    dens = 0.5 * w * w + 0.5 * g * H * h * h + 0.5 * g * h ** 3 - g * H ** 3 / 6.0 * hx * hx
+    dens = 0.5 * w * w + 0.5 * g * H * h * h + 0.5 * g * (h * h * h) - g * H ** 3 / 6.0 * hx * hx
     return dens.sum(axis=-1) * (L / h.shape[-1])
 
 

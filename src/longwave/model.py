@@ -136,7 +136,7 @@ class WaveField:
         h = np.asarray(self.h, dtype=float).copy()
         if h.shape != (self.grid.N,):
             raise ValueError(f"h must have shape ({self.grid.N},), got {h.shape}")
-        if not np.all(np.isfinite(h)):
+        if not np.isfinite(h).all():
             raise ValueError("h contains non-finite entries")
         h.setflags(write=False)
         object.__setattr__(self, "h", h)

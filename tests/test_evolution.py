@@ -919,14 +919,17 @@ class TestBandStepper:
         (128, 60.0, False, True, None, 128),   # the 2/3-rule band, J = 43, product capped at N
         (256, 64.0, True, True, None, 25),     # boussinesq_demo's low-pass pair, J = 9
         (256, 64.0, True, False, None, 256),   # its unfiltered control run
+        (1024, 120.0, True, 0.75, None, 75),   # its part (b), J = 25
     ])
     def test_band_square_is_the_numpy_fft_one(self, params, N, L, bidirectional,
                                               filtered, J, M):
         # the steps form their squares through operators' kernel pair, in place;
         # each step over the np.fft form of the same square, written with fresh
-        # arrays in the same order of operations, must give the same bits
+        # arrays in the same order of operations, must give the same bits.
+        # filtered is False, True (the default cut) or the low-pass cut
         grid = PeriodicGrid(L=L, N=N)
-        config = SchemeConfig(boussinesq_filter=filtered)
+        config = (SchemeConfig(boussinesq_filter=filtered) if isinstance(filtered, bool)
+                  else SchemeConfig(filter_cut=filtered))
         lin, flux, step = evolution._band_run(grid, params, config, bidirectional, "rk4", J)
         J = lin.size
         hv = smooth_random_fields(grid, 1 + bidirectional, 0.1 * params.H, max_mode=40, seed=J)
@@ -989,14 +992,15 @@ class TestBandStepper:
         assert importers == ["operators.py"]
 
     @staticmethod
-    def _count_transforms(monkeypatch) -> list[int]:
-        # the lengths of every transform made from here on through the kernels
-        # operators hands out, in the order they are made
-        lengths, pfu = [], operators._pfu
+    def _count_transforms(monkeypatch) -> tuple[list[int], list[int]]:
+        # the length and the number of rows of every kernel call made from here on
+        # through the kernels operators hands out, in the order they are made
+        lengths, rows, pfu = [], [], operators._pfu
 
         def counted(kernel, length):
             def call(x, fct, out):
                 lengths.append(length(x, out))
+                rows.append(out.size // out.shape[-1])
                 return kernel(x, fct, out)
             return call
 
@@ -1004,7 +1008,7 @@ class TestBandStepper:
             rfft_n_even=counted(pfu.rfft_n_even, lambda x, out: x.shape[-1]),
             rfft_n_odd=counted(pfu.rfft_n_odd, lambda x, out: x.shape[-1]),
             irfft=counted(pfu.irfft, lambda z, out: out.shape[-1])))
-        return lengths
+        return lengths, rows
 
     @pytest.mark.parametrize("N, L, config, bidirectional, J, M", [
         (256, 80.0, SchemeConfig(frame="moving"), False, 86, 256),  # the default collision
@@ -1014,32 +1018,38 @@ class TestBandStepper:
                                                bidirectional, J, M):
         # a band square is two transforms of length M: a Lawson step forms four
         # squares given the first stage's (first same as last), five without
-        # it, and an RK4 step four
-        lengths = self._count_transforms(monkeypatch)
+        # it, and an RK4 step four.  The pair's Lawson step squares its stages
+        # two rows to a call: four calls given the first square, and that
+        # square's two one-row calls before them without it, so the same rows
+        lengths, rows = self._count_transforms(monkeypatch)
         grid = PeriodicGrid(L=L, N=N)
         lin, _, ifrk4 = evolution._band_run(grid, params, config, bidirectional, "ifrk4")
         _, _, rk4 = evolution._band_run(grid, params, config, bidirectional, "rk4")
         assert lin.size == J
         hv = smooth_random_fields(grid, 1 + bidirectional, 0.1 * params.H, max_mode=6, seed=5)
         z = np.fft.rfft(np.stack(hv))[:, :J]
-        lengths.clear()
+        first, later = ([1, 1, 2, 2, 2, 2], [2] * 4) if bidirectional else ([1] * 10, [1] * 8)
+        del lengths[:], rows[:]
         z1, n1, _ = ifrk4(z, None, 0.01)
-        assert lengths == [M] * 10
-        lengths.clear()
+        assert lengths == [M] * len(first) and rows == first and sum(rows) == 10
+        del lengths[:], rows[:]
         ifrk4(z1, n1, 0.01)
-        assert lengths == [M] * 8
-        lengths.clear()
+        assert lengths == [M] * len(later) and rows == later and sum(rows) == 8
+        del lengths[:], rows[:]
         rk4(z, 0.01)
-        assert lengths == [M] * 8
+        assert lengths == [M] * 8 and rows == [1] * 8
 
     @pytest.mark.parametrize("case", ["collision", "boussinesq_demo_b"])
     def test_evolve_steps_once_per_step_and_reuses_the_last_square(self, params, monkeypatch,
                                                                    case):
         # evolve calls the stepper once per accepted or rejected step, and hands
         # each step the square the one before it formed: only the first step of
-        # a band that never grows forms its own, so it makes ten transforms and
-        # every later one eight
-        lengths, per_step, band_run = self._count_transforms(monkeypatch), [], evolution._band_run
+        # a band that never grows forms its own, so it transforms ten rows and
+        # every later one eight.  KdV's step makes one call a row; the pair's
+        # squares two rows to a call after its first square, so it makes six
+        # calls on its first step and four on every later one
+        (lengths, rows), per_step, band_run = (self._count_transforms(monkeypatch), [],
+                                               evolution._band_run)
 
         def counting(*args):
             lin, flux, step = band_run(*args)
@@ -1047,7 +1057,7 @@ class TestBandStepper:
             def counted(*step_args):
                 before = len(lengths)
                 out = step(*step_args)
-                per_step.append(len(lengths) - before)
+                per_step.append((len(lengths) - before, sum(rows[before:])))
                 return out
             return lin, flux, counted
 
@@ -1063,7 +1073,10 @@ class TestBandStepper:
         res = evolve(state, params, config)
         assert res.integrator == "ifrk4" and res.band[0] == res.band[1]
         assert len(per_step) == res.steps + res.rejected > 500
-        assert per_step == [10] + [8] * (len(per_step) - 1)
+        calls, transformed = (list(c) for c in zip(*per_step))
+        assert transformed == [10] + [8] * (len(per_step) - 1)
+        first, later = (6, 4) if case == "boussinesq_demo_b" else (10, 8)
+        assert calls == [first] + [later] * (len(per_step) - 1)
 
     def test_blowup_check_is_exact_when_the_bound_exceeds_the_limit(self, params):
         # 60 cosines of 0.3 m: the coefficient bound (2/N) sum_j |h_j| is about

@@ -8,7 +8,9 @@ Errors are relative to the tall crest.  evolution.IF_TOL is the largest
 
 The cnoidal wave is the periodic oracle: its zero-mean profile travels
 unchanged at a speed known in closed form, so every snapshot of a
-cnoidal run has an exact answer too.
+cnoidal run has an exact answer too.  Boussinesq's own solitary wave is
+the oracle of the bidirectional pair: it travels unchanged at Rayleigh's
+speed.
 
 The symmetries of the unidirectional equation (Olver, Applications of
 Lie Groups to Differential Equations, 1986) relate pairs of runs that
@@ -33,14 +35,18 @@ from longwave import (
     WaveField,
     cnoidal_alpha,
     cnoidal_field,
+    crest_position,
     dispersion_sigma,
     evolve,
+    fit_speed,
     grid_for_cnoidal,
+    rayleigh_speed,
+    solitary_field,
     solitary_profile,
 )
 from longwave import evolution
 from longwave.cli import EXIT_OK, main
-from longwave.operators import fourier_shift
+from longwave.operators import diff, fourier_shift
 from conftest import same_bits, two_soliton
 
 HEIGHTS, CENTRES, T_END = (0.5, 0.2), (-22.0, -4.0), 60.0
@@ -244,3 +250,34 @@ def test_cnoidal_run_is_its_exact_translate(params, m):
     assert error(cnoidal_alpha(spec) + 1.5 * mu) <= CNOIDAL_BOUNDS[m]
     # the oracle sees the frame: without the mean's shift it misses by 0.17 to 0.77 l
     assert error(cnoidal_alpha(spec)) > 0.1
+
+
+# the pair's domain and error bound at each amplitude a, about three times the
+# largest error measured over its 51 samples relative to a: 1.87e-6 (L = 160,
+# 100 steps) and 3.99e-7 (L = 200, 50 steps)
+PAIR_BOUNDS = {0.02: (160.0, 6e-6), 0.01: (200.0, 1.2e-6)}
+
+
+@pytest.mark.parametrize("a", sorted(PAIR_BOUNDS))
+def test_filtered_pair_carries_boussinesqs_solitary_wave(params, a):
+    # the pair h_tt = gH (h + 3h^2/(2H) + (H^2/3) h_xx)_xx carries h = a sech^2(kappa x),
+    # kappa = sqrt(3a/(4H^3)) (KdV's width at sigma = H^3/3), unchanged at
+    # Rayleigh's speed c = sqrt(g(H + a)), with v = -c h_x.  Started from it, the
+    # filtered pair (cut 0.75 sqrt(3)/H, N = 512, 20 s) follows its exact
+    # translate; at a = 0.02 most of the error is the start's content above the
+    # cut (1.3e-6 of a), which the band drops
+    L, bound = PAIR_BOUNDS[a]
+    g, H = params.g, params.H
+    grid = PeriodicGrid(L=L, N=512)
+    h = solitary_field(SolitarySpec(a, H ** 3 / 3.0, H, g), grid).h
+    c = rayleigh_speed(g, H, a)
+    res = evolve((WaveField(grid, h), WaveField(grid, -c * diff(h, L, 1))), params,
+                 SchemeConfig(filter_cut=0.75, t_end=20.0))
+    assert len(res.times) == 51
+    err = max(float(np.max(np.abs(s[0].h - fourier_shift(h, L, c * t))))
+              for t, s in zip(res.times, res.snapshots))
+    assert err <= bound * a
+    # the fitted crest speed is within 3.8e-8 (a = 0.02) and 1.3e-8 (a = 0.01) of
+    # c; KdV's formula lies 4.9e-5 and 1.2e-5 above it
+    speed = fit_speed(res.times, [crest_position(s[0]) for s in res.snapshots], L)
+    assert abs(speed - c) <= 1.2e-7 * c
