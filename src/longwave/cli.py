@@ -414,20 +414,18 @@ def _check_fit(spec: SolitarySpec, grid: PeriodicGrid, key: str = "scenario.h0")
 
 
 def _crest_speed(res, params: PhysicalParams) -> float:
-    """The fitted speed of the run's crest, from every snapshot's crest in one pass.
+    """The fitted speed of the run's crest, from every sample's crest in one pass.
 
     Crest positions carry a roundoff of about eps L, so a run whose span
     leaves that above a thousandth of sqrt(g H) cannot resolve a speed.
     """
     if len(res.times) < 2:
         raise ValueError("'scheme.t_end' must be positive: a crest speed needs two samples")
-    fields = [snap[0] if isinstance(snap, tuple) else snap for snap in res.snapshots]
-    grid, span = fields[0].grid, res.times[-1] - res.times[0]
+    grid, span = res.grid, res.times[-1] - res.times[0]
     if not span * 1e-3 * params.c0 > sys.float_info.epsilon * grid.L:
         raise ValueError(f"'scheme.t_end' is too short for a crest speed: over a run of "
                          f"{span:.3g} s the crest positions' roundoff passes 1e-3 sqrt(g H)")
-    return fit_speed(res.times, crest_position_rows(np.stack([f.h for f in fields]), grid),
-                     grid.L)
+    return fit_speed(res.times, crest_position_rows(res.samples[:, 0], grid), grid.L)
 
 
 def _evolve_to(cfg: ExperimentConfig, initial: WaveField, t_auto: float, *waves):
@@ -697,7 +695,7 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     # the default sampling is uniform under both integrators, as the fit needs
     res = evolve((h0f, rest), params, replace(filtered, t_end=t10))
     ts = np.array(res.times)
-    cs = np.array([2.0 / grid.N * float(np.dot(s[0].h, cosk)) for s in res.snapshots])
+    cs = np.array([2.0 / grid.N * float(np.dot(h, cosk)) for h in res.samples[:, 0]])
     rows = ["# columns=t,mode_amplitude"]
     rows += [f"{_fmt(t)},{_fmt(c)}" for t, c in zip(ts, cs)]
     results["mode_frequency_exact"] = _fmt(om_exact)

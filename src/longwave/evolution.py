@@ -692,10 +692,35 @@ def _unpack(state) -> tuple[bool, PeriodicGrid, float, np.ndarray]:
     return True, h_field.grid, h_field.t, np.stack([h_field.h, v_field.h])
 
 
-def _pack(grid: PeriodicGrid, y: np.ndarray, t: float, bidirectional: bool):
-    if bidirectional:
+def _fields(grid: PeriodicGrid, y: np.ndarray, t: float):
+    """The WaveField of the one row of y, or the (h, v) pair of its two rows, at t."""
+    if len(y) == 2:
         return WaveField(grid, y[0], t), WaveField(grid, y[1], t)
     return WaveField(grid, y[0], t)
+
+
+def _form_samples(y: np.ndarray, zs: list[np.ndarray], N: int) -> np.ndarray:
+    """A run's (S, m, N) samples: the start y, then each band state of zs on the grid.
+
+    Every z of zs is an (m, J) array of band coefficients, J the band it
+    was sampled on.  They are zero-padded to the widest J and formed in one
+    irfft, which gives each row the bits of irfft(z, N) alone: pocketfft
+    pads a short row with the same zeros.  The array is read-only, and a
+    non-finite sample raises WaveField's ValueError.
+    """
+    out = np.empty((1 + len(zs), *y.shape))
+    out[0] = y
+    if zs:
+        Z = np.zeros((len(zs), len(y), max(z.shape[-1] for z in zs)), complex)
+        for row, z in zip(Z, zs):
+            row[:, :z.shape[-1]] = z
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row is reported below
+            irfft(Z, N, out[1:])
+    # min and max carry any nan or inf, and read out without a temporary
+    if not (math.isfinite(out.min()) and math.isfinite(out.max())):
+        raise ValueError("h contains non-finite entries")
+    out.setflags(write=False)
+    return out
 
 
 def _step(state, params: PhysicalParams, config: SchemeConfig, integrator: str, dt: float):
@@ -713,7 +738,7 @@ def _step(state, params: PhysicalParams, config: SchemeConfig, integrator: str, 
         z = step(z, dt) if integrator == "rk4" else step(z, None, dt)[0]
         y = irfft(z, grid.N)
     _check_alive(y[0], params.H, t + dt, 1, integrator)
-    return _pack(grid, y, t + dt, bidirectional)
+    return _fields(grid, y, t + dt)
 
 
 def step_rk4(state, params: PhysicalParams, config: SchemeConfig, dt: float):
@@ -753,18 +778,25 @@ def step_ifrk4(state, params: PhysicalParams, config: SchemeConfig, dt: float):
 class EvolutionResult:
     """Sampled trajectory of one run, with the params and config it ran with.
 
-    invariants (each snapshot's invariant set) and energy (a pair's
-    conserved energy per snapshot, None for a unidirectional run) are
-    evaluated on first read and kept, in one pass over the stacked
-    snapshots (invariant_rows, boussinesq_energy_rows), with h_t the
-    run's own right-hand side on its band (_grid_rhs over the stack) or,
-    for a pair, the sampled v.  A bidirectional run's invariant sets are
-    taken at T = 0, as its equation is pure gravity (and so defined at
-    the critical depth).
+    samples is the run's read-only (S, m, N) array, the grid samples of
+    each field (h alone, or h and v) at each of the S times: row 0 is the
+    start as given, and the later rows are formed once, at the end of the
+    run, from the band coefficients evolve kept for them (_form_samples).
+    final (a WaveField, or an (h, v) pair) and snapshots (one per time)
+    are built from those rows when first read and kept: final alone
+    builds only the last, and snapshots[-1] is final.  invariants (each
+    sample's invariant set) and energy (a pair's conserved energy per
+    sample, None for a unidirectional run) are evaluated on first read
+    and kept, in one pass over the rows in place (invariant_rows,
+    boussinesq_energy_rows), with h_t the run's own right-hand side on
+    its band (_grid_rhs over the stack) or, for a pair, the sampled v.  A
+    bidirectional run's invariant sets are taken at T = 0, as its equation
+    is pure gravity (and so defined at the critical depth).
     """
 
     times: list[float]
-    snapshots: list
+    grid: PeriodicGrid
+    samples: np.ndarray
     params: PhysicalParams
     config: SchemeConfig
     integrator: str = ""  # "ifrk4" or "rk4"
@@ -773,30 +805,29 @@ class EvolutionResult:
     rejected: int = 0  # steps the error controller retried smaller
     band: tuple[int, int] = (0, 0)  # the least and greatest number of rfft modes stepped
 
-    @property
+    @cached_property
     def final(self):
-        return self.snapshots[-1]
+        return _fields(self.grid, self.samples[-1], self.times[-1])
 
-    def _stacks(self) -> tuple[PeriodicGrid, np.ndarray, np.ndarray | None]:
-        """The grid, the sampled h stacked, and a pair's sampled v stacked (else None)."""
-        if isinstance(self.final, tuple):
-            h, v = (np.stack([s[i].h for s in self.snapshots]) for i in (0, 1))
-            return self.final[0].grid, h, v
-        return self.final.grid, np.stack([s.h for s in self.snapshots]), None
+    @cached_property
+    def snapshots(self) -> list:
+        head = [_fields(self.grid, y, t) for y, t in zip(self.samples[:-1], self.times)]
+        return head + [self.final]
 
     @cached_property
     def invariants(self) -> list[InvariantSet]:
-        grid, h, v = self._stacks()
-        params = self.params if v is None else replace(self.params, T=0.0)
-        h_t = _grid_rhs(*_symbols(grid, params, self.config, False), h) if v is None else v
+        grid, h, pair = self.grid, self.samples[:, 0], self.samples.shape[1] == 2
+        params = replace(self.params, T=0.0) if pair else self.params
+        h_t = self.samples[:, 1] if pair else _grid_rhs(
+            *_symbols(grid, params, self.config, False), h)
         return invariant_rows(h, grid, params, self.times, scheme=self.config.deriv, h_t=h_t)
 
     @cached_property
     def energy(self) -> list[float] | None:
-        if not isinstance(self.final, tuple):
+        if self.samples.shape[1] == 1:
             return None
-        grid, h, v = self._stacks()
-        return boussinesq_energy_rows(h, v, grid.L, self.params).tolist()
+        return boussinesq_energy_rows(self.samples[:, 0], self.samples[:, 1], self.grid.L,
+                                      self.params).tolist()
 
 
 def evolve(initial, params: PhysicalParams, config: SchemeConfig,
@@ -828,11 +859,15 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     anything is built, and every accepted step are checked for blow-up.
     Snapshots are taken at the endpoints and every sample_every accepted
     steps; by default at ~50 samples per run (RK4: every nsteps // 50
-    steps; IF: at t_end k/50, k = 1..50).  The result evaluates the
-    snapshots' invariants (and a pair's energy) when they are first read
-    (EvolutionResult).  result.dt is the mean step t_end / steps, and
-    result.band the least and greatest number of rfft modes stepped (a
-    fixed band's size twice).
+    steps; IF: at t_end k/50, k = 1..50).  Each snapshot after the first
+    is kept as the band coefficients the run holds, and at the end all of
+    them are formed on the grid in one transform, bit for bit each
+    sample's own irfft, into result.samples (_form_samples); a non-finite
+    sample raises ValueError there.  The result builds its snapshots and
+    final from those rows, and evaluates their invariants (and a pair's
+    energy), when they are first read (EvolutionResult).  result.dt is
+    the mean step t_end / steps, and result.band the least and greatest
+    number of rfft modes stepped (a fixed band's size twice).
     """
     if sample_every is not None and not (isinstance(sample_every, (int, np.integer))
                                          and sample_every > 0):
@@ -852,14 +887,14 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
                              f"{config.t_end!r} s in MAX_STEPS = {MAX_STEPS:.0e} steps")
     band = partial(_band_run, grid, params, config, bidirectional, integrator)
     cap = _symbols(grid, params, config, bidirectional)[0].size
-    result = EvolutionResult(times=[], snapshots=[], params=params, config=config,
-                             integrator=integrator, band=(cap, cap))
+    # every sample after the start is kept as its band coefficients, which no
+    # step writes once returned, and all are formed on the grid at the end
+    times, zs, sizes, rejected = [t0], [], (cap, cap), 0
 
-    def sample(t: float, y: np.ndarray) -> None:
-        result.times.append(t)
-        result.snapshots.append(_pack(grid, y, t, bidirectional))
+    def sample(t: float, z: np.ndarray) -> None:
+        times.append(t)
+        zs.append(z)
 
-    sample(t0, y)
     if rk4:
         if dt_req > advisory * (1.0 + 1e-12):
             logger.warning("dt = %.3e exceeds stability advisory %.3e", dt_req, advisory)
@@ -877,18 +912,18 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
             if not 2.0 / grid.N * np.add.reduce(np.abs(z[0])) < limit:
                 _check_alive(irfft(z[0], grid.N), params.H, t, i, integrator)
             if i % sample_every == 0 or i == nsteps:
-                sample(t, irfft(z, grid.N))
+                sample(t, z)
     elif config.t_end > 0:
         stops = ([t0 + config.t_end * k / 50 for k in range(1, 51)] if sample_every is None
                  else [t0 + config.t_end])
         J = cap if bidirectional else _occupied_band(np.abs(rfft(y[0])[:cap]), cap)
-        nsteps, result.rejected, result.band = _controlled_run(
+        nsteps, rejected, sizes = _controlled_run(
             band, cap, J, y, grid.L, params.H, t0, stops, sample_every, sample)
     else:
         nsteps = 0
-    result.steps = nsteps
-    result.dt = config.t_end / nsteps if nsteps else 0.0
-    return result
+    return EvolutionResult(times, grid, _form_samples(y, zs, grid.N), params, config,
+                           integrator=integrator, dt=config.t_end / nsteps if nsteps else 0.0,
+                           steps=nsteps, rejected=rejected, band=sizes)
 
 
 def _occupied_band(a: np.ndarray, cap: int) -> int:
@@ -925,8 +960,9 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, H: float, t
     samples of h (and of v for a bidirectional run).  Returns the accepted
     and rejected step counts and the least and greatest band stepped.
     Every accepted step is checked for blow-up at the depth H, through the
-    bound of _bound_limit, and sample(t, y) receives the samples of each
-    landing on a stop and, with sample_every, of every sample_every-th step.
+    bound of _bound_limit, and sample(t, z) receives the band coefficients
+    of each landing on a stop and, with sample_every, of every
+    sample_every-th step; a step never writes a z it has returned.
 
     The band grows on demand: when a mode in its top ninth (at least
     BAND_MARGIN modes) passes GROW_LEVEL of the peak coefficient after
@@ -1030,7 +1066,7 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, H: float, t
                 if not 2.0 / N * S[0][0] < limit:
                     _check_alive(irfft(z[0], N), H, t, i, "ifrk4")
                 if land or (sample_every is not None and i % sample_every == 0):
-                    sample(t, irfft(z, N))
+                    sample(t, z)
                 if J < cap:
                     # the top passes GROW_LEVEL of the peak where it passes
                     # GROW_LEVEL of the greatest |h_j| below it

@@ -617,14 +617,21 @@ class TestIfrk4:
         monkeypatch.setattr(evolution, "IF_TOL", 100.0)
         monkeypatch.setattr(evolution, "RK4_IMAG_LIMIT", math.inf)
         spec, grid, field = solitary_case(params, h0=0.2, N=128, L=60.0)
-        seen = []  # (t, max|h|) of every sample, as evolve packs it
-        pack = evolution._pack
+        # (t, max|h|) of every sample: the start, then each band state the
+        # controlled run hands evolve to keep
+        seen = [(0.0, np.max(np.abs(field.h)))]
+        run = evolution._controlled_run
 
-        def record(grid, y, t, bidirectional):
-            seen.append((t, np.max(np.abs(y[0]))))
-            return pack(grid, y, t, bidirectional)
+        def recording(*args):
+            *head, sample = args
 
-        monkeypatch.setattr(evolution, "_pack", record)
+            def record(t, z):
+                seen.append((t, np.max(np.abs(np.fft.irfft(z[0], grid.N)))))
+                sample(t, z)
+
+            return run(*head, record)
+
+        monkeypatch.setattr(evolution, "_controlled_run", recording)
         with pytest.raises(BlowUpError) as exc:
             evolve(field, params, SchemeConfig(t_end=50.0),
                    sample_every=1)
@@ -1551,6 +1558,100 @@ class TestLazyDiagnostics:
         assert res.invariants is res.invariants and len(res.invariants) == 51
         if run is _pair_run:
             assert res.energy is res.energy and len(res.energy) == 51
+
+
+def _growing_band_case(params):
+    # a hump whose steepening fills its band: the run grows from 68 to 171 modes
+    grid = PeriodicGrid(L=200.0, N=512)
+    field = WaveField(grid, 0.15 * np.exp(-(grid.x / 6.0) ** 2))
+    return field, params, SchemeConfig(t_end=40.0), None
+
+
+def _pair_case(params):
+    return (*_pair_run(params), None)
+
+
+def _rk4_case(params):
+    field = solitary_case(params, N=128, L=60.0)[2]
+    return field, params, SchemeConfig(dt=0.01, t_end=0.5), None
+
+
+def _every_step_case(params):
+    field = solitary_case(params, N=128, L=60.0)[2]
+    return field, params, SchemeConfig(t_end=0.2), 1
+
+
+def _zero_horizon_case(params):
+    field = solitary_case(params, N=128, L=60.0)[2]
+    return field, params, SchemeConfig(t_end=0.0), None
+
+
+class TestFormedSamples:
+    @pytest.mark.parametrize("case", [_growing_band_case, _pair_case, _rk4_case,
+                                      _every_step_case, _zero_horizon_case],
+                             ids=["growing_band", "pair", "rk4", "every_step", "zero_horizon"])
+    def test_rows_are_each_samples_own_transform(self, params, monkeypatch, case):
+        # evolve keeps every sample after the start as its band coefficients
+        # and forms them at its end in one zero-padded transform: each row must
+        # carry the bits of that sample's own irfft, row 0 the start as given
+        initial, run_params, config, sample_every = case(params)
+        kept = []
+        form = evolution._form_samples
+
+        def recording(y, zs, N):
+            kept.append([z.copy() for z in zs])
+            return form(y, zs, N)
+
+        monkeypatch.setattr(evolution, "_form_samples", recording)
+        res = evolve(initial, run_params, config, sample_every=sample_every)
+        (zs,) = kept
+        start = initial if isinstance(initial, tuple) else (initial,)
+        N = start[0].grid.N
+        assert res.samples.shape == (len(res.times), len(start), N) == (1 + len(zs), len(start), N)
+        assert same_bits(res.samples[0], np.stack([f.h for f in start]))
+        for row, z in zip(res.samples[1:], zs):
+            assert same_bits(row, np.fft.irfft(z, N))
+        assert not res.samples.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            res.samples[-1, 0, 0] = 0.0
+        if case is _growing_band_case:
+            assert res.band == (68, 171)
+            assert len({z.shape[-1] for z in zs}) > 1  # rows of several widths were padded
+        if case is _every_step_case:
+            assert len(zs) == res.steps
+        if case is _zero_horizon_case:
+            assert zs == []
+
+    def test_final_is_built_alone_and_ends_the_snapshots(self, params):
+        initial, run_params, config = _pair_run(params)
+        res = evolve(initial, run_params, config)
+        h, v = res.final
+        assert "snapshots" not in vars(res)
+        assert same_bits(h.h, res.samples[-1, 0]) and same_bits(v.h, res.samples[-1, 1])
+        assert h.t == v.t == res.times[-1]
+        assert res.snapshots[-1] is res.final and len(res.snapshots) == len(res.times)
+        for (h, v), y, t in zip(res.snapshots, res.samples, res.times):
+            assert same_bits(h.h, y[0]) and same_bits(v.h, y[1]) and h.t == v.t == t
+
+    def test_a_non_finite_sample_raises_inside_evolve(self, params, monkeypatch):
+        # a sample whose v alone is not finite passes the blow-up check, which
+        # reads h, and raises WaveField's error when the samples are formed
+        initial, run_params, config = _pair_run(params)
+        run = evolution._controlled_run
+
+        def corrupting(*args):
+            *head, sample = args
+
+            def record(t, z):
+                z = z.copy()
+                z[1, 1] = math.inf
+                sample(t, z)
+
+            return run(*head, record)
+
+        monkeypatch.setattr(evolution, "_controlled_run", corrupting)
+        with pytest.raises(ValueError, match="h contains non-finite entries"):
+            evolve(initial, run_params, config)
 
 
 class TestSchemeConfigValidation:

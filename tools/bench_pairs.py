@@ -12,12 +12,23 @@ not make.  Both checkouts must sit at paths of equal length, because
 peak RSS moves with the checkout's layout.  Each side imports longwave
 from its own src/.
 
-For each workload and end-to-end metric it prints both medians, the
-parent's q1-q3 and the number of pairs in which the change was better,
-in the direction the parent's BENCHMARK.json declares.  --out writes
-every run and that summary as JSON, with both sides' git hashes and the
-NumPy version, Python version and nproc that the runs report.  Standard
-library only.
+For each workload and end-to-end metric it prints two verdicts first,
+then both medians, the parent's q1-q3 and the number of pairs in which
+the change was better, in the direction the parent's BENCHMARK.json
+declares.  The verdicts:
+
+- "claim holds" when the change is better in at least 9 of every 10
+  pairs and its median is better than the parent's by more than the
+  parent's q1-q3 is wide, the rule a claimed gain must meet;
+- "beyond bound" when the change's median is worse than the parent's by
+  more than the metric's relative bound in BENCHMARK.json.
+
+Separate-process pairs on a shared host resolve differences of a few
+percent at best, so the verdicts, not the medians, say whether a pair
+run shows a gain or a loss.  --out writes every run, the summary and,
+first in the file, the verdicts as JSON, with both sides' git hashes and
+the NumPy version, Python version and nproc that the runs report.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -66,28 +77,42 @@ def parse_env(line: str) -> dict[str, str]:
     return dict(re.findall(r"(\w+)=(.*?)(?= \w+=|$)", line[len("env "):]))
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict[str, dict]:
-    """Per metric: both medians, the parent's q1-q3 and the pairs the change won.
+def summarize(runs: list[dict], declared: dict[str, dict]) -> dict[str, dict]:
+    """Per metric: both medians, the parent's q1-q3, the pairs the change won, and the verdicts.
 
     runs holds one {"parent": metrics, "change": metrics} entry per pair;
-    better maps each metric to "lower" or "higher".
+    declared maps each metric to its BENCHMARK.json entry, of which
+    "better" ("lower" or "higher") and "bound" (relative) are read.
     """
     out = {}
-    for name, direction in better.items():
+    for name, spec in declared.items():
         parent = [r["parent"][name] for r in runs]
         change = [r["change"][name] for r in runs]
         q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
                      if len(parent) > 1 else parent * 3)
-        sign = -1.0 if direction == "lower" else 1.0
+        sign = -1.0 if spec["better"] == "lower" else 1.0
+        p50, c50 = statistics.median(parent), statistics.median(change)
+        won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         out[name] = {
-            "parent_median": statistics.median(parent),
-            "change_median": statistics.median(change),
+            "claim_holds": 10 * won >= 9 * len(runs) and sign * (c50 - p50) > q3 - q1,
+            "beyond_bound": -sign * (c50 - p50) > spec["bound"] * abs(p50),
+            "parent_median": p50,
+            "change_median": c50,
             "parent_q1": q1,
             "parent_q3": q3,
-            "change_better_in": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "change_better_in": won,
             "pairs": len(runs),
         }
     return out
+
+
+def verdict_line(workload: str, name: str, s: dict, better: str) -> str:
+    """One metric's summary, its two verdicts first."""
+    return (f"{workload} {name}: {'claim holds' if s['claim_holds'] else 'no claim'}, "
+            f"{'BEYOND BOUND' if s['beyond_bound'] else 'within bound'}; "
+            f"{s['parent_median']:.6g} -> {s['change_median']:.6g} "
+            f"[parent q1-q3 {s['parent_q1']:.6g}-{s['parent_q3']:.6g}], change "
+            f"{better} in {s['change_better_in']} of {s['pairs']}")
 
 
 def main(argv=None) -> int:
@@ -104,9 +129,9 @@ def main(argv=None) -> int:
         print("error: --pairs and --seconds must be positive", file=sys.stderr)
         return 2
     declared = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    declared = {m["name"]: m for m in declared["end_to_end"]}
 
-    record = {"seed": args.seed, "seconds": args.seconds, "workloads": {}}
+    record = {"verdicts": {}, "seed": args.seed, "seconds": args.seconds, "workloads": {}}
     for workload in args.workload:
         runs = []
         for i in range(args.pairs):
@@ -122,12 +147,13 @@ def main(argv=None) -> int:
             print(f"{workload} pair {i + 1}/{args.pairs} ({order[0]} first): "
                   + ", ".join(f"{side} op_p50_s {done[side]['metrics']['op_p50_s']:.6g}"
                               for side in SIDES), flush=True)
-        summary = summarize(runs, better)
+        summary = summarize(runs, declared)
         record["workloads"][workload] = {"runs": runs, "summary": summary}
+        record["verdicts"][workload] = {
+            verdict: [name for name, s in summary.items() if s[verdict]]
+            for verdict in ("claim_holds", "beyond_bound")}
         for name, s in summary.items():
-            print(f"{workload} {name}: {s['parent_median']:.6g} -> {s['change_median']:.6g} "
-                  f"[parent q1-q3 {s['parent_q1']:.6g}-{s['parent_q3']:.6g}], change "
-                  f"{better[name]} in {s['change_better_in']} of {s['pairs']}")
+            print(verdict_line(workload, name, s, declared[name]["better"]))
     if args.out is not None:
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
