@@ -7,17 +7,20 @@ l/(l+k) (see the waves module).
 
 K(m), sn, cn and dn share one arithmetic-geometric mean.  Only that
 scalar AGM runs in extended precision (_agm): K(m) = pi/(2 a_n) is within
-1 ulp of the exact value.  sn, cn and dn use the AGM/descending-Landen phi
-recursion (DLMF 22.20(ii)) on float64 arrays, with the argument reduced
-modulo the real period 4K in double.  Each step takes arcsin((c_j/a_j)
-sin phi) as atan2(c_j sin phi, hypot(b_j, c_j cos phi)), which is the same
-angle because b_j^2 = a_j^2 - c_j^2, and dn is sqrt((1 - m) + m cn^2).
-Neither form subtracts nearly equal numbers as c_j/a_j -> 1, so double
-needs no extended-precision guard digits; NumPy's float64 transcendentals
-are vectorised, where its longdouble ones are not; and the result does not
-depend on what the platform's longdouble is.  The absolute error stays at
-or below ~1e-13 across all of m in [0, 1], including the
-cnoidal-to-solitary limit up to m = 1 - 2^-52.
+1 ulp of the exact value.  sn, cn and dn come from the descending Landen
+transformation in its algebraic form (DLMF 22.7.1-22.7.3) on float64
+arrays: one sine and one cosine at the bottom of the AGM, then only
+arithmetic at each level on the way up, with dn returned as
+sqrt((1 - m) + m cn^2).  The result does not depend on what the
+platform's longdouble is.
+
+Accuracy.  The argument is reduced modulo the real period 4K in double,
+and sn, cn and dn have slopes of at most 1 in u, so the reduction's
+rounding passes straight into the result: the absolute error is about
+1e-13 for |u| <= 1e3 and grows as eps |u| (eps = 2^-52) beyond, e.g. at
+most about 2e-12 at |u| = 1e4 and 2e-10 at |u| = 1e6.  That holds across
+all of m in [0, 1], including the cnoidal-to-solitary limit up to
+m = 1 - 2^-52.
 """
 
 from __future__ import annotations
@@ -83,7 +86,9 @@ def jacobi_cn_sn_dn(u, m: float):
     -------
     (cn, sn, dn)
         Scalars for scalar input, arrays for array input.  Absolute
-        error <= ~1e-13 componentwise.
+        error componentwise about 1e-13 + eps |u| (eps = 2^-52): the
+        argument is reduced modulo 4K in double, so past |u| ~ 1e3 the
+        reduction's rounding dominates (see the module docstring).
     """
     m = float(m)
     if not (0.0 <= m <= 1.0):
@@ -107,28 +112,39 @@ def jacobi_cn_sn_dn(u, m: float):
 
 
 def _jacobi_agm(u: np.ndarray, m: float):
-    """AGM phi recursion on float64 arrays, argument reduced mod 4K in double.
+    """Descending Landen recursion in sn/cn/dn form, argument reduced mod 4K.
 
-    Only the scalar AGM runs in extended precision; its a, b and c are
-    rounded to double once.  The step phi <- (phi + arcsin((c_j/a_j)
-    sin phi))/2 is taken as atan2(c_j sin phi, hypot(b_j, c_j cos phi)),
-    and dn as sqrt((1 - m) + m cn^2), in which 1 - m is exact for m >= 1/2.
-    Neither cancels as c_j/a_j -> 1, so no array needs extended precision:
-    NumPy vectorises the float64 sin, cos and atan2, and the result is the
-    same whatever the platform's longdouble is.
+    With k_j = c_j/a_j the modulus at AGM level j, DLMF 22.7.1-22.7.3 give
+    the functions at level j - 1 from those at level j, all from the old sn:
+
+        D = 1 + k_j sn^2,  sn <- (1 + k_j) sn / D,
+        cn <- cn dn / D,   dn <- (1 - k_j sn^2) / D.
+
+    At the bottom level n, k_n is below 4 longdouble eps (the AGM's stop)
+    and the argument is a_n w (w the reduced u), so sn = sin, cn = cos and
+    dn = 1 there, to far below double's rounding.  The only subtraction is
+    the inner dn's 1 - k_j sn^2, which loses relative accuracy where
+    k_j sn^2 nears 1.  It is harmless: that dn enters the recursion only as
+    a factor of cn, so its absolute error of a few ulp carries into cn as
+    an absolute error no larger; and the returned dn is not that one but
+    sqrt((1 - m) + m cn^2), a sum of two non-negative terms in which 1 - m
+    is exact for m >= 1/2.  The AGM runs in extended precision; each k_j
+    is rounded to double once.
     """
-    a, b, c = _agm(m)
+    a, _, c = _agm(m)
     n = len(a) - 1
     period = 4.0 * float(_PI / (2.0 * a[n]))
     w = u - period * np.rint(u / period)
 
-    phi = 2.0 ** n * float(a[n]) * w
+    x = float(a[n]) * w
+    sn, cn, dn = np.sin(x), np.cos(x), 1.0
     for j in range(n, 0, -1):
-        b_j, c_j = float(b[j]), float(c[j])
-        phi = 0.5 * (phi + np.arctan2(c_j * np.sin(phi), np.hypot(b_j, c_j * np.cos(phi))))
+        k = float(c[j] / a[j])
+        ks2 = k * sn * sn
+        d = 1.0 + ks2
+        sn, cn, dn = (1.0 + k) * sn / d, cn * dn / d, (1.0 - ks2) / d
 
-    cn = np.cos(phi)
-    return cn, np.sin(phi), np.sqrt((1.0 - m) + m * cn * cn)
+    return cn, sn, np.sqrt((1.0 - m) + m * cn * cn)
 
 
 def _sech(u: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -725,6 +726,24 @@ class TestScenarioSmoke:
                         (tmp_path / "tf" / "manifest.txt").read_text().splitlines())
         assert abs(float(manifest["result.phase_shift_tall"])) < 0.15
         assert abs(float(manifest["result.phase_shift_short"])) < 0.15
+
+    def test_cnoidal_family_default_profiles_match_mpmath(self, tmp_path):
+        # each default profile is l cn^2(beta x | m), with beta and m formed
+        # exactly from the k, l of family.csv and the sigma of its header;
+        # the worst error is 1.25e-15 l, the bound about three times that
+        out = tmp_path / "cf"
+        assert main(["scenario", "cnoidal_family", "--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in (out / "family.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        assert len(rows) == 4
+        for i, row in enumerate(rows):
+            meta, x, h = read_profile_csv(out / f"profile_{i:02d}.csv")
+            with mp.workdps(34):
+                k, l, sigma = mp.mpf(float(row[1])), mp.mpf(float(row[2])), float(meta["sigma"])
+                beta, m = mp.sqrt((l + k) / (4 * sigma)), l / (l + k)
+                exact = np.array([float(l * mp.ellipfun("cn", beta * xi, m=m) ** 2)
+                                  for xi in x])
+            assert np.max(np.abs(h - exact)) <= 4e-15 * float(l), row[0]
 
     def test_steepening_scenario(self, tmp_path):
         rc = main(["scenario", "steepening", "--out", str(tmp_path / "st"),

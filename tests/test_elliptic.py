@@ -90,6 +90,37 @@ class TestJacobi:
                     exact = np.array([float(mp.ellipfun(name, u, m=m)) for u in us])
                     assert np.max(np.abs(values - exact)) < 1e-13, (name, m)
 
+    @pytest.mark.parametrize("m", (1e-300, 1e-9, 1e-3, *np.linspace(0.02, 0.99, 12),
+                                   1.0 - 1e-7, 1.0 - 1e-10, 1.0 - 2.0**-52))
+    def test_dense_mpmath_certificate(self, m):
+        # worst error over this grid is 1.07e-13, set by the reduction modulo
+        # 4K at |u| near 1e3 (about eps |u|); the bound is three times that
+        rng = np.random.default_rng(2718)
+        us = np.concatenate(([0.0, -1e3, 1e3], rng.uniform(-1e3, 1e3, 128)))
+        got = jacobi_cn_sn_dn(us, m)
+        with mp.workdps(34):
+            for name, values in zip(("cn", "sn", "dn"), got):
+                exact = np.array([float(mp.ellipfun(name, u, m=m)) for u in us])
+                assert np.max(np.abs(values - exact)) < 3e-13, (name, m)
+
+    @pytest.mark.parametrize("scale", (1e4, 1e6))
+    def test_error_grows_as_eps_u_past_1e3(self, scale):
+        # u is reduced modulo 4K in double, so the reduction's rounding, up
+        # to about eps |u|, passes into sn, cn and dn (slopes at most 1): the
+        # 1e-13 of small |u| does not hold out here, and eps |u| does
+        eps = 2.0**-52
+        rng = np.random.default_rng(5)
+        us = np.concatenate(([-scale, scale], rng.uniform(-scale, scale, 30)))
+        worst = 0.0
+        for m in (0.02, 0.3, 0.5, 0.9, 0.99, 1.0 - 1e-7):
+            got = jacobi_cn_sn_dn(us, m)
+            with mp.workdps(40):
+                for name, values in zip(("cn", "sn", "dn"), got):
+                    exact = np.array([float(mp.ellipfun(name, u, m=m)) for u in us])
+                    worst = max(worst, float(np.max(np.abs(values - exact))))
+        assert worst <= 1e-13 + eps * scale
+        assert worst > 0.1 * eps * scale
+
     def test_identities_random(self):
         rng = np.random.default_rng(42)
         u = rng.uniform(-30.0, 30.0, size=10_000)
