@@ -69,6 +69,7 @@ from .waves import (
     solitary_speed,
 )
 from .elliptic import complete_K
+from .rowtext import fmt17 as _fmt, rows17
 
 EXIT_OK, EXIT_USAGE, EXIT_BLOWUP, EXIT_IO = 0, 2, 3, 4
 
@@ -264,10 +265,6 @@ def resolve_config(scenario: str, config_file: str | None,
 # serialization
 # --------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _write_rows(rows, path: str | Path) -> None:
     """Write text rows as one UTF-8 file with LF line endings."""
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
@@ -280,6 +277,16 @@ def emit_profile_csv(field: WaveField, params: PhysicalParams,
     Full double precision (17 significant digits, the text of `_fmt`),
     LF endings, '.' decimal separator; reading the columns back
     reproduces x and h bit for bit.
+
+    The rows are formed by NumPy in `rowtext.rows17`, a block of values at
+    a time: each value's 17 digits are its magnitude times a power of ten,
+    scaled to [10**16, 10**17) and rounded half to even, from a
+    double-double product that is exact or within 2**-47 of it; `%.17g`'s
+    layout (sign, '0.' prefix, point, cut trailing zeros, exponent) is
+    looked up from the value's decade and digits.  A value whose rounding
+    that bound leaves unsure, and any inf or nan, is written by `_fmt`
+    itself.  So the bytes are `_fmt`'s (CPython's correctly rounded
+    `%.17g`), as tests/test_profile_text.py checks value by value.
     """
     grid = field.grid
     head = [
@@ -288,10 +295,10 @@ def emit_profile_csv(field: WaveField, params: PhysicalParams,
         ("T", _fmt(params.T)), ("sigma", _fmt(dispersion_sigma(params))),
         ("scheme", scheme), ("columns", "x,h"),
     ]
-    xh = np.column_stack((grid.x, field.h)).ravel()
-    rows = ("%.17g,%.17g\n" * grid.N) % tuple(xh.tolist())
-    Path(path).write_text("".join(f"# {k}={v}\n" for k, v in head) + rows,
-                          encoding="utf-8", newline="\n")
+    rows = rows17(np.column_stack((grid.x, field.h)).ravel())
+    with open(path, "wb") as f:
+        f.write("".join(f"# {k}={v}\n" for k, v in head).encode("utf-8"))
+        f.write(rows)
 
 
 def read_profile_csv(path: str | Path):

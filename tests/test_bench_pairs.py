@@ -1,5 +1,7 @@
-"""tools/bench_pairs.py: its summary of paired runs and its refusals, without running a pair."""
+"""tools/bench_pairs.py: its summary of paired runs, its refusals and its record (the last
+with stand-in bench scripts, not real runs)."""
 
+import json
 import statistics
 import sys
 from pathlib import Path
@@ -92,3 +94,25 @@ def test_checkouts_at_paths_of_unequal_length_are_refused(tmp_path, capsys):
     code = bench_pairs.main([str(tmp_path / "pa"), str(tmp_path / "pbb"),
                              "--workload", "kdv_transit"])
     assert code == 2 and "differ in length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1", None])
+def test_the_record_names_the_bytecode_setting_the_runs_inherit(tmp_path, monkeypatch, value):
+    # start-up compiles longwave afresh in each run when PYTHONDONTWRITEBYTECODE is set
+    run = ('import json\nprint("env git=abc python=3.11.7 numpy=2.4.6 nproc=2 cpu=x")\n'
+           'print(json.dumps({"failed": 0, "metrics": {"op_p50_s": {"value": 0.01}}}))\n')
+    for name in ("pa", "pb"):
+        (tmp_path / name / "bench").mkdir(parents=True)
+        (tmp_path / name / "bench" / "run.py").write_text(run)
+        (tmp_path / name / "BENCHMARK.json").write_text(
+            '{"end_to_end": [{"name": "op_p50_s", "better": "lower", "bound": 0.2}]}')
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main([str(tmp_path / "pa"), str(tmp_path / "pb"), "--workload", "w",
+                             "--pairs", "1", "--seconds", "1", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["PYTHONDONTWRITEBYTECODE"] == value
+    assert (record["numpy"], record["python"], record["nproc"]) == ("2.4.6", "3.11.7", "2")

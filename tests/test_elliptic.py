@@ -79,8 +79,9 @@ class TestJacobi:
                     assert abs(dn[j] - float(mp.ellipfun("dn", u, m=m))) < 1e-12
 
     def test_near_the_solitary_limit(self):
-        # as c_j/a_j -> 1 the arcsin step of the phi recursion cancels
-        # unless it is taken in the atan2/hypot form
+        # as m -> 1 the top moduli k_j = c_j/a_j near 1, so the Landen step's
+        # inner dn = (1 - k_j sn^2) / D loses relative accuracy where k_j sn^2
+        # nears 1; cn must stay accurate all the same
         rng = np.random.default_rng(17)
         us = np.concatenate((np.linspace(-60.0, 60.0, 121), rng.uniform(-60.0, 60.0, 40)))
         for m in (1.0 - 1e-12, 1.0 - 1e-15, 1.0 - 2.0**-52):

@@ -26,8 +26,10 @@ declares.  The verdicts:
 Separate-process pairs on a shared host resolve differences of a few
 percent at best, so the verdicts, not the medians, say whether a pair
 run shows a gain or a loss.  --out writes every run, the summary and,
-first in the file, the verdicts as JSON, with both sides' git hashes and
-the NumPy version, Python version and nproc that the runs report.
+first in the file, the verdicts as JSON, with both sides' git hashes,
+the NumPy version, Python version and nproc that the runs report, and
+the PYTHONDONTWRITEBYTECODE value that the runs inherit (null when
+unset): when it is set, every run compiles longwave afresh at start-up.
 Standard library only.
 """
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -131,7 +134,8 @@ def main(argv=None) -> int:
     declared = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     declared = {m["name"]: m for m in declared["end_to_end"]}
 
-    record = {"verdicts": {}, "seed": args.seed, "seconds": args.seconds, "workloads": {}}
+    record = {"verdicts": {}, "seed": args.seed, "seconds": args.seconds, "workloads": {},
+              "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
     for workload in args.workload:
         runs = []
         for i in range(args.pairs):
