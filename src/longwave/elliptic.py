@@ -35,20 +35,20 @@ _PI = np.longdouble("3.14159265358979323846264338327950288")
 _MAX_AGM_ITER = 40
 
 
-def _agm(m: float) -> tuple[list, list, list]:
-    """The AGM of 1 and sqrt(1 - m) in extended precision, as (a, b, c).
+def _agm(m: float) -> tuple[list, list]:
+    """The AGM of 1 and sqrt(1 - m) in extended precision, as its levels (a, c).
 
     a[n+1] = (a[n] + b[n])/2, b[n+1] = sqrt(a[n] b[n]) and c[n+1] =
     (a[n] - b[n])/2 from c[0] = sqrt(m), run until c is within 4 eps of a;
-    K(m) = pi/(2 a[-1]).
+    K(m) = pi/(2 a[-1]).  No caller reads b, so only its last level is kept.
     """
-    a, b, c = [_LD(1.0)], [np.sqrt(_LD(1.0) - _LD(m))], [np.sqrt(_LD(m))]
+    a, b, c = [_LD(1.0)], np.sqrt(_LD(1.0) - _LD(m)), [np.sqrt(_LD(m))]
     while abs(c[-1]) > 4.0 * _LD_EPS * a[-1] and len(a) <= _MAX_AGM_ITER:
-        a_n, b_n = a[-1], b[-1]
-        a.append(0.5 * (a_n + b_n))
-        c.append(0.5 * (a_n - b_n))
-        b.append(np.sqrt(a_n * b_n))
-    return a, b, c
+        a_n = a[-1]
+        a.append(0.5 * (a_n + b))
+        c.append(0.5 * (a_n - b))
+        b = np.sqrt(a_n * b)
+    return a, c
 
 
 def complete_K(m: float) -> float:
@@ -131,7 +131,7 @@ def _jacobi_agm(u: np.ndarray, m: float):
     is exact for m >= 1/2.  The AGM runs in extended precision; each k_j
     is rounded to double once.
     """
-    a, _, c = _agm(m)
+    a, c = _agm(m)
     n = len(a) - 1
     period = 4.0 * float(_PI / (2.0 * a[n]))
     w = u - period * np.rint(u / period)

@@ -432,8 +432,7 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     of dt later, for the right-hand side lin h + flux n on h alone and
     (v, lin h + flux n) on the pair, n the band square.  For "ifrk4",
     step(z, n, dt) is one step of the embedded Lawson pair ERK4(3)-IP
-    (Balac & Mahe 2013), and step(z, n, dt, True) one that lands on a
-    stop, whose weights are cached apart from the ladder's rungs
+    (Balac & Mahe 2013), whose weights are cached per step length
     (_stage_weights).  ERK4(3)-IP's fourth-order solution is Lawson's RK4,
     which propagates the linear part exactly, by the one propagator
     exp(A dt) of the module docstring, and leaves the stages only the h^2
@@ -499,10 +498,10 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
         raise ValueError("the integrating factor needs the low-pass band: unfiltered, "
                          "the bidirectional model grows without bound above sqrt(3)/H")
     # evolve's steps sit on rungs of a ladder (24 over the default collision), and
-    # its steps that land on a stop repeat their lengths from stop to stop: each
-    # kind has a cache of its own, so that no landing evicts a rung
-    weights = partial(_stage_weights, _omega(lin, bidirectional), lin, g)
-    rungs, landings = lru_cache(maxsize=32)(weights), lru_cache(maxsize=8)(weights)
+    # its steps that land on a stop repeat their lengths from stop to stop (30
+    # there, two at a time): at most 33 other lengths come between two uses of
+    # one, so a cache of 40 builds no step's weights twice
+    weights = lru_cache(maxsize=40)(partial(_stage_weights, _omega(lin, bidirectional), lin, g))
 
     def square(x: np.ndarray) -> np.ndarray:
         # the band square of the h row of x, as a fresh (1, J) array
@@ -511,7 +510,7 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
         return forward(h, 1.0, np.empty(M // 2 + 1, complex))[None, :J]
 
     if bidirectional:
-        return lin, flux, _pair_lawson(J, M, rungs, landings, square)
+        return lin, flux, _pair_lawson(J, M, weights, square)
 
     Pz, P2z = np.empty((2, 1, J), complex)  # P z and P P z
     r = np.empty((3, M // 2 + 1), complex)  # the inner stages' squares
@@ -519,8 +518,8 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     n2, n3, n4 = r[:, None, :J]
     d = np.empty((1, J), complex)  # n2 + n3, then the error
 
-    def ifrk4(z: np.ndarray, n1: np.ndarray | None, dt: float, land: bool = False):
-        P, a2, a3, a4, b1, b23, b4, e = (landings if land else rungs)(dt)
+    def ifrk4(z: np.ndarray, n1: np.ndarray | None, dt: float):
+        P, a2, a3, a4, b1, b23, b4, e = weights(dt)
         if n1 is None:
             n1 = square(z)
         multiply(P, z, Pz)
@@ -549,11 +548,11 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     return lin, flux, ifrk4
 
 
-def _pair_lawson(J: int, M: int, rungs, landings, square):
+def _pair_lawson(J: int, M: int, weights, square):
     """_band_run's ERK4(3)-IP step for the (h, v) pair on J modes, squared on M points.
 
-    rungs(dt) and landings(dt) are the cached stage weights of _band_run
-    and square(x) the band square of x's h row as a fresh (1, J) array.
+    weights(dt) is _band_run's cache of the stage weights and square(x)
+    the band square of x's h row as a fresh (1, J) array.
     The flux vector g is zero in the h row, and a square reads only the h
     row, so within a step the squares come in independent pairs: stage 3's
     h row is P z's (a3 = (dt/2) g), and the new state's h row needs no n4
@@ -582,8 +581,8 @@ def _pair_lawson(J: int, M: int, rungs, landings, square):
         multiply(h, h, h)
         return forward(h, 1.0, out)
 
-    def step(z: np.ndarray, n1: np.ndarray | None, dt: float, land: bool = False):
-        P, a2, _, a4, b1, b23, b4, e = (landings if land else rungs)(dt)
+    def step(z: np.ndarray, n1: np.ndarray | None, dt: float):
+        P, a2, _, a4, b1, b23, b4, e = weights(dt)
         if n1 is None:
             n1 = square(z)
         c, As = P
@@ -1051,7 +1050,7 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, H: float, t
                 rung = 2.0 ** (math.floor(16.0 * math.log2(want)) / 16.0)
             land = rung >= (stop - t) * (1.0 - 1e-9)
             dt = stop - t if land else rung
-            z1, n1, err = step(z, n, dt, land)
+            z1, n1, err = step(z, n, dt)
             if err <= tol:
                 i, z, n, t = i + 1, z1, n1, stop if land else t + dt
                 # a landing step is short by choice, not by its error, so it

@@ -67,18 +67,15 @@ def irfft(z: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     return _pfu.irfft(z, 1.0 / n, out)
 
 
-@lru_cache(maxsize=64)
 def wavenumbers(N: int, L: float) -> np.ndarray:
-    """Non-negative rfft wavenumbers 2*pi*j/L, j = 0..N/2 (read-only).
+    """Non-negative rfft wavenumbers 2*pi*j/L, j = 0..N/2.
 
     ValueError when L / N is so small that the largest, pi N / L, overflows.
     """
     if not L / N > 4.0 / sys.float_info.max:
         raise ValueError(f"L = {L!r} m is too short for N = {N} points: "
                          "its wavenumbers overflow")
-    k = 2.0 * np.pi * np.fft.rfftfreq(N, L / N)
-    k.setflags(write=False)
-    return k
+    return 2.0 * np.pi * np.fft.rfftfreq(N, L / N)
 
 
 @lru_cache(maxsize=16)

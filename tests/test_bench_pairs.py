@@ -21,7 +21,7 @@ def test_summary_counts_the_pairs_won_in_each_metrics_direction():
     s = bench_pairs.summarize(runs, {"op_p50_s": {"better": "lower", "bound": 0.2},
                                      "pass_ratio": {"better": "higher", "bound": 0.01}})
     assert s["op_p50_s"] == pytest.approx({"claim_holds": False, "beyond_bound": False,
-                                           "parent_median": 0.038, "change_median": 0.031,
+                                           "unresolved": False, "parent_median": 0.038, "change_median": 0.031,
                                            "parent_q1": 0.037, "parent_q3": 0.039,
                                            "change_better_in": 2, "pairs": 3})
     assert s["pass_ratio"]["change_better_in"] == 0
@@ -74,6 +74,33 @@ def test_a_median_worse_than_the_bound_is_flagged(declared, factor, beyond):
     assert s[name]["beyond_bound"] is beyond
 
 
+@pytest.mark.parametrize("parent, change, unresolved", [
+    # q1-q3 of 9.25-10.75, 1.5 wide, against a bound of 0.1 x 10: unresolved
+    ([8.0, 9.0, 10.0, 11.0, 12.0], [10.0] * 5, True),
+    # as wide, but every change run is better than every parent run
+    ([8.0, 9.0, 10.0, 11.0, 12.0], [7.9] * 5, False),
+    # q1-q3 of 9.75-10.25, 0.5 wide: within the bound's reach, so resolved
+    ([9.5, 9.75, 10.0, 10.25, 10.5], [10.4] * 5, False),
+])
+def test_a_parent_spread_wider_than_the_bound_is_unresolved(parent, change, unresolved):
+    # setup_s is the case in point: its q1-q3 has read 24% of its median
+    # against a bound of 0.25
+    declared = {"op_p50_s": {"better": "lower", "bound": 0.1}}
+    s = bench_pairs.summarize(_pairs(parent, change), declared)["op_p50_s"]
+    assert s["unresolved"] is unresolved
+    line = bench_pairs.verdict_line("kdv_transit", "op_p50_s", s, "lower")
+    assert ("UNRESOLVED;" in line) is unresolved
+
+
+def test_the_unresolved_verdict_reads_each_metrics_direction():
+    # a wide parent spread, and a change above every parent run: better for a
+    # throughput, so resolved; worse for a time, so unresolved
+    parent, change = [6.0, 8.0, 10.0, 12.0, 14.0], [14.5] * 5
+    up = bench_pairs.summarize(_pairs(parent, change, "ops_per_s"), HIGHER)["ops_per_s"]
+    down = bench_pairs.summarize(_pairs(parent, change), LOWER)["op_p50_s"]
+    assert not up["unresolved"] and (down["unresolved"], down["beyond_bound"]) == (True, True)
+
+
 def test_the_verdicts_lead_each_printed_line():
     s = bench_pairs.summarize(_pairs([10.0] * 4, [13.0] * 4), LOWER)["op_p50_s"]
     line = bench_pairs.verdict_line("kdv_transit", "op_p50_s", s, "lower")
@@ -115,4 +142,5 @@ def test_the_record_names_the_bytecode_setting_the_runs_inherit(tmp_path, monkey
                              "--pairs", "1", "--seconds", "1", "--out", str(out)]) == 0
     record = json.loads(out.read_text())
     assert record["PYTHONDONTWRITEBYTECODE"] == value
+    assert record["verdicts"]["w"] == {"claim_holds": [], "beyond_bound": [], "unresolved": []}
     assert (record["numpy"], record["python"], record["nproc"]) == ("2.4.6", "3.11.7", "2")

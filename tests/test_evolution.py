@@ -42,7 +42,7 @@ from longwave import (
     step_ifrk4,
     step_rk4,
 )
-from longwave import evolution, operators
+from longwave import cli, evolution, operators
 from longwave.operators import diff, fourier_shift, lowpass, wavenumbers
 from conftest import same_bits, smooth_random_fields
 
@@ -745,10 +745,11 @@ class TestIfrk4:
                 rel=1e-14, abs=0)
             assert np.array_equal(a, np.abs(z[0]))
 
-    def test_collision_builds_no_stage_weights_twice(self, params, monkeypatch):
+    @pytest.mark.parametrize("run", ["transit_N512", "two_soliton", "boussinesq_demo"])
+    def test_runs_build_no_stage_weights_twice(self, params, monkeypatch, tmp_path, run):
         # the default collision steps on 24 rungs of the ladder and lands on its
-        # 50 stops with 30 step lengths; rungs and landings are cached apart, so
-        # no landing evicts a rung and no step's weights are built twice
+        # 50 stops with 30 step lengths; a band caches the weights of the last 40
+        # step lengths it took, and on no run is a step's weights built twice
         built = []
         stage_weights = evolution._stage_weights
 
@@ -757,12 +758,17 @@ class TestIfrk4:
             return stage_weights(om, lin, g, dt)
 
         monkeypatch.setattr(evolution, "_stage_weights", counted)
-        initial, _, config = _collision_run(params)
-        res = evolve(initial, params, replace(config, t_end=60.0))
-        assert (res.integrator, res.steps, res.rejected) == ("ifrk4", 2322, 0)
-        rungs = {dt for _, dt in built if dt == 2.0 ** (round(16.0 * math.log2(dt)) / 16.0)}
-        assert len(rungs) == 24 and len(built) == 24 + 30
-        assert len(set(built)) == len(built)
+        if run == "transit_N512":
+            evolve(*_transit_run(params))
+        elif run == "boussinesq_demo":
+            assert cli.main(["scenario", run, "--out", str(tmp_path / run)]) == 0
+        else:
+            initial, _, config = _collision_run(params)
+            res = evolve(initial, params, replace(config, t_end=60.0))
+            assert (res.integrator, res.steps, res.rejected) == ("ifrk4", 2322, 0)
+            rungs = {dt for _, dt in built if dt == 2.0 ** (round(16.0 * math.log2(dt)) / 16.0)}
+            assert len(rungs) == 24 and len(built) == 24 + 30
+        assert built and len(set(built)) == len(built)
 
     def test_steps_beyond_one_turn_raise_no_stage_resonance_at_a_cut_band(self, params):
         # four laps at N = 1024 on the band the wave occupies, in steps of about

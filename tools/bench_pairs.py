@@ -12,7 +12,7 @@ not make.  Both checkouts must sit at paths of equal length, because
 peak RSS moves with the checkout's layout.  Each side imports longwave
 from its own src/.
 
-For each workload and end-to-end metric it prints two verdicts first,
+For each workload and end-to-end metric it prints its verdicts first,
 then both medians, the parent's q1-q3 and the number of pairs in which
 the change was better, in the direction the parent's BENCHMARK.json
 declares.  The verdicts:
@@ -21,7 +21,12 @@ declares.  The verdicts:
   pairs and its median is better than the parent's by more than the
   parent's q1-q3 is wide, the rule a claimed gain must meet;
 - "beyond bound" when the change's median is worse than the parent's by
-  more than the metric's relative bound in BENCHMARK.json.
+  more than the metric's relative bound in BENCHMARK.json;
+- "unresolved" when the parent's q1-q3 is wider than that bound times
+  the parent's median, unless every run of the change is better than
+  every run of the parent: the runs then spread too widely to tell a
+  change within the bound from one beyond it, so the metric is not
+  reported as unchanged.  It is printed only where it applies.
 
 Separate-process pairs on a shared host resolve differences of a few
 percent at best, so the verdicts, not the medians, say whether a pair
@@ -96,9 +101,11 @@ def summarize(runs: list[dict], declared: dict[str, dict]) -> dict[str, dict]:
         sign = -1.0 if spec["better"] == "lower" else 1.0
         p50, c50 = statistics.median(parent), statistics.median(change)
         won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        apart = min(sign * c for c in change) > max(sign * p for p in parent)
         out[name] = {
             "claim_holds": 10 * won >= 9 * len(runs) and sign * (c50 - p50) > q3 - q1,
             "beyond_bound": -sign * (c50 - p50) > spec["bound"] * abs(p50),
+            "unresolved": q3 - q1 > spec["bound"] * abs(p50) and not apart,
             "parent_median": p50,
             "change_median": c50,
             "parent_q1": q1,
@@ -110,9 +117,10 @@ def summarize(runs: list[dict], declared: dict[str, dict]) -> dict[str, dict]:
 
 
 def verdict_line(workload: str, name: str, s: dict, better: str) -> str:
-    """One metric's summary, its two verdicts first."""
+    """One metric's summary, its verdicts first."""
     return (f"{workload} {name}: {'claim holds' if s['claim_holds'] else 'no claim'}, "
-            f"{'BEYOND BOUND' if s['beyond_bound'] else 'within bound'}; "
+            f"{'BEYOND BOUND' if s['beyond_bound'] else 'within bound'}"
+            f"{', UNRESOLVED' if s['unresolved'] else ''}; "
             f"{s['parent_median']:.6g} -> {s['change_median']:.6g} "
             f"[parent q1-q3 {s['parent_q1']:.6g}-{s['parent_q3']:.6g}], change "
             f"{better} in {s['change_better_in']} of {s['pairs']}")
@@ -155,7 +163,7 @@ def main(argv=None) -> int:
         record["workloads"][workload] = {"runs": runs, "summary": summary}
         record["verdicts"][workload] = {
             verdict: [name for name, s in summary.items() if s[verdict]]
-            for verdict in ("claim_holds", "beyond_bound")}
+            for verdict in ("claim_holds", "beyond_bound", "unresolved")}
         for name, s in summary.items():
             print(verdict_line(workload, name, s, declared[name]["better"]))
     if args.out is not None:
