@@ -54,7 +54,7 @@ from .invariants import (
     conservation_drift,
 )
 from .model import PeriodicGrid, PhysicalParams, WaveField, dispersion_sigma
-from .operators import diff, fourier_shift, lowpass, wavenumbers
+from .operators import diff, fourier_shift, irfft, rfft
 from .waves import (
     CnoidalSpec,
     SolitarySpec,
@@ -438,16 +438,18 @@ def _crest_speed(res, params: PhysicalParams) -> float:
 def _evolve_to(cfg: ExperimentConfig, initial: WaveField, t_auto: float, *waves):
     """Evolve to scheme.t_end (t_auto if 'auto'): the run and its three files.
 
-    waves are the (spec, key) of the solitary waves the start places.  Each
-    must fit the grid (_check_fit), once the grid is shown to carry the
-    equation's symbols and unless its crest is past evolve's blow-up limit,
-    so that a grid too short for its symbols and a crest too high for the
-    model are reported as such.
+    waves are the (spec, key) of the solitary waves the start places.  Once
+    the grid is shown to carry the equation's symbols, a wave whose crest is
+    past evolve's blow-up limit stops the run at its start, as evolve would
+    (BlowUpError), whether or not a grid point samples that crest; every
+    other wave must fit the grid (_check_fit).  So a grid too short for its
+    symbols and a crest too high for the model are reported as such.
     """
     _symbols(initial.grid, cfg.params, cfg.scheme, False)
     for spec, key in waves:
-        if abs(spec.h0) <= BLOWUP_FACTOR * spec.H:
-            _check_fit(spec, initial.grid, key)
+        if not abs(spec.h0) <= BLOWUP_FACTOR * spec.H:
+            raise BlowUpError(initial.t, 1, abs(spec.h0))
+        _check_fit(spec, initial.grid, key)
     t_end = t_auto if cfg.t_end_auto else cfg.scheme.t_end
     res = evolve(initial, cfg.params, replace(cfg.scheme, t_end=t_end))
     files = {
@@ -647,12 +649,12 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     # every input of the three parts is checked before part (a) runs
     filtered = cfg.scheme
     grid = PeriodicGrid(L=64.0, N=256)  # parts (a) and (c)
-    k_cut = filtered.filter_cut * math.sqrt(3.0) / H
+    # the low-pass band of (a) and (c), J modes from the mean up, as evolve steps it
+    J = _symbols(grid, params, filtered, True)[0].size
     j = cfg.fnum("scenario.mode_index")
-    j_max = int(np.count_nonzero(wavenumbers(grid.N, grid.L) <= k_cut)) - 1
-    if not 1 <= j <= j_max:
+    if not 1 <= j <= J - 1:
         raise ValueError("'scenario.mode_index' must name a mode the filter keeps, "
-                         f"1 to {j_max}, got {j}")
+                         f"1 to {J - 1}, got {j}")
     for key in ("scenario.mode_amp", "scenario.noise_amp"):
         if not (cfg.fnum(key) and math.isfinite(cfg.fnum(key))):
             raise ValueError(f"{key!r} must be nonzero and finite, got {cfg.fnum(key)}")
@@ -665,7 +667,7 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     noise = cfg.fnum("scenario.noise_amp") * H * rng.standard_normal(grid.N)
     noise -= noise.mean()
     rest = WaveField(grid, np.zeros(grid.N))
-    hf = WaveField(grid, lowpass(noise, grid.L, k_cut))
+    hf = WaveField(grid, irfft(rfft(noise)[:J], grid.N))  # the noise on the band
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         E0 = boussinesq_energy(hf, rest, params)
     if not _is_normal(E0):
@@ -680,11 +682,13 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     spec, omega = _solitary_pieces(cfg, cfg.fnum("scenario.h0"))
     cut = cfg.fnum("scenario.solitary_filter_cut")
     schemeS = replace(filtered, filter_cut=cut, t_end=30.0)
-    # part (b)'s start is built here, so a grid.L too short for its slope, or an h0
-    # whose start overflows or starts past evolve's blow-up limit, stops before (a)
+    # part (b)'s band and then its start are built here, so a grid.L too short for
+    # the band or the start's slope, or an h0 whose start overflows or starts past
+    # evolve's blow-up limit, stops before (a)
     gridS = cfg.grid
+    JS = _symbols(gridS, params, schemeS, True)[0].size
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        hs = lowpass(solitary_field(spec, gridS).h, gridS.L, cut * math.sqrt(3.0) / H)
+        hs = irfft(rfft(solitary_field(spec, gridS).h)[:JS], gridS.N)
         vs = -omega * diff(hs, gridS.L, 1)
     if not (np.isfinite(hs).all() and np.isfinite(vs).all()):
         raise ValueError(f"'scenario.h0' = {spec.h0} m leaves part (b)'s starting h and "
@@ -693,7 +697,6 @@ def scenario_boussinesq_demo(cfg: ExperimentConfig):
     if peak > BLOWUP_FACTOR * H:
         raise ValueError(f"'scenario.h0' = {spec.h0} m starts part (b) past the blow-up limit "
                          f"of {BLOWUP_FACTOR:g} H: its low-passed max|h| is {peak:.6g} m")
-    _symbols(gridS, params, schemeS, True)  # part (b)'s band, before part (a) runs
     _check_fit(spec, gridS)
 
     # (a) one low linear mode: measured oscillation frequency

@@ -154,10 +154,14 @@ def _sech(u: np.ndarray) -> np.ndarray:
 
 
 def sech_sq(u):
-    """1/cosh(u)^2, overflow-safe for arbitrarily large |u| (decays to 0)."""
+    """1/cosh(u)^2, overflow-safe for arbitrarily large |u| (decays to 0).
+
+    u = +-inf, an argument that overflowed, gives the exact 0 that every
+    |u| beyond about 745 rounds to; nan raises ValueError.
+    """
     u_arr = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u_arr)):
-        raise ValueError("sech_sq requires finite u")
+    if np.isnan(u_arr).any():
+        raise ValueError("sech_sq requires u that is not nan")
     s = _sech(u_arr)
     out = s * s
     return float(out) if u_arr.ndim == 0 else out

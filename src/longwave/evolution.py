@@ -264,7 +264,7 @@ class SteepeningVerdict(Enum):
 # right-hand sides
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=8)
 def _kdv_symbols(N: int, L: float, g: float, H: float, sigma: float, alpha: float,
                  deriv: str) -> tuple[np.ndarray, np.ndarray]:
     """Fourier form of the unidirectional equation (read-only arrays).
@@ -272,6 +272,14 @@ def _kdv_symbols(N: int, L: float, g: float, H: float, sigma: float, alpha: floa
     Returns (lin, flux) with  rfft(h_t) = lin * rfft(h) + flux * rfft(h^2)
     over every rfft mode: lin carries the advection and dispersion terms of
     the frame alpha, flux the h^2/2 nonlinearity.  Both are purely imaginary.
+
+    This memo, like _boussinesq_symbols', is the only way its table is
+    built, and it holds 8 tables.  No run reads more than 3 (the filtered
+    demo reads 3, 11 times in all; a transit 1, 4 times), and a steepening
+    sweep's 5 tables and the factorization scenario's 8 in each memo are
+    read one run or one grid at a time.  A one-off domain (a residual, a
+    profile's invariants) costs the one build it would cost uncached, and
+    no memo keeps more than 8 of them.
     """
     d1, d2 = derivative_symbols(N, L, deriv)
     c = 1.5 * math.sqrt(g / H)
@@ -296,11 +304,10 @@ def frame_alpha(params: PhysicalParams, config: SchemeConfig) -> float:
     return params.H if config.frame == "fixed" else config.alpha
 
 
-def _symbols_for(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
-                 table=_kdv_symbols):
+def _symbols_for(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig):
     """(lin, flux) of the run at the run's sigma and frame alpha."""
-    return table(grid.N, grid.L, params.g, params.H, dispersion_sigma(params),
-                 frame_alpha(params, config), config.deriv)
+    return _kdv_symbols(grid.N, grid.L, params.g, params.H, dispersion_sigma(params),
+                        frame_alpha(params, config), config.deriv)
 
 
 def _grid_rhs(lin: np.ndarray, flux: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -318,22 +325,27 @@ def kdv_rhs(field: WaveField, params: PhysicalParams,
     return _grid_rhs(*_symbols_for(field.grid, params, config), field.h)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=8)
 def _boussinesq_symbols(N: int, L: float, g: float, H: float, deriv: str,
                         k_cut: float | None) -> tuple[np.ndarray, np.ndarray]:
     """(lin, flux) with rfft(h_tt) = lin * rfft(h) + flux * rfft(h^2) on the band.
 
     The retained band is the leading rfft modes at or below k_cut (all of
-    them when the low-pass is off); h_tt is zero above it (read-only arrays).
-    Pure gravity: the bidirectional equation carries no surface tension.
-    A low-pass band of fewer than two modes, the mean alone, has no
-    dispersion relation to size a step by (ValueError naming L and the cut).
+    them when the low-pass is off), so lin.size is the band's mode count;
+    h_tt is zero above it (read-only arrays).  Pure gravity: the
+    bidirectional equation carries no surface tension.  A low-pass band of
+    fewer than two modes, the mean alone, has no dispersion relation to
+    size a step by (ValueError naming L and the cut); a domain whose
+    wavenumbers or derivative symbols overflow is reported before it.
+    Memoised as _kdv_symbols is, 8 tables; the filtered demo, the largest
+    reader, reads 3 (its two low-pass bands and the unfiltered control).
     """
     J = N // 2 + 1 if k_cut is None else int(np.count_nonzero(wavenumbers(N, L) <= k_cut))
+    d2 = derivative_symbols(N, L, deriv)[1]
     if J < 2:
         raise ValueError(f"L = {L!r} m leaves only the mean mode at or below the low-pass "
                          f"cut k = {k_cut!r} 1/m; the band needs two or more")
-    d2 = derivative_symbols(N, L, deriv)[1][:J]
+    d2 = d2[:J]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         lin = g * H * d2 * (1.0 + (H * H / 3.0) * d2)
         flux = 1.5 * g * d2
@@ -1021,10 +1033,10 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, H: float, t
 
     def beat_limit(S: list[list[float]]) -> float:
         # the beat limit 2 sqrt(2) / (c_max k_rms) of the state that S reads (inf
-        # for a state without power or wavenumber)
+        # for a state without power or wavenumber, or a band without dispersion)
         power = S[1][1]
-        k2_mean = S[1][2] / power if power else 0.0
-        return RK4_IMAG_LIMIT / (c_max * math.sqrt(k2_mean)) if k2_mean else math.inf
+        rate = c_max * math.sqrt(S[1][2] / power) if power else 0.0
+        return RK4_IMAG_LIMIT / rate if rate else math.inf
 
     flux, step, iso, c_max, read, a, split = on_band(J)
     u = iso * z
@@ -1214,17 +1226,17 @@ def factorization_residual(field: WaveField, params: PhysicalParams,
     solitary profile the residual converges under refinement to
     g h0^2/(4H) * max|h_xx| exactly); generic jets such as a left-moving
     pair (pass h_t = +sqrt(gH) h_x) leave an order-one residual.
+
+    Both tables come from the memos that runs read, so a residual at a
+    run's domain reuses the run's tables, and one at a fresh domain costs
+    one build of each and at most one entry in each bounded memo.
     """
     grid, h = field.grid, field.h
-    # both tables are built uncached: a residual's domain length is seldom
-    # reused, and each would hold a cache entry that no run reads
-    lin, flux = _symbols_for(grid, replace(params, T=0.0), SchemeConfig(deriv=scheme),
-                             _kdv_symbols.__wrapped__)
+    lin, flux = _symbols_for(grid, replace(params, T=0.0), SchemeConfig(deriv=scheme))
     if h_t is None:
         h_t = _grid_rhs(lin, flux, h)
     h_tt = irfft(lin * rfft(h_t) + 2.0 * flux * rfft(h * h_t), grid.N)
-    bidirectional = _boussinesq_symbols.__wrapped__(grid.N, grid.L, params.g, params.H,
-                                                    scheme, None)
+    bidirectional = _boussinesq_symbols(grid.N, grid.L, params.g, params.H, scheme, None)
     return float(np.max(np.abs(h_tt - _grid_rhs(*bidirectional, h))))
 
 

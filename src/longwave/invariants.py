@@ -169,9 +169,7 @@ def critical_point_residual(field: WaveField, params: PhysicalParams) -> tuple[f
     peak = np.max(np.abs(h))
     if peak == 0.0:
         raise ValueError("zero field: all points masked")
-    mask = np.abs(h) > 1e-8 * peak
-    if not np.any(mask):
-        raise ValueError("all points masked; field too flat for the certificate")
+    mask = np.abs(h) > 1e-8 * peak  # holds the peak sample, as 1e-8 * peak < peak
     hxx = diff(h, field.grid.L, 2)
     r = (-2.0 * hxx[mask] - 3.0 * h[mask] ** 2 / _sigma(params)) / (2.0 * h[mask])
     lam = float(r.mean())

@@ -101,8 +101,13 @@ class CnoidalSpec:
 
 
 def solitary_profile(spec: SolitarySpec, x):
-    """Elevation h0*sech^2(sqrt(h0/(4 sigma)) x) at abscissa x [m]."""
-    return spec.h0 * sech_sq(spec.inv_width * np.asarray(x, dtype=float))
+    """Elevation h0*sech^2(sqrt(h0/(4 sigma)) x) at abscissa x [m].
+
+    A tail whose argument overflows is the exact 0 it rounds to.
+    """
+    with np.errstate(over="ignore"):  # sech_sq(+-inf) is that 0
+        u = spec.inv_width * np.asarray(x, dtype=float)
+    return spec.h0 * sech_sq(u)
 
 
 def solitary_speed(spec: SolitarySpec) -> float:

@@ -1062,6 +1062,16 @@ class TestNothingWrittenUnlessTheRunSucceeds:
         # a start under the limit runs, and this one blows up in part (b) itself
         (["scenario", "boussinesq_demo", "--set", "scenario.h0=20"], EXIT_BLOWUP,
          "solution blew up at t = 0.119179 s (step 11, max|h| = 10.4212 m)"),
+        # crests past the limit whose tails' arguments overflow: the tails are 0,
+        # and the start stops at t = 0, sampled crest or not
+        *[([*command, "--set", "physical.H=1e-100", "--set", "grid.L=1e300"], EXIT_BLOWUP,
+           f"solution blew up at t = 0 s (step 1, max|h| = {h0} m)")
+          for command, h0 in ((["evolve", "--ic", "solitary"], 0.1),
+                              (["scenario", "solitary_transit"], 0.1),
+                              (["scenario", "moment_conservation"], 0.1),
+                              (["scenario", "two_soliton"], 0.5))],
+        (["evolve", "--ic", "solitary", "--set", "grid.L=1e300", "--set", "scenario.h0=1e300"],
+         EXIT_BLOWUP, "solution blew up at t = 0 s (step 1, max|h| = 1e+300 m)"),
         *[(["scenario", "boussinesq_demo", "--set", f"scenario.noise_amp={amp}"], EXIT_USAGE,
            f"'scenario.noise_amp' must be nonzero and finite, got {amp}")
           for amp in ("inf", "-inf")],

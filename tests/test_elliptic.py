@@ -179,3 +179,11 @@ class TestSechSq:
     def test_non_finite(self):
         with pytest.raises(ValueError):
             sech_sq(np.nan)
+
+    def test_overflowed_argument_is_the_zero_tail(self):
+        # an argument that overflowed to +-inf lies past |u| ~ 745, where sech^2 is 0
+        with np.errstate(all="raise"):
+            assert sech_sq(np.inf) == 0.0 and sech_sq(-np.inf) == 0.0
+            assert np.array_equal(sech_sq(np.array([-np.inf, 0.0, np.inf])), [0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="not nan"):
+            sech_sq(np.array([np.inf, np.nan]))

@@ -21,6 +21,7 @@ from longwave import (
     boussinesq_energy,
     boussinesq_rhs,
     cnoidal_field,
+    compute_invariants,
     conservation_drift,
     critical_depth,
     crest_position,
@@ -547,6 +548,19 @@ class TestStableDt:
         sp = stable_dt(grid, params, SchemeConfig(boussinesq_filter=filtered), "boussinesq")
         assert sp == pytest.approx(limit / np.max(np.sqrt(np.abs(om2[band]))), rel=1e-12)
 
+    def test_unknown_equation_is_named(self, params):
+        with pytest.raises(ValueError, match="unknown equation 'boussinesq2'"):
+            stable_dt(PeriodicGrid(L=64.0, N=256), params, SchemeConfig(), "boussinesq2")
+
+    def test_run_without_linear_term_has_no_advisory(self):
+        # sigma = 0 (T = 3270 N/m at H = 1 m) and alpha = 0 leave the symbol zero:
+        # an explicit step has no advisory to be warned against, and says so
+        grid = PeriodicGrid(L=64.0, N=256)
+        field = WaveField(grid, 0.01 * np.cos(2.0 * np.pi * grid.x / grid.L))
+        config = SchemeConfig(t_end=1.0, dt=0.02, frame="moving", alpha=0.0)
+        with pytest.raises(ValueError, match="degenerate linear symbol; cannot size a step"):
+            evolve(field, PhysicalParams(T=3270.0), config)
+
 
 class TestIfrk4:
     @pytest.mark.parametrize("j", [10, 20])
@@ -758,6 +772,10 @@ class TestIfrk4:
             return stage_weights(om, lin, g, dt)
 
         monkeypatch.setattr(evolution, "_stage_weights", counted)
+        # and each Fourier table is built once: as many builds as tables held
+        memos = (evolution._kdv_symbols, evolution._boussinesq_symbols)
+        for memo in memos:
+            memo.cache_clear()
         if run == "transit_N512":
             evolve(*_transit_run(params))
         elif run == "boussinesq_demo":
@@ -769,6 +787,9 @@ class TestIfrk4:
             rungs = {dt for _, dt in built if dt == 2.0 ** (round(16.0 * math.log2(dt)) / 16.0)}
             assert len(rungs) == 24 and len(built) == 24 + 30
         assert built and len(set(built)) == len(built)
+        tables = {"transit_N512": 1, "two_soliton": 1, "boussinesq_demo": 3}[run]
+        assert [sum(m.cache_info().misses for m in memos),
+                sum(m.cache_info().currsize for m in memos)] == [tables, tables]
 
     def test_steps_beyond_one_turn_raise_no_stage_resonance_at_a_cut_band(self, params):
         # four laps at N = 1024 on the band the wave occupies, in steps of about
@@ -1115,6 +1136,17 @@ class TestBandStepper:
 
 
 class TestEvolve:
+    @pytest.mark.parametrize("amp", [0.01, 0.1])
+    def test_controlled_run_without_linear_term(self, amp):
+        # sigma = 0 and alpha = 0: no dispersion, so no beat limits the step
+        grid = PeriodicGrid(L=64.0, N=256)
+        field = WaveField(grid, amp * np.cos(2.0 * np.pi * grid.x / grid.L))
+        params = PhysicalParams(T=3270.0)
+        assert dispersion_sigma(params) == 0.0
+        res = evolve(field, params, SchemeConfig(t_end=1.0, frame="moving", alpha=0.0))
+        assert res.integrator == "ifrk4" and res.steps > 0
+        assert np.isfinite(res.samples).all() and len(res.times) == 51
+
     def test_bidirectional_run_records_pure_gravity_invariants(self):
         # the pair reads no T, so neither do its M and Hfun, even at the
         # critical depth, where the unidirectional sigma is zero
@@ -1392,16 +1424,19 @@ class TestFactorization:
         field = solitary_field(spec, PeriodicGrid(L=160.0 * H, N=256))
         assert factorization_residual(field, capillary) == factorization_residual(field, gravity)
 
-    def test_residual_leaves_the_symbol_caches_alone(self, params):
-        # a residual at a fresh domain length builds its two tables uncached,
-        # and its value is the one the cached tables give, bit for bit
+    def test_one_off_domains_keep_each_memo_bounded(self, params):
+        # residuals and invariants at 40 fresh domain lengths build their tables
+        # in the memos runs read, which keep at most 8 each; a residual's value is
+        # the one the memos' tables give, bit for bit
         spec = SolitarySpec(h0=0.02, sigma=SIGMA0, H=params.H, g=params.g)
-        caches = (evolution._kdv_symbols, evolution._boussinesq_symbols)
-        sizes = [c.cache_info().currsize for c in caches]
-        fields = [solitary_field(spec, PeriodicGrid(L=160.0 + 0.37 * i, N=128)) for i in range(4)]
+        fields = [solitary_field(spec, PeriodicGrid(L=160.0 + 0.37 * i, N=128))
+                  for i in range(40)]
+        for field in fields:
+            compute_invariants(field, params)
         cases = [(f, s) for f in fields for s in ("spectral", "centered4")]
         got = [factorization_residual(f, params, s) for f, s in cases]
-        assert [c.cache_info().currsize for c in caches] == sizes
+        memos = (evolution._kdv_symbols, evolution._boussinesq_symbols)
+        assert max(m.cache_info().currsize for m in memos) <= 8
         for (field, scheme), r in zip(cases, got):
             grid, h = field.grid, field.h
             lin, flux = evolution._symbols_for(grid, params, SchemeConfig(deriv=scheme))

@@ -106,6 +106,16 @@ class TestVariationalDerivative:
         # eps = 0 reduces the functional to E/2, whose gradient is h itself
         assert np.array_equal(variational_derivative(field, params, 0.0), h)
 
+    @pytest.mark.parametrize("T", [0.0, 0.0728])
+    def test_default_epsilon_is_the_canonical_one(self, T):
+        params = PhysicalParams(H=0.05, T=T)
+        grid = PeriodicGrid(L=5.0, N=128)
+        field = WaveField(grid, smooth_random_fields(grid, 1, 0.01, seed=9)[0])
+        eps = canonical_epsilon(params)
+        assert hamiltonian_functional(field, params) == hamiltonian_functional(field, params, eps)
+        assert np.array_equal(variational_derivative(field, params),
+                              variational_derivative(field, params, eps))
+
     def test_directional_finite_difference(self, params):
         grid = PeriodicGrid(L=50.0, N=256)
         fields = smooth_random_fields(grid, 4, 0.15, seed=21)

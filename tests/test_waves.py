@@ -41,6 +41,11 @@ class TestSolitarySpec:
             SolitarySpec(h0=0.0, sigma=0.1, H=1.0)
         SolitarySpec(h0=-0.001, sigma=-1e-9, H=0.003)  # depression wave
 
+    @pytest.mark.parametrize("H, g", [(0.0, 9.81), (-1.0, 9.81), (1.0, 0.0), (1.0, math.nan)])
+    def test_depth_and_gravity_must_be_positive(self, H, g):
+        with pytest.raises(ValueError, match="H and g must be positive"):
+            SolitarySpec(h0=0.1, sigma=SIGMA0, H=H, g=g)
+
 
 class TestSolitaryProfile:
     def test_crest(self):
@@ -152,6 +157,11 @@ class TestCnoidalSpec:
             CnoidalSpec(k=0.0, l=0.1, sigma=SIGMA0, H=1.0)
         with pytest.raises(ValueError):
             CnoidalSpec(k=0.1, l=0.1, sigma=-1.0, H=1.0)
+
+    @pytest.mark.parametrize("H, g", [(0.0, 9.81), (-1.0, 9.81), (1.0, 0.0), (1.0, math.nan)])
+    def test_depth_and_gravity_must_be_positive(self, H, g):
+        with pytest.raises(ValueError, match="H and g must be positive"):
+            CnoidalSpec(k=0.05, l=0.15, sigma=SIGMA0, H=H, g=g)
 
     def test_parameter(self):
         spec = CnoidalSpec(k=0.05, l=0.15, sigma=SIGMA0, H=1.0)
