@@ -15,7 +15,10 @@ name to (writer, *args); _run writes them only after it returns, so a
 run that fails writes nothing, not even its output directory.  Every
 run, analytic included, writes a manifest of the keys it read and the
 library version, so outputs are reproducible from the manifest alone;
-identical configuration and seed give byte-identical files.
+identical configuration and seed give byte-identical files.  A rerun
+replaces its files (see _replace_file); it removes the old manifest
+before its first file and writes its own last, so a manifest always
+describes files its own run wrote.
 
 Exit codes: 0 success, 2 usage error, 3 numerical blow-up, 4 I/O error.
 """
@@ -23,7 +26,9 @@ Exit codes: 0 success, 2 usage error, 3 numerical blow-up, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -265,9 +270,39 @@ def resolve_config(scenario: str, config_file: str | None,
 # serialization
 # --------------------------------------------------------------------------
 
+def _remove_output(path: Path) -> None:
+    """Unlink the file at path, if there is one, unless the process may not write it.
+
+    A file the process may not write raises PermissionError, as opening
+    it for writing would; a symlink is judged by itself, not its target.
+    """
+    if not os.access(path, os.W_OK, follow_symlinks=False) and os.path.lexists(path):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+    path.unlink(missing_ok=True)
+
+
+def _replace_file(path: str | Path, data: bytes) -> None:
+    """Make `data` the whole of a new file at path, in place of what was there.
+
+    The old file is unlinked, not truncated.  On ext4, freeing a file's
+    disk blocks puts the process to sleep once, by truncation or by
+    unlink; a truncated file's new data is flushed at close, so a file
+    rewritten by truncation has blocks to free at every later rewrite.
+    A new file gets its blocks only when the kernel writes it back
+    (after 30 s by default), and a file replaced before then frees none.
+    So a symlink or a hard link at path is replaced, not written
+    through, and the file gets a new file's permission bits.  A
+    directory at path raises IsADirectoryError.
+    """
+    path = Path(path)
+    _remove_output(path)
+    with open(path, "xb") as f:
+        f.write(data)
+
+
 def _write_rows(rows, path: str | Path) -> None:
     """Write text rows as one UTF-8 file with LF line endings."""
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+    _replace_file(path, ("\n".join(rows) + "\n").encode("utf-8"))
 
 
 def emit_profile_csv(field: WaveField, params: PhysicalParams,
@@ -296,9 +331,7 @@ def emit_profile_csv(field: WaveField, params: PhysicalParams,
         ("scheme", scheme), ("columns", "x,h"),
     ]
     rows = rows17(np.column_stack((grid.x, field.h)).ravel())
-    with open(path, "wb") as f:
-        f.write("".join(f"# {k}={v}\n" for k, v in head).encode("utf-8"))
-        f.write(rows)
+    _replace_file(path, "".join(f"# {k}={v}\n" for k, v in head).encode("utf-8") + rows)
 
 
 def read_profile_csv(path: str | Path):
@@ -362,9 +395,13 @@ def _run(cfg: ExperimentConfig, experiment, **choices) -> dict[str, str]:
     """Run an experiment, then write the files it returns and the manifest."""
     results, files = experiment(cfg, **choices)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    # removed first and written last, so a manifest never sits beside a failed
+    # rerun's mix of old and new files
+    manifest = cfg.output_dir / "manifest.txt"
+    _remove_output(manifest)
     for name, (writer, *args) in files.items():
         writer(*args, cfg.output_dir / name)
-    write_manifest(cfg.output_dir / "manifest.txt", cfg, results, **choices)
+    write_manifest(manifest, cfg, results, **choices)
     return results
 
 

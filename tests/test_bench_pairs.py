@@ -123,9 +123,8 @@ def test_checkouts_at_paths_of_unequal_length_are_refused(tmp_path, capsys):
     assert code == 2 and "differ in length" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["1", None])
-def test_the_record_names_the_bytecode_setting_the_runs_inherit(tmp_path, monkeypatch, value):
-    # start-up compiles longwave afresh in each run when PYTHONDONTWRITEBYTECODE is set
+def _stand_in_pair(tmp_path):
+    """One pair of runs of two stand-in checkouts, pa and pb; the record it writes."""
     run = ('import json\nprint("env git=abc python=3.11.7 numpy=2.4.6 nproc=2 cpu=x")\n'
            'print(json.dumps({"failed": 0, "metrics": {"op_p50_s": {"value": 0.01}}}))\n')
     for name in ("pa", "pb"):
@@ -133,14 +132,62 @@ def test_the_record_names_the_bytecode_setting_the_runs_inherit(tmp_path, monkey
         (tmp_path / name / "bench" / "run.py").write_text(run)
         (tmp_path / name / "BENCHMARK.json").write_text(
             '{"end_to_end": [{"name": "op_p50_s", "better": "lower", "bound": 0.2}]}')
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main([str(tmp_path / "pa"), str(tmp_path / "pb"), "--workload", "w",
+                             "--pairs", "1", "--seconds", "1", "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("value", ["1", None])
+def test_the_record_names_the_bytecode_setting_the_runs_inherit(tmp_path, monkeypatch, value):
+    # start-up compiles longwave afresh in each run when PYTHONDONTWRITEBYTECODE is set
     if value is None:
         monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     else:
         monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
-    out = tmp_path / "pairs.json"
-    assert bench_pairs.main([str(tmp_path / "pa"), str(tmp_path / "pb"), "--workload", "w",
-                             "--pairs", "1", "--seconds", "1", "--out", str(out)]) == 0
-    record = json.loads(out.read_text())
+    record = _stand_in_pair(tmp_path)
     assert record["PYTHONDONTWRITEBYTECODE"] == value
     assert record["verdicts"]["w"] == {"claim_holds": [], "beyond_bound": [], "unresolved": []}
     assert (record["numpy"], record["python"], record["nproc"]) == ("2.4.6", "3.11.7", "2")
+
+
+MOUNTS = """\
+/dev/vda / ext4 rw,relatime,discard 0 0
+proc /proc proc rw,nosuid,nodev,noexec,relatime 0 0
+tmpfs /srv tmpfs rw,nosuid,size=65536k 0 0
+/dev/vdb /srv/bench xfs rw,noatime 0 0
+/dev/vdc /srv/bench\\040runs ext4 rw,relatime 0 0
+overlay /srv/stacked overlay rw,lowerdir=/a 0 0
+tmpfs /srv/stacked tmpfs rw,size=4k 0 0
+"""
+
+
+@pytest.mark.parametrize("path, found", [
+    # the longest mount point that contains the path
+    ("/srv/bench/parent", ("xfs", "rw,noatime")),
+    ("/srv/bench", ("xfs", "rw,noatime")),
+    # a point is matched by whole path parts, not as a string prefix
+    ("/srv/benchmark", ("tmpfs", "rw,nosuid,size=65536k")),
+    ("/home/lab/longwave", ("ext4", "rw,relatime,discard")),
+    # an escaped space in a mount point
+    ("/srv/bench runs/change", ("ext4", "rw,relatime")),
+    # of two mounts at one point, the later one sits on top
+    ("/srv/stacked/x", ("tmpfs", "rw,size=4k")),
+])
+def test_the_mount_under_a_checkout_is_the_longest_point_that_holds_it(path, found):
+    fs = bench_pairs.mount_of(Path(path), MOUNTS)
+    assert (fs["type"], fs["options"]) == found
+
+
+def test_no_mount_table_gives_no_filesystem():
+    assert bench_pairs.mount_of(Path("/srv/bench"), "") is None
+
+
+def test_the_record_names_each_checkouts_filesystem(tmp_path, monkeypatch):
+    # output-file timing depends on the filesystem and its mount options
+    table = {"pa": {"type": "ext4", "options": "rw,relatime,discard"},
+             "pb": {"type": "xfs", "options": "rw,noatime"}}
+    monkeypatch.setattr(bench_pairs, "mount_of", lambda path, mounts: table[path.name])
+    record = _stand_in_pair(tmp_path)
+    assert (record["parent"]["filesystem"], record["change"]["filesystem"]) == (table["pa"],
+                                                                                table["pb"])

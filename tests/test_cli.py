@@ -1,3 +1,4 @@
+import errno
 import filecmp
 import math
 import os
@@ -1252,3 +1253,177 @@ class TestNothingWrittenUnlessTheRunSucceeds:
                    "--set", "grid.N=256", "--set", "grid.L=64"])
         assert rc == EXIT_OK
         assert calls == {"evolve": 4, "emit_profile_csv": 1, "write_manifest": 1}
+
+
+# Each writer puts a longer or a shorter file at path (the CLI case at
+# path.parent/manifest.txt, through a whole run).
+def _profile_of(path, long):
+    n = 64 if long else 16
+    emit_profile_csv(WaveField(PeriodicGrid(L=4.0, N=n), np.linspace(0.0, 0.5, n)), WATER,
+                     "analytic", path)
+
+
+def _rows_of(path, long):
+    cli._write_rows([f"row,{i}" for i in range(40 if long else 4)], path)
+
+
+def _manifest_of(path, long):
+    assert main(["scenario", "cnoidal_family", "--out", str(path.parent), "--set", "grid.N=64",
+                 "--set", f"scenario.m_list={'0.5,0.9' if long else '0.5'}"]) == EXIT_OK
+
+
+REWRITERS = {"emit_profile_csv": (_profile_of, "p.csv"), "_write_rows": (_rows_of, "rows.csv"),
+             "rerun_manifest": (_manifest_of, "manifest.txt")}
+
+
+@pytest.mark.parametrize("write, name", REWRITERS.values(), ids=REWRITERS)
+class TestRewrite:
+    """A rewritten output file is a new file in place of the old one, not the old one
+    truncated and refilled.  (Its inode number may still repeat: ext4 reuses them.)"""
+
+    def _paths(self, tmp_path, name):
+        paths = tmp_path / "a" / name, tmp_path / "fresh" / name
+        for p in paths:
+            p.parent.mkdir()
+        return paths
+
+    def test_a_handle_on_the_old_file_still_reads_the_old_bytes(self, tmp_path, write, name):
+        path, _ = self._paths(tmp_path, name)
+        write(path, True)
+        old = path.read_bytes()
+        with open(path, "rb") as held:
+            write(path, False)
+            assert held.read() == old  # truncating in place would show the new bytes
+        assert path.read_bytes() != old
+
+    @pytest.mark.parametrize("first", [True, False], ids=["longer_first", "shorter_first"])
+    def test_the_rewrite_equals_a_write_to_a_fresh_path(self, tmp_path, write, name, first):
+        # rewritten shorter, it leaves no tail of the longer file
+        path, fresh = self._paths(tmp_path, name)
+        write(path, first)
+        before = path.stat().st_size
+        write(path, not first)
+        write(fresh, not first)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert (path.stat().st_size < before) is first
+
+    def test_a_symlink_at_the_path_is_replaced_not_followed(self, tmp_path, write, name):
+        path, fresh = self._paths(tmp_path, name)
+        target = tmp_path / "target"
+        target.write_bytes(b"kept\n")
+        path.symlink_to(target)
+        write(path, False)
+        write(fresh, False)
+        assert not path.is_symlink() and path.read_bytes() == fresh.read_bytes()
+        assert target.read_bytes() == b"kept\n"
+
+    def test_a_hard_link_keeps_the_old_bytes(self, tmp_path, write, name):
+        path, fresh = self._paths(tmp_path, name)
+        write(path, True)
+        old = path.read_bytes()
+        (tmp_path / "link").hardlink_to(path)
+        write(path, False)
+        write(fresh, False)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert (tmp_path / "link").read_bytes() == old
+
+    def test_a_rewritten_file_gets_a_new_files_bits(self, tmp_path, write, name):
+        path, fresh = self._paths(tmp_path, name)
+        write(path, True)
+        path.chmod(0o600)
+        write(path, False)
+        write(fresh, False)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert path.stat().st_mode == fresh.stat().st_mode  # truncation kept 0o600
+
+
+def _read_only(path, monkeypatch):
+    """Make path a file the process may not write; root may write any file, so deny it too."""
+    path.chmod(0o444)
+    if os.geteuid() == 0:
+        real = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode, **kw:
+                            not (mode & os.W_OK and Path(p) == path) and real(p, mode, **kw))
+
+
+@pytest.mark.parametrize("write, name", [REWRITERS["emit_profile_csv"], REWRITERS["_write_rows"]],
+                         ids=["emit_profile_csv", "_write_rows"])
+def test_a_file_the_process_may_not_write_is_kept(tmp_path, monkeypatch, write, name):
+    # as writing it in place would: a read-only output is not replaced
+    path = tmp_path / name
+    write(path, True)
+    old = path.read_bytes()
+    _read_only(path, monkeypatch)
+    with pytest.raises(PermissionError):
+        write(path, False)
+    assert path.read_bytes() == old
+
+
+class TestRewriteFromTheCli:
+    def test_invariants_reads_its_input_before_replacing_it(self, tmp_path, capsys, params):
+        field = solitary_field(SolitarySpec(0.1, dispersion_sigma(params), params.H, params.g),
+                               PeriodicGrid(L=40.0, N=64))
+        for name in ("p.csv", "copy.csv"):
+            emit_profile_csv(field, params, "analytic", tmp_path / name)
+        same, other = tmp_path / "p.csv", tmp_path / "inv.csv"
+        assert main(["invariants", "--input", str(same), "--out", str(same)]) == EXIT_OK
+        assert main(["invariants", "--input", str(tmp_path / "copy.csv"),
+                     "--out", str(other)]) == EXIT_OK
+        assert same.read_bytes() == other.read_bytes()
+        assert same.read_text().startswith("# columns=t,Q,E,M,Hfun,xg_dot\n")
+
+    @pytest.mark.parametrize("name", ["manifest.txt", "profile.csv"])
+    def test_a_directory_at_an_output_path_exits_4_with_one_line(self, tmp_path, capsys,
+                                                                 name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["analytic", "--out", str(out), "--set", "grid.N=64"]) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error:") and name in err[0]
+        assert (out / name).is_dir()
+
+    def test_invariants_out_a_directory_exits_4_with_one_line(self, tmp_path, capsys, params):
+        emit_profile_csv(WaveField(PeriodicGrid(L=4.0, N=8), np.zeros(8)), params, "analytic",
+                         tmp_path / "p.csv")
+        (tmp_path / "d").mkdir()
+        assert main(["invariants", "--input", str(tmp_path / "p.csv"),
+                     "--out", str(tmp_path / "d")]) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error:")
+
+    def test_a_read_only_manifest_stops_a_rerun_before_its_first_file(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        out = tmp_path / "out"
+        _manifest_of(out / "manifest.txt", True)
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        capsys.readouterr()
+        _read_only(out / "manifest.txt", monkeypatch)
+        assert main(["scenario", "cnoidal_family", "--out", str(out), "--set", "grid.N=64",
+                     "--set", "scenario.m_list=0.5"]) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error:") and "manifest.txt" in err[0]
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+    def test_a_failed_rerun_leaves_no_manifest(self, tmp_path, capsys, monkeypatch):
+        # the old manifest would describe the old files, of which some are now replaced
+        out = tmp_path / "out"
+        argv = ["scenario", "cnoidal_family", "--out", str(out), "--set", "grid.N=64",
+                "--set", "scenario.m_list=0.5,0.9"]
+        assert main(argv) == EXIT_OK
+        assert {f.name for f in out.iterdir()} == {"profile_00.csv", "profile_01.csv",
+                                                  "family.csv", "manifest.txt"}
+        capsys.readouterr()
+        written, real = [], cli.emit_profile_csv
+
+        def full_after_the_first_file(*args):
+            if written:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(args[-1]))
+            written.append(args[-1].name)
+            real(*args)
+
+        monkeypatch.setattr(cli, "emit_profile_csv", full_after_the_first_file)
+        assert main(argv) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error:")
+        assert written == ["profile_00.csv"]
+        assert not (out / "manifest.txt").exists()

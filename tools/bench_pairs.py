@@ -35,6 +35,10 @@ first in the file, the verdicts as JSON, with both sides' git hashes,
 the NumPy version, Python version and nproc that the runs report, and
 the PYTHONDONTWRITEBYTECODE value that the runs inherit (null when
 unset): when it is set, every run compiles longwave afresh at start-up.
+It also records the filesystem type and mount options under each
+checkout (from /proc/self/mounts; null where that cannot be read): the
+workloads write their output files inside the checkout, and what that
+costs depends on both.
 Standard library only.
 """
 
@@ -83,6 +87,24 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 def parse_env(line: str) -> dict[str, str]:
     """The keys of run.py's "env k=v ..." line; a value may hold spaces (the cpu's name)."""
     return dict(re.findall(r"(\w+)=(.*?)(?= \w+=|$)", line[len("env "):]))
+
+
+def mount_of(path: Path, mounts: str) -> dict[str, str] | None:
+    """The filesystem type and mount options under path, from the text of /proc/self/mounts.
+
+    The mount is the one whose mount point is the longest that contains
+    path, the later line of two at one point (it sits on top).  Mount
+    points escape a space, tab, newline or backslash as three octal digits.
+    """
+    found, depth = None, -1
+    for line in mounts.splitlines():
+        fields = line.split()
+        if len(fields) < 4:
+            continue
+        point = Path(re.sub(r"\\([0-7]{3})", lambda m: chr(int(m[1], 8)), fields[1]))
+        if (point == path or point in path.parents) and len(point.parts) >= depth:
+            found, depth = {"type": fields[2], "options": fields[3]}, len(point.parts)
+    return found
 
 
 def summarize(runs: list[dict], declared: dict[str, dict]) -> dict[str, dict]:
@@ -142,6 +164,12 @@ def main(argv=None) -> int:
     declared = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     declared = {m["name"]: m for m in declared["end_to_end"]}
 
+    try:
+        mounts = Path("/proc/self/mounts").read_text(encoding="utf-8", errors="replace")
+    except OSError:
+        mounts = ""
+    filesystems = {side: mount_of(checkouts[side], mounts) for side in SIDES}
+
     record = {"verdicts": {}, "seed": args.seed, "seconds": args.seconds, "workloads": {},
               "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
     for workload in args.workload:
@@ -152,7 +180,8 @@ def main(argv=None) -> int:
                     for side in order}
             for side in SIDES:
                 env = done[side]["env"]
-                record.setdefault(side, {"dir": checkouts[side].name, "git": env.get("git")})
+                record.setdefault(side, {"dir": checkouts[side].name, "git": env.get("git"),
+                                         "filesystem": filesystems[side]})
                 record.update((k, env.get(k)) for k in ("numpy", "python", "nproc", "cpu"))
             runs.append({"first": order[0], **{side: done[side]["metrics"] for side in SIDES},
                          "failed": {side: done[side]["failed"] for side in SIDES}})
