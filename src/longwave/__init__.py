@@ -25,6 +25,7 @@ from .evolution import (
     kdv_rhs,
     stable_dt,
     steepening_verdict,
+    step_etdrk4,
     step_ifrk4,
     step_rk4,
 )

@@ -414,9 +414,12 @@ def _drift_entries(res) -> dict[str, str]:
 
 def _step_entries(res, prefix: str = "") -> dict[str, str]:
     # how the run stepped is deterministic, so it belongs in the manifest
-    return {f"{prefix}integrator": res.integrator, f"{prefix}dt": _fmt(res.dt),
-            f"{prefix}steps": str(res.steps), f"{prefix}rejected": str(res.rejected),
-            f"{prefix}band_min": str(res.band[0]), f"{prefix}band_max": str(res.band[1])}
+    entries = {f"{prefix}integrator": res.integrator, f"{prefix}dt": _fmt(res.dt),
+               f"{prefix}steps": str(res.steps), f"{prefix}rejected": str(res.rejected),
+               f"{prefix}band_min": str(res.band[0]), f"{prefix}band_max": str(res.band[1])}
+    if res.step_alpha is not None:  # the (h, v) pair steps in no frame
+        entries[f"{prefix}step_alpha"] = _fmt(res.step_alpha)
+    return entries
 
 
 def recentered_shape_error(final: WaveField, reference: WaveField) -> float:

@@ -53,52 +53,76 @@ generator A on each mode, lin = i omega for the unidirectional equation
 and [[0, 1], [lin, 0]] with lin = -omega^2 for the (h, v) pair, and one
 flux vector puts the transformed h^2 flux in the last row (in v alone
 for the pair).  The time integrator follows from the step.  With
-scheme.dt=auto a run uses the embedded Lawson pair ERK4(3)-IP (Balac &
-Mahe 2013; Hochbruck & Ostermann 2010): the linear part is propagated
-exactly, so the dispersive stiffness (dt ~ dx^3 under RK4) no longer
-sets the step, and a third-order partner that shares the next step's
-first stage estimates each step's local error at no extra cost.  Both
-generators square to -omega^2, so one propagator serves both equations,
-exp(A dt) = cos(omega dt) + A sin(omega dt)/omega (1 + A dt where
-omega = 0): exp(lin dt) for the unidirectional equation, each mode's
-rotation for the pair.  Such a unidirectional run is stepped on the
-modes its state occupies: the shortest prefix of the 2/3-rule band that
-holds every mode of the start above CHOP_LEVEL = 1e-14 of its peak
-coefficient, plus a margin, the chop of a series at its roundoff
-plateau (Aurentz & Trefethen 2017; Boyd 2001, ch. 2).  The band grows,
-up to the 2/3-rule band, whenever a mode at its top passes
-GROW_LEVEL = 1e-10 of the peak, so a state that fills the 2/3-rule band
-is stepped on all of it.  A solitary transit at L = 120
-occupies about 136 modes, whatever N.  A bidirectional run is stepped
-on its low-pass band.  A PI controller (Gustafsson 1991) sizes every
-step so that its local error stays within IF_TOL = 1e-6 of the starting
-state's norm, taken as the norm in which the propagator is an isometry
-(the L2 norm of h; (sum omega^2 |h|^2 + |v|^2)^(1/2) for the pair), and
-no step passes the RK4 imaginary-axis limit of the fastest beat in the
-interaction picture, 2 sqrt(2) / (c_max k_rms), the largest group speed
-of the band's dispersion relation times the state's rms wavenumber (see
-_controlled_run).  Since the group speed grows like the square of the
-band's top wavenumber, every unused mode there would cost steps.  Steps
-may turn the fastest stepped mode many times: about 4 turns on a
-transit, at N = 512 and N = 1024 alike.
+scheme.dt=auto both equations take exponential steps, which propagate
+the linear part exactly, so the dispersive stiffness (dt ~ dx^3 under
+RK4) no longer sets the step, and each step carries a third-order
+partner that shares the next step's first stage, so it estimates the
+local error at no extra cost.  Both generators square to -omega^2, so
+one propagator serves both equations, exp(A dt) = cos(omega dt)
++ A sin(omega dt)/omega (1 + A dt where omega = 0).
 
-IF_TOL is set by a global-error budget against KdV's exact two-soliton
+A unidirectional run steps with Cox & Matthews' ETDRK4 (2002; Kassam &
+Trefethen 2005) in the frame in which its start's tallest crest stands
+still (_crest_alpha).  Korteweg and de Vries's solitary wave is a steady
+state of their equation in its own frame, and an exponential
+time-differencing step keeps a steady state exactly, where a Lawson step
+does not: a transit then takes about as many steps as it has sample
+stops.  A change of frame is an exact Fourier shift of the spectral
+equation, so each sample is shifted into the frame the config names
+when the run is formed (_form_samples), and a run whose shift no float
+resolves to FRAME_ULP of a grid step is refused before its first step
+(_frame_drift).  A centered4 run steps in its own frame: its stencils'
+advection is not a translation, so another frame would change its
+discrete equation.  ETDRK4's phi-functions of lin dt, on the imaginary
+axis, come from the cosine and sine of the half step (_etd_weights).
+Its third-order partner takes the new state's square for the last
+stage's, which meets the four order conditions of order 3, so the
+estimate is ||dt (4 phi3 - phi2)(lin dt) flux (n4 - n5)||.  Such a run is
+stepped on the modes its state occupies: the shortest prefix of the
+2/3-rule band that holds every mode of the start above CHOP_LEVEL = 1e-14
+of its peak coefficient, plus a margin, the chop of a series at its
+roundoff plateau (Aurentz & Trefethen 2017; Boyd 2001, ch. 2).  The band
+grows, up to the 2/3-rule band, whenever a mode at its top passes
+GROW_LEVEL = 1e-10 of the peak, so a state that fills the 2/3-rule band
+is stepped on all of it.  A solitary transit at L = 120 occupies about
+136 modes, whatever N.
+
+A bidirectional run steps with the embedded Lawson pair ERK4(3)-IP
+(Balac & Mahe 2013; Hochbruck & Ostermann 2010) on its low-pass band,
+whose rotation is each mode's exact flow.  A PI controller (Gustafsson
+1991) sizes every step so that its local error stays within a tolerance
+of the starting state's norm, ETD_TOL = 1e-5 for ETDRK4 and IF_TOL =
+1e-6 for the pair, taken as the norm in which the propagator is an
+isometry (the L2 norm of h; (sum omega^2 |h|^2 + |v|^2)^(1/2) for the
+pair).  No step of the pair passes the RK4 imaginary-axis limit of the
+fastest beat in the interaction picture, 2 sqrt(2) / (c_max k_rms), the
+largest group speed of the band's dispersion relation times the state's
+rms wavenumber (see _controlled_run).  ETDRK4 runs without that limit:
+the collisions of tests/test_evolution.py keep the top of their band
+at 3e-8 to 7e-8 m (1.5e-10 m at N = 384) against the 1e-7 m they are
+held to, and ten-lap transits at N = 1024, stepped in four frames, keep
+it at 2e-14 to 9e-13 of the peak with no growth.  Steps may turn the
+fastest stepped mode many times.
+
+ETD_TOL is set by a global-error budget against KdV's exact two-soliton
 solution (Hirota 1971; a standard stepper test, Kassam & Trefethen
 2005): started from it, the overtaking of a 0.2 m wave by a 0.5 m one
 (from -22 m and -4 m, moving frame at alpha = 0, 60 s) must stay within
 5e-5 of the tall crest at every one of its 51 samples.  That is under a
 tenth of the 6.8e-4 shape error the default collision carries from its
-sum-of-sech^2 start.  1e-6 is the largest rung of the 1-3-10 ladder
+sum-of-sech^2 start.  1e-5 is the largest rung of the 1-3-10 ladder
 that meets it:
 
-    IF_TOL   N = 256, L = 80: steps, error   N = 384, L = 120: steps, error
-    3e-6          1,827   8.2e-5                   -         -
-    1e-6          2,357   2.47e-5              2,362   2.46e-5
-    3e-7          3,005   7.88e-6              3,012   7.97e-6
+    ETD_TOL   N = 256, L = 80: steps, error   N = 384, L = 120: steps, error
+    1e-4            296   1.56e-4                  296   1.57e-4
+    3e-5            381   5.27e-5                  383   5.28e-5
+    1e-5            503   1.70e-5                  504   1.73e-5
+    3e-6            680   5.33e-6                  680   5.26e-6
+    1e-6            907   1.99e-6                  908   2.00e-6
 
-The error falls at about order 4.5 in the step count; tests/test_oracle.py
-certifies the budget and the order.  A transit's step is set by the beat
-limit, not by IF_TOL.
+The error falls at about order 3.9 in the step count; tests/test_oracle.py
+certifies the budget and the order.  A transit's step is set by its
+sample stops, not by ETD_TOL: 52 steps a lap for h0 = 0.1 m at L = 120.
 
 An explicit dt, and an unfiltered bidirectional run (whose linear part
 grows above sqrt(3)/H, so no rotation propagates it), uses classical
@@ -144,6 +168,7 @@ __all__ = [
     "boussinesq_rhs",
     "step_rk4",
     "step_ifrk4",
+    "step_etdrk4",
     "evolve",
     "deformation_rate_closed_form",
     "steepening_verdict",
@@ -158,9 +183,12 @@ logger = logging.getLogger(__name__)
 
 RK4_IMAG_LIMIT = 2.0 * math.sqrt(2.0)
 CFL_SAFETY = 0.4
-# local error per auto-dt (ERK4(3)-IP) step, relative to the start's norm; set
-# by the exact two-soliton error budget of the module docstring
+# local error per auto-dt step, relative to the start's norm, of the pair's
+# ERK4(3)-IP (IF_TOL) and of the unidirectional ETDRK4 (ETD_TOL); each is the
+# largest 1-3-10 rung that met the exact two-soliton error budget of the module
+# docstring with its step on that collision
 IF_TOL = 1e-6
+ETD_TOL = 1e-5
 # an auto-dt unidirectional run steps the modes its start holds above CHOP_LEVEL
 # of the peak coefficient, and grows that band when a mode at its top passes
 # GROW_LEVEL; the two differ because the pair's truncation fills the top of a
@@ -172,6 +200,10 @@ BLOWUP_FACTOR = 10.0  # |h| beyond this multiple of H aborts the run
 # no run takes more steps than this: evolve refuses a run, or stops it, as soon
 # as the time left over its step (explicit, advisory or wanted) passes it
 MAX_STEPS = 10 ** 8
+# an ETDRK4 run's samples are shifted from its stepping frame into the frame
+# its config names; evolve refuses a run whose shift by t_end is a float whose
+# spacing passes FRAME_ULP of the grid step
+FRAME_ULP = 1e-6
 
 
 class BlowUpError(RuntimeError):
@@ -180,7 +212,8 @@ class BlowUpError(RuntimeError):
     time is when, step the number of the step that tripped the check
     (counted from the run's start; 1 for a single public step),
     max_abs_h the max|h| it found [m] (inf or nan when not finite) and
-    integrator the integrator that took the step ("rk4" or "ifrk4").
+    integrator the integrator that took the step ("rk4", "ifrk4" or
+    "etdrk4").
     cause, when given, follows the message: an error-controlled run
     whose wanted step would need more than MAX_STEPS steps to finish
     raises with the max|h| of its last accepted state and says so there.
@@ -202,11 +235,14 @@ class SchemeConfig:
     """Discretization choices for one run.
 
     deriv selects the spatial scheme ("spectral" or "centered4").  dt of
-    None selects the error-controlled pair ERK4(3)-IP, except for the
-    unfiltered bidirectional run, which steps classical RK4 at the
-    stability advisory; an explicit dt steps RK4 at that dt.  t_end, dt
-    and alpha must be finite.  frame applies to the unidirectional
-    equation only; alpha is the moving-frame parameter.
+    None selects error-controlled exponential steps (ETDRK4 for the
+    unidirectional equation, the Lawson pair ERK4(3)-IP for the (h, v)
+    pair), except for the unfiltered bidirectional run, which steps
+    classical RK4 at the stability advisory; an explicit dt steps RK4 at
+    that dt.  t_end, dt and alpha must be finite.  frame applies to the
+    unidirectional equation only; alpha is the moving-frame parameter, the
+    frame of a run's samples (a spectral auto-dt run steps in its crest's
+    frame and shifts its samples into this one).
     frame="fixed" is the moving frame at alpha = H, where the frame speed
     is zero, so it takes no alpha: a nonzero one is rejected.
     filter_cut is the bidirectional low-pass cutoff as a fraction of
@@ -417,9 +453,9 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     J = lin.size modes, and the step.  The band is the first J modes (all
     of them for J = None) of the run's band from _symbols, whatever the
     integrator: the 2/3-rule band for a unidirectional run and the
-    low-pass band for a bidirectional one.  evolve steps an
-    integrating-factor unidirectional run on the prefix its state
-    occupies (_occupied_band), which _controlled_run grows on demand; the
+    low-pass band for a bidirectional one.  evolve steps an ETDRK4
+    unidirectional run on the prefix its state occupies
+    (_occupied_band), which _controlled_run grows on demand; the
     public steps and every RK4 run take the whole band.  The state z is
     rfft(y)[:, :J] of the stacked samples y, one row of band coefficients
     per field: (1, J) for h alone, (2, J) for (h, v).  h^2 is formed on
@@ -437,26 +473,28 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     the stages are formed in place.  The pair's "ifrk4" step forms its
     four squares as two batched pairs of rows, two kernel calls each
     (_pair_lawson).  A step writes none of its arguments and allocates
-    only the arrays it returns (for "ifrk4" given n, z1 and its square
-    n5), so a rejected step is retried from the same (z, n).
+    only the arrays it returns (for an exponential step given n, z1 and
+    its square n5), so a rejected step is retried from the same (z, n).
 
     For integrator "rk4", step(z, dt) is the state one classical RK4 step
     of dt later, for the right-hand side lin h + flux n on h alone and
-    (v, lin h + flux n) on the pair, n the band square.  For "ifrk4",
-    step(z, n, dt) is one step of the embedded Lawson pair ERK4(3)-IP
-    (Balac & Mahe 2013), whose weights are cached per step length
-    (_stage_weights).  ERK4(3)-IP's fourth-order solution is Lawson's RK4,
-    which propagates the linear part exactly, by the one propagator
-    exp(A dt) of the module docstring, and leaves the stages only the h^2
-    flux, which enters the last row (a bidirectional run needs the
-    low-pass band, ValueError otherwise).  Its third-order partner adds
-    the stage of the new state, which is the next step's first (first
-    same as last).  n is the band square of z (None: formed here).  It
-    returns (z1, n5, err): the new state, its band square n5 (the next
-    step's n) and the local error estimate ||(dt/10) flux (n4 - n5)|| from
-    the fourth stage's square n4, which costs no product beyond the four
-    of Lawson's RK4.  That error sits in h, or in v alone, so its L2 norm
-    is its norm in the isometric norm of _controlled_run.
+    (v, lin h + flux n) on the pair, n the band square.  The exponential
+    steps, "etdrk4" for h alone and "ifrk4" for the pair (which needs the
+    low-pass band, ValueError otherwise), are step(z, n, dt), with their
+    weights cached per step length.  Both propagate the linear part
+    exactly, by the one propagator exp(A dt) of the module docstring, and
+    leave the stages only the h^2 flux, which enters the last row.  Each
+    has a third-order partner that takes the square of the new state, the
+    next step's first (first same as last).  n is the band square of z
+    (None: formed here).  A step returns (z1, n5, err): the new state, its
+    band square n5 (the next step's n) and the local error estimate
+    ||e (n4 - n5)|| from the fourth stage's square n4, which costs no
+    product beyond the step's four.  "etdrk4" is Cox & Matthews' ETDRK4
+    (_etd_weights), whose partner swaps n5 for n4, so e = dt (4 phi3 -
+    phi2)(lin dt) flux; "ifrk4" is the embedded Lawson pair ERK4(3)-IP
+    (Balac & Mahe 2013; _stage_weights), Lawson's RK4 with e =
+    (dt/10) flux.  That error sits in h, or in v alone, so its L2 norm is
+    its norm in the isometric norm of _controlled_run.
     """
     lin, flux = (a[:J] for a in _symbols(grid, params, config, bidirectional))
     J, N, m = lin.size, grid.N, 1 + bidirectional
@@ -509,11 +547,15 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     if bidirectional and not config.boussinesq_filter:
         raise ValueError("the integrating factor needs the low-pass band: unfiltered, "
                          "the bidirectional model grows without bound above sqrt(3)/H")
-    # evolve's steps sit on rungs of a ladder (24 over the default collision), and
+    # evolve's steps sit on rungs of a ladder (18 over the default collision), and
     # its steps that land on a stop repeat their lengths from stop to stop (30
-    # there, two at a time): at most 33 other lengths come between two uses of
+    # there, two at a time): at most 36 other lengths come between two uses of
     # one, so a cache of 40 builds no step's weights twice
-    weights = lru_cache(maxsize=40)(partial(_stage_weights, _omega(lin, bidirectional), lin, g))
+    if bidirectional:
+        build = partial(_stage_weights, _omega(lin, True), lin, g)
+    else:
+        build = partial(_etd_weights, lin.imag, g[0])
+    weights = lru_cache(maxsize=40)(build)
 
     def square(x: np.ndarray) -> np.ndarray:
         # the band square of the h row of x, as a fresh (1, J) array
@@ -528,23 +570,27 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     r = np.empty((3, M // 2 + 1), complex)  # the inner stages' squares
     r2, r3, r4 = r
     n2, n3, n4 = r[:, None, :J]
-    d = np.empty((1, J), complex)  # n2 + n3, then the error
+    d = np.empty((1, J), complex)  # a term of stage 4, n2 + n3, then the error
 
-    def ifrk4(z: np.ndarray, n1: np.ndarray | None, dt: float):
-        P, a2, a3, a4, b1, b23, b4, e = weights(dt)
+    def etdrk4(z: np.ndarray, n1: np.ndarray | None, dt: float):
+        P, A, B, A2, b1, b23, b4 = weights(dt)
         if n1 is None:
             n1 = square(z)
         multiply(P, z, Pz)
         multiply(P, Pz, P2z)
-        add(Pz, multiply(a2, n1, w), w)
+        # stage 2: a = P z + A n1
+        add(Pz, multiply(A, n1, w), w)
         inverse(w0, fct, h)
         multiply(h, h, h)
         forward(h, 1.0, r2)
-        add(Pz, multiply(a3, n2, w), w)
+        # stage 3: b = P z + A n2
+        add(Pz, multiply(A, n2, w), w)
         inverse(w0, fct, h)
         multiply(h, h, h)
         forward(h, 1.0, r3)
-        add(P2z, multiply(a4, n3, w), w)
+        # stage 4: P a + A (2 n3 - n1) = P P z + (P - 1) A n1 + 2 A n3
+        add(P2z, multiply(B, n1, w), w)
+        add(w, multiply(A2, n3, d), w)
         inverse(w0, fct, h)
         multiply(h, h, h)
         forward(h, 1.0, r4)
@@ -554,10 +600,10 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
         add(z1, multiply(b23, add(n2, n3, d), w), z1)
         add(z1, multiply(b4, n4, w), z1)
         n5 = square(z1)
-        multiply(e, np.subtract(n4, n5, d), d)
+        multiply(b4, np.subtract(n4, n5, d), d)
         return z1, n5, math.sqrt(np.vdot(d, d).real)
 
-    return lin, flux, ifrk4
+    return lin, flux, etdrk4
 
 
 def _pair_lawson(J: int, M: int, weights, square):
@@ -623,26 +669,19 @@ def _pair_lawson(J: int, M: int, weights, square):
 def _stage_weights(om: np.ndarray, lin: np.ndarray, g: np.ndarray, dt: float) -> tuple:
     """The half-step propagator P and ERK4(3)-IP's stage weights for a step of dt.
 
-    om is the band's omega (_omega), lin its linear symbol and g the flux
-    vector of _band_run, one row for h alone and two for (h, v).  Each
-    weight is a coefficient times g propagated over dt/2, dt or not at
-    all, folded into one array.
+    om is the pair's band omega (_omega), lin its linear symbol and g the
+    (2, J) flux vector of _band_run.  Each weight is a coefficient times g
+    propagated over dt/2, dt or not at all, folded into one array.
     """
-    bidirectional = g.shape[0] == 2
-
     def propagator(tau: float):
-        # A acts as the matrix i omega or [[0, 1], [lin, 0]], both squaring to
-        # -omega^2, so exp(tau A) = cos(omega tau) + A sin(omega tau)/omega
-        # (omega changes sign over a unidirectional band; tau A where omega = 0):
-        # the multiplier c + lin s of the one row, or the pair's (c, As), applied
-        # as c x + As x[::-1]
+        # A = [[0, 1], [lin, 0]] squares to -omega^2, so exp(tau A) =
+        # cos(omega tau) + A sin(omega tau)/omega (tau A where omega = 0): the
+        # pair's (c, As), applied as c x + As x[::-1]
         c = np.cos(om * tau)
         s = np.divide(np.sin(om * tau), om, out=np.full(om.size, tau), where=om != 0)
-        return c + lin * s if not bidirectional else (c, np.stack((s, lin * s)))
+        return c, np.stack((s, lin * s))
 
     def propagated(P, x: np.ndarray) -> np.ndarray:
-        if not bidirectional:
-            return P * x
         out = P[0] * x
         return np.add(out, P[1] * x[::-1], out)
 
@@ -650,6 +689,76 @@ def _stage_weights(om: np.ndarray, lin: np.ndarray, g: np.ndarray, dt: float) ->
     Pg, P2g = propagated(P, g), propagated(propagator(dt), g)
     return (P, (0.5 * dt) * Pg, (0.5 * dt) * g, dt * Pg, (dt / 6.0) * P2g,
             (dt / 3.0) * Pg, (dt / 6.0) * g, (dt / 10.0) * g[-1:])
+
+
+# the Taylor coefficients of F3 and F4 of _etd_weights in powers of -theta^2:
+# row m holds 1/(2m + 3)! and 1/(2m + 4)!; the first term left out is below
+# 2e-18 of either where |theta| < 0.5
+_ETD_SERIES = np.array([[1.0 / math.factorial(2 * m + n) for n in (3, 4)] for m in range(7)])
+_ETD_LIMITS = np.array([[1.0], [0.5]])  # F1 and F2 at theta = 0
+# the real parts, then the imaginary parts over theta, of phi1 - 3 phi2 + 4 phi3,
+# 2 phi2 - 4 phi3 and 4 phi3 - phi2, as weights of (F1, F2, F3, F4)
+_ETD_COMBINATIONS = np.array([[1.0, -3.0, 4.0, 0.0], [0.0, 2.0, -4.0, 0.0],
+                              [0.0, -1.0, 4.0, 0.0], [0.0, 1.0, -3.0, 4.0],
+                              [0.0, 0.0, 2.0, -4.0], [0.0, 0.0, -1.0, 4.0]])
+
+
+def _etd_weights(om: np.ndarray, g: np.ndarray, dt: float) -> tuple:
+    """The half-step propagator P and ETDRK4's stage weights for a step of dt.
+
+    om is the band's omega = Im lin and g the flux row of _band_run.  The
+    weights are Cox & Matthews' (2002), each folded with g and dt:
+    A = (dt/2) phi1(lin dt/2) g, B = (P - 1) A = i (theta/2) phi1(lin dt/2) A
+    (which does not cancel where theta is small) and A2 = 2 A for the
+    stages, and b1 = dt (phi1 - 3 phi2 + 4 phi3) g, b23 = dt (2 phi2 -
+    4 phi3) g and b4 = dt (4 phi3 - phi2) g at lin dt for the new state.
+    On the imaginary axis, theta = om dt, each phi-function is
+    phi_k = F_k + i theta F_(k+1) over four even real functions
+        F1 = sin(theta)/theta,          F2 = (1 - cos theta)/theta^2,
+        F3 = (1 - F1)/theta^2,          F4 = (1/2 - F2)/theta^2,
+    all formed from the cosine c and sine s of the half step theta/2
+    (F1 = 2 s c/theta and F2 = 2 s^2/theta^2), and the half step's phi1
+    from F1 and F2 at theta/2.  Where |theta| < 0.5, where F3 and F4
+    cancel, they come from their Taylor series (_ETD_SERIES), F1 and F2
+    from them, and F1 and F2 at theta/2 from F1 at theta and c, without
+    a quotient by theta: so the mean mode, om = 0, takes the series' limits.
+    """
+    th = om * dt
+    half = 0.5 * th
+    c, s = np.cos(half), np.sin(half)
+    t2 = th * th
+    small = np.abs(th) < 0.5
+    big = ~small
+    F = np.zeros((6, om.size))  # F1..F4 at theta, then F1 and F2 at theta/2
+    np.divide(s, half, F[4], where=big)
+    np.divide(1.0 - c, half * half, F[5], where=big)
+    np.multiply(F[4], c, F[0])
+    np.multiply(0.5 * F[4], F[4], F[1])
+    np.divide(1.0 - F[0], t2, F[2], where=big)
+    np.divide(0.5 - F[1], t2, F[3], where=big)
+    i = np.flatnonzero(small)
+    x, ci = t2[i], c[i]
+    powers = np.empty((_ETD_SERIES.shape[0], x.size))  # (-theta^2)^m, m = 0..6
+    powers[0] = 1.0
+    powers[1:] = -x
+    np.multiply.accumulate(powers, out=powers)
+    F[2:4, i] = series = np.dot(_ETD_SERIES.T, powers)
+    # F1 = 1 - theta^2 F3 and F2 = 1/2 - theta^2 F4; F1 = F1(theta/2) c, and
+    # F2(theta/2) = (1 - c)/(theta/2)^2 = F1(theta/2)^2 / (1 + c)
+    F[:2, i] = F12 = _ETD_LIMITS - x * series
+    F[4, i] = F1h = F12[0] / ci
+    F[5, i] = F1h * F1h / (1.0 + ci)
+    P, phi1h = np.empty((2, om.size), complex)
+    P.real, P.imag = c, s
+    phi1h.real = F[4]
+    np.multiply(half, F[5], phi1h.imag)
+    A = phi1h * ((0.5 * dt) * g)
+    b = np.empty((3, om.size), complex)
+    re_im = np.dot(_ETD_COMBINATIONS, F[:4])
+    b.real = re_im[:3]
+    np.multiply(th, re_im[3:], b.imag)
+    b *= dt * g
+    return P, A, (1j * half) * phi1h * A, 2.0 * A, *b
 
 
 def _state_reader(iso: np.ndarray, k2: np.ndarray):
@@ -710,21 +819,28 @@ def _fields(grid: PeriodicGrid, y: np.ndarray, t: float):
     return WaveField(grid, y[0], t)
 
 
-def _form_samples(y: np.ndarray, zs: list[np.ndarray], N: int) -> np.ndarray:
+def _form_samples(y: np.ndarray, zs: list[np.ndarray], grid: PeriodicGrid,
+                  shifts: list[float] | None = None) -> np.ndarray:
     """A run's (S, m, N) samples: the start y, then each band state of zs on the grid.
 
     Every z of zs is an (m, J) array of band coefficients, J the band it
     was sampled on.  They are zero-padded to the widest J and formed in one
     irfft, which gives each row the bits of irfft(z, N) alone: pocketfft
-    pads a short row with the same zeros.  The array is read-only, and a
+    pads a short row with the same zeros.  shifts, if given, holds one
+    distance a [m] per z, by which its sample is moved, h(x - a), through
+    exp(-i k a) on its coefficients.  The array is read-only, and a
     non-finite sample raises WaveField's ValueError.
     """
+    N = grid.N
     out = np.empty((1 + len(zs), *y.shape))
     out[0] = y
     if zs:
         Z = np.zeros((len(zs), len(y), max(z.shape[-1] for z in zs)), complex)
         for row, z in zip(Z, zs):
             row[:, :z.shape[-1]] = z
+        if shifts is not None:
+            k = wavenumbers(N, grid.L)[:Z.shape[-1]]
+            Z *= np.exp(-1j * np.multiply.outer(shifts, k))[:, None, :]
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row is reported below
             irfft(Z, N, out[1:])
     # min and max carry any nan or inf, and read out without a temporary
@@ -768,21 +884,44 @@ def step_rk4(state, params: PhysicalParams, config: SchemeConfig, dt: float):
 
 
 def step_ifrk4(state, params: PhysicalParams, config: SchemeConfig, dt: float):
-    """One Lawson integrating-factor RK4 step of the appropriate dynamics.
+    """One Lawson integrating-factor RK4 step of the bidirectional (h, v) pair.
 
-    state is a WaveField (unidirectional) or an (h, v) pair of
-    WaveFields (bidirectional, low-pass filter on), as for step_rk4.  The
-    scheme's linear part is propagated exactly (exp(lin dt) for the
-    unidirectional equation, each mode's rotation for the bidirectional
-    one), so dt is not bounded by the dispersive stiffness.  This is the
-    fourth-order solution of the pair evolve steps scheme.dt=auto runs
-    with, taken at the fixed step dt (evolve sizes its steps by the error
-    controller of the module docstring).  The state is projected onto the
-    band of step_rk4 first and the result has no content above it.
-    Raises BlowUpError when the solution leaves the model's validity
-    range.
+    state is an (h, v) pair of WaveFields, as for step_rk4, with the
+    low-pass filter on.  Each mode's rotation is propagated exactly, so dt
+    is not bounded by the dispersive stiffness.  This is the fourth-order
+    solution of the pair evolve steps a scheme.dt=auto pair with, taken at
+    the fixed step dt (evolve sizes its steps by the error controller of
+    the module docstring).  The state is projected onto its low-pass band
+    first and the result has no content above it.  A WaveField, whose
+    equation evolve steps with ETDRK4, raises ValueError naming
+    step_etdrk4.  Raises BlowUpError when the solution leaves the model's
+    validity range.
     """
+    if isinstance(state, WaveField):
+        raise ValueError("step_ifrk4 steps the bidirectional (h, v) pair; "
+                         "step a WaveField with step_etdrk4")
     return _step(state, params, config, "ifrk4", dt)
+
+
+def step_etdrk4(state: WaveField, params: PhysicalParams, config: SchemeConfig,
+                dt: float) -> WaveField:
+    """One ETDRK4 step of the unidirectional equation in the frame config names.
+
+    The linear part, in that frame, is propagated exactly and the h^2 flux
+    enters through Cox & Matthews' exponential weights, so dt is not
+    bounded by the dispersive stiffness.  This is the step evolve takes a
+    scheme.dt=auto WaveField run with, at the fixed step dt; evolve steps
+    in its start's crest frame (result.step_alpha), so a frame of
+    config.frame="moving", config.alpha=result.step_alpha repeats its
+    steps.  The state is projected onto the 2/3-rule band first and the
+    result has no content above it.  An (h, v) pair raises ValueError
+    naming step_ifrk4.  Raises BlowUpError when the solution leaves the
+    model's validity range.
+    """
+    if not isinstance(state, WaveField):
+        raise ValueError("step_etdrk4 steps a unidirectional WaveField; "
+                         "step an (h, v) pair with step_ifrk4")
+    return _step(state, params, config, "etdrk4", dt)
 
 
 @dataclass
@@ -810,11 +949,12 @@ class EvolutionResult:
     samples: np.ndarray
     params: PhysicalParams
     config: SchemeConfig
-    integrator: str = ""  # "ifrk4" or "rk4"
+    integrator: str = ""  # "etdrk4", "ifrk4" or "rk4"
     dt: float = 0.0  # the mean step t_end / steps [s]
     steps: int = 0  # accepted steps
     rejected: int = 0  # steps the error controller retried smaller
     band: tuple[int, int] = (0, 0)  # the least and greatest number of rfft modes stepped
+    step_alpha: float | None = None  # the frame alpha stepped in; None for the (h, v) pair
 
     @cached_property
     def final(self):
@@ -850,12 +990,19 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     (_band_run): the 2/3-rule band (rfft modes j with 3j < N) for a
     unidirectional run and the low-pass band for a bidirectional one
     (every mode when the filter is off).  The integrator follows from
-    config.dt.  A run with dt = None steps with the embedded Lawson pair
-    ERK4(3)-IP ("ifrk4"): the linear part is propagated exactly (for a
-    unidirectional run on the prefix of the band that its state occupies,
-    grown on demand; by each mode's rotation for a bidirectional one), and
-    a PI controller sizes each step so that its relative local error
-    stays within IF_TOL (see the module docstring).  Steps land exactly
+    config.dt.  A run with dt = None takes exponential steps, which
+    propagate the linear part exactly: ETDRK4 ("etdrk4") for a
+    unidirectional run, on the prefix of the band that its state occupies,
+    grown on demand, and the Lawson pair ERK4(3)-IP ("ifrk4"), by each
+    mode's rotation, for a bidirectional one.  A PI controller sizes each
+    step so that its relative local error stays within ETD_TOL or IF_TOL
+    (see the module docstring).  A spectral ETDRK4 run steps in the frame
+    in which its start's tallest crest stands still, result.step_alpha
+    (_crest_alpha), and its samples are shifted into the frame config
+    names; a run whose shift by t_end no float resolves to FRAME_ULP of a
+    grid step raises ValueError, naming scheme.alpha, before any step.
+    Every other run steps in config's frame (step_alpha None for the
+    pair).  Steps land exactly
     on the sample times and on t_end; a step rejected by the controller
     is retried smaller and counted in result.rejected.  An explicit dt,
     and an unfiltered bidirectional run, steps with classical RK4
@@ -887,7 +1034,7 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     bidirectional, grid, t0, y = _unpack(initial)
     # the unfiltered bidirectional model has no integrating factor: it grows above sqrt(3)/H
     rk4 = config.dt is not None or (bidirectional and not config.boussinesq_filter)
-    integrator = "rk4" if rk4 else "ifrk4"
+    integrator = "rk4" if rk4 else "ifrk4" if bidirectional else "etdrk4"
     # a start past the limit stops here, before any norm of it can overflow
     _check_alive(y[0], params.H, t0, 1, integrator)
     if rk4:
@@ -896,8 +1043,16 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
         if not config.t_end <= MAX_STEPS * dt_req:
             raise ValueError(f"dt = {dt_req!r} s is too small to reach t_end = "
                              f"{config.t_end!r} s in MAX_STEPS = {MAX_STEPS:.0e} steps")
-    band = partial(_band_run, grid, params, config, bidirectional, integrator)
-    cap = _symbols(grid, params, config, bidirectional)[0].size
+    # the frame the run steps in: a spectral ETDRK4 run steps in its start's
+    # crest frame, and its samples are shifted into config's at the end
+    step_alpha, stepping = None if bidirectional else frame_alpha(params, config), config
+    crest_frame = integrator == "etdrk4" and config.deriv == "spectral"
+    if crest_frame:
+        step_alpha = _crest_alpha(y[0], grid, params)
+        stepping = replace(config, frame="moving", alpha=step_alpha)
+    cap = _symbols(grid, params, stepping, bidirectional)[0].size
+    drift = _frame_drift(grid, params, config, step_alpha) if crest_frame else 0.0
+    band = partial(_band_run, grid, params, stepping, bidirectional, integrator)
     # every sample after the start is kept as its band coefficients, which no
     # step writes once returned, and all are formed on the grid at the end
     times, zs, sizes, rejected = [t0], [], (cap, cap), 0
@@ -932,9 +1087,53 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
             band, cap, J, y, grid.L, params.H, t0, stops, sample_every, sample)
     else:
         nsteps = 0
-    return EvolutionResult(times, grid, _form_samples(y, zs, grid.N), params, config,
+    shifts = [drift * (t - t0) for t in times[1:]] if drift else None
+    return EvolutionResult(times, grid, _form_samples(y, zs, grid, shifts), params, config,
                            integrator=integrator, dt=config.t_end / nsteps if nsteps else 0.0,
-                           steps=nsteps, rejected=rejected, band=sizes)
+                           steps=nsteps, rejected=rejected, band=sizes, step_alpha=step_alpha)
+
+
+def _crest_alpha(h: np.ndarray, grid: PeriodicGrid, params: PhysicalParams) -> float:
+    """The frame alpha in which the tallest crest of the samples h stands still.
+
+    The crest's speed in the frame at alpha = 0 is s0 = -h_xt / h_xx at the
+    argmax grid point of h, with h_t the spectral unidirectional equation's
+    at alpha = 0 on the 2/3-rule band.  The frame at alpha moves
+    sqrt(g/H) alpha slower, so the crest stands in the one at
+    -s0 / sqrt(g/H) = -(3/2) (h^2/2 + (sigma/3) h_xx)_xx / h_xx, in which g
+    cancels.  A start with no curvature or no finite speed there (a flat
+    or zero h) steps at alpha = 0.
+    """
+    N, J = grid.N, (grid.N + 2) // 3
+    d1, d2 = (d[:J] for d in derivative_symbols(N, grid.L))
+    j = int(np.argmax(h))
+    with np.errstate(all="ignore"):  # an alpha that is not finite is replaced below
+        hxx = d2 * rfft(h)[:J]
+        q = d1 * d1 * (0.5 * rfft(h * h)[:J] + (dispersion_sigma(params) / 3.0) * hxx)
+        alpha = float(-1.5 * irfft(q, N)[j] / irfft(hxx, N)[j])
+    return alpha if math.isfinite(alpha) else 0.0
+
+
+def _frame_drift(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
+                 step_alpha: float) -> float:
+    """The speed [m/s] in the frame config names of what stands still at step_alpha.
+
+    That is sqrt(g/H) (alpha - step_alpha).  ValueError, naming scheme.alpha
+    and t_end, unless the distance it covers by t_end is a float whose
+    spacing is at most FRAME_ULP dx: farther, a sample could not be shifted
+    into its frame to that precision.
+    """
+    alpha = frame_alpha(params, config)
+    drift = math.sqrt(params.g / params.H) * (alpha - step_alpha)
+    distance = abs(drift) * config.t_end if config.t_end else 0.0
+    if not math.ulp(distance) <= FRAME_ULP * grid.dx:
+        frame = ("the fixed frame (alpha = H)" if config.frame == "fixed"
+                 else f"scheme.alpha = {alpha!r}")
+        raise ValueError(f"{frame} runs {distance:.3g} m from the crest's frame "
+                         f"(alpha = {step_alpha!r}) by t_end = {config.t_end:.6g} s, "
+                         f"too far for a float to place its samples within "
+                         f"{FRAME_ULP:g} dx")
+    return drift
 
 
 def _occupied_band(a: np.ndarray, cap: int) -> int:
@@ -964,7 +1163,7 @@ def _bound_limit(H: float) -> float:
 def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, H: float, t: float,
                     stops: list[float], sample_every: int | None,
                     sample) -> tuple[int, int, tuple[int, int]]:
-    """Step an ERK4(3)-IP run from the samples y at time t through every stop.
+    """Step an error-controlled run from the samples y at time t through every stop.
 
     band(J) is _band_run's (lin, flux, step) on the first J modes of the
     run's band of cap modes; the run starts on J of them.  y stacks the
@@ -986,16 +1185,18 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, H: float, t
     flow is an isometry: the L2 norm of h for the unidirectional equation,
     (sum omega^2 |h|^2 + |v|^2)^(1/2) for the bidirectional one, with
     omega^2 = -lin.  A PI controller (Gustafsson 1991) keeps each step's
-    local error within IF_TOL of the starting state's norm.  The first
+    local error within the stepper's tolerance (ETD_TOL for ETDRK4 on h
+    alone, IF_TOL for the pair) of the starting state's norm.  The first
     step wanted is 0.01 of the time the flux takes to change the state by
-    its own size (Hairer, Norsett & Wanner, sec. II.4).  Every step is
-    also held within the RK4 imaginary-axis limit of the fastest beat in
-    the interaction picture, 2 sqrt(2) / (c_max k_rms): c_max is the
-    largest group speed of the band's own dispersion relation (omega =
-    Im lin, or sqrt(-lin)) and k_rms the state's rms wavenumber in that
-    norm.  Beyond it the stages sample the beat of the top modes against
-    the state's own structure too coarsely, and roundoff there grows by a
-    factor each lap that the error norm does not see until it is large.
+    its own size (Hairer, Norsett & Wanner, sec. II.4).  Every step of
+    the pair is also held within the RK4 imaginary-axis limit of the
+    fastest beat in the interaction picture, 2 sqrt(2) / (c_max k_rms):
+    c_max is the largest group speed of the band's own dispersion relation
+    (omega = sqrt(-lin)) and k_rms the state's rms wavenumber in that
+    norm.  Beyond it the Lawson stages sample the beat of the top modes
+    against the state's own structure too coarsely, and roundoff there
+    grows by a factor each lap that the error norm does not see until it
+    is large.  ETDRK4 runs without it (see the module docstring).
     Steps are rounded down to a 2^(1/16) ladder, so the stepper's folded
     weights are reused; a step that would pass the next stop lands on it.
     A wanted step that is nan, zero or so short that the rest of the run
@@ -1026,7 +1227,8 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, H: float, t
         omega = _omega(lin, m == 2)
         iso = np.stack((omega, np.ones(J)))[-m:]
         k2 = (2.0 * math.pi / L * np.arange(J)) ** 2
-        c_max = float(np.abs(np.diff(omega)).max()) * L / (2.0 * math.pi)
+        # the beat limit holds the pair's Lawson steps alone (c_max = 0 lifts it)
+        c_max = float(np.abs(np.diff(omega)).max()) * L / (2.0 * math.pi) if m == 2 else 0.0
         # the band watch splits |h_j| below and in its top ninth (at least BAND_MARGIN)
         split = np.array([0, max(0, J - max(BAND_MARGIN, J // 9))])
         return (flux, step, iso, c_max, *_state_reader(iso, k2), split)
@@ -1041,7 +1243,7 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, H: float, t
     flux, step, iso, c_max, read, a, split = on_band(J)
     u = iso * z
     size = math.sqrt(np.vdot(u, u).real)
-    tol = IF_TOL * size
+    integrator, tol = ("ifrk4", IF_TOL * size) if m == 2 else ("etdrk4", ETD_TOL * size)
     # the flux changes h (unidirectional) or v (bidirectional), unit weight both;
     # a rate that overflows wants a zero first step, which the MAX_STEPS check reports
     with np.errstate(over="ignore"):
@@ -1054,7 +1256,7 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, H: float, t
             # after a rejection the step wanted is already below the beat limit
             want = min(want, beat)
             if not stops[-1] - t <= MAX_STEPS * want:  # a nan or zero want too
-                raise BlowUpError(t, i + 1, float(np.max(np.abs(irfft(z[0], N)))), "ifrk4",
+                raise BlowUpError(t, i + 1, float(np.max(np.abs(irfft(z[0], N)))), integrator,
                                   f"a step of {want:.3g} s would take more than MAX_STEPS = "
                                   f"{MAX_STEPS:.0e} steps to t = {stops[-1]:.6g} s")
             rung = want
@@ -1075,7 +1277,7 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, H: float, t
                     want, r_prev = dt * min(5.0, max(0.2, fac)), max(r, 1e-4)
                 S = read(z)
                 if not 2.0 / N * S[0][0] < limit:
-                    _check_alive(irfft(z[0], N), H, t, i, "ifrk4")
+                    _check_alive(irfft(z[0], N), H, t, i, integrator)
                 if land or (sample_every is not None and i % sample_every == 0):
                     sample(t, z)
                 if J < cap:

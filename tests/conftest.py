@@ -90,9 +90,10 @@ def reference_transit(params):
     """One full periodic transit of the h0 = 0.1 solitary wave.
 
     N = 1024, L = 120 (tails below 1e-12 of the crest), spectral
-    derivatives, auto time step (about 250 error-controlled steps on the
-    136 modes the wave occupies).  Shared across the conservation and
-    speed checks; the run takes about a twentieth of a second.
+    derivatives, auto time step (52 error-controlled steps on the 136
+    modes the wave occupies, set by its 50 sample stops: the wave is a
+    steady state of the frame it is stepped in).  Shared across the
+    conservation and speed checks; the run takes a few milliseconds.
     """
     h0 = 0.1
     sigma = dispersion_sigma(params)

@@ -312,7 +312,13 @@ class TestConfigTable:
             assert rc == EXIT_OK
         fixed, moved = _manifest(tmp_path / "fixed"), _manifest(tmp_path / "moving")
         assert moved["config.scheme.frame"] == "moving"
-        assert moved["result.drift_E"] != fixed["result.drift_E"]
+        # both frames step in the wave's own, so they record one drift; the
+        # frame shows in the centroid velocity of each invariants row
+        assert moved["result.step_alpha"] == fixed["result.step_alpha"]
+        assert moved["result.drift_E"] == fixed["result.drift_E"]
+        rows = [(tmp_path / name / "invariants.csv").read_text().splitlines()[1:]
+                for name in ("fixed", "moving")]
+        assert all(a.rsplit(",", 1)[1] != b.rsplit(",", 1)[1] for a, b in zip(*rows))
         # the recorded drift is the one of a moving-frame run of the library
         spec = SolitarySpec(0.1, dispersion_sigma(params), params.H, params.g)
         res = evolve(solitary_field(spec, PeriodicGrid(L=60.0, N=128)), params,
@@ -632,7 +638,7 @@ class TestSubcommands:
             assert rc == EXIT_OK
             runs[name] = dict(l.split("=", 1) for l in
                               (tmp_path / name / "manifest.txt").read_text().splitlines())
-        assert runs["auto"]["result.integrator"] == "ifrk4"
+        assert runs["auto"]["result.integrator"] == "etdrk4"
         assert runs["fixed"]["result.integrator"] == "rk4"
         assert runs["fixed"]["result.steps"] == "500"
         for m in runs.values():
@@ -848,6 +854,7 @@ class TestScenarioSmoke:
                        for run in ("mode", "solitary", "unfiltered", "filtered")}
         assert integrators == {"mode": filtered, "solitary": filtered, "unfiltered": "rk4",
                                "filtered": filtered}
+        assert not any(key.endswith("step_alpha") for key in manifest)  # the pair has no frame
         for run in ("mode", "solitary", "unfiltered", "filtered"):
             assert float(manifest[f"result.{run}_dt"]) > 0
             assert int(manifest[f"result.{run}_steps"]) > 0
@@ -903,25 +910,38 @@ BLOWUP = ["--set", "grid.N=64", "--set", "grid.L=60",
 
 
 # runs that would take more than MAX_STEPS steps: an explicit dt is refused
-# before the run, a controlled run when its first wanted step is too short
+# before the run, a controlled run of the pair when its first wanted step is
+# too short
 TOO_MANY_STEPS = [
     *[([*command, "--set", "scheme.dt=1e-300"], EXIT_USAGE,
        "dt = 1e-300 s is too small to reach t_end = ")
       for command in (["scenario", "solitary_transit"], ["scenario", "two_soliton"],
                       ["scenario", "moment_conservation"], ["scenario", "boussinesq_demo"],
                       ["evolve", "--ic", "solitary"], ["evolve", "--ic", "cnoidal"])],
-    *[([*command, "--set", "scheme.t_end=1e300"], EXIT_BLOWUP, "steps to t = 1e+300 s")
-      for command in (["scenario", "solitary_transit"], ["scenario", "two_soliton"],
-                      ["scenario", "moment_conservation"], ["evolve", "--ic", "solitary"],
+    (["scenario", "boussinesq_demo", "--set", "physical.g=1e300"], EXIT_BLOWUP,
+     "would take more than MAX_STEPS = 1e+08 steps"),
+]
+
+# unidirectional auto-dt runs whose samples' frame runs so far from the crest's
+# frame they step in, by t_end, that no float places a sample within 1e-6 dx:
+# refused before any step, naming the frame (scheme.alpha where it is moving)
+FRAME_UNRESOLVED = [
+    *[([*command, "--set", "scheme.t_end=1e300"], EXIT_USAGE, f"{frame} runs ")
+      for command, frame in ((["scenario", "solitary_transit"], "the fixed frame (alpha = H)"),
+                             (["scenario", "two_soliton"], "scheme.alpha = 0.0"))],
+    *[([*command, "--set", "scheme.t_end=1e300"], EXIT_USAGE, "the fixed frame (alpha = H) runs ")
+      for command in (["scenario", "moment_conservation"], ["evolve", "--ic", "solitary"],
                       ["evolve", "--ic", "cnoidal"])],
-    *[([*command, "--set", "physical.g=1e300"], EXIT_BLOWUP,
-       "would take more than MAX_STEPS = 1e+08 steps")
+    *[([*command, "--set", "physical.g=1e300"], EXIT_USAGE,
+       "too far for a float to place its samples within 1e-06 dx")
       for command in (["scenario", "two_soliton"], ["scenario", "steepening"],
-                      ["evolve", "--ic", "cnoidal"], ["scenario", "boussinesq_demo"])],
-    (["scenario", "two_soliton", "--set", "scheme.alpha=1e300"], EXIT_BLOWUP,
-     "would take more than MAX_STEPS = 1e+08 steps to t = 60 s"),
-    (["scenario", "steepening", "--set", "scenario.t_check=1e300"], EXIT_BLOWUP,
-     "would take more than MAX_STEPS = 1e+08 steps to t = 1e+300 s"),
+                      ["evolve", "--ic", "cnoidal"])],
+    (["scenario", "two_soliton", "--set", "scheme.alpha=1e300"], EXIT_USAGE,
+     "scheme.alpha = 1e+300 runs 1.88e+302 m from the crest's frame (alpha = "),
+    (["scenario", "two_soliton", "--set", "scheme.alpha=1e8"], EXIT_USAGE,
+     "scheme.alpha = 100000000.0 runs 1.88e+10 m from the crest's frame"),
+    (["scenario", "steepening", "--set", "scenario.t_check=1e300"], EXIT_USAGE,
+     "by t_end = 1e+300 s, too far for a float to place its samples within 1e-06 dx"),
 ]
 
 # derived values and amplitudes that overflow or underflow, and a cross-check
@@ -1129,6 +1149,7 @@ class TestNothingWrittenUnlessTheRunSucceeds:
          EXIT_USAGE, "'scenario.p_ratios' must differ in their first 6 significant digits, "
                      "which name their verdicts, got 0.9999999,1.0000001"),
         *TOO_MANY_STEPS,
+        *FRAME_UNRESOLVED,
         *OUT_OF_RANGE,
     ])
     def test_bad_input_exits_with_its_reason_and_leaves_no_directory(

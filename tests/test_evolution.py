@@ -40,6 +40,7 @@ from longwave import (
     solitary_speed,
     stable_dt,
     steepening_verdict,
+    step_etdrk4,
     step_ifrk4,
     step_rk4,
 )
@@ -221,20 +222,34 @@ class TestStepRk4:
                 f = step_rk4(f, params, SchemeConfig(), dt=5.0)  # far beyond stability
         assert exc.value.time > 0
 
-    @pytest.mark.parametrize("step", [step_rk4, step_ifrk4])
-    @pytest.mark.parametrize("dt, error, message", [
-        (0.0, ValueError, "dt must be positive and finite, got 0.0"),
-        (-0.01, ValueError, "dt must be positive and finite, got -0.01"),
-        (math.nan, ValueError, "dt must be positive and finite, got nan"),
-        (math.inf, ValueError, "dt must be positive and finite, got inf"),
-        # finite, but its stages overflow: a blow-up, with no RuntimeWarning first
-        (1e300, BlowUpError, r"blew up at t = 1e\+300 s \(step 1, max\|h\| = nan m\)"),
+    @pytest.mark.parametrize("step, dt, error, message", [
+        *[(step, dt, ValueError, f"dt must be positive and finite, got {dt}")
+          for step in (step_rk4, step_etdrk4) for dt in (0.0, -0.01, math.nan, math.inf)],
+        # finite, but RK4's stages overflow: a blow-up, with no RuntimeWarning first
+        (step_rk4, 1e300, BlowUpError,
+         r"blew up at t = 1e\+300 s \(step 1, max\|h\| = nan m\)"),
     ])
     def test_public_steps_follow_the_dt_rule_of_scheme_config(self, params, step, dt, error,
                                                               message):
         spec, grid, field = solitary_case(params, N=128, L=60.0)
         with pytest.raises(error, match=message):
             step(field, params, SchemeConfig(), dt)
+
+    def test_etdrk4_step_of_any_finite_length_stays_bounded(self, params):
+        # ETDRK4 turns each mode exactly and weighs its flux by phi-functions of
+        # order 1/(omega dt), so even a step of 1e300 s leaves a finite state,
+        # without a RuntimeWarning, below the start's crest (0.0604 m of 0.1 m)
+        spec, grid, field = solitary_case(params, N=128, L=60.0)
+        out = step_etdrk4(field, params, SchemeConfig(), 1e300)
+        assert out.t == 1e300 and np.max(np.abs(out.h)) < spec.h0
+
+    def test_each_exponential_step_names_the_other_for_the_other_state(self, params):
+        spec, grid, field = solitary_case(params, N=128, L=60.0)
+        pair = (field, WaveField(grid, np.zeros(grid.N)))
+        with pytest.raises(ValueError, match="step a WaveField with step_etdrk4"):
+            step_ifrk4(field, params, SchemeConfig(), 0.01)
+        with pytest.raises(ValueError, match=r"step an \(h, v\) pair with step_ifrk4"):
+            step_etdrk4(pair, params, SchemeConfig(), 0.01)
 
 
 def criterion_10_state(params, part):
@@ -474,26 +489,6 @@ class TestBoussinesqIfrk4:
             tops.append((np.abs(np.fft.rfft(state[0].h)) / grid.N)[J - J // 8:J].max())
         assert all(b <= a for a, b in zip(tops, tops[1:]))
 
-    def test_beat_limit_reads_the_bidirectional_dispersion_relation(self, params):
-        # filtered noise at 1e-10 H is linear to roundoff, so its error
-        # estimate is near zero and, between sparse stops, the steps grow to
-        # the RK4 limit of the fastest beat, 2 sqrt(2) / (c_max k_rms): c_max
-        # is the largest group speed of omega^2 = g H k^2 (1 - H^2 k^2 / 3)
-        # over the band, and k_rms is taken in the norm the rotation conserves
-        state, _, cut = criterion_10_state(params, "c")
-        grid, g, H = state[0].grid, params.g, params.H
-        k = wavenumbers(grid.N, grid.L)
-        k = k[k <= cut * math.sqrt(3.0) / H]
-        om = k * np.sqrt(g * H * (1 - H * H * k * k / 3))
-        c_max = np.max(np.abs(np.diff(om) / np.diff(k)))
-        power = (om * np.abs(np.fft.rfft(state[0].h)[:k.size])) ** 2  # v = 0
-        limit = 2 * math.sqrt(2) / (c_max * math.sqrt(np.sum(k * k * power) / np.sum(power)))
-        res = evolve(state, params, SchemeConfig(t_end=20.0, filter_cut=cut),
-                     sample_every=1)
-        assert res.integrator == "ifrk4"
-        largest = np.diff(res.times)[:-1].max()  # the last step lands on t_end
-        assert limit * 2 ** (-1 / 16) * (1 - 1e-9) <= largest <= limit * (1 + 1e-9)
-
     def test_unfiltered_run_stays_on_rk4(self, params):
         # above sqrt(3)/H the unfiltered model grows, so no rotation propagates it
         state, _, _ = criterion_10_state(params, "c")
@@ -502,6 +497,75 @@ class TestBoussinesqIfrk4:
         assert (res.integrator, res.rejected) == ("rk4", 0)
         with pytest.raises(ValueError, match="low-pass band"):
             step_ifrk4(state, params, config, 0.01)
+
+    @pytest.mark.parametrize("scheme", ["spectral", "centered4"])
+    def test_beat_limit_is_measured_over_the_band(self, params, scheme):
+        # filtered noise at 1e-10 H (criterion 10's part c) is linear to
+        # roundoff, so its error estimate is near zero and, between sparse
+        # stops, the steps grow to the RK4 limit of the fastest beat,
+        # 2 sqrt(2) / (c_max k_rms): c_max is the largest group speed of the
+        # scheme's own omega^2 = -g H D2 (1 + H^2 D2 / 3) over the low-pass
+        # band the pair steps, and k_rms is taken in the norm the rotation
+        # conserves
+        state, _, cut = criterion_10_state(params, "c")
+        grid, g, H = state[0].grid, params.g, params.H
+        k = wavenumbers(grid.N, grid.L)
+        k = k[k <= cut * math.sqrt(3.0) / H]
+        kd = k * grid.dx
+        d2 = (-k * k if scheme == "spectral"
+              else -(15 - 16 * np.cos(kd) + np.cos(2 * kd)) / (6 * grid.dx ** 2))
+        om = np.sqrt(-g * H * d2 * (1 + H * H * d2 / 3))
+        c_max = np.max(np.abs(np.diff(om) / np.diff(k)))
+        power = (om * np.abs(np.fft.rfft(state[0].h)[:k.size])) ** 2  # v = 0
+        limit = 2 * math.sqrt(2) / (c_max * math.sqrt(np.sum(k * k * power) / np.sum(power)))
+        res = evolve(state, params, SchemeConfig(deriv=scheme, t_end=20.0, filter_cut=cut),
+                     sample_every=1)
+        assert res.integrator == "ifrk4" and res.band == (k.size, k.size)
+        largest = np.diff(res.times)[:-1].max()  # the last step lands on t_end
+        assert limit * 2 ** (-1 / 16) * (1 - 1e-9) <= largest <= limit * (1 + 1e-9)
+
+    def test_blowup_raised_in_the_crossing_step(self, params, monkeypatch):
+        # a tolerance of 100, with the beat limit lifted, lets the pair's
+        # controller grow the step until the run diverges (an ETDRK4 run keeps
+        # a solitary wave exactly in its frame); the check runs on every
+        # accepted step, so the error comes one step after the last sample,
+        # which every accepted step takes here
+        monkeypatch.setattr(evolution, "IF_TOL", 100.0)
+        monkeypatch.setattr(evolution, "RK4_IMAG_LIMIT", math.inf)
+        field, _ = filtered_solitary(params, 0.2, PeriodicGrid(L=60.0, N=128), 0.75)
+        grid = field[0].grid
+        # (t, max|h|) of every sample: the start, then each band state the
+        # controlled run hands evolve to keep
+        seen = [(0.0, np.max(np.abs(field[0].h)))]
+        run = evolution._controlled_run
+
+        def recording(*args):
+            *head, sample = args
+
+            def record(t, z):
+                seen.append((t, np.max(np.abs(np.fft.irfft(z[0], grid.N)))))
+                sample(t, z)
+
+            return run(*head, record)
+
+        monkeypatch.setattr(evolution, "_controlled_run", recording)
+        with pytest.raises(BlowUpError) as exc:
+            evolve(field, params, SchemeConfig(t_end=50.0, filter_cut=0.75),
+                   sample_every=1)
+        times = [t for t, _ in seen]
+        assert len(times) >= 3
+        assert all(m <= 10 * params.H for _, m in seen)
+        assert exc.value.step == len(times)
+        assert exc.value.time > times[-1] and exc.value.max_abs_h > 10 * params.H
+
+    def test_wanted_step_past_max_steps_raises_instead_of_spinning(self, params):
+        # the pair's first wanted step, under a second, would leave more than
+        # MAX_STEPS of them to t_end = 1e300 s, so the run stops before taking it
+        (h, v), _ = filtered_solitary(params, 0.1, PeriodicGrid(L=120.0, N=256), 0.75)
+        with pytest.raises(BlowUpError, match="MAX_STEPS") as exc:
+            evolve((h, v), params, SchemeConfig(filter_cut=0.75, t_end=1e300))
+        assert (exc.value.time, exc.value.step, exc.value.integrator) == (0.0, 1, "ifrk4")
+        assert exc.value.max_abs_h == pytest.approx(np.max(np.abs(h.h)), rel=1e-12)
 
 
 def kdv_linear_symbol(params, grid, scheme, frame="fixed", alpha=0.0):
@@ -562,7 +626,7 @@ class TestStableDt:
             evolve(field, PhysicalParams(T=3270.0), config)
 
 
-class TestIfrk4:
+class TestEtdrk4:
     @pytest.mark.parametrize("j", [10, 20])
     @pytest.mark.parametrize("frame", ["fixed", "moving"])
     def test_linear_mode_propagated_exactly(self, params, frame, j):
@@ -575,7 +639,7 @@ class TestIfrk4:
         h = 1e-9 * np.cos(2 * math.pi * j * grid.x / grid.L)
         config = SchemeConfig(frame=frame, alpha=0.37 if frame == "moving" else 0.0)
         dt = 100 * stable_dt(grid, params, config) / 0.4
-        out = step_ifrk4(WaveField(grid, h), params, config, dt)
+        out = step_etdrk4(WaveField(grid, h), params, config, dt)
         lin = kdv_linear_symbol(params, grid, "spectral", frame, config.alpha)
         want = np.exp(lin[j] * dt) * np.fft.rfft(h)[j]
         assert abs(np.fft.rfft(out.h)[j] - want) <= 1e-12 * abs(want)
@@ -591,7 +655,7 @@ class TestIfrk4:
         def err(n):
             f = field
             for _ in range(n):
-                f = step_ifrk4(f, params, SchemeConfig(), t_end / n)
+                f = step_etdrk4(f, params, SchemeConfig(), t_end / n)
             return np.max(np.abs(f.h - exact))
 
         e10, e20, e40 = err(10), err(20), err(40)
@@ -599,11 +663,13 @@ class TestIfrk4:
         assert 8.0 <= e20 / e40 <= 32.0
 
     def test_embedded_error_estimate_is_third_order(self, params):
-        # the pair's estimate (dt/10) flux (n4 - n5) is the local error of
-        # its third-order partner: halving dt cuts it ~16x, while the
-        # fourth-order step's own local error falls ~32x and stays below it
+        # ETDRK4's estimate dt (4 phi3 - phi2) flux (n4 - n5) is the local error
+        # of its third-order partner, which takes the new state's square for
+        # the last stage's: halving dt cuts it ~16x (measured 16.1 and 16.0),
+        # while the fourth-order step's own local error falls ~32x and stays
+        # below it
         spec, grid, field = solitary_case(params, h0=0.2, N=256, L=60.0)
-        lin, _, step = evolution._band_run(grid, params, SchemeConfig(), False, "ifrk4")
+        lin, _, step = evolution._band_run(grid, params, SchemeConfig(), False, "etdrk4")
         z = np.fft.rfft(field.h)[None, :lin.size]
         dts = (0.04, 0.02, 0.01)
         est = [step(z, None, dt)[2] for dt in dts]
@@ -619,68 +685,41 @@ class TestIfrk4:
         auto = evolve(field, params, SchemeConfig(deriv="centered4", t_end=1.0))
         dt = stable_dt(grid, params, SchemeConfig(deriv="centered4"))
         rk4 = evolve(field, params, SchemeConfig(deriv="centered4", t_end=1.0, dt=dt))
-        assert (auto.integrator, rk4.integrator) == ("ifrk4", "rk4")
+        assert (auto.integrator, rk4.integrator) == ("etdrk4", "rk4")
         assert auto.steps < rk4.steps
         assert np.max(np.abs(auto.final.h - rk4.final.h)) <= 1e-8 * spec.h0
-
-    def test_blowup_raised_in_the_crossing_step(self, params, monkeypatch):
-        # a tolerance of 100, with the beat limit lifted, lets the controller
-        # grow the step until the run diverges; the check runs on every
-        # accepted step, so the error comes one step after the last sample,
-        # which every accepted step takes here
-        monkeypatch.setattr(evolution, "IF_TOL", 100.0)
-        monkeypatch.setattr(evolution, "RK4_IMAG_LIMIT", math.inf)
-        spec, grid, field = solitary_case(params, h0=0.2, N=128, L=60.0)
-        # (t, max|h|) of every sample: the start, then each band state the
-        # controlled run hands evolve to keep
-        seen = [(0.0, np.max(np.abs(field.h)))]
-        run = evolution._controlled_run
-
-        def recording(*args):
-            *head, sample = args
-
-            def record(t, z):
-                seen.append((t, np.max(np.abs(np.fft.irfft(z[0], grid.N)))))
-                sample(t, z)
-
-            return run(*head, record)
-
-        monkeypatch.setattr(evolution, "_controlled_run", recording)
-        with pytest.raises(BlowUpError) as exc:
-            evolve(field, params, SchemeConfig(t_end=50.0),
-                   sample_every=1)
-        times = [t for t, _ in seen]
-        assert len(times) >= 3
-        assert all(m <= 10 * params.H for _, m in seen)
-        assert exc.value.step == len(times)
-        assert exc.value.time > times[-1] and exc.value.max_abs_h > 10 * params.H
 
     def test_step_below_the_floor_raises_instead_of_spinning(self, params, monkeypatch):
         # no step meets a tolerance below roundoff: the controller shrinks the
         # first step until it falls below 1e-8 of the run, then raises
-        monkeypatch.setattr(evolution, "IF_TOL", 1e-300)
+        monkeypatch.setattr(evolution, "ETD_TOL", 1e-300)
         spec, grid, field = solitary_case(params, h0=0.2, N=128, L=60.0)
         with pytest.raises(BlowUpError) as exc:
             evolve(field, params, SchemeConfig(t_end=50.0))
         assert (exc.value.time, exc.value.step) == (0.0, 1)
         assert exc.value.max_abs_h == pytest.approx(spec.h0, rel=1e-3)
 
-    def test_wanted_step_past_max_steps_raises_instead_of_spinning(self, params):
-        # a frame of alpha = 1e300 turns the band so fast that the beat limit
-        # wants steps of about 1e-300 s: the first step would already leave
-        # more than MAX_STEPS of them, so the run stops before taking it
+    def test_unresolved_frame_is_refused_before_any_step(self, params, monkeypatch):
+        # the samples are shifted from the crest's frame into config's, here
+        # sqrt(g/H) (alpha + 0.05) t_end along: 1.9e10 m at alpha = 1e8, whose
+        # float spacing (3.8e-6 m) passes 1e-6 dx = 4.7e-7 m, and 1.9e8 m at
+        # alpha = 1e6 (spacing 3.0e-8 m), which runs
         spec, grid, field = solitary_case(params, N=128, L=60.0)
-        with pytest.raises(BlowUpError, match="MAX_STEPS") as exc:
-            evolve(field, params, SchemeConfig(frame="moving", alpha=1e300, t_end=1.0))
-        assert (exc.value.time, exc.value.step, exc.value.integrator) == (0.0, 1, "ifrk4")
-        assert exc.value.max_abs_h == pytest.approx(spec.h0, rel=1e-3)
+        monkeypatch.setattr(evolution, "_band_run", None)  # no step may be built
+        with pytest.raises(ValueError, match=r"scheme\.alpha = 100000000\.0 runs 1\.88e\+10 m "
+                                             r"from the crest's frame \(alpha = -0\.05"):
+            evolve(field, params, SchemeConfig(frame="moving", alpha=1e8, t_end=60.0))
+        monkeypatch.undo()
+        res = evolve(field, params, SchemeConfig(frame="moving", alpha=1e6, t_end=60.0),
+                     sample_every=10 ** 9)
+        assert res.step_alpha == pytest.approx(-spec.h0 / 2, abs=1e-6)
 
     def test_zero_field_lands_on_every_sample_without_dividing_by_zero(self, params):
         grid = PeriodicGrid(L=60.0, N=128)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = evolve(WaveField(grid, np.zeros(grid.N)), params, SchemeConfig(t_end=1.0))
-        assert (res.integrator, res.steps, res.rejected) == ("ifrk4", 50, 0)
+        assert (res.integrator, res.steps, res.rejected) == ("etdrk4", 50, 0)
         assert res.times == [k / 50 for k in range(51)]
         assert all(np.all(s.h == 0.0) for s in res.snapshots)
 
@@ -689,7 +728,7 @@ class TestIfrk4:
         # its mean step; with sparse sampling it lands on t_end alone
         spec, grid, field = solitary_case(params, N=128, L=60.0)
         auto = evolve(field, params, SchemeConfig(t_end=1.0))
-        assert (auto.integrator, auto.rejected) == ("ifrk4", 0)
+        assert (auto.integrator, auto.rejected) == ("etdrk4", 0)
         assert auto.times == [k / 50 for k in range(51)]
         assert auto.steps * auto.dt == pytest.approx(1.0)
         sparse = evolve(field, params, SchemeConfig(t_end=1.0),
@@ -713,29 +752,10 @@ class TestIfrk4:
         grid = PeriodicGrid(L=60.0, N=256)
         field = self._with_high_modes(params, grid)
         res = evolve(field, params, SchemeConfig(t_end=1.0))
-        assert res.integrator == "ifrk4"
+        assert res.integrator == "etdrk4"
         assert np.array_equal(res.snapshots[0].h, field.h)
         above = np.abs(np.fft.rfft(res.final.h))[(grid.N + 2) // 3:] / grid.N
         assert above.max() <= 1e-15 * np.max(np.abs(res.final.h))
-
-    @pytest.mark.parametrize("scheme", ["spectral", "centered4"])
-    def test_beat_limit_is_measured_over_the_band(self, params, scheme):
-        # a transit at N = 1024: the RK4 limit 2 sqrt(2) / (c_max k_rms) of the
-        # fastest beat over the band the run steps, not the error, sets the
-        # step, which turns the fastest stepped mode many times
-        spec, grid, field = solitary_case(params, N=1024, L=120.0)
-        res = evolve(field, params, SchemeConfig(deriv=scheme, t_end=3.0),
-                     sample_every=1)
-        J = res.band[0]
-        assert res.band == (J, J)
-        omega = kdv_linear_symbol(params, grid, scheme)[:J].imag
-        k = wavenumbers(grid.N, grid.L)[:J]
-        c_max = np.max(np.abs(np.diff(omega) / np.diff(k)))
-        power = np.abs(np.fft.rfft(field.h)[:J]) ** 2
-        limit = 2 * math.sqrt(2) / (c_max * math.sqrt(np.sum(k * k * power) / np.sum(power)))
-        largest = np.diff(res.times)[:-1].max()  # the last step lands on t_end
-        assert limit * 2 ** (-1 / 16) * (1 - 1e-9) <= largest <= limit * (1 + 1e-9)
-        assert largest * np.max(np.abs(omega)) > 4 * 2 * math.pi
 
     @pytest.mark.parametrize("bidirectional", [False, True], ids=["kdv_cut_band", "lowpass_pair"])
     def test_one_pass_read_gives_the_bound_power_and_moment(self, params, bidirectional):
@@ -761,17 +781,20 @@ class TestIfrk4:
 
     @pytest.mark.parametrize("run", ["transit_N512", "two_soliton", "boussinesq_demo"])
     def test_runs_build_no_stage_weights_twice(self, params, monkeypatch, tmp_path, run):
-        # the default collision steps on 24 rungs of the ladder and lands on its
+        # the default collision steps on 18 rungs of the ladder and lands on its
         # 50 stops with 30 step lengths; a band caches the weights of the last 40
-        # step lengths it took, and on no run is a step's weights built twice
+        # step lengths it took, and on no run is a step's weights built twice,
+        # the pair's Lawson weights or ETDRK4's
         built = []
-        stage_weights = evolution._stage_weights
 
-        def counted(om, lin, g, dt):
-            built.append((om.size, dt))
-            return stage_weights(om, lin, g, dt)
+        def counting(build):
+            def counted(om, *args):
+                built.append((om.size, args[-1]))
+                return build(om, *args)
+            return counted
 
-        monkeypatch.setattr(evolution, "_stage_weights", counted)
+        for name in ("_stage_weights", "_etd_weights"):
+            monkeypatch.setattr(evolution, name, counting(getattr(evolution, name)))
         # and each Fourier table is built once: as many builds as tables held
         memos = (evolution._kdv_symbols, evolution._boussinesq_symbols)
         for memo in memos:
@@ -783,9 +806,9 @@ class TestIfrk4:
         else:
             initial, _, config = _collision_run(params)
             res = evolve(initial, params, replace(config, t_end=60.0))
-            assert (res.integrator, res.steps, res.rejected) == ("ifrk4", 2322, 0)
+            assert (res.integrator, res.steps, res.rejected) == ("etdrk4", 497, 0)
             rungs = {dt for _, dt in built if dt == 2.0 ** (round(16.0 * math.log2(dt)) / 16.0)}
-            assert len(rungs) == 24 and len(built) == 24 + 30
+            assert len(rungs) == 18 and len(built) == 18 + 30
         assert built and len(set(built)) == len(built)
         tables = {"transit_N512": 1, "two_soliton": 1, "boussinesq_demo": 3}[run]
         assert [sum(m.cache_info().misses for m in memos),
@@ -860,14 +883,19 @@ class TestIfrk4:
         assert coeffs[J - J // 8:J].max() <= 1e-7
 
     def test_public_steps_repeat_the_evolve_run(self, params):
+        # evolve steps in its start's crest frame, result.step_alpha, and shifts
+        # its samples into the fixed frame, which moves sqrt(g/H) (H - step_alpha)
+        # slower
         grid = PeriodicGrid(L=60.0, N=256)
         field = self._with_high_modes(params, grid)
         res = evolve(field, params, SchemeConfig(t_end=0.5))
+        stepping = SchemeConfig(frame="moving", alpha=res.step_alpha)
         f = field
         for _ in range(res.steps):
-            f = step_ifrk4(f, params, SchemeConfig(), res.dt)
+            f = step_etdrk4(f, params, stepping, res.dt)
         assert f.t == pytest.approx(res.final.t)
-        assert np.max(np.abs(f.h - res.final.h)) <= 1e-13
+        drift = math.sqrt(params.g / params.H) * (params.H - res.step_alpha)
+        assert np.max(np.abs(fourier_shift(f.h, grid.L, drift * f.t) - res.final.h)) <= 1e-13
         above = np.abs(np.fft.rfft(f.h))[(grid.N + 2) // 3:] / grid.N
         assert above.max() <= 1e-15 * np.max(np.abs(f.h))
 
@@ -890,16 +918,17 @@ def reference_kdv(field, params, config, dt, nsteps):
 
 
 def lawson_reference(lin, flux, M, N, z, n1, dt):
-    """One ERK4(3)-IP step of _band_run's, written with fresh arrays over the np.fft square.
+    """One ERK4(3)-IP step of _band_run's for the pair, written with fresh arrays
+    over the np.fft square.
 
     Returns (z1, n5, err) as the band stepper does; the order of operations
     is the stepper's, so the two agree bit for bit.
     """
-    J, bidirectional = lin.size, z.shape[0] == 2
-    A = np.stack((np.ones(J), lin)) if bidirectional else lin[None]
+    J = lin.size
+    A = np.stack((np.ones(J), lin))
     g = np.zeros_like(A)
     g[-1] = flux * (M / N)
-    om = np.sqrt(np.abs(lin)) if bidirectional else lin.imag
+    om = np.sqrt(np.abs(lin))
 
     def sq(x):
         return np.fft.rfft(np.fft.irfft(x[0], n=M) ** 2)[None, :J]
@@ -907,9 +936,7 @@ def lawson_reference(lin, flux, M, N, z, n1, dt):
     def propagator(tau):
         c = np.cos(om * tau)
         As = A * np.divide(np.sin(om * tau), om, out=np.full(J, tau), where=om != 0)
-        if bidirectional:
-            return lambda x: c * x + As * x[::-1]
-        return lambda x: (c + As) * x
+        return lambda x: c * x + As * x[::-1]
 
     P = propagator(0.5 * dt)
     Pg, P2g = P(g), propagator(dt)(g)
@@ -927,6 +954,32 @@ def lawson_reference(lin, flux, M, N, z, n1, dt):
     return z1, n5, math.sqrt(np.vdot(d, d).real)
 
 
+def etd_reference(lin, flux, M, N, z, n1, dt):
+    """One ETDRK4 step of _band_run's, written with fresh arrays over the np.fft square.
+
+    The weights are the stepper's own (_etd_weights); the stages follow
+    Cox & Matthews' in the stepper's order of operations, so the two agree
+    bit for bit, as lawson_reference does for the pair.
+    """
+    J = lin.size
+    P, A, B, A2, b1, b23, b4 = evolution._etd_weights(lin.imag, flux * (M / N), dt)
+
+    def sq(x):
+        return np.fft.rfft(np.fft.irfft(x[0], n=M) ** 2)[None, :J]
+
+    if n1 is None:
+        n1 = sq(z)
+    Pz = P * z
+    P2z = P * Pz
+    n2 = sq(Pz + A * n1)
+    n3 = sq(Pz + A * n2)
+    n4 = sq(P2z + B * n1 + A2 * n3)
+    z1 = P2z + b1 * n1 + b23 * (n2 + n3) + b4 * n4
+    n5 = sq(z1)
+    d = b4 * (n4 - n5)
+    return z1, n5, math.sqrt(np.vdot(d, d).real)
+
+
 class TestBandStepper:
     @pytest.mark.parametrize("scheme", ["spectral", "centered4"])
     @pytest.mark.parametrize("frame", ["fixed", "moving"])
@@ -935,7 +988,7 @@ class TestBandStepper:
         # an explicit-dt run steps the 2/3-rule band too: the modes above N/3
         # are dropped and the band product is the full-grid one less its alias
         grid = PeriodicGrid(L=60.0, N=128)
-        field = TestIfrk4._with_high_modes(params, grid)
+        field = TestEtdrk4._with_high_modes(params, grid)
         alpha = 0.37 if frame == "moving" else 0.0  # the fixed frame takes no alpha
         dt = stable_dt(grid, params, SchemeConfig(deriv=scheme, frame=frame, alpha=alpha))
         config = SchemeConfig(deriv=scheme, frame=frame, alpha=alpha, dt=dt, t_end=200 * dt)
@@ -977,21 +1030,26 @@ class TestBandStepper:
         assert same_bits(step(z, 0.01), rk4(z, rhs, 0.01))
         if bidirectional and not filtered:
             return  # the integrating factor needs the low-pass band
-        _, _, step = evolution._band_run(grid, params, config, bidirectional, "ifrk4", J)
+        integrator, reference = (("ifrk4", lawson_reference) if bidirectional
+                                 else ("etdrk4", etd_reference))
+        _, _, step = evolution._band_run(grid, params, config, bidirectional, integrator, J)
         n = None
         for _ in range(3):  # the first step forms its own first square
-            got, want = step(z, n, 0.01), lawson_reference(lin, flux, M, N, z, n, 0.01)
+            got, want = step(z, n, 0.01), reference(lin, flux, M, N, z, n, 0.01)
             assert all(same_bits(a, b) for a, b in zip(got[:2], want[:2]))
             assert got[2] == want[2]
             z, n = got[:2]
 
-    @pytest.mark.parametrize("integrator", ["rk4", "ifrk4"])
+    @pytest.mark.parametrize("integrator", ["rk4", "exponential"])
     @pytest.mark.parametrize("bidirectional", [False, True])
     def test_steps_share_no_array_with_their_caller(self, params, integrator, bidirectional):
         # the steppers reuse work arrays: a step retried from the same (z, n),
         # as after a rejection, must give the same result and leave the first
-        # result, and its own arguments, as they were
+        # result, and its own arguments, as they were.  The exponential step is
+        # the pair's Lawson step or the unidirectional ETDRK4 step
         grid = PeriodicGrid(L=64.0, N=256)
+        if integrator == "exponential":
+            integrator = "ifrk4" if bidirectional else "etdrk4"
         lin, _, step = evolution._band_run(grid, params, SchemeConfig(), bidirectional,
                                            integrator)
         hv = smooth_random_fields(grid, 1 + bidirectional, 0.1 * params.H, max_mode=6, seed=3)
@@ -1050,24 +1108,26 @@ class TestBandStepper:
     ])
     def test_a_step_keeps_its_transform_budget(self, params, monkeypatch, N, L, config,
                                                bidirectional, J, M):
-        # a band square is two transforms of length M: a Lawson step forms four
-        # squares given the first stage's (first same as last), five without
-        # it, and an RK4 step four.  The pair's Lawson step squares its stages
-        # two rows to a call: four calls given the first square, and that
-        # square's two one-row calls before them without it, so the same rows
+        # a band square is two transforms of length M: an exponential step (the
+        # pair's Lawson step or ETDRK4) forms four squares given the first
+        # stage's (the last square of the step before), five without it, and
+        # an RK4 step four.  The pair's Lawson step squares its stages two rows
+        # to a call: four calls given the first square, and that square's two
+        # one-row calls before them without it, so the same rows
         lengths, rows = self._count_transforms(monkeypatch)
         grid = PeriodicGrid(L=L, N=N)
-        lin, _, ifrk4 = evolution._band_run(grid, params, config, bidirectional, "ifrk4")
+        lin, _, exponential = evolution._band_run(grid, params, config, bidirectional,
+                                                  "ifrk4" if bidirectional else "etdrk4")
         _, _, rk4 = evolution._band_run(grid, params, config, bidirectional, "rk4")
         assert lin.size == J
         hv = smooth_random_fields(grid, 1 + bidirectional, 0.1 * params.H, max_mode=6, seed=5)
         z = np.fft.rfft(np.stack(hv))[:, :J]
         first, later = ([1, 1, 2, 2, 2, 2], [2] * 4) if bidirectional else ([1] * 10, [1] * 8)
         del lengths[:], rows[:]
-        z1, n1, _ = ifrk4(z, None, 0.01)
+        z1, n1, _ = exponential(z, None, 0.01)
         assert lengths == [M] * len(first) and rows == first and sum(rows) == 10
         del lengths[:], rows[:]
-        ifrk4(z1, n1, 0.01)
+        exponential(z1, n1, 0.01)
         assert lengths == [M] * len(later) and rows == later and sum(rows) == 8
         del lengths[:], rows[:]
         rk4(z, 0.01)
@@ -1105,8 +1165,9 @@ class TestBandStepper:
             state, _ = filtered_solitary(params, 0.1, PeriodicGrid(L=120.0, N=1024), 0.75)
             config = SchemeConfig(filter_cut=0.75, t_end=30.0)
         res = evolve(state, params, config)
-        assert res.integrator == "ifrk4" and res.band[0] == res.band[1]
-        assert len(per_step) == res.steps + res.rejected > 500
+        assert res.band[0] == res.band[1]
+        assert res.integrator == ("etdrk4" if case == "collision" else "ifrk4")
+        assert len(per_step) == res.steps + res.rejected > 400
         calls, transformed = (list(c) for c in zip(*per_step))
         assert transformed == [10] + [8] * (len(per_step) - 1)
         first, later = (6, 4) if case == "boussinesq_demo_b" else (10, 8)
@@ -1115,16 +1176,16 @@ class TestBandStepper:
     def test_blowup_check_is_exact_when_the_bound_exceeds_the_limit(self, params):
         # 60 cosines of 0.3 m: the coefficient bound (2/N) sum_j |h_j| is about
         # 18 m, over the 10 m limit, while max|h| stays near 5 m, so no step
-        # may raise
+        # may raise (the auto-dt run takes 21 steps in 0.3 s)
         grid = PeriodicGrid(L=400.0, N=256)
         phases = np.random.default_rng(2024).uniform(0.0, 2 * math.pi, 60)
         h = sum(0.3 * np.cos(2 * math.pi * j / grid.L * grid.x + phase)
                 for j, phase in enumerate(phases, 1))
         field, zero = WaveField(grid, h), WaveField(grid, np.zeros(grid.N))
         snaps = [step_rk4(field, params, SchemeConfig(), 0.005),
-                 step_ifrk4(field, params, SchemeConfig(), 0.005),
+                 step_etdrk4(field, params, SchemeConfig(), 0.005),
                  step_rk4((field, zero), params, SchemeConfig(), 0.005)[0]]
-        for config, initial in ((SchemeConfig(t_end=0.2), field),
+        for config, initial in ((SchemeConfig(t_end=0.3), field),
                                 (SchemeConfig(dt=0.005, t_end=0.2), field),
                                 (SchemeConfig(dt=0.005, t_end=0.2), (field, zero))):
             res = evolve(initial, params, config, sample_every=1)
@@ -1144,7 +1205,7 @@ class TestEvolve:
         params = PhysicalParams(T=3270.0)
         assert dispersion_sigma(params) == 0.0
         res = evolve(field, params, SchemeConfig(t_end=1.0, frame="moving", alpha=0.0))
-        assert res.integrator == "ifrk4" and res.steps > 0
+        assert res.integrator == "etdrk4" and res.steps > 0
         assert np.isfinite(res.samples).all() and len(res.times) == 51
 
     def test_bidirectional_run_records_pure_gravity_invariants(self):
@@ -1564,7 +1625,10 @@ class TestBatchedDiagnostics:
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(module, name, counted)
         spec, grid, field = solitary_case(params, N=128, L=60.0)
-        config = SchemeConfig(t_end=40.0)
+        # an explicit step: an auto-dt run keeps a solitary wave in its own
+        # frame in a few steps, too few to sample at two rates
+        dt = stable_dt(grid, params)
+        config = SchemeConfig(t_end=200 * dt, dt=dt)
 
         def transforms(sample_every):
             res = evolve(field, params, config, sample_every=sample_every)
@@ -1636,12 +1700,13 @@ class TestFormedSamples:
         # and forms them at its end in one zero-padded transform: each row must
         # carry the bits of that sample's own irfft, row 0 the start as given
         initial, run_params, config, sample_every = case(params)
-        kept = []
+        kept, shifted = [], []
         form = evolution._form_samples
 
-        def recording(y, zs, N):
+        def recording(y, zs, grid, shifts=None):
             kept.append([z.copy() for z in zs])
-            return form(y, zs, N)
+            shifted.append(shifts)
+            return form(y, zs, grid, shifts)
 
         monkeypatch.setattr(evolution, "_form_samples", recording)
         res = evolve(initial, run_params, config, sample_every=sample_every)
@@ -1650,7 +1715,19 @@ class TestFormedSamples:
         N = start[0].grid.N
         assert res.samples.shape == (len(res.times), len(start), N) == (1 + len(zs), len(start), N)
         assert same_bits(res.samples[0], np.stack([f.h for f in start]))
-        for row, z in zip(res.samples[1:], zs):
+        # a crest-frame run's samples are shifted into the frame config names,
+        # sqrt(g/H) (alpha - step_alpha) t along
+        (shifts,) = shifted
+        if res.integrator == "etdrk4":
+            alpha = evolution.frame_alpha(run_params, config)
+            drift = math.sqrt(run_params.g / run_params.H) * (alpha - res.step_alpha)
+            assert shifts == [drift * t for t in res.times[1:]]
+        else:
+            assert shifts is None
+        k = wavenumbers(N, start[0].grid.L)
+        for i, (row, z) in enumerate(zip(res.samples[1:], zs)):
+            if shifts is not None:
+                z = z * np.exp(-1j * shifts[i] * k[:z.shape[-1]])
             assert same_bits(row, np.fft.irfft(z, N))
         assert not res.samples.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

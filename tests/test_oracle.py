@@ -3,7 +3,7 @@
 The collision of criterion 07 (a 0.5 m wave overtaking a 0.2 m one from
 -22 m and -4 m, N = 256, L = 80, 60 s) is started from the exact
 solution (conftest.two_soliton), so every snapshot has an exact answer.
-Errors are relative to the tall crest.  evolution.IF_TOL is the largest
+Errors are relative to the tall crest.  evolution.ETD_TOL is the largest
 1-3-10 rung that keeps this collision within ERROR_BUDGET.
 
 The cnoidal wave is the periodic oracle: its zero-mean profile travels
@@ -43,6 +43,7 @@ from longwave import (
     rayleigh_speed,
     solitary_field,
     solitary_profile,
+    solitary_speed,
 )
 from longwave import evolution
 from longwave.cli import EXIT_OK, main
@@ -78,9 +79,17 @@ def sech_sq_start(params, grid):
 
 
 def test_exact_start_collision_stays_within_the_error_budget(params):
-    # measured 2.47e-5 in 2,357 steps (8.2e-5 at IF_TOL = 3e-6)
+    # measured 1.70e-5 in 503 steps (5.27e-5 in 381 at ETD_TOL = 3e-5)
     steps, err = exact_start_error(params, 256, 80.0)
     assert err <= ERROR_BUDGET, (steps, err)
+
+
+def test_the_next_rung_up_breaks_the_error_budget(params, monkeypatch):
+    # ETD_TOL is the largest rung of the 1-3-10 ladder within the budget:
+    # measured 5.27e-5 in 381 steps at 3e-5
+    monkeypatch.setattr(evolution, "ETD_TOL", 3.0 * evolution.ETD_TOL)
+    steps, err = exact_start_error(params, 256, 80.0)
+    assert err > ERROR_BUDGET, (steps, err)
 
 
 @pytest.mark.parametrize("L, bound", [(80.0, 2e-6), (120.0, 1e-8)])
@@ -95,11 +104,11 @@ def test_oracle_seam_is_far_below_the_budget(params, L, bound):
 
 
 def test_error_falls_at_fourth_order_along_the_tolerance_ladder(params, monkeypatch):
-    # measured at N = 384, L = 120 (spatial floor 5.6e-7): 1,395 steps 2.8e-4,
-    # 2,362 steps 2.46e-5, 3,868 steps 2.71e-6, order 4.55 in the step count
+    # measured at N = 384, L = 120 (spatial floor 5.6e-7): 296 steps 1.57e-4,
+    # 504 steps 1.73e-5, 908 steps 2.00e-6, order 3.9 in the step count
     runs = []
-    for tol in (1e-5, 1e-6, 1e-7):
-        monkeypatch.setattr(evolution, "IF_TOL", tol)
+    for tol in (1e-4, 1e-5, 1e-6):
+        monkeypatch.setattr(evolution, "ETD_TOL", tol)
         runs.append(exact_start_error(params, 384, 120.0))
     steps, errs = np.array(runs).T
     assert np.all(np.diff(steps) > 0) and np.all(np.diff(errs) < 0)
@@ -110,8 +119,8 @@ def test_error_falls_at_fourth_order_along_the_tolerance_ladder(params, monkeypa
 def test_default_collision_phase_shifts_match_the_closed_form(params, tmp_path, capsys):
     # Delta_tall = D / kappa_1 = +2.43479 m and Delta_short = -D / kappa_2 =
     # -3.84974 m, D = log((kappa_1 + kappa_2) / (kappa_1 - kappa_2)); measured
-    # +2.43645 m (1.7e-3 off, from the sum-of-sech^2 start) and -3.84977 m
-    # (3.7e-5 off) in 2,322 steps
+    # +2.43655 m (1.8e-3 off, from the sum-of-sech^2 start) and -3.84976 m
+    # (2.5e-5 off) in 497 steps
     out = tmp_path / "ts"
     assert main(["scenario", "two_soliton", "--out", str(out)]) == EXIT_OK
     capsys.readouterr()
@@ -121,7 +130,7 @@ def test_default_collision_phase_shifts_match_the_closed_form(params, tmp_path, 
     D = math.log((k1 + k2) / (k1 - k2))
     assert abs(float(manifest["result.phase_shift_tall"]) - D / k1) <= 5e-3
     assert abs(float(manifest["result.phase_shift_short"]) + D / k2) <= 1e-3
-    assert int(manifest["result.steps"]) <= 2400
+    assert int(manifest["result.steps"]) <= 550
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +138,31 @@ def collision(params):
     """The default collision's start and its run in the moving frame at alpha = 0."""
     field0 = sech_sq_start(params, PeriodicGrid(L=80.0, N=256))
     return field0, evolve(field0, params, SchemeConfig(frame="moving", alpha=0.0, t_end=T_END))
+
+
+def test_crest_rule_steps_the_collision_in_the_tall_waves_frame(params, collision):
+    # the 0.5 m crest runs at sqrt(g/H) h0/2 in the frame at alpha = 0, so it
+    # stands in the one at -h0/2; the rule reads -0.2500006 from the start's
+    # sum of sech^2 (-0.24999999 from the exact two-soliton)
+    _, res = collision
+    assert res.integrator == "etdrk4"
+    assert res.step_alpha == pytest.approx(-0.25, abs=1e-5)
+
+
+def test_transit_is_a_steady_state_of_its_stepping_frame(params):
+    # a solitary wave stands still in the frame at alpha = -h0/2, where an
+    # exponential step keeps it to roundoff: one fixed-frame lap of h0 = 0.1 m
+    # at N = 1024, L = 120 stays within 1e-12 h0 of its exact translate, in
+    # steps set by the 50 sample stops.  Measured 1.8e-14 h0 in 52 steps, at
+    # step_alpha = -0.04999999999
+    h0, grid = 0.1, PeriodicGrid(L=120.0, N=1024)
+    spec = SolitarySpec(h0, dispersion_sigma(params), params.H, params.g)
+    start, c = solitary_field(spec, grid), solitary_speed(spec)
+    res = evolve(start, params, SchemeConfig(t_end=grid.L / c))
+    assert res.step_alpha == pytest.approx(-h0 / 2, abs=1e-9) and res.steps <= 60
+    err = max(float(np.max(np.abs(s.h - fourier_shift(start.h, grid.L, c * t))))
+              for t, s in zip(res.times, res.snapshots))
+    assert err <= 1e-12 * h0
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
