@@ -12,6 +12,7 @@ from .evolution import (
     BlowUpError,
     DeformationSpec,
     EvolutionResult,
+    FrameError,
     SchemeConfig,
     SteepeningVerdict,
     boussinesq_rhs,
@@ -26,7 +27,6 @@ from .evolution import (
     stable_dt,
     steepening_verdict,
     step_etdrk4,
-    step_ifrk4,
     step_rk4,
 )
 from .invariants import (

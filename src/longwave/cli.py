@@ -40,6 +40,7 @@ from .evolution import (
     BLOWUP_FACTOR,
     BlowUpError,
     DeformationSpec,
+    FrameError,
     SchemeConfig,
     _is_normal,
     _symbols,
@@ -590,6 +591,11 @@ def scenario_cnoidal_family(cfg: ExperimentConfig):
     return results, files
 
 
+def _gravity(params) -> str:
+    """The keys that set the frame speeds of a steepening run, for its refusal."""
+    return f"'physical.g' = {params.g!r} m/s^2 and 'physical.H' = {params.H!r} m"
+
+
 def scenario_steepening(cfg: ExperimentConfig):
     """Analytic verdict per profile width, beside the front-slope change a short run measures.
 
@@ -611,7 +617,11 @@ def scenario_steepening(cfg: ExperimentConfig):
     results: dict[str, str] = {}
     for ratio, spec in zip(ratios, specs):
         verdict = steepening_verdict(spec, params)
-        change = front_slope_change(spec, params, t_check)
+        try:
+            change = front_slope_change(spec, params, t_check)
+        except FrameError as e:
+            raise ValueError(f"'scenario.t_check' = {t_check!r} s with {_gravity(params)}: "
+                             f"{e}") from None
         rows.append(f"{_fmt(ratio)},{_fmt(spec.p)},{verdict.value},{_fmt(change)}")
         results[f"verdict_{ratio:.6g}"] = verdict.value
     return results, {"steepening.csv": (_write_rows, rows)}
@@ -922,8 +932,11 @@ def _cmd_stability(args) -> int:
     params = resolve_config("stability", args.config, args.set or [], None).params
     p_star = steady_inverse_width(args.hbar, params)
     p = args.p if args.p is not None else args.p_ratio * p_star
-    verdict = steepening_verdict(DeformationSpec(hbar=args.hbar, p=p), params,
-                                 cross_check=args.cross_check)
+    try:
+        verdict = steepening_verdict(DeformationSpec(hbar=args.hbar, p=p), params,
+                                     cross_check=args.cross_check)
+    except FrameError as e:
+        raise ValueError(f"{_gravity(params)}: {e}") from None
     print(f"p = {_fmt(p)}")
     print(f"p_steady = {_fmt(p_star)}")
     print(f"verdict = {verdict.value}")

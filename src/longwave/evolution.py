@@ -43,41 +43,49 @@ np.fft's, without np.fft's per-call wrapper, which at these sizes costs
 about as much as the transform.  The band square is the hot transform
 of every run: each stepper binds those two kernels once, from operators,
 and calls them directly, and forms the square and its stages in work
-arrays of its own (_band_run).  The pair's Lawson step squares its
-stages two rows to a kernel call, four calls a step where one row a
-call takes eight, since its flux enters v alone and a square reads h
-alone (_pair_lawson).
+arrays of its own (_band_run).
 The state holds one row of band coefficients per field, h alone or h
 and v, and both equations take one form on it: the linear part is one
 generator A on each mode, lin = i omega for the unidirectional equation
 and [[0, 1], [lin, 0]] with lin = -omega^2 for the (h, v) pair, and one
 flux vector puts the transformed h^2 flux in the last row (in v alone
 for the pair).  The time integrator follows from the step.  With
-scheme.dt=auto both equations take exponential steps, which propagate
-the linear part exactly, so the dispersive stiffness (dt ~ dx^3 under
-RK4) no longer sets the step, and each step carries a third-order
-partner that shares the next step's first stage, so it estimates the
-local error at no extra cost.  Both generators square to -omega^2, so
-one propagator serves both equations, exp(A dt) = cos(omega dt)
-+ A sin(omega dt)/omega (1 + A dt where omega = 0).
+scheme.dt=auto both equations take the same exponential step, Cox &
+Matthews' ETDRK4 (2002; Kassam & Trefethen 2005), which propagates the
+linear part exactly, so the dispersive stiffness (dt ~ dx^3 under RK4)
+no longer sets the step, and which carries a third-order partner that
+shares the next step's first stage, so it estimates the local error at
+no extra cost.  Both generators square to -omega^2, so one propagator
+serves both equations, exp(A dt) = cos(omega dt) + A sin(omega dt)/omega
+(1 + A dt where omega = 0).
 
-A unidirectional run steps with Cox & Matthews' ETDRK4 (2002; Kassam &
-Trefethen 2005) in the frame in which its start's tallest crest stands
-still (_crest_alpha).  Korteweg and de Vries's solitary wave is a steady
-state of their equation in its own frame, and an exponential
-time-differencing step keeps a steady state exactly, where a Lawson step
-does not: a transit then takes about as many steps as it has sample
-stops.  A change of frame is an exact Fourier shift of the spectral
-equation, so each sample is shifted into the frame the config names
-when the run is formed (_form_samples), and a run whose shift no float
-resolves to FRAME_ULP of a grid step is refused before its first step
-(_frame_drift).  A centered4 run steps in its own frame: its stencils'
-advection is not a translation, so another frame would change its
-discrete equation.  ETDRK4's phi-functions of lin dt, on the imaginary
-axis, come from the cosine and sine of the half step (_etd_weights).
-Its third-order partner takes the new state's square for the last
-stage's, which meets the four order conditions of order 3, so the
-estimate is ||dt (4 phi3 - phi2)(lin dt) flux (n4 - n5)||.  Such a run is
+Every auto-dt run steps in the frame in which its start's tallest crest
+stands still (_crest_alpha), the one frame rule of both equations: the
+crest moves at -h_xt / h_xx at the argmax of h.  Korteweg and de Vries's
+solitary wave is a steady state of their equation in its own frame, and
+Rayleigh's of the pair in its own, and an exponential time-differencing
+step keeps a steady state exactly, where a Lawson step does not: a
+transit then takes about as many steps as it has sample stops.  A change
+of frame is an exact Fourier shift of the spectral equation, so each
+sample is shifted into the frame of the run's outputs when the run is
+formed (_form_samples): the frame the config names, or the fixed frame
+for the pair.  A unidirectional run whose shift no float resolves to
+FRAME_ULP of a grid step is refused before its first step (FrameError);
+the pair, which has no frame key to refuse, steps in the fixed frame
+then, and where its start has no finite crest speed.  A centered4
+unidirectional run steps in its own frame: its stencils' advection is not
+a translation, so another frame would change its discrete equation.  The
+pair's equation has no advection term, so its frame adds the exact one,
+and a centered4 pair steps in its crest's frame too.
+ETDRK4's phi-functions of lin dt, on the imaginary axis, come from the
+cosine and sine of the half step (_etd_weights).  In the pair's frame,
+moving at s, the generator is A + i s k, whose eigenvalues are
+i (s k +- omega): each of its weights is the scalar weight at those two
+frequencies folded with the projectors (1 -+ i A/omega)/2 (_pair_weights),
+and its propagator the rotation above times exp(i s k dt).  The partner
+takes the new state's square for the last stage's, which meets the four
+order conditions of order 3, so the estimate is
+||dt (4 phi3 - phi2)(lin dt) flux (n4 - n5)||.  A unidirectional run is
 stepped on the modes its state occupies: the shortest prefix of the
 2/3-rule band that holds every mode of the start above CHOP_LEVEL = 1e-14
 of its peak coefficient, plus a margin, the chop of a series at its
@@ -85,24 +93,23 @@ roundoff plateau (Aurentz & Trefethen 2017; Boyd 2001, ch. 2).  The band
 grows, up to the 2/3-rule band, whenever a mode at its top passes
 GROW_LEVEL = 1e-10 of the peak, so a state that fills the 2/3-rule band
 is stepped on all of it.  A solitary transit at L = 120 occupies about
-136 modes, whatever N.
+136 modes, whatever N.  The pair is stepped on its whole low-pass band.
 
-A bidirectional run steps with the embedded Lawson pair ERK4(3)-IP
-(Balac & Mahe 2013; Hochbruck & Ostermann 2010) on its low-pass band,
-whose rotation is each mode's exact flow.  A PI controller (Gustafsson
-1991) sizes every step so that its local error stays within a tolerance
-of the starting state's norm, ETD_TOL = 1e-5 for ETDRK4 and IF_TOL =
-1e-6 for the pair, taken as the norm in which the propagator is an
-isometry (the L2 norm of h; (sum omega^2 |h|^2 + |v|^2)^(1/2) for the
-pair).  No step of the pair passes the RK4 imaginary-axis limit of the
-fastest beat in the interaction picture, 2 sqrt(2) / (c_max k_rms), the
-largest group speed of the band's dispersion relation times the state's
-rms wavenumber (see _controlled_run).  ETDRK4 runs without that limit:
-the collisions of tests/test_evolution.py keep the top of their band
-at 3e-8 to 7e-8 m (1.5e-10 m at N = 384) against the 1e-7 m they are
-held to, and ten-lap transits at N = 1024, stepped in four frames, keep
-it at 2e-14 to 9e-13 of the peak with no growth.  Steps may turn the
-fastest stepped mode many times.
+A PI controller (Gustafsson 1991) sizes every step so that its local
+error stays within a tolerance of the starting state's norm, ETD_TOL =
+1e-5 for h alone and IF_TOL = 3e-7 for the pair, taken as the norm in
+which the propagator is an isometry (the L2 norm of h;
+(sum omega^2 |h|^2 + |v|^2)^(1/2) for the pair).  ETDRK4 needs no other
+limit on its step: the collisions of tests/test_evolution.py keep the
+top of their band at 3e-8 to 7e-8 m (1.5e-10 m at N = 384) against the
+1e-7 m they are held to, ten-lap transits at N = 1024, stepped in four
+frames, keep it at 2e-14 to 9e-13 of the peak with no growth, and three
+laps of the pair's filtered solitary wave keep the top of its band from
+growing.  Steps may turn the fastest stepped mode many times.  The
+weights are built once per step length, so the steps are rounded to a
+ladder of lengths, and the pair, whose every landing would otherwise
+take a length of its own, tiles the rest of each sample interval with
+equal steps (_controlled_run).
 
 ETD_TOL is set by a global-error budget against KdV's exact two-soliton
 solution (Hirota 1971; a standard stepper test, Kassam & Trefethen
@@ -124,6 +131,28 @@ The error falls at about order 3.9 in the step count; tests/test_oracle.py
 certifies the budget and the order.  A transit's step is set by its
 sample stops, not by ETD_TOL: 52 steps a lap for h0 = 0.1 m at L = 120.
 
+IF_TOL is set by a global-error budget against a converged run (RK4 at
+dt = 0.005 s) of the boussinesq_demo's part (b), the filtered solitary
+wave of h0 (N = 1024, L = 120, 30 s): every one of its 51 samples must
+stay within 2e-6 h0, at the demo's default (h0 = 0.1 m, cut 0.75) and at
+h0 = 0.3 m with cut 0.9, where the same tolerance errs six times more.
+The budget is the error of the Lawson step ERK4(3)-IP that ETDRK4
+replaced on the pair, 2.05e-6 h0 at h0 = 0.3 (in 1,052 steps, 9.33e-7
+h0 at the default in 501), so that the pair errs less than it did in
+both.  3e-7 is the largest rung of the 1-3-10 ladder that meets it:
+
+    IF_TOL   h0 = 0.1, cut 0.75: steps, error   h0 = 0.3, cut 0.9: steps, error
+    1e-4             103   3.32e-6                    207   8.27e-5
+    1e-5             148   1.25e-6                    300   2.02e-5
+    3e-6             153   7.23e-7                    370   8.03e-6
+    1e-6             165   5.65e-7                    457   3.52e-6
+    3e-7             206   2.34e-7                    568   1.40e-6
+    1e-7             254   1.11e-7                    726   5.31e-7
+
+The taller wave's error falls at about order 4.1 in the step count, and
+tests/test_oracle.py certifies the budget and the order.  At 1e-4 and at
+3e-5 alike the default takes 103 steps, about two a sample interval.
+
 An explicit dt, and an unfiltered bidirectional run (whose linear part
 grows above sqrt(3)/H, so no rotation propagates it), uses classical
 4-stage Runge-Kutta (RK4) on the same stepper and the same band (all of
@@ -133,8 +162,8 @@ frozen from a blow-up sweep (solitary runs remain stable up to about
 1.05 times the limit).  The blow-up check reads a bound on max|h| from
 the band coefficients and forms h on the grid only when that bound
 nears the limit, so it stays exact.  An error-controlled run reads each
-accepted state once, in one pass that gives that bound, the beat limit
-and the band watch together (_controlled_run).
+accepted state once, for that bound and the band watch together
+(_controlled_run).
 """
 
 from __future__ import annotations
@@ -159,6 +188,7 @@ from .operators import (_kernel_pair, check_scheme, derivative_symbols, diff, ir
 
 __all__ = [
     "BlowUpError",
+    "FrameError",
     "SchemeConfig",
     "DeformationSpec",
     "SteepeningVerdict",
@@ -167,7 +197,6 @@ __all__ = [
     "kdv_rhs",
     "boussinesq_rhs",
     "step_rk4",
-    "step_ifrk4",
     "step_etdrk4",
     "evolve",
     "deformation_rate_closed_form",
@@ -183,11 +212,10 @@ logger = logging.getLogger(__name__)
 
 RK4_IMAG_LIMIT = 2.0 * math.sqrt(2.0)
 CFL_SAFETY = 0.4
-# local error per auto-dt step, relative to the start's norm, of the pair's
-# ERK4(3)-IP (IF_TOL) and of the unidirectional ETDRK4 (ETD_TOL); each is the
-# largest 1-3-10 rung that met the exact two-soliton error budget of the module
-# docstring with its step on that collision
-IF_TOL = 1e-6
+# local error per auto-dt ETDRK4 step, relative to the start's norm, of the (h, v)
+# pair (IF_TOL) and of the unidirectional equation (ETD_TOL); each is the largest
+# 1-3-10 rung that meets its global-error budget of the module docstring
+IF_TOL = 3e-7
 ETD_TOL = 1e-5
 # an auto-dt unidirectional run steps the modes its start holds above CHOP_LEVEL
 # of the peak coefficient, and grows that band when a mode at its top passes
@@ -212,8 +240,7 @@ class BlowUpError(RuntimeError):
     time is when, step the number of the step that tripped the check
     (counted from the run's start; 1 for a single public step),
     max_abs_h the max|h| it found [m] (inf or nan when not finite) and
-    integrator the integrator that took the step ("rk4", "ifrk4" or
-    "etdrk4").
+    integrator the integrator that took the step ("rk4" or "etdrk4").
     cause, when given, follows the message: an error-controlled run
     whose wanted step would need more than MAX_STEPS steps to finish
     raises with the max|h| of its last accepted state and says so there.
@@ -230,19 +257,33 @@ class BlowUpError(RuntimeError):
                          + (f": {cause}" if cause else ""))
 
 
+class FrameError(ValueError):
+    """Raised by evolve, before any step, for a frame no float can shift samples into.
+
+    A spectral auto-dt unidirectional run steps in its start's crest frame
+    and shifts its samples into the frame its config names; distance [m]
+    is how far the two frames part by t_end, a float whose spacing passes
+    FRAME_ULP of the grid step.
+    """
+
+    def __init__(self, message: str, distance: float):
+        self.distance = distance
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Discretization choices for one run.
 
     deriv selects the spatial scheme ("spectral" or "centered4").  dt of
-    None selects error-controlled exponential steps (ETDRK4 for the
-    unidirectional equation, the Lawson pair ERK4(3)-IP for the (h, v)
-    pair), except for the unfiltered bidirectional run, which steps
-    classical RK4 at the stability advisory; an explicit dt steps RK4 at
-    that dt.  t_end, dt and alpha must be finite.  frame applies to the
-    unidirectional equation only; alpha is the moving-frame parameter, the
-    frame of a run's samples (a spectral auto-dt run steps in its crest's
-    frame and shifts its samples into this one).
+    None selects error-controlled ETDRK4 steps of either equation, except
+    for the unfiltered bidirectional run, which steps classical RK4 at the
+    stability advisory; an explicit dt steps RK4 at that dt.  t_end, dt
+    and alpha must be finite.  frame and alpha, the moving-frame
+    parameter, name the frame of a unidirectional run's samples (a
+    spectral auto-dt run steps in its crest's frame and shifts its samples
+    into this one); a pair's samples are in the fixed frame, and only
+    step_etdrk4 reads a pair's frame.
     frame="fixed" is the moving frame at alpha = H, where the frame speed
     is zero, so it takes no alpha: a nonzero one is rejected.
     filter_cut is the bidirectional low-pass cutoff as a fraction of
@@ -388,16 +429,20 @@ def _boussinesq_symbols(N: int, L: float, g: float, H: float, deriv: str,
     return _finite_symbols(lin, flux, N, L)
 
 
+def _orszag_band(N: int) -> int:
+    """The modes of Orszag's 2/3-rule band over N points: rfft modes j with 3j < N."""
+    return (N + 2) // 3
+
+
 def _symbols(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
              bidirectional: bool):
     """(lin, flux) of the run's equation on its band of retained rfft modes.
 
-    The unidirectional band is Orszag's 2/3-rule band, the first
-    (N + 2) // 3 modes (those with 3j < N), on which the band square of
-    h^2 is exact; the pair's is its low-pass band.
+    The unidirectional band is Orszag's 2/3-rule band (_orszag_band), on
+    which the band square of h^2 is exact; the pair's is its low-pass band.
     """
     if not bidirectional:
-        J = (grid.N + 2) // 3  # Orszag's 2/3-rule band
+        J = _orszag_band(grid.N)
         return tuple(a[:J] for a in _symbols_for(grid, params, config))
     k_cut = config.filter_cut * math.sqrt(3.0) / params.H if config.boussinesq_filter else None
     return _boussinesq_symbols(grid.N, grid.L, params.g, params.H, config.deriv, k_cut)
@@ -446,7 +491,8 @@ def stable_dt(grid: PeriodicGrid, params: PhysicalParams,
 
 
 def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
-              bidirectional: bool, integrator: str, J: int | None = None):
+              bidirectional: bool, integrator: str, J: int | None = None,
+              symbols: tuple | None = None):
     """The stepper of every run, on its band of retained rfft modes.
 
     Returns (lin, flux, step): the run's symbols on its band of
@@ -470,33 +516,33 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
     every stepper owns its work arrays and the views it reads them
     through, made once per band: the M-point product of every square goes
     into one real buffer, the inner stages' squares into three more, and
-    the stages are formed in place.  The pair's "ifrk4" step forms its
-    four squares as two batched pairs of rows, two kernel calls each
-    (_pair_lawson).  A step writes none of its arguments and allocates
-    only the arrays it returns (for an exponential step given n, z1 and
-    its square n5), so a rejected step is retried from the same (z, n).
+    the stages are formed in place.  A step writes none of its arguments
+    and allocates only the arrays it returns (for an exponential step
+    given n, z1 and its square n5), so a rejected step is retried from the
+    same (z, n).
 
     For integrator "rk4", step(z, dt) is the state one classical RK4 step
     of dt later, for the right-hand side lin h + flux n on h alone and
     (v, lin h + flux n) on the pair, n the band square.  The exponential
-    steps, "etdrk4" for h alone and "ifrk4" for the pair (which needs the
-    low-pass band, ValueError otherwise), are step(z, n, dt), with their
-    weights cached per step length.  Both propagate the linear part
-    exactly, by the one propagator exp(A dt) of the module docstring, and
-    leave the stages only the h^2 flux, which enters the last row.  Each
-    has a third-order partner that takes the square of the new state, the
-    next step's first (first same as last).  n is the band square of z
-    (None: formed here).  A step returns (z1, n5, err): the new state, its
-    band square n5 (the next step's n) and the local error estimate
+    step "etdrk4", Cox & Matthews' ETDRK4 (a pair needs the low-pass band,
+    ValueError otherwise), is step(z, n, dt), with its weights cached for
+    the last 40 step lengths (_etd_weights for h alone, _pair_weights for
+    the pair, stepped in the frame config names, which moves at
+    sqrt(g/H) (H - alpha)); the pair steps a dt within 1e-12 of a cached
+    length as that length.  It propagates the linear part exactly, by the
+    one propagator of the module docstring, and leaves the stages only the
+    h^2 flux, which enters the last row; a stage's square reads its h row
+    alone, so only that row of a stage is formed.  Its third-order partner
+    takes the square of the new state, the next step's first (first same
+    as last), for the fourth stage's.  n is the band square of z (None:
+    formed here).  A step returns (z1, n5, err): the new state, its band
+    square n5 (the next step's n) and the local error estimate
     ||e (n4 - n5)|| from the fourth stage's square n4, which costs no
-    product beyond the step's four.  "etdrk4" is Cox & Matthews' ETDRK4
-    (_etd_weights), whose partner swaps n5 for n4, so e = dt (4 phi3 -
-    phi2)(lin dt) flux; "ifrk4" is the embedded Lawson pair ERK4(3)-IP
-    (Balac & Mahe 2013; _stage_weights), Lawson's RK4 with e =
-    (dt/10) flux.  That error sits in h, or in v alone, so its L2 norm is
-    its norm in the isometric norm of _controlled_run.
+    product beyond the step's four: e = dt (4 phi3 - phi2)(lin dt) flux,
+    for the pair weighted by (omega, 1), so that ||.|| is the isometric
+    norm of _controlled_run.
     """
-    lin, flux = (a[:J] for a in _symbols(grid, params, config, bidirectional))
+    lin, flux = (a[:J] for a in symbols or _symbols(grid, params, config, bidirectional))
     J, N, m = lin.size, grid.N, 1 + bidirectional
     M = next((M for M in range(3 * J - 2, N) if 30 ** 64 % M == 0), N)
     # the flux vector g holds the flux, scaled from the M-point product to the
@@ -545,17 +591,36 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
         return lin, flux, rk4
 
     if bidirectional and not config.boussinesq_filter:
-        raise ValueError("the integrating factor needs the low-pass band: unfiltered, "
+        raise ValueError("the exponential step needs the low-pass band: unfiltered, "
                          "the bidirectional model grows without bound above sqrt(3)/H")
-    # evolve's steps sit on rungs of a ladder (18 over the default collision), and
-    # its steps that land on a stop repeat their lengths from stop to stop (30
-    # there, two at a time): at most 36 other lengths come between two uses of
-    # one, so a cache of 40 builds no step's weights twice
+    # a unidirectional run's steps sit on rungs of a ladder (18 over the default
+    # collision), and its steps that land on a stop repeat their lengths from stop
+    # to stop (30 there, two at a time): at most 36 other lengths come between two
+    # uses of one, so a cache of 40 builds no step's weights twice
     if bidirectional:
-        build = partial(_stage_weights, _omega(lin, True), lin, g)
+        om = _omega(lin, True)
+        # the frame config names moves at s = sqrt(g/H) (H - alpha), 0 in the fixed frame
+        s = math.sqrt(params.g / params.H) * (params.H - frame_alpha(params, config))
+        build = partial(_pair_weights, om, s * wavenumbers(N, grid.L)[:J], lin, g[-1])
+        built: dict[float, tuple] = {}  # the weights of the last 40 lengths, oldest first
+
+        def weights(dt: float) -> tuple:
+            # the pair tiles each sample interval with equal steps (_controlled_run),
+            # whose lengths differ from interval to interval by the stops' roundoff,
+            # about 1e-14 of a step: a length within 1e-12 of a cached one is that one
+            dt = next((known for known in reversed(built) if abs(known - dt) <= 1e-12 * known),
+                      dt)
+            out = built.pop(dt, None) or build(dt)
+            built[dt] = out
+            if len(built) > 40:
+                del built[next(iter(built))]
+            return out
     else:
-        build = partial(_etd_weights, lin.imag, g[0])
-    weights = lru_cache(maxsize=40)(build)
+        @lru_cache(maxsize=40)
+        def weights(dt: float) -> tuple:
+            # the error weight of h alone is b4 itself
+            out = _etd_weights(lin.imag, g[0], dt)
+            return *out, out[-1]
 
     def square(x: np.ndarray) -> np.ndarray:
         # the band square of the h row of x, as a fresh (1, J) array
@@ -563,34 +628,41 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
         multiply(h, h, h)
         return forward(h, 1.0, np.empty(M // 2 + 1, complex))[None, :J]
 
-    if bidirectional:
-        return lin, flux, _pair_lawson(J, M, weights, square)
-
-    Pz, P2z = np.empty((2, 1, J), complex)  # P z and P P z
+    Pz, P2z = np.empty((2, m, J), complex)  # P z and P P z
     r = np.empty((3, M // 2 + 1), complex)  # the inner stages' squares
     r2, r3, r4 = r
     n2, n3, n4 = r[:, None, :J]
-    d = np.empty((1, J), complex)  # a term of stage 4, n2 + n3, then the error
+    d = np.empty((1, J), complex)  # a term of stage 4, then n2 + n3, then n4 - n5
+    turned = np.empty((m, J), complex)  # the pair's P's second product
+    # the h rows of w, P z and P P z, as (1, J) views like a square's
+    w1, Pz1, P2z1 = w[:1], Pz[:1], P2z[:1]
 
     def etdrk4(z: np.ndarray, n1: np.ndarray | None, dt: float):
-        P, A, B, A2, b1, b23, b4 = weights(dt)
+        # A, B and A2 weigh the h row alone, which is all a stage square reads
+        P, A, B, A2, b1, b23, b4, e = weights(dt)
         if n1 is None:
             n1 = square(z)
-        multiply(P, z, Pz)
-        multiply(P, Pz, P2z)
+        if bidirectional:
+            # exp(A tau) x = c x + As x[::-1], turned into the frame (_pair_weights)
+            c, As = P
+            add(multiply(c, z, Pz), multiply(As, z[::-1], turned), Pz)
+            add(multiply(c, Pz, P2z), multiply(As, Pz[::-1], turned), P2z)
+        else:
+            multiply(P, z, Pz)
+            multiply(P, Pz, P2z)
         # stage 2: a = P z + A n1
-        add(Pz, multiply(A, n1, w), w)
+        add(Pz1, multiply(A, n1, w1), w1)
         inverse(w0, fct, h)
         multiply(h, h, h)
         forward(h, 1.0, r2)
         # stage 3: b = P z + A n2
-        add(Pz, multiply(A, n2, w), w)
+        add(Pz1, multiply(A, n2, w1), w1)
         inverse(w0, fct, h)
         multiply(h, h, h)
         forward(h, 1.0, r3)
         # stage 4: P a + A (2 n3 - n1) = P P z + (P - 1) A n1 + 2 A n3
-        add(P2z, multiply(B, n1, w), w)
-        add(w, multiply(A2, n3, d), w)
+        add(P2z1, multiply(B, n1, w1), w1)
+        add(w1, multiply(A2, n3, d), w1)
         inverse(w0, fct, h)
         multiply(h, h, h)
         forward(h, 1.0, r4)
@@ -600,95 +672,52 @@ def _band_run(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
         add(z1, multiply(b23, add(n2, n3, d), w), z1)
         add(z1, multiply(b4, n4, w), z1)
         n5 = square(z1)
-        multiply(b4, np.subtract(n4, n5, d), d)
-        return z1, n5, math.sqrt(np.vdot(d, d).real)
+        multiply(e, np.subtract(n4, n5, d), w)
+        return z1, n5, math.sqrt(np.vdot(w, w).real)
 
     return lin, flux, etdrk4
 
 
-def _pair_lawson(J: int, M: int, weights, square):
-    """_band_run's ERK4(3)-IP step for the (h, v) pair on J modes, squared on M points.
+def _pair_weights(om: np.ndarray, sk: np.ndarray, lin: np.ndarray, f: np.ndarray,
+                  dt: float) -> tuple:
+    """The half-step propagator and ETDRK4's weights for the (h, v) pair, as _etd_weights'.
 
-    weights(dt) is _band_run's cache of the stage weights and square(x)
-    the band square of x's h row as a fresh (1, J) array.
-    The flux vector g is zero in the h row, and a square reads only the h
-    row, so within a step the squares come in independent pairs: stage 3's
-    h row is P z's (a3 = (dt/2) g), and the new state's h row needs no n4
-    (b4 = (dt/6) g).  Stages 2 and 3 are squared as one batch of two rows,
-    and stage 4 with the new state as a second: four kernel calls a step
-    where one square a row takes eight.  pocketfft transforms each row of
-    a batch as it does a lone row, the stage inputs are formed on the h
-    row alone, and z1 keeps the whole left-to-right sum, b4 n4 on both
-    rows included, so the step is bit for bit the one-square-at-a-time
-    form.
+    om is the pair's band omega (_omega), sk the band's wavenumbers times
+    the speed s of the frame it is stepped in, lin its linear symbol and f
+    the flux row of _band_run's flux vector g = (0, f).  In that frame the
+    generator is A + i s k, whose eigenvalues are i (s k + omega) and
+    i (s k - omega) with the projectors (1 - i A/omega)/2 and
+    (1 + i A/omega)/2.  So each weight, a function of the generator times g,
+    is _etd_weights' scalar weight at those two frequencies (one call on
+    the 2J stacked frequencies) folded with the projectors: for scalar
+    weights w+ and w-, the h row is -i (w+ - w-)/(2 omega) and the v row
+    (w+ + w-)/2.  The mean mode, omega = 0, has no flux (f = 0 there) and
+    takes zero weights.  The half-step propagator is the pair's rotation
+    exp(A tau) = cos(omega tau) + A sin(omega tau)/omega (tau A where
+    omega = 0) times exp(i s k tau), as (c, As) with exp(A tau) x =
+    c x + As x[::-1].  Stage weights A, B and A2 are returned as their h
+    rows alone; the new state's b1, b23 and b4 as both rows; and the error
+    weight e = (omega, 1) b4, so that ||e (n4 - n5)|| is the error in the
+    isometric norm (sum omega^2 |h|^2 + |v|^2)^(1/2).
     """
-    forward, inverse, fct = _kernel_pair(M)
-    multiply, add = np.multiply, np.add
-    h = np.empty((2, M))  # the M-point products of a batch
-    B = np.empty((3, J), complex)  # stage 2's h row above P z: B[:2] is the first batch
-    x2, Pz = B[0], B[1:]
-    P2z, tmp = np.empty((2, 2, J), complex)  # P P z and P's second product
-    w = np.empty((2, J), complex)  # one term of a sum
-    r = np.empty((2, M // 2 + 1), complex)  # the squares of stages 2 and 3
-    n2, n3 = r[:, None, :J]
-    d = np.empty((1, J), complex)  # n2 + n3, then the error
+    J = om.size
+    _, A, B, _, b1, b23, b4 = _etd_weights(np.concatenate((sk + om, sk - om)),
+                                           np.concatenate((f, f)), dt)
+    over = np.divide(-0.5j, om, out=np.zeros(J, complex), where=om != 0)
 
-    def batch(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # the band squares of the two rows of x, in the rows of out
-        inverse(x, fct, h)
-        multiply(h, h, h)
-        return forward(h, 1.0, out)
+    def fold(w: np.ndarray) -> np.ndarray:
+        out = np.empty((2, J), complex)
+        np.multiply(over, w[:J] - w[J:], out[0])
+        np.multiply(0.5, w[:J] + w[J:], out[1])
+        return out
 
-    def step(z: np.ndarray, n1: np.ndarray | None, dt: float):
-        P, a2, _, a4, b1, b23, b4, e = weights(dt)
-        if n1 is None:
-            n1 = square(z)
-        c, As = P
-        add(multiply(c, z, Pz), multiply(As, z[::-1], tmp), Pz)
-        add(multiply(c, Pz, P2z), multiply(As, Pz[::-1], tmp), P2z)
-        add(Pz[0], multiply(a2[0], n1[0], x2), x2)
-        batch(B[:2], r)
-        # stage 4's h row above the new state z1: C[:2] is the second batch
-        C = np.empty((3, J), complex)
-        z1 = C[1:]
-        add(P2z[0], multiply(a4[0], n3[0], C[0]), C[0])
-        # z1 = P2z + b1 n1 + b23 (n2 + n3) + b4 n4, summed left to right; its
-        # h row is whole before the last term, whose h row is zero
-        multiply(b1, n1, z1)
-        add(P2z, z1, z1)
-        add(z1, multiply(b23, add(n2, n3, d), w), z1)
-        S = batch(C[:2], np.empty((2, M // 2 + 1), complex))
-        n4, n5 = S[:, None, :J]
-        add(z1, multiply(b4, n4, w), z1)
-        multiply(e, np.subtract(n4, n5, d), d)
-        return z1, n5, math.sqrt(np.vdot(d, d).real)
-
-    return step
-
-
-def _stage_weights(om: np.ndarray, lin: np.ndarray, g: np.ndarray, dt: float) -> tuple:
-    """The half-step propagator P and ERK4(3)-IP's stage weights for a step of dt.
-
-    om is the pair's band omega (_omega), lin its linear symbol and g the
-    (2, J) flux vector of _band_run.  Each weight is a coefficient times g
-    propagated over dt/2, dt or not at all, folded into one array.
-    """
-    def propagator(tau: float):
-        # A = [[0, 1], [lin, 0]] squares to -omega^2, so exp(tau A) =
-        # cos(omega tau) + A sin(omega tau)/omega (tau A where omega = 0): the
-        # pair's (c, As), applied as c x + As x[::-1]
-        c = np.cos(om * tau)
-        s = np.divide(np.sin(om * tau), om, out=np.full(om.size, tau), where=om != 0)
-        return c, np.stack((s, lin * s))
-
-    def propagated(P, x: np.ndarray) -> np.ndarray:
-        out = P[0] * x
-        return np.add(out, P[1] * x[::-1], out)
-
-    P = propagator(0.5 * dt)
-    Pg, P2g = propagated(P, g), propagated(propagator(dt), g)
-    return (P, (0.5 * dt) * Pg, (0.5 * dt) * g, dt * Pg, (dt / 6.0) * P2g,
-            (dt / 3.0) * Pg, (dt / 6.0) * g, (dt / 10.0) * g[-1:])
+    A, B = fold(A)[0], fold(B)[0]
+    b1, b23, b4 = fold(b1), fold(b23), fold(b4)
+    tau = 0.5 * dt
+    turn = np.exp(1j * sk * tau)
+    s = np.divide(np.sin(om * tau), om, out=np.full(J, tau), where=om != 0)
+    P = turn * np.cos(om * tau), turn * np.stack((s, lin * s))
+    return P, A, B, 2.0 * A, b1, b23, b4, np.stack((om, np.ones(J))) * b4
 
 
 # the Taylor coefficients of F3 and F4 of _etd_weights in powers of -theta^2:
@@ -759,35 +788,6 @@ def _etd_weights(om: np.ndarray, g: np.ndarray, dt: float) -> tuple:
     np.multiply(th, re_im[3:], b.imag)
     b *= dt * g
     return P, A, (1j * half) * phi1h * A, 2.0 * A, *b
-
-
-def _state_reader(iso: np.ndarray, k2: np.ndarray):
-    """(read, a): one pass over a band state z of m rows and J modes.
-
-    iso is the (m, J) weights of the isometric norm (_controlled_run) and
-    k2 the J squared wavenumbers.  read(z) forms |z| and |z|^2 in one work
-    array Y of (2, m, J) and returns S = Y.reshape(2, m J) W as nested
-    lists, for the (m J, 3) weights W = [1 on the h row, iso^2, k2 iso^2].
-    So S[0][0] is sum_j |h_j|, S[1][1] the state's power sum |iso z|^2 in
-    that norm and S[1][2] its k2 moment sum k2 |iso z|^2.  a is the |h_j|
-    row of Y, which each read overwrites.
-    """
-    m, J = iso.shape
-    W = np.zeros((m, J, 3))
-    W[0, :, 0] = 1.0
-    W[:, :, 1] = iso * iso
-    W[:, :, 2] = k2 * W[:, :, 1]
-    W = W.reshape(m * J, 3)
-    Y = np.empty((2, m, J))
-    absz, sq, flat = Y[0], Y[1], Y.reshape(2, m * J)
-    absolute, multiply, dot = np.abs, np.multiply, np.dot
-
-    def read(z: np.ndarray) -> list[list[float]]:
-        absolute(z, absz)
-        multiply(absz, absz, sq)
-        return dot(flat, W).tolist()
-
-    return read, Y[0, 0]
 
 
 def _check_alive(h: np.ndarray, H: float, t: float, step: int = 1,
@@ -883,44 +883,23 @@ def step_rk4(state, params: PhysicalParams, config: SchemeConfig, dt: float):
     return _step(state, params, config, "rk4", dt)
 
 
-def step_ifrk4(state, params: PhysicalParams, config: SchemeConfig, dt: float):
-    """One Lawson integrating-factor RK4 step of the bidirectional (h, v) pair.
+def step_etdrk4(state, params: PhysicalParams, config: SchemeConfig, dt: float):
+    """One ETDRK4 step of the appropriate dynamics, in the frame config names.
 
-    state is an (h, v) pair of WaveFields, as for step_rk4, with the
-    low-pass filter on.  Each mode's rotation is propagated exactly, so dt
-    is not bounded by the dispersive stiffness.  This is the fourth-order
-    solution of the pair evolve steps a scheme.dt=auto pair with, taken at
-    the fixed step dt (evolve sizes its steps by the error controller of
-    the module docstring).  The state is projected onto its low-pass band
-    first and the result has no content above it.  A WaveField, whose
-    equation evolve steps with ETDRK4, raises ValueError naming
-    step_etdrk4.  Raises BlowUpError when the solution leaves the model's
-    validity range.
-    """
-    if isinstance(state, WaveField):
-        raise ValueError("step_ifrk4 steps the bidirectional (h, v) pair; "
-                         "step a WaveField with step_etdrk4")
-    return _step(state, params, config, "ifrk4", dt)
-
-
-def step_etdrk4(state: WaveField, params: PhysicalParams, config: SchemeConfig,
-                dt: float) -> WaveField:
-    """One ETDRK4 step of the unidirectional equation in the frame config names.
-
-    The linear part, in that frame, is propagated exactly and the h^2 flux
-    enters through Cox & Matthews' exponential weights, so dt is not
-    bounded by the dispersive stiffness.  This is the step evolve takes a
-    scheme.dt=auto WaveField run with, at the fixed step dt; evolve steps
-    in its start's crest frame (result.step_alpha), so a frame of
+    state is a WaveField (unidirectional) or an (h, v) pair of WaveFields
+    (bidirectional, with the low-pass filter on; ValueError otherwise), as
+    for step_rk4.  The linear part, in that frame, is propagated exactly
+    and the h^2 flux enters through Cox & Matthews' exponential weights,
+    so dt is not bounded by the dispersive stiffness.  This is the step
+    evolve takes a scheme.dt=auto run with, at the fixed step dt; evolve
+    steps in its start's crest frame (result.step_alpha), so a frame of
     config.frame="moving", config.alpha=result.step_alpha repeats its
-    steps.  The state is projected onto the 2/3-rule band first and the
-    result has no content above it.  An (h, v) pair raises ValueError
-    naming step_ifrk4.  Raises BlowUpError when the solution leaves the
-    model's validity range.
+    steps.  A pair's frame at alpha moves at sqrt(g/H) (H - alpha), as a
+    WaveField's does, and not at all in the fixed frame.  The state is
+    projected onto its band first (the 2/3-rule band for a WaveField, the
+    low-pass band for a pair) and the result has no content above it.
+    Raises BlowUpError when the solution leaves the model's validity range.
     """
-    if not isinstance(state, WaveField):
-        raise ValueError("step_etdrk4 steps a unidirectional WaveField; "
-                         "step an (h, v) pair with step_ifrk4")
     return _step(state, params, config, "etdrk4", dt)
 
 
@@ -949,12 +928,12 @@ class EvolutionResult:
     samples: np.ndarray
     params: PhysicalParams
     config: SchemeConfig
-    integrator: str = ""  # "etdrk4", "ifrk4" or "rk4"
+    integrator: str = ""  # "etdrk4" or "rk4"
     dt: float = 0.0  # the mean step t_end / steps [s]
     steps: int = 0  # accepted steps
     rejected: int = 0  # steps the error controller retried smaller
     band: tuple[int, int] = (0, 0)  # the least and greatest number of rfft modes stepped
-    step_alpha: float | None = None  # the frame alpha stepped in; None for the (h, v) pair
+    step_alpha: float | None = None  # the frame alpha stepped in; None for an RK4 pair
 
     @cached_property
     def final(self):
@@ -990,21 +969,23 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     (_band_run): the 2/3-rule band (rfft modes j with 3j < N) for a
     unidirectional run and the low-pass band for a bidirectional one
     (every mode when the filter is off).  The integrator follows from
-    config.dt.  A run with dt = None takes exponential steps, which
-    propagate the linear part exactly: ETDRK4 ("etdrk4") for a
-    unidirectional run, on the prefix of the band that its state occupies,
-    grown on demand, and the Lawson pair ERK4(3)-IP ("ifrk4"), by each
-    mode's rotation, for a bidirectional one.  A PI controller sizes each
-    step so that its relative local error stays within ETD_TOL or IF_TOL
-    (see the module docstring).  A spectral ETDRK4 run steps in the frame
-    in which its start's tallest crest stands still, result.step_alpha
+    config.dt.  A run with dt = None takes ETDRK4 steps ("etdrk4"), which
+    propagate the linear part exactly: a unidirectional run on the prefix
+    of the band that its state occupies, grown on demand, and a
+    bidirectional one on its whole low-pass band.  A PI controller sizes
+    each step so that its relative local error stays within ETD_TOL or
+    IF_TOL (see the module docstring).  Such a run steps in the frame in
+    which its start's tallest crest stands still, result.step_alpha
     (_crest_alpha), and its samples are shifted into the frame config
-    names; a run whose shift by t_end no float resolves to FRAME_ULP of a
-    grid step raises ValueError, naming scheme.alpha, before any step.
-    Every other run steps in config's frame (step_alpha None for the
-    pair).  Steps land exactly
-    on the sample times and on t_end; a step rejected by the controller
-    is retried smaller and counted in result.rejected.  An explicit dt,
+    names, the fixed frame for a pair.  A unidirectional run whose shift
+    by t_end no float resolves to FRAME_ULP of a grid step raises
+    FrameError, a ValueError naming scheme.alpha, before any step; a pair
+    steps in the fixed frame then (step_alpha = H), as it does when its
+    start has no finite crest speed.  A centered4 unidirectional run, and
+    every RK4 run, steps in config's frame (step_alpha None for an RK4
+    pair, which steps in the fixed frame).  Steps land exactly on the
+    sample times and on t_end; a step rejected by the controller is
+    retried smaller and counted in result.rejected.  An explicit dt,
     and an unfiltered bidirectional run, steps with classical RK4
     ("rk4"), warned against (or, for dt = None, set to) the RK4 stability
     advisory; its step is shrunk so that an integer number of steps lands
@@ -1017,7 +998,7 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     anything is built, and every accepted step are checked for blow-up.
     Snapshots are taken at the endpoints and every sample_every accepted
     steps; by default at ~50 samples per run (RK4: every nsteps // 50
-    steps; IF: at t_end k/50, k = 1..50).  Each snapshot after the first
+    steps; ETDRK4: at t_end k/50, k = 1..50).  Each snapshot after the first
     is kept as the band coefficients the run holds, and at the end all of
     them are formed on the grid in one transform, bit for bit each
     sample's own irfft, into result.samples (_form_samples); a non-finite
@@ -1034,7 +1015,7 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
     bidirectional, grid, t0, y = _unpack(initial)
     # the unfiltered bidirectional model has no integrating factor: it grows above sqrt(3)/H
     rk4 = config.dt is not None or (bidirectional and not config.boussinesq_filter)
-    integrator = "rk4" if rk4 else "ifrk4" if bidirectional else "etdrk4"
+    integrator = "rk4" if rk4 else "etdrk4"
     # a start past the limit stops here, before any norm of it can overflow
     _check_alive(y[0], params.H, t0, 1, integrator)
     if rk4:
@@ -1043,16 +1024,46 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
         if not config.t_end <= MAX_STEPS * dt_req:
             raise ValueError(f"dt = {dt_req!r} s is too small to reach t_end = "
                              f"{config.t_end!r} s in MAX_STEPS = {MAX_STEPS:.0e} steps")
-    # the frame the run steps in: a spectral ETDRK4 run steps in its start's
-    # crest frame, and its samples are shifted into config's at the end
-    step_alpha, stepping = None if bidirectional else frame_alpha(params, config), config
-    crest_frame = integrator == "etdrk4" and config.deriv == "spectral"
-    if crest_frame:
-        step_alpha = _crest_alpha(y[0], grid, params)
+    # the frame the run steps in: an ETDRK4 run steps in its start's crest frame
+    # (a centered4 unidirectional run in config's), and its samples are shifted
+    # at the end into config's frame, the fixed frame for a pair
+    step_alpha = None if bidirectional else frame_alpha(params, config)
+    stepping, symbols, drift = config, None, 0.0
+    if bidirectional:
+        symbols = _symbols(grid, params, config, True)  # the same in every frame
+    cap = symbols[0].size if bidirectional else _orszag_band(grid.N)
+    if integrator == "etdrk4" and bidirectional:
+        # the pair has no frame key to refuse: where its crest has no finite
+        # speed, or its frame is not resolved, it steps in the fixed frame
+        step_alpha = _crest_alpha(y, grid, params, cap)
+        if step_alpha is not None:
+            drift = _frame_drift(grid, params, params.H, step_alpha, config.t_end)[0]
+        if step_alpha is None or drift is None:
+            step_alpha, drift = params.H, 0.0
         stepping = replace(config, frame="moving", alpha=step_alpha)
-    cap = _symbols(grid, params, stepping, bidirectional)[0].size
-    drift = _frame_drift(grid, params, config, step_alpha) if crest_frame else 0.0
-    band = partial(_band_run, grid, params, stepping, bidirectional, integrator)
+    elif integrator == "etdrk4" and config.deriv == "spectral":
+        step_alpha = _crest_alpha(y, grid, params, cap)
+        if step_alpha is None:
+            step_alpha = 0.0
+        stepping = replace(config, frame="moving", alpha=step_alpha)
+        # the crest frame's table serves this run alone, so it is built outside
+        # the memo, where it would evict the tables that runs share
+        symbols = tuple(a[:cap] for a in _kdv_symbols.__wrapped__(
+            grid.N, grid.L, params.g, params.H, dispersion_sigma(params), step_alpha,
+            config.deriv))
+        alpha = frame_alpha(params, config)
+        drift, distance = _frame_drift(grid, params, alpha, step_alpha, config.t_end)
+        if drift is None:
+            frame = ("the fixed frame (alpha = H)" if config.frame == "fixed"
+                     else f"scheme.alpha = {alpha!r}")
+            raise FrameError(f"{frame} runs {distance:.3g} m from the crest's frame "
+                             f"(alpha = {step_alpha!r}) by t_end = {config.t_end:.6g} s, "
+                             f"too far for a float to place its samples within "
+                             f"{FRAME_ULP:g} dx", distance)
+
+    def band(J: int | None = None):
+        return _band_run(grid, params, stepping, bidirectional, integrator, J, symbols)
+
     # every sample after the start is kept as its band coefficients, which no
     # step writes once returned, and all are formed on the grid at the end
     times, zs, sizes, rejected = [t0], [], (cap, cap), 0
@@ -1084,7 +1095,7 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
                  else [t0 + config.t_end])
         J = cap if bidirectional else _occupied_band(np.abs(rfft(y[0])[:cap]), cap)
         nsteps, rejected, sizes = _controlled_run(
-            band, cap, J, y, grid.L, params.H, t0, stops, sample_every, sample)
+            band, cap, J, y, params.H, t0, stops, sample_every, sample)
     else:
         nsteps = 0
     shifts = [drift * (t - t0) for t in times[1:]] if drift else None
@@ -1093,47 +1104,48 @@ def evolve(initial, params: PhysicalParams, config: SchemeConfig,
                            steps=nsteps, rejected=rejected, band=sizes, step_alpha=step_alpha)
 
 
-def _crest_alpha(h: np.ndarray, grid: PeriodicGrid, params: PhysicalParams) -> float:
-    """The frame alpha in which the tallest crest of the samples h stands still.
+def _crest_alpha(y: np.ndarray, grid: PeriodicGrid, params: PhysicalParams,
+                 J: int) -> float | None:
+    """The frame alpha in which the tallest crest of h = y[0] stands still, or None.
 
-    The crest's speed in the frame at alpha = 0 is s0 = -h_xt / h_xx at the
-    argmax grid point of h, with h_t the spectral unidirectional equation's
-    at alpha = 0 on the 2/3-rule band.  The frame at alpha moves
-    sqrt(g/H) alpha slower, so the crest stands in the one at
+    y stacks the samples of h, or of h and v = h_t for the (h, v) pair.
+    The crest moves at s = -h_xt / h_xx at the argmax grid point of h, with
+    spectral derivatives on the first J rfft modes.  The frame at alpha
+    moves at sqrt(g/H) (H - alpha).  For the pair, h_xt = v_x and the
+    frame is alpha = H - s / sqrt(g/H).  For the unidirectional equation
+    h_t is its own at alpha = 0, s0 = -h_xt / h_xx there, and the frame at
+    alpha moves sqrt(g/H) alpha slower, so the crest stands in the one at
     -s0 / sqrt(g/H) = -(3/2) (h^2/2 + (sigma/3) h_xx)_xx / h_xx, in which g
     cancels.  A start with no curvature or no finite speed there (a flat
-    or zero h) steps at alpha = 0.
+    or zero h) has no such frame: None.
     """
-    N, J = grid.N, (grid.N + 2) // 3
+    N = grid.N
     d1, d2 = (d[:J] for d in derivative_symbols(N, grid.L))
+    h = y[0]
     j = int(np.argmax(h))
-    with np.errstate(all="ignore"):  # an alpha that is not finite is replaced below
+    with np.errstate(all="ignore"):  # an alpha that is not finite is reported as None
         hxx = d2 * rfft(h)[:J]
-        q = d1 * d1 * (0.5 * rfft(h * h)[:J] + (dispersion_sigma(params) / 3.0) * hxx)
-        alpha = float(-1.5 * irfft(q, N)[j] / irfft(hxx, N)[j])
-    return alpha if math.isfinite(alpha) else 0.0
+        if len(y) == 2:
+            s = -irfft(d1 * rfft(y[1])[:J], N)[j] / irfft(hxx, N)[j]
+            alpha = float(params.H - s / math.sqrt(params.g / params.H))
+        else:
+            q = d1 * d1 * (0.5 * rfft(h * h)[:J] + (dispersion_sigma(params) / 3.0) * hxx)
+            alpha = float(-1.5 * irfft(q, N)[j] / irfft(hxx, N)[j])
+    return alpha if math.isfinite(alpha) else None
 
 
-def _frame_drift(grid: PeriodicGrid, params: PhysicalParams, config: SchemeConfig,
-                 step_alpha: float) -> float:
-    """The speed [m/s] in the frame config names of what stands still at step_alpha.
+def _frame_drift(grid: PeriodicGrid, params: PhysicalParams, alpha: float,
+                 step_alpha: float, t_end: float) -> tuple[float | None, float]:
+    """(drift, distance): how what stands still at step_alpha moves in the frame at alpha.
 
-    That is sqrt(g/H) (alpha - step_alpha).  ValueError, naming scheme.alpha
-    and t_end, unless the distance it covers by t_end is a float whose
-    spacing is at most FRAME_ULP dx: farther, a sample could not be shifted
-    into its frame to that precision.
+    drift is its speed there [m/s], sqrt(g/H) (alpha - step_alpha), and
+    distance [m] how far it moves by t_end.  drift is None where that
+    distance is a float whose spacing passes FRAME_ULP dx: farther, a
+    sample could not be shifted into its frame to that precision.
     """
-    alpha = frame_alpha(params, config)
     drift = math.sqrt(params.g / params.H) * (alpha - step_alpha)
-    distance = abs(drift) * config.t_end if config.t_end else 0.0
-    if not math.ulp(distance) <= FRAME_ULP * grid.dx:
-        frame = ("the fixed frame (alpha = H)" if config.frame == "fixed"
-                 else f"scheme.alpha = {alpha!r}")
-        raise ValueError(f"{frame} runs {distance:.3g} m from the crest's frame "
-                         f"(alpha = {step_alpha!r}) by t_end = {config.t_end:.6g} s, "
-                         f"too far for a float to place its samples within "
-                         f"{FRAME_ULP:g} dx")
-    return drift
+    distance = abs(drift) * t_end if t_end else 0.0
+    return (drift if math.ulp(distance) <= FRAME_ULP * grid.dx else None), distance
 
 
 def _occupied_band(a: np.ndarray, cap: int) -> int:
@@ -1160,7 +1172,7 @@ def _bound_limit(H: float) -> float:
     return (1.0 - 1e-12) * BLOWUP_FACTOR * H
 
 
-def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, H: float, t: float,
+def _controlled_run(band, cap: int, J: int, y: np.ndarray, H: float, t: float,
                     stops: list[float], sample_every: int | None,
                     sample) -> tuple[int, int, tuple[int, int]]:
     """Step an error-controlled run from the samples y at time t through every stop.
@@ -1179,82 +1191,68 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, H: float, t
     an accepted step, a quarter of it (at least BAND_MARGIN modes, at
     most up to cap) is added, on which z is zero, so the state is exact.
     The next step forms its first-stage square afresh and the weights of
-    the read below are rebuilt, while the PI controller carries on.
+    the watch below are rebuilt, while the PI controller carries on.
 
     Errors and sizes are measured in the norm in which the band's linear
     flow is an isometry: the L2 norm of h for the unidirectional equation,
     (sum omega^2 |h|^2 + |v|^2)^(1/2) for the bidirectional one, with
     omega^2 = -lin.  A PI controller (Gustafsson 1991) keeps each step's
-    local error within the stepper's tolerance (ETD_TOL for ETDRK4 on h
-    alone, IF_TOL for the pair) of the starting state's norm.  The first
-    step wanted is 0.01 of the time the flux takes to change the state by
-    its own size (Hairer, Norsett & Wanner, sec. II.4).  Every step of
-    the pair is also held within the RK4 imaginary-axis limit of the
-    fastest beat in the interaction picture, 2 sqrt(2) / (c_max k_rms):
-    c_max is the largest group speed of the band's own dispersion relation
-    (omega = sqrt(-lin)) and k_rms the state's rms wavenumber in that
-    norm.  Beyond it the Lawson stages sample the beat of the top modes
-    against the state's own structure too coarsely, and roundoff there
-    grows by a factor each lap that the error norm does not see until it
-    is large.  ETDRK4 runs without it (see the module docstring).
-    Steps are rounded down to a 2^(1/16) ladder, so the stepper's folded
-    weights are reused; a step that would pass the next stop lands on it.
+    local error within the tolerance (ETD_TOL for h alone, IF_TOL for the
+    pair) of the starting state's norm.  The first step wanted is 0.01 of
+    the time the flux takes to change the state by its own size (Hairer,
+    Norsett & Wanner, sec. II.4).  Steps are rounded down to a 2^(1/16)
+    ladder, the rung, so the stepper's weights, built once per step
+    length, are reused.  A unidirectional step that would pass the next
+    stop lands on it, a length of its own at each stop.  The pair instead
+    tiles the rest of its sample interval with n = ceil(rest / rung) equal
+    steps and takes one of them: while the rung holds, the next step's
+    tiling is the same length, so a run whose want has settled steps each
+    interval in n steps of one length, and the stepper takes a length
+    within 1e-12 of one it has weights for as that one (_band_run), so
+    that intervals that differ only by the stops' roundoff (about 1e-14
+    of a step) share their weights.  The demo's solitary run takes 206 steps
+    with 8 builds (95 us each at J = 25) this way; landing on each stop as
+    a unidirectional run does, it took 154 steps with 48 builds, and at
+    h0 = 0.3 m erred 3.4e-6 h0, past the budget of the module docstring.
+    A step that lands on its stop leaves the controller as it was, since
+    it is short by choice, not by its error.
     A wanted step that is nan, zero or so short that the rest of the run
     would take more than MAX_STEPS of it raises BlowUpError, with the
     max|h| of the last accepted state, rather than spin: at 1e-8 of a run
     (about sqrt(eps) of the state's time scale) the two solutions of the
-    pair agree to the last bit and the error estimate reads zero.
+    step agree to the last bit and the error estimate reads zero.
 
-    Each accepted state is read once, in one pass of three calls over
-    work arrays of the band's own (_state_reader): |z| and |z|^2, and
-    their product with a weight matrix, which gives the blow-up bound
-    sum_j |h_j|, the power and the k^2 moment of the beat limit; the band
-    watch takes the maxima of |h_j| below and in the top in one more
-    call.  The read is made at the start, after each accepted step and
-    after each growth of the band; a rejected step changes no state, so
-    its retry reads nothing.  The start's norm, and so the tolerance, is
-    taken apart from the read (np.vdot), and the stepper's error norm is
-    its own (_band_run).
+    Each accepted state is read once: |h_j| into a work array of the
+    band's own, whose sum gives the blow-up bound and whose maxima below
+    and in the top give the band watch.  The read is made after each
+    accepted step and after each growth of the band; a rejected step
+    changes no state, so its retry reads nothing.  The start's norm, and
+    so the tolerance, is taken apart from the read (np.vdot), and the
+    stepper's error norm is its own (_band_run).
     """
     m, N = y.shape
-    J0 = J
+    J0, tile = J, m == 2
     z = rfft(y)[:, :J]
-    limit, watch = _bound_limit(H), np.maximum.reduceat
+    limit, watch, absolute, total = _bound_limit(H), np.maximum.reduceat, np.abs, np.add.reduce
 
     def on_band(J: int):
-        lin, flux, step = band(J)
-        # the band's dispersion relation and the weights of the isometric norm
-        omega = _omega(lin, m == 2)
-        iso = np.stack((omega, np.ones(J)))[-m:]
-        k2 = (2.0 * math.pi / L * np.arange(J)) ** 2
-        # the beat limit holds the pair's Lawson steps alone (c_max = 0 lifts it)
-        c_max = float(np.abs(np.diff(omega)).max()) * L / (2.0 * math.pi) if m == 2 else 0.0
         # the band watch splits |h_j| below and in its top ninth (at least BAND_MARGIN)
         split = np.array([0, max(0, J - max(BAND_MARGIN, J // 9))])
-        return (flux, step, iso, c_max, *_state_reader(iso, k2), split)
+        return (*band(J), np.empty(J), split)
 
-    def beat_limit(S: list[list[float]]) -> float:
-        # the beat limit 2 sqrt(2) / (c_max k_rms) of the state that S reads (inf
-        # for a state without power or wavenumber, or a band without dispersion)
-        power = S[1][1]
-        rate = c_max * math.sqrt(S[1][2] / power) if power else 0.0
-        return RK4_IMAG_LIMIT / rate if rate else math.inf
-
-    flux, step, iso, c_max, read, a, split = on_band(J)
-    u = iso * z
+    lin, flux, step, a, split = on_band(J)
+    # the weights of the isometric norm
+    u = np.stack((_omega(lin, tile), np.ones(J)))[-m:] * z
     size = math.sqrt(np.vdot(u, u).real)
-    integrator, tol = ("ifrk4", IF_TOL * size) if m == 2 else ("etdrk4", ETD_TOL * size)
+    integrator, tol = "etdrk4", (IF_TOL if tile else ETD_TOL) * size
     # the flux changes h (unidirectional) or v (bidirectional), unit weight both;
     # a rate that overflows wants a zero first step, which the MAX_STEPS check reports
     with np.errstate(over="ignore"):
         rate = np.linalg.norm(flux * rfft(y[0] * y[0])[:J]) / size if size else 0.0
-        beat = beat_limit(read(z))
     want = 0.01 / rate if rate else math.inf
     n, i, rejected, r_prev = None, 0, 0, 1.0
     for stop in stops:
         while t < stop:
-            # after a rejection the step wanted is already below the beat limit
-            want = min(want, beat)
             if not stops[-1] - t <= MAX_STEPS * want:  # a nan or zero want too
                 raise BlowUpError(t, i + 1, float(np.max(np.abs(irfft(z[0], N)))), integrator,
                                   f"a step of {want:.3g} s would take more than MAX_STEPS = "
@@ -1262,8 +1260,13 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, H: float, t
             rung = want
             if want < math.inf:
                 rung = 2.0 ** (math.floor(16.0 * math.log2(want)) / 16.0)
-            land = rung >= (stop - t) * (1.0 - 1e-9)
-            dt = stop - t if land else rung
+            if tile:
+                # the rest of the interval in equal steps of at most the rung
+                left = max(1, math.ceil((stop - t) / rung * (1.0 - 1e-9)))
+                dt, land = (stop - t) / left, left == 1
+            else:
+                land = rung >= (stop - t) * (1.0 - 1e-9)
+                dt = stop - t if land else rung
             z1, n1, err = step(z, n, dt)
             if err <= tol:
                 i, z, n, t = i + 1, z1, n1, stop if land else t + dt
@@ -1275,8 +1278,8 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, H: float, t
                     r = err / tol if err else 0.0
                     fac = 5.0 if r == 0.0 else 0.9 * r ** -0.175 * r_prev ** 0.1
                     want, r_prev = dt * min(5.0, max(0.2, fac)), max(r, 1e-4)
-                S = read(z)
-                if not 2.0 / N * S[0][0] < limit:
+                absolute(z[0], a)
+                if not 2.0 / N * total(a) < limit:
                     _check_alive(irfft(z[0], N), H, t, i, integrator)
                 if land or (sample_every is not None and i % sample_every == 0):
                     sample(t, z)
@@ -1288,9 +1291,8 @@ def _controlled_run(band, cap: int, J: int, y: np.ndarray, L: float, H: float, t
                         grown = min(cap, J + max(BAND_MARGIN, J // 4))
                         z = np.pad(z, ((0, 0), (0, grown - J)))
                         J, n = grown, None
-                        flux, step, iso, c_max, read, a, split = on_band(J)
-                        S = read(z)
-                beat = beat_limit(S)
+                        step, a, split = on_band(J)[2:]
+                        absolute(z[0], a)
             else:
                 rejected += 1
                 fac = 0.9 * (tol / err) ** 0.25 if err < math.inf else 0.0  # nan too
@@ -1379,7 +1381,9 @@ def front_slope_change(spec: DeformationSpec, params: PhysicalParams,
 
     ValueError when p is so large that the frame's alpha or the run's
     Fourier symbols overflow (its domain is 32/p long), or when hbar and p
-    leave the starting slope a zero or subnormal float.
+    leave the starting slope a zero or subnormal float; FrameError, naming
+    t_check, when the run's samples cannot be shifted from the crest's
+    frame it steps in into its own (evolve).
     """
     if not (0 < t_check < math.inf):
         raise ValueError(f"t_check must be positive and finite, got {t_check}")
@@ -1395,6 +1399,11 @@ def front_slope_change(spec: DeformationSpec, params: PhysicalParams,
     field = WaveField(grid, spec.hbar * sech_sq(spec.p * grid.x))
     try:
         res = evolve(field, params, config, sample_every=10 ** 9)
+    except FrameError as e:  # the run's frame is this function's own, not a config's
+        raise FrameError(f"p = {spec.p} 1/m: the run's frame at alpha = 4 sigma p^2 - (3/2) "
+                         f"hbar = {alpha_c!r} moves {e.distance:.3g} m from its crest's frame "
+                         f"by t_check = {t_check:g} s, too far for a float to place its "
+                         f"samples within {FRAME_ULP:g} dx", e.distance) from None
     except ValueError as e:  # the run's domain is 32/p long, so what it rejects names p
         raise ValueError(f"p = {spec.p} 1/m: {e}") from None
     slope0 = float(np.max(-diff(field.h, L, 1)))

@@ -5,8 +5,8 @@ default) and 4th-order centered differences ("centered4", the
 cross-check scheme), both applied through their exact Fourier symbols
 in derivative_symbols.  centered4 reaches derivatives and, through
 them, the evolution equations, the invariants of a run and the
-factorization residual; the antiderivative, the low-pass and the shift
-are spectral only.  The rectangle rule is the quadrature; on a torus it
+factorization residual; the antiderivative and the shift are spectral
+only.  The rectangle rule is the quadrature; on a torus it
 is spectrally accurate for smooth integrands.
 
 Every transform of the package goes through one pair, rfft and irfft
@@ -138,13 +138,6 @@ def antiderivative(f: np.ndarray, L: float) -> np.ndarray:
     out = np.zeros_like(gh)
     out[..., 1:-1] = gh[..., 1:-1] / d1[1:-1]
     return irfft(out, N)
-
-
-def lowpass(h: np.ndarray, L: float, k_cut: float) -> np.ndarray:
-    """Sharp spectral low-pass: zero all modes with |k| > k_cut."""
-    N = h.shape[-1]
-    k = wavenumbers(N, L)
-    return irfft(np.where(k <= k_cut, rfft(h), 0.0), N)
 
 
 def integrate(f: np.ndarray, L: float) -> float:

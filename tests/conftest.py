@@ -19,6 +19,7 @@ from longwave import (
     solitary_field,
     solitary_speed,
 )
+from longwave import evolution
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +32,16 @@ def params():
 def water():
     """Clean water including surface tension."""
     return PhysicalParams(g=9.81, H=1.0, rho=1000.0, T=0.0728)
+
+
+def lowpass_band(h, grid, params, cut):
+    """h on the pair's low-pass band, the leading rfft modes at or below cut sqrt(3)/H.
+
+    The band is the one evolve steps the pair on, of the J modes that
+    evolution._symbols keeps at filter_cut = cut.
+    """
+    J = evolution._symbols(grid, params, SchemeConfig(filter_cut=cut), True)[0].size
+    return np.fft.irfft(np.fft.rfft(h)[:J], n=grid.N)
 
 
 def same_bits(a, b):

@@ -43,8 +43,8 @@ from longwave import (
     steepening_verdict,
     variational_derivative,
 )
-from longwave.operators import diff, integrate, lowpass
-from conftest import smooth_random_fields
+from longwave.operators import diff, integrate
+from conftest import lowpass_band, smooth_random_fields
 
 SIGMA0 = 1.0 / 3.0
 
@@ -358,7 +358,7 @@ def test_criterion_10_bidirectional_model(params):
     omega = solitary_speed(spec)
     gridS = PeriodicGrid(L=120.0, N=1024)
     cut = 0.75  # keeps the profile's spectral support, still below sqrt(3)/H
-    hs = lowpass(solitary_profile(spec, gridS.x), gridS.L, cut * math.sqrt(3.0) / H)
+    hs = lowpass_band(solitary_profile(spec, gridS.x), gridS, params, cut)
     vs = -omega * diff(hs, gridS.L, 1)
     cfgS = SchemeConfig(dt=0.01, t_end=30.0, filter_cut=cut)
     resS = evolve((WaveField(gridS, hs), WaveField(gridS, vs)), params, cfgS)
@@ -380,7 +380,7 @@ def test_criterion_10_bidirectional_model(params):
     t_blow = exc.value.time
     assert t_blow < 2.0
 
-    hf = WaveField(gridN, lowpass(noise, gridN.L, 0.5 * math.sqrt(3.0) / H))
+    hf = WaveField(gridN, lowpass_band(noise, gridN, params, 0.5))
     horizon = max(1.0, 2.0 * t_blow)
     resF = evolve((hf, v0), params,
                   SchemeConfig(dt=1e-4, t_end=horizon, filter_cut=0.5),

@@ -840,7 +840,7 @@ class TestScenarioSmoke:
                                shallow=False)
 
     @pytest.mark.parametrize("sets, filtered", [
-        ([], "ifrk4"),  # scheme.dt=auto: the three filtered runs take the integrating factor
+        ([], "etdrk4"),  # scheme.dt=auto: the three filtered runs take exponential steps
         (["--set", "scheme.dt=0.005"], "rk4"),
     ], ids=["auto", "explicit_dt"])
     def test_boussinesq_demo_scenario(self, tmp_path, sets, filtered):
@@ -854,7 +854,19 @@ class TestScenarioSmoke:
                        for run in ("mode", "solitary", "unfiltered", "filtered")}
         assert integrators == {"mode": filtered, "solitary": filtered, "unfiltered": "rk4",
                                "filtered": filtered}
-        assert not any(key.endswith("step_alpha") for key in manifest)  # the pair has no frame
+        # an exponential run of the pair steps in its start's crest frame: part (b)'s
+        # wave moves at its speed c, the frame at alpha = H - c/sqrt(g/H), and parts
+        # (a) and (c) start at rest, in the fixed frame at alpha = H; RK4 steps
+        # in no frame of its own
+        alphas = {key: float(value) for key, value in manifest.items()
+                  if key.endswith("step_alpha")}
+        if filtered == "rk4":
+            assert alphas == {}
+        else:
+            c = float(manifest["result.solitary_speed_formula"])
+            assert alphas == {"result.mode_step_alpha": 1.0, "result.filtered_step_alpha": 1.0,
+                              "result.solitary_step_alpha": pytest.approx(
+                                  1.0 - c / math.sqrt(9.81), rel=1e-12)}
         for run in ("mode", "solitary", "unfiltered", "filtered"):
             assert float(manifest[f"result.{run}_dt"]) > 0
             assert int(manifest[f"result.{run}_steps"]) > 0
@@ -934,14 +946,26 @@ FRAME_UNRESOLVED = [
                       ["evolve", "--ic", "cnoidal"])],
     *[([*command, "--set", "physical.g=1e300"], EXIT_USAGE,
        "too far for a float to place its samples within 1e-06 dx")
-      for command in (["scenario", "two_soliton"], ["scenario", "steepening"],
-                      ["evolve", "--ic", "cnoidal"])],
+      for command in (["scenario", "two_soliton"], ["evolve", "--ic", "cnoidal"])],
     (["scenario", "two_soliton", "--set", "scheme.alpha=1e300"], EXIT_USAGE,
      "scheme.alpha = 1e+300 runs 1.88e+302 m from the crest's frame (alpha = "),
     (["scenario", "two_soliton", "--set", "scheme.alpha=1e8"], EXIT_USAGE,
      "scheme.alpha = 100000000.0 runs 1.88e+10 m from the crest's frame"),
+    # the front-slope run's frame is its own, so its refusal names the keys that
+    # part it from the crest's frame: the check time and gravity
+    (["scenario", "steepening", "--set", "physical.g=1e300"], EXIT_USAGE,
+     "usage error: 'scenario.t_check' = 1.0 s with 'physical.g' = 1e+300 m/s^2 and "
+     "'physical.H' = 1.0 m: p = 0.21908902300206648 1/m: the run's frame at alpha = "
+     "4 sigma p^2 - (3/2) hbar = -0.08600000000000001 moves 3.3e+137 m from its crest's "
+     "frame by t_check = 1 s, too far for a float to place its samples within 1e-06 dx"),
     (["scenario", "steepening", "--set", "scenario.t_check=1e300"], EXIT_USAGE,
-     "by t_end = 1e+300 s, too far for a float to place its samples within 1e-06 dx"),
+     "usage error: 'scenario.t_check' = 1e+300 s with 'physical.g' = 9.81 m/s^2 and "
+     "'physical.H' = 1.0 m: p = 0.21908902300206648 1/m: the run's frame at alpha = "
+     "4 sigma p^2 - (3/2) hbar = -0.08600000000000001 moves 1.03e+288 m from its crest's "
+     "frame by t_check = 1e+300 s, too far"),
+    (["stability", "--hbar", "0.1", "--p-ratio", "0.9", "--cross-check",
+      "--set", "physical.g=1e300"], EXIT_USAGE,
+     "usage error: 'physical.g' = 1e+300 m/s^2 and 'physical.H' = 1.0 m: p = "),
 ]
 
 # derived values and amplitudes that overflow or underflow, and a cross-check
@@ -1082,7 +1106,7 @@ class TestNothingWrittenUnlessTheRunSucceeds:
          "its low-passed max|h| is 4.78516e+98 m"),
         # a start under the limit runs, and this one blows up in part (b) itself
         (["scenario", "boussinesq_demo", "--set", "scenario.h0=20"], EXIT_BLOWUP,
-         "solution blew up at t = 0.119179 s (step 11, max|h| = 10.4212 m)"),
+         "solution blew up at t = 0.116472 s (step 14, max|h| = 10.2759 m)"),
         # crests past the limit whose tails' arguments overflow: the tails are 0,
         # and the start stops at t = 0, sampled crest or not
         *[([*command, "--set", "physical.H=1e-100", "--set", "grid.L=1e300"], EXIT_BLOWUP,

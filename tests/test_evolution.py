@@ -41,12 +41,11 @@ from longwave import (
     stable_dt,
     steepening_verdict,
     step_etdrk4,
-    step_ifrk4,
     step_rk4,
 )
 from longwave import cli, evolution, operators
-from longwave.operators import diff, fourier_shift, lowpass, wavenumbers
-from conftest import same_bits, smooth_random_fields
+from longwave.operators import diff, fourier_shift, wavenumbers
+from conftest import lowpass_band, same_bits, smooth_random_fields
 
 SIGMA0 = 1.0 / 3.0
 
@@ -243,13 +242,14 @@ class TestStepRk4:
         out = step_etdrk4(field, params, SchemeConfig(), 1e300)
         assert out.t == 1e300 and np.max(np.abs(out.h)) < spec.h0
 
-    def test_each_exponential_step_names_the_other_for_the_other_state(self, params):
+    def test_one_exponential_step_takes_either_state(self, params):
+        # step_etdrk4 steps a WaveField and an (h, v) pair alike, each into a
+        # state of its own kind, one dt later
         spec, grid, field = solitary_case(params, N=128, L=60.0)
-        pair = (field, WaveField(grid, np.zeros(grid.N)))
-        with pytest.raises(ValueError, match="step a WaveField with step_etdrk4"):
-            step_ifrk4(field, params, SchemeConfig(), 0.01)
-        with pytest.raises(ValueError, match=r"step an \(h, v\) pair with step_ifrk4"):
-            step_etdrk4(pair, params, SchemeConfig(), 0.01)
+        pair = (field, WaveField(grid, -solitary_speed(spec) * diff(field.h, grid.L, 1)))
+        h, v = step_etdrk4(pair, params, SchemeConfig(), 0.01)
+        assert h.t == v.t == 0.01 and np.max(np.abs(h.h - field.h)) > 0
+        assert isinstance(step_etdrk4(field, params, SchemeConfig(), 0.01), WaveField)
 
 
 def criterion_10_state(params, part):
@@ -262,12 +262,12 @@ def criterion_10_state(params, part):
     elif part == "b":
         spec = SolitarySpec(0.1, SIGMA0, H, params.g)
         grid, cut = PeriodicGrid(L=120.0, N=1024), 0.75
-        h = lowpass(solitary_profile(spec, grid.x), grid.L, cut * math.sqrt(3.0) / H)
+        h = lowpass_band(solitary_profile(spec, grid.x), grid, params, cut)
         v, dt = -solitary_speed(spec) * diff(h, grid.L, 1), 0.01
     else:
         grid = PeriodicGrid(L=64.0, N=256)
         noise = 1e-10 * H * np.random.default_rng(1234).standard_normal(grid.N)
-        h = lowpass(noise - noise.mean(), grid.L, 0.5 * math.sqrt(3.0) / H)
+        h = lowpass_band(noise - noise.mean(), grid, params, 0.5)
         v, dt, cut = np.zeros(grid.N), 1e-4, 0.5
     return (WaveField(grid, h), WaveField(grid, v)), dt, cut
 
@@ -407,30 +407,85 @@ def boussinesq_band_state(params, state, config):
 def filtered_solitary(params, h0, grid, cut):
     """Criterion 10's right-moving solitary data on the band below cut sqrt(3)/H."""
     spec = SolitarySpec(h0, SIGMA0, params.H, params.g)
-    h = lowpass(solitary_profile(spec, grid.x), grid.L, cut * math.sqrt(3.0) / params.H)
+    h = lowpass_band(solitary_profile(spec, grid.x), grid, params, cut)
     v = -solitary_speed(spec) * diff(h, grid.L, 1)
     return (WaveField(grid, h), WaveField(grid, v)), solitary_speed(spec)
 
 
-class TestBoussinesqIfrk4:
+def phi_functions(X):
+    """(exp X, phi1 X, phi2 X, phi3 X) of a square matrix X, apart from the stepper's.
+
+    One exponential of the augmented matrix [[X, I, 0, 0], [0, 0, I, 0],
+    [0, 0, 0, I], [0, 0, 0, 0]] holds all four in its top block row
+    (Saad 1992), taken by scaling, a 30-term Taylor series and squaring.
+    """
+    m = len(X)
+    W = np.zeros((4 * m, 4 * m), complex)
+    W[:m, :m] = X
+    for i in range(3):
+        W[i * m:(i + 1) * m, (i + 1) * m:(i + 2) * m] = np.eye(m)
+    s = max(0, math.ceil(math.log2(np.abs(W).sum(axis=1).max() / 0.25)))
+    W /= 2.0 ** s
+    E, term = np.eye(4 * m, dtype=complex), np.eye(4 * m, dtype=complex)
+    for j in range(1, 31):
+        term = term @ W / j
+        E += term
+    for _ in range(s):
+        E = E @ E
+    return tuple(E[:m, i * m:(i + 1) * m] for i in range(4))
+
+
+class TestBoussinesqEtdrk4:
     @pytest.mark.parametrize("scheme", ["spectral", "centered4"])
     @pytest.mark.parametrize("part", ["a", "b", "c"])
-    def test_rotation_step_matches_the_band_rk4_step(self, params, part, scheme):
+    def test_exponential_step_matches_the_band_rk4_step(self, params, part, scheme):
         # at criterion 10's own small steps both fourth-order steppers move the
-        # band state alike: after 20 steps they part by RK4's own error, 1e-10
-        # of the motion on (a) and 3e-9 on (b); a wrong rotation entry would
-        # part them by the motion itself
+        # band state alike: after 20 steps they part by RK4's own error; a wrong
+        # rotation or projector entry would part them by the motion itself
         state, dt, cut = criterion_10_state(params, part)
         config = SchemeConfig(deriv=scheme, filter_cut=cut)
         z0, iso = boussinesq_band_state(params, state, config)
         _, _, rk4 = evolution._band_run(state[0].grid, params, config, True, "rk4")
-        _, _, lawson = evolution._band_run(state[0].grid, params, config, True, "ifrk4")
+        _, _, etdrk4 = evolution._band_run(state[0].grid, params, config, True, "etdrk4")
         za, zb, n = z0, z0, None
         for _ in range(20):
             za = rk4(za, dt)
-            zb, n, _ = lawson(zb, n, dt)
+            zb, n, _ = etdrk4(zb, n, dt)
         moved = np.linalg.norm(iso * (za - z0))
         assert np.linalg.norm(iso * (zb - za)) <= 1e-8 * moved
+
+    @pytest.mark.parametrize("dt", [0.2, 2.0])
+    def test_pair_weights_are_the_phi_functions_of_its_generator(self, params, dt):
+        # in the frame at speed s each mode of the pair has the generator
+        # G = [[i s k, 1], [lin, i s k]]; its weights are Cox & Matthews'
+        # phi-functions of G dt times g = (0, f), here taken from G itself
+        # (phi_functions), not from its eigenvalues and projectors as
+        # _pair_weights folds them.  Part (b)'s band (J = 25) in its crest's
+        # frame, at steps whose largest omega dt is 0.54 and 5.4
+        (h, _), _, cut = criterion_10_state(params, "b")
+        grid = h.grid
+        lin, flux = evolution._symbols(grid, params, SchemeConfig(filter_cut=cut), True)
+        om, f = np.sqrt(np.abs(lin)), 0.3 * flux
+        sk = math.sqrt(params.g / params.H) * 0.05 * wavenumbers(grid.N, grid.L)[:lin.size]
+        (c, As), A, B, A2, b1, b23, b4, e = evolution._pair_weights(om, sk, lin, f, dt)
+        got = np.column_stack((c, As[0], As[1], c, A, B, A2, *b1, *b23, *b4, *e))
+        rows = []
+        for j in range(lin.size):
+            G = np.array([[1j * sk[j], 1.0], [lin[j], 1j * sk[j]]])
+            g = np.array([0.0, f[j]])
+            E, p1, p2, p3 = phi_functions(G * dt)
+            Eh, p1h = phi_functions(G * dt / 2)[:2]
+            a = 0.5 * dt * p1h @ g
+            b4j = dt * (4 * p3 - p2) @ g
+            rows.append([*Eh.ravel(), a[0], ((Eh - np.eye(2)) @ a)[0], 2 * a[0],
+                         *(dt * (p1 - 3 * p2 + 4 * p3) @ g), *(dt * (2 * p2 - 4 * p3) @ g),
+                         *b4j, om[j] * b4j[0], b4j[1]])
+        want = np.array(rows)
+        # each weight to 1e-13 of its largest entry over both rows (P's over its
+        # four entries); measured at most 7e-15
+        for cols in np.split(np.arange(15), [4, 5, 6, 7, 9, 11, 13]):
+            scale = np.abs(want[:, cols]).max()
+            assert np.abs(got[:, cols] - want[:, cols]).max() <= 1e-13 * scale
 
     def test_linear_mode_propagated_exactly(self, params):
         # mode 8 of part (a)'s J = 9 band squares onto mode 0, where the flux
@@ -443,7 +498,7 @@ class TestBoussinesqIfrk4:
         v = WaveField(grid, 0.5 * om * h.h)
         config = SchemeConfig(filter_cut=cut)
         dt = 100 * stable_dt(grid, params, config, "boussinesq") / 0.4
-        out = step_ifrk4((h, v), params, config, dt)
+        out = step_etdrk4((h, v), params, config, dt)
         h8, v8 = np.fft.rfft(h.h)[8], np.fft.rfft(v.h)[8]
         want_h = h8 * math.cos(om * dt) + v8 * math.sin(om * dt) / om
         want_v = -om * h8 * math.sin(om * dt) + v8 * math.cos(om * dt)
@@ -454,14 +509,14 @@ class TestBoussinesqIfrk4:
 
     @pytest.mark.parametrize("scheme", ["spectral", "centered4"])
     def test_embedded_error_estimate_is_third_order(self, params, scheme):
-        # as for the unidirectional pair: halving dt cuts the estimate ~16x,
+        # as for the unidirectional step: halving dt cuts the estimate ~16x,
         # and the fourth-order step's own local error, in the norm the
         # rotation conserves, stays below it
         grid, cut = PeriodicGrid(L=60.0, N=256), 0.75
         state, _ = filtered_solitary(params, 0.2, grid, cut)
         config = SchemeConfig(deriv=scheme, filter_cut=cut)
         z, iso = boussinesq_band_state(params, state, config)
-        _, _, step = evolution._band_run(grid, params, config, True, "ifrk4")
+        _, _, step = evolution._band_run(grid, params, config, True, "etdrk4")
         dts = (0.1, 0.05, 0.025)
         est = [step(z, None, dt)[2] for dt in dts]
         assert all(12.0 <= a / b <= 24.0 for a, b in zip(est, est[1:]))
@@ -475,8 +530,7 @@ class TestBoussinesqIfrk4:
         # criterion 10's solitary data on a coarser grid, three laps under the
         # error controller: the top eighth of the band holds the profile's own
         # content (1e-4 m), which must not grow from lap to lap.  The
-        # tolerance sets every step here (about 0.05 s); the beat limit, some
-        # seconds, does not bind
+        # tolerance sets every step here (about 0.25 s)
         grid, cut = PeriodicGrid(L=120.0, N=256), 0.75
         state, c = filtered_solitary(params, 0.1, grid, cut)
         config = SchemeConfig(t_end=grid.L / c, filter_cut=cut)
@@ -484,7 +538,7 @@ class TestBoussinesqIfrk4:
         tops = []
         for _ in range(3):
             res = evolve(state, params, config, sample_every=10 ** 9)
-            assert (res.integrator, res.rejected) == ("ifrk4", 0)
+            assert (res.integrator, res.rejected) == ("etdrk4", 0)
             state = res.final
             tops.append((np.abs(np.fft.rfft(state[0].h)) / grid.N)[J - J // 8:J].max())
         assert all(b <= a for a, b in zip(tops, tops[1:]))
@@ -496,44 +550,35 @@ class TestBoussinesqIfrk4:
         res = evolve(state, params, config)
         assert (res.integrator, res.rejected) == ("rk4", 0)
         with pytest.raises(ValueError, match="low-pass band"):
-            step_ifrk4(state, params, config, 0.01)
+            step_etdrk4(state, params, config, 0.01)
 
     @pytest.mark.parametrize("scheme", ["spectral", "centered4"])
-    def test_beat_limit_is_measured_over_the_band(self, params, scheme):
+    def test_linear_noise_crosses_the_run_in_one_step(self, params, scheme):
         # filtered noise at 1e-10 H (criterion 10's part c) is linear to
-        # roundoff, so its error estimate is near zero and, between sparse
-        # stops, the steps grow to the RK4 limit of the fastest beat,
-        # 2 sqrt(2) / (c_max k_rms): c_max is the largest group speed of the
-        # scheme's own omega^2 = -g H D2 (1 + H^2 D2 / 3) over the low-pass
-        # band the pair steps, and k_rms is taken in the norm the rotation
-        # conserves
+        # roundoff, and ETDRK4 turns each mode exactly: its first wanted step
+        # passes the run's 20 s, far past the RK4 limit of its fastest beat in
+        # the interaction picture (1.62 s), and the state stays each mode's
+        # rotation to 7.4e-11 of its size, the nonlinearity's share
         state, _, cut = criterion_10_state(params, "c")
-        grid, g, H = state[0].grid, params.g, params.H
-        k = wavenumbers(grid.N, grid.L)
-        k = k[k <= cut * math.sqrt(3.0) / H]
-        kd = k * grid.dx
-        d2 = (-k * k if scheme == "spectral"
-              else -(15 - 16 * np.cos(kd) + np.cos(2 * kd)) / (6 * grid.dx ** 2))
-        om = np.sqrt(-g * H * d2 * (1 + H * H * d2 / 3))
-        c_max = np.max(np.abs(np.diff(om) / np.diff(k)))
-        power = (om * np.abs(np.fft.rfft(state[0].h)[:k.size])) ** 2  # v = 0
-        limit = 2 * math.sqrt(2) / (c_max * math.sqrt(np.sum(k * k * power) / np.sum(power)))
-        res = evolve(state, params, SchemeConfig(deriv=scheme, t_end=20.0, filter_cut=cut),
-                     sample_every=1)
-        assert res.integrator == "ifrk4" and res.band == (k.size, k.size)
-        largest = np.diff(res.times)[:-1].max()  # the last step lands on t_end
-        assert limit * 2 ** (-1 / 16) * (1 - 1e-9) <= largest <= limit * (1 + 1e-9)
+        config = SchemeConfig(deriv=scheme, t_end=20.0, filter_cut=cut)
+        res = evolve(state, params, config, sample_every=1)
+        assert (res.integrator, res.steps, res.rejected) == ("etdrk4", 1, 0)
+        z0, iso = boussinesq_band_state(params, state, config)
+        lin = evolution._symbols(state[0].grid, params, config, True)[0]
+        om, t = iso[0], res.times[-1]
+        s = np.divide(np.sin(om * t), om, out=np.full(om.size, t), where=om != 0)
+        rotated = np.cos(om * t) * z0 + np.stack((s, lin * s)) * z0[::-1]
+        z1 = np.fft.rfft(res.samples[-1])[:, :om.size]
+        assert np.linalg.norm(iso * (z1 - rotated)) <= 1e-9 * np.linalg.norm(iso * z0)
 
     def test_blowup_raised_in_the_crossing_step(self, params, monkeypatch):
-        # a tolerance of 100, with the beat limit lifted, lets the pair's
-        # controller grow the step until the run diverges (an ETDRK4 run keeps
-        # a solitary wave exactly in its frame); the check runs on every
-        # accepted step, so the error comes one step after the last sample,
-        # which every accepted step takes here
+        # a tolerance of 100 lets the pair's controller grow the step until the
+        # run diverges; a crest of H at rest splits into two, so no frame holds
+        # it steady.  The check runs on every accepted step, so the error comes
+        # one step after the last sample, which every accepted step takes here
         monkeypatch.setattr(evolution, "IF_TOL", 100.0)
-        monkeypatch.setattr(evolution, "RK4_IMAG_LIMIT", math.inf)
-        field, _ = filtered_solitary(params, 0.2, PeriodicGrid(L=60.0, N=128), 0.75)
-        grid = field[0].grid
+        (h, _), _ = filtered_solitary(params, params.H, PeriodicGrid(L=60.0, N=128), 0.75)
+        field, grid = (h, WaveField(h.grid, np.zeros(h.grid.N))), h.grid
         # (t, max|h|) of every sample: the start, then each band state the
         # controlled run hands evolve to keep
         seen = [(0.0, np.max(np.abs(field[0].h)))]
@@ -558,13 +603,45 @@ class TestBoussinesqIfrk4:
         assert exc.value.step == len(times)
         assert exc.value.time > times[-1] and exc.value.max_abs_h > 10 * params.H
 
+    def test_pair_steps_in_its_crests_frame(self, params):
+        # part (b)'s crest moves at -v_x/h_xx = c, the frame at alpha = H - c/sqrt(g/H);
+        # a step of step_etdrk4 in that frame is evolve's step, whose sample is
+        # shifted back by c dt into the fixed frame
+        state, c = filtered_solitary(params, 0.1, PeriodicGrid(L=120.0, N=1024), 0.75)
+        config = SchemeConfig(filter_cut=0.75, t_end=0.01)
+        res = evolve(state, params, config, sample_every=1)
+        assert res.steps == 1
+        assert res.step_alpha == pytest.approx(params.H - c / math.sqrt(params.g / params.H),
+                                               rel=1e-12)
+        frame = replace(config, frame="moving", alpha=res.step_alpha)
+        h, v = step_etdrk4(state, params, frame, 0.01)
+        drift = math.sqrt(params.g / params.H) * (params.H - res.step_alpha) * 0.01
+        for stepped, sampled in zip((h, v), res.final):
+            moved = fourier_shift(stepped.h, stepped.grid.L, drift)
+            assert np.max(np.abs(moved - sampled.h)) <= 1e-14 * np.max(np.abs(sampled.h))
+
+    def test_pair_whose_crest_frame_is_unresolved_steps_in_the_fixed_frame(self, params,
+                                                                            monkeypatch):
+        # the pair has no frame key to refuse: where no float would place its
+        # samples to FRAME_ULP dx, or its start has no crest speed, it steps in
+        # the fixed frame, alpha = H, and carries the wave as far within IF_TOL
+        state, _ = filtered_solitary(params, 0.1, PeriodicGrid(L=120.0, N=1024), 0.75)
+        config = SchemeConfig(filter_cut=0.75, t_end=3.0)
+        crest = evolve(state, params, config)
+        monkeypatch.setattr(evolution, "FRAME_ULP", 1e-30)
+        fixed = evolve(state, params, config)
+        assert crest.step_alpha < 0 and fixed.step_alpha == params.H
+        assert np.max(np.abs(fixed.samples - crest.samples)[:, 0]) <= 1e-6 * 0.1
+        rest = (state[0], WaveField(state[0].grid, np.zeros(state[0].grid.N)))
+        assert evolve(rest, params, config).step_alpha == params.H  # v_x = 0: at rest
+
     def test_wanted_step_past_max_steps_raises_instead_of_spinning(self, params):
         # the pair's first wanted step, under a second, would leave more than
         # MAX_STEPS of them to t_end = 1e300 s, so the run stops before taking it
         (h, v), _ = filtered_solitary(params, 0.1, PeriodicGrid(L=120.0, N=256), 0.75)
         with pytest.raises(BlowUpError, match="MAX_STEPS") as exc:
             evolve((h, v), params, SchemeConfig(filter_cut=0.75, t_end=1e300))
-        assert (exc.value.time, exc.value.step, exc.value.integrator) == (0.0, 1, "ifrk4")
+        assert (exc.value.time, exc.value.step, exc.value.integrator) == (0.0, 1, "etdrk4")
         assert exc.value.max_abs_h == pytest.approx(np.max(np.abs(h.h)), rel=1e-12)
 
 
@@ -757,34 +834,14 @@ class TestEtdrk4:
         above = np.abs(np.fft.rfft(res.final.h))[(grid.N + 2) // 3:] / grid.N
         assert above.max() <= 1e-15 * np.max(np.abs(res.final.h))
 
-    @pytest.mark.parametrize("bidirectional", [False, True], ids=["kdv_cut_band", "lowpass_pair"])
-    def test_one_pass_read_gives_the_bound_power_and_moment(self, params, bidirectional):
-        # one read of a band state gives the blow-up bound sum |h_j|, the power
-        # sum |iso z|^2 in the isometric norm and its k2 moment, each within
-        # 1e-14 of its formula, and leaves |h_j| for the band watch
-        grid = PeriodicGrid(L=120.0, N=1024)
-        lin = evolution._symbols(grid, params, SchemeConfig(), bidirectional)[0]
-        J, m = (lin.size, 2) if bidirectional else (136, 1)  # a transit's cut band
-        omega = evolution._omega(lin[:J], bidirectional)
-        iso = np.stack((omega, np.ones(J)))[-m:]
-        k2 = wavenumbers(grid.N, grid.L)[:J] ** 2
-        read, a = evolution._state_reader(iso, k2)
-        rng = np.random.default_rng(5)
-        for _ in range(4):
-            z = rng.standard_normal((m, J)) + 1j * rng.standard_normal((m, J))
-            S = read(z)
-            w = iso * z
-            assert [S[0][0], S[1][1], S[1][2]] == pytest.approx(
-                [np.sum(np.abs(z[0])), np.vdot(w, w).real, np.vdot(w, k2 * w).real],
-                rel=1e-14, abs=0)
-            assert np.array_equal(a, np.abs(z[0]))
-
     @pytest.mark.parametrize("run", ["transit_N512", "two_soliton", "boussinesq_demo"])
     def test_runs_build_no_stage_weights_twice(self, params, monkeypatch, tmp_path, run):
         # the default collision steps on 18 rungs of the ladder and lands on its
         # 50 stops with 30 step lengths; a band caches the weights of the last 40
-        # step lengths it took, and on no run is a step's weights built twice,
-        # the pair's Lawson weights or ETDRK4's
+        # step lengths it took, and on no run is a step's weights built twice.
+        # The pair builds its weights through _etd_weights too, on 2J stacked
+        # frequencies, and tiles its sample intervals so that they share them:
+        # the demo builds 10 sets, and its part (b) takes 206 steps
         built = []
 
         def counting(build):
@@ -793,9 +850,10 @@ class TestEtdrk4:
                 return build(om, *args)
             return counted
 
-        for name in ("_stage_weights", "_etd_weights"):
-            monkeypatch.setattr(evolution, name, counting(getattr(evolution, name)))
-        # and each Fourier table is built once: as many builds as tables held
+        monkeypatch.setattr(evolution, "_etd_weights", counting(evolution._etd_weights))
+        # and each shared Fourier table is built once, as many builds as tables
+        # held, while a crest frame's table, which its run alone reads, stays out
+        # of the memos
         memos = (evolution._kdv_symbols, evolution._boussinesq_symbols)
         for memo in memos:
             memo.cache_clear()
@@ -803,6 +861,11 @@ class TestEtdrk4:
             evolve(*_transit_run(params))
         elif run == "boussinesq_demo":
             assert cli.main(["scenario", run, "--out", str(tmp_path / run)]) == 0
+            manifest = (tmp_path / run / "manifest.txt").read_text().splitlines()
+            assert "result.solitary_integrator=etdrk4" in manifest
+            steps = next(int(line.split("=")[1]) for line in manifest
+                         if line.startswith("result.solitary_steps="))
+            assert steps <= 230 and len(built) <= 12
         else:
             initial, _, config = _collision_run(params)
             res = evolve(initial, params, replace(config, t_end=60.0))
@@ -810,7 +873,7 @@ class TestEtdrk4:
             rungs = {dt for _, dt in built if dt == 2.0 ** (round(16.0 * math.log2(dt)) / 16.0)}
             assert len(rungs) == 18 and len(built) == 18 + 30
         assert built and len(set(built)) == len(built)
-        tables = {"transit_N512": 1, "two_soliton": 1, "boussinesq_demo": 3}[run]
+        tables = {"transit_N512": 0, "two_soliton": 0, "boussinesq_demo": 3}[run]
         assert [sum(m.cache_info().misses for m in memos),
                 sum(m.cache_info().currsize for m in memos)] == [tables, tables]
 
@@ -917,66 +980,43 @@ def reference_kdv(field, params, config, dt, nsteps):
     return hs
 
 
-def lawson_reference(lin, flux, M, N, z, n1, dt):
-    """One ERK4(3)-IP step of _band_run's for the pair, written with fresh arrays
-    over the np.fft square.
+def etd_reference(lin, flux, M, N, z, n1, dt, sk=None):
+    """One ETDRK4 step of _band_run's, written with fresh arrays over the np.fft square.
 
-    Returns (z1, n5, err) as the band stepper does; the order of operations
-    is the stepper's, so the two agree bit for bit.
+    z is one row of band coefficients, or the (h, v) pair's two stepped in
+    the frame whose speed times the band's wavenumbers is sk.  The weights
+    are the stepper's own (_etd_weights, or _pair_weights for the pair);
+    the stages follow Cox & Matthews' in the stepper's order of
+    operations, so the two agree bit for bit.
     """
     J = lin.size
-    A = np.stack((np.ones(J), lin))
-    g = np.zeros_like(A)
-    g[-1] = flux * (M / N)
-    om = np.sqrt(np.abs(lin))
+    if len(z) == 2:
+        om = np.sqrt(np.abs(lin))
+        (c, As), A, B, A2, b1, b23, b4, e = evolution._pair_weights(om, sk, lin,
+                                                                  flux * (M / N), dt)
+
+        def P(x):
+            return c * x + As * x[::-1]
+    else:
+        Pd, A, B, A2, b1, b23, b4 = evolution._etd_weights(lin.imag, flux * (M / N), dt)
+        e = b4
+
+        def P(x):
+            return Pd * x
 
     def sq(x):
         return np.fft.rfft(np.fft.irfft(x[0], n=M) ** 2)[None, :J]
 
-    def propagator(tau):
-        c = np.cos(om * tau)
-        As = A * np.divide(np.sin(om * tau), om, out=np.full(J, tau), where=om != 0)
-        return lambda x: c * x + As * x[::-1]
-
-    P = propagator(0.5 * dt)
-    Pg, P2g = P(g), propagator(dt)(g)
     if n1 is None:
         n1 = sq(z)
     Pz = P(z)
     P2z = P(Pz)
-    n2 = sq(Pz + (0.5 * dt) * Pg * n1)
-    n3 = sq(Pz + (0.5 * dt) * g * n2)
-    n4 = sq(P2z + (dt * Pg) * n3)
-    z1 = (P2z + ((dt / 6.0) * P2g) * n1 + ((dt / 3.0) * Pg) * (n2 + n3)
-          + ((dt / 6.0) * g) * n4)
-    n5 = sq(z1)
-    d = ((dt / 10.0) * g[-1:]) * (n4 - n5)
-    return z1, n5, math.sqrt(np.vdot(d, d).real)
-
-
-def etd_reference(lin, flux, M, N, z, n1, dt):
-    """One ETDRK4 step of _band_run's, written with fresh arrays over the np.fft square.
-
-    The weights are the stepper's own (_etd_weights); the stages follow
-    Cox & Matthews' in the stepper's order of operations, so the two agree
-    bit for bit, as lawson_reference does for the pair.
-    """
-    J = lin.size
-    P, A, B, A2, b1, b23, b4 = evolution._etd_weights(lin.imag, flux * (M / N), dt)
-
-    def sq(x):
-        return np.fft.rfft(np.fft.irfft(x[0], n=M) ** 2)[None, :J]
-
-    if n1 is None:
-        n1 = sq(z)
-    Pz = P * z
-    P2z = P * Pz
     n2 = sq(Pz + A * n1)
     n3 = sq(Pz + A * n2)
     n4 = sq(P2z + B * n1 + A2 * n3)
     z1 = P2z + b1 * n1 + b23 * (n2 + n3) + b4 * n4
     n5 = sq(z1)
-    d = b4 * (n4 - n5)
+    d = e * (n4 - n5)
     return z1, n5, math.sqrt(np.vdot(d, d).real)
 
 
@@ -1029,13 +1069,14 @@ class TestBandStepper:
 
         assert same_bits(step(z, 0.01), rk4(z, rhs, 0.01))
         if bidirectional and not filtered:
-            return  # the integrating factor needs the low-pass band
-        integrator, reference = (("ifrk4", lawson_reference) if bidirectional
-                                 else ("etdrk4", etd_reference))
-        _, _, step = evolution._band_run(grid, params, config, bidirectional, integrator, J)
+            return  # the exponential step needs the low-pass band
+        # the pair is stepped in the frame of part (b)'s crest, alpha = -0.05
+        config = replace(config, frame="moving", alpha=-0.05) if bidirectional else config
+        sk = math.sqrt(params.g / params.H) * (params.H + 0.05) * wavenumbers(N, L)[:J]
+        _, _, step = evolution._band_run(grid, params, config, bidirectional, "etdrk4", J)
         n = None
         for _ in range(3):  # the first step forms its own first square
-            got, want = step(z, n, 0.01), reference(lin, flux, M, N, z, n, 0.01)
+            got, want = step(z, n, 0.01), etd_reference(lin, flux, M, N, z, n, 0.01, sk)
             assert all(same_bits(a, b) for a, b in zip(got[:2], want[:2]))
             assert got[2] == want[2]
             z, n = got[:2]
@@ -1046,10 +1087,10 @@ class TestBandStepper:
         # the steppers reuse work arrays: a step retried from the same (z, n),
         # as after a rejection, must give the same result and leave the first
         # result, and its own arguments, as they were.  The exponential step is
-        # the pair's Lawson step or the unidirectional ETDRK4 step
+        # ETDRK4, of either equation
         grid = PeriodicGrid(L=64.0, N=256)
         if integrator == "exponential":
-            integrator = "ifrk4" if bidirectional else "etdrk4"
+            integrator = "etdrk4"
         lin, _, step = evolution._band_run(grid, params, SchemeConfig(), bidirectional,
                                            integrator)
         hv = smooth_random_fields(grid, 1 + bidirectional, 0.1 * params.H, max_mode=6, seed=3)
@@ -1108,21 +1149,18 @@ class TestBandStepper:
     ])
     def test_a_step_keeps_its_transform_budget(self, params, monkeypatch, N, L, config,
                                                bidirectional, J, M):
-        # a band square is two transforms of length M: an exponential step (the
-        # pair's Lawson step or ETDRK4) forms four squares given the first
+        # a band square is two transforms of length M, one row a call: an
+        # ETDRK4 step, of either equation, forms four squares given the first
         # stage's (the last square of the step before), five without it, and
-        # an RK4 step four.  The pair's Lawson step squares its stages two rows
-        # to a call: four calls given the first square, and that square's two
-        # one-row calls before them without it, so the same rows
+        # an RK4 step four
         lengths, rows = self._count_transforms(monkeypatch)
         grid = PeriodicGrid(L=L, N=N)
-        lin, _, exponential = evolution._band_run(grid, params, config, bidirectional,
-                                                  "ifrk4" if bidirectional else "etdrk4")
+        lin, _, exponential = evolution._band_run(grid, params, config, bidirectional, "etdrk4")
         _, _, rk4 = evolution._band_run(grid, params, config, bidirectional, "rk4")
         assert lin.size == J
         hv = smooth_random_fields(grid, 1 + bidirectional, 0.1 * params.H, max_mode=6, seed=5)
         z = np.fft.rfft(np.stack(hv))[:, :J]
-        first, later = ([1, 1, 2, 2, 2, 2], [2] * 4) if bidirectional else ([1] * 10, [1] * 8)
+        first, later = [1] * 10, [1] * 8
         del lengths[:], rows[:]
         z1, n1, _ = exponential(z, None, 0.01)
         assert lengths == [M] * len(first) and rows == first and sum(rows) == 10
@@ -1139,9 +1177,8 @@ class TestBandStepper:
         # evolve calls the stepper once per accepted or rejected step, and hands
         # each step the square the one before it formed: only the first step of
         # a band that never grows forms its own, so it transforms ten rows and
-        # every later one eight.  KdV's step makes one call a row; the pair's
-        # squares two rows to a call after its first square, so it makes six
-        # calls on its first step and four on every later one
+        # every later one eight, one call a row (the collision takes 497 steps,
+        # the pair's part (b) 206)
         (lengths, rows), per_step, band_run = (self._count_transforms(monkeypatch), [],
                                                evolution._band_run)
 
@@ -1166,12 +1203,11 @@ class TestBandStepper:
             config = SchemeConfig(filter_cut=0.75, t_end=30.0)
         res = evolve(state, params, config)
         assert res.band[0] == res.band[1]
-        assert res.integrator == ("etdrk4" if case == "collision" else "ifrk4")
-        assert len(per_step) == res.steps + res.rejected > 400
+        assert res.integrator == "etdrk4"
+        assert len(per_step) == res.steps + res.rejected > (400 if case == "collision" else 100)
         calls, transformed = (list(c) for c in zip(*per_step))
         assert transformed == [10] + [8] * (len(per_step) - 1)
-        first, later = (6, 4) if case == "boussinesq_demo_b" else (10, 8)
-        assert calls == [first] + [later] * (len(per_step) - 1)
+        assert calls == transformed
 
     def test_blowup_check_is_exact_when_the_bound_exceeds_the_limit(self, params):
         # 60 cosines of 0.3 m: the coefficient bound (2/N) sum_j |h_j| is about
@@ -1569,7 +1605,7 @@ def _pair_run(params):
     # the pair's invariant sets are taken at T = 0, its energy is pure gravity
     spec = SolitarySpec(h0=0.1, sigma=SIGMA0, H=params.H, g=params.g)
     grid = PeriodicGrid(L=120.0, N=256)
-    h = lowpass(solitary_profile(spec, grid.x), grid.L, 0.5 * math.sqrt(3.0))
+    h = lowpass_band(solitary_profile(spec, grid.x), grid, WATER, 0.5)
     v = -solitary_speed(spec) * diff(h, grid.L, 1)
     return (WaveField(grid, h), WaveField(grid, v)), WATER, SchemeConfig(t_end=5.0)
 

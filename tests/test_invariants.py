@@ -26,8 +26,8 @@ from longwave import (
     variational_derivative,
 )
 from longwave.invariants import InvariantSet
-from longwave.operators import diff, integrate, lowpass
-from conftest import smooth_random_fields
+from longwave.operators import diff, integrate
+from conftest import lowpass_band, smooth_random_fields
 
 SIGMA0 = 1.0 / 3.0
 
@@ -241,7 +241,7 @@ class TestBoussinesqEnergy:
         grid = PeriodicGrid(L=64.0, N=256)
         rng = np.random.default_rng(9)
         h = 1e-3 * rng.standard_normal(grid.N)
-        h = lowpass(h - h.mean(), grid.L, 0.5 * math.sqrt(3.0) / params.H)
+        h = lowpass_band(h - h.mean(), grid, params, 0.5)
         state = (WaveField(grid, h), WaveField(grid, np.zeros(grid.N)))
         cfg = SchemeConfig(dt=2e-3, t_end=2.0)
         res = evolve(state, params, cfg)

@@ -13,7 +13,7 @@ from longwave import (
     solitary_field,
 )
 from longwave import evolution, operators
-from longwave.operators import antiderivative, diff, fourier_shift, lowpass, wavenumbers
+from longwave.operators import antiderivative, diff, fourier_shift, wavenumbers
 from conftest import same_bits, smooth_random_fields
 
 
@@ -60,8 +60,6 @@ class TestKernelPair:
             symbol = operators.derivative_symbols(N, L, scheme)[order - 1]
             assert same_bits(diff(h, L, order, scheme),
                              np.fft.irfft(symbol * np.fft.rfft(h), n=N))
-        assert same_bits(lowpass(h, L, k[N // 5]),
-                         np.fft.irfft(np.where(k <= k[N // 5], np.fft.rfft(h), 0.0), n=N))
         assert same_bits(fourier_shift(h, L, 1.7),
                          np.fft.irfft(np.fft.rfft(h) * np.exp(-1j * k * 1.7), n=N))
         g = h - h.mean()

@@ -10,7 +10,9 @@ The cnoidal wave is the periodic oracle: its zero-mean profile travels
 unchanged at a speed known in closed form, so every snapshot of a
 cnoidal run has an exact answer too.  Boussinesq's own solitary wave is
 the oracle of the bidirectional pair: it travels unchanged at Rayleigh's
-speed.
+speed.  The pair's tolerance, evolution.IF_TOL, is the largest 1-3-10
+rung that keeps boussinesq_demo's part (b) within PAIR_BUDGET of a
+converged run, at the demo's default and at a taller, wider-band wave.
 
 The symmetries of the unidirectional equation (Olver, Applications of
 Lie Groups to Differential Equations, 1986) relate pairs of runs that
@@ -22,6 +24,7 @@ measured value.
 
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -48,7 +51,7 @@ from longwave import (
 from longwave import evolution
 from longwave.cli import EXIT_OK, main
 from longwave.operators import diff, fourier_shift
-from conftest import same_bits, two_soliton
+from conftest import lowpass_band, same_bits, two_soliton
 
 HEIGHTS, CENTRES, T_END = (0.5, 0.2), (-22.0, -4.0), 60.0
 # a tenth of the 6.8e-4 shape error the default collision carries from its
@@ -287,8 +290,9 @@ def test_cnoidal_run_is_its_exact_translate(params, m):
 
 
 # the pair's domain and error bound at each amplitude a, about three times the
-# largest error measured over its 51 samples relative to a: 1.87e-6 (L = 160,
-# 100 steps) and 3.99e-7 (L = 200, 50 steps)
+# largest error measured over its 51 samples relative to a when they were set:
+# 1.87e-6 (L = 160, 100 steps) and 3.99e-7 (L = 200, 50 steps) under a Lawson
+# step; stepped by ETDRK4 in the wave's own frame, 7.2e-7 and 3.3e-8 (50 steps)
 PAIR_BOUNDS = {0.02: (160.0, 6e-6), 0.01: (200.0, 1.2e-6)}
 
 
@@ -311,7 +315,82 @@ def test_filtered_pair_carries_boussinesqs_solitary_wave(params, a):
     err = max(float(np.max(np.abs(s[0].h - fourier_shift(h, L, c * t))))
               for t, s in zip(res.times, res.snapshots))
     assert err <= bound * a
-    # the fitted crest speed is within 3.8e-8 (a = 0.02) and 1.3e-8 (a = 0.01) of
+    # the fitted crest speed is within 5.1e-8 (a = 0.02) and 5.3e-8 (a = 0.01) of
     # c; KdV's formula lies 4.9e-5 and 1.2e-5 above it
     speed = fit_speed(res.times, [crest_position(s[0]) for s in res.snapshots], L)
     assert abs(speed - c) <= 1.2e-7 * c
+
+
+# every sample of boussinesq_demo's part (b) (N = 1024, L = 120, 30 s) within
+# PAIR_BUDGET h0 of a converged run, at the demo's default (h0 = 0.1 m, cut
+# 0.75) and at h0 = 0.3 m, cut 0.9, where the same tolerance errs six times
+# more.  The budget is the error of the Lawson pair ERK4(3)-IP that ETDRK4
+# replaced, 2.05e-6 h0 at h0 = 0.3 (1,052 steps), so that neither case errs
+# more than it did (9.33e-7 h0 at the default, 501 steps)
+PAIR_BUDGET = 2e-6
+PAIR_CASES = [(0.1, 0.75), (0.3, 0.9)]
+
+
+@lru_cache(maxsize=None)
+def pair_start(params, h0, cut):
+    """Part (b)'s start: the solitary profile on the low-pass band, v = -omega h_x."""
+    grid = PeriodicGrid(L=120.0, N=1024)
+    spec = SolitarySpec(h0, dispersion_sigma(params), params.H, params.g)
+    h = lowpass_band(solitary_profile(spec, grid.x), grid, params, cut)
+    return WaveField(grid, h), WaveField(grid, -solitary_speed(spec) * diff(h, grid.L, 1))
+
+
+@lru_cache(maxsize=None)
+def pair_reference(params, h0, cut):
+    """Part (b)'s samples from RK4 at dt = 0.005 s, 6,000 steps.
+
+    It is converged: at dt = 0.0025 s it moves by 9.0e-10 h0 (h0 = 0.1)
+    and 6.6e-9 h0 (h0 = 0.3), and it samples at the auto-dt run's times.
+    """
+    res = evolve(pair_start(params, h0, cut), params,
+                 SchemeConfig(filter_cut=cut, t_end=30.0, dt=0.005))
+    return res.samples[:, 0]
+
+
+def pair_error(params, h0, cut):
+    """(steps, largest error of part (b)'s 51 samples / h0) of the auto-dt run."""
+    res = evolve(pair_start(params, h0, cut), params, SchemeConfig(filter_cut=cut, t_end=30.0))
+    assert (res.integrator, len(res.times)) == ("etdrk4", 51)
+    err = float(np.max(np.abs(res.samples[:, 0] - pair_reference(params, h0, cut))))
+    return res.steps, err / h0
+
+
+@pytest.mark.parametrize("h0, cut", PAIR_CASES)
+def test_filtered_solitary_stays_within_the_pairs_error_budget(params, h0, cut):
+    # measured 2.34e-7 in 206 steps (h0 = 0.1) and 1.40e-6 in 568 (h0 = 0.3)
+    steps, err = pair_error(params, h0, cut)
+    assert err <= PAIR_BUDGET, (steps, err)
+
+
+def test_the_next_rung_up_breaks_the_pairs_error_budget(params, monkeypatch):
+    # IF_TOL is the largest rung of the 1-3-10 ladder within the budget in both
+    # cases: at 1e-6 the taller wave errs 3.52e-6 in 457 steps (the default
+    # 5.65e-7 in 165)
+    monkeypatch.setattr(evolution, "IF_TOL", 1e-6)
+    steps, err = pair_error(params, 0.3, 0.9)
+    assert err > PAIR_BUDGET, (steps, err)
+
+
+def test_the_demos_solitary_run_errs_less_than_its_lawson_step_did(params):
+    # the Lawson pair ERK4(3)-IP this step replaced erred 9.33e-7 h0 here in 501
+    # steps at IF_TOL = 1e-6; measured 2.34e-7 in 206
+    steps, err = pair_error(params, 0.1, 0.75)
+    assert err <= 7.0e-7 and steps <= 230, (steps, err)
+
+
+def test_pair_error_falls_at_fourth_order_along_the_tolerance_ladder(params, monkeypatch):
+    # measured at h0 = 0.3, cut 0.9: 300 steps 2.02e-5, 457 steps 3.52e-6, 726
+    # steps 5.31e-7, order 4.1 in the step count
+    runs = []
+    for tol in (1e-5, 1e-6, 1e-7):
+        monkeypatch.setattr(evolution, "IF_TOL", tol)
+        runs.append(pair_error(params, 0.3, 0.9))
+    steps, errs = np.array(runs).T
+    assert np.all(np.diff(steps) > 0) and np.all(np.diff(errs) < 0)
+    order = -np.polyfit(np.log(steps), np.log(errs), 1)[0]
+    assert order >= 3.5, runs
